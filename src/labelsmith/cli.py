@@ -263,6 +263,11 @@ def cmd_aggregate(args) -> int:
                 f"params file was fitted for {params.m} programs but the vote "
                 f"matrix has {matrix.m}"
             )
+        if params.K != K:
+            raise CliError(
+                f"params file was fitted for {params.K} classes but the votes "
+                f"file has {K}"
+            )
         report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
     else:
         fitter = models.FITTERS[args.model]

@@ -9,6 +9,10 @@ Five aggregators over the same VoteMatrix:
 - a moment-based triplet estimator for binary tasks (no EM; latent
   accuracies from products of pairwise agreement rates).
 
+Dawid-Skene and one-coin share one EM driver (``_em``) and differ only in
+the M-step: Dawid-Skene fits smoothed full confusion rows, one-coin ties
+each program's rows to a single accuracy.
+
 Abstains are treated as missing at random: they never enter a likelihood,
 and each program's abstain propensity is recorded separately. All fits are
 deterministic; EM initializes from smoothed majority vote.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -81,12 +85,25 @@ class LabelModelParams:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
         if self.class_names is not None:
             object.__setattr__(self, "class_names", tuple(self.class_names))
-        if abs(self.priors.sum() - 1.0) > 1e-9:
-            raise ModelError("priors must sum to 1")
+        if self.priors.ndim != 1:
+            raise ModelError(f"priors must be a list, got shape {self.priors.shape}")
+        m, K = self.m, self.K
+        if self.confusion is not None and self.confusion.shape != (m, K, K):
+            raise ModelError(
+                f"confusion has shape {self.confusion.shape}, expected {(m, K, K)} "
+                f"for {m} programs and {K} classes"
+            )
+        for name in ("accuracies", "weights", "propensity"):
+            value = getattr(self, name)
+            if value is not None and value.shape != (m,):
+                raise ModelError(f"{name} has shape {value.shape}, expected ({m},)")
+        # phrased so that a NaN entry fails the check
+        if not ((self.priors >= 0).all() and abs(self.priors.sum() - 1.0) <= 1e-9):
+            raise ModelError("priors must be non-negative and sum to 1")
         if self.confusion is not None:
             rows = self.confusion.sum(axis=2)
-            if not np.allclose(rows, 1.0, atol=1e-9):
-                raise ModelError("confusion rows must sum to 1")
+            if not ((self.confusion >= 0).all() and np.allclose(rows, 1.0, atol=1e-9)):
+                raise ModelError("confusion rows must be non-negative and sum to 1")
 
     @property
     def K(self) -> int:
@@ -135,7 +152,15 @@ def save_params(path: str | Path, params: LabelModelParams) -> Path:
 
 
 def load_params(path: str | Path) -> LabelModelParams:
-    return LabelModelParams.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a params file; any malformed content raises ModelError naming
+    the path."""
+    path = Path(path)
+    try:
+        return LabelModelParams.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise ModelError(f"{path}: missing field {exc}") from exc
+    except (ModelError, ValueError, TypeError) as exc:
+        raise ModelError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -169,28 +194,32 @@ def _propensity(matrix: VoteMatrix) -> np.ndarray:
     return (matrix.votes != ABSTAIN).mean(axis=0)
 
 
-def _mv_counts(votes: np.ndarray, K: int, weights: np.ndarray | None = None) -> np.ndarray:
+def _covered(votes: np.ndarray) -> np.ndarray:
+    """Rows where at least one program voted."""
+    return (votes != ABSTAIN).any(axis=1)
+
+
+def _vote_mass(votes: np.ndarray, K: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """mass[i, c] = summed weight of the programs voting c on row i. The
+    buffer has a spare column K that ABSTAIN (-1) indexes, so every vote
+    lands somewhere and abstains are sliced off at the end."""
     n, m = votes.shape
-    counts = np.zeros((n, K))
+    mass = np.zeros((n, K + 1))
+    rows = np.arange(n)
     w = np.ones(m) if weights is None else weights
     for j in range(m):
-        v = votes[:, j]
-        mask = v != ABSTAIN
-        np.add.at(counts, (np.nonzero(mask)[0], v[mask]), w[j])
-    return counts
+        mass[rows, votes[:, j]] += w[j]
+    return mass[:, :K]
 
 
 def _posteriors_to_pseudolabels(
     matrix: VoteMatrix, posteriors: np.ndarray
 ) -> list[PseudoLabel]:
-    covered = (matrix.votes != ABSTAIN).any(axis=1)
-    K = posteriors.shape[1]
-    uniform = np.full(K, 1.0 / K)
-    out = []
-    for i, rid in enumerate(matrix.record_ids):
-        post = posteriors[i] if covered[i] else uniform
-        out.append(PseudoLabel.from_posterior(rid, post, covered=bool(covered[i])))
-    return out
+    covered = _covered(matrix.votes)
+    return [
+        PseudoLabel.from_posterior(rid, post, covered=bool(c))
+        for rid, post, c in zip(matrix.record_ids, posteriors, covered)
+    ]
 
 
 def majority_vote(
@@ -199,26 +228,24 @@ def majority_vote(
     """(Weighted) majority vote. Posterior is the weight mass per class,
     normalized over non-abstain votes; all-abstain rows come back with
     covered=false and a uniform posterior."""
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (matrix.m,):
-            raise ModelError(f"expected {matrix.m} weights, got {weights.shape}")
-        if (weights <= 0).any():
-            bad = int(np.argmax(weights <= 0))
-            raise ModelError(
-                f"weights must be positive; weight for program "
-                f"{matrix.program_ids[bad]!r} is {weights[bad]}"
-            )
-    counts = _mv_counts(matrix.votes, K, weights)
-    totals = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        posteriors = np.where(totals > 0, counts / np.where(totals == 0, 1, totals), 1.0 / K)
-    return _posteriors_to_pseudolabels(matrix, posteriors)
+    params = LabelModelParams(
+        kind=MV if weights is None else WMV,
+        priors=np.full(K, 1.0 / K),
+        program_ids=matrix.program_ids,
+        weights=weights,
+    )
+    if params.weights is not None and (params.weights <= 0).any():
+        bad = int(np.argmax(params.weights <= 0))
+        raise ModelError(
+            f"weights must be positive; weight for program "
+            f"{matrix.program_ids[bad]!r} is {params.weights[bad]}"
+        )
+    return _posteriors_to_pseudolabels(matrix, posterior_matrix(params, matrix))
 
 
 def _mv_hard(votes: np.ndarray, K: int) -> np.ndarray:
     """Unweighted plurality labels; ties go to the smaller class index."""
-    return np.argmax(_mv_counts(votes, K), axis=1)
+    return np.argmax(_vote_mass(votes, K), axis=1)
 
 
 def empirical_accuracies(
@@ -269,10 +296,9 @@ def make_counting_params(
             weights = np.maximum(np.log(accuracies / (1 - accuracies)), 0.01)
         else:
             notes.append("no gold labels available; WMV using uniform weights")
-    priors = np.full(K, 1.0 / K)
     params = LabelModelParams(
         kind=kind,
-        priors=priors,
+        priors=np.full(K, 1.0 / K),
         program_ids=matrix.program_ids,
         accuracies=accuracies,
         weights=weights,
@@ -295,66 +321,85 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return (peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _estep(votes: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
-    """Posterior over true classes per row: q_i(k) ∝ prior_k times the
-    product of Conf_j[k, vote_ij] over non-abstain votes."""
+def _log_joint(votes: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
+    """(n, K) log prior_k plus the sum over non-abstain votes of
+    log Conf_j[k, vote_ij]. Each program's log-confusion is read through a
+    (K+1, K) table whose last row is zero, so ABSTAIN (-1) adds exactly
+    0.0 and the sums equal those over the voting programs alone."""
     n, m = votes.shape
-    log_q = np.tile(np.log(priors), (n, 1))
+    K = len(priors)
+    log_joint = np.tile(np.log(priors), (n, 1))
     log_conf = np.log(confusion)
+    table = np.zeros((K + 1, K))
     for j in range(m):
-        v = votes[:, j]
-        mask = v != ABSTAIN
-        log_q[mask] += log_conf[j][:, v[mask]].T
-    log_q -= _logsumexp(log_q, axis=1)[:, None]
-    return np.exp(log_q)
+        table[:K] = log_conf[j].T
+        log_joint += table[votes[:, j]]
+    return log_joint
 
 
-def _observed_ll(votes: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> float:
-    n, m = votes.shape
-    log_q = np.tile(np.log(priors), (n, 1))
-    log_conf = np.log(confusion)
-    for j in range(m):
-        v = votes[:, j]
-        mask = v != ABSTAIN
-        log_q[mask] += log_conf[j][:, v[mask]].T
-    return float(_logsumexp(log_q, axis=1).sum())
+def _e_step(votes: np.ndarray, priors: np.ndarray, confusion: np.ndarray):
+    """Posterior over true classes per row and each row's log evidence."""
+    log_joint = _log_joint(votes, priors, confusion)
+    log_evidence = _logsumexp(log_joint, axis=1)
+    log_joint -= log_evidence[:, None]
+    return np.exp(log_joint, out=log_joint), log_evidence
 
 
-def _smoothed_mv_init(votes: np.ndarray, K: int, smoothing: float) -> np.ndarray:
-    counts = _mv_counts(votes, K)
-    return (counts + smoothing) / (counts.sum(axis=1, keepdims=True) + K * smoothing)
-
-
-def _class_counts(votes: np.ndarray, q: np.ndarray, K: int) -> np.ndarray:
+def _confusion_counts(votes: np.ndarray, q: np.ndarray) -> np.ndarray:
     """counts[j][k, c] = total posterior mass of class k among rows where
-    program j voted c."""
-    n, m = votes.shape
-    counts = np.zeros((m, K, K))
+    program j voted c. np.bincount adds each bin's weights in row order; a
+    one-hot matrix product would sum in an order that depends on BLAS."""
+    m = votes.shape[1]
+    K = q.shape[1]
+    q_cols = np.ascontiguousarray(q.T)
+    counts = np.empty((m, K, K))
     for j in range(m):
-        v = votes[:, j]
-        for c in range(K):
-            mask = v == c
-            if mask.any():
-                counts[j, :, c] = q[mask].sum(axis=0)
+        bins = votes[:, j] + 1  # bin 0 collects ABSTAIN
+        for k in range(K):
+            counts[j, k] = np.bincount(bins, weights=q_cols[k], minlength=K + 1)[1:]
     return counts
 
 
-def _align_permutation(
-    q: np.ndarray, votes: np.ndarray, K: int, candidates=None
-) -> tuple[int, ...]:
+def _em(matrix: VoteMatrix, K: int, m_step, *, max_iter: int, tol: float, smoothing: float):
+    """The EM loop both iterative fitters share. ``m_step(counts)`` turns
+    the expected counts from ``_confusion_counts`` into ``(confusion,
+    penalty)``, penalty being the smoothing term the confusion adds to the
+    objective. Priors get the same additive smoothing for every model.
+    Returns ``(q, priors, confusion, iterations, converged, objective)``."""
+    _check_coverage(matrix)
+    votes = matrix.votes
+    mass = _vote_mass(votes, K)
+    q = (mass + smoothing) / (mass.sum(axis=1, keepdims=True) + K * smoothing)
+    objective: list[float] = []
+    converged = False
+    iterations = 0
+    priors = confusion = None
+    for iterations in range(1, max_iter + 1):
+        priors = (q.sum(axis=0) + smoothing) / (matrix.n + K * smoothing)
+        confusion, penalty = m_step(_confusion_counts(votes, q))
+        q_new, log_evidence = _e_step(votes, priors, confusion)
+        objective.append(
+            float(log_evidence.sum()) + smoothing * float(np.log(priors).sum()) + penalty
+        )
+        delta = float(np.abs(q_new - q).max())
+        q = q_new
+        if delta < tol:
+            converged = True
+            break
+    return q, priors, confusion, iterations, converged, objective
+
+
+def _align_permutation(q: np.ndarray, votes: np.ndarray, K: int) -> tuple[int, ...]:
     """Class permutation (new = perm[old]) that best matches majority vote
-    on covered rows. Identity wins ties; exhaustive search is fine at the
-    class counts this package targets (K at most a handful)."""
-    covered = (votes != ABSTAIN).any(axis=1)
-    if not covered.any():
-        return tuple(range(K))
-    mv = _mv_hard(votes[covered], K)
-    model = np.argmax(q[covered], axis=1)
-    best, best_score = tuple(range(K)), -1.0
-    perms = candidates if candidates is not None else itertools.permutations(range(K))
-    for perm in perms:
-        perm = tuple(perm)
-        score = float(np.mean(np.array(perm)[model] == mv))
+    on covered rows. Every permutation is scored from one K x K table of
+    (model class, majority class) row counts; identity wins ties."""
+    covered = _covered(votes)
+    mv = _mv_hard(votes, K)[covered]
+    model = np.argmax(q, axis=1)[covered]
+    table = np.bincount(model * K + mv, minlength=K * K).reshape(K, K)
+    best, best_score = tuple(range(K)), -1
+    for perm in itertools.permutations(range(K)):
+        score = int(table[range(K), perm].sum())
         if score > best_score:
             best, best_score = perm, score
     return best
@@ -363,13 +408,16 @@ def _align_permutation(
 def _apply_permutation(priors: np.ndarray, confusion: np.ndarray, perm: tuple[int, ...]):
     """Relabel latent classes: new class perm[k] gets old class k's prior
     and confusion row. Observed vote columns stay put."""
-    K = len(priors)
-    new_priors = np.empty_like(priors)
-    new_conf = np.empty_like(confusion)
-    for k in range(K):
-        new_priors[perm[k]] = priors[k]
-        new_conf[:, perm[k], :] = confusion[:, k, :]
-    return new_priors, new_conf
+    old = np.argsort(perm)  # old[perm[k]] == k
+    return priors[old], confusion[:, old, :]
+
+
+def _one_coin(accuracies: np.ndarray, K: int) -> np.ndarray:
+    """Confusions with accuracy a_j on the diagonal and 1 - a_j spread
+    evenly over the K-1 wrong classes; the diagonal is a_j exactly."""
+    eye = np.eye(K)
+    off = (np.ones((K, K)) - eye) / max(K - 1, 1)
+    return accuracies[:, None, None] * eye + (1 - accuracies)[:, None, None] * off
 
 
 def fit_dawid_skene(
@@ -385,36 +433,17 @@ def fit_dawid_skene(
     excluded from the likelihood. Deterministic: initialization is smoothed
     majority vote, and any residual label switching is undone by aligning
     classes to majority vote."""
-    _check_coverage(matrix)
+
+    def m_step(counts):
+        confusion = (counts + smoothing) / (counts.sum(axis=2, keepdims=True) + K * smoothing)
+        return confusion, smoothing * float(np.log(confusion).sum())
+
     votes = matrix.votes
-    n = matrix.n
-    q = _smoothed_mv_init(votes, K, smoothing)
-    objective: list[float] = []
-    converged = False
-    iterations = 0
-    priors = confusion = None
-    for iterations in range(1, max_iter + 1):
-        # M-step: smoothed counts
-        priors = (q.sum(axis=0) + smoothing) / (n + K * smoothing)
-        counts = _class_counts(votes, q, K)
-        confusion = (counts + smoothing) / (
-            counts.sum(axis=2, keepdims=True) + K * smoothing
-        )
-        objective.append(
-            _observed_ll(votes, priors, confusion)
-            + smoothing * float(np.log(priors).sum())
-            + smoothing * float(np.log(confusion).sum())
-        )
-        # E-step
-        q_new = _estep(votes, priors, confusion)
-        delta = float(np.abs(q_new - q).max())
-        q = q_new
-        if delta < tol:
-            converged = True
-            break
+    q, priors, confusion, iterations, converged, objective = _em(
+        matrix, K, m_step, max_iter=max_iter, tol=tol, smoothing=smoothing
+    )
     perm = _align_permutation(q, votes, K)
-    if perm != tuple(range(K)):
-        priors, confusion = _apply_permutation(priors, confusion, perm)
+    priors, confusion = _apply_permutation(priors, confusion, perm)
     params = LabelModelParams(
         kind=DAWID_SKENE,
         priors=priors,
@@ -428,7 +457,7 @@ def fit_dawid_skene(
         kind=DAWID_SKENE,
         iterations=iterations,
         converged=converged,
-        log_likelihood=_observed_ll(votes, priors, confusion),
+        log_likelihood=float(_e_step(votes, priors, confusion)[1].sum()),
         objective=tuple(objective),
         accuracy_by_program=tuple(acc.tolist()),
         permutation=perm,
@@ -449,53 +478,26 @@ def fit_snorkel_lite(
     """One-coin EM: each program has one accuracy a_j, errors uniform over
     the K-1 wrong classes. A documented stand-in for the Snorkel label
     model; same contract as fit_dawid_skene otherwise."""
-    _check_coverage(matrix)
     votes = matrix.votes
-    n, m = votes.shape
-    q = _smoothed_mv_init(votes, K, smoothing)
-    eye = np.eye(K)
-    off = (np.ones((K, K)) - eye) / max(K - 1, 1)
+    total = (votes != ABSTAIN).sum(axis=0)
 
-    def conf_from_acc(acc: np.ndarray) -> np.ndarray:
-        return acc[:, None, None] * eye + (1 - acc)[:, None, None] * off
+    def m_step(counts):
+        correct = np.trace(counts, axis1=1, axis2=2)
+        acc = np.clip((correct + smoothing) / (total + 2 * smoothing), clamp[0], clamp[1])
+        return _one_coin(acc, K), smoothing * float(np.log(acc).sum() + np.log(1 - acc).sum())
 
-    objective: list[float] = []
-    converged = False
-    iterations = 0
-    priors = accuracies = None
-    for iterations in range(1, max_iter + 1):
-        priors = (q.sum(axis=0) + smoothing) / (n + K * smoothing)
-        correct = np.zeros(m)
-        total = np.zeros(m)
-        for j in range(m):
-            v = votes[:, j]
-            mask = v != ABSTAIN
-            correct[j] = q[mask, v[mask]].sum()
-            total[j] = mask.sum()
-        accuracies = np.clip((correct + smoothing) / (total + 2 * smoothing), clamp[0], clamp[1])
-        confusion = conf_from_acc(accuracies)
-        objective.append(
-            _observed_ll(votes, priors, confusion)
-            + smoothing * float(np.log(priors).sum())
-            + smoothing * float(np.log(accuracies).sum() + np.log(1 - accuracies).sum())
-        )
-        q_new = _estep(votes, priors, confusion)
-        delta = float(np.abs(q_new - q).max())
-        q = q_new
-        if delta < tol:
-            converged = True
-            break
+    q, priors, confusion, iterations, converged, objective = _em(
+        matrix, K, m_step, max_iter=max_iter, tol=tol, smoothing=smoothing
+    )
+    accuracies = confusion[:, 0, 0].copy()
     # one-coin confusions are only closed under relabeling for K=2
     # (swap maps a to 1-a); for larger K the identity is the only
     # candidate that keeps the parametrization
-    if K == 2:
-        perm = _align_permutation(q, votes, K, candidates=[(0, 1), (1, 0)])
-        if perm == (1, 0):
-            priors = priors[::-1].copy()
-            accuracies = 1 - accuracies
-    else:
-        perm = tuple(range(K))
-    confusion = conf_from_acc(accuracies)
+    perm = _align_permutation(q, votes, K) if K == 2 else tuple(range(K))
+    if perm != tuple(range(K)):
+        priors = priors[::-1].copy()
+        accuracies = 1 - accuracies
+        confusion = _one_coin(accuracies, K)
     params = LabelModelParams(
         kind=SNORKEL_LITE,
         priors=priors,
@@ -509,7 +511,7 @@ def fit_snorkel_lite(
         kind=SNORKEL_LITE,
         iterations=iterations,
         converged=converged,
-        log_likelihood=_observed_ll(votes, priors, confusion),
+        log_likelihood=float(_e_step(votes, priors, confusion)[1].sum()),
         objective=tuple(objective),
         accuracy_by_program=tuple(accuracies.tolist()),
         permutation=perm,
@@ -553,7 +555,6 @@ def fit_triplet(
 
     mv = _mv_hard(votes, 2)
     accuracies = np.empty(m)
-    notes: list[str] = []
     for j in range(m):
         moments = []
         for a, b in itertools.combinations([x for x in range(m) if x != j], 2):
@@ -580,9 +581,7 @@ def fit_triplet(
         kind=TRIPLET,
         priors=np.array([0.5, 0.5]),
         program_ids=matrix.program_ids,
-        confusion=np.stack(
-            [np.array([[a, 1 - a], [1 - a, a]]) for a in accuracies]
-        ),
+        confusion=_one_coin(accuracies, 2),
         accuracies=accuracies,
         weights=weights,
         propensity=_propensity(matrix),
@@ -592,9 +591,8 @@ def fit_triplet(
         kind=TRIPLET,
         iterations=1,
         converged=True,
-        log_likelihood=_observed_ll(votes, params.priors, params.confusion),
+        log_likelihood=float(_e_step(votes, params.priors, params.confusion)[1].sum()),
         accuracy_by_program=tuple(accuracies.tolist()),
-        notes=tuple(notes),
     )
     return params, report
 
@@ -609,15 +607,12 @@ def posterior_matrix(params: LabelModelParams, matrix: VoteMatrix) -> np.ndarray
     if matrix.votes.size and matrix.votes.max() >= K:
         raise ModelError(f"votes contain class indices outside 0..{K - 1}")
     if params.kind in (MV, WMV):
-        counts = _mv_counts(matrix.votes, K, params.weights)
-        totals = counts.sum(axis=1, keepdims=True)
-        posteriors = np.where(
-            totals > 0, counts / np.where(totals == 0, 1, totals), 1.0 / K
-        )
+        mass = _vote_mass(matrix.votes, K, params.weights)
+        totals = mass.sum(axis=1, keepdims=True)
+        posteriors = np.where(totals > 0, mass / np.where(totals == 0, 1, totals), 1.0 / K)
     else:
-        posteriors = _estep(matrix.votes, params.priors, params.confusion)
-    uncovered = ~(matrix.votes != ABSTAIN).any(axis=1)
-    posteriors[uncovered] = 1.0 / K
+        posteriors = _e_step(matrix.votes, params.priors, params.confusion)[0]
+    posteriors[~_covered(matrix.votes)] = 1.0 / K
     return posteriors
 
 

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import planted_confusion_votes
 
 from labelsmith import models
 from labelsmith.cli import main
-from labelsmith.data import load_pseudolabels, load_votes, serialize_records
+from labelsmith.data import load_pseudolabels, load_votes, save_votes, serialize_records
 from labelsmith.packs import load_pack
 from labelsmith.prompting import (
     API_KEY_ENV,
@@ -344,6 +345,45 @@ class TestAggregate:
         )
         assert code == 1
         assert "fitted for 10 programs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("empty", "missing field 'kind'"),
+            ("not-json", "params.json"),
+            ("confusion-shape", "confusion has shape (3, 2, 2), expected (3, 3, 3)"),
+            ("class-count", "fitted for 2 classes but the votes file has 3"),
+            ("nan-priors", "priors must be non-negative and sum to 1"),
+        ],
+    )
+    def test_malformed_params_rejected(self, case, message, tmp_path, capsys):
+        # binary votes in a file that declares three classes
+        matrix, _ = planted_confusion_votes(60, 3, 2, diag=0.8, seed=3)
+        votes = save_votes(tmp_path / "votes.json", matrix, ["a", "b", "c"])
+        binary = models.LabelModelParams(
+            kind=models.DAWID_SKENE,
+            priors=[0.5, 0.5],
+            program_ids=matrix.program_ids,
+            confusion=np.full((3, 2, 2), 0.5),
+        ).to_dict()
+        path = tmp_path / "params.json"
+        path.write_text(
+            {
+                "empty": "{}",
+                "not-json": "not json",
+                "confusion-shape": json.dumps({**binary, "priors": [0.25, 0.25, 0.5]}),
+                "class-count": json.dumps(binary),
+                "nan-priors": json.dumps({**binary, "priors": [float("nan")] * 2}),
+            }[case],
+            encoding="utf-8",
+        )
+        code = main(
+            ["aggregate", "--votes", str(votes), "--params", str(path), "--out", str(tmp_path / "agg")]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
     def test_refuses_flagged_unless_kept(self, tmp_path, corpus_file, capsys):
         progs = tmp_path / "progs"

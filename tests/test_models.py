@@ -3,7 +3,12 @@ import json
 
 import numpy as np
 import pytest
-from helpers import planted_binary_votes, planted_confusion_votes
+from helpers import (
+    planted_binary_votes,
+    planted_confusion_votes,
+    reference_alignment,
+    reference_em,
+)
 
 from labelsmith.data import ABSTAIN, VoteMatrix
 from labelsmith.models import (
@@ -22,6 +27,7 @@ from labelsmith.models import (
     predict,
     save_params,
 )
+from labelsmith.models import _align_permutation
 
 PLANTED = (0.9, 0.8, 0.7)
 
@@ -235,6 +241,34 @@ class TestSnorkelLite:
         params, _ = fit_snorkel_lite(matrix, 2)
         for label, t in zip(predict(params, matrix), truth):
             assert label.posterior[t] >= 0.99
+
+
+class TestReferenceEM:
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_fitters_match_naive_per_row_em(self, K):
+        matrix, _ = planted_confusion_votes(150, 4, K, diag=0.75, seed=60 + K, abstain=0.3)
+        for fit, one_coin in ((fit_dawid_skene, False), (fit_snorkel_lite, True)):
+            params, report = fit(matrix, K)
+            priors, confusion, iterations, objective, q = reference_em(matrix.votes, K, one_coin)
+            # one-coin relabels classes only for K=2
+            if one_coin and K > 2:
+                perm = tuple(range(K))
+            else:
+                perm = reference_alignment(q, matrix.votes, K)
+            assert report.permutation == perm
+            aligned_priors, aligned_confusion = np.empty(K), np.empty_like(confusion)
+            aligned_priors[list(perm)] = priors
+            aligned_confusion[:, list(perm)] = confusion
+            assert report.iterations == iterations
+            np.testing.assert_allclose(report.objective, objective, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(params.priors, aligned_priors, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(params.confusion, aligned_confusion, rtol=0, atol=1e-10)
+        # table scoring agrees with per-row scoring however q labels classes,
+        # and on a flat q, where permutations tie and identity order decides
+        candidates = [q[:, list(perm)] for perm in itertools.permutations(range(K))]
+        for posteriors in candidates + [np.full_like(q, 1.0 / K)]:
+            expected = reference_alignment(posteriors, matrix.votes, K)
+            assert _align_permutation(posteriors, matrix.votes, K) == expected
 
 
 class TestTriplet:
