@@ -15,12 +15,10 @@ from .data import (
     LabelsmithError,
     PseudoLabel,
     Record,
-    TaskManifest,
     VoteAssemblyError,
     VoteMatrix,
     assemble_votes,
     load_dataset,
-    load_manifest,
     load_pseudolabels,
     load_votes,
     save_pseudolabels,

@@ -3,9 +3,11 @@ export -> train -> eval.
 
 Each subcommand reads files, writes one output directory, and drops a
 run_manifest.json with content hashes of its inputs and outputs. Given
-identical inputs and --seed, outputs are byte-identical (the manifest's
-timestamp is the only exception). Exit codes: 0 ok, 1 error, 2 when
-diagnostics flagged a program.
+identical inputs, outputs are byte-identical (the manifest's timestamp
+is the only exception); ``train`` alone takes a --seed, for its weight
+initialization, shuffling and validation split. Exit codes: 0 ok, 1
+error (a malformed input file is reported as ``error: <path>[:<line>]:
+<what>``), 2 when diagnostics flagged a program.
 """
 
 from __future__ import annotations
@@ -23,17 +25,17 @@ from . import diagnostics, distill, models
 from .data import (
     ClassSpace,
     LabelsmithError,
-    PseudoLabel,
-    Record,
-    TaskManifest,
+    json_field,
     load_dataset,
     load_pseudolabels,
     load_votes,
     assemble_votes,
+    read_jsonl,
+    read_text,
     save_pseudolabels,
     save_votes,
 )
-from .dsl import format_program, parse_program
+from .dsl import DslError, format_program, parse_program
 from .packs import available_packs, load_pack
 from .prompting import (
     GenerationJob,
@@ -93,7 +95,7 @@ def _write_manifest(out: Path, command: str, params: dict, inputs: list[Path]) -
 
 def _text_or_file(value: str) -> str:
     if value.startswith("@"):
-        return Path(value[1:]).read_text(encoding="utf-8").strip()
+        return read_text(value[1:]).strip()
     return value
 
 
@@ -105,14 +107,19 @@ def _classes_arg(args) -> ClassSpace:
     raise CliError("pass --task <pack> or --classes <a,b,...>")
 
 
-def _data_manifest(args, modality: str, cs: ClassSpace, concepts=None) -> TaskManifest:
-    return TaskManifest(
-        name=getattr(args, "task", None) or "adhoc",
-        class_space=cs,
-        modality=modality,
-        dataset=Path(args.data),
-        concepts=concepts,
-    )
+def _modality_arg(args) -> str:
+    return load_pack(args.task).modality if args.task else args.modality
+
+
+def _exemplar(doc) -> tuple[str, str]:
+    return json_field(doc, "text", str), json_field(doc, "class", str)
+
+
+def _load_program(path: Path, cs: ClassSpace):
+    try:
+        return parse_program(read_text(path), cs, program_id=path.stem)
+    except DslError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -124,18 +131,15 @@ def cmd_generate(args) -> int:
             SupplementBlock(kind="DatasetDescription", body=_text_or_file(args.dataset_description))
         )
     if args.exemplars:
-        rows = []
-        with Path(args.exemplars).open(encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    rows.append((row["text"], row["class"]))
-        supplements.append(SupplementBlock(kind="DataExemplars", exemplars=tuple(rows)))
+        rows = tuple(row for _, row in read_jsonl(args.exemplars, _exemplar))
+        if not rows:
+            raise CliError(f"{args.exemplars}: the file holds no exemplars")
+        supplements.append(SupplementBlock(kind="DataExemplars", exemplars=rows))
     if args.keywords:
         supplements.append(SupplementBlock(kind="Keywords", body=args.keywords))
     if args.rules_file:
         supplements.append(
-            SupplementBlock(kind="LabelingRules", body=Path(args.rules_file).read_text(encoding="utf-8"))
+            SupplementBlock(kind="LabelingRules", body=read_text(args.rules_file))
         )
     spec = pack.prompt_spec(supplements)
     job = GenerationJob(
@@ -182,7 +186,6 @@ def cmd_generate(args) -> int:
             "model": args.model_name,
             "temperature": args.temperature,
             "mock": bool(args.mock),
-            "seed": args.seed,
         },
         [Path(args.mock)] if args.mock else [],
     )
@@ -193,15 +196,12 @@ def cmd_generate(args) -> int:
 
 def cmd_apply(args) -> int:
     cs = _classes_arg(args)
-    modality = load_pack(args.task).modality if args.task else args.modality
-    manifest = _data_manifest(args, modality, cs)
-    records = load_dataset(args.data, manifest)
+    task = args.task or "adhoc"
+    records = load_dataset(args.data, cs, _modality_arg(args))
     prog_paths = sorted(Path(args.programs).glob("*.lf"))
     if not prog_paths:
         raise CliError(f"no .lf programs found in {args.programs}")
-    programs = [
-        parse_program(p.read_text(encoding="utf-8"), cs, program_id=p.stem) for p in prog_paths
-    ]
+    programs = [_load_program(p, cs) for p in prog_paths]
     out = _prepare_out(args.out, args.force)
     matrix = assemble_votes(records, programs)
     gold = [r.gold for r in records]
@@ -210,14 +210,14 @@ def cmd_apply(args) -> int:
         out / "votes.json",
         matrix,
         cs.names,
-        task=manifest.name,
+        task=task,
         gold=gold if any(g is not None for g in gold) else None,
         groups=groups if any(g is not None for g in groups) else None,
     )
     _write_manifest(
         out,
         "apply",
-        {"task": manifest.name, "programs": len(programs), "seed": args.seed},
+        {"task": task, "programs": len(programs)},
         [Path(args.data), *prog_paths],
     )
     coverage = float((matrix.votes != -1).any(axis=1).mean())
@@ -231,7 +231,7 @@ def cmd_analyze(args) -> int:
     out = _prepare_out(args.out, args.force)
     diagnostics.save_stats(out / "analysis.json", stats, args.threshold)
     _write_manifest(
-        out, "analyze", {"threshold": args.threshold, "seed": args.seed}, [Path(args.votes)]
+        out, "analyze", {"threshold": args.threshold}, [Path(args.votes)]
     )
     print(diagnostics.render_stats_table(stats))
     flagged = [s.program_id for s in stats if s.flagged_low_coverage]
@@ -252,7 +252,7 @@ def cmd_aggregate(args) -> int:
     flagged = [s.program_id for s in stats if s.flagged_low_coverage]
     if flagged and not args.keep_flagged:
         raise CliError(
-            f"program(s) below {args.threshold:.0%} coverage: {', '.join(flagged)}; "
+            f"{args.votes}: program(s) below {args.threshold:.0%} coverage: {', '.join(flagged)}; "
             "remove them from the votes file or pass --keep-flagged"
         )
     out = _prepare_out(args.out, args.force)
@@ -260,13 +260,13 @@ def cmd_aggregate(args) -> int:
         params = models.load_params(args.params)
         if params.m != matrix.m:
             raise CliError(
-                f"params file was fitted for {params.m} programs but the vote "
-                f"matrix has {matrix.m}"
+                f"params file {args.params} was fitted for {params.m} programs but "
+                f"the vote matrix in {args.votes} has {matrix.m}"
             )
         if params.K != K:
             raise CliError(
-                f"params file was fitted for {params.K} classes but the votes "
-                f"file has {K}"
+                f"params file {args.params} was fitted for {params.K} classes but "
+                f"the votes file has {K}"
             )
         report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
     else:
@@ -293,7 +293,7 @@ def cmd_aggregate(args) -> int:
     _write_manifest(
         out,
         "aggregate",
-        {"model": args.model, "threshold": args.threshold, "seed": args.seed},
+        {"model": args.model, "threshold": args.threshold},
         [Path(args.votes)] + ([Path(args.params)] if args.params else []),
     )
     coverage = diagnostics.coverage_of_label_model(labels)
@@ -308,25 +308,25 @@ def cmd_aggregate(args) -> int:
 
 def cmd_export(args) -> int:
     cs = _classes_arg(args)
-    modality = load_pack(args.task).modality if args.task else args.modality
-    manifest = _data_manifest(args, modality, cs)
-    records = load_dataset(args.data, manifest)
-    labels = load_pseudolabels(args.pseudolabels)
+    records = load_dataset(args.data, cs, _modality_arg(args))
+    labels = load_pseudolabels(args.pseudolabels, K=cs.K)
     out = _prepare_out(args.out, args.force)
-    report = distill.export_training_set(
-        records,
-        labels,
-        out / "train.jsonl",
-        use_probabilistic=args.probabilistic,
-        drop_uncovered=not args.keep_uncovered,
-    )
+    try:
+        report = distill.export_training_set(
+            records,
+            labels,
+            out / "train.jsonl",
+            use_probabilistic=args.probabilistic,
+            drop_uncovered=not args.keep_uncovered,
+        )
+    except distill.DistillError as exc:
+        raise CliError(f"{args.pseudolabels} does not match {args.data}: {exc}") from exc
     _write_manifest(
         out,
         "export",
         {
             "probabilistic": args.probabilistic,
             "keep_uncovered": args.keep_uncovered,
-            "seed": args.seed,
         },
         [Path(args.data), Path(args.pseudolabels)],
     )
@@ -335,17 +335,23 @@ def cmd_export(args) -> int:
 
 
 def cmd_train(args) -> int:
-    records, targets = distill.load_training_set(args.train_file)
-    soft = targets.ndim == 2
     class_names = None
     if getattr(args, "task", None) or getattr(args, "classes", None):
         class_names = list(_classes_arg(args).names)
+    records, targets = distill.load_training_set(
+        args.train_file, K=len(class_names) if class_names is not None else None
+    )
+    soft = targets.ndim == 2
     if class_names is not None:
         K = len(class_names)
     elif soft:
         K = targets.shape[1]
     else:
         K = int(targets.max()) + 1
+    if K < 2:
+        raise CliError(
+            f"{args.train_file}: the targets name a single class; pass --task or --classes"
+        )
     mode = args.mode
     if mode == "auto":
         mode = "hashed" if records[0].text is not None else "scores"
@@ -400,15 +406,18 @@ def cmd_eval(args) -> int:
     if class_names is None and (getattr(args, "task", None) or getattr(args, "classes", None)):
         class_names = list(_classes_arg(args).names)
     if class_names is None:
-        raise CliError("model file has no class names; pass --task or --classes")
+        raise CliError(f"model file {args.model} has no class names; pass --task or --classes")
     cs = ClassSpace(tuple(class_names))
+    if cs.K != model.sizes[-1]:
+        raise CliError(
+            f"model file {args.model} has {model.sizes[-1]} outputs but {cs.K} classes were given"
+        )
     modality = "text" if spec.mode == "hashed" else "scores"
     concepts = meta.get("concepts")
-    manifest = _data_manifest(args, modality, cs, concepts=concepts)
-    records = load_dataset(args.data, manifest)
+    records = load_dataset(args.data, cs, modality, concepts)
     missing = next((r.id for r in records if r.gold is None), None)
     if missing is not None:
-        raise CliError(f"eval data needs gold labels; record {missing!r} has none")
+        raise CliError(f"{args.data}: eval data needs gold labels; record {missing!r} has none")
     X = distill.featurize(records, spec, concepts=concepts)
     preds = model.predict(X)
     gold = np.array([r.gold for r in records])
@@ -423,7 +432,7 @@ def cmd_eval(args) -> int:
         doc["per_group"] = dict(report.per_group)
     out = _prepare_out(args.out, args.force)
     (out / "eval.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
-    _write_manifest(out, "eval", {"seed": args.seed}, [Path(args.model), Path(args.data)])
+    _write_manifest(out, "eval", {}, [Path(args.model), Path(args.data)])
     print(f"accuracy {accuracy:.4f} on {len(records)} records")
     if "worst_group_accuracy" in doc:
         print(
@@ -438,7 +447,6 @@ def cmd_eval(args) -> int:
 def _add_common(sp, *, data=False, task_classes=False):
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
-    sp.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     if data:
         sp.add_argument("--data", required=True, help="dataset file (JSONL or CSV)")
     if task_classes:
@@ -509,6 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--val-fraction", type=float, default=0.1)
     sp.add_argument("--task", help="task pack naming the classes")
     sp.add_argument("--classes", help="comma-separated class names")
+    sp.add_argument(
+        "--seed", type=int, default=0, help="seed for initialization, shuffling and the validation split"
+    )
     _add_common(sp)
     sp.set_defaults(func=cmd_train)
 

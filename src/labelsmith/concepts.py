@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabelsmithError, Record
+from .data import LabelsmithError, Record, json_field, read_json
 from .prompting import (
     RetryPolicy,
     Transport,
@@ -54,6 +54,8 @@ class ConceptSet:
         object.__setattr__(self, "spurious", tuple(self.spurious))
         if not self.concepts:
             raise ConceptError("a concept set needs at least one concept")
+        if not all(isinstance(c, str) for c in self.concepts + self.spurious):
+            raise ConceptError("concepts must be strings")
         if len(set(self.concepts)) != len(self.concepts):
             raise ConceptError("concept descriptions must be unique")
         unknown = [s for s in self.spurious if s not in self.concepts]
@@ -79,11 +81,14 @@ def save_concepts(path: str | Path, concept_set: ConceptSet) -> Path:
 
 
 def load_concepts(path: str | Path) -> ConceptSet:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_json(path, _concept_set_from_doc, error=ConceptError)
+
+
+def _concept_set_from_doc(doc) -> ConceptSet:
     return ConceptSet(
-        task=doc["task"],
-        concepts=tuple(doc["concepts"]),
-        spurious=tuple(doc.get("spurious", ())),
+        task=json_field(doc, "task", str),
+        concepts=tuple(json_field(doc, "concepts", list)),
+        spurious=tuple(json_field(doc, "spurious", list, default=[])),
     )
 
 
@@ -198,6 +203,8 @@ class EmbeddingTable:
             raise ConceptError("concept_names must match concept rows")
         if len(self.record_ids) != records.shape[0]:
             raise ConceptError("record_ids must match record rows")
+        if not all(isinstance(i, str) for i in self.concept_names + self.record_ids):
+            raise ConceptError("concept_names and record_ids must be strings")
         if not (np.isfinite(records).all() and np.isfinite(concepts).all()):
             raise ConceptError("embeddings must be finite")
         norms = np.linalg.norm(concepts, axis=1)
@@ -334,22 +341,28 @@ def save_embeddings(stem: str | Path, table: EmbeddingTable) -> tuple[Path, Path
 def load_embeddings(stem: str | Path) -> EmbeddingTable:
     stem = Path(stem)
     bin_path = stem.with_suffix(".bin")
-    json_path = stem.with_suffix(".json")
-    try:
-        meta = json.loads(json_path.read_text(encoding="utf-8"))
-        raw = np.frombuffer(bin_path.read_bytes(), dtype=meta.get("dtype", "<f8"))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        raise ConceptError(f"cannot read embeddings {stem}: {exc}") from exc
-    n, C, d = int(meta["n"]), int(meta["C"]), int(meta["d"])
-    if raw.size != (n + C) * d:
-        raise ConceptError(
-            f"embeddings file {bin_path} has {raw.size} doubles, expected {(n + C) * d}"
+
+    def table(meta) -> EmbeddingTable:
+        n, C, d = (json_field(meta, key, int) for key in ("n", "C", "d"))
+        if min(n, C, d) < 0:
+            raise ConceptError("n, C and d must be non-negative")
+        dtype = np.dtype(json_field(meta, "dtype", str, default="<f8"))
+        if dtype.kind != "f":
+            raise ConceptError(f"dtype {dtype.str} is not a float type")
+        raw = np.frombuffer(bin_path.read_bytes(), dtype=dtype)
+        if raw.size != (n + C) * d:
+            raise ConceptError(
+                f"embeddings file {bin_path} has {raw.size} doubles, expected {(n + C) * d}"
+            )
+        record_ids = json_field(meta, "record_ids", list, default=None)
+        return EmbeddingTable(
+            records=raw[: n * d].reshape(n, d),
+            concepts=raw[n * d :].reshape(C, d),
+            concept_names=tuple(json_field(meta, "concepts", list)),
+            record_ids=tuple(record_ids if record_ids is not None else (str(i) for i in range(n))),
         )
-    records = raw[: n * d].reshape(n, d)
-    concepts = raw[n * d :].reshape(C, d)
-    return EmbeddingTable(
-        records=records,
-        concepts=concepts,
-        concept_names=tuple(meta["concepts"]),
-        record_ids=tuple(meta.get("record_ids", [str(i) for i in range(n)])),
-    )
+
+    try:
+        return read_json(stem.with_suffix(".json"), table, error=ConceptError)
+    except OSError as exc:
+        raise ConceptError(f"cannot read embeddings {stem}: {exc}") from exc

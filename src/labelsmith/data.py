@@ -1,4 +1,5 @@
-"""Core data model: class spaces, records, vote matrices, and pseudolabels.
+"""Core data model: class spaces, records, vote matrices, and pseudolabels,
+plus the one reader every input file goes through.
 
 Everything downstream (the rule DSL, the label models, diagnostics, the
 distiller) speaks in terms of these types. The abstain sentinel is -1
@@ -10,16 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 ABSTAIN = -1
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class LabelsmithError(Exception):
@@ -27,11 +25,111 @@ class LabelsmithError(Exception):
 
 
 class DatasetError(LabelsmithError):
-    """A dataset file or task manifest is malformed."""
+    """An input file is malformed."""
 
 
 class VoteAssemblyError(LabelsmithError):
     """A program cannot be applied to the given records."""
+
+
+# The reader. Every file the package parses goes through ``read_text``,
+# ``read_json`` or ``read_jsonl``; an artifact's checked constructor is
+# passed in as ``build``, and whatever it rejects comes back as one error
+# naming ``<path>`` or ``<path>:<line>``.
+
+_REQUIRED = object()
+_JSON_TYPES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    type(None): "null",
+}
+# what a checked constructor raises on bad input
+_CHECK_FAILURES = (LabelsmithError, KeyError, ValueError, TypeError)
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def json_field(doc, key: str, *types: type, default=_REQUIRED):
+    """``doc[key]``, checked to be exactly one of ``types``. Parsed JSON
+    has exact Python types, so ``true`` never passes for an integer."""
+    if type(doc) is not dict:
+        raise DatasetError(f"expected an object, got {_json_type(doc)}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise DatasetError(f"missing field {key!r}")
+        return default
+    value = doc[key]
+    if type(value) not in types:
+        wanted = " or ".join(_JSON_TYPES[t] for t in types)
+        raise DatasetError(f"{key!r} must be {wanted}, got {_json_type(value)}")
+    return value
+
+
+def _checked(build, doc, where: str, error: type[LabelsmithError]):
+    try:
+        return build(doc)
+    except _CHECK_FAILURES as exc:
+        what = f"missing field {exc}" if type(exc) is KeyError else str(exc)
+        raise error(f"{where}: {what}") from exc
+
+
+def read_text(path, *, error: type[LabelsmithError] = DatasetError) -> str:
+    """A file's UTF-8 text; undecodable bytes raise ``error`` naming the
+    file and line."""
+    data = (Path(path) if isinstance(path, str) else path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json(path, build: Callable, *, error: type[LabelsmithError] = DatasetError):
+    """Parse a JSON file and check it into an artifact with ``build``. Bad
+    bytes, bad JSON and anything ``build`` rejects raise ``error``."""
+    try:
+        doc = json.loads(read_text(path, error=error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
+    return _checked(build, doc, str(path), error)
+
+
+def read_jsonl(
+    path, build: Callable, *, error: type[LabelsmithError] = DatasetError
+) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, artifact)`` for every non-blank line of a
+    JSONL file, each object checked into an artifact by ``build``.
+    Failures raise ``error`` naming ``<path>:<line>``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            yield lineno, _checked(build, doc, f"{path}:{lineno}", error)
+
+
+def check_posterior(values: list, K: int | None) -> list:
+    """``values`` checked to be a posterior over ``K`` classes: K numbers
+    in [0, 1] (any count when K is None)."""
+    if K is not None and len(values) != K:
+        raise DatasetError(f"posterior has {len(values)} entries, expected {K}")
+    # phrased so that NaN fails
+    if not all(type(p) in (int, float) and 0 <= p <= 1 for p in values):
+        raise DatasetError("posterior entries must be numbers in [0, 1]")
+    return values
 
 
 @dataclass(frozen=True)
@@ -107,6 +205,28 @@ class Record:
     def modality(self) -> str:
         return "text" if self.text is not None else "scores"
 
+    @classmethod
+    def from_dict(cls, doc, K: int | None = None) -> "Record":
+        """A record from one dataset or training-set row; ``K`` bounds
+        ``gold`` when given."""
+        rid = json_field(doc, "id", str, int)
+        scores = json_field(doc, "scores", dict, default=None)
+        if scores is not None:
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in scores.values()):
+                raise DatasetError("scores must be finite numbers")
+            scores = {k: float(v) for k, v in scores.items()}
+        gold = json_field(doc, "gold", int, type(None), default=None)
+        if gold is not None and K is not None and not 0 <= gold < K:
+            raise DatasetError(f"gold label {gold} not in 0..{K - 1}")
+        group = json_field(doc, "group", str, int, type(None), default=None)
+        return cls(
+            id=str(rid),
+            text=json_field(doc, "text", str, default=None),
+            scores=scores,
+            gold=gold,
+            group=None if group is None else str(group),
+        )
+
 
 @dataclass(frozen=True)
 class VoteMatrix:
@@ -121,12 +241,17 @@ class VoteMatrix:
     record_ids: tuple[str, ...]
 
     def __post_init__(self):
-        votes = np.asarray(self.votes, dtype=np.int64)
+        votes = np.asarray(self.votes)
+        if votes.size and votes.dtype.kind not in "iu":
+            raise ValueError(f"votes must be integers, got {votes.dtype} entries")
+        votes = votes.astype(np.int64, copy=False)
         if votes.ndim != 2:
             raise ValueError("votes must be a 2-D array")
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "program_ids", tuple(self.program_ids))
         object.__setattr__(self, "record_ids", tuple(self.record_ids))
+        if not all(isinstance(i, str) for i in self.program_ids + self.record_ids):
+            raise ValueError("program_ids and record_ids must be strings")
         if votes.shape[1] != len(self.program_ids):
             raise ValueError("votes columns must match program_ids")
         if votes.shape[0] != len(self.record_ids):
@@ -170,201 +295,127 @@ class PseudoLabel:
         )
 
 
-@dataclass(frozen=True)
-class TaskManifest:
-    """Where a task's data lives and how to read it."""
-
-    name: str
-    class_space: ClassSpace
-    modality: str
-    dataset: Path
-    validation: Path | None = None
-    concepts: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.modality not in ("text", "scores"):
-            raise ValueError(f"unknown modality {self.modality!r}")
-        object.__setattr__(self, "dataset", Path(self.dataset))
-        if self.validation is not None:
-            object.__setattr__(self, "validation", Path(self.validation))
-        if self.concepts is not None:
-            object.__setattr__(self, "concepts", tuple(self.concepts))
+    @classmethod
+    def from_dict(cls, doc, K: int | None = None) -> "PseudoLabel":
+        """One row of a pseudolabels file; ``K``, when given, is the
+        posterior's length."""
+        record_id = json_field(doc, "record_id", str)
+        posterior = check_posterior(json_field(doc, "posterior", list), K)
+        hard = json_field(doc, "hard", int)
+        if not 0 <= hard < len(posterior):
+            raise DatasetError(f"hard label {hard} not in 0..{len(posterior) - 1}")
+        return cls(
+            record_id=record_id,
+            posterior=tuple(posterior),
+            hard=hard,
+            covered=json_field(doc, "covered", bool),
+        )
 
 
-def load_manifest(path: str | Path) -> TaskManifest:
-    """Read a task manifest (JSON) and check the referenced files exist.
-
-    Relative dataset paths are resolved against the manifest's directory.
-    """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"cannot read manifest {path}: {exc}") from exc
-    for key in ("name", "classes", "modality", "dataset"):
-        if key not in doc:
-            raise DatasetError(f"manifest {path} is missing {key!r}")
-    base = path.parent
-
-    def _resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() else base / p
-
-    dataset = _resolve(doc["dataset"])
-    if not dataset.exists():
-        raise DatasetError(f"dataset file not found: {dataset}")
-    validation = None
-    if doc.get("validation"):
-        validation = _resolve(doc["validation"])
-        if not validation.exists():
-            raise DatasetError(f"validation file not found: {validation}")
-    return TaskManifest(
-        name=doc["name"],
-        class_space=ClassSpace(tuple(doc["classes"])),
-        modality=doc["modality"],
-        dataset=dataset,
-        validation=validation,
-        concepts=tuple(doc["concepts"]) if doc.get("concepts") else None,
-    )
-
-
-def _check_gold(gold, K: int, lineno: int):
-    if gold is None:
-        return None
-    if not isinstance(gold, int) or isinstance(gold, bool) or not (0 <= gold < K):
-        raise DatasetError(f"line {lineno}: gold label {gold!r} not in 0..{K - 1}")
-    return gold
-
-
-def _load_text_jsonl(path: Path, K: int) -> list[Record]:
-    records = []
-    seen = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                raise DatasetError(f"line {lineno}: expected an object with id and text")
-            rid = str(obj["id"])
-            if rid in seen:
-                raise DatasetError(f"line {lineno}: duplicate record id {rid!r}")
-            seen.add(rid)
-            records.append(
-                Record(
-                    id=rid,
-                    text=str(obj["text"]),
-                    gold=_check_gold(obj.get("gold"), K, lineno),
-                    group=str(obj["group"]) if obj.get("group") is not None else None,
-                )
-            )
-    return records
-
-
-def _check_concepts(found: Sequence[str], expected: Sequence[str] | None, where: str):
+def _concept_mismatch(found: Sequence[str], expected: Sequence[str] | None) -> str | None:
     if expected is None:
-        return
+        return None
     missing = [c for c in expected if c not in found]
-    extra = [c for c in found if c not in expected]
     if missing:
-        raise DatasetError(f"{where}: missing score column {missing[0]!r}")
+        return f"missing score column {missing[0]!r}"
+    extra = [c for c in found if c not in expected]
     if extra:
-        raise DatasetError(f"{where}: unexpected score column {extra[0]!r}")
+        return f"unexpected score column {extra[0]!r}"
+    return None
 
 
 def _load_scores_csv(path: Path, K: int, concepts) -> list[Record]:
     records = []
     seen = set()
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("line 1: empty scores file") from None
-        if not header or header[0] != "id":
-            raise DatasetError("line 1: scores CSV must start with an 'id' column")
-        tail = [c for c in header[1:] if c in ("gold", "group")]
-        score_cols = header[1 : len(header) - len(tail)]
-        if any(c in ("gold", "group") for c in score_cols):
-            raise DatasetError("line 1: gold/group columns must come last")
-        _check_concepts(score_cols, concepts, "line 1")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DatasetError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            rid = row[0]
-            if rid in seen:
-                raise DatasetError(f"line {lineno}: duplicate record id {rid!r}")
-            seen.add(rid)
-            try:
-                scores = {c: float(v) for c, v in zip(score_cols, row[1:])}
-            except ValueError as exc:
-                raise DatasetError(f"line {lineno}: bad score value ({exc})") from exc
-            if any(not math.isfinite(v) for v in scores.values()):
-                raise DatasetError(f"line {lineno}: non-finite score")
-            gold = group = None
-            for name, value in zip(header[1 + len(score_cols) :], row[1 + len(score_cols) :]):
-                if name == "gold" and value != "":
-                    try:
-                        gold = _check_gold(int(value), K, lineno)
-                    except ValueError:
-                        raise DatasetError(f"line {lineno}: bad gold value {value!r}") from None
-                elif name == "group" and value != "":
-                    group = value
-            records.append(Record(id=rid, scores=scores, gold=gold, group=group))
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or header[0] != "id":
+                raise DatasetError(f"{path}:1: scores CSV must start with an 'id' column")
+            tail = [c for c in header[1:] if c in ("gold", "group")]
+            score_cols = header[1 : len(header) - len(tail)]
+            if any(c in ("gold", "group") for c in score_cols):
+                raise DatasetError(f"{path}:1: gold/group columns must come last")
+            problem = _concept_mismatch(score_cols, concepts)
+            if problem:
+                raise DatasetError(f"{path}:1: {problem}")
+            for row in reader:
+                if not row:
+                    continue
+                where = f"{path}:{reader.line_num}"
+                if len(row) != len(header):
+                    raise DatasetError(f"{where}: expected {len(header)} fields, got {len(row)}")
+                rid = row[0]
+                if rid in seen:
+                    raise DatasetError(f"{where}: duplicate record id {rid!r}")
+                seen.add(rid)
+                try:
+                    scores = {c: float(v) for c, v in zip(score_cols, row[1:])}
+                except ValueError as exc:
+                    raise DatasetError(f"{where}: bad score value ({exc})") from exc
+                if any(not math.isfinite(v) for v in scores.values()):
+                    raise DatasetError(f"{where}: non-finite score")
+                gold = group = None
+                for name, value in zip(header[1 + len(score_cols) :], row[1 + len(score_cols) :]):
+                    if name == "gold" and value != "":
+                        if not (value.isdigit() and int(value) < K):
+                            raise DatasetError(f"{where}: gold label {value!r} not in 0..{K - 1}")
+                        gold = int(value)
+                    elif name == "group" and value != "":
+                        group = value
+                records.append(Record(id=rid, scores=scores, gold=gold, group=group))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DatasetError(f"{path}: {exc}") from None
     return records
 
 
-def _load_scores_jsonl(path: Path, K: int, concepts) -> list[Record]:
+def _load_jsonl_records(path: Path, K: int, modality: str, concepts) -> list[Record]:
+    def row(doc) -> Record:
+        record = Record.from_dict(doc, K)
+        if record.modality != modality:
+            raise DatasetError(f"expected a {modality} record, got {record.modality}")
+        if record.scores is not None:
+            problem = _concept_mismatch(list(record.scores), concepts)
+            if problem:
+                raise DatasetError(problem)
+        return record
+
     records = []
     seen = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "scores" not in obj:
-                raise DatasetError(f"line {lineno}: expected an object with id and scores")
-            rid = str(obj["id"])
-            if rid in seen:
-                raise DatasetError(f"line {lineno}: duplicate record id {rid!r}")
-            seen.add(rid)
-            scores = obj["scores"]
-            if not isinstance(scores, dict):
-                raise DatasetError(f"line {lineno}: scores must be an object")
-            _check_concepts(list(scores), concepts, f"line {lineno}")
-            records.append(
-                Record(
-                    id=rid,
-                    scores={k: float(v) for k, v in scores.items()},
-                    gold=_check_gold(obj.get("gold"), K, lineno),
-                    group=str(obj["group"]) if obj.get("group") is not None else None,
-                )
-            )
+    for lineno, record in read_jsonl(path, row):
+        if record.id in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
+        seen.add(record.id)
+        records.append(record)
     return records
 
 
-def load_dataset(path: str | Path, manifest: TaskManifest) -> list[Record]:
+def load_dataset(
+    path: str | Path,
+    classes: ClassSpace,
+    modality: str = "text",
+    concepts: Sequence[str] | None = None,
+) -> list[Record]:
     """Load records in file order.
 
     Text tasks read JSONL ({"id", "text", "gold"?, "group"?}); score tasks
     read CSV (header id,<concepts...>[,gold][,group]) or the JSONL
-    equivalent with a "scores" object. Errors carry 1-based line numbers.
+    equivalent with a "scores" object. ``concepts``, when given, must be
+    exactly the score columns. Errors name the file and 1-based line.
     """
+    if modality not in ("text", "scores"):
+        raise DatasetError(f"unknown modality {modality!r}")
     path = Path(path)
-    K = manifest.class_space.K
-    if manifest.modality == "text":
-        return _load_text_jsonl(path, K)
-    if path.suffix.lower() == ".csv":
-        return _load_scores_csv(path, K, manifest.concepts)
-    return _load_scores_jsonl(path, K, manifest.concepts)
+    if modality == "scores" and path.suffix.lower() == ".csv":
+        records = _load_scores_csv(path, classes.K, concepts)
+    else:
+        records = _load_jsonl_records(path, classes.K, modality, concepts)
+    if not records:
+        raise DatasetError(f"{path}: the dataset has no records")
+    return records
 
 
 def serialize_records(records: Iterable[Record], path: str | Path) -> Path:
@@ -439,27 +490,34 @@ def save_votes(
 def load_votes(path: str | Path) -> tuple[VoteMatrix, dict]:
     """Read a vote matrix file; returns the matrix and its metadata
     (classes, task, optional gold/group lists)."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DatasetError(f"cannot read votes file {path}: {exc}") from exc
-    for key in ("classes", "program_ids", "record_ids", "votes"):
-        if key not in doc:
-            raise DatasetError(f"votes file {path} is missing {key!r}")
+    return read_json(path, _votes_from_doc)
+
+
+def _votes_from_doc(doc) -> tuple[VoteMatrix, dict]:
+    classes = ClassSpace(tuple(json_field(doc, "classes", list)))
     matrix = VoteMatrix(
-        votes=np.asarray(doc["votes"], dtype=np.int64),
-        program_ids=tuple(doc["program_ids"]),
-        record_ids=tuple(doc["record_ids"]),
+        program_ids=tuple(json_field(doc, "program_ids", list)),
+        record_ids=tuple(json_field(doc, "record_ids", list)),
+        votes=json_field(doc, "votes", list),
     )
-    K = len(doc["classes"])
+    n, K = matrix.n, classes.K
     if matrix.votes.size and matrix.votes.max() >= K:
-        raise DatasetError(f"votes file {path} has votes outside 0..{K - 1}")
+        raise DatasetError(f"votes outside 0..{K - 1}")
+    gold = json_field(doc, "gold", list, type(None), default=None)
+    if gold is not None and (
+        len(gold) != n or not all(g is None or (type(g) is int and 0 <= g < K) for g in gold)
+    ):
+        raise DatasetError(f"gold must hold {n} entries, each null or a class index in 0..{K - 1}")
+    group = json_field(doc, "group", list, type(None), default=None)
+    if group is not None and (
+        len(group) != n or not all(g is None or type(g) is str for g in group)
+    ):
+        raise DatasetError(f"group must hold {n} entries, each null or a string")
     meta = {
-        "task": doc.get("task"),
-        "classes": list(doc["classes"]),
-        "gold": doc.get("gold"),
-        "group": doc.get("group"),
+        "task": json_field(doc, "task", str, type(None), default=None),
+        "classes": list(classes.names),
+        "gold": gold,
+        "group": group,
     }
     return matrix, meta
 
@@ -482,22 +540,14 @@ def save_pseudolabels(path: str | Path, labels: Iterable[PseudoLabel]) -> Path:
     return path
 
 
-def load_pseudolabels(path: str | Path) -> list[PseudoLabel]:
-    labels = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            labels.append(
-                PseudoLabel(
-                    record_id=obj["record_id"],
-                    posterior=tuple(obj["posterior"]),
-                    hard=int(obj["hard"]),
-                    covered=bool(obj["covered"]),
-                )
-            )
-    return labels
+def load_pseudolabels(path: str | Path, K: int | None = None) -> list[PseudoLabel]:
+    """Read a pseudolabels file. Every posterior has ``K`` entries, or as
+    many as the first row's when K is not given."""
+
+    def row(doc) -> PseudoLabel:
+        nonlocal K
+        label = PseudoLabel.from_dict(doc, K)
+        K = len(label.posterior)
+        return label
+
+    return [label for _, label in read_jsonl(path, row)]

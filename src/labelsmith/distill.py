@@ -21,7 +21,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DatasetError, LabelsmithError, PseudoLabel, Record
+from .data import (
+    ClassSpace,
+    DatasetError,
+    LabelsmithError,
+    PseudoLabel,
+    Record,
+    check_posterior,
+    json_field,
+    read_json,
+    read_jsonl,
+)
 
 logger = logging.getLogger("labelsmith.distill")
 
@@ -50,8 +60,18 @@ class FeatureSpec:
     def __post_init__(self):
         if self.mode not in ("hashed", "scores"):
             raise DistillError(f"feature mode must be 'hashed' or 'scores', got {self.mode!r}")
-        if self.dims < 2:
-            raise DistillError("feature dims must be at least 2")
+        if not _is_int(self.dims) or self.dims < 2:
+            raise DistillError("feature dims must be an integer of at least 2")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise DistillError("feature seed must be an integer in 0..2**64-1")
+        if not isinstance(self.lowercase, bool):
+            raise DistillError("feature lowercase must be true or false")
+        if not isinstance(self.token_pattern, str):
+            raise DistillError("feature token_pattern must be a string")
+        try:
+            re.compile(self.token_pattern)
+        except re.error as exc:
+            raise DistillError(f"feature token_pattern is not a regex: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +84,14 @@ class FeatureSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FeatureSpec":
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise DistillError(f"unknown feature field {unknown[0]!r}")
         return cls(**doc)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _hash_token(token: str, seed: int) -> int:
@@ -157,37 +184,38 @@ def export_training_set(
     return ExportReport(path=path, n_written=written, n_dropped_uncovered=dropped)
 
 
-def load_training_set(path: str | Path) -> tuple[list[Record], np.ndarray]:
+def load_training_set(path: str | Path, K: int | None = None) -> tuple[list[Record], np.ndarray]:
     """Read an exported training set. Returns records plus targets: an (n,)
-    int array for hard labels or an (n, K) float array for posteriors."""
+    int array for hard labels or an (n, K) float array for posteriors.
+    ``K``, when given, bounds hard labels and fixes the posterior width;
+    otherwise the first posterior fixes it."""
+    path = Path(path)
+
+    def row(doc):
+        nonlocal K
+        record = Record.from_dict(doc)
+        if ("label" in doc) == ("posterior" in doc):
+            raise DatasetError("row needs exactly one of label and posterior")
+        if "posterior" in doc:
+            posterior = check_posterior(json_field(doc, "posterior", list), K)
+            K = len(posterior)
+            return record, [float(x) for x in posterior]
+        label = json_field(doc, "label", int)
+        if label < 0 or (K is not None and label >= K):
+            bound = "" if K is None else f" in 0..{K - 1}"
+            raise DatasetError(f"label {label} is not a class index{bound}")
+        return record, label
+
     records: list[Record] = []
     targets: list = []
-    soft = None
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            records.append(
-                Record(id=str(row["id"]), text=row.get("text"), scores=row.get("scores"))
-            )
-            if "posterior" in row:
-                row_soft = True
-                targets.append([float(x) for x in row["posterior"]])
-            elif "label" in row:
-                row_soft = False
-                targets.append(int(row["label"]))
-            else:
-                raise DatasetError(f"line {lineno}: row has neither label nor posterior")
-            if soft is None:
-                soft = row_soft
-            elif soft != row_soft:
-                raise DatasetError(f"line {lineno}: mixed hard and soft labels")
+    for lineno, (record, target) in read_jsonl(path, row):
+        if targets and isinstance(target, list) != isinstance(targets[0], list):
+            raise DatasetError(f"{path}:{lineno}: mixed hard and soft labels")
+        records.append(record)
+        targets.append(target)
     if not records:
-        raise DatasetError("training set is empty")
+        raise DatasetError(f"{path}: training set is empty")
+    soft = isinstance(targets[0], list)
     return records, np.asarray(targets, dtype=float if soft else np.int64)
 
 
@@ -230,10 +258,27 @@ class MLPModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MLPModel":
+        """The model part of a model file; every weight and bias must have
+        the shape ``sizes`` gives it and hold finite numbers."""
+        sizes = tuple(json_field(doc, "sizes", list))
+        if len(sizes) < 2 or not all(_is_int(d) and d >= 1 for d in sizes):
+            raise DistillError("sizes must list at least 2 positive integers")
+        shapes = {
+            "weights": list(zip(sizes, sizes[1:])),
+            "biases": [(d,) for d in sizes[1:]],
+        }
+        arrays = {}
+        for name, expected in shapes.items():
+            arrays[name] = [np.asarray(a) for a in json_field(doc, name, list)]
+            got = [a.shape for a in arrays[name]]
+            if got != expected:
+                raise DistillError(f"{name} have shapes {got}, expected {expected} from sizes")
+            if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in arrays[name]):
+                raise DistillError(f"{name} must be finite numbers")
         return cls(
-            sizes=tuple(doc["sizes"]),
-            weights=[np.asarray(w, dtype=float) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in doc["biases"]],
+            sizes=sizes,
+            weights=[w.astype(float, copy=False) for w in arrays["weights"]],
+            biases=[b.astype(float, copy=False) for b in arrays["biases"]],
         )
 
 
@@ -440,8 +485,21 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[MLPModel, FeatureSpec | None, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = MLPModel.from_dict(doc["model"])
-    spec = FeatureSpec.from_dict(doc["features"]) if doc.get("features") else None
-    meta = {"classes": doc.get("classes"), "concepts": doc.get("concepts")}
-    return model, spec, meta
+    return read_json(path, _model_from_doc)
+
+
+def _model_from_doc(doc) -> tuple[MLPModel, FeatureSpec | None, dict]:
+    model = MLPModel.from_dict(json_field(doc, "model", dict))
+    features = json_field(doc, "features", dict, type(None), default=None)
+    spec = FeatureSpec.from_dict(features) if features else None
+    classes = json_field(doc, "classes", list, type(None), default=None)
+    concepts = json_field(doc, "concepts", list, type(None), default=None)
+    if spec is not None and spec.dims != model.sizes[0]:
+        raise DistillError(f"features have {spec.dims} dims but the model takes {model.sizes[0]}")
+    if classes is not None:
+        ClassSpace(tuple(classes))
+        if len(classes) != model.sizes[-1]:
+            raise DistillError(f"{len(classes)} classes listed but the model has {model.sizes[-1]} outputs")
+    if concepts is not None and not all(isinstance(c, str) for c in concepts):
+        raise DistillError("concepts must be strings")
+    return model, spec, {"classes": classes, "concepts": concepts}

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, LabelsmithError, PseudoLabel, VoteMatrix
+from .data import ABSTAIN, LabelsmithError, PseudoLabel, VoteMatrix, json_field, read_json
 
 MV = "MV"
 WMV = "WMV"
@@ -87,6 +87,8 @@ class LabelModelParams:
             object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.priors.ndim != 1:
             raise ModelError(f"priors must be a list, got shape {self.priors.shape}")
+        if self.kind not in (MV, WMV) and self.confusion is None:
+            raise ModelError(f"{self.kind} params need a confusion array")
         m, K = self.m, self.K
         if self.confusion is not None and self.confusion.shape != (m, K, K):
             raise ModelError(
@@ -134,9 +136,9 @@ class LabelModelParams:
             return None if x is None else np.asarray(x, dtype=float)
 
         return cls(
-            kind=doc["kind"],
+            kind=json_field(doc, "kind", str),
             priors=np.asarray(doc["priors"], dtype=float),
-            program_ids=tuple(doc["program_ids"]),
+            program_ids=tuple(json_field(doc, "program_ids", list)),
             confusion=arr(doc.get("confusion")),
             accuracies=arr(doc.get("accuracies")),
             weights=arr(doc.get("weights")),
@@ -154,13 +156,7 @@ def save_params(path: str | Path, params: LabelModelParams) -> Path:
 def load_params(path: str | Path) -> LabelModelParams:
     """Read a params file; any malformed content raises ModelError naming
     the path."""
-    path = Path(path)
-    try:
-        return LabelModelParams.from_dict(json.loads(path.read_text(encoding="utf-8")))
-    except KeyError as exc:
-        raise ModelError(f"{path}: missing field {exc}") from exc
-    except (ModelError, ValueError, TypeError) as exc:
-        raise ModelError(f"{path}: {exc}") from exc
+    return read_json(path, LabelModelParams.from_dict, error=ModelError)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,11 @@ prompt and the score-prompt template for the scores modality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .data import ClassSpace, LabelsmithError
+from .data import ClassSpace, LabelsmithError, json_field, read_json
 from .prompting import PromptSpec, SupplementBlock
 
 
@@ -66,28 +65,25 @@ def available_packs() -> list[str]:
 
 
 def load_pack(name: str) -> TaskPack:
-    entry = _pack_dir() / f"{name}.json"
     try:
-        doc = json.loads(entry.read_text(encoding="utf-8"))
+        return read_json(_pack_dir() / f"{name}.json", _pack_from_doc, error=PackError)
     except FileNotFoundError:
         raise PackError(
             f"unknown task pack {name!r}; available: {', '.join(available_packs())}"
         ) from None
-    except json.JSONDecodeError as exc:
-        raise PackError(f"task pack {name!r} is malformed JSON: {exc.msg}") from exc
-    try:
-        return TaskPack(
-            name=doc["name"],
-            summary=doc.get("summary", ""),
-            modality=doc["modality"],
-            classes=tuple(doc["classes"]),
-            task_description=doc["task_description"],
-            labeling_instructions=doc["labeling_instructions"],
-            function_signature=doc["function_signature"],
-            concept_prompt=doc.get("concept_prompt"),
-            score_prompt_intro=doc.get("score_prompt_intro"),
-            score_prompt_outro=doc.get("score_prompt_outro"),
-            example_concepts=tuple(doc.get("example_concepts", ())),
-        )
-    except KeyError as exc:
-        raise PackError(f"task pack {name!r} is missing field {exc.args[0]!r}") from exc
+
+
+def _pack_from_doc(doc) -> TaskPack:
+    return TaskPack(
+        name=json_field(doc, "name", str),
+        summary=doc.get("summary", ""),
+        modality=doc["modality"],
+        classes=tuple(doc["classes"]),
+        task_description=doc["task_description"],
+        labeling_instructions=doc["labeling_instructions"],
+        function_signature=doc["function_signature"],
+        concept_prompt=doc.get("concept_prompt"),
+        score_prompt_intro=doc.get("score_prompt_intro"),
+        score_prompt_outro=doc.get("score_prompt_outro"),
+        example_concepts=tuple(doc.get("example_concepts", ())),
+    )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .data import ClassSpace, LabelsmithError
+from .data import ClassSpace, LabelsmithError, read_json
 from .dsl import RuleProgram
 from .dsl.extract import ExtractionError, extract_program
 
@@ -200,19 +200,29 @@ class MockTransport:
     {"error": "..."} (raises TransportError, for retry testing)."""
 
     def __init__(self, entries: Sequence[dict]):
-        if not entries:
+        if not isinstance(entries, (list, tuple)) or not entries:
             raise PromptError("mock fixture has no responses")
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise PromptError(f"mock entry {i} must be an object")
+            if not isinstance(entry.get("content", ""), str):
+                raise PromptError(f"mock entry {i}: content must be a string")
+            if not isinstance(entry.get("response", {}), dict):
+                raise PromptError(f"mock entry {i}: response must be an object")
         self.entries = list(entries)
         self.calls = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockTransport":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return read_json(path, cls._from_doc, error=PromptError)
+
+    @classmethod
+    def _from_doc(cls, doc) -> "MockTransport":
         if isinstance(doc, dict) and "responses" in doc:
             return cls(doc["responses"])
         if isinstance(doc, list):
             return cls(doc)
-        raise PromptError(f"mock fixture {path} must be a list or have a 'responses' key")
+        raise PromptError("a mock fixture must be a list or have a 'responses' key")
 
     def complete(self, body: dict) -> dict:
         entry = self.entries[self.calls % len(self.entries)]
@@ -232,9 +242,12 @@ class MockTransport:
 def response_text(response: dict) -> str:
     """The assistant text out of a chat-completions response."""
     try:
-        return response["choices"][0]["message"]["content"]
+        content = response["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise TransportError(f"response missing choices[0].message.content: {exc}") from exc
+    if not isinstance(content, str):
+        raise TransportError("response choices[0].message.content is not a string")
+    return content
 
 
 def request_completion(

@@ -1,0 +1,168 @@
+"""Property: no malformed artifact makes the CLI raise.
+
+A small walkthrough writes every artifact a command reads back. Each
+example mutates one of them, or one of the walkthrough's inputs, and runs
+every command that reads it: the command may succeed (0), flag programs
+(2) or fail (1), but a failure must print ``error:`` and name the file.
+The outputs no command reads (analysis.json, fit_report.json, cost.json,
+raw/*.json, metrics.csv, eval.json, run_manifest.json) are not mutated.
+"""
+
+import contextlib
+import io
+import json
+import math
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from labelsmith.cli import main
+from labelsmith.data import serialize_records
+from labelsmith.synth import make_spam_corpus
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SPAM_PROGRAMS = str(FIXTURES / "spam_programs")
+
+# values of every JSON type; a swap puts in one whose type differs
+SWAPS = (0, "x", [0], {}, None, True, math.nan)
+MUTATIONS = ("drop", "swap", "truncate", "garble-line")
+
+
+def run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    root = tmp_path_factory.mktemp("walkthrough")
+    records, _ = make_spam_corpus(60, seed=7)
+    serialize_records(records, root / "corpus.jsonl")
+    shutil.copy(FIXTURES / "mock" / "ok_program.json", root / "mock.json")
+    (root / "exemplars.jsonl").write_text(
+        "".join(json.dumps({"text": r.text, "class": "spam" if r.gold == 0 else "ham"}) + "\n"
+                for r in records[:3]),
+        encoding="utf-8",
+    )
+    steps = [
+        ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "ROOT/corpus.jsonl", "--out", "ROOT/votes"],
+        ["aggregate", "--votes", "ROOT/votes/votes.json", "--keep-flagged", "--out", "ROOT/agg"],
+        ["export", "--pseudolabels", "ROOT/agg/pseudolabels.jsonl", "--task", "sms",
+         "--data", "ROOT/corpus.jsonl", "--out", "ROOT/export"],
+        ["train", "--train-file", "ROOT/export/train.jsonl", "--task", "sms", "--epochs", "1", "--dims", "32",
+         "--out", "ROOT/train"],
+    ]
+    for argv in steps:
+        code, err = run(resolve(argv, root))
+        assert code == 0, err
+    return root
+
+
+def resolve(argv, root: Path, artifact: Path | None = None) -> list[str]:
+    """``ROOT/`` names a file of the walkthrough, ``ARTIFACT`` the mutated copy."""
+    return [str(artifact) if a == "ARTIFACT" else a.replace("ROOT", str(root), 1) for a in argv]
+
+
+# artifact -> every command of the walkthrough that reads it; ARTIFACT
+# stands for the mutated copy
+CONSUMERS = {
+    "corpus.jsonl": [
+        ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "ARTIFACT"],
+        ["export", "--pseudolabels", "ROOT/agg/pseudolabels.jsonl", "--task", "sms", "--data", "ARTIFACT"],
+        ["eval", "--model", "ROOT/train/model.json", "--data", "ARTIFACT"],
+    ],
+    "votes/votes.json": [
+        ["analyze", "--votes", "ARTIFACT"],
+        ["aggregate", "--votes", "ARTIFACT"],
+    ],
+    "agg/params.json": [
+        ["aggregate", "--votes", "ROOT/votes/votes.json", "--keep-flagged", "--params", "ARTIFACT"],
+    ],
+    "agg/pseudolabels.jsonl": [
+        ["export", "--pseudolabels", "ARTIFACT", "--task", "sms", "--data", "ROOT/corpus.jsonl"],
+    ],
+    "export/train.jsonl": [
+        ["train", "--train-file", "ARTIFACT", "--task", "sms", "--epochs", "1", "--dims", "32"],
+    ],
+    "train/model.json": [
+        ["eval", "--model", "ARTIFACT", "--data", "ROOT/corpus.jsonl"],
+    ],
+    "mock.json": [
+        ["generate", "--task", "sms", "--mock", "ARTIFACT", "--n", "2"],
+    ],
+    "exemplars.jsonl": [
+        ["generate", "--task", "sms", "--mock", "ROOT/mock.json", "--n", "1", "--exemplars", "ARTIFACT"],
+    ],
+}
+
+
+def _paths(node, prefix=()):
+    """Every position in a parsed JSON tree, root first."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate_node(doc, path, kind, data):
+    if not path:
+        choices = [v for v in SWAPS if type(v) is not type(doc)]
+        return data.draw(st.sampled_from(choices))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    last = path[-1]
+    if kind == "drop":
+        del parent[last]
+    else:
+        choices = [v for v in SWAPS if type(v) is not type(parent[last])]
+        parent[last] = data.draw(st.sampled_from(choices))
+    return doc
+
+
+def mutated_text(text: str, jsonl: bool, data) -> str:
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+    lines = text.splitlines()
+    if kind == "garble-line":
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        return "\n".join(lines[:i] + ["{not json"] + lines[i + 1 :]) + "\n"
+    doc = [json.loads(line) for line in lines if line.strip()] if jsonl else json.loads(text)
+    paths = list(_paths(doc))
+    if kind == "drop":
+        paths = paths[1:]  # the root cannot be dropped
+    path = paths[data.draw(st.integers(0, len(paths) - 1), label="node")]
+    doc = _mutate_node(doc, path, kind, data)
+    if jsonl and isinstance(doc, list):
+        return "".join(json.dumps(row) + "\n" for row in doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("artifact", sorted(CONSUMERS))
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_malformed_artifact_never_raises(walkthrough, artifact, tmp_path, data):
+    source = walkthrough / artifact
+    text = mutated_text(source.read_text(encoding="utf-8"), artifact.endswith(".jsonl"), data)
+    bad = tmp_path / f"mutated-{source.name}"
+    bad.write_text(text, encoding="utf-8")
+    for command in CONSUMERS[artifact]:
+        code, err = run([*resolve(command, walkthrough, bad), "--out", str(tmp_path / "out"), "--force"])
+        assert code in (0, 1, 2), (command, code, err)
+        if code == 1:
+            assert err.startswith("error:") and str(bad) in err, (command, text[:300], err)

@@ -64,6 +64,25 @@ def votes_dir(tmp_path_factory, corpus_file):
     return out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--task", "sms"],
+        ["apply", "--programs", "p", "--data", "d"],
+        ["analyze", "--votes", "v"],
+        ["aggregate", "--votes", "v"],
+        ["export", "--pseudolabels", "p", "--data", "d"],
+        ["eval", "--model", "m", "--data", "d"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_train_takes_a_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "o", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_mock_writes_programs_and_cost(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -557,3 +576,146 @@ class TestExportTrainEval:
         )
         assert code == 1
         assert "needs gold labels" in capsys.readouterr().err
+
+
+def _jsonl(*rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def _votes_doc(**changes) -> str:
+    doc = {
+        "task": None,
+        "classes": ["spam", "ham"],
+        "program_ids": ["p0", "p1"],
+        "record_ids": ["r0", "r1", "r2"],
+        "votes": [[0, 1], [1, -1], [-1, 0]],
+        "gold": None,
+        "group": None,
+    }
+    return json.dumps({**doc, **changes})
+
+
+def _model_doc(trained, change) -> str:
+    doc = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+    change(doc)
+    return json.dumps(doc)
+
+
+_PSEUDO = {"record_id": "s00000", "posterior": [0.9, 0.1], "hard": 0, "covered": True}
+_ROW = {"id": "a", "text": "win a free prize"}
+_NOT_UTF8 = b'{"id": "a", "text": "caf\xe9"}\n'
+
+# case -> (file content, the command that reads it); in the command,
+# BAD stands for the malformed file and OUT for the output directory
+MALFORMED_INPUTS = {
+    "pseudolabel-without-posterior": (
+        lambda ctx: _jsonl({k: v for k, v in _PSEUDO.items() if k != "posterior"}),
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    "pseudolabel-row-is-a-list": (
+        lambda ctx: _jsonl([1]),
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    "training-row-without-id": (
+        lambda ctx: _jsonl({"text": "free prize", "label": 0}, {**_ROW, "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-row-without-payload": (
+        lambda ctx: _jsonl({"id": "a", "label": 0}, {"id": "b", "text": "hi", "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-posteriors-of-two-widths": (
+        lambda ctx: _jsonl({**_ROW, "posterior": [1.0]}, {"id": "b", "text": "hi", "posterior": [0.5, 0.5]}),
+        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-single-class": (
+        lambda ctx: _jsonl({**_ROW, "label": 0}, {"id": "b", "text": "hi", "label": 0}),
+        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-label-beyond-classes": (
+        lambda ctx: _jsonl({**_ROW, "label": 5}, {"id": "b", "text": "hi", "label": 0}),
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-posterior-wider-than-classes": (
+        lambda ctx: _jsonl({**_ROW, "posterior": [0.2, 0.3, 0.5]}),
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
+    ),
+    "votes-one-dimensional": (
+        lambda ctx: _votes_doc(votes=[0, 1, 1]),
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "votes-are-strings": (
+        lambda ctx: _votes_doc(votes=[["0", "1"], ["1", "-1"], ["-1", "0"]]),
+        lambda ctx: ["aggregate", "--votes", "BAD"],
+    ),
+    "votes-duplicate-record-ids": (
+        lambda ctx: _votes_doc(record_ids=["r0", "r0", "r2"]),
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "votes-gold-outside-classes": (
+        lambda ctx: _votes_doc(gold=[7, 7, 7]),
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "votes-group-too-short": (
+        lambda ctx: _votes_doc(record_ids=["r0", "r1", "r2", "r3"], votes=[[0, 1]] * 4, group=["g"] * 3),
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "model-empty-object": (
+        lambda ctx: "{}",
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-weights-wrong-shape": (
+        lambda ctx: _model_doc(ctx["trained"], lambda d: d["model"]["weights"].__setitem__(0, [[0.0, 1.0]])),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-unknown-feature-field": (
+        lambda ctx: _model_doc(ctx["trained"], lambda d: d["features"].__setitem__("colour", "red")),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "mock-content-not-a-string": (
+        lambda ctx: json.dumps({"responses": [{"content": 5}]}),
+        lambda ctx: ["generate", "--task", "sms", "--mock", "BAD", "--n", "1"],
+    ),
+    "mock-entry-not-an-object": (
+        lambda ctx: json.dumps([5]),
+        lambda ctx: ["generate", "--task", "sms", "--mock", "BAD", "--n", "1"],
+    ),
+    "exemplar-without-class": (
+        lambda ctx: _jsonl({"text": "win a free prize"}),
+        lambda ctx: ["generate", "--task", "sms", "--mock", MOCK_OK, "--n", "1", "--exemplars", "BAD"],
+    ),
+    "votes-not-utf8": (
+        lambda ctx: b'{"classes": ["sp\xe4m"]}',
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "pseudolabels-not-utf8": (
+        lambda ctx: _NOT_UTF8,
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    "data-not-utf8": (
+        lambda ctx: _NOT_UTF8,
+        lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
+    ),
+}
+
+
+class TestMalformedInputs:
+    """Inputs that once ended in a traceback or were accepted silently:
+    each must now exit 1 with an ``error:`` line naming the file."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_rejected_with_path(self, case, corpus_file, trained, tmp_path, capsys):
+        content, command = MALFORMED_INPUTS[case]
+        ctx = {"corpus": corpus_file, "trained": trained}
+        bad = tmp_path / "input"
+        data = content(ctx)
+        if isinstance(data, str):
+            bad.write_text(data, encoding="utf-8")
+        else:
+            bad.write_bytes(data)
+        argv = [str(bad) if a == "BAD" else a for a in command(ctx)]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and str(bad) in err, err
+        assert "Traceback" not in err

@@ -9,12 +9,10 @@ from labelsmith.data import (
     DatasetError,
     PseudoLabel,
     Record,
-    TaskManifest,
     VoteAssemblyError,
     VoteMatrix,
     assemble_votes,
     load_dataset,
-    load_manifest,
     load_pseudolabels,
     load_votes,
     save_pseudolabels,
@@ -119,11 +117,7 @@ class TestPseudoLabel:
 
 
 class TestLoadTextDataset:
-    def _manifest(self, tmp_path, K=2):
-        names = ("spam", "ham") if K == 2 else tuple(f"c{i}" for i in range(K))
-        return TaskManifest(
-            name="t", class_space=ClassSpace(names), modality="text", dataset=tmp_path / "d.jsonl"
-        )
+    CLASSES = ClassSpace(("spam", "ham"))
 
     def test_happy_path(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -131,7 +125,7 @@ class TestLoadTextDataset:
             '{"id": "a", "text": "x", "gold": 0, "group": "g1"}\n{"id": "b", "text": "y"}\n',
             encoding="utf-8",
         )
-        records = load_dataset(path, self._manifest(tmp_path))
+        records = load_dataset(path, self.CLASSES)
         assert [r.id for r in records] == ["a", "b"]
         assert records[0].gold == 0 and records[0].group == "g1"
         assert records[1].gold is None
@@ -139,20 +133,20 @@ class TestLoadTextDataset:
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "text": "x"}\nnot json\n', encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 2"):
-            load_dataset(path, self._manifest(tmp_path))
+        with pytest.raises(DatasetError, match=r"d\.jsonl:2: "):
+            load_dataset(path, self.CLASSES)
 
     def test_duplicate_id_named(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n', encoding="utf-8")
         with pytest.raises(DatasetError, match="'a'"):
-            load_dataset(path, self._manifest(tmp_path))
+            load_dataset(path, self.CLASSES)
 
     def test_gold_out_of_range(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "text": "x", "gold": 5}\n', encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 1"):
-            load_dataset(path, self._manifest(tmp_path))
+        with pytest.raises(DatasetError, match=r"d\.jsonl:1: "):
+            load_dataset(path, self.CLASSES)
 
     def test_serialize_round_trip(self, tmp_path):
         records = [
@@ -160,23 +154,16 @@ class TestLoadTextDataset:
             Record(id="b", text="y"),
         ]
         path = serialize_records(records, tmp_path / "out.jsonl")
-        assert load_dataset(path, self._manifest(tmp_path)) == records
+        assert load_dataset(path, self.CLASSES) == records
 
 
 class TestLoadScoresDataset:
-    def _manifest(self, path, concepts=None):
-        return TaskManifest(
-            name="t",
-            class_space=ClassSpace(("a", "b")),
-            modality="scores",
-            dataset=path,
-            concepts=concepts,
-        )
+    CLASSES = ClassSpace(("a", "b"))
 
     def test_csv_happy_path(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,wing,beak,gold,group\nr0,0.1,0.9,1,g\nr1,0.4,0.6,,\n", encoding="utf-8")
-        records = load_dataset(path, self._manifest(path))
+        records = load_dataset(path, self.CLASSES, "scores")
         assert records[0].scores == {"wing": 0.1, "beak": 0.9}
         assert records[0].gold == 1 and records[0].group == "g"
         assert records[1].gold is None and records[1].group is None
@@ -185,18 +172,18 @@ class TestLoadScoresDataset:
         path = tmp_path / "d.csv"
         path.write_text("id,wing\nr0,0.5\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="beak"):
-            load_dataset(path, self._manifest(path, concepts=("wing", "beak")))
+            load_dataset(path, self.CLASSES, "scores", concepts=("wing", "beak"))
 
     def test_csv_rejects_non_finite(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("id,wing\nr0,nan\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="line 2"):
-            load_dataset(path, self._manifest(path))
+        with pytest.raises(DatasetError, match=r"d\.csv:2: "):
+            load_dataset(path, self.CLASSES, "scores")
 
     def test_jsonl_scores(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "r0", "scores": {"wing": 0.25}}\n', encoding="utf-8")
-        records = load_dataset(path, self._manifest(path))
+        records = load_dataset(path, self.CLASSES, "scores")
         assert records[0].scores == {"wing": 0.25}
 
 
@@ -259,27 +246,3 @@ class TestVotesFile:
         with pytest.raises(DatasetError):
             load_votes(path)
 
-
-class TestManifest:
-    def test_relative_paths_resolve_against_manifest_dir(self, tmp_path):
-        (tmp_path / "data.jsonl").write_text('{"id": "a", "text": "x"}\n', encoding="utf-8")
-        mpath = tmp_path / "task.json"
-        mpath.write_text(
-            json.dumps(
-                {"name": "t", "classes": ["a", "b"], "modality": "text", "dataset": "data.jsonl"}
-            ),
-            encoding="utf-8",
-        )
-        manifest = load_manifest(mpath)
-        assert manifest.dataset == tmp_path / "data.jsonl"
-
-    def test_missing_dataset_rejected(self, tmp_path):
-        mpath = tmp_path / "task.json"
-        mpath.write_text(
-            json.dumps(
-                {"name": "t", "classes": ["a", "b"], "modality": "text", "dataset": "gone.jsonl"}
-            ),
-            encoding="utf-8",
-        )
-        with pytest.raises(DatasetError, match="gone.jsonl"):
-            load_manifest(mpath)
