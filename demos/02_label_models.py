@@ -38,7 +38,7 @@ print(f"{'model':12} {'accuracy':>8}  notes")
 for name in ("mv", "wmv", "ds", "snorkel-lite"):
     params, report = FITTERS[name](matrix, K)
     labels = predict(params, matrix)
-    acc = float(np.mean([lab.hard for lab in labels] == truth))
+    acc = float(np.mean(labels.hard == truth))
     extra = f"converged in {report.iterations} iters" if report.iterations else ""
     print(f"{name:12} {acc:8.4f}  {extra}")
 

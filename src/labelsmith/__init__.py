@@ -13,7 +13,7 @@ from .data import (
     ClassSpace,
     DatasetError,
     LabelsmithError,
-    PseudoLabel,
+    Pseudolabels,
     Record,
     VoteAssemblyError,
     VoteMatrix,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -297,10 +298,10 @@ def cmd_aggregate(args) -> int:
         [Path(args.votes)] + ([Path(args.params)] if args.params else []),
     )
     coverage = diagnostics.coverage_of_label_model(labels)
-    line = f"{params.kind}: labeled {len(labels)} records (coverage {coverage:.3f})"
+    line = f"{params.kind}: labeled {labels.n} records (coverage {coverage:.3f})"
     gold = meta.get("gold")
     if gold is not None and all(g is not None for g in gold):
-        acc = float(np.mean([lab.hard == g for lab, g in zip(labels, gold)]))
+        acc = float((labels.hard == np.array(gold)).mean())
         line += f", accuracy vs gold {acc:.4f}"
     print(line)
     return EXIT_OK
@@ -335,6 +336,15 @@ def cmd_export(args) -> int:
 
 
 def cmd_train(args) -> int:
+    for flag, value, ok, wanted in (
+        ("--epochs", args.epochs, args.epochs >= 1, "at least 1"),
+        ("--batch", args.batch, args.batch >= 1, "at least 1"),
+        ("--seed", args.seed, args.seed >= 0, "at least 0"),
+        ("--lr", args.lr, math.isfinite(args.lr) and args.lr > 0, "a finite number above 0"),
+        ("--val-fraction", args.val_fraction, 0 <= args.val_fraction < 1, "in [0, 1)"),
+    ):
+        if not ok:
+            raise CliError(f"{flag} must be {wanted}, got {value}")
     class_names = None
     if getattr(args, "task", None) or getattr(args, "classes", None):
         class_names = list(_classes_arg(args).names)
@@ -444,7 +454,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, *, data=False, task_classes=False):
+def _add_common(sp, *, data=False, task_classes=False, modality=False):
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     if data:
@@ -452,6 +462,7 @@ def _add_common(sp, *, data=False, task_classes=False):
     if task_classes:
         sp.add_argument("--task", help=f"shipped task pack ({', '.join(available_packs())})")
         sp.add_argument("--classes", help="comma-separated class names (alternative to --task)")
+    if modality:
         sp.add_argument("--modality", choices=("text", "scores"), default="text")
 
 
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("apply", help="run programs over a dataset into a vote matrix")
     sp.add_argument("--programs", required=True, help="directory of .lf programs")
-    _add_common(sp, data=True, task_classes=True)
+    _add_common(sp, data=True, task_classes=True, modality=True)
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("analyze", help="coverage/polarity/overlap/conflict diagnostics")
@@ -503,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pseudolabels", required=True)
     sp.add_argument("--probabilistic", action="store_true", help="write posteriors, not hard labels")
     sp.add_argument("--keep-uncovered", action="store_true")
-    _add_common(sp, data=True, task_classes=True)
+    _add_common(sp, data=True, task_classes=True, modality=True)
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("train", help="train the distilled MLP on an exported set")
@@ -515,12 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dims", type=int, default=4096, help="hashed feature dimension")
     sp.add_argument("--feature-seed", type=int, default=0, help="hashing seed (part of the model)")
     sp.add_argument("--val-fraction", type=float, default=0.1)
-    sp.add_argument("--task", help="task pack naming the classes")
-    sp.add_argument("--classes", help="comma-separated class names")
     sp.add_argument(
         "--seed", type=int, default=0, help="seed for initialization, shuffling and the validation split"
     )
-    _add_common(sp)
+    _add_common(sp, task_classes=True)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a trained model on gold-labeled data")

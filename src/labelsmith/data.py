@@ -9,6 +9,7 @@ everywhere; class indices run 0..K-1.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -274,42 +275,44 @@ class VoteMatrix:
 
 
 @dataclass(frozen=True)
-class PseudoLabel:
-    """Aggregated label for one record: a posterior over classes plus the
-    hard argmax label. ``covered`` is False iff every program abstained."""
+class Pseudolabels:
+    """Aggregated labels for n records: row i of the (n, K) ``posterior``
+    belongs to ``record_ids[i]``, and ``covered[i]`` is False iff every
+    program abstained on it. The hard labels are derived, never stored."""
 
-    record_id: str
-    posterior: tuple[float, ...]
-    hard: int
-    covered: bool
+    record_ids: tuple[str, ...]
+    posterior: np.ndarray
+    covered: np.ndarray
 
-    @classmethod
-    def from_posterior(cls, record_id: str, posterior, covered: bool) -> "PseudoLabel":
-        post = np.asarray(posterior, dtype=float)
-        # argmax returns the smallest index among ties, which is the contract
-        return cls(
-            record_id=record_id,
-            posterior=tuple(float(p) for p in post),
-            hard=int(np.argmax(post)),
-            covered=bool(covered),
-        )
+    def __post_init__(self):
+        posterior = np.asarray(self.posterior, dtype=float)
+        covered = np.asarray(self.covered)
+        object.__setattr__(self, "record_ids", tuple(self.record_ids))
+        object.__setattr__(self, "posterior", posterior)
+        object.__setattr__(self, "covered", covered)
+        n = len(self.record_ids)
+        if not all(isinstance(i, str) for i in self.record_ids):
+            raise ValueError("record_ids must be strings")
+        if len(set(self.record_ids)) != n:
+            raise ValueError("record_ids must be unique")
+        if posterior.ndim != 2 or posterior.shape[0] != n:
+            raise ValueError(f"posterior must have shape ({n}, K), got {posterior.shape}")
+        # phrased so that NaN fails
+        if not ((posterior >= 0) & (posterior <= 1)).all():
+            raise ValueError("posterior entries must be numbers in [0, 1]")
+        if covered.dtype != bool or covered.shape != (n,):
+            raise ValueError(f"covered must be {n} booleans")
+        posterior.flags.writeable = False
+        covered.flags.writeable = False
 
+    @property
+    def n(self) -> int:
+        return len(self.record_ids)
 
-    @classmethod
-    def from_dict(cls, doc, K: int | None = None) -> "PseudoLabel":
-        """One row of a pseudolabels file; ``K``, when given, is the
-        posterior's length."""
-        record_id = json_field(doc, "record_id", str)
-        posterior = check_posterior(json_field(doc, "posterior", list), K)
-        hard = json_field(doc, "hard", int)
-        if not 0 <= hard < len(posterior):
-            raise DatasetError(f"hard label {hard} not in 0..{len(posterior) - 1}")
-        return cls(
-            record_id=record_id,
-            posterior=tuple(posterior),
-            hard=hard,
-            covered=json_field(doc, "covered", bool),
-        )
+    @property
+    def hard(self) -> np.ndarray:
+        """Each row's argmax; ties go to the smallest class index."""
+        return self.posterior.argmax(axis=1)
 
 
 def _concept_mismatch(found: Sequence[str], expected: Sequence[str] | None) -> str | None:
@@ -500,6 +503,9 @@ def _votes_from_doc(doc) -> tuple[VoteMatrix, dict]:
         record_ids=tuple(json_field(doc, "record_ids", list)),
         votes=json_field(doc, "votes", list),
     )
+    # numpy reads true as 1 among integers; the type scan runs in C
+    if bool in set(map(type, itertools.chain.from_iterable(doc["votes"]))):
+        raise DatasetError("votes must be integers, got true or false")
     n, K = matrix.n, classes.K
     if matrix.votes.size and matrix.votes.max() >= K:
         raise DatasetError(f"votes outside 0..{K - 1}")
@@ -522,32 +528,40 @@ def _votes_from_doc(doc) -> tuple[VoteMatrix, dict]:
     return matrix, meta
 
 
-def save_pseudolabels(path: str | Path, labels: Iterable[PseudoLabel]) -> Path:
+def save_pseudolabels(path: str | Path, labels: Pseudolabels) -> Path:
     path = Path(path)
+    rows = zip(labels.record_ids, labels.posterior.tolist(), labels.hard.tolist(), labels.covered.tolist())
     with path.open("w", encoding="utf-8") as fh:
-        for lab in labels:
-            fh.write(
-                json.dumps(
-                    {
-                        "record_id": lab.record_id,
-                        "posterior": list(lab.posterior),
-                        "hard": lab.hard,
-                        "covered": lab.covered,
-                    }
-                )
-                + "\n"
-            )
+        for record_id, posterior, hard, covered in rows:
+            row = {"record_id": record_id, "posterior": posterior, "hard": hard, "covered": covered}
+            fh.write(json.dumps(row) + "\n")
     return path
 
 
-def load_pseudolabels(path: str | Path, K: int | None = None) -> list[PseudoLabel]:
+def load_pseudolabels(path: str | Path, K: int | None = None) -> Pseudolabels:
     """Read a pseudolabels file. Every posterior has ``K`` entries, or as
-    many as the first row's when K is not given."""
+    many as the first row's when K is not given; ``hard`` must be its
+    posterior's argmax, and no record id may repeat."""
 
-    def row(doc) -> PseudoLabel:
+    def row(doc):
         nonlocal K
-        label = PseudoLabel.from_dict(doc, K)
-        K = len(label.posterior)
-        return label
+        record_id = json_field(doc, "record_id", str)
+        posterior = check_posterior(json_field(doc, "posterior", list), K)
+        K = len(posterior)
+        hard = json_field(doc, "hard", int)
+        if not 0 <= hard < K:
+            raise DatasetError(f"hard label {hard} not in 0..{K - 1}")
+        if hard != posterior.index(max(posterior)):
+            raise DatasetError(f"hard label {hard} is not the argmax of the posterior")
+        return record_id, posterior, json_field(doc, "covered", bool)
 
-    return [label for _, label in read_jsonl(path, row)]
+    rows: dict[str, tuple[list, bool]] = {}
+    for lineno, (record_id, posterior, covered) in read_jsonl(path, row):
+        if record_id in rows:
+            raise DatasetError(f"{path}:{lineno}: duplicate record id {record_id!r}")
+        rows[record_id] = posterior, covered
+    return Pseudolabels(
+        record_ids=tuple(rows),
+        posterior=np.array([p for p, _ in rows.values()], dtype=float).reshape(len(rows), K or 0),
+        covered=np.array([c for _, c in rows.values()], dtype=bool),
+    )

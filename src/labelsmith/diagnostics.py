@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, LabelsmithError, PseudoLabel, VoteMatrix
+from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix
 
 DEFAULT_COVERAGE_THRESHOLD = 0.10
 
@@ -110,11 +110,11 @@ def analyze(
     return stats
 
 
-def coverage_of_label_model(pseudolabels: Sequence[PseudoLabel]) -> float:
+def coverage_of_label_model(pseudolabels: Pseudolabels) -> float:
     """Fraction of records the aggregate actually labeled."""
-    if not pseudolabels:
+    if not pseudolabels.n:
         raise DiagnosticsError("no pseudolabels given")
-    return sum(1 for p in pseudolabels if p.covered) / len(pseudolabels)
+    return float(pseudolabels.covered.mean())
 
 
 def group_metrics(

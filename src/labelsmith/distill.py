@@ -25,7 +25,7 @@ from .data import (
     ClassSpace,
     DatasetError,
     LabelsmithError,
-    PseudoLabel,
+    Pseudolabels,
     Record,
     check_posterior,
     json_field,
@@ -144,7 +144,7 @@ class ExportReport:
 
 def export_training_set(
     records: Sequence[Record],
-    pseudolabels: Sequence[PseudoLabel],
+    pseudolabels: Pseudolabels,
     path: str | Path,
     *,
     use_probabilistic: bool = False,
@@ -155,19 +155,21 @@ def export_training_set(
     Rows carry the record payload plus either the hard label or the full
     posterior. Uncovered records are dropped by default; the count of
     dropped rows comes back in the report."""
-    by_id = {p.record_id: p for p in pseudolabels}
-    missing = [r.id for r in records if r.id not in by_id]
+    row_of = {rid: i for i, rid in enumerate(pseudolabels.record_ids)}
+    missing = [r.id for r in records if r.id not in row_of]
     if missing:
         raise DistillError(f"no pseudolabel for record {missing[0]!r}")
-    extra = set(by_id) - {r.id for r in records}
+    extra = set(row_of) - {r.id for r in records}
     if extra:
         raise DistillError(f"pseudolabel for unknown record {sorted(extra)[0]!r}")
+    targets = (pseudolabels.posterior if use_probabilistic else pseudolabels.hard).tolist()
+    covered = pseudolabels.covered.tolist()
     path = Path(path)
     written = dropped = 0
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            lab = by_id[rec.id]
-            if drop_uncovered and not lab.covered:
+            i = row_of[rec.id]
+            if drop_uncovered and not covered[i]:
                 dropped += 1
                 continue
             row: dict = {"id": rec.id}
@@ -175,10 +177,7 @@ def export_training_set(
                 row["text"] = rec.text
             else:
                 row["scores"] = rec.scores
-            if use_probabilistic:
-                row["posterior"] = list(lab.posterior)
-            else:
-                row["label"] = lab.hard
+            row["posterior" if use_probabilistic else "label"] = targets[i]
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
             written += 1
     return ExportReport(path=path, n_written=written, n_dropped_uncovered=dropped)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, LabelsmithError, PseudoLabel, VoteMatrix, json_field, read_json
+from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix, json_field, read_json
 
 MV = "MV"
 WMV = "WMV"
@@ -208,19 +208,9 @@ def _vote_mass(votes: np.ndarray, K: int, weights: np.ndarray | None = None) -> 
     return mass[:, :K]
 
 
-def _posteriors_to_pseudolabels(
-    matrix: VoteMatrix, posteriors: np.ndarray
-) -> list[PseudoLabel]:
-    covered = _covered(matrix.votes)
-    return [
-        PseudoLabel.from_posterior(rid, post, covered=bool(c))
-        for rid, post, c in zip(matrix.record_ids, posteriors, covered)
-    ]
-
-
 def majority_vote(
     matrix: VoteMatrix, K: int, weights: Sequence[float] | None = None
-) -> list[PseudoLabel]:
+) -> Pseudolabels:
     """(Weighted) majority vote. Posterior is the weight mass per class,
     normalized over non-abstain votes; all-abstain rows come back with
     covered=false and a uniform posterior."""
@@ -236,7 +226,7 @@ def majority_vote(
             f"weights must be positive; weight for program "
             f"{matrix.program_ids[bad]!r} is {params.weights[bad]}"
         )
-    return _posteriors_to_pseudolabels(matrix, posterior_matrix(params, matrix))
+    return predict(params, matrix)
 
 
 def _mv_hard(votes: np.ndarray, K: int) -> np.ndarray:
@@ -612,10 +602,9 @@ def posterior_matrix(params: LabelModelParams, matrix: VoteMatrix) -> np.ndarray
     return posteriors
 
 
-def predict(params: LabelModelParams, matrix: VoteMatrix) -> list[PseudoLabel]:
-    """Aggregate votes into pseudolabels under fitted params. Ties in the
-    posterior break toward the smallest class index."""
-    return _posteriors_to_pseudolabels(matrix, posterior_matrix(params, matrix))
+def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:
+    """Aggregate votes into pseudolabels under fitted params."""
+    return Pseudolabels(matrix.record_ids, posterior_matrix(params, matrix), _covered(matrix.votes))
 
 
 FITTERS = {

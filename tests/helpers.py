@@ -4,10 +4,12 @@ the test suite.
 Both samplers draw from the conditional-independence model the label
 models assume, so planted parameters are the recovery oracle. The
 reference EM and alignment are per-row loops that the vectorized fitters
-are compared against.
+are compared against, and the reference pseudolabel writer is the
+per-row formula the array writer must match byte for byte.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -141,3 +143,20 @@ def reference_alignment(q, votes, K):
         if score > best_score:
             best, best_score = perm, score
     return best
+
+
+def reference_pseudolabel_bytes(record_ids, posterior, covered) -> bytes:
+    """A pseudolabels file written one row at a time: each posterior's
+    floats, its argmax (ties to the smallest index) and the covered flag,
+    one ``json.dumps`` per row."""
+    lines = []
+    for record_id, post, cov in zip(record_ids, posterior, covered):
+        post = np.asarray(post, dtype=float)
+        row = {
+            "record_id": record_id,
+            "posterior": [float(p) for p in post],
+            "hard": int(np.argmax(post)),
+            "covered": bool(cov),
+        }
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines).encode("utf-8")

@@ -59,7 +59,7 @@ def criterion(capsys):
 
 
 def _accuracy(labels, truth):
-    return float(np.mean(np.array([p.hard for p in labels]) == truth))
+    return float(np.mean(labels.hard == truth))
 
 
 def test_01_confusion_em_recovers_planted_programs(criterion):
@@ -366,9 +366,7 @@ def test_10_offline_pipeline_beats_its_parts(criterion, tmp_path):
             col = matrix.votes[:, j]
             mask = col != ABSTAIN
             best_program = max(best_program, float((col[mask] == gold[mask]).mean()))
-        em = np.array(
-            [p.hard for p in load_pseudolabels(tmp_path / "agg" / "pseudolabels.jsonl")]
-        )
+        em = load_pseudolabels(tmp_path / "agg" / "pseudolabels.jsonl").hard
         em_acc = float((em == gold).mean())
         mv_params, _ = FITTERS["mv"](matrix, 2)
         mv_acc = _accuracy(predict(mv_params, matrix), gold)

@@ -83,6 +83,14 @@ def test_only_train_takes_a_seed(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def test_eval_takes_no_modality(capsys):
+    # eval reads the modality from the model's feature spec
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", "m", "--data", "d", "--out", "o", "--modality", "text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modality text" in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_mock_writes_programs_and_cost(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -308,7 +316,7 @@ class TestAggregate:
         params = models.load_params(out / "params.json")
         assert params.m == 10
         labels = load_pseudolabels(out / "pseudolabels.jsonl")
-        assert len(labels) == 300
+        assert labels.n == 300
         report = json.loads((out / "fit_report.json").read_text(encoding="utf-8"))
         assert report["kind"] == params.kind
         assert "accuracy vs gold" in capsys.readouterr().out
@@ -490,7 +498,7 @@ class TestExportTrainEval:
         assert code == 0
         rows = (out / "train.jsonl").read_text(encoding="utf-8").splitlines()
         labels = load_pseudolabels(labeled)
-        covered = sum(1 for lab in labels if lab.covered)
+        covered = int(labels.covered.sum())
         assert len(rows) == covered
         assert f"wrote {covered} rows" in capsys.readouterr().out
 
@@ -602,6 +610,19 @@ def _model_doc(trained, change) -> str:
 
 
 _PSEUDO = {"record_id": "s00000", "posterior": [0.9, 0.1], "hard": 0, "covered": True}
+
+
+def _pseudolabels_for(corpus, change) -> str:
+    """One valid pseudolabel row per record of ``corpus``, with ``change``
+    applied to the list of rows."""
+    rows = [
+        {**_PSEUDO, "record_id": json.loads(line)["id"]}
+        for line in Path(corpus).read_text(encoding="utf-8").splitlines()
+    ]
+    change(rows)
+    return _jsonl(*rows)
+
+
 _ROW = {"id": "a", "text": "win a free prize"}
 _NOT_UTF8 = b'{"id": "a", "text": "caf\xe9"}\n'
 
@@ -610,6 +631,14 @@ _NOT_UTF8 = b'{"id": "a", "text": "caf\xe9"}\n'
 MALFORMED_INPUTS = {
     "pseudolabel-without-posterior": (
         lambda ctx: _jsonl({k: v for k, v in _PSEUDO.items() if k != "posterior"}),
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    "pseudolabel-hard-not-argmax": (
+        lambda ctx: _pseudolabels_for(ctx["corpus"], lambda rows: rows[5].update(hard=1)),
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    "pseudolabel-duplicate-record-id": (
+        lambda ctx: _pseudolabels_for(ctx["corpus"], lambda rows: rows.append({**rows[0], "hard": 1, "posterior": [0.1, 0.9]})),
         lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
     ),
     "pseudolabel-row-is-a-list": (
@@ -647,6 +676,10 @@ MALFORMED_INPUTS = {
     "votes-are-strings": (
         lambda ctx: _votes_doc(votes=[["0", "1"], ["1", "-1"], ["-1", "0"]]),
         lambda ctx: ["aggregate", "--votes", "BAD"],
+    ),
+    "votes-with-true": (
+        lambda ctx: _votes_doc(votes=[[0, 1], [1, True], [-1, 0]]),
+        lambda ctx: ["analyze", "--votes", "BAD"],
     ),
     "votes-duplicate-record-ids": (
         lambda ctx: _votes_doc(record_ids=["r0", "r0", "r2"]),
@@ -719,3 +752,30 @@ class TestMalformedInputs:
         assert code == 1, err
         assert err.startswith("error:") and str(bad) in err, err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--epochs", "0"),
+        ("--batch", "0"),
+        ("--seed", "-1"),
+        ("--lr", "nan"),
+        ("--lr", "0"),
+        ("--lr", "inf"),
+        ("--val-fraction", "-0.5"),
+        ("--val-fraction", "1"),
+    ],
+)
+def test_train_rejects_bad_arguments(flag, value, tmp_path, capsys):
+    train = tmp_path / "train.jsonl"
+    train.write_text(
+        _jsonl({**_ROW, "label": 0}, {"id": "b", "text": "see you", "label": 1}, {"id": "c", "text": "hi", "label": 0})
+    )
+    out = tmp_path / "out"
+    argv = ["train", "--train-file", str(train), "--epochs", "1", "--dims", "16", flag, value]
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {flag} must be"), err
+    assert not out.exists()

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from helpers import reference_pseudolabel_bytes
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from labelsmith.data import (
     ABSTAIN,
     ClassSpace,
     DatasetError,
-    PseudoLabel,
+    Pseudolabels,
     Record,
     VoteAssemblyError,
     VoteMatrix,
@@ -97,23 +100,92 @@ class TestVoteMatrix:
             m.votes[0, 0] = 1
 
 
-class TestPseudoLabel:
-    def test_from_posterior(self):
-        lab = PseudoLabel.from_posterior("r", [0.2, 0.8], covered=True)
-        assert lab.hard == 1
-        assert lab.covered
+@st.composite
+def pseudolabel_sets(draw):
+    """Pseudolabels with random K, ties (entries often repeat a few round
+    values) and uncovered rows (uniform posteriors)."""
+    K = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 20))
+    ids = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    entry = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(entry, min_size=K, max_size=K), min_size=n, max_size=n))
+    covered = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    posterior = np.array(rows, dtype=float).reshape(n, K)
+    posterior[~covered] = 1.0 / K
+    return Pseudolabels(tuple(ids), posterior, covered)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPseudolabels:
+    def test_hard_is_the_argmax(self):
+        labels = Pseudolabels(("r",), [[0.2, 0.8]], [True])
+        assert labels.hard.tolist() == [1]
+        assert labels.covered.tolist() == [True]
 
     def test_tie_breaks_to_smallest_index(self):
-        assert PseudoLabel.from_posterior("r", [0.5, 0.5], covered=True).hard == 0
-        assert PseudoLabel.from_posterior("r", [0.2, 0.4, 0.4], covered=True).hard == 1
+        assert Pseudolabels(("r",), [[0.5, 0.5]], [True]).hard.tolist() == [0]
+        assert Pseudolabels(("r",), [[0.2, 0.4, 0.4]], [True]).hard.tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "record_ids, posterior, covered, match",
+        [
+            (("a", "a"), [[1.0, 0.0], [0.0, 1.0]], [True, True], "unique"),
+            (("a", "b"), [[1.0, 0.0]], [True, True], "shape"),
+            (("a",), [1.0, 0.0], [True], "shape"),
+            (("a",), [[1.5, 0.0]], [True], r"\[0, 1\]"),
+            (("a",), [[np.nan, 0.0]], [True], r"\[0, 1\]"),
+            (("a",), [[1.0, 0.0]], [1], "booleans"),
+            (("a",), [[1.0, 0.0]], [True, False], "booleans"),
+        ],
+    )
+    def test_checked(self, record_ids, posterior, covered, match):
+        with pytest.raises(ValueError, match=match):
+            Pseudolabels(record_ids, posterior, covered)
 
     def test_round_trip_file(self, tmp_path):
-        labels = [
-            PseudoLabel.from_posterior("a", [0.9, 0.1], covered=True),
-            PseudoLabel.from_posterior("b", [0.5, 0.5], covered=False),
-        ]
+        labels = Pseudolabels(("a", "b"), [[0.9, 0.1], [0.5, 0.5]], [True, False])
         path = save_pseudolabels(tmp_path / "pl.jsonl", labels)
-        assert load_pseudolabels(path) == labels
+        loaded = load_pseudolabels(path)
+        assert loaded.record_ids == labels.record_ids
+        np.testing.assert_array_equal(loaded.posterior, labels.posterior)
+        np.testing.assert_array_equal(loaded.covered, labels.covered)
+
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(labels=pseudolabel_sets())
+    def test_writer_matches_per_row_reference_and_reader_inverts_it(self, tmp_path, labels):
+        path = save_pseudolabels(tmp_path / "pl.jsonl", labels)
+        assert path.read_bytes() == reference_pseudolabel_bytes(
+            labels.record_ids, labels.posterior, labels.covered
+        )
+        loaded = load_pseudolabels(path, K=labels.posterior.shape[1])
+        assert loaded.record_ids == labels.record_ids
+        assert _same_bits(loaded.posterior, labels.posterior)
+        assert _same_bits(loaded.covered, labels.covered)
+        assert _same_bits(loaded.hard, labels.hard)
+
+    @pytest.mark.parametrize(
+        "second, match",
+        [
+            ({"record_id": "b", "posterior": [0.9, 0.1], "hard": 1, "covered": True}, "argmax"),
+            ({"record_id": "b", "posterior": [0.5, 0.5], "hard": 1, "covered": True}, "argmax"),
+            ({"record_id": "a", "posterior": [0.1, 0.9], "hard": 1, "covered": True}, "duplicate record id 'a'"),
+        ],
+    )
+    def test_reader_rejects_rows_with_line(self, tmp_path, second, match):
+        first = {"record_id": "a", "posterior": [0.9, 0.1], "hard": 0, "covered": True}
+        path = tmp_path / "pl.jsonl"
+        path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        with pytest.raises(DatasetError, match=f"pl.jsonl:2: .*{match}"):
+            load_pseudolabels(path)
 
 
 class TestLoadTextDataset:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from labelsmith.data import ABSTAIN, PseudoLabel, VoteMatrix
+from labelsmith.data import ABSTAIN, Pseudolabels, VoteMatrix
 from labelsmith.diagnostics import (
     DiagnosticsError,
     GroupReport,
@@ -189,10 +189,7 @@ class TestReports:
         assert json.loads(path.read_text())["flagged"] == ["p1"]
 
     def test_coverage_of_label_model(self):
-        labels = [
-            PseudoLabel.from_posterior("a", [0.9, 0.1], covered=True),
-            PseudoLabel.from_posterior("b", [0.5, 0.5], covered=False),
-        ]
+        labels = Pseudolabels(("a", "b"), [[0.9, 0.1], [0.5, 0.5]], [True, False])
         assert coverage_of_label_model(labels) == 0.5
         with pytest.raises(DiagnosticsError):
-            coverage_of_label_model([])
+            coverage_of_label_model(Pseudolabels((), np.empty((0, 2)), np.empty(0, dtype=bool)))

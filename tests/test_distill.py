@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from labelsmith.data import PseudoLabel, Record
+from labelsmith.data import Pseudolabels, Record
 from labelsmith.distill import (
     DistillError,
     FeatureSpec,
@@ -92,16 +92,19 @@ class TestFeaturize:
 
 
 class TestExport:
-    def _label(self, rid, hard, covered=True, K=2):
-        post = [0.0] * K
-        post[hard] = 1.0
-        if not covered:
-            post = [1.0 / K] * K
-        return PseudoLabel(record_id=rid, posterior=tuple(post), hard=hard, covered=covered)
+    def _labels(self, rows, K=2):
+        """Pseudolabels from (record id, hard label, covered) rows: one-hot
+        posteriors, uniform where uncovered."""
+        posterior = np.full((len(rows), K), 1.0 / K)
+        for i, (_, hard, covered) in enumerate(rows):
+            if covered:
+                posterior[i] = np.eye(K)[hard]
+        covered = np.array([r[2] for r in rows], dtype=bool)
+        return Pseudolabels(tuple(r[0] for r in rows), posterior, covered)
 
     def test_drops_uncovered_and_reports(self, tmp_path):
         records = [Record(id=f"r{i}", text=f"t{i}") for i in range(10)]
-        labels = [self._label(f"r{i}", i % 2, covered=i not in (3, 7)) for i in range(10)]
+        labels = self._labels([(f"r{i}", i % 2, i not in (3, 7)) for i in range(10)])
         report = export_training_set(records, labels, tmp_path / "train.jsonl")
         assert report.n_written == 8
         assert report.n_dropped_uncovered == 2
@@ -112,16 +115,13 @@ class TestExport:
 
     def test_keep_uncovered(self, tmp_path):
         records = [Record(id="a", text="x")]
-        labels = [self._label("a", 0, covered=False)]
+        labels = self._labels([("a", 0, False)])
         report = export_training_set(records, labels, tmp_path / "t.jsonl", drop_uncovered=False)
         assert report.n_written == 1 and report.n_dropped_uncovered == 0
 
     def test_probabilistic_round_trip(self, tmp_path):
         records = [Record(id="a", text="x"), Record(id="b", text="y")]
-        labels = [
-            PseudoLabel(record_id="a", posterior=(0.75, 0.25), hard=0, covered=True),
-            PseudoLabel(record_id="b", posterior=(0.1, 0.9), hard=1, covered=True),
-        ]
+        labels = Pseudolabels(("a", "b"), [[0.75, 0.25], [0.1, 0.9]], [True, True])
         export_training_set(records, labels, tmp_path / "t.jsonl", use_probabilistic=True)
         loaded, targets = load_training_set(tmp_path / "t.jsonl")
         assert targets.shape == (2, 2)
@@ -130,7 +130,7 @@ class TestExport:
 
     def test_hard_label_round_trip_identity(self, tmp_path):
         records = [Record(id="a", text="x")]
-        labels = [self._label("a", 1)]
+        labels = self._labels([("a", 1, True)])
         export_training_set(records, labels, tmp_path / "t.jsonl")
         _, targets = load_training_set(tmp_path / "t.jsonl")
         assert targets.tolist() == [1]
@@ -138,8 +138,8 @@ class TestExport:
     def test_id_mismatches(self, tmp_path):
         records = [Record(id="a", text="x")]
         with pytest.raises(DistillError, match="'a'"):
-            export_training_set(records, [], tmp_path / "t.jsonl")
-        labels = [self._label("a", 0), self._label("ghost", 0)]
+            export_training_set(records, self._labels([]), tmp_path / "t.jsonl")
+        labels = self._labels([("a", 0, True), ("ghost", 0, True)])
         with pytest.raises(DistillError, match="'ghost'"):
             export_training_set(records, labels, tmp_path / "t.jsonl")
 

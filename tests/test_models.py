@@ -33,8 +33,7 @@ PLANTED = (0.9, 0.8, 0.7)
 
 
 def _accuracy(pseudolabels, truth):
-    hard = np.array([p.hard for p in pseudolabels])
-    return float((hard == np.asarray(truth)).mean())
+    return float((pseudolabels.hard == np.asarray(truth)).mean())
 
 
 def _naive_plurality(votes, K, weights=None):
@@ -58,8 +57,8 @@ class TestMajorityVote:
     def test_weighted_row_follows_heavy_program(self, mk_matrix):
         matrix = mk_matrix([[1, 0, 0]])
         labels = majority_vote(matrix, 2, weights=(3.0, 1.0, 1.0))
-        assert labels[0].hard == 1
-        assert labels[0].posterior == (0.4, 0.6)
+        assert labels.hard.tolist() == [1]
+        assert labels.posterior.tolist() == [[0.4, 0.6]]
 
     def test_exhaustive_against_naive_counting(self, mk_matrix):
         for m, K in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)]:
@@ -67,11 +66,11 @@ class TestMajorityVote:
             matrix = mk_matrix(patterns)
             labels = majority_vote(matrix, K)
             expected = _naive_plurality(matrix.votes, K)
-            for got, (best, any_vote, mass) in zip(labels, expected):
-                assert got.hard == best
-                assert got.covered == any_vote
+            for i, (best, any_vote, mass) in enumerate(expected):
+                assert labels.hard[i] == best
+                assert labels.covered[i] == any_vote
                 if not any_vote:
-                    assert got.posterior == tuple([1.0 / K] * K)
+                    assert labels.posterior[i].tolist() == [1.0 / K] * K
 
     def test_wmv_uniform_weights_equal_plurality(self, mk_matrix):
         # no abstains: WMV with unit weights is plain plurality
@@ -79,9 +78,9 @@ class TestMajorityVote:
             patterns = list(itertools.product(range(K), repeat=m))
             matrix = mk_matrix(patterns)
             params, _ = make_counting_params(matrix, K, kind="WMV")
-            wmv = [p.hard for p in predict(params, matrix)]
-            plain = [p.hard for p in majority_vote(matrix, K)]
-            assert wmv == plain
+            wmv = predict(params, matrix).hard
+            plain = majority_vote(matrix, K).hard
+            np.testing.assert_array_equal(wmv, plain)
 
     def test_rejects_bad_weights(self, mk_matrix):
         matrix = mk_matrix([[0, 1]])
@@ -163,15 +162,15 @@ class TestDawidSkene:
         truth = [i % 2 for i in range(40)]
         matrix = mk_matrix([[t, t] for t in truth])
         params, _ = fit_dawid_skene(matrix, 2)
-        for label, t in zip(predict(params, matrix), truth):
-            assert label.covered
-            assert label.posterior[t] >= 0.99
+        labels = predict(params, matrix)
+        assert labels.covered.all()
+        assert (labels.posterior[np.arange(40), truth] >= 0.99).all()
 
     def test_single_program_all_class_zero(self, mk_matrix):
         matrix = mk_matrix([[0]] * 10)
         params, report = fit_dawid_skene(matrix, 2)
         assert params.priors[0] > 0.9
-        assert all(p.hard == 0 for p in predict(params, matrix))
+        assert (predict(params, matrix).hard == 0).all()
         # label switching resolved: accuracy estimates at least chance
         assert all(a >= 0.5 for a in report.accuracy_by_program)
 
@@ -239,8 +238,8 @@ class TestSnorkelLite:
         truth = [i % 2 for i in range(40)]
         matrix = mk_matrix([[t, t] for t in truth])
         params, _ = fit_snorkel_lite(matrix, 2)
-        for label, t in zip(predict(params, matrix), truth):
-            assert label.posterior[t] >= 0.99
+        labels = predict(params, matrix)
+        assert (labels.posterior[np.arange(40), truth] >= 0.99).all()
 
 
 class TestReferenceEM:
@@ -372,14 +371,14 @@ class TestPredict:
             confusion=conf,
         )
         matrix = mk_matrix([[2, 2]])
-        label = predict(params, matrix)[0]
-        assert label.hard == 2 and label.posterior[2] >= 0.99
+        labels = predict(params, matrix)
+        assert labels.hard[0] == 2 and labels.posterior[0, 2] >= 0.99
 
     def test_tie_breaks_to_smallest_index(self, mk_matrix):
         params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
-        label = predict(params, mk_matrix([[0, 1]]))[0]
-        assert label.posterior == (0.5, 0.5)
-        assert label.hard == 0
+        labels = predict(params, mk_matrix([[0, 1]]))
+        assert labels.posterior.tolist() == [[0.5, 0.5]]
+        assert labels.hard.tolist() == [0]
 
     def test_dimension_mismatch(self, mk_matrix):
         params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
@@ -393,9 +392,9 @@ class TestPredict:
 
     def test_uncovered_rows_uniform_and_flagged(self, mk_matrix):
         params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
-        label = predict(params, mk_matrix([[ABSTAIN, ABSTAIN]]))[0]
-        assert not label.covered
-        assert label.posterior == (0.5, 0.5)
+        labels = predict(params, mk_matrix([[ABSTAIN, ABSTAIN]]))
+        assert labels.covered.tolist() == [False]
+        assert labels.posterior.tolist() == [[0.5, 0.5]]
 
 
 class TestParamsIO:
