@@ -109,7 +109,14 @@ def _classes_arg(args) -> ClassSpace:
 
 
 def _modality_arg(args) -> str:
-    return load_pack(args.task).modality if args.task else args.modality
+    if not args.task:
+        return args.modality or "text"
+    modality = load_pack(args.task).modality
+    if args.modality is not None and args.modality != modality:
+        raise CliError(
+            f"--modality {args.modality} contradicts --task {args.task}, whose records are {modality}"
+        )
+    return modality
 
 
 def _exemplar(doc) -> tuple[str, str]:
@@ -463,7 +470,11 @@ def _add_common(sp, *, data=False, task_classes=False, modality=False):
         sp.add_argument("--task", help=f"shipped task pack ({', '.join(available_packs())})")
         sp.add_argument("--classes", help="comma-separated class names (alternative to --task)")
     if modality:
-        sp.add_argument("--modality", choices=("text", "scores"), default="text")
+        sp.add_argument(
+            "--modality",
+            choices=("text", "scores"),
+            help="record modality (default: the --task pack's, else text)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

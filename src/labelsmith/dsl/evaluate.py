@@ -1,16 +1,18 @@
 """First-match evaluation of rule programs against records.
 
-Each record gets a fresh time budget (50 ms by default). A program that
-exceeds it votes ABSTAIN for that record and the event is logged; one slow
-pattern must not stall a labeling run. The regex engine is linear-time, so
-the budget is a backstop for sheer input size, not for pathological
-patterns (those are rejected at parse time).
+Each evaluation of a program on a record gets a fresh work budget
+(``DEFAULT_BUDGET_STEPS``), which its ``matches`` leaves draw on in regex
+steps (one per live NFA thread per text position). A program that runs
+over it votes ABSTAIN for that record and the event is logged; one huge
+record must not stall a labeling run. The count depends only on the
+program and the record, never on the clock or the machine's load, so
+votes are reproducible. The regex engine is linear-time, so the budget is
+a backstop for sheer input size, not for pathological patterns.
 """
 
 from __future__ import annotations
 
 import logging
-import time
 
 from ..data import ABSTAIN, Record
 from . import rex
@@ -31,52 +33,47 @@ from .ast import (
 
 logger = logging.getLogger("labelsmith.dsl")
 
-DEFAULT_BUDGET_S = 0.05
+DEFAULT_BUDGET_STEPS = 1_000_000
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def evaluate(program: RuleProgram, record: Record, budget_s: float = DEFAULT_BUDGET_S) -> int:
+def evaluate(program: RuleProgram, record: Record, budget_steps: int = DEFAULT_BUDGET_STEPS) -> int:
     """Vote of ``program`` on ``record``: first rule whose guard holds wins,
-    otherwise the program default. Times out to ABSTAIN."""
+    otherwise the program default. ABSTAIN when its regex leaves together
+    need more than ``budget_steps`` steps."""
     if record.modality != program.modality:
         raise DslEvaluationError(
             f"program {program.id!r} expects {program.modality} records, "
             f"record {record.id!r} is {record.modality}"
         )
-    deadline = time.monotonic() + budget_s
+    budget = rex.StepBudget(budget_steps)
     try:
         for rule in program.rules:
-            if _eval(rule.guard, record, program, deadline):
+            if _eval(rule.guard, record, program, budget):
                 return rule.target
         return program.default
-    except (_BudgetExceeded, rex.RexBudgetExceeded):
+    except rex.RexBudgetExceeded:
         logger.warning(
-            "program %s timed out on record %s (budget %.0f ms); voting ABSTAIN",
+            "program %s timed out on record %s (budget %d regex steps); voting ABSTAIN",
             program.id,
             record.id,
-            budget_s * 1000,
+            budget_steps,
         )
         return ABSTAIN
 
 
-def _eval(expr: Expr, record: Record, program: RuleProgram, deadline: float) -> bool:
+def _eval(expr: Expr, record: Record, program: RuleProgram, budget: rex.StepBudget) -> bool:
     if isinstance(expr, And):
-        return all(_eval(c, record, program, deadline) for c in expr.children)
+        return all(_eval(c, record, program, budget) for c in expr.children)
     if isinstance(expr, Or):
-        return any(_eval(c, record, program, deadline) for c in expr.children)
+        return any(_eval(c, record, program, budget) for c in expr.children)
     if isinstance(expr, Not):
-        return not _eval(expr.child, record, program, deadline)
-    if time.monotonic() > deadline:
-        raise _BudgetExceeded
+        return not _eval(expr.child, record, program, budget)
     if isinstance(expr, Contains):
         return _contains(record.text, expr.needle, expr.case_sensitive)
     if isinstance(expr, ContainsAny):
         return any(_contains(record.text, n, expr.case_sensitive) for n in expr.needles)
     if isinstance(expr, Matches):
-        return rex.compile(expr.pattern).search(record.text, deadline)
+        return rex.compile(expr.pattern).search(record.text, budget)
     if isinstance(expr, LengthAtLeast):
         return len(record.text) >= expr.n
     if isinstance(expr, UppercaseRatioAtLeast):

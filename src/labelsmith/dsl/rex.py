@@ -1,10 +1,15 @@
-"""A small linear-time regex engine (Thompson NFA, Pike-VM style).
+"""A small linear-time regex engine (Thompson NFA run as a lazy DFA).
 
 Rule programs arrive as untrusted model output, so their regexes must not
 be able to blow up evaluation time. Backtracking engines (including the
 stdlib ``re``) are exponential on adversarial patterns; this engine
-simulates the NFA breadth-first, which is O(len(text) * len(pattern))
-regardless of input.
+simulates the NFA breadth-first, Pike-VM style, which is
+O(len(text) * len(pattern)) regardless of input. The sets of live threads
+it meets are cached as DFA states with their transitions (RE2's lazy DFA,
+after Cox, "Regular Expression Matching Can Be Simple And Fast"), so a
+step the cache has seen costs one dict lookup. The cache is bounded by
+DFA_CACHE_LIMIT and emptied when full. Work is counted in Pike-VM steps
+(live threads per position scanned), which a StepBudget can cap.
 
 Supported syntax: literals, ``.``, character classes with ranges and
 negation, escapes (\\d \\w \\s and friends), anchors ``^ $ \\A \\Z \\b \\B``,
@@ -17,7 +22,6 @@ pattern matches everything.
 from __future__ import annotations
 
 import functools
-import time
 import unicodedata
 
 
@@ -32,11 +36,27 @@ class RexError(ValueError):
 
 
 class RexBudgetExceeded(Exception):
-    """The caller's evaluation deadline passed mid-search."""
+    """A search needed more Pike-VM steps than its StepBudget had left."""
+
+
+class StepBudget:
+    """The Pike-VM steps a caller still allows: the searches it is passed
+    to draw on it in turn, and the one that would overdraw it raises
+    RexBudgetExceeded. The count is deterministic, never a clock."""
+
+    __slots__ = ("left",)
+
+    def __init__(self, steps: int):
+        self.left = steps
 
 
 MAX_REPEAT = 128
 MAX_PROGRAM = 20_000
+# most entries a compiled pattern's lazy-DFA cache holds (a state, a
+# transition or a cached thread move each costs one, plus one per 64 pcs
+# it spans; about 1.5 MB when full); a full cache is emptied and rebuilt
+# from the current state
+DFA_CACHE_LIMIT = 10_000
 
 _ESCAPE_LITERALS = {
     "n": "\n",
@@ -388,26 +408,76 @@ def _assert_holds(kind: str, i: int, n: int, prev: str | None, nxt: str | None) 
     return (word_left != word_right) if kind == "b" else (word_left == word_right)
 
 
-class Rex:
-    """A compiled pattern. ``search`` answers "does it match anywhere"."""
+class _State:
+    """A lazy-DFA state: ``mask``, the threads carried into a middle
+    position as a bit mask over pcs, and ``word``, whether the character
+    before that position is a word character (\\b and \\B read it).
+    ``next`` maps each character seen there to (live threads, next state),
+    the next state being None when a live thread matched."""
 
-    __slots__ = ("pattern", "prog")
+    __slots__ = ("mask", "word", "next")
+
+    def __init__(self, mask: int, word: bool):
+        self.mask = mask
+        self.word = word
+        self.next: dict[str, tuple[int, _State | None]] = {}
+
+
+def _mask(pcs) -> int:
+    mask = 0
+    for pc in pcs:
+        mask |= 1 << pc
+    return mask
+
+
+def _pcs(mask: int) -> list[int]:
+    return [pc for pc in range(mask.bit_length()) if mask >> pc & 1]
+
+
+def _entries(mask: int) -> int:
+    """Cache entries one mask costs: one, plus one per 64 pcs it spans."""
+    return 1 + mask.bit_length() // 64
+
+
+class Rex:
+    """A compiled pattern. ``search`` answers "does it match anywhere".
+
+    The search runs the Pike VM's thread sets as a lazy DFA (RE2's
+    design): each set of threads met between the text's ends becomes a
+    cached state, and each state's step on a character is computed once and
+    then costs one dict lookup. The cache is bounded by DFA_CACHE_LIMIT.
+    Searches fill the cache, so one Rex must not search in two threads at
+    once.
+    """
+
+    __slots__ = ("pattern", "prog", "_states", "_threads", "_cached")
 
     def __init__(self, pattern: str, prog: tuple):
         self.pattern = pattern
         self.prog = prog
+        self._states: dict[tuple[int, bool], _State] = {}
+        # one thread's move at a middle position, keyed by the word-ness of
+        # the character before it, then by the character read, then by the
+        # thread's bit: (mask of the threads it reaches, mask of those it
+        # carries on, or None when it matches)
+        self._threads: tuple[dict, dict] = ({}, {})
+        self._cached = 0  # entries held in _states and _threads
 
     def __repr__(self):
         return f"Rex({self.pattern!r})"
 
-    def _close(self, pc, seen, gen, out, i, n, prev, nxt):
+    def _close(self, stack, i, n, prev, nxt) -> list[int]:
+        """The pcs reachable from those on ``stack`` through splits, jumps
+        and the assertions that hold at position ``i``, keeping only those
+        that read a character or match."""
         prog = self.prog
-        stack = [pc]
+        seen = set()
+        out = []
         while stack:
             pc = stack.pop()
-            if seen[pc] == gen:
+            if pc in seen:
                 continue
-            seen[pc] = gen
+            seen.add(pc)
             op = prog[pc]
             tag = op[0]
             if tag == "split":
@@ -420,42 +490,145 @@ class Rex:
                     stack.append(pc + 1)
             else:
                 out.append(pc)
+        return out
 
-    def search(self, text: str, deadline: float | None = None) -> bool:
+    def _step(self, active, nxt) -> list[int] | None:
+        """The pcs the live threads ``active`` carry past the character
+        ``nxt`` (None at the end of the text), or None when one matched."""
+        prog = self.prog
+        out = []
+        for pc in active:
+            op = prog[pc]
+            if op[0] == "match":
+                return None
+            if nxt is None:
+                continue
+            if op[0] == "any":
+                if nxt != "\n":
+                    out.append(pc + 1)
+            elif op[1].matches(nxt):
+                out.append(pc + 1)
+        return out
+
+    def _reserve(self, entries: int) -> bool:
+        """Count ``entries`` more cache entries, emptying the cache first
+        when they do not fit; False when they could not fit even then."""
+        if self._cached + entries > DFA_CACHE_LIMIT:
+            self._reset()
+        if entries > DFA_CACHE_LIMIT:
+            return False
+        self._cached += entries
+        return True
+
+    def _reset(self):
+        # RE2's answer to a full cache: drop every state, transition and
+        # thread move, and carry on from the state at hand
+        for state in self._states.values():
+            state.next.clear()
+        self._states.clear()
+        for moves in self._threads:
+            moves.clear()
+        self._cached = 0
+
+    def _intern(self, mask: int, prev: str) -> _State:
+        """The state for the threads ``mask`` past the character ``prev``,
+        cached when it fits."""
+        key = (mask, _is_word(prev))
+        state = self._states.get(key)
+        if state is None:
+            state = _State(*key)
+            if self._reserve(_entries(mask)):
+                self._states[key] = state
+        return state
+
+    def _transition(self, state: _State, i: int, n: int, prev: str, ch: str):
+        """``state``'s transition on ``ch`` at the middle position ``i``.
+
+        No anchor but \\b and \\B can hold there, so where one thread goes
+        depends only on its pc, on ``ch`` and on the word-ness of ``prev``.
+        Each thread's move is cached under those, and the transition is the
+        union of its threads' moves.
+        """
+        by_char = self._threads[state.word]
+        moves = by_char.get(ch)
+        if moves is None:
+            moves = {}
+            if self._reserve(1):
+                by_char[ch] = moves
+        active = carried = 0
+        matched = False
+        rest = state.mask | 1  # bit 0: the start thread every position adds
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            move = moves.get(bit)
+            if move is None:
+                reach = self._close([bit.bit_length() - 1], i, n, prev, ch)
+                out = self._step(reach, ch)
+                move = (_mask(reach), None if out is None else _mask(out))
+                if self._reserve(_entries(move[0]) + _entries(move[1] or 0)):
+                    moves[bit] = move
+            active |= move[0]
+            if move[1] is None:
+                matched = True
+            else:
+                carried |= move[1]
+        live = active.bit_count()
+        target = None if matched else self._intern(carried, ch)
+        if self._states.get((state.mask, state.word)) is state:  # a reset drops ``state``
+            if self._cached < DFA_CACHE_LIMIT:
+                state.next[ch] = (live, target)
+                self._cached += 1
+            else:
+                self._reset()
+        return live, target
+
+    def search(self, text: str, budget: StepBudget | None = None) -> bool:
         """True when the pattern matches anywhere in ``text``.
 
-        ``deadline`` is a time.monotonic() value; past it the search raises
-        RexBudgetExceeded. The simulation itself is linear, the deadline
-        just keeps very long inputs within the caller's budget.
+        The work is counted in Pike-VM steps, one per live thread per
+        position scanned, so it depends only on the pattern and the text,
+        never on the cache. With a ``budget`` the steps are drawn from it,
+        and a search that would overdraw it raises RexBudgetExceeded
+        instead of answering.
         """
-        prog = self.prog
         n = len(text)
-        seen = [-1] * len(prog)
-        carried: list[int] = []
-        gen = 0
-        for i in range(n + 1):
-            if deadline is not None and (i & 127) == 0 and time.monotonic() > deadline:
+        limit = budget.left if budget is not None else None
+        # position 0 and the last two positions are where ^ \A $ \Z can
+        # hold, so they run through _close with their real context; every
+        # position between them goes through the cached DFA
+        nxt = text[0] if n else None
+        active = self._close([0], 0, n, None, nxt)
+        steps = len(active)
+        carried = self._step(active, nxt)
+        if carried is not None and n > 2:
+            state = self._intern(_mask(carried), text[0])
+            for i, ch in enumerate(text[1 : n - 1], 1):
+                try:
+                    live, state = state.next[ch]
+                except KeyError:
+                    live, state = self._transition(state, i, n, text[i - 1], ch)
+                steps += live
+                if state is None:
+                    carried = None
+                    break
+                if limit is not None and steps > limit:
+                    break
+            else:
+                carried = _pcs(state.mask)
+        if carried is not None and (limit is None or steps <= limit):
+            for i in range(max(1, n - 1), n + 1):
+                nxt = text[i] if i < n else None
+                active = self._close([0, *carried], i, n, text[i - 1], nxt)
+                steps += len(active)
+                carried = self._step(active, nxt)
+                if carried is None:
+                    break
+        if budget is not None:
+            budget.left -= steps
+            if budget.left < 0:
                 raise RexBudgetExceeded(f"pattern {self.pattern!r}")
-            prev = text[i - 1] if i > 0 else None
-            nxt = text[i] if i < n else None
-            gen += 1
-            active: list[int] = []
-            for pc in carried:
-                self._close(pc, seen, gen, active, i, n, prev, nxt)
-            self._close(0, seen, gen, active, i, n, prev, nxt)
-            carried = []
-            for pc in active:
-                op = prog[pc]
-                if op[0] == "match":
-                    return True
-                if i >= n:
-                    continue
-                if op[0] == "any":
-                    if text[i] != "\n":
-                        carried.append(pc + 1)
-                elif op[1].matches(text[i]):
-                    carried.append(pc + 1)
-        return False
+        return carried is None
 
 
 @functools.lru_cache(maxsize=512)

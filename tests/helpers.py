@@ -5,7 +5,9 @@ Both samplers draw from the conditional-independence model the label
 models assume, so planted parameters are the recovery oracle. The
 reference EM and alignment are per-row loops that the vectorized fitters
 are compared against, and the reference pseudolabel writer is the
-per-row formula the array writer must match byte for byte.
+per-row formula the array writer must match byte for byte. The
+reference Pike VM is the per-character regex loop that the lazy DFA in
+``labelsmith.dsl.rex`` replaced.
 """
 
 import itertools
@@ -160,3 +162,33 @@ def reference_pseudolabel_bytes(record_ids, posterior, covered) -> bytes:
         }
         lines.append(json.dumps(row) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+def reference_pike_vm(compiled, text):
+    """Run ``compiled`` (a ``rex.Rex``) over ``text`` one position at a
+    time, with no DFA cache: close the carried threads plus a fresh start
+    thread at each position and step them over the next character.
+    Returns (matched, steps), steps being the live threads summed over the
+    positions scanned up to the first match, the charge the engine bills."""
+    prog = compiled.prog
+    n = len(text)
+    carried = []
+    steps = 0
+    for i in range(n + 1):
+        prev = text[i - 1] if i > 0 else None
+        nxt = text[i] if i < n else None
+        active = compiled._close([0, *carried], i, n, prev, nxt)
+        steps += len(active)
+        carried = []
+        for pc in active:
+            op = prog[pc]
+            if op[0] == "match":
+                return True, steps
+            if nxt is None:
+                continue
+            if op[0] == "any":
+                if nxt != "\n":
+                    carried.append(pc + 1)
+            elif op[1].matches(nxt):
+                carried.append(pc + 1)
+    return False, steps

@@ -91,6 +91,21 @@ def test_eval_takes_no_modality(capsys):
     assert "unrecognized arguments: --modality text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["apply", "export"])
+def test_modality_must_agree_with_task(command, corpus_file, tmp_path, capsys):
+    # the sms pack's records are text; apply fails before reading programs
+    # and export before reading pseudolabels
+    source = ["--programs", SPAM_PROGRAMS] if command == "apply" else ["--pseudolabels", "pl.jsonl"]
+    code = main(
+        [command, *source, "--task", "sms", "--modality", "scores",
+         "--data", corpus_file, "--out", str(tmp_path / "out")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--modality scores" in err and "--task sms" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestGenerate:
     def test_mock_writes_programs_and_cost(self, tmp_path, capsys):
         out = tmp_path / "gen"

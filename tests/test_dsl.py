@@ -1,12 +1,18 @@
+import contextlib
+import itertools
 import logging
 import math
 import re as stdlib_re
 import string
+import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from labelsmith.data import ABSTAIN, ClassSpace, Record
+from helpers import reference_pike_vm
+from labelsmith.data import ABSTAIN, ClassSpace, Record, assemble_votes
 from labelsmith.dsl import (
     And,
     Contains,
@@ -382,9 +388,70 @@ class TestEvaluator:
         program = parse_program('rule: matches("(a+)+b") -> spam;', spam_cs, program_id="slow")
         record = Record(id="big", text="a" * 100_000 + "c")
         with caplog.at_level(logging.WARNING, logger="labelsmith.dsl"):
-            result = evaluate(program, record, budget_s=0.005)
+            result = evaluate(program, record, budget_steps=1_000)
         assert result == ABSTAIN
         assert any("slow" in rec.message for rec in caplog.records)
+
+    def test_budget_is_exact(self, spam_cs):
+        # the charge is the Pike VM's live threads summed over both leaves'
+        # scans; the second leaf matches at the very end of the text
+        program = parse_program(SPACED_PROGRAM, spam_cs)
+        record = Record(id="long", text=LONG_HAM)
+        charge = sum(
+            reference_pike_vm(rex.compile(leaf.pattern), record.text)[1]
+            for rule in program.rules
+            for leaf in iter_leaves(rule.guard)
+        )
+        assert charge > 100_000
+        assert evaluate(program, record, budget_steps=charge) == 1
+        assert evaluate(program, record, budget_steps=charge - 1) == ABSTAIN
+
+
+# two spaced-letter leaves, the costliest pattern shape for the regex engine
+SPACED_PROGRAM = (
+    'rule: matches("(g r e a t|l o v e d|b r i l l i a n t|s u p e r b|m o v i n g)") -> spam;'
+    'rule: matches("(a w f u l|b o r i n g|w a s t e|t e r r i b l e|d r e a d f u l)") -> ham;'
+)
+_FILLER = "The story follows a family through one long winter in a small northern town. "
+LONG_HAM = (_FILLER * 160)[:12_000] + "in short: a w f u l"
+LONG_SPAM = (_FILLER * 160)[:12_000] + "in short: g r e a t"
+
+
+@contextlib.contextmanager
+def jumping_clock():
+    """time.monotonic and time.perf_counter jump 10 s on every read."""
+    ticks = itertools.count(0.0, 10.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(time, "monotonic", lambda: next(ticks))
+        mp.setattr(time, "perf_counter", lambda: next(ticks))
+        yield
+
+
+class TestWallClockIndependence:
+    def test_evaluate(self, spam_cs):
+        program = parse_program(SPACED_PROGRAM, spam_cs)
+        record = Record(id="long", text=LONG_HAM)
+        steady = evaluate(program, record)
+        with jumping_clock():
+            jumping = evaluate(program, record)
+        assert steady == jumping == 1
+
+    def test_assemble_votes(self, spam_cs):
+        programs = [
+            parse_program(SPACED_PROGRAM, spam_cs, program_id="spaced"),
+            parse_program(r'rule: matches("\\b[6-9]/10\\b") -> spam;', spam_cs, program_id="rating"),
+        ]
+        records = [
+            Record(id="ham", text=LONG_HAM),
+            Record(id="spam", text=LONG_SPAM + " 8/10"),
+            Record(id="neither", text=LONG_HAM[:6_000]),
+            Record(id="short", text="9/10 g r e a t"),
+        ]
+        expected = [[1, ABSTAIN], [0, 0], [ABSTAIN, ABSTAIN], [0, 0]]
+        steady = assemble_votes(records, programs)
+        with jumping_clock():
+            jumping = assemble_votes(records, programs)
+        assert steady.votes.tolist() == jumping.votes.tolist() == expected
 
 
 class TestValidate:
@@ -511,6 +578,29 @@ REX_AGREEMENT_PATTERNS = [
     "a||b",
 ]
 
+REX_FUZZ_PIECES = ["a", "b", "c", ".", "a*", "b+", "c?", "[ab]", "[^ab]", "(a|b)",
+                   "a{1,2}", r"\d", r"\w", r"\s", "^", "$", r"\b", "(?:ab)"]
+
+# word characters (ASCII and not), spaces, digits and newlines
+_DFA_TEXT = st.builds(
+    lambda body, newline: body + "\n" * newline,
+    st.text(st.sampled_from(list("abcAB_ 19\n\t") + ["é", "ß", "λ", "Ж", "٣"]), max_size=400),
+    st.booleans(),
+)
+
+
+def _cache_entries(compiled):
+    """Entries in a pattern's DFA cache, counted as the engine counts them:
+    a state costs one plus one per 64 pcs its mask spans, a cached thread
+    move the same for each of its two masks, and a transition or a
+    character's table of moves one."""
+    count = sum(rex._entries(s.mask) + len(s.next) for s in compiled._states.values())
+    for by_char in compiled._threads:
+        for moves in by_char.values():
+            count += 1 + sum(rex._entries(reach) + rex._entries(out or 0) for reach, out in moves.values())
+    return count
+
+
 REX_TEXTS = [
     "",
     "abc",
@@ -540,8 +630,7 @@ class TestRexEngine:
 
     def test_fuzz_agreement_with_stdlib(self):
         rng = np.random.default_rng(424242)
-        pieces = ["a", "b", "c", ".", "a*", "b+", "c?", "[ab]", "[^ab]", "(a|b)",
-                  "a{1,2}", r"\d", r"\w", r"\s", "^", "$", r"\b", "(?:ab)"]
+        pieces = REX_FUZZ_PIECES
         texts = REX_TEXTS + ["abab", "ba", "  ", "a1b2", "\n\n"]
         n_checked = 0
         for _ in range(2000):
@@ -574,19 +663,57 @@ class TestRexEngine:
         # unlike the stdlib, a brace with no preceding atom is a literal
         assert rex.compile("{2}").search("x{2}y")
 
+    @pytest.mark.parametrize("cache_limit", [None, 2])
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(REX_FUZZ_PIECES), min_size=1, max_size=8), text=_DFA_TEXT)
+    def test_dfa_agrees_with_stdlib_and_pike_vm(self, cache_limit, pieces, text):
+        # the shared compiled pattern keeps its cache warm across examples;
+        # a limit of 2 entries empties a fresh pattern's cache mid-text
+        pattern = "".join(pieces)
+        try:
+            oracle = stdlib_re.compile(pattern)
+            compiled = rex.compile(pattern)
+        except (stdlib_re.error, rex.RexError):
+            assume(False)
+        with pytest.MonkeyPatch.context() as mp:
+            if cache_limit is not None:
+                mp.setattr(rex, "DFA_CACHE_LIMIT", cache_limit)
+                compiled = rex.Rex(pattern, compiled.prog)
+            budget = rex.StepBudget(10**9)
+            matched = compiled.search(text, budget)
+            assert matched == bool(oracle.search(text)), (pattern, text)
+            assert (matched, 10**9 - budget.left) == reference_pike_vm(compiled, text)
+            assert _cache_entries(compiled) <= rex.DFA_CACHE_LIMIT
+
+    def test_blow_up_pattern_is_linear_with_a_bounded_cache(self):
+        # every position of a random a/b text is a new DFA state
+        pattern = "(a|b)*a(a|b){20}c"
+        compiled = rex.Rex(pattern, rex.compile(pattern).prog)
+        text = "".join(np.random.default_rng(7).choice(["a", "b"], size=100_000))
+        planted = text[:-21] + "a" + text[-20:] + "c"
+        # stdlib backtracking is quadratic on the first text; the leading
+        # (a|b)* cannot change whether a search matches, so drop it there
+        for haystack, oracle in ((text, "a(a|b){20}c"), (planted, pattern)):
+            start = time.monotonic()
+            assert compiled.search(haystack) == bool(stdlib_re.search(oracle, haystack))
+            assert time.monotonic() - start < 2.0
+            assert _cache_entries(compiled) <= rex.DFA_CACHE_LIMIT
+
     def test_pathological_pattern_is_linear(self):
         compiled = rex.compile("(a+)+b")
-        text = "a" * 5000 + "c"
-        import time
+        text = "a" * 200_000 + "c"
+        budget = rex.StepBudget(10**9)
 
         start = time.monotonic()
-        assert compiled.search(text) is False
+        assert compiled.search(text, budget) is False
         assert time.monotonic() - start < 1.0
+        # two live threads per position between the text's ends, one at each end
+        assert 10**9 - budget.left == 2 * 200_000 + 2
 
     def test_budget_exceeded_raises(self):
         compiled = rex.compile("(a|b)*c")
         with pytest.raises(rex.RexBudgetExceeded):
-            compiled.search("ab" * 200_000, deadline=0.0)
+            compiled.search("ab" * 200_000, rex.StepBudget(1_000))
 
     def test_repeat_cap(self):
         with pytest.raises(rex.RexError):
