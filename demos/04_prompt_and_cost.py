@@ -38,7 +38,6 @@ fixture = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "mock"
 job = GenerationJob(
     prompt=prompt_spec,
     model="gpt-3.5-turbo",
-    endpoint="https://api.openai.com/v1/chat/completions",
     n_programs=4,
 )
 results = generate_programs(job, pack.class_space(), MockTransport.from_file(fixture))

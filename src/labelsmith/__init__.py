@@ -88,7 +88,6 @@ from .concepts import (
 )
 from .distill import (
     DistillError,
-    FeatureSpec,
     Hyper,
     MLPModel,
     export_training_set,

@@ -153,7 +153,6 @@ def cmd_generate(args) -> int:
     job = GenerationJob(
         prompt=spec,
         model=args.model_name,
-        endpoint=args.endpoint,
         n_programs=args.n,
         temperature=args.temperature,
         max_tokens=args.max_tokens,
@@ -349,6 +348,7 @@ def cmd_train(args) -> int:
         ("--seed", args.seed, args.seed >= 0, "at least 0"),
         ("--lr", args.lr, math.isfinite(args.lr) and args.lr > 0, "a finite number above 0"),
         ("--val-fraction", args.val_fraction, 0 <= args.val_fraction < 1, "in [0, 1)"),
+        ("--dims", args.dims, args.dims >= 2, "at least 2"),
     ):
         if not ok:
             raise CliError(f"{flag} must be {wanted}, got {value}")
@@ -369,16 +369,15 @@ def cmd_train(args) -> int:
         raise CliError(
             f"{args.train_file}: the targets name a single class; pass --task or --classes"
         )
-    mode = args.mode
-    if mode == "auto":
-        mode = "hashed" if records[0].text is not None else "scores"
-    concepts = None
-    if mode == "scores":
-        concepts = sorted(records[0].scores)
-        spec = distill.FeatureSpec(mode="scores", dims=len(concepts), seed=args.feature_seed)
-    else:
-        spec = distill.FeatureSpec(mode="hashed", dims=args.dims, seed=args.feature_seed)
-    X = distill.featurize(records, spec, concepts=concepts)
+    # score records train on their concepts, text records on hashed words
+    concepts = sorted(records[0].scores) if records[0].scores is not None else None
+    if concepts is not None and len(concepts) < 2:
+        raise CliError(f"{args.train_file}: score records need at least 2 concepts, got {len(concepts)}")
+    dims = args.dims if concepts is None else len(concepts)
+    try:
+        X = distill.featurize(records, dims, concepts)
+    except distill.DistillError as exc:
+        raise CliError(f"{args.train_file}: {exc}") from exc
     X_val = y_val = None
     if args.val_fraction > 0:
         split_rng = np.random.default_rng(args.seed)
@@ -392,7 +391,7 @@ def cmd_train(args) -> int:
     out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
     model, metrics = distill.train_mlp(X, targets, K, hyper, X_val, y_val)
-    distill.save_model(out / "model.json", model, spec, class_names, concepts)
+    distill.save_model(out / "model.json", model, class_names, concepts)
     metrics.save_csv(out / "metrics.csv")
     _write_manifest(
         out,
@@ -402,8 +401,7 @@ def cmd_train(args) -> int:
             "lr": args.lr,
             "batch": args.batch,
             "seed": args.seed,
-            "mode": mode,
-            "dims": spec.dims,
+            "dims": dims,
             "val_fraction": args.val_fraction,
         },
         [Path(args.train_file)],
@@ -416,9 +414,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, spec, meta = distill.load_model(args.model)
-    if spec is None:
-        raise CliError(f"model file {args.model} has no feature spec; cannot featurize")
+    model, meta = distill.load_model(args.model)
     class_names = meta.get("classes")
     if class_names is None and (getattr(args, "task", None) or getattr(args, "classes", None)):
         class_names = list(_classes_arg(args).names)
@@ -429,13 +425,12 @@ def cmd_eval(args) -> int:
         raise CliError(
             f"model file {args.model} has {model.sizes[-1]} outputs but {cs.K} classes were given"
         )
-    modality = "text" if spec.mode == "hashed" else "scores"
-    concepts = meta.get("concepts")
-    records = load_dataset(args.data, cs, modality, concepts)
+    concepts = meta["concepts"]
+    records = load_dataset(args.data, cs, "text" if concepts is None else "scores", concepts)
     missing = next((r.id for r in records if r.gold is None), None)
     if missing is not None:
         raise CliError(f"{args.data}: eval data needs gold labels; record {missing!r} has none")
-    X = distill.featurize(records, spec, concepts=concepts)
+    X = distill.featurize(records, model.sizes[0], concepts)
     preds = model.predict(X)
     gold = np.array([r.gold for r in records])
     accuracy = float((preds == gold).mean())
@@ -533,9 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epochs", type=int, default=100)
     sp.add_argument("--lr", type=float, default=1e-3)
     sp.add_argument("--batch", type=int, default=32)
-    sp.add_argument("--mode", choices=("auto", "hashed", "scores"), default="auto")
-    sp.add_argument("--dims", type=int, default=4096, help="hashed feature dimension")
-    sp.add_argument("--feature-seed", type=int, default=0, help="hashing seed (part of the model)")
+    sp.add_argument("--dims", type=int, default=4096, help="hashed feature dimension (text training sets)")
     sp.add_argument("--val-fraction", type=float, default=0.1)
     sp.add_argument(
         "--seed", type=int, default=0, help="seed for initialization, shuffling and the validation split"

@@ -156,12 +156,6 @@ class ClassSpace:
     def K(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown class name {name!r}") from None
-
     def resolve(self, token: str) -> int | None:
         """Match a class-name token leniently: exact, then case-insensitive,
         then with underscores read as spaces (so COLON_CANCER can name

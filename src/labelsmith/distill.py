@@ -42,93 +42,49 @@ class DistillError(LabelsmithError):
     """Bad inputs to export or training."""
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """How records become vectors.
-
-    ``hashed``: lowercased word unigrams, signed-hashed into ``dims``
-    buckets, L2-normalized. ``scores``: the record's concept scores in a
-    fixed concept order (dims = number of concepts). The hashing seed is
-    part of the spec so train and eval always agree."""
-
-    mode: str
-    dims: int = 4096
-    lowercase: bool = True
-    token_pattern: str = r"[a-z0-9']+"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("hashed", "scores"):
-            raise DistillError(f"feature mode must be 'hashed' or 'scores', got {self.mode!r}")
-        if not _is_int(self.dims) or self.dims < 2:
-            raise DistillError("feature dims must be an integer of at least 2")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise DistillError("feature seed must be an integer in 0..2**64-1")
-        if not isinstance(self.lowercase, bool):
-            raise DistillError("feature lowercase must be true or false")
-        if not isinstance(self.token_pattern, str):
-            raise DistillError("feature token_pattern must be a string")
-        try:
-            re.compile(self.token_pattern)
-        except re.error as exc:
-            raise DistillError(f"feature token_pattern is not a regex: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "dims": self.dims,
-            "lowercase": self.lowercase,
-            "token_pattern": self.token_pattern,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FeatureSpec":
-        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise DistillError(f"unknown feature field {unknown[0]!r}")
-        return cls(**doc)
+# the one hashing recipe: lowercased word unigrams, blake2b keyed with
+# eight zero bytes, top bit of the digest as the sign
+TOKEN_RE = re.compile(r"[a-z0-9']+")
+HASH_KEY = bytes(8)
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _hash_token(token: str, seed: int) -> int:
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little", signed=False)
-    ).digest()
+def _hash_token(token: str) -> int:
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=HASH_KEY).digest()
     return int.from_bytes(digest, "little")
 
 
 def featurize(
-    records: Sequence[Record], spec: FeatureSpec, concepts: Sequence[str] | None = None
+    records: Sequence[Record], dims: int, concepts: Sequence[str] | None = None
 ) -> np.ndarray:
-    """(n, dims) float64 feature matrix for the given records."""
-    if spec.mode == "scores":
-        first = next((r for r in records if r.scores is not None), None)
-        if first is None:
-            raise DistillError("scores featurization needs scores-modality records")
-        order = tuple(concepts) if concepts is not None else tuple(sorted(first.scores))
-        out = np.empty((len(records), len(order)))
+    """(n, dims) float64 feature matrix for the given records.
+
+    Without ``concepts``, text is signed-hashed into ``dims`` buckets and
+    each row L2-normalized. With them, each row is the record's concept
+    scores in that order, and ``dims`` must equal their count."""
+    if concepts is not None:
+        if len(concepts) != dims:
+            raise DistillError(f"{len(concepts)} concepts but {dims} feature dims")
+        out = np.empty((len(records), dims))
         for i, rec in enumerate(records):
             if rec.scores is None:
                 raise DistillError(f"record {rec.id!r} has no scores")
             try:
-                out[i] = [rec.scores[c] for c in order]
+                out[i] = [rec.scores[c] for c in concepts]
             except KeyError as exc:
                 raise DistillError(f"record {rec.id!r} is missing concept {exc.args[0]!r}") from exc
         return out
-    token_re = re.compile(spec.token_pattern)
-    out = np.zeros((len(records), spec.dims))
+    out = np.zeros((len(records), dims))
     for i, rec in enumerate(records):
         if rec.text is None:
             raise DistillError(f"record {rec.id!r} has no text; hashed features need text")
-        text = rec.text.lower() if spec.lowercase else rec.text
-        for token in token_re.findall(text):
-            h = _hash_token(token, spec.seed)
+        for token in TOKEN_RE.findall(rec.text.lower()):
+            h = _hash_token(token)
             sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            out[i, h % spec.dims] += sign
+            out[i, h % dims] += sign
         norm = np.linalg.norm(out[i])
         if norm > 0:
             out[i] /= norm
@@ -281,12 +237,12 @@ class MLPModel:
         )
 
 
-def init_mlp(dims: int, K: int, seed: int, hidden: tuple[int, ...] = HIDDEN) -> MLPModel:
+def init_mlp(dims: int, K: int, seed: int) -> MLPModel:
     """He-initialized hidden layers; the output layer starts at zero so the
     initial softmax is uniform and the starting loss is exactly ln K. Same
     seed, same bits."""
     rng = np.random.default_rng(seed)
-    sizes = (dims, *hidden, K)
+    sizes = (dims, *HIDDEN, K)
     weights, biases = [], []
     last = len(sizes) - 2
     for layer, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
@@ -420,7 +376,6 @@ def train_mlp(
     hyper: Hyper = Hyper(),
     X_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
-    hidden: tuple[int, ...] = HIDDEN,
 ) -> tuple[MLPModel, TrainMetrics]:
     """Adam on (soft) cross-entropy. Deterministic: the seed fixes the
     initialization and every shuffle, so two runs agree bitwise."""
@@ -434,7 +389,7 @@ def train_mlp(
             "training data has a single class (%d); the model will be a constant predictor",
             int(hard[0]),
         )
-    model = init_mlp(X.shape[1], K, hyper.seed, hidden)
+    model = init_mlp(X.shape[1], K, hyper.seed)
     metrics = TrainMetrics(initial_loss=cross_entropy(model, X, T))
     rng = np.random.default_rng(hyper.seed + 1)
     m_w = [np.zeros_like(w) for w in model.weights]
@@ -467,13 +422,12 @@ def train_mlp(
 def save_model(
     path: str | Path,
     model: MLPModel,
-    feature_spec: FeatureSpec | None = None,
     class_names: Sequence[str] | None = None,
     concepts: Sequence[str] | None = None,
 ) -> Path:
+    """Write a model file. ``concepts`` names the score inputs in order;
+    without them the model takes hashed text of width ``sizes[0]``."""
     doc = {"model": model.to_dict()}
-    if feature_spec is not None:
-        doc["features"] = feature_spec.to_dict()
     if class_names is not None:
         doc["classes"] = list(class_names)
     if concepts is not None:
@@ -483,22 +437,24 @@ def save_model(
     return path
 
 
-def load_model(path: str | Path) -> tuple[MLPModel, FeatureSpec | None, dict]:
+def load_model(path: str | Path) -> tuple[MLPModel, dict]:
     return read_json(path, _model_from_doc)
 
 
-def _model_from_doc(doc) -> tuple[MLPModel, FeatureSpec | None, dict]:
+def _model_from_doc(doc) -> tuple[MLPModel, dict]:
     model = MLPModel.from_dict(json_field(doc, "model", dict))
-    features = json_field(doc, "features", dict, type(None), default=None)
-    spec = FeatureSpec.from_dict(features) if features else None
+    unknown = sorted(set(doc) - {"model", "classes", "concepts"})
+    if unknown:
+        raise DistillError(f"unknown field {unknown[0]!r}")
     classes = json_field(doc, "classes", list, type(None), default=None)
     concepts = json_field(doc, "concepts", list, type(None), default=None)
-    if spec is not None and spec.dims != model.sizes[0]:
-        raise DistillError(f"features have {spec.dims} dims but the model takes {model.sizes[0]}")
     if classes is not None:
         ClassSpace(tuple(classes))
         if len(classes) != model.sizes[-1]:
             raise DistillError(f"{len(classes)} classes listed but the model has {model.sizes[-1]} outputs")
-    if concepts is not None and not all(isinstance(c, str) for c in concepts):
-        raise DistillError("concepts must be strings")
-    return model, spec, {"classes": classes, "concepts": concepts}
+    if concepts is not None:
+        if not all(isinstance(c, str) for c in concepts):
+            raise DistillError("concepts must be strings")
+        if len(concepts) != model.sizes[0]:
+            raise DistillError(f"{len(concepts)} concepts listed but the model takes {model.sizes[0]} inputs")
+    return model, {"classes": classes, "concepts": concepts}

@@ -39,11 +39,15 @@ SNORKEL_LITE = "SnorkelLite"
 
 KINDS = (MV, WMV, DAWID_SKENE, TRIPLET, SNORKEL_LITE)
 
-DEFAULT_SMOOTHING = 0.01
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 200
-DEFAULT_CLAMP = (0.05, 0.95)
-DEFAULT_MIN_PAIRS = 10
+# EM smooths priors and confusions additively by SMOOTHING and stops once
+# no posterior moves by TOL, or after MAX_ITER iterations. Accuracy
+# estimates are clamped to CLAMP; a triplet pair needs MIN_PAIRS jointly
+# covered rows.
+SMOOTHING = 0.01
+TOL = 1e-6
+MAX_ITER = 200
+CLAMP = (0.05, 0.95)
+MIN_PAIRS = 10
 
 # pairwise agreement rates below this magnitude carry no usable signal
 # as triplet denominators; such triplets are skipped
@@ -60,9 +64,11 @@ class LabelModelParams:
 
     ``confusion[j][k, c]`` is P(program j votes c | true class k), rows
     conditioned on a non-abstain vote. ``accuracies`` is set for the
-    scalar-parameter kinds; ``weights`` is what vote counting uses for
-    WMV/Triplet. ``propensity[j]`` is the empirical non-abstain rate,
-    recorded for reporting and never used in posteriors.
+    scalar-parameter kinds. ``weights`` is what MV/WMV posteriors count
+    votes with; Triplet also records its log-odds weights but predicts
+    from its one-coin ``confusion``, like the EM kinds. ``propensity[j]``
+    is the empirical non-abstain rate, recorded for reporting and never
+    used in posteriors.
     """
 
     kind: str
@@ -256,7 +262,6 @@ def make_counting_params(
     K: int,
     kind: str = MV,
     gold: Sequence[int | None] | None = None,
-    clamp: tuple[float, float] = DEFAULT_CLAMP,
     class_names: Sequence[str] | None = None,
 ) -> tuple[LabelModelParams, FitReport]:
     """Params for the counting kinds. WMV weights come from empirical
@@ -278,7 +283,7 @@ def make_counting_params(
                     f"program {matrix.program_ids[j]} has no gold-covered rows; weight set to chance"
                 )
             acc = np.where(np.isnan(acc), 1.0 / K, acc)
-            accuracies = np.clip(acc, clamp[0], clamp[1])
+            accuracies = np.clip(acc, *CLAMP)
             weights = np.maximum(np.log(accuracies / (1 - accuracies)), 0.01)
         else:
             notes.append("no gold labels available; WMV using uniform weights")
@@ -346,7 +351,7 @@ def _confusion_counts(votes: np.ndarray, q: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _em(matrix: VoteMatrix, K: int, m_step, *, max_iter: int, tol: float, smoothing: float):
+def _em(matrix: VoteMatrix, K: int, m_step):
     """The EM loop both iterative fitters share. ``m_step(counts)`` turns
     the expected counts from ``_confusion_counts`` into ``(confusion,
     penalty)``, penalty being the smoothing term the confusion adds to the
@@ -355,21 +360,21 @@ def _em(matrix: VoteMatrix, K: int, m_step, *, max_iter: int, tol: float, smooth
     _check_coverage(matrix)
     votes = matrix.votes
     mass = _vote_mass(votes, K)
-    q = (mass + smoothing) / (mass.sum(axis=1, keepdims=True) + K * smoothing)
+    q = (mass + SMOOTHING) / (mass.sum(axis=1, keepdims=True) + K * SMOOTHING)
     objective: list[float] = []
     converged = False
     iterations = 0
     priors = confusion = None
-    for iterations in range(1, max_iter + 1):
-        priors = (q.sum(axis=0) + smoothing) / (matrix.n + K * smoothing)
+    for iterations in range(1, MAX_ITER + 1):
+        priors = (q.sum(axis=0) + SMOOTHING) / (matrix.n + K * SMOOTHING)
         confusion, penalty = m_step(_confusion_counts(votes, q))
         q_new, log_evidence = _e_step(votes, priors, confusion)
         objective.append(
-            float(log_evidence.sum()) + smoothing * float(np.log(priors).sum()) + penalty
+            float(log_evidence.sum()) + SMOOTHING * float(np.log(priors).sum()) + penalty
         )
         delta = float(np.abs(q_new - q).max())
         q = q_new
-        if delta < tol:
+        if delta < TOL:
             converged = True
             break
     return q, priors, confusion, iterations, converged, objective
@@ -410,9 +415,6 @@ def fit_dawid_skene(
     matrix: VoteMatrix,
     K: int,
     *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    smoothing: float = DEFAULT_SMOOTHING,
     class_names: Sequence[str] | None = None,
 ) -> tuple[LabelModelParams, FitReport]:
     """EM for the classic per-program confusion-matrix model, abstains
@@ -421,13 +423,11 @@ def fit_dawid_skene(
     classes to majority vote."""
 
     def m_step(counts):
-        confusion = (counts + smoothing) / (counts.sum(axis=2, keepdims=True) + K * smoothing)
-        return confusion, smoothing * float(np.log(confusion).sum())
+        confusion = (counts + SMOOTHING) / (counts.sum(axis=2, keepdims=True) + K * SMOOTHING)
+        return confusion, SMOOTHING * float(np.log(confusion).sum())
 
     votes = matrix.votes
-    q, priors, confusion, iterations, converged, objective = _em(
-        matrix, K, m_step, max_iter=max_iter, tol=tol, smoothing=smoothing
-    )
+    q, priors, confusion, iterations, converged, objective = _em(matrix, K, m_step)
     perm = _align_permutation(q, votes, K)
     priors, confusion = _apply_permutation(priors, confusion, perm)
     params = LabelModelParams(
@@ -455,10 +455,6 @@ def fit_snorkel_lite(
     matrix: VoteMatrix,
     K: int,
     *,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    smoothing: float = DEFAULT_SMOOTHING,
-    clamp: tuple[float, float] = DEFAULT_CLAMP,
     class_names: Sequence[str] | None = None,
 ) -> tuple[LabelModelParams, FitReport]:
     """One-coin EM: each program has one accuracy a_j, errors uniform over
@@ -469,12 +465,10 @@ def fit_snorkel_lite(
 
     def m_step(counts):
         correct = np.trace(counts, axis1=1, axis2=2)
-        acc = np.clip((correct + smoothing) / (total + 2 * smoothing), clamp[0], clamp[1])
-        return _one_coin(acc, K), smoothing * float(np.log(acc).sum() + np.log(1 - acc).sum())
+        acc = np.clip((correct + SMOOTHING) / (total + 2 * SMOOTHING), *CLAMP)
+        return _one_coin(acc, K), SMOOTHING * float(np.log(acc).sum() + np.log(1 - acc).sum())
 
-    q, priors, confusion, iterations, converged, objective = _em(
-        matrix, K, m_step, max_iter=max_iter, tol=tol, smoothing=smoothing
-    )
+    q, priors, confusion, iterations, converged, objective = _em(matrix, K, m_step)
     accuracies = confusion[:, 0, 0].copy()
     # one-coin confusions are only closed under relabeling for K=2
     # (swap maps a to 1-a); for larger K the identity is the only
@@ -509,8 +503,6 @@ def fit_triplet(
     matrix: VoteMatrix,
     K: int,
     *,
-    clamp: tuple[float, float] = DEFAULT_CLAMP,
-    min_pairs: int = DEFAULT_MIN_PAIRS,
     class_names: Sequence[str] | None = None,
 ) -> tuple[LabelModelParams, FitReport]:
     """Moment-based accuracy estimation for binary tasks.
@@ -535,7 +527,7 @@ def fit_triplet(
     for a in range(m):
         for b in range(a + 1, m):
             both = nonabstain[:, a] & nonabstain[:, b]
-            if both.sum() >= min_pairs:
+            if both.sum() >= MIN_PAIRS:
                 value = float((signs[both, a] * signs[both, b]).mean())
                 pair_mean[a, b] = pair_mean[b, a] = value
 
@@ -553,7 +545,7 @@ def fit_triplet(
         if not moments:
             raise ModelError(
                 f"program {matrix.program_ids[j]!r}: every triplet was skipped "
-                f"(fewer than {min_pairs} jointly covered rows, or degenerate "
+                f"(fewer than {MIN_PAIRS} jointly covered rows, or degenerate "
                 "pair agreements); cannot estimate its accuracy"
             )
         med = float(np.clip(np.median(moments), 0.0, 1.0))
@@ -561,7 +553,7 @@ def fit_triplet(
         agree = float((votes[voted, j] == mv[voted]).mean()) if voted.any() else 0.5
         sign = 1.0 if agree >= 0.5 else -1.0
         accuracies[j] = (1.0 + sign * math.sqrt(med)) / 2.0
-    accuracies = np.clip(accuracies, clamp[0], clamp[1])
+    accuracies = np.clip(accuracies, *CLAMP)
     weights = np.log(accuracies / (1 - accuracies))
     params = LabelModelParams(
         kind=TRIPLET,

@@ -124,7 +124,6 @@ class RetryPolicy:
 class GenerationJob:
     prompt: PromptSpec
     model: str
-    endpoint: str
     n_programs: int = 10
     temperature: float = 0.5
     max_tokens: int | None = None
@@ -155,40 +154,46 @@ class Transport(Protocol):
 
 
 API_KEY_ENV = "LABELSMITH_API_KEY"
+TIMEOUT_S = 60.0
 
 
 class HttpTransport:
     """Real network transport. The API key comes from the environment, never
     from config files or the command line."""
 
-    def __init__(self, endpoint: str, api_key_env: str = API_KEY_ENV, timeout_s: float = 60.0):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        key = os.environ.get(api_key_env)
+        key = os.environ.get(API_KEY_ENV)
         if not key:
             raise TransportError(
-                f"no API key: set the {api_key_env} environment variable, "
+                f"no API key: set the {API_KEY_ENV} environment variable, "
                 "or run with --mock <fixture> to stay offline"
             )
         self._key = key
 
     def complete(self, body: dict) -> dict:
-        import requests
+        # imported here: urllib.request loads http.client and ssl, which
+        # would add megabytes and tens of milliseconds to every command's
+        # startup, not only generate's
+        import urllib.error
+        import urllib.request
 
+        request = urllib.request.Request(
+            self.endpoint,
+            data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self._key}", "Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                self.endpoint,
-                json=body,
-                headers={"Authorization": f"Bearer {self._key}"},
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
+                payload = resp.read()
+        except urllib.error.HTTPError as exc:
+            text = exc.read().decode("utf-8", errors="replace")
+            raise TransportError(f"HTTP {exc.code}: {text[:200]}") from exc
+        except OSError as exc:  # URLError, refused connections and timeouts
             raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code >= 400:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()
+            return json.loads(payload)
         except ValueError as exc:
             raise TransportError(f"response is not JSON: {exc}") from exc
 
@@ -377,8 +382,8 @@ class CostEstimate:
 
 def heuristic_tokens(text: str) -> int:
     """Cheap tokenizer stand-in: one token per 4 UTF-8 bytes, rounded up.
-    Exact provider tokenizers can be plugged in where real dollar figures
-    matter; scaling behavior is what this package guarantees."""
+    Scaling behavior, not exact provider dollars, is what this package
+    guarantees."""
     return math.ceil(len(text.encode("utf-8")) / 4)
 
 
@@ -386,11 +391,11 @@ def estimate_cost(
     texts_in: Sequence[str],
     texts_out: Sequence[str],
     pricing: Pricing,
-    tokenizer: Callable[[str], int] = heuristic_tokens,
 ) -> CostEstimate:
-    """dollars = (input_tokens * rate_in + output_tokens * rate_out) / 1000."""
-    tokens_in = sum(tokenizer(t) for t in texts_in)
-    tokens_out = sum(tokenizer(t) for t in texts_out)
+    """dollars = (input_tokens * rate_in + output_tokens * rate_out) / 1000,
+    tokens counted by ``heuristic_tokens``."""
+    tokens_in = sum(heuristic_tokens(t) for t in texts_in)
+    tokens_out = sum(heuristic_tokens(t) for t in texts_out)
     dollars = (tokens_in * pricing.input_per_1k + tokens_out * pricing.output_per_1k) / 1000.0
     return CostEstimate(
         input_tokens=tokens_in,

@@ -83,8 +83,17 @@ def test_only_train_takes_a_seed(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--mode", "auto"], ["--feature-seed", "0"]])
+def test_train_derives_its_feature_recipe(flag, capsys):
+    # the training set decides hashed text or concept scores; the hash is fixed
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--train-file", "t", "--out", "o", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_eval_takes_no_modality(capsys):
-    # eval reads the modality from the model's feature spec
+    # eval reads the modality from the model's concepts
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--model", "m", "--data", "d", "--out", "o", "--modality", "text"])
     assert exc.value.code == 2
@@ -601,6 +610,46 @@ class TestExportTrainEval:
         assert "needs gold labels" in capsys.readouterr().err
 
 
+def _scores_files(root: Path) -> tuple[Path, Path]:
+    """A seeded scores-modality training set and gold-labeled eval set.
+    Concepts are listed out of order so that sorting them is observable."""
+    rng = np.random.default_rng(11)
+    concepts = ("water background", "beak length", "webbed feet")
+    train, data = [], []
+    for i in range(120):
+        waterbird = i % 2
+        scores = {c: float(v) for c, v in zip(concepts, rng.normal(2.0 * waterbird - 1.0, 1.0, 3))}
+        train.append({"id": f"b{i:03d}", "scores": scores, "label": int(waterbird)})
+        data.append({"id": f"b{i:03d}", "scores": scores, "gold": int(waterbird),
+                     "group": "water" if scores["water background"] > 0 else "land"})
+    (root / "train.jsonl").write_text(_jsonl(*train), encoding="utf-8")
+    (root / "data.jsonl").write_text(_jsonl(*data), encoding="utf-8")
+    return root / "train.jsonl", root / "data.jsonl"
+
+
+class TestScoresTrainEval:
+    def run(self, train, data, out: Path):
+        classes = ["--classes", "landbird,waterbird"]
+        assert main(["train", "--train-file", str(train), *classes, "--epochs", "5", "--seed", "3",
+                     "--out", str(out / "train")]) == 0
+        assert main(["eval", "--model", str(out / "train" / "model.json"), "--data", str(data),
+                     "--out", str(out / "eval")]) == 0
+
+    def test_round_trip_derives_concepts_and_reruns_byte_identical(self, tmp_path):
+        train, data = _scores_files(tmp_path)
+        self.run(train, data, tmp_path / "a")
+        doc = json.loads((tmp_path / "a" / "train" / "model.json").read_text(encoding="utf-8"))
+        assert doc["concepts"] == ["beak length", "water background", "webbed feet"]
+        assert set(doc) == {"model", "classes", "concepts"}
+        assert doc["model"]["sizes"][0] == 3
+        assert read_manifest(tmp_path / "a" / "train")["params"]["dims"] == 3
+        report = json.loads((tmp_path / "a" / "eval" / "eval.json").read_text(encoding="utf-8"))
+        assert report["n"] == 120 and set(report["per_group"]) == {"land", "water"}
+        self.run(train, data, tmp_path / "b")
+        for step in ("train", "eval"):
+            assert tree_bytes(tmp_path / "b" / step) == tree_bytes(tmp_path / "a" / step)
+
+
 def _jsonl(*rows) -> str:
     return "".join(json.dumps(row) + "\n" for row in rows)
 
@@ -639,6 +688,9 @@ def _pseudolabels_for(corpus, change) -> str:
 
 
 _ROW = {"id": "a", "text": "win a free prize"}
+# the feature block model files carried before featurization was derived
+# from sizes[0] and concepts
+_PARENT_FEATURES = {"mode": "hashed", "dims": 256, "lowercase": True, "seed": 0}
 _NOT_UTF8 = b'{"id": "a", "text": "caf\xe9"}\n'
 
 # case -> (file content, the command that reads it); in the command,
@@ -671,6 +723,14 @@ MALFORMED_INPUTS = {
     "training-posteriors-of-two-widths": (
         lambda ctx: _jsonl({**_ROW, "posterior": [1.0]}, {"id": "b", "text": "hi", "posterior": [0.5, 0.5]}),
         lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-text-and-score-rows": (
+        lambda ctx: _jsonl({**_ROW, "label": 0}, {"id": "b", "scores": {"x": 1.0}, "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+    ),
+    "training-scores-one-concept": (
+        lambda ctx: _jsonl({"id": "a", "scores": {"x": 0.1}, "label": 0}, {"id": "b", "scores": {"x": 0.9}, "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1"],
     ),
     "training-single-class": (
         lambda ctx: _jsonl({**_ROW, "label": 0}, {"id": "b", "text": "hi", "label": 0}),
@@ -716,8 +776,12 @@ MALFORMED_INPUTS = {
         lambda ctx: _model_doc(ctx["trained"], lambda d: d["model"]["weights"].__setitem__(0, [[0.0, 1.0]])),
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
-    "model-unknown-feature-field": (
-        lambda ctx: _model_doc(ctx["trained"], lambda d: d["features"].__setitem__("colour", "red")),
+    "model-parent-features-block": (
+        lambda ctx: _model_doc(ctx["trained"], lambda d: d.__setitem__("features", _PARENT_FEATURES)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-concepts-count-mismatch": (
+        lambda ctx: _model_doc(ctx["trained"], lambda d: d.__setitem__("concepts", ["wing", "beak"])),
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
     "mock-content-not-a-string": (
@@ -746,6 +810,13 @@ MALFORMED_INPUTS = {
     ),
 }
 
+# what the error line must say beyond the path, where the path alone
+# would not show which check fired
+MALFORMED_MESSAGES = {
+    "model-parent-features-block": "unknown field 'features'",
+    "model-concepts-count-mismatch": "2 concepts listed but the model takes 256 inputs",
+}
+
 
 class TestMalformedInputs:
     """Inputs that once ended in a traceback or were accepted silently:
@@ -766,6 +837,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("error:") and str(bad) in err, err
+        assert MALFORMED_MESSAGES.get(case, "") in err, err
         assert "Traceback" not in err
 
 
@@ -780,6 +852,7 @@ class TestMalformedInputs:
         ("--lr", "inf"),
         ("--val-fraction", "-0.5"),
         ("--val-fraction", "1"),
+        ("--dims", "1"),
     ],
 )
 def test_train_rejects_bad_arguments(flag, value, tmp_path, capsys):

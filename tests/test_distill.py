@@ -8,7 +8,6 @@ import pytest
 from labelsmith.data import Pseudolabels, Record
 from labelsmith.distill import (
     DistillError,
-    FeatureSpec,
     Hyper,
     MLPModel,
     cross_entropy,
@@ -50,45 +49,47 @@ def xor_data(seed=0):
 
 class TestFeaturize:
     def test_hashed_features_unit_norm_and_deterministic(self):
-        spec = FeatureSpec(mode="hashed", dims=64)
         records = [Record(id="a", text="Win cash now win"), Record(id="b", text="see you")]
-        X1 = featurize(records, spec)
-        X2 = featurize(records, spec)
+        X1 = featurize(records, 64)
+        X2 = featurize(records, 64)
         np.testing.assert_array_equal(X1, X2)
         np.testing.assert_allclose(np.linalg.norm(X1, axis=1), [1.0, 1.0])
 
-    def test_seed_changes_hash_layout(self):
-        records = [Record(id="a", text="win cash now")]
-        X0 = featurize(records, FeatureSpec(mode="hashed", dims=64, seed=0))
-        X1 = featurize(records, FeatureSpec(mode="hashed", dims=64, seed=1))
-        assert not np.array_equal(X0, X1)
+    def test_hash_layout_is_pinned(self):
+        # saved text models depend on this exact layout: blake2b keyed
+        # with eight zero bytes over lowercased [a-z0-9']+ tokens; bucket
+        # 14 holds "win" twice plus one colliding token
+        X = featurize([Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")], 16)
+        u = 0.2581988897471611
+        expected = [0, u, 0, 0, -u, u, 0, 0, -u, u, 0, 0, 0, 0, 0.7745966692414834, -u]
+        np.testing.assert_array_equal(X, [expected])
 
     def test_lowercase_folding(self):
-        spec = FeatureSpec(mode="hashed", dims=64)
-        upper = featurize([Record(id="a", text="WIN CASH")], spec)
-        lower = featurize([Record(id="a", text="win cash")], spec)
+        upper = featurize([Record(id="a", text="WIN CASH")], 64)
+        lower = featurize([Record(id="a", text="win cash")], 64)
         np.testing.assert_array_equal(upper, lower)
 
     def test_scores_mode_uses_concept_order(self):
         records = [Record(id="a", scores={"b": 0.2, "a": 0.9})]
-        X = featurize(records, FeatureSpec(mode="scores"), concepts=["a", "b"])
+        X = featurize(records, 2, concepts=["a", "b"])
         np.testing.assert_array_equal(X, [[0.9, 0.2]])
-        # default order is sorted concept names
-        X_sorted = featurize(records, FeatureSpec(mode="scores"))
-        np.testing.assert_array_equal(X_sorted, [[0.9, 0.2]])
+        X_reversed = featurize(records, 2, concepts=["b", "a"])
+        np.testing.assert_array_equal(X_reversed, [[0.2, 0.9]])
 
     def test_scores_mode_missing_concept(self):
         records = [Record(id="a", scores={"a": 0.9})]
         with pytest.raises(DistillError, match="'b'"):
-            featurize(records, FeatureSpec(mode="scores"), concepts=["a", "b"])
+            featurize(records, 2, concepts=["a", "b"])
+
+    def test_scores_width_must_match_concepts(self):
+        with pytest.raises(DistillError, match="2 concepts but 3"):
+            featurize([Record(id="a", scores={"a": 0.9, "b": 0.1})], 3, concepts=["a", "b"])
 
     def test_modality_mismatch(self):
         with pytest.raises(DistillError, match="text"):
-            featurize([Record(id="a", scores={"c": 1.0})], FeatureSpec(mode="hashed"))
-
-    def test_spec_round_trip(self):
-        spec = FeatureSpec(mode="hashed", dims=128, lowercase=False, seed=3)
-        assert FeatureSpec.from_dict(spec.to_dict()) == spec
+            featurize([Record(id="a", scores={"c": 1.0})], 64)
+        with pytest.raises(DistillError, match="no scores"):
+            featurize([Record(id="a", text="hi")], 1, concepts=["c"])
 
 
 class TestExport:
@@ -270,22 +271,21 @@ class TestModelIO:
     def test_model_json_round_trip(self, tmp_path):
         X, y = blob_data(100, seed=12)
         model, _ = train_mlp(X, y, 2, Hyper(epochs=3, seed=12))
-        spec = FeatureSpec(mode="hashed", dims=2)
-        save_model(tmp_path / "model.json", model, feature_spec=spec,
-                   class_names=["spam", "ham"], concepts=None)
-        loaded, loaded_spec, meta = load_model(tmp_path / "model.json")
+        save_model(tmp_path / "model.json", model, class_names=["spam", "ham"], concepts=None)
+        loaded, meta = load_model(tmp_path / "model.json")
         for w1, w2 in zip(model.weights, loaded.weights):
             np.testing.assert_array_equal(w1, w2)
-        assert loaded_spec == spec
+        assert loaded.sizes == model.sizes
         assert meta["classes"] == ["spam", "ham"]
         assert meta["concepts"] is None
         np.testing.assert_array_equal(model.predict(X), loaded.predict(X))
 
     def test_model_without_spec(self, tmp_path):
+        # weights alone: no class names, and no concepts, so hashed text
         model = init_mlp(4, 2, seed=0)
         save_model(tmp_path / "m.json", model)
-        _, spec, meta = load_model(tmp_path / "m.json")
-        assert spec is None and meta["classes"] is None
+        _, meta = load_model(tmp_path / "m.json")
+        assert meta == {"classes": None, "concepts": None}
 
     def test_metrics_csv(self, tmp_path):
         X, y = blob_data(80, seed=13)

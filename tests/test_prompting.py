@@ -1,4 +1,7 @@
+import io
 import json
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from labelsmith.prompting import (
     Pricing,
     PromptError,
     PromptSpec,
+    TIMEOUT_S,
     RetryPolicy,
     SupplementBlock,
     TransportError,
@@ -104,15 +108,15 @@ class TestBuildPrompt:
 class TestJobValidation:
     def test_temperature_range(self):
         with pytest.raises(PromptError, match="temperature"):
-            GenerationJob(prompt=make_spec(), model="m", endpoint="http://x", temperature=3.0)
+            GenerationJob(prompt=make_spec(), model="m", temperature=3.0)
 
     def test_n_programs_positive(self):
         with pytest.raises(PromptError, match="n_programs"):
-            GenerationJob(prompt=make_spec(), model="m", endpoint="http://x", n_programs=0)
+            GenerationJob(prompt=make_spec(), model="m", n_programs=0)
 
     def test_request_body_shape(self):
         job = GenerationJob(
-            prompt=make_spec(), model="test-model", endpoint="http://x", max_tokens=512
+            prompt=make_spec(), model="test-model", max_tokens=512
         )
         body = job.request_body()
         assert body["model"] == "test-model"
@@ -194,68 +198,46 @@ class TestHttpTransport:
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         seen = {}
 
-        class FakeResponse:
-            status_code = 200
-            text = "{}"
+        def fake_urlopen(request, timeout=None):
+            seen.update(request=request, timeout=timeout)
+            return io.BytesIO(b'{"choices": []}')
 
-            def json(self):
-                return {"choices": []}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, json=json, headers=headers, timeout=timeout)
-            return FakeResponse()
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        transport = HttpTransport("http://example.invalid/v1/chat", timeout_s=12.5)
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        transport = HttpTransport("http://example.invalid/v1/chat")
         assert transport.complete({"model": "m"}) == {"choices": []}
-        assert seen["url"] == "http://example.invalid/v1/chat"
-        assert seen["json"] == {"model": "m"}
-        assert seen["headers"]["Authorization"] == "Bearer sk-test"
-        assert seen["timeout"] == 12.5
+        request = seen["request"]
+        assert request.full_url == "http://example.invalid/v1/chat"
+        assert request.get_method() == "POST"
+        assert json.loads(request.data) == {"model": "m"}
+        assert request.get_header("Authorization") == "Bearer sk-test"
+        assert seen["timeout"] == TIMEOUT_S
 
     def test_http_error_status(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
-        class FakeResponse:
-            status_code = 500
-            text = "upstream exploded"
+        def fake_urlopen(request, timeout=None):
+            raise urllib.error.HTTPError(
+                request.full_url, 500, "Internal Server Error", {}, io.BytesIO(b"upstream exploded")
+            )
 
-            def json(self):
-                return {}
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: FakeResponse())
-        with pytest.raises(TransportError, match="HTTP 500"):
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        with pytest.raises(TransportError, match="HTTP 500: upstream exploded"):
             HttpTransport("http://example.invalid").complete({})
 
     def test_non_json_response(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
-
-        class FakeResponse:
-            status_code = 200
-            text = "<html>"
-
-            def json(self):
-                raise ValueError("no json")
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: FakeResponse())
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(b"<html>"))
         with pytest.raises(TransportError, match="not JSON"):
             HttpTransport("http://example.invalid").complete({})
 
     def test_network_exception_wrapped(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
-        import requests
 
-        def fake_post(*a, **kw):
-            raise requests.ConnectionError("refused")
+        def fake_urlopen(*a, **kw):
+            raise urllib.error.URLError(ConnectionRefusedError("refused"))
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        with pytest.raises(TransportError, match="request failed"):
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        with pytest.raises(TransportError, match="request failed.*refused"):
             HttpTransport("http://example.invalid").complete({})
 
     def test_response_text_missing_choices(self):
@@ -268,7 +250,7 @@ class TestGeneratePrograms:
 
     def job(self, n=3):
         return GenerationJob(
-            prompt=make_spec(), model="m", endpoint="mock", n_programs=n,
+            prompt=make_spec(), model="m", n_programs=n,
             retry=RetryPolicy(attempts=3, backoff_s=0.0),
         )
 
