@@ -15,7 +15,6 @@ from .data import (
     LabelsmithError,
     Pseudolabels,
     Record,
-    VoteAssemblyError,
     VoteMatrix,
     assemble_votes,
     load_dataset,
@@ -30,15 +29,12 @@ from .dsl import (
     DslEvaluationError,
     DslParseError,
     DslValidationError,
-    Extraction,
     ExtractionError,
     RuleProgram,
     evaluate,
     extract_program,
-    extract_programs,
     format_program,
     parse_program,
-    validate_program,
 )
 from .models import (
     FITTERS,
@@ -49,7 +45,6 @@ from .models import (
     fit_snorkel_lite,
     fit_triplet,
     load_params,
-    majority_vote,
     make_counting_params,
     posterior_matrix,
     predict,

@@ -51,6 +51,8 @@ from .prompting import (
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 DEFAULT_MODEL = "gpt-3.5-turbo"
+# hashed feature width of a text training set when --dims is not given
+DEFAULT_DIMS = 4096
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -348,7 +350,7 @@ def cmd_train(args) -> int:
         ("--seed", args.seed, args.seed >= 0, "at least 0"),
         ("--lr", args.lr, math.isfinite(args.lr) and args.lr > 0, "a finite number above 0"),
         ("--val-fraction", args.val_fraction, 0 <= args.val_fraction < 1, "in [0, 1)"),
-        ("--dims", args.dims, args.dims >= 2, "at least 2"),
+        ("--dims", args.dims, args.dims is None or args.dims >= 2, "at least 2"),
     ):
         if not ok:
             raise CliError(f"{flag} must be {wanted}, got {value}")
@@ -373,7 +375,15 @@ def cmd_train(args) -> int:
     concepts = sorted(records[0].scores) if records[0].scores is not None else None
     if concepts is not None and len(concepts) < 2:
         raise CliError(f"{args.train_file}: score records need at least 2 concepts, got {len(concepts)}")
-    dims = args.dims if concepts is None else len(concepts)
+    if concepts is None:
+        dims = DEFAULT_DIMS if args.dims is None else args.dims
+    elif args.dims is not None:
+        raise CliError(
+            f"--dims must be left out for score records; {args.train_file} "
+            f"sets the width to its {len(concepts)} concepts"
+        )
+    else:
+        dims = len(concepts)
     try:
         X = distill.featurize(records, dims, concepts)
     except distill.DistillError as exc:
@@ -460,7 +470,7 @@ def _add_common(sp, *, data=False, task_classes=False, modality=False):
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     if data:
-        sp.add_argument("--data", required=True, help="dataset file (JSONL or CSV)")
+        sp.add_argument("--data", required=True, help="dataset file (JSONL)")
     if task_classes:
         sp.add_argument("--task", help=f"shipped task pack ({', '.join(available_packs())})")
         sp.add_argument("--classes", help="comma-separated class names (alternative to --task)")
@@ -528,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epochs", type=int, default=100)
     sp.add_argument("--lr", type=float, default=1e-3)
     sp.add_argument("--batch", type=int, default=32)
-    sp.add_argument("--dims", type=int, default=4096, help="hashed feature dimension (text training sets)")
+    sp.add_argument(
+        "--dims", type=int, help=f"hashed feature dimension of a text training set (default {DEFAULT_DIMS})"
+    )
     sp.add_argument("--val-fraction", type=float, default=0.1)
     sp.add_argument(
         "--seed", type=int, default=0, help="seed for initialization, shuffling and the validation split"

@@ -8,7 +8,6 @@ everywhere; class indices run 0..K-1.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -27,10 +26,6 @@ class LabelsmithError(Exception):
 
 class DatasetError(LabelsmithError):
     """An input file is malformed."""
-
-
-class VoteAssemblyError(LabelsmithError):
-    """A program cannot be applied to the given records."""
 
 
 # The reader. Every file the package parses goes through ``read_text``,
@@ -309,77 +304,34 @@ class Pseudolabels:
         return self.posterior.argmax(axis=1)
 
 
-def _concept_mismatch(found: Sequence[str], expected: Sequence[str] | None) -> str | None:
-    if expected is None:
-        return None
-    missing = [c for c in expected if c not in found]
-    if missing:
-        return f"missing score column {missing[0]!r}"
-    extra = [c for c in found if c not in expected]
-    if extra:
-        return f"unexpected score column {extra[0]!r}"
-    return None
+def load_dataset(
+    path: str | Path,
+    classes: ClassSpace,
+    modality: str = "text",
+    concepts: Sequence[str] | None = None,
+) -> list[Record]:
+    """Load records in file order from JSONL: {"id", "text", "gold"?,
+    "group"?} for text tasks, a "scores" object in place of "text" for
+    score tasks. ``concepts``, when given, must be exactly the score keys.
+    Errors name the file and 1-based line.
+    """
+    if modality not in ("text", "scores"):
+        raise DatasetError(f"unknown modality {modality!r}")
 
-
-def _load_scores_csv(path: Path, K: int, concepts) -> list[Record]:
-    records = []
-    seen = set()
-    try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "id":
-                raise DatasetError(f"{path}:1: scores CSV must start with an 'id' column")
-            tail = [c for c in header[1:] if c in ("gold", "group")]
-            score_cols = header[1 : len(header) - len(tail)]
-            if any(c in ("gold", "group") for c in score_cols):
-                raise DatasetError(f"{path}:1: gold/group columns must come last")
-            problem = _concept_mismatch(score_cols, concepts)
-            if problem:
-                raise DatasetError(f"{path}:1: {problem}")
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path}:{reader.line_num}"
-                if len(row) != len(header):
-                    raise DatasetError(f"{where}: expected {len(header)} fields, got {len(row)}")
-                rid = row[0]
-                if rid in seen:
-                    raise DatasetError(f"{where}: duplicate record id {rid!r}")
-                seen.add(rid)
-                try:
-                    scores = {c: float(v) for c, v in zip(score_cols, row[1:])}
-                except ValueError as exc:
-                    raise DatasetError(f"{where}: bad score value ({exc})") from exc
-                if any(not math.isfinite(v) for v in scores.values()):
-                    raise DatasetError(f"{where}: non-finite score")
-                gold = group = None
-                for name, value in zip(header[1 + len(score_cols) :], row[1 + len(score_cols) :]):
-                    if name == "gold" and value != "":
-                        if not (value.isdigit() and int(value) < K):
-                            raise DatasetError(f"{where}: gold label {value!r} not in 0..{K - 1}")
-                        gold = int(value)
-                    elif name == "group" and value != "":
-                        group = value
-                records.append(Record(id=rid, scores=scores, gold=gold, group=group))
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DatasetError(f"{path}: {exc}") from None
-    return records
-
-
-def _load_jsonl_records(path: Path, K: int, modality: str, concepts) -> list[Record]:
     def row(doc) -> Record:
-        record = Record.from_dict(doc, K)
+        record = Record.from_dict(doc, classes.K)
         if record.modality != modality:
             raise DatasetError(f"expected a {modality} record, got {record.modality}")
-        if record.scores is not None:
-            problem = _concept_mismatch(list(record.scores), concepts)
-            if problem:
-                raise DatasetError(problem)
+        if record.scores is not None and concepts is not None:
+            missing = [c for c in concepts if c not in record.scores]
+            if missing:
+                raise DatasetError(f"missing score column {missing[0]!r}")
+            extra = [c for c in record.scores if c not in concepts]
+            if extra:
+                raise DatasetError(f"unexpected score column {extra[0]!r}")
         return record
 
+    path = Path(path)
     records = []
     seen = set()
     for lineno, record in read_jsonl(path, row):
@@ -387,29 +339,6 @@ def _load_jsonl_records(path: Path, K: int, modality: str, concepts) -> list[Rec
             raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
         seen.add(record.id)
         records.append(record)
-    return records
-
-
-def load_dataset(
-    path: str | Path,
-    classes: ClassSpace,
-    modality: str = "text",
-    concepts: Sequence[str] | None = None,
-) -> list[Record]:
-    """Load records in file order.
-
-    Text tasks read JSONL ({"id", "text", "gold"?, "group"?}); score tasks
-    read CSV (header id,<concepts...>[,gold][,group]) or the JSONL
-    equivalent with a "scores" object. ``concepts``, when given, must be
-    exactly the score columns. Errors name the file and 1-based line.
-    """
-    if modality not in ("text", "scores"):
-        raise DatasetError(f"unknown modality {modality!r}")
-    path = Path(path)
-    if modality == "scores" and path.suffix.lower() == ".csv":
-        records = _load_scores_csv(path, classes.K, concepts)
-    else:
-        records = _load_jsonl_records(path, classes.K, modality, concepts)
     if not records:
         raise DatasetError(f"{path}: the dataset has no records")
     return records
@@ -439,16 +368,10 @@ def serialize_records(records: Iterable[Record], path: str | Path) -> Path:
 def assemble_votes(records: Sequence[Record], programs: Sequence) -> VoteMatrix:
     """Apply every program to every record; votes[i][j] is program j's vote
     on record i. Evaluation is sequential and order-stable, so two runs on
-    identical inputs produce identical matrices."""
+    identical inputs produce identical matrices. A program meeting a record
+    of the other modality raises DslEvaluationError naming both."""
     from .dsl import evaluate  # local import: dsl depends on this module
 
-    for prog in programs:
-        bad = next((r for r in records if r.modality != prog.modality), None)
-        if bad is not None:
-            raise VoteAssemblyError(
-                f"program {prog.id!r} expects {prog.modality} records but "
-                f"record {bad.id!r} is {bad.modality}"
-            )
     n, m = len(records), len(programs)
     votes = np.full((n, m), ABSTAIN, dtype=np.int64)
     for j, prog in enumerate(programs):

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix
+from .models import empirical_accuracies
 
 DEFAULT_COVERAGE_THRESHOLD = 0.10
 
@@ -77,11 +78,11 @@ def analyze(
         raise DiagnosticsError("cannot analyze an empty vote matrix")
     nonabstain = votes != ABSTAIN
     row_votes = nonabstain.sum(axis=1)
-    gold_arr = None
+    accuracies = None
     if gold is not None:
         if len(gold) != n:
             raise DiagnosticsError(f"expected {n} gold labels, got {len(gold)}")
-        gold_arr = np.array([ABSTAIN if g is None else g for g in gold], dtype=np.int64)
+        accuracies = empirical_accuracies(matrix, gold)
     stats = []
     for j in range(m):
         mask = nonabstain[:, j]
@@ -92,10 +93,8 @@ def analyze(
         conflict = float((mask & disagree.any(axis=1)).mean())
         polarity = tuple(sorted(int(c) for c in np.unique(votes[mask, j]))) if mask.any() else ()
         accuracy = None
-        if gold_arr is not None:
-            labeled = mask & (gold_arr != ABSTAIN)
-            if labeled.any():
-                accuracy = float((votes[labeled, j] == gold_arr[labeled]).mean())
+        if accuracies is not None and not np.isnan(accuracies[j]):
+            accuracy = float(accuracies[j])
         stats.append(
             ProgramStats(
                 program_id=matrix.program_ids[j],

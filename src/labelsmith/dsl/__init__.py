@@ -1,4 +1,4 @@
-"""The labeling-rule DSL: parse, validate, print, evaluate, extract."""
+"""The labeling-rule DSL: parse, print, evaluate, extract."""
 
 from .ast import (
     And,
@@ -18,16 +18,14 @@ from .ast import (
     ScoreCmp,
     UppercaseRatioAtLeast,
     iter_leaves,
-    structurally_equal,
 )
 from .evaluate import DEFAULT_BUDGET_STEPS, evaluate
-from .extract import Extraction, ExtractionError, extract_program, extract_programs
+from .extract import ExtractionError, extract_program
 from .parser import (
     RULE_COUNT_SOFT_CAP,
     format_expr,
     format_program,
     parse_program,
-    validate_program,
 )
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "DslParseError",
     "DslValidationError",
     "Expr",
-    "Extraction",
     "ExtractionError",
     "LengthAtLeast",
     "Matches",
@@ -53,11 +50,8 @@ __all__ = [
     "RULE_COUNT_SOFT_CAP",
     "evaluate",
     "extract_program",
-    "extract_programs",
     "format_expr",
     "format_program",
     "iter_leaves",
     "parse_program",
-    "structurally_equal",
-    "validate_program",
 ]

@@ -182,17 +182,3 @@ class RuleProgram:
                 f"program {self.id!r} mixes text and score predicates"
             )
         object.__setattr__(self, "modality", modalities.pop())
-
-    def score_concepts(self) -> tuple[str, ...]:
-        """Concept names this program reads, in first-use order."""
-        seen: dict[str, None] = {}
-        for rule in self.rules:
-            for leaf in iter_leaves(rule.guard):
-                if isinstance(leaf, ScoreCmp):
-                    seen.setdefault(leaf.concept)
-        return tuple(seen)
-
-
-def structurally_equal(a: RuleProgram, b: RuleProgram) -> bool:
-    """True when two programs have the same rules and default, ids aside."""
-    return a.rules == b.rules and a.default == b.default

@@ -1,27 +1,17 @@
 """Pull rule programs out of raw model completions.
 
 Completions usually wrap programs in fenced code blocks, one program per
-block, often with prose around them. The extractor parses each block
-independently so one malformed program does not sink the rest. Plain
-string splitting handles the fences; untrusted text never reaches a
+block, often with prose around them. The extractor parses each block in
+turn so one malformed block does not sink a later good one. Plain string
+splitting handles the fences; untrusted text never reaches a
 backtracking matcher.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..data import ClassSpace
 from .ast import DslError, RuleProgram
 from .parser import parse_program
-
-
-@dataclass(frozen=True)
-class Extraction:
-    """Programs recovered from one completion, plus per-snippet errors."""
-
-    programs: tuple[RuleProgram, ...]
-    errors: tuple[str, ...]
 
 
 class ExtractionError(DslError):
@@ -49,29 +39,6 @@ def _is_language_tag(word: str) -> bool:
     return len(word) <= 20 and all(c.isalnum() or c in "_+-." for c in word) and "->" not in word
 
 
-def _statement_run(text: str) -> str | None:
-    """Longest contiguous run of lines that look like DSL statements."""
-    runs: list[list[str]] = []
-    current: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        looks_dsl = stripped.startswith(("rule", "default", "#")) and (
-            "->" in stripped or stripped.startswith("#")
-        )
-        if looks_dsl:
-            current.append(stripped)
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    runs = [r for r in runs if any(not line.startswith("#") for line in r)]
-    if not runs:
-        return None
-    best = max(runs, key=len)
-    return "\n".join(best)
-
-
 def extract_program(
     text: str, class_space: ClassSpace, program_id: str | None = None
 ) -> RuleProgram:
@@ -93,37 +60,3 @@ def extract_program(
     raise ExtractionError(
         f"none of the {len(blocks)} code blocks parse as a program", tuple(errors)
     )
-
-
-def extract_programs(
-    text: str, class_space: ClassSpace, id_prefix: str | None = None
-) -> Extraction:
-    """Parse every program found in ``text``.
-
-    Fenced code blocks are tried first; with no fences the whole text is
-    tried, then the longest run of statement-shaped lines. Snippets that
-    fail to parse turn into error strings, not exceptions.
-    """
-    snippets = _fenced_blocks(text)
-    if not snippets:
-        whole = text.strip()
-        if whole:
-            snippets = [whole]
-    programs: list[RuleProgram] = []
-    errors: list[str] = []
-    for idx, snippet in enumerate(snippets, start=1):
-        pid = f"{id_prefix}_{idx}" if id_prefix else None
-        try:
-            programs.append(parse_program(snippet, class_space, program_id=pid))
-            continue
-        except DslError as exc:
-            first_error = f"block {idx}: {exc}"
-        run = _statement_run(snippet)
-        if run is not None and run != snippet:
-            try:
-                programs.append(parse_program(run, class_space, program_id=pid))
-                continue
-            except DslError:
-                pass
-        errors.append(first_error)
-    return Extraction(programs=tuple(programs), errors=tuple(errors))

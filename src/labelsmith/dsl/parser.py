@@ -1,4 +1,4 @@
-"""Scanner, parser, validator, and canonical printer for rule programs.
+"""Scanner, parser, and canonical printer for rule programs.
 
 Source form, one statement per line by convention:
 
@@ -18,7 +18,6 @@ import json
 import logging
 import re as _stdre
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..data import ABSTAIN, ClassSpace
 from . import rex
@@ -37,13 +36,15 @@ from .ast import (
     RuleProgram,
     ScoreCmp,
     UppercaseRatioAtLeast,
-    iter_leaves,
 )
 
 logger = logging.getLogger("labelsmith.dsl")
 
 KEYWORDS = frozenset({"rule", "default", "and", "or", "not", "true", "false"})
 RULE_COUNT_SOFT_CAP = 64
+# most 'not's and parentheses a guard may nest; every pass over a guard
+# recurses once per level
+MAX_NESTING = 64
 
 _BARE_IDENT = _stdre.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -191,6 +192,7 @@ class _ProgramParser:
         self.tokens = tokens
         self.pos = 0
         self.cs = class_space
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -292,15 +294,20 @@ class _ProgramParser:
         return And(tuple(flat))
 
     def unary(self) -> Expr:
-        if self.at_keyword("not"):
-            self.pos += 1
-            return Not(self.unary())
-        if self.cur.kind == "LPAREN":
-            self.pos += 1
+        is_not = self.at_keyword("not")
+        if not (is_not or self.cur.kind == "LPAREN"):
+            return self.predicate()
+        if self.depth == MAX_NESTING:
+            self.error(f"more than {MAX_NESTING} nested 'not's and parentheses")
+        self.depth += 1
+        self.pos += 1
+        if is_not:
+            inner = Not(self.unary())
+        else:
             inner = self.expr()
             self.take("RPAREN", "')'")
-            return inner
-        return self.predicate()
+        self.depth -= 1
+        return inner
 
     def predicate(self) -> Expr:
         tok = self.take("IDENT", "a predicate")
@@ -397,14 +404,11 @@ def parse_program(
     source: str,
     class_space: ClassSpace,
     program_id: str | None = None,
-    concepts: Sequence[str] | None = None,
 ) -> RuleProgram:
     """Parse DSL source into a RuleProgram.
 
     When ``program_id`` is omitted, the id is derived from a hash of the
-    canonical form, so reformatting does not change identity. Passing
-    ``concepts`` additionally validates every score() reference against
-    that list.
+    canonical form, so reformatting does not change identity.
     """
     rules, default = _ProgramParser(_scan(source), class_space).parse()
     program = RuleProgram(id=program_id or "unnamed", rules=rules, default=default)
@@ -412,8 +416,6 @@ def parse_program(
         canonical = format_program(program, class_space)
         digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=6).hexdigest()
         program = RuleProgram(id=f"lf_{digest}", rules=rules, default=default)
-    if concepts is not None:
-        validate_program(program, class_space, concepts=concepts)
     if len(rules) > RULE_COUNT_SOFT_CAP:
         logger.warning(
             "program %s has %d rules (soft cap %d); consider splitting it",
@@ -422,56 +424,6 @@ def parse_program(
             RULE_COUNT_SOFT_CAP,
         )
     return program
-
-
-def validate_program(
-    program: RuleProgram, class_space: ClassSpace, concepts=None
-) -> list[str]:
-    """Check a program against a class space (and concept list, when given).
-
-    Raises DslValidationError on hard problems; returns human-readable
-    warnings for soft ones. Parsed programs are already mostly valid; this
-    also covers programs built directly from AST nodes.
-    """
-    K = class_space.K
-    for idx, rule in enumerate(program.rules):
-        if rule.target != ABSTAIN and not (0 <= rule.target < K):
-            raise DslValidationError(
-                f"program {program.id!r}: rule {idx} targets class {rule.target}, "
-                f"but valid indices are 0..{K - 1}"
-            )
-        for leaf in iter_leaves(rule.guard):
-            if isinstance(leaf, Matches):
-                try:
-                    rex.compile(leaf.pattern)
-                except rex.RexError as exc:
-                    raise DslValidationError(
-                        f"program {program.id!r}: bad pattern {leaf.pattern!r}: {exc}"
-                    ) from exc
-    if not (0 <= program.default < K or program.default == ABSTAIN):
-        raise DslValidationError(
-            f"program {program.id!r}: default targets class {program.default}, "
-            f"but valid indices are 0..{K - 1}"
-        )
-    if concepts is not None and program.modality == "scores":
-        known = set(concepts)
-        for concept in program.score_concepts():
-            if concept not in known:
-                raise DslValidationError(
-                    f"program {program.id!r} reads unknown concept {concept!r}"
-                )
-    warnings = []
-    if len(program.rules) > RULE_COUNT_SOFT_CAP:
-        warnings.append(
-            f"program has {len(program.rules)} rules (soft cap {RULE_COUNT_SOFT_CAP})"
-        )
-    seen: dict[Rule, int] = {}
-    for idx, rule in enumerate(program.rules):
-        if rule in seen:
-            warnings.append(f"rule {idx} duplicates rule {seen[rule]}")
-        else:
-            seen[rule] = idx
-    return warnings
 
 
 _PREC = {"or": 1, "and": 2, "not": 3}

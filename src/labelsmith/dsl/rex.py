@@ -52,6 +52,9 @@ class StepBudget:
 
 MAX_REPEAT = 128
 MAX_PROGRAM = 20_000
+# most groups a pattern may nest; parsing and compiling recurse once per
+# level
+MAX_GROUP_DEPTH = 64
 # most entries a compiled pattern's lazy-DFA cache holds (a state, a
 # transition or a cached thread move each costs one, plus one per 64 pcs
 # it spans; about 1.5 MB when full); a full cache is emptied and rebuilt
@@ -115,6 +118,7 @@ class _Parser:
     def __init__(self, pattern: str):
         self.p = pattern
         self.i = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise RexError(message, self.i)
@@ -213,16 +217,20 @@ class _Parser:
     def atom(self):
         ch = self.take()
         if ch == "(":
+            if self.depth == MAX_GROUP_DEPTH:
+                raise RexError(f"groups nested deeper than {MAX_GROUP_DEPTH}", self.i - 1)
             if self.peek() == "?":
                 self.take()
                 if self.peek() == ":":
                     self.take()
                 else:
                     self.error("only (?: groups are supported; lookaround and named groups are rejected")
+            self.depth += 1
             node = self.alt()
             if self.peek() != ")":
                 self.error("missing )")
             self.take()
+            self.depth -= 1
             return node
         if ch == "[":
             return self.charclass()

@@ -108,10 +108,23 @@ class LabelModelParams:
         # phrased so that a NaN entry fails the check
         if not ((self.priors >= 0).all() and abs(self.priors.sum() - 1.0) <= 1e-9):
             raise ModelError("priors must be non-negative and sum to 1")
+        # a zero confusion entry makes some vote pattern impossible under
+        # every class, so its posterior would be 0/0; every fitter smooths
+        # or clamps its confusions away from 0
         if self.confusion is not None:
             rows = self.confusion.sum(axis=2)
-            if not ((self.confusion >= 0).all() and np.allclose(rows, 1.0, atol=1e-9)):
-                raise ModelError("confusion rows must be non-negative and sum to 1")
+            if not ((self.confusion > 0).all() and np.allclose(rows, 1.0, atol=1e-9)):
+                raise ModelError("confusion rows must be positive and sum to 1")
+        # MV/WMV posteriors count votes with these weights; Triplet's
+        # log-odds weights may be negative but never reach a posterior
+        if self.kind in (MV, WMV) and self.weights is not None:
+            bad = ~(np.isfinite(self.weights) & (self.weights > 0))
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise ModelError(
+                    f"weights must be finite and positive; weight for program "
+                    f"{self.program_ids[j]!r} is {self.weights[j]}"
+                )
 
     @property
     def K(self) -> int:
@@ -212,27 +225,6 @@ def _vote_mass(votes: np.ndarray, K: int, weights: np.ndarray | None = None) -> 
     for j in range(m):
         mass[rows, votes[:, j]] += w[j]
     return mass[:, :K]
-
-
-def majority_vote(
-    matrix: VoteMatrix, K: int, weights: Sequence[float] | None = None
-) -> Pseudolabels:
-    """(Weighted) majority vote. Posterior is the weight mass per class,
-    normalized over non-abstain votes; all-abstain rows come back with
-    covered=false and a uniform posterior."""
-    params = LabelModelParams(
-        kind=MV if weights is None else WMV,
-        priors=np.full(K, 1.0 / K),
-        program_ids=matrix.program_ids,
-        weights=weights,
-    )
-    if params.weights is not None and (params.weights <= 0).any():
-        bad = int(np.argmax(params.weights <= 0))
-        raise ModelError(
-            f"weights must be positive; weight for program "
-            f"{matrix.program_ids[bad]!r} is {params.weights[bad]}"
-        )
-    return predict(params, matrix)
 
 
 def _mv_hard(votes: np.ndarray, K: int) -> np.ndarray:

@@ -7,7 +7,8 @@ reference EM and alignment are per-row loops that the vectorized fitters
 are compared against, and the reference pseudolabel writer is the
 per-row formula the array writer must match byte for byte. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
-``labelsmith.dsl.rex`` replaced.
+``labelsmith.dsl.rex`` replaced. ``nested_guard`` builds the rule guards
+that the parsers' nesting limits bound.
 """
 
 import itertools
@@ -192,3 +193,16 @@ def reference_pike_vm(compiled, text):
             elif op[1].matches(nxt):
                 carried.append(pc + 1)
     return False, steps
+
+
+NESTED_GUARD_FORMS = ("nots", "parentheses", "regex-groups")
+
+
+def nested_guard(form, depth):
+    """A guard that nests ``depth`` levels of one form: ``not``s,
+    parentheses, or groups in a ``matches()`` pattern."""
+    if form == "nots":
+        return "not " * depth + 'contains("a")'
+    if form == "parentheses":
+        return "(" * depth + 'contains("a")' + ")" * depth
+    return 'matches("' + "(" * depth + "a" + ")" * depth + '")'

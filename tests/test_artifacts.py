@@ -4,6 +4,7 @@ A small walkthrough writes every artifact a command reads back. Each
 example mutates one of them, or one of the walkthrough's inputs, and runs
 every command that reads it: the command may succeed (0), flag programs
 (2) or fail (1), but a failure must print ``error:`` and name the file.
+A program file is not JSON, so it only gets the text-level mutations.
 The outputs no command reads (analysis.json, fit_report.json, cost.json,
 raw/*.json, metrics.csv, eval.json, run_manifest.json) are not mutated.
 """
@@ -28,7 +29,8 @@ SPAM_PROGRAMS = str(FIXTURES / "spam_programs")
 
 # values of every JSON type; a swap puts in one whose type differs
 SWAPS = (0, "x", [0], {}, None, True, math.nan)
-MUTATIONS = ("drop", "swap", "truncate", "garble-line")
+TEXT_MUTATIONS = ("truncate", "garble-line")
+MUTATIONS = ("drop", "swap", *TEXT_MUTATIONS)
 
 
 def run(argv) -> tuple[int, str]:
@@ -44,6 +46,7 @@ def walkthrough(tmp_path_factory):
     records, _ = make_spam_corpus(60, seed=7)
     serialize_records(records, root / "corpus.jsonl")
     shutil.copy(FIXTURES / "mock" / "ok_program.json", root / "mock.json")
+    shutil.copytree(SPAM_PROGRAMS, root / "programs")
     (root / "exemplars.jsonl").write_text(
         "".join(json.dumps({"text": r.text, "class": "spam" if r.gold == 0 else "ham"}) + "\n"
                 for r in records[:3]),
@@ -64,8 +67,10 @@ def walkthrough(tmp_path_factory):
 
 
 def resolve(argv, root: Path, artifact: Path | None = None) -> list[str]:
-    """``ROOT/`` names a file of the walkthrough, ``ARTIFACT`` the mutated copy."""
-    return [str(artifact) if a == "ARTIFACT" else a.replace("ROOT", str(root), 1) for a in argv]
+    """``ROOT/`` names a file of the walkthrough, ``ARTIFACT`` the mutated
+    copy and ``ARTIFACT_DIR`` the directory that holds only that copy."""
+    named = {"ARTIFACT": artifact, "ARTIFACT_DIR": artifact and artifact.parent}
+    return [str(named[a]) if a in named else a.replace("ROOT", str(root), 1) for a in argv]
 
 
 # artifact -> every command of the walkthrough that reads it; ARTIFACT
@@ -98,6 +103,9 @@ CONSUMERS = {
     "exemplars.jsonl": [
         ["generate", "--task", "sms", "--mock", "ROOT/mock.json", "--n", "1", "--exemplars", "ARTIFACT"],
     ],
+    "programs/07_spaced_letters.lf": [
+        ["apply", "--programs", "ARTIFACT_DIR", "--task", "sms", "--data", "ROOT/corpus.jsonl"],
+    ],
 }
 
 
@@ -128,8 +136,8 @@ def _mutate_node(doc, path, kind, data):
     return doc
 
 
-def mutated_text(text: str, jsonl: bool, data) -> str:
-    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+def mutated_text(text: str, jsonl: bool, data, kinds=MUTATIONS) -> str:
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
     if kind == "truncate":
         return text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
     lines = text.splitlines()
@@ -158,8 +166,10 @@ def mutated_text(text: str, jsonl: bool, data) -> str:
 @given(data=st.data())
 def test_malformed_artifact_never_raises(walkthrough, artifact, tmp_path, data):
     source = walkthrough / artifact
-    text = mutated_text(source.read_text(encoding="utf-8"), artifact.endswith(".jsonl"), data)
-    bad = tmp_path / f"mutated-{source.name}"
+    kinds = TEXT_MUTATIONS if artifact.endswith(".lf") else MUTATIONS
+    text = mutated_text(source.read_text(encoding="utf-8"), artifact.endswith(".jsonl"), data, kinds)
+    bad = tmp_path / "mutated" / source.name
+    bad.parent.mkdir(exist_ok=True)
     bad.write_text(text, encoding="utf-8")
     for command in CONSUMERS[artifact]:
         code, err = run([*resolve(command, walkthrough, bad), "--out", str(tmp_path / "out"), "--force"])

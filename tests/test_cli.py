@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import planted_confusion_votes
+from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes
 
 from labelsmith import models
 from labelsmith.cli import main
@@ -168,6 +168,18 @@ class TestGenerate:
         assert sorted((out / "raw").glob("*.json"))
         assert not list((out / "programs").glob("*.lf"))
 
+    @pytest.mark.parametrize("form", NESTED_GUARD_FORMS)
+    def test_too_deeply_nested_program_is_a_slot_error(self, form, tmp_path, capsys):
+        mock = tmp_path / "mock.json"
+        content = f"```\nrule: {nested_guard(form, 1000)} -> spam;\n```\n"
+        mock.write_text(json.dumps({"responses": [{"content": content}]}), encoding="utf-8")
+        out = tmp_path / "gen"
+        code = main(["generate", "--task", "sms", "--mock", str(mock), "--n", "1", "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "extracted 0/1 programs" in captured.out
+        assert "slot 0:" in captured.err and "nested" in captured.err
+
     def test_retry_fixture_recovers(self, tmp_path):
         out = tmp_path / "gen"
         fixture = str(FIXTURES / "mock" / "retry_then_ok.json")
@@ -273,6 +285,20 @@ class TestApply:
         )
         assert code == 1
         assert "no .lf programs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", NESTED_GUARD_FORMS)
+    def test_too_deeply_nested_program_exits_1(self, form, tmp_path, corpus_file, capsys):
+        progs = tmp_path / "progs"
+        progs.mkdir()
+        program = progs / "deep.lf"
+        program.write_text(f"rule: {nested_guard(form, 1000)} -> spam;\n", encoding="utf-8")
+        code = main(
+            ["apply", "--programs", str(progs), "--task", "sms", "--data", corpus_file,
+             "--out", str(tmp_path / "votes")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {program}: ") and "nested" in err, err
 
     def test_needs_task_or_classes(self, tmp_path, corpus_file, capsys):
         code = main(
@@ -673,6 +699,25 @@ def _model_doc(trained, change) -> str:
     return json.dumps(doc)
 
 
+def _params_doc(ctx, change) -> str:
+    """Binary Dawid-Skene params fitted for the programs of ctx's votes,
+    with ``change`` applied to the document."""
+    program_ids = list(load_votes(ctx["votes"])[0].program_ids)
+    doc = {
+        "kind": "DawidSkene",
+        "priors": [0.5, 0.5],
+        "program_ids": program_ids,
+        "confusion": [[[0.9, 0.1], [0.2, 0.8]]] * len(program_ids),
+    }
+    change(doc)
+    return json.dumps(doc)
+
+
+def _wmv_weights(doc, *first):
+    """WMV params whose first weights are ``first`` and the rest 1.0."""
+    doc.update(kind="WMV", confusion=None, weights=[*first, *[1.0] * (len(doc["program_ids"]) - len(first))])
+
+
 _PSEUDO = {"record_id": "s00000", "posterior": [0.9, 0.1], "hard": 0, "covered": True}
 
 
@@ -808,6 +853,19 @@ MALFORMED_INPUTS = {
         lambda ctx: _NOT_UTF8,
         lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
     ),
+    # params that load but would give NaN posteriors or count a vote negatively
+    "params-confusion-with-zero": (
+        lambda ctx: _params_doc(ctx, lambda d: d.update(confusion=[[[1.0, 0.0], [0.0, 1.0]]] * len(d["program_ids"]))),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-wmv-negative-weight": (
+        lambda ctx: _params_doc(ctx, lambda d: _wmv_weights(d, 1.0, -0.5)),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-wmv-nan-weight": (
+        lambda ctx: _params_doc(ctx, lambda d: _wmv_weights(d, float("nan"))),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
 }
 
 # what the error line must say beyond the path, where the path alone
@@ -815,6 +873,9 @@ MALFORMED_INPUTS = {
 MALFORMED_MESSAGES = {
     "model-parent-features-block": "unknown field 'features'",
     "model-concepts-count-mismatch": "2 concepts listed but the model takes 256 inputs",
+    "params-confusion-with-zero": "confusion rows must be positive",
+    "params-wmv-negative-weight": "weights must be finite and positive",
+    "params-wmv-nan-weight": "weights must be finite and positive",
 }
 
 
@@ -823,9 +884,9 @@ class TestMalformedInputs:
     each must now exit 1 with an ``error:`` line naming the file."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-    def test_rejected_with_path(self, case, corpus_file, trained, tmp_path, capsys):
+    def test_rejected_with_path(self, case, corpus_file, trained, votes_dir, tmp_path, capsys):
         content, command = MALFORMED_INPUTS[case]
-        ctx = {"corpus": corpus_file, "trained": trained}
+        ctx = {"corpus": corpus_file, "trained": trained, "votes": str(votes_dir / "votes.json")}
         bad = tmp_path / "input"
         data = content(ctx)
         if isinstance(data, str):
@@ -841,25 +902,36 @@ class TestMalformedInputs:
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--epochs", "0"),
-        ("--batch", "0"),
-        ("--seed", "-1"),
-        ("--lr", "nan"),
-        ("--lr", "0"),
-        ("--lr", "inf"),
-        ("--val-fraction", "-0.5"),
-        ("--val-fraction", "1"),
-        ("--dims", "1"),
-    ],
+_TEXT_TRAINING_ROWS = (
+    {**_ROW, "label": 0}, {"id": "b", "text": "see you", "label": 1}, {"id": "c", "text": "hi", "label": 0}
 )
-def test_train_rejects_bad_arguments(flag, value, tmp_path, capsys):
+# score records take their width from their concepts, so any --dims is refused
+_SCORE_TRAINING_ROWS = (
+    {"id": "a", "scores": {"x": 0.1, "y": 0.9}, "label": 0}, {"id": "b", "scores": {"x": 0.8, "y": 0.3}, "label": 1}
+)
+
+
+@pytest.mark.parametrize(
+    "flag, value, rows",
+    [
+        pytest.param(flag, value, _TEXT_TRAINING_ROWS, id=f"{flag}-{value}")
+        for flag, value in [
+            ("--epochs", "0"),
+            ("--batch", "0"),
+            ("--seed", "-1"),
+            ("--lr", "nan"),
+            ("--lr", "0"),
+            ("--lr", "inf"),
+            ("--val-fraction", "-0.5"),
+            ("--val-fraction", "1"),
+            ("--dims", "1"),
+        ]
+    ]
+    + [pytest.param("--dims", "16", _SCORE_TRAINING_ROWS, id="--dims-16-scores")],
+)
+def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     train = tmp_path / "train.jsonl"
-    train.write_text(
-        _jsonl({**_ROW, "label": 0}, {"id": "b", "text": "see you", "label": 1}, {"id": "c", "text": "hi", "label": 0})
-    )
+    train.write_text(_jsonl(*rows))
     out = tmp_path / "out"
     argv = ["train", "--train-file", str(train), "--epochs", "1", "--dims", "16", flag, value]
     code = main([*argv, "--out", str(out)])

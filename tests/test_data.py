@@ -12,7 +12,6 @@ from labelsmith.data import (
     DatasetError,
     Pseudolabels,
     Record,
-    VoteAssemblyError,
     VoteMatrix,
     assemble_votes,
     load_dataset,
@@ -22,7 +21,7 @@ from labelsmith.data import (
     save_votes,
     serialize_records,
 )
-from labelsmith.dsl import parse_program
+from labelsmith.dsl import DslEvaluationError, parse_program
 
 
 class TestClassSpace:
@@ -232,24 +231,16 @@ class TestLoadTextDataset:
 class TestLoadScoresDataset:
     CLASSES = ClassSpace(("a", "b"))
 
-    def test_csv_happy_path(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("id,wing,beak,gold,group\nr0,0.1,0.9,1,g\nr1,0.4,0.6,,\n", encoding="utf-8")
-        records = load_dataset(path, self.CLASSES, "scores")
-        assert records[0].scores == {"wing": 0.1, "beak": 0.9}
-        assert records[0].gold == 1 and records[0].group == "g"
-        assert records[1].gold is None and records[1].group is None
-
-    def test_csv_concept_mismatch_names_column(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("id,wing\nr0,0.5\n", encoding="utf-8")
+    def test_concept_mismatch_names_concept(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "r0", "scores": {"wing": 0.5}}\n', encoding="utf-8")
         with pytest.raises(DatasetError, match="beak"):
             load_dataset(path, self.CLASSES, "scores", concepts=("wing", "beak"))
 
-    def test_csv_rejects_non_finite(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("id,wing\nr0,nan\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match=r"d\.csv:2: "):
+    def test_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "r0", "scores": {"wing": 0.5}}\n{"id": "r1", "scores": {"wing": NaN}}\n', encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"d\.jsonl:2: "):
             load_dataset(path, self.CLASSES, "scores")
 
     def test_jsonl_scores(self, tmp_path):
@@ -275,7 +266,7 @@ class TestAssembleVotes:
 
     def test_modality_mismatch_names_program(self, spam_cs):
         program = parse_program('rule: score("c") >= 0.5 -> spam;', spam_cs, program_id="scorey")
-        with pytest.raises(VoteAssemblyError, match="scorey"):
+        with pytest.raises(DslEvaluationError, match="scorey"):
             assemble_votes([Record(id="a", text="x")], [program])
 
     def test_deterministic(self, spam_cs):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_pike_vm
+from helpers import NESTED_GUARD_FORMS, nested_guard, reference_pike_vm
 from labelsmith.data import ABSTAIN, ClassSpace, Record, assemble_votes
 from labelsmith.dsl import (
     And,
@@ -32,14 +32,12 @@ from labelsmith.dsl import (
     UppercaseRatioAtLeast,
     evaluate,
     extract_program,
-    extract_programs,
     format_expr,
     format_program,
     iter_leaves,
     parse_program,
-    structurally_equal,
-    validate_program,
 )
+from labelsmith.dsl import parser as dsl_parser
 from labelsmith.dsl import rex
 
 
@@ -65,7 +63,7 @@ class TestParserHappyPath:
             'rule: score("wing shape") >= 0.7 -> spam; default -> ham;', spam_cs
         )
         assert program.modality == "scores"
-        assert program.score_concepts() == ("wing shape",)
+        assert [leaf.concept for leaf in iter_leaves(program.rules[0].guard)] == ["wing shape"]
 
     def test_targets_name_index_string_abstain(self, k3_cs):
         program = parse_program(
@@ -158,6 +156,30 @@ class TestParserErrors:
             parse_program('rule: contains("x") -> banana;', spam_cs)
 
 
+def _nesting_limit(form):
+    return rex.MAX_GROUP_DEPTH if form == "regex-groups" else dsl_parser.MAX_NESTING
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("form", NESTED_GUARD_FORMS)
+    def test_limit_parses_prints_and_evaluates(self, spam_cs, form):
+        program = parse_program(f"rule: {nested_guard(form, _nesting_limit(form))} -> spam;", spam_cs)
+        printed = format_program(program, spam_cs)
+        assert parse_program(printed, spam_cs).rules == program.rules
+        assert evaluate(program, Record(id="r", text="a")) == 0
+
+    @pytest.mark.parametrize("extra", [1, 1000])
+    @pytest.mark.parametrize("form", NESTED_GUARD_FORMS)
+    def test_deeper_is_a_parse_error_with_a_position(self, spam_cs, form, extra):
+        limit = _nesting_limit(form)
+        source = f"rule: {nested_guard(form, limit + extra)} -> spam;"
+        with pytest.raises(DslParseError, match="nested") as err:
+            parse_program(source, spam_cs)
+        # the first level past the limit; a pattern's error points at matches()
+        offset = {"nots": len("not ") * limit, "parentheses": limit, "regex-groups": 0}[form]
+        assert (err.value.line, err.value.col) == (1, len("rule: ") + 1 + offset)
+
+
 class TestAstInvariants:
     def test_and_or_need_two_children(self):
         with pytest.raises(DslValidationError):
@@ -205,7 +227,7 @@ class TestPrinterRoundTrip:
         program = parse_program(src, spam_cs)
         printed = format_program(program, spam_cs)
         again = parse_program(printed, spam_cs)
-        assert structurally_equal(program, again)
+        assert (again.rules, again.default) == (program.rules, program.default)
         assert format_program(again, spam_cs) == printed
 
     def test_contains_any_prints_bracket_form(self, spam_cs):
@@ -288,7 +310,7 @@ class TestRandomAstRoundTrip:
             program = RuleProgram(id=f"t{trial}", rules=rules, default=default)
             printed = format_program(program, k3_cs)
             again = parse_program(printed, k3_cs, program_id=program.id)
-            assert structurally_equal(program, again), printed
+            assert (again.rules, again.default) == (program.rules, program.default), printed
             assert format_program(again, k3_cs) == printed
 
 
@@ -455,45 +477,27 @@ class TestWallClockIndependence:
 
 
 class TestValidate:
+    """What parsing and applying check in a program beyond its syntax."""
+
     def test_target_out_of_range(self, spam_cs):
-        program = RuleProgram(id="p", rules=(Rule(guard=Contains(needle="x"), target=5),))
-        with pytest.raises(DslValidationError):
-            validate_program(program, spam_cs)
+        with pytest.raises(DslParseError, match="out of range"):
+            parse_program('rule: contains("x") -> 5;', spam_cs)
 
     def test_bad_regex_rejected(self, spam_cs):
-        program = RuleProgram(id="p", rules=(Rule(guard=Matches(pattern="(a"), target=0),))
-        with pytest.raises(DslValidationError):
-            validate_program(program, spam_cs)
+        with pytest.raises(DslParseError, match="bad pattern"):
+            parse_program('rule: matches("(a") -> spam;', spam_cs)
 
     def test_unknown_concept_rejected(self, spam_cs):
         program = parse_program('rule: score("tail") >= 0.5 -> spam;', spam_cs)
-        with pytest.raises(DslValidationError, match="tail"):
-            validate_program(program, spam_cs, concepts=("wing",))
-
-    def test_duplicate_rule_warned(self, spam_cs):
-        program = parse_program(
-            'rule: contains("x") -> spam; rule: contains("x") -> spam;', spam_cs
-        )
-        warnings = validate_program(program, spam_cs)
-        assert any("duplicate" in w for w in warnings)
+        with pytest.raises(DslEvaluationError, match="tail"):
+            assemble_votes([Record(id="r", scores={"wing": 0.5})], [program])
 
     def test_rule_cap_warned(self, spam_cs, caplog):
         src = "\n".join(f'rule: contains("w{i}") -> spam;' for i in range(65))
         with caplog.at_level(logging.WARNING, logger="labelsmith.dsl"):
-            program = parse_program(src, spam_cs)
+            parse_program(src, spam_cs)
         assert any("65" in rec.message for rec in caplog.records)
-        assert any("65" in w for w in validate_program(program, spam_cs))
 
-
-FENCED_OK = """Here you go:
-
-```
-rule: contains("free") -> spam;
-default -> ham;
-```
-
-Hope that helps.
-"""
 
 FENCED_WITH_TAG = """```python
 rule: contains("free") -> spam;
@@ -507,14 +511,6 @@ this is not a program
 ```
 rule: contains("x") -> spam;
 ```
-"""
-
-BARE_STATEMENTS = """I'd suggest the following:
-
-rule: contains("free") -> spam;
-rule: length_at_least(100) -> ham;
-
-Let me know if you want more.
 """
 
 
@@ -536,19 +532,6 @@ class TestExtraction:
         with pytest.raises(ExtractionError) as err:
             extract_program(text, spam_cs)
         assert len(err.value.errors) == 2
-
-    def test_lenient_fenced(self, spam_cs):
-        result = extract_programs(FENCED_OK, spam_cs)
-        assert len(result.programs) == 1 and not result.errors
-
-    def test_lenient_statement_run_rescue(self, spam_cs):
-        result = extract_programs(BARE_STATEMENTS, spam_cs)
-        assert len(result.programs) == 1
-        assert len(result.programs[0].rules) == 2
-
-    def test_lenient_collects_errors(self, spam_cs):
-        result = extract_programs("```\ntotal garbage\n```", spam_cs)
-        assert not result.programs and result.errors
 
 
 REX_AGREEMENT_PATTERNS = [
@@ -718,3 +701,10 @@ class TestRexEngine:
     def test_repeat_cap(self):
         with pytest.raises(rex.RexError):
             rex.compile("a{500}")
+
+    def test_group_depth_cap(self):
+        depth = rex.MAX_GROUP_DEPTH
+        assert rex.compile("(" * depth + "a" + ")" * depth).search("a")
+        with pytest.raises(rex.RexError, match="nested") as err:
+            rex.compile("(" * (depth + 1) + "a" + ")" * (depth + 1))
+        assert err.value.pos == depth

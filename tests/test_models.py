@@ -21,19 +21,29 @@ from labelsmith.models import (
     fit_snorkel_lite,
     fit_triplet,
     load_params,
-    majority_vote,
     make_counting_params,
     posterior_matrix,
     predict,
     save_params,
 )
-from labelsmith.models import _align_permutation
+from labelsmith.models import MV, WMV, _align_permutation
 
 PLANTED = (0.9, 0.8, 0.7)
 
 
 def _accuracy(pseudolabels, truth):
     return float((pseudolabels.hard == np.asarray(truth)).mean())
+
+
+def _counting(matrix, K, weights=None):
+    """Pseudolabels of (weighted) majority vote with the given weights."""
+    params = LabelModelParams(
+        kind=MV if weights is None else WMV,
+        priors=np.full(K, 1.0 / K),
+        program_ids=matrix.program_ids,
+        weights=weights,
+    )
+    return predict(params, matrix)
 
 
 def _naive_plurality(votes, K, weights=None):
@@ -56,7 +66,7 @@ def _naive_plurality(votes, K, weights=None):
 class TestMajorityVote:
     def test_weighted_row_follows_heavy_program(self, mk_matrix):
         matrix = mk_matrix([[1, 0, 0]])
-        labels = majority_vote(matrix, 2, weights=(3.0, 1.0, 1.0))
+        labels = _counting(matrix, 2, weights=(3.0, 1.0, 1.0))
         assert labels.hard.tolist() == [1]
         assert labels.posterior.tolist() == [[0.4, 0.6]]
 
@@ -64,7 +74,7 @@ class TestMajorityVote:
         for m, K in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)]:
             patterns = list(itertools.product([ABSTAIN, *range(K)], repeat=m))
             matrix = mk_matrix(patterns)
-            labels = majority_vote(matrix, K)
+            labels = _counting(matrix, K)
             expected = _naive_plurality(matrix.votes, K)
             for i, (best, any_vote, mass) in enumerate(expected):
                 assert labels.hard[i] == best
@@ -79,15 +89,16 @@ class TestMajorityVote:
             matrix = mk_matrix(patterns)
             params, _ = make_counting_params(matrix, K, kind="WMV")
             wmv = predict(params, matrix).hard
-            plain = majority_vote(matrix, K).hard
+            plain = _counting(matrix, K).hard
             np.testing.assert_array_equal(wmv, plain)
 
     def test_rejects_bad_weights(self, mk_matrix):
         matrix = mk_matrix([[0, 1]])
-        with pytest.raises(ModelError, match="positive"):
-            majority_vote(matrix, 2, weights=(1.0, 0.0))
+        for weights in [(1.0, 0.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)]:
+            with pytest.raises(ModelError, match="finite and positive"):
+                _counting(matrix, 2, weights=weights)
         with pytest.raises(ModelError):
-            majority_vote(matrix, 2, weights=(1.0,))
+            _counting(matrix, 2, weights=(1.0,))
 
 
 class TestEmpiricalAccuracies:
@@ -147,7 +158,7 @@ class TestDawidSkene:
         diagonals = np.array([params.confusion[j].diagonal() for j in range(5)])
         assert np.abs(diagonals - 0.8).max() < 0.05
         ds_acc = _accuracy(predict(params, matrix), truth)
-        mv_acc = _accuracy(majority_vote(matrix, 3), truth)
+        mv_acc = _accuracy(_counting(matrix, 3), truth)
         assert ds_acc >= mv_acc
         assert ds_acc > 0.94
         assert report.converged
