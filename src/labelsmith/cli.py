@@ -103,22 +103,11 @@ def _text_or_file(value: str) -> str:
 
 
 def _classes_arg(args) -> ClassSpace:
-    if getattr(args, "task", None):
+    if args.task:
         return load_pack(args.task).class_space()
-    if getattr(args, "classes", None):
+    if args.classes:
         return ClassSpace(tuple(c.strip() for c in args.classes.split(",")))
     raise CliError("pass --task <pack> or --classes <a,b,...>")
-
-
-def _modality_arg(args) -> str:
-    if not args.task:
-        return args.modality or "text"
-    modality = load_pack(args.task).modality
-    if args.modality is not None and args.modality != modality:
-        raise CliError(
-            f"--modality {args.modality} contradicts --task {args.task}, whose records are {modality}"
-        )
-    return modality
 
 
 def _exemplar(doc) -> tuple[str, str]:
@@ -206,7 +195,7 @@ def cmd_generate(args) -> int:
 def cmd_apply(args) -> int:
     cs = _classes_arg(args)
     task = args.task or "adhoc"
-    records = load_dataset(args.data, cs, _modality_arg(args))
+    records = load_dataset(args.data, cs)
     prog_paths = sorted(Path(args.programs).glob("*.lf"))
     if not prog_paths:
         raise CliError(f"no .lf programs found in {args.programs}")
@@ -280,9 +269,7 @@ def cmd_aggregate(args) -> int:
         report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
     else:
         fitter = models.FITTERS[args.model]
-        kwargs = {"class_names": meta["classes"]}
-        if args.model == "wmv":
-            kwargs["gold"] = meta.get("gold")
+        kwargs = {"gold": meta.get("gold")} if args.model == "wmv" else {}
         params, report = fitter(matrix, K, **kwargs)
         report_doc = {
             "kind": report.kind,
@@ -317,7 +304,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_export(args) -> int:
     cs = _classes_arg(args)
-    records = load_dataset(args.data, cs, _modality_arg(args))
+    records = load_dataset(args.data, cs)
     labels = load_pseudolabels(args.pseudolabels, K=cs.K)
     out = _prepare_out(args.out, args.force)
     try:
@@ -354,23 +341,8 @@ def cmd_train(args) -> int:
     ):
         if not ok:
             raise CliError(f"{flag} must be {wanted}, got {value}")
-    class_names = None
-    if getattr(args, "task", None) or getattr(args, "classes", None):
-        class_names = list(_classes_arg(args).names)
-    records, targets = distill.load_training_set(
-        args.train_file, K=len(class_names) if class_names is not None else None
-    )
-    soft = targets.ndim == 2
-    if class_names is not None:
-        K = len(class_names)
-    elif soft:
-        K = targets.shape[1]
-    else:
-        K = int(targets.max()) + 1
-    if K < 2:
-        raise CliError(
-            f"{args.train_file}: the targets name a single class; pass --task or --classes"
-        )
+    cs = _classes_arg(args)
+    records, targets = distill.load_training_set(args.train_file, cs.K)
     # score records train on their concepts, text records on hashed words
     concepts = sorted(records[0].scores) if records[0].scores is not None else None
     if concepts is not None and len(concepts) < 2:
@@ -395,13 +367,13 @@ def cmd_train(args) -> int:
         n_val = int(len(X) * args.val_fraction)
         if n_val > 0:
             val_idx, train_idx = order[:n_val], order[n_val:]
-            hard = np.argmax(targets, axis=1) if soft else targets
+            hard = np.argmax(targets, axis=1) if targets.ndim == 2 else targets
             X_val, y_val = X[val_idx], hard[val_idx]
             X, targets = X[train_idx], targets[train_idx]
     out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
-    model, metrics = distill.train_mlp(X, targets, K, hyper, X_val, y_val)
-    distill.save_model(out / "model.json", model, class_names, concepts)
+    model, metrics = distill.train_mlp(X, targets, cs.K, hyper, X_val, y_val)
+    distill.save_model(out / "model.json", model, cs.names, concepts)
     metrics.save_csv(out / "metrics.csv")
     _write_manifest(
         out,
@@ -425,18 +397,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, meta = distill.load_model(args.model)
-    class_names = meta.get("classes")
-    if class_names is None and (getattr(args, "task", None) or getattr(args, "classes", None)):
-        class_names = list(_classes_arg(args).names)
-    if class_names is None:
-        raise CliError(f"model file {args.model} has no class names; pass --task or --classes")
-    cs = ClassSpace(tuple(class_names))
-    if cs.K != model.sizes[-1]:
-        raise CliError(
-            f"model file {args.model} has {model.sizes[-1]} outputs but {cs.K} classes were given"
-        )
     concepts = meta["concepts"]
-    records = load_dataset(args.data, cs, "text" if concepts is None else "scores", concepts)
+    records = load_dataset(args.data, ClassSpace(tuple(meta["classes"])), concepts)
+    if concepts is None and records[0].text is None:
+        raise CliError(f"{args.data}: the model {args.model} takes text records, got scores")
     missing = next((r.id for r in records if r.gold is None), None)
     if missing is not None:
         raise CliError(f"{args.data}: eval data needs gold labels; record {missing!r} has none")
@@ -466,7 +430,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sp, *, data=False, task_classes=False, modality=False):
+def _add_common(sp, *, data=False, task_classes=False):
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     if data:
@@ -474,12 +438,6 @@ def _add_common(sp, *, data=False, task_classes=False, modality=False):
     if task_classes:
         sp.add_argument("--task", help=f"shipped task pack ({', '.join(available_packs())})")
         sp.add_argument("--classes", help="comma-separated class names (alternative to --task)")
-    if modality:
-        sp.add_argument(
-            "--modality",
-            choices=("text", "scores"),
-            help="record modality (default: the --task pack's, else text)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("apply", help="run programs over a dataset into a vote matrix")
     sp.add_argument("--programs", required=True, help="directory of .lf programs")
-    _add_common(sp, data=True, task_classes=True, modality=True)
+    _add_common(sp, data=True, task_classes=True)
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("analyze", help="coverage/polarity/overlap/conflict diagnostics")
@@ -530,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pseudolabels", required=True)
     sp.add_argument("--probabilistic", action="store_true", help="write posteriors, not hard labels")
     sp.add_argument("--keep-uncovered", action="store_true")
-    _add_common(sp, data=True, task_classes=True, modality=True)
+    _add_common(sp, data=True, task_classes=True)
     sp.set_defaults(func=cmd_export)
 
     sp = sub.add_parser("train", help="train the distilled MLP on an exported set")
@@ -550,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate a trained model on gold-labeled data")
     sp.add_argument("--model", required=True, help="model.json from train")
-    _add_common(sp, data=True, task_classes=True)
+    _add_common(sp, data=True)
     sp.set_defaults(func=cmd_eval)
 
     return parser

@@ -307,22 +307,25 @@ class Pseudolabels:
 def load_dataset(
     path: str | Path,
     classes: ClassSpace,
-    modality: str = "text",
     concepts: Sequence[str] | None = None,
 ) -> list[Record]:
     """Load records in file order from JSONL: {"id", "text", "gold"?,
     "group"?} for text tasks, a "scores" object in place of "text" for
-    score tasks. ``concepts``, when given, must be exactly the score keys.
-    Errors name the file and 1-based line.
+    score tasks. Every record must have the first record's modality;
+    ``concepts``, when given, asks for score records with exactly those
+    keys. Errors name the file and 1-based line.
     """
-    if modality not in ("text", "scores"):
-        raise DatasetError(f"unknown modality {modality!r}")
+    modality = None
 
     def row(doc) -> Record:
+        nonlocal modality
         record = Record.from_dict(doc, classes.K)
+        modality = modality or record.modality
         if record.modality != modality:
-            raise DatasetError(f"expected a {modality} record, got {record.modality}")
-        if record.scores is not None and concepts is not None:
+            raise DatasetError(f"a {record.modality} record among {modality} records")
+        if concepts is not None:
+            if record.scores is None:
+                raise DatasetError("expected a scores record, got text")
             missing = [c for c in concepts if c not in record.scores]
             if missing:
                 raise DatasetError(f"missing score column {missing[0]!r}")

@@ -139,26 +139,22 @@ def export_training_set(
     return ExportReport(path=path, n_written=written, n_dropped_uncovered=dropped)
 
 
-def load_training_set(path: str | Path, K: int | None = None) -> tuple[list[Record], np.ndarray]:
-    """Read an exported training set. Returns records plus targets: an (n,)
-    int array for hard labels or an (n, K) float array for posteriors.
-    ``K``, when given, bounds hard labels and fixes the posterior width;
-    otherwise the first posterior fixes it."""
+def load_training_set(path: str | Path, K: int) -> tuple[list[Record], np.ndarray]:
+    """Read an exported training set for ``K`` classes. Returns records
+    plus targets: an (n,) int array of hard labels in 0..K-1 or an (n, K)
+    float array of posteriors."""
     path = Path(path)
 
     def row(doc):
-        nonlocal K
         record = Record.from_dict(doc)
         if ("label" in doc) == ("posterior" in doc):
             raise DatasetError("row needs exactly one of label and posterior")
         if "posterior" in doc:
             posterior = check_posterior(json_field(doc, "posterior", list), K)
-            K = len(posterior)
             return record, [float(x) for x in posterior]
         label = json_field(doc, "label", int)
-        if label < 0 or (K is not None and label >= K):
-            bound = "" if K is None else f" in 0..{K - 1}"
-            raise DatasetError(f"label {label} is not a class index{bound}")
+        if not 0 <= label < K:
+            raise DatasetError(f"label {label} is not a class index in 0..{K - 1}")
         return record, label
 
     records: list[Record] = []
@@ -422,14 +418,12 @@ def train_mlp(
 def save_model(
     path: str | Path,
     model: MLPModel,
-    class_names: Sequence[str] | None = None,
+    class_names: Sequence[str],
     concepts: Sequence[str] | None = None,
 ) -> Path:
     """Write a model file. ``concepts`` names the score inputs in order;
     without them the model takes hashed text of width ``sizes[0]``."""
-    doc = {"model": model.to_dict()}
-    if class_names is not None:
-        doc["classes"] = list(class_names)
+    doc = {"model": model.to_dict(), "classes": list(class_names)}
     if concepts is not None:
         doc["concepts"] = list(concepts)
     path = Path(path)
@@ -446,12 +440,11 @@ def _model_from_doc(doc) -> tuple[MLPModel, dict]:
     unknown = sorted(set(doc) - {"model", "classes", "concepts"})
     if unknown:
         raise DistillError(f"unknown field {unknown[0]!r}")
-    classes = json_field(doc, "classes", list, type(None), default=None)
+    classes = json_field(doc, "classes", list)
     concepts = json_field(doc, "concepts", list, type(None), default=None)
-    if classes is not None:
-        ClassSpace(tuple(classes))
-        if len(classes) != model.sizes[-1]:
-            raise DistillError(f"{len(classes)} classes listed but the model has {model.sizes[-1]} outputs")
+    ClassSpace(tuple(classes))
+    if len(classes) != model.sizes[-1]:
+        raise DistillError(f"{len(classes)} classes listed but the model has {model.sizes[-1]} outputs")
     if concepts is not None:
         if not all(isinstance(c, str) for c in concepts):
             raise DistillError("concepts must be strings")

@@ -13,9 +13,8 @@ Dawid-Skene and one-coin share one EM driver (``_em``) and differ only in
 the M-step: Dawid-Skene fits smoothed full confusion rows, one-coin ties
 each program's rows to a single accuracy.
 
-Abstains are treated as missing at random: they never enter a likelihood,
-and each program's abstain propensity is recorded separately. All fits are
-deterministic; EM initializes from smoothed majority vote.
+Abstains are treated as missing at random: they never enter a likelihood.
+All fits are deterministic; EM initializes from smoothed majority vote.
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ class LabelModelParams:
     conditioned on a non-abstain vote. ``accuracies`` is set for the
     scalar-parameter kinds. ``weights`` is what MV/WMV posteriors count
     votes with; Triplet also records its log-odds weights but predicts
-    from its one-coin ``confusion``, like the EM kinds. ``propensity[j]``
-    is the empirical non-abstain rate, recorded for reporting and never
-    used in posteriors.
+    from its one-coin ``confusion``, like the EM kinds.
     """
 
     kind: str
@@ -77,20 +74,16 @@ class LabelModelParams:
     confusion: np.ndarray | None = None
     accuracies: np.ndarray | None = None
     weights: np.ndarray | None = None
-    propensity: np.ndarray | None = None
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
         object.__setattr__(self, "priors", np.asarray(self.priors, dtype=float))
         object.__setattr__(self, "program_ids", tuple(self.program_ids))
-        for name in ("confusion", "accuracies", "weights", "propensity"):
+        for name in ("confusion", "accuracies", "weights"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
-        if self.class_names is not None:
-            object.__setattr__(self, "class_names", tuple(self.class_names))
         if self.priors.ndim != 1:
             raise ModelError(f"priors must be a list, got shape {self.priors.shape}")
         if self.kind not in (MV, WMV) and self.confusion is None:
@@ -101,7 +94,7 @@ class LabelModelParams:
                 f"confusion has shape {self.confusion.shape}, expected {(m, K, K)} "
                 f"for {m} programs and {K} classes"
             )
-        for name in ("accuracies", "weights", "propensity"):
+        for name in ("accuracies", "weights"):
             value = getattr(self, name)
             if value is not None and value.shape != (m,):
                 raise ModelError(f"{name} has shape {value.shape}, expected ({m},)")
@@ -145,8 +138,6 @@ class LabelModelParams:
             "confusion": arr(self.confusion),
             "accuracies": arr(self.accuracies),
             "weights": arr(self.weights),
-            "propensity": arr(self.propensity),
-            "class_names": list(self.class_names) if self.class_names else None,
         }
 
     @classmethod
@@ -161,8 +152,6 @@ class LabelModelParams:
             confusion=arr(doc.get("confusion")),
             accuracies=arr(doc.get("accuracies")),
             weights=arr(doc.get("weights")),
-            propensity=arr(doc.get("propensity")),
-            class_names=tuple(doc["class_names"]) if doc.get("class_names") else None,
         )
 
 
@@ -203,10 +192,6 @@ def _check_coverage(matrix: VoteMatrix):
                 f"program {matrix.program_ids[j]!r} has zero coverage; remove it "
                 "before fitting (the diagnostics report flags such programs)"
             )
-
-
-def _propensity(matrix: VoteMatrix) -> np.ndarray:
-    return (matrix.votes != ABSTAIN).mean(axis=0)
 
 
 def _covered(votes: np.ndarray) -> np.ndarray:
@@ -254,7 +239,6 @@ def make_counting_params(
     K: int,
     kind: str = MV,
     gold: Sequence[int | None] | None = None,
-    class_names: Sequence[str] | None = None,
 ) -> tuple[LabelModelParams, FitReport]:
     """Params for the counting kinds. WMV weights come from empirical
     accuracies when gold is given (log-odds, floored at a small positive
@@ -285,8 +269,6 @@ def make_counting_params(
         program_ids=matrix.program_ids,
         accuracies=accuracies,
         weights=weights,
-        propensity=_propensity(matrix),
-        class_names=tuple(class_names) if class_names else None,
     )
     report = FitReport(
         kind=kind,
@@ -403,12 +385,7 @@ def _one_coin(accuracies: np.ndarray, K: int) -> np.ndarray:
     return accuracies[:, None, None] * eye + (1 - accuracies)[:, None, None] * off
 
 
-def fit_dawid_skene(
-    matrix: VoteMatrix,
-    K: int,
-    *,
-    class_names: Sequence[str] | None = None,
-) -> tuple[LabelModelParams, FitReport]:
+def fit_dawid_skene(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport]:
     """EM for the classic per-program confusion-matrix model, abstains
     excluded from the likelihood. Deterministic: initialization is smoothed
     majority vote, and any residual label switching is undone by aligning
@@ -427,8 +404,6 @@ def fit_dawid_skene(
         priors=priors,
         program_ids=matrix.program_ids,
         confusion=confusion,
-        propensity=_propensity(matrix),
-        class_names=tuple(class_names) if class_names else None,
     )
     acc = np.einsum("k,jkk->j", priors, confusion)
     report = FitReport(
@@ -443,12 +418,7 @@ def fit_dawid_skene(
     return params, report
 
 
-def fit_snorkel_lite(
-    matrix: VoteMatrix,
-    K: int,
-    *,
-    class_names: Sequence[str] | None = None,
-) -> tuple[LabelModelParams, FitReport]:
+def fit_snorkel_lite(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport]:
     """One-coin EM: each program has one accuracy a_j, errors uniform over
     the K-1 wrong classes. A documented stand-in for the Snorkel label
     model; same contract as fit_dawid_skene otherwise."""
@@ -476,8 +446,6 @@ def fit_snorkel_lite(
         program_ids=matrix.program_ids,
         confusion=confusion,
         accuracies=accuracies,
-        propensity=_propensity(matrix),
-        class_names=tuple(class_names) if class_names else None,
     )
     report = FitReport(
         kind=SNORKEL_LITE,
@@ -491,12 +459,7 @@ def fit_snorkel_lite(
     return params, report
 
 
-def fit_triplet(
-    matrix: VoteMatrix,
-    K: int,
-    *,
-    class_names: Sequence[str] | None = None,
-) -> tuple[LabelModelParams, FitReport]:
+def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport]:
     """Moment-based accuracy estimation for binary tasks.
 
     Votes map to -1/+1 (abstain drops out pairwise). For conditionally
@@ -554,8 +517,6 @@ def fit_triplet(
         confusion=_one_coin(accuracies, 2),
         accuracies=accuracies,
         weights=weights,
-        propensity=_propensity(matrix),
-        class_names=tuple(class_names) if class_names else None,
     )
     report = FitReport(
         kind=TRIPLET,

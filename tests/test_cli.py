@@ -100,19 +100,22 @@ def test_eval_takes_no_modality(capsys):
     assert "unrecognized arguments: --modality text" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["apply", "export"])
-def test_modality_must_agree_with_task(command, corpus_file, tmp_path, capsys):
-    # the sms pack's records are text; apply fails before reading programs
-    # and export before reading pseudolabels
-    source = ["--programs", SPAM_PROGRAMS] if command == "apply" else ["--pseudolabels", "pl.jsonl"]
-    code = main(
-        [command, *source, "--task", "sms", "--modality", "scores",
-         "--data", corpus_file, "--out", str(tmp_path / "out")]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "--modality scores" in err and "--task sms" in err
-    assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--programs", "p", "--task", "sms", "--data", "d", "--modality", "text"],
+        ["export", "--pseudolabels", "p", "--task", "sms", "--data", "d", "--modality", "text"],
+        ["eval", "--model", "m", "--data", "d", "--task", "sms"],
+        ["eval", "--model", "m", "--data", "d", "--classes", "spam,ham"],
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_facts_the_files_carry_are_not_flags(argv, capsys):
+    # the records carry their modality and the model file its classes
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "o"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -261,7 +264,6 @@ class TestApply:
                 "apply",
                 "--programs", SPAM_PROGRAMS,
                 "--classes", "spam,ham",
-                "--modality", "text",
                 "--data", corpus_file,
                 "--out", str(out),
             ]
@@ -391,6 +393,24 @@ class TestAggregate:
         a = (fitted / "pseudolabels.jsonl").read_bytes()
         b = (reused / "pseudolabels.jsonl").read_bytes()
         assert a == b
+
+    def test_params_reuse_of_a_file_with_class_names_and_propensity(self, votes_dir, tmp_path):
+        # files written before params stopped storing class names and
+        # propensity still load, predict the same and are re-saved without them
+        votes = str(votes_dir / "votes.json")
+        fitted = tmp_path / "fit"
+        assert main(["aggregate", "--votes", votes, "--out", str(fitted)]) == 0
+        doc = json.loads((fitted / "params.json").read_text(encoding="utf-8"))
+        older = tmp_path / "older.json"
+        older.write_text(
+            json.dumps({**doc, "class_names": ["spam", "ham"], "propensity": [0.5] * len(doc["program_ids"])}),
+            encoding="utf-8",
+        )
+        reused = tmp_path / "reuse"
+        assert main(["aggregate", "--votes", votes, "--params", str(older), "--out", str(reused)]) == 0
+        assert (reused / "pseudolabels.jsonl").read_bytes() == (fitted / "pseudolabels.jsonl").read_bytes()
+        assert (reused / "params.json").read_bytes() == (fitted / "params.json").read_bytes()
+        assert set(doc) == {"kind", "priors", "program_ids", "confusion", "accuracies", "weights"}
 
     def test_params_program_count_mismatch(self, votes_dir, tmp_path, corpus_file, capsys):
         subset = tmp_path / "subset"
@@ -566,7 +586,7 @@ class TestExportTrainEval:
         ) == 0
         from labelsmith.distill import load_training_set
 
-        _, targets = load_training_set(out / "train.jsonl")
+        _, targets = load_training_set(out / "train.jsonl", 2)
         assert targets.ndim == 2
         assert targets.shape[1] == 2
         np.testing.assert_allclose(targets.sum(axis=1), 1.0)
@@ -635,6 +655,16 @@ class TestExportTrainEval:
         assert code == 1
         assert "needs gold labels" in capsys.readouterr().err
 
+    def test_train_needs_task_or_classes(self, tmp_path, capsys):
+        # the class space enters at train and is read from model.json after
+        train = tmp_path / "train.jsonl"
+        train.write_text(_jsonl({**_ROW, "label": 0}, {"id": "b", "text": "hi", "label": 1}))
+        out = tmp_path / "out"
+        code = main(["train", "--train-file", str(train), "--epochs", "1", "--dims", "16", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: pass --task <pack> or --classes <a,b,...>\n"
+        assert not out.exists()
+
 
 def _scores_files(root: Path) -> tuple[Path, Path]:
     """A seeded scores-modality training set and gold-labeled eval set.
@@ -674,6 +704,24 @@ class TestScoresTrainEval:
         self.run(train, data, tmp_path / "b")
         for step in ("train", "eval"):
             assert tree_bytes(tmp_path / "b" / step) == tree_bytes(tmp_path / "a" / step)
+
+
+def test_scores_apply_and_export_read_the_modality_from_the_records(tmp_path):
+    _, data = _scores_files(tmp_path)
+    progs = tmp_path / "programs"
+    progs.mkdir()
+    (progs / "feet.lf").write_text(
+        'rule: score("webbed feet") >= 0 -> waterbird;\ndefault -> landbird;\n', encoding="utf-8"
+    )
+    classes = ["--classes", "landbird,waterbird"]
+    assert main(["apply", "--programs", str(progs), *classes, "--data", str(data),
+                 "--out", str(tmp_path / "votes")]) == 0
+    assert main(["aggregate", "--votes", str(tmp_path / "votes" / "votes.json"), "--model", "mv",
+                 "--out", str(tmp_path / "agg")]) == 0
+    assert main(["export", "--pseudolabels", str(tmp_path / "agg" / "pseudolabels.jsonl"), *classes,
+                 "--data", str(data), "--out", str(tmp_path / "export")]) == 0
+    rows = (tmp_path / "export" / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 120 and all("scores" in json.loads(row) for row in rows)
 
 
 def _jsonl(*rows) -> str:
@@ -759,27 +807,23 @@ MALFORMED_INPUTS = {
     ),
     "training-row-without-id": (
         lambda ctx: _jsonl({"text": "free prize", "label": 0}, {**_ROW, "label": 1}),
-        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
     ),
     "training-row-without-payload": (
         lambda ctx: _jsonl({"id": "a", "label": 0}, {"id": "b", "text": "hi", "label": 1}),
-        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
     ),
     "training-posteriors-of-two-widths": (
         lambda ctx: _jsonl({**_ROW, "posterior": [1.0]}, {"id": "b", "text": "hi", "posterior": [0.5, 0.5]}),
-        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
     ),
     "training-text-and-score-rows": (
         lambda ctx: _jsonl({**_ROW, "label": 0}, {"id": "b", "scores": {"x": 1.0}, "label": 1}),
-        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
     ),
     "training-scores-one-concept": (
         lambda ctx: _jsonl({"id": "a", "scores": {"x": 0.1}, "label": 0}, {"id": "b", "scores": {"x": 0.9}, "label": 1}),
-        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1"],
-    ),
-    "training-single-class": (
-        lambda ctx: _jsonl({**_ROW, "label": 0}, {"id": "b", "text": "hi", "label": 0}),
-        lambda ctx: ["train", "--train-file", "BAD", "--epochs", "1", "--dims", "16"],
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1"],
     ),
     "training-label-beyond-classes": (
         lambda ctx: _jsonl({**_ROW, "label": 5}, {"id": "b", "text": "hi", "label": 0}),
@@ -849,6 +893,23 @@ MALFORMED_INPUTS = {
         lambda ctx: _NOT_UTF8,
         lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
     ),
+    # a dataset's modality is its first record's
+    "data-text-then-score-rows": (
+        lambda ctx: _jsonl(_ROW, {"id": "b", "scores": {"x": 1.0, "y": 0.5}}),
+        lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
+    ),
+    "data-score-then-text-rows": (
+        lambda ctx: _jsonl({"id": "b", "scores": {"x": 1.0, "y": 0.5}}, _ROW),
+        lambda ctx: ["export", "--pseudolabels", "pl.jsonl", "--classes", "ham,spam", "--data", "BAD"],
+    ),
+    "model-without-classes": (
+        lambda ctx: _model_doc(ctx["trained"], lambda d: d.pop("classes")),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "eval-text-model-on-score-rows": (
+        lambda ctx: _jsonl({"id": "b", "scores": {"x": 1.0, "y": 0.5}, "gold": 0}),
+        lambda ctx: ["eval", "--model", str(ctx["trained"] / "model.json"), "--data", "BAD"],
+    ),
     "data-not-utf8": (
         lambda ctx: _NOT_UTF8,
         lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
@@ -871,6 +932,10 @@ MALFORMED_INPUTS = {
 # what the error line must say beyond the path, where the path alone
 # would not show which check fired
 MALFORMED_MESSAGES = {
+    "data-text-then-score-rows": ":2: a scores record among text records",
+    "data-score-then-text-rows": ":2: a text record among scores records",
+    "model-without-classes": "missing field 'classes'",
+    "eval-text-model-on-score-rows": "takes text records, got scores",
     "model-parent-features-block": "unknown field 'features'",
     "model-concepts-count-mismatch": "2 concepts listed but the model takes 256 inputs",
     "params-confusion-with-zero": "confusion rows must be positive",
@@ -933,7 +998,7 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     train.write_text(_jsonl(*rows))
     out = tmp_path / "out"
-    argv = ["train", "--train-file", str(train), "--epochs", "1", "--dims", "16", flag, value]
+    argv = ["train", "--train-file", str(train), "--classes", "ham,spam", "--epochs", "1", "--dims", "16", flag, value]
     code = main([*argv, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err

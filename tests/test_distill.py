@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from labelsmith.data import Pseudolabels, Record
+from labelsmith.data import DatasetError, Pseudolabels, Record
 from labelsmith.distill import (
     DistillError,
     Hyper,
@@ -109,7 +109,7 @@ class TestExport:
         report = export_training_set(records, labels, tmp_path / "train.jsonl")
         assert report.n_written == 8
         assert report.n_dropped_uncovered == 2
-        loaded, targets = load_training_set(tmp_path / "train.jsonl")
+        loaded, targets = load_training_set(tmp_path / "train.jsonl", 2)
         assert len(loaded) == 8
         assert targets.dtype == np.int64
         assert [r.id for r in loaded] == [f"r{i}" for i in range(10) if i not in (3, 7)]
@@ -124,7 +124,7 @@ class TestExport:
         records = [Record(id="a", text="x"), Record(id="b", text="y")]
         labels = Pseudolabels(("a", "b"), [[0.75, 0.25], [0.1, 0.9]], [True, True])
         export_training_set(records, labels, tmp_path / "t.jsonl", use_probabilistic=True)
-        loaded, targets = load_training_set(tmp_path / "t.jsonl")
+        loaded, targets = load_training_set(tmp_path / "t.jsonl", 2)
         assert targets.shape == (2, 2)
         np.testing.assert_allclose(targets.sum(axis=1), [1.0, 1.0])
         np.testing.assert_allclose(targets[0], [0.75, 0.25])
@@ -133,7 +133,7 @@ class TestExport:
         records = [Record(id="a", text="x")]
         labels = self._labels([("a", 1, True)])
         export_training_set(records, labels, tmp_path / "t.jsonl")
-        _, targets = load_training_set(tmp_path / "t.jsonl")
+        _, targets = load_training_set(tmp_path / "t.jsonl", 2)
         assert targets.tolist() == [1]
 
     def test_id_mismatches(self, tmp_path):
@@ -148,7 +148,7 @@ class TestExport:
         path = tmp_path / "t.jsonl"
         path.write_text('{"id": "a", "text": "x", "label": 0}\n{"id": "b", "text": "y", "posterior": [0.5, 0.5]}\n')
         with pytest.raises(Exception, match="[Mm]ix"):
-            load_training_set(path)
+            load_training_set(path, 2)
 
 
 class TestInitialization:
@@ -281,11 +281,12 @@ class TestModelIO:
         np.testing.assert_array_equal(model.predict(X), loaded.predict(X))
 
     def test_model_without_spec(self, tmp_path):
-        # weights alone: no class names, and no concepts, so hashed text
+        # a model file names its classes; weights alone are refused
         model = init_mlp(4, 2, seed=0)
-        save_model(tmp_path / "m.json", model)
-        _, meta = load_model(tmp_path / "m.json")
-        assert meta == {"classes": None, "concepts": None}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"model": model.to_dict()}), encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"m\.json: missing field 'classes'"):
+            load_model(path)
 
     def test_metrics_csv(self, tmp_path):
         X, y = blob_data(80, seed=13)

@@ -417,14 +417,13 @@ class TestParamsIO:
         else:
             matrix, _ = planted_confusion_votes(300, 4, 3, diag=0.8, seed=5, abstain=0.2)
             K = 3
-        params, _ = FITTERS[name](matrix, K, class_names=[f"c{k}" for k in range(K)])
+        params, _ = FITTERS[name](matrix, K)
         path = tmp_path / "params.json"
         save_params(path, params)
         loaded = load_params(path)
         assert loaded.kind == params.kind
         assert loaded.program_ids == params.program_ids
-        assert loaded.class_names == params.class_names
-        for field in ("priors", "confusion", "accuracies", "weights", "propensity"):
+        for field in ("priors", "confusion", "accuracies", "weights"):
             a, b = getattr(params, field), getattr(loaded, field)
             if a is None:
                 assert b is None
