@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -35,6 +34,7 @@ from .data import (
     read_text,
     save_pseudolabels,
     save_votes,
+    write_json,
 )
 from .dsl import DslError, format_program, parse_program
 from .packs import available_packs, load_pack
@@ -91,9 +91,7 @@ def _write_manifest(out: Path, command: str, params: dict, inputs: list[Path]) -
         "outputs": outputs,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    (out / "run_manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(out / "run_manifest.json", doc)
 
 
 def _text_or_file(value: str) -> str:
@@ -169,9 +167,7 @@ def cmd_generate(args) -> int:
         [res.response_text or "" for res in results],
         Pricing(args.price_in, args.price_out),
     )
-    (out / "cost.json").write_text(
-        json.dumps(cost.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(out / "cost.json", cost.to_dict())
     failures = [res for res in results if not res.ok]
     for res in failures:
         print(f"slot {res.slot}: {res.error}", file=sys.stderr)
@@ -283,9 +279,7 @@ def cmd_aggregate(args) -> int:
     labels = models.predict(params, matrix)
     models.save_params(out / "params.json", params)
     save_pseudolabels(out / "pseudolabels.jsonl", labels)
-    (out / "fit_report.json").write_text(
-        json.dumps(report_doc, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_json(out / "fit_report.json", report_doc)
     _write_manifest(
         out,
         "aggregate",
@@ -417,7 +411,7 @@ def cmd_eval(args) -> int:
         doc["gap"] = report.gap
         doc["per_group"] = dict(report.per_group)
     out = _prepare_out(args.out, args.force)
-    (out / "eval.json").write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    write_json(out / "eval.json", doc)
     _write_manifest(out, "eval", {}, [Path(args.model), Path(args.data)])
     print(f"accuracy {accuracy:.4f} on {len(records)} records")
     if "worst_group_accuracy" in doc:

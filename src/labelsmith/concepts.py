@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import LabelsmithError, Record, json_field, read_json
 from .prompting import (
-    RetryPolicy,
     Transport,
     TransportError,
     request_completion,
@@ -135,7 +134,6 @@ def elicit_concepts(
     transport: Transport,
     *,
     temperature: float = 0.5,
-    retry: RetryPolicy | None = None,
     out_dir: str | Path | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ConceptSet:
@@ -144,7 +142,6 @@ def elicit_concepts(
     The raw response (or terminal error) is persisted under
     ``<out_dir>/raw/concepts.json`` before parsing, so malformed replies
     remain auditable."""
-    retry = retry or RetryPolicy()
     body = {
         "model": model,
         "messages": [{"role": "user", "content": prompt}],
@@ -156,7 +153,7 @@ def elicit_concepts(
         raw_dir.mkdir(parents=True, exist_ok=True)
         artifact_path = raw_dir / "concepts.json"
     try:
-        response, attempts = request_completion(transport, body, retry, sleep)
+        response, attempts = request_completion(transport, body, sleep)
         artifact = {"request": body, "attempts": attempts, "response": response}
     except TransportError as exc:
         if artifact_path is not None:

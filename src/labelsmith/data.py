@@ -93,6 +93,8 @@ def read_json(path, build: Callable, *, error: type[LabelsmithError] = DatasetEr
         doc = json.loads(read_text(path, error=error))
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply") from None
     return _checked(build, doc, str(path), error)
 
 
@@ -114,7 +116,17 @@ def read_jsonl(
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise error(f"{path}:{lineno}: JSON nested too deeply") from None
             yield lineno, _checked(build, doc, f"{path}:{lineno}", error)
+
+
+def write_json(path, doc) -> Path:
+    """Write ``doc`` as indented JSON with sorted keys, in UTF-8: the
+    format of params, analysis, cost, fit-report, eval and manifest files."""
+    path = Path(path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    return path
 
 
 def check_posterior(values: list, K: int | None) -> list:

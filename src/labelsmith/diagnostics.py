@@ -12,13 +12,12 @@ so conflict <= overlap <= coverage always holds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix
+from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix, write_json
 from .models import empirical_accuracies
 
 DEFAULT_COVERAGE_THRESHOLD = 0.10
@@ -194,11 +193,4 @@ def stats_to_json(
 
 
 def save_stats(path, stats: Sequence[ProgramStats], coverage_threshold: float):
-    from pathlib import Path
-
-    p = Path(path)
-    p.write_text(
-        json.dumps(stats_to_json(stats, coverage_threshold), indent=2, sort_keys=True),
-        encoding="utf-8",
-    )
-    return p
+    return write_json(path, stats_to_json(stats, coverage_threshold))

@@ -20,7 +20,6 @@ All fits are deterministic; EM initializes from smoothed majority vote.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +27,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix, json_field, read_json
+from .data import (
+    ABSTAIN,
+    LabelsmithError,
+    Pseudolabels,
+    VoteMatrix,
+    json_field,
+    read_json,
+    write_json,
+)
 
 MV = "MV"
 WMV = "WMV"
@@ -156,9 +163,7 @@ class LabelModelParams:
 
 
 def save_params(path: str | Path, params: LabelModelParams) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(params.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
-    return path
+    return write_json(path, params.to_dict())
 
 
 def load_params(path: str | Path) -> LabelModelParams:

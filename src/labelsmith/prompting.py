@@ -17,7 +17,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -109,15 +109,11 @@ def build_prompt(spec: PromptSpec) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    attempts: int = 3
-    backoff_s: float = 0.5
-    multiplier: float = 2.0
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise PromptError("retry policy needs at least 1 attempt")
+# a request is tried RETRY_ATTEMPTS times; the wait before a retry starts
+# at BACKOFF_S seconds and grows by BACKOFF_MULTIPLIER each time
+RETRY_ATTEMPTS = 3
+BACKOFF_S = 0.5
+BACKOFF_MULTIPLIER = 2.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,6 @@ class GenerationJob:
     n_programs: int = 10
     temperature: float = 0.5
     max_tokens: int | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self):
         if self.n_programs < 1:
@@ -256,24 +251,21 @@ def response_text(response: dict) -> str:
 
 
 def request_completion(
-    transport: Transport,
-    body: dict,
-    retry: RetryPolicy,
-    sleep: Callable[[float], None] = time.sleep,
+    transport: Transport, body: dict, sleep: Callable[[float], None]
 ) -> tuple[dict, int]:
     """One logical request with retries; returns (response, attempts used).
     Raises TransportError after the last attempt fails."""
-    delay = retry.backoff_s
+    delay = BACKOFF_S
     last: TransportError | None = None
-    for attempt in range(1, retry.attempts + 1):
+    for attempt in range(1, RETRY_ATTEMPTS + 1):
         try:
             return transport.complete(body), attempt
         except TransportError as exc:
             last = exc
-            if attempt < retry.attempts:
+            if attempt < RETRY_ATTEMPTS:
                 sleep(delay)
-                delay *= retry.multiplier
-    raise TransportError(f"giving up after {retry.attempts} attempts: {last}") from last
+                delay *= BACKOFF_MULTIPLIER
+    raise TransportError(f"giving up after {RETRY_ATTEMPTS} attempts: {last}") from last
 
 
 @dataclass(frozen=True)
@@ -314,9 +306,9 @@ def generate_programs(
     for slot in range(job.n_programs):
         text = None
         error = None
-        attempts = job.retry.attempts
+        attempts = RETRY_ATTEMPTS
         try:
-            response, attempts = request_completion(transport, body, job.retry, sleep)
+            response, attempts = request_completion(transport, body, sleep)
             artifact = {"slot": slot, "attempts": attempts, "request": body, "response": response}
         except TransportError as exc:
             error = str(exc)

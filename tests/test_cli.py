@@ -910,6 +910,15 @@ MALFORMED_INPUTS = {
         lambda ctx: _jsonl({"id": "b", "scores": {"x": 1.0, "y": 0.5}, "gold": 0}),
         lambda ctx: ["eval", "--model", str(ctx["trained"] / "model.json"), "--data", "BAD"],
     ),
+    # deep enough to exhaust the JSON parser's recursion limit
+    "votes-nested-too-deeply": (
+        lambda ctx: "[" * 100_000,
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "pseudolabel-line-nested-too-deeply": (
+        lambda ctx: _jsonl(_PSEUDO) + "[" * 100_000 + "\n",
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
     "data-not-utf8": (
         lambda ctx: _NOT_UTF8,
         lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
@@ -935,6 +944,8 @@ MALFORMED_MESSAGES = {
     "data-text-then-score-rows": ":2: a scores record among text records",
     "data-score-then-text-rows": ":2: a text record among scores records",
     "model-without-classes": "missing field 'classes'",
+    "votes-nested-too-deeply": "JSON nested too deeply",
+    "pseudolabel-line-nested-too-deeply": ":2: JSON nested too deeply",
     "eval-text-model-on-score-rows": "takes text records, got scores",
     "model-parent-features-block": "unknown field 'features'",
     "model-concepts-count-mismatch": "2 concepts listed but the model takes 256 inputs",

@@ -18,7 +18,7 @@ from labelsmith.concepts import (
     save_embeddings,
     scores_from_embeddings,
 )
-from labelsmith.prompting import MockTransport, RetryPolicy, TransportError
+from labelsmith.prompting import MockTransport, TransportError
 
 
 def make_table(records, concepts, names=None, ids=None):
@@ -109,7 +109,7 @@ class TestElicitConcepts:
         with pytest.raises(TransportError):
             elicit_concepts(
                 "dogs", "p", "m", transport,
-                retry=RetryPolicy(attempts=2), out_dir=tmp_path, sleep=lambda _: None,
+                out_dir=tmp_path, sleep=lambda _: None,
             )
         artifact = json.loads((tmp_path / "raw" / "concepts.json").read_text())
         assert "error" in artifact

@@ -243,12 +243,6 @@ class TestLoadScoresDataset:
         with pytest.raises(DatasetError, match=r"d\.jsonl:2: "):
             load_dataset(path, self.CLASSES)
 
-    def test_modality_is_the_first_records(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        path.write_text('{"id": "r0", "scores": {"wing": 0.5}}\n{"id": "r1", "text": "hi"}\n', encoding="utf-8")
-        with pytest.raises(DatasetError, match=r"d\.jsonl:2: a text record among scores records"):
-            load_dataset(path, self.CLASSES)
-
     def test_jsonl_scores(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "r0", "scores": {"wing": 0.25}}\n', encoding="utf-8")

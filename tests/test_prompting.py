@@ -9,6 +9,9 @@ import pytest
 from labelsmith.data import ClassSpace
 from labelsmith.prompting import (
     API_KEY_ENV,
+    BACKOFF_MULTIPLIER,
+    BACKOFF_S,
+    RETRY_ATTEMPTS,
     CostEstimate,
     GenerationJob,
     HttpTransport,
@@ -17,7 +20,6 @@ from labelsmith.prompting import (
     PromptError,
     PromptSpec,
     TIMEOUT_S,
-    RetryPolicy,
     SupplementBlock,
     TransportError,
     build_prompt,
@@ -124,10 +126,6 @@ class TestJobValidation:
         assert body["messages"][0]["role"] == "user"
         assert body["messages"][0]["content"] == build_prompt(job.prompt)
 
-    def test_retry_policy_needs_an_attempt(self):
-        with pytest.raises(PromptError):
-            RetryPolicy(attempts=0)
-
 
 class TestRetries:
     def test_two_failures_then_success_uses_three_attempts(self):
@@ -135,24 +133,22 @@ class TestRetries:
             [{"error": "HTTP 500"}, {"error": "HTTP 500"}, {"content": "ok"}]
         )
         delays = []
-        response, attempts = request_completion(
-            transport, {"x": 1}, RetryPolicy(attempts=3, backoff_s=0.5), sleep=delays.append
-        )
+        response, attempts = request_completion(transport, {"x": 1}, sleep=delays.append)
         assert attempts == 3
         assert response_text(response) == "ok"
-        assert delays == [0.5, 1.0]
+        assert delays == [BACKOFF_S, BACKOFF_S * BACKOFF_MULTIPLIER]
 
     def test_exhausted_retries_raise(self):
         transport = MockTransport([{"error": "HTTP 503"}])
-        with pytest.raises(TransportError, match="giving up after 2 attempts"):
-            request_completion(transport, {}, RetryPolicy(attempts=2), sleep=lambda _: None)
+        with pytest.raises(TransportError, match=f"giving up after {RETRY_ATTEMPTS} attempts"):
+            request_completion(transport, {}, sleep=lambda _: None)
 
     def test_no_sleep_after_final_attempt(self):
         transport = MockTransport([{"error": "boom"}])
         delays = []
         with pytest.raises(TransportError):
-            request_completion(transport, {}, RetryPolicy(attempts=3), sleep=delays.append)
-        assert len(delays) == 2
+            request_completion(transport, {}, sleep=delays.append)
+        assert len(delays) == RETRY_ATTEMPTS - 1
 
 
 class TestMockTransport:
@@ -249,10 +245,7 @@ class TestGeneratePrograms:
     CS = ClassSpace(("spam", "ham"))
 
     def job(self, n=3):
-        return GenerationJob(
-            prompt=make_spec(), model="m", n_programs=n,
-            retry=RetryPolicy(attempts=3, backoff_s=0.0),
-        )
+        return GenerationJob(prompt=make_spec(), model="m", n_programs=n)
 
     def test_ok_fixture_yields_programs_with_slot_ids(self, tmp_path):
         transport = MockTransport.from_file(FIXTURES / "ok_program.json")
