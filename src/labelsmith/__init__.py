@@ -83,6 +83,7 @@ from .concepts import (
 )
 from .distill import (
     DistillError,
+    Features,
     Hyper,
     MLPModel,
     export_training_set,

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import math
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -151,7 +152,8 @@ def cmd_generate(args) -> int:
     else:
         transport = HttpTransport(args.endpoint)
     cs = pack.class_space()
-    results = generate_programs(job, cs, transport, out_dir=out)
+    # looked up at call time, so a patched time.sleep reaches the retry loop
+    results = generate_programs(job, cs, transport, out_dir=out, sleep=time.sleep)
     prog_dir = out / "programs"
     prog_dir.mkdir(exist_ok=True)
     n_ok = 0
@@ -362,8 +364,8 @@ def cmd_train(args) -> int:
         if n_val > 0:
             val_idx, train_idx = order[:n_val], order[n_val:]
             hard = np.argmax(targets, axis=1) if targets.ndim == 2 else targets
-            X_val, y_val = X[val_idx], hard[val_idx]
-            X, targets = X[train_idx], targets[train_idx]
+            X_val, y_val = X.take(val_idx), hard[val_idx]
+            X, targets = X.take(train_idx), targets[train_idx]
     out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
     model, metrics = distill.train_mlp(X, targets, cs.K, hyper, X_val, y_val)

@@ -3,9 +3,12 @@
 The distilled model is intentionally tiny: two hidden layers of 32 ReLU
 units and a softmax head, trained with Adam on (possibly soft) cross
 entropy. Text records are featurized by signed feature hashing of word
-unigrams; score records use their concept scores directly. Everything is
-plain numpy, deterministic given a seed, and backed by a finite-difference
-gradient check.
+unigrams; score records use their concept scores directly. Features are
+stored row-compressed (``Features``): a text row keeps only its non-zero
+buckets, and training and prediction densify one batch or chunk of rows
+at a time, so their memory grows with the token count, not with
+n × dims. Everything is plain numpy, deterministic given a seed, and
+backed by a finite-difference gradient check.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +41,11 @@ from .data import (
 logger = logging.getLogger("labelsmith.distill")
 
 HIDDEN = (32, 32)
+# dense entries a pass over a whole feature set builds at once (1 MiB of
+# float64, 32 rows at 4096 dims); the last chunk of a pass holds up to
+# twice as many. Larger chunks bought no speed on sms-walkthrough's
+# train and raised its peak RSS (4 MiB chunks: 56 MiB against 47).
+CHUNK_ENTRIES = 1 << 17
 
 
 class DistillError(LabelsmithError):
@@ -57,38 +67,115 @@ def _hash_token(token: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+@dataclass(frozen=True, eq=False)
+class Features:
+    """Feature rows stored row-compressed: row i's stored columns are
+    ``indices[indptr[i]:indptr[i + 1]]``, holding the ``values`` at the
+    same positions; every other column of the row is zero. A row stores
+    each column at most once. ``dense`` gives rows back as the (rows,
+    dims) float64 array the MLP takes."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    dims: int
+
+    @classmethod
+    def from_dense(cls, X) -> "Features":
+        """Every entry of a 2-D array, zeros included, so ``dense`` gives
+        back the same bits."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2:
+            raise DistillError(f"features must be a 2-D array, got {X.ndim} dimensions")
+        n, dims = X.shape
+        return cls(
+            indptr=np.arange(n + 1, dtype=np.int64) * dims,
+            indices=np.tile(np.arange(dims, dtype=np.int64), n),
+            values=X.ravel().copy(),
+            dims=dims,
+        )
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.values.nbytes
+
+    def take(self, rows) -> "Features":
+        """The given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return Features(indptr, self.indices[picks], self.values[picks], self.dims)
+
+    def dense(self, rows=None) -> np.ndarray:
+        """(len(rows), dims) float64 array of the given rows; all rows
+        when ``rows`` is None."""
+        part = self if rows is None else self.take(rows)
+        out = np.zeros((len(part), self.dims))
+        out[np.repeat(np.arange(len(part)), np.diff(part.indptr)), part.indices] = part.values
+        return out
+
+
+def _as_features(X) -> Features:
+    """``X`` itself when it is already ``Features``, else the 2-D array's
+    every entry."""
+    return X if isinstance(X, Features) else Features.from_dense(X)
+
+
 def featurize(
     records: Sequence[Record], dims: int, concepts: Sequence[str] | None = None
-) -> np.ndarray:
-    """(n, dims) float64 feature matrix for the given records.
+) -> Features:
+    """Row-compressed (n, dims) features for the given records.
 
     Without ``concepts``, text is signed-hashed into ``dims`` buckets and
-    each row L2-normalized. With them, each row is the record's concept
-    scores in that order, and ``dims`` must equal their count."""
+    each row L2-normalized; a row stores only its non-zero buckets, so
+    memory grows with the token count, not with n × dims. With them,
+    each row is the record's concept scores in that order, and ``dims``
+    must equal their count."""
     if concepts is not None:
         if len(concepts) != dims:
             raise DistillError(f"{len(concepts)} concepts but {dims} feature dims")
-        out = np.empty((len(records), dims))
-        for i, rec in enumerate(records):
+        rows = []
+        for rec in records:
             if rec.scores is None:
                 raise DistillError(f"record {rec.id!r} has no scores")
             try:
-                out[i] = [rec.scores[c] for c in concepts]
+                rows.append([rec.scores[c] for c in concepts])
             except KeyError as exc:
                 raise DistillError(f"record {rec.id!r} is missing concept {exc.args[0]!r}") from exc
-        return out
-    out = np.zeros((len(records), dims))
-    for i, rec in enumerate(records):
+        return Features.from_dense(np.array(rows, dtype=float).reshape(len(records), dims))
+    # token -> (bucket, sign); most tokens repeat across records
+    hashed: dict[str, tuple[int, float]] = {}
+    # typed buffers: 8 bytes an entry, where a list of Python numbers
+    # takes over 30
+    indptr, indices, values = array("q", [0]), array("q"), array("d")
+    for rec in records:
         if rec.text is None:
             raise DistillError(f"record {rec.id!r} has no text; hashed features need text")
+        row: dict[int, float] = {}
         for token in TOKEN_RE.findall(rec.text.lower()):
-            h = _hash_token(token)
-            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            out[i, h % dims] += sign
-        norm = np.linalg.norm(out[i])
-        if norm > 0:
-            out[i] /= norm
-    return out
+            if token not in hashed:
+                h = _hash_token(token)
+                hashed[token] = (h % dims, 1.0 if (h >> 63) & 1 == 0 else -1.0)
+            bucket, sign = hashed[token]
+            row[bucket] = row.get(bucket, 0.0) + sign
+        # bucket sums are integers, so the norm is exact in any order
+        kept = {bucket: count for bucket, count in row.items() if count != 0.0}
+        norm = math.sqrt(sum(count * count for count in kept.values()))
+        indices.extend(kept)
+        values.extend(count / norm for count in kept.values())
+        indptr.append(len(indices))
+    return Features(
+        indptr=np.frombuffer(indptr, dtype=np.int64),
+        indices=np.frombuffer(indices, dtype=np.int64),
+        values=np.frombuffer(values, dtype=float),
+        dims=dims,
+    )
 
 
 @dataclass(frozen=True)
@@ -197,8 +284,13 @@ class MLPModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.forward(X)[0]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
+    def predict(self, X: Features | np.ndarray) -> np.ndarray:
+        """Class indices, densifying a chunk of rows at a time."""
+        X = _as_features(X)
+        preds = np.empty(len(X), dtype=np.int64)
+        for rows in _chunks(X):
+            preds[rows] = np.argmax(self.predict_proba(X.dense(rows)), axis=1)
+        return preds
 
     def to_dict(self) -> dict:
         return {
@@ -263,15 +355,42 @@ def _as_soft(targets: np.ndarray, K: int) -> np.ndarray:
     return targets.astype(float)
 
 
+def _chunks(X: Features):
+    """Consecutive row ranges covering X: ``CHUNK_ENTRIES // dims`` rows
+    each, the last one taking the remainder too. BLAS may sum a product
+    of a few rows in another order than a product of many, so a short
+    tail chunk could round differently from the same rows inside one
+    product over all of X; a chunk is short only when X is."""
+    n, size = len(X), max(1, CHUNK_ENTRIES // X.dims)
+    starts = list(range(0, n - size + 1, size)) or [0]
+    for start, end in zip(starts, starts[1:] + [n]):
+        yield np.arange(start, end)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    logz = logits.max(axis=1, keepdims=True)
+    return logits - (logz + np.log(np.exp(logits - logz).sum(axis=1, keepdims=True)))
+
+
 def cross_entropy(model: MLPModel, X: np.ndarray, T: np.ndarray) -> float:
     """Mean soft cross-entropy, computed from logits for stability.
     Hard label vectors are accepted and treated as one-hot."""
     T = _as_soft(T, model.sizes[-1])
     _, acts = model.forward(X)
-    logits = acts[-1]
-    logz = logits.max(axis=1, keepdims=True)
-    logsumexp = logz + np.log(np.exp(logits - logz).sum(axis=1, keepdims=True))
-    return float(-np.sum(T * (logits - logsumexp)) / len(X))
+    return float(-np.sum(T * _log_softmax(acts[-1])) / len(X))
+
+
+def _loss_and_predictions(model: MLPModel, X: Features, T: np.ndarray) -> tuple[float, np.ndarray]:
+    """``cross_entropy`` and ``predict`` over a whole feature set from one
+    forward pass per chunk. The per-row loss terms are summed once, as
+    ``cross_entropy`` sums them."""
+    terms = np.empty_like(T)
+    preds = np.empty(len(X), dtype=np.int64)
+    for rows in _chunks(X):
+        probs, acts = model.forward(X.dense(rows))
+        terms[rows] = T[rows] * _log_softmax(acts[-1])
+        preds[rows] = np.argmax(probs, axis=1)
+    return float(-np.sum(terms) / len(X)), preds
 
 
 def gradients(
@@ -366,16 +485,18 @@ class TrainMetrics:
 
 
 def train_mlp(
-    X: np.ndarray,
+    X: Features | np.ndarray,
     targets: np.ndarray,
     K: int,
     hyper: Hyper = Hyper(),
-    X_val: np.ndarray | None = None,
+    X_val: Features | np.ndarray | None = None,
     y_val: np.ndarray | None = None,
 ) -> tuple[MLPModel, TrainMetrics]:
     """Adam on (soft) cross-entropy. Deterministic: the seed fixes the
-    initialization and every shuffle, so two runs agree bitwise."""
-    X = np.asarray(X, dtype=float)
+    initialization and every shuffle, so two runs agree bitwise. Each
+    batch is densified on its own, and passes over all rows densify a
+    chunk at a time, so X is never dense as a whole."""
+    X = _as_features(X)
     if len(X) == 0:
         raise DistillError("training set is empty")
     T = _as_soft(targets, K)
@@ -385,8 +506,8 @@ def train_mlp(
             "training data has a single class (%d); the model will be a constant predictor",
             int(hard[0]),
         )
-    model = init_mlp(X.shape[1], K, hyper.seed)
-    metrics = TrainMetrics(initial_loss=cross_entropy(model, X, T))
+    model = init_mlp(X.dims, K, hyper.seed)
+    metrics = TrainMetrics(initial_loss=_loss_and_predictions(model, X, T)[0])
     rng = np.random.default_rng(hyper.seed + 1)
     m_w = [np.zeros_like(w) for w in model.weights]
     v_w = [np.zeros_like(w) for w in model.weights]
@@ -398,7 +519,7 @@ def train_mlp(
         order = rng.permutation(len(X))
         for start in range(0, len(X), hyper.batch):
             batch = order[start : start + hyper.batch]
-            grads_w, grads_b = gradients(model, X[batch], T[batch])
+            grads_w, grads_b = gradients(model, X.dense(batch), T[batch])
             step += 1
             correction = np.sqrt(1 - beta2**step) / (1 - beta1**step)
             for i in range(len(model.weights)):
@@ -408,8 +529,9 @@ def train_mlp(
                 m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
                 v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
                 model.biases[i] -= hyper.lr * correction * m_b[i] / (np.sqrt(v_b[i]) + eps)
-        metrics.train_loss.append(cross_entropy(model, X, T))
-        metrics.train_accuracy.append(float((model.predict(X) == hard).mean()))
+        loss, preds = _loss_and_predictions(model, X, T)
+        metrics.train_loss.append(loss)
+        metrics.train_accuracy.append(float((preds == hard).mean()))
         if X_val is not None and y_val is not None:
             metrics.val_accuracy.append(float((model.predict(X_val) == np.asarray(y_val)).mean()))
     return model, metrics

@@ -25,7 +25,6 @@ class PackError(LabelsmithError):
 class TaskPack:
     name: str
     summary: str
-    modality: str
     classes: tuple[str, ...]
     task_description: str
     labeling_instructions: str
@@ -77,7 +76,6 @@ def _pack_from_doc(doc) -> TaskPack:
     return TaskPack(
         name=json_field(doc, "name", str),
         summary=doc.get("summary", ""),
-        modality=doc["modality"],
         classes=tuple(doc["classes"]),
         task_description=doc["task_description"],
         labeling_instructions=doc["labeling_instructions"],

@@ -7,7 +7,9 @@ reference EM and alignment are per-row loops that the vectorized fitters
 are compared against, and the reference pseudolabel writer is the
 per-row formula the array writer must match byte for byte. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
-``labelsmith.dsl.rex`` replaced. ``nested_guard`` builds the rule guards
+``labelsmith.dsl.rex`` replaced. The reference featurizer and trainer
+are the dense (n, dims) versions that the row-compressed ones in
+``labelsmith.distill`` replaced. ``nested_guard`` builds the rule guards
 that the parsers' nesting limits bound.
 """
 
@@ -18,6 +20,15 @@ import math
 import numpy as np
 
 from labelsmith.data import ABSTAIN, VoteMatrix
+from labelsmith.distill import (
+    TOKEN_RE,
+    TrainMetrics,
+    _as_soft,
+    _hash_token,
+    cross_entropy,
+    gradients,
+    init_mlp,
+)
 
 
 def planted_confusion_votes(n, m, K, diag, seed, abstain=0.0):
@@ -206,3 +217,60 @@ def nested_guard(form, depth):
     if form == "parentheses":
         return "(" * depth + 'contains("a")' + ")" * depth
     return 'matches("' + "(" * depth + "a" + ")" * depth + '")'
+
+
+def reference_featurize(records, dims, concepts=None):
+    """The dense (n, dims) float64 feature matrix, one row at a time:
+    signed-hashed text buckets, each row divided by its L2 norm, or the
+    concept scores in the given order."""
+    if concepts is not None:
+        return np.array([[rec.scores[c] for c in concepts] for rec in records], dtype=float).reshape(
+            len(records), dims
+        )
+    out = np.zeros((len(records), dims))
+    for i, rec in enumerate(records):
+        for token in TOKEN_RE.findall(rec.text.lower()):
+            h = _hash_token(token)
+            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+            out[i, h % dims] += sign
+        norm = np.linalg.norm(out[i])
+        if norm > 0:
+            out[i] /= norm
+    return out
+
+
+def reference_train_mlp(X, targets, K, hyper, X_val=None, y_val=None):
+    """Adam over dense batches of a dense X, with the loss and accuracy
+    of each epoch from two forward passes over all of X at once."""
+    X = np.asarray(X, dtype=float)
+    T = _as_soft(targets, K)
+    hard = np.argmax(T, axis=1)
+    model = init_mlp(X.shape[1], K, hyper.seed)
+    metrics = TrainMetrics(initial_loss=cross_entropy(model, X, T))
+    rng = np.random.default_rng(hyper.seed + 1)
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), hyper.batch):
+            batch = order[start : start + hyper.batch]
+            grads_w, grads_b = gradients(model, X[batch], T[batch])
+            step += 1
+            correction = np.sqrt(1 - beta2**step) / (1 - beta1**step)
+            for i in range(len(model.weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * grads_w[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * grads_w[i] ** 2
+                model.weights[i] -= hyper.lr * correction * m_w[i] / (np.sqrt(v_w[i]) + eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
+                model.biases[i] -= hyper.lr * correction * m_b[i] / (np.sqrt(v_b[i]) + eps)
+        metrics.train_loss.append(cross_entropy(model, X, T))
+        metrics.train_accuracy.append(float((np.argmax(model.forward(X)[0], axis=1) == hard).mean()))
+        if X_val is not None and y_val is not None:
+            val_preds = np.argmax(model.forward(np.asarray(X_val, dtype=float))[0], axis=1)
+            metrics.val_accuracy.append(float((val_preds == np.asarray(y_val)).mean()))
+    return model, metrics

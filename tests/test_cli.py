@@ -14,6 +14,8 @@ from labelsmith.data import load_pseudolabels, load_votes, save_votes, serialize
 from labelsmith.packs import load_pack
 from labelsmith.prompting import (
     API_KEY_ENV,
+    BACKOFF_MULTIPLIER,
+    BACKOFF_S,
     Pricing,
     build_prompt,
     estimate_cost,
@@ -183,7 +185,9 @@ class TestGenerate:
         assert "extracted 0/1 programs" in captured.out
         assert "slot 0:" in captured.err and "nested" in captured.err
 
-    def test_retry_fixture_recovers(self, tmp_path):
+    def test_retry_fixture_recovers(self, tmp_path, monkeypatch):
+        delays = []
+        monkeypatch.setattr("time.sleep", delays.append)
         out = tmp_path / "gen"
         fixture = str(FIXTURES / "mock" / "retry_then_ok.json")
         code = main(
@@ -193,6 +197,7 @@ class TestGenerate:
         artifact = json.loads((out / "raw" / "0.json").read_text(encoding="utf-8"))
         assert artifact["attempts"] == 3
         assert len(list((out / "programs").glob("*.lf"))) == 1
+        assert delays == [BACKOFF_S, BACKOFF_S * BACKOFF_MULTIPLIER]
 
     def test_supplements_reach_the_prompt(self, tmp_path):
         exemplars = tmp_path / "ex.jsonl"

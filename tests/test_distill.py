@@ -1,15 +1,23 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_featurize, reference_train_mlp
 from labelsmith.data import DatasetError, Pseudolabels, Record
+from labelsmith.synth import make_spam_corpus
 from labelsmith.distill import (
+    CHUNK_ENTRIES,
     DistillError,
+    Features,
     Hyper,
     MLPModel,
+    _hash_token,
     cross_entropy,
     export_training_set,
     featurize,
@@ -50,8 +58,8 @@ def xor_data(seed=0):
 class TestFeaturize:
     def test_hashed_features_unit_norm_and_deterministic(self):
         records = [Record(id="a", text="Win cash now win"), Record(id="b", text="see you")]
-        X1 = featurize(records, 64)
-        X2 = featurize(records, 64)
+        X1 = featurize(records, 64).dense()
+        X2 = featurize(records, 64).dense()
         np.testing.assert_array_equal(X1, X2)
         np.testing.assert_allclose(np.linalg.norm(X1, axis=1), [1.0, 1.0])
 
@@ -59,22 +67,22 @@ class TestFeaturize:
         # saved text models depend on this exact layout: blake2b keyed
         # with eight zero bytes over lowercased [a-z0-9']+ tokens; bucket
         # 14 holds "win" twice plus one colliding token
-        X = featurize([Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")], 16)
+        X = featurize([Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")], 16).dense()
         u = 0.2581988897471611
         expected = [0, u, 0, 0, -u, u, 0, 0, -u, u, 0, 0, 0, 0, 0.7745966692414834, -u]
         np.testing.assert_array_equal(X, [expected])
 
     def test_lowercase_folding(self):
-        upper = featurize([Record(id="a", text="WIN CASH")], 64)
-        lower = featurize([Record(id="a", text="win cash")], 64)
+        upper = featurize([Record(id="a", text="WIN CASH")], 64).dense()
+        lower = featurize([Record(id="a", text="win cash")], 64).dense()
         np.testing.assert_array_equal(upper, lower)
 
     def test_scores_mode_uses_concept_order(self):
         records = [Record(id="a", scores={"b": 0.2, "a": 0.9})]
         X = featurize(records, 2, concepts=["a", "b"])
-        np.testing.assert_array_equal(X, [[0.9, 0.2]])
+        np.testing.assert_array_equal(X.dense(), [[0.9, 0.2]])
         X_reversed = featurize(records, 2, concepts=["b", "a"])
-        np.testing.assert_array_equal(X_reversed, [[0.2, 0.9]])
+        np.testing.assert_array_equal(X_reversed.dense(), [[0.2, 0.9]])
 
     def test_scores_mode_missing_concept(self):
         records = [Record(id="a", scores={"a": 0.9})]
@@ -90,6 +98,127 @@ class TestFeaturize:
             featurize([Record(id="a", scores={"c": 1.0})], 64)
         with pytest.raises(DistillError, match="no scores"):
             featurize([Record(id="a", text="hi")], 1, concepts=["c"])
+
+
+# a few words, so texts repeat tokens and small dims collide them, plus
+# non-ASCII letters the token pattern splits on and punctuation it drops
+_WORDS = ["win", "cash", "now", "free", "see", "you", "don't", "café", "naïve", "日本", "über", "x1"]
+_TEXTS = st.lists(
+    st.lists(st.sampled_from(_WORDS + ["", " ", "!", "\n", "ÉCLAIR", "Σσς"]), max_size=12).map(" ".join),
+    min_size=1,
+    max_size=6,
+)
+
+
+# rows in one chunk of a whole-set pass at 4096 dims
+_ROWS_4096 = CHUNK_ENTRIES // 4096
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+class TestRowCompressed:
+    """The row-compressed features densify to the dense reference matrix
+    bit for bit, and training on them matches dense training bitwise."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(texts=_TEXTS, dims=st.one_of(st.integers(1, 64), st.sampled_from([1024, 4096, 65536])))
+    @example(texts=["", "!!", "日本"], dims=16)
+    @example(texts=["win win win cash", "now now"], dims=2)
+    def test_hashed_rows_densify_to_reference(self, texts, dims):
+        records = [Record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+        X = featurize(records, dims)
+        expected = reference_featurize(records, dims)
+        assert X.dims == dims and len(X) == len(records)
+        assert _bits(X.dense()) == _bits(expected)
+        picks = np.arange(len(records))[::-1]
+        assert _bits(X.take(picks).dense()) == _bits(expected[picks])
+        assert _bits(X.dense(picks[:1])) == _bits(expected[picks[:1]])
+
+    def test_cancelling_signs_store_nothing(self):
+        # two tokens that share a bucket with opposite signs cancel to 0,
+        # which the row does not store
+        bucket_sign = {w: (_hash_token(w) % 2, _hash_token(w) >> 63) for w in ["a", "b", "c", "d", "e", "f"]}
+        pair = next(
+            (a, b)
+            for a in bucket_sign
+            for b in bucket_sign
+            if bucket_sign[a][0] == bucket_sign[b][0] and bucket_sign[a][1] != bucket_sign[b][1]
+        )
+        records = [Record(id="r", text=" ".join(pair)), Record(id="s", text=pair[0])]
+        X = featurize(records, 2)
+        assert X.indptr.tolist() == [0, 0, 1]
+        assert _bits(X.dense()) == _bits(reference_featurize(records, 2))
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        scores=st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=3, max_size=3),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @example(scores=[[0.0, -0.0, 1.0]])
+    def test_score_rows_densify_to_reference(self, scores):
+        records = [Record(id=f"r{i}", scores=dict(zip("abc", row))) for i, row in enumerate(scores)]
+        X = featurize(records, 3, concepts=["c", "a", "b"])
+        assert _bits(X.dense()) == _bits(reference_featurize(records, 3, concepts=["c", "a", "b"]))
+
+    @settings(derandomize=True, database=None, max_examples=12, deadline=None)
+    @given(
+        n=st.integers(1, 3 * _ROWS_4096),
+        dims=st.sampled_from([64, 4096, 8192]),
+        val=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    @example(n=2 * _ROWS_4096 + 44, dims=4096, val=True, seed=0)  # not a multiple of the chunk
+    @example(n=2 * _ROWS_4096, dims=4096, val=False, seed=1)  # a multiple of it
+    @example(n=_ROWS_4096 // 2, dims=4096, val=True, seed=2)  # shorter than one chunk
+    @example(n=1, dims=4096, val=False, seed=3)
+    def test_training_matches_dense_reference_bitwise(self, n, dims, val, seed):
+        records, _ = make_spam_corpus(n + 40, seed=seed)
+        y = np.array([r.gold for r in records])
+        X, dense = featurize(records, dims), reference_featurize(records, dims)
+        train, held = np.arange(n), np.arange(n, n + 40)
+        hyper = Hyper(epochs=2, batch=32, seed=seed)
+        got = train_mlp(X.take(train), y[train], 2, hyper, *((X.take(held), y[held]) if val else ()))
+        want = reference_train_mlp(dense[train], y[train], 2, hyper, *((dense[held], y[held]) if val else ()))
+        for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
+            assert _bits(a) == _bits(b)
+        assert got[1] == want[1]
+        assert len(got[1].val_accuracy) == (2 if val else 0)
+        np.testing.assert_array_equal(
+            got[0].predict(X), np.argmax(got[0].forward(dense)[0], axis=1)
+        )
+
+    def test_from_dense_round_trips_bits(self):
+        X = np.array([[0.0, -0.0, 2.5], [1e-300, -7.0, 0.0]])
+        F = Features.from_dense(X)
+        assert F.nbytes == F.indptr.nbytes + F.indices.nbytes + F.values.nbytes
+        assert _bits(F.dense()) == _bits(X)
+        with pytest.raises(DistillError, match="2-D"):
+            Features.from_dense(np.zeros(3))
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        # 400 records at 65536 dims: a dense float64 matrix alone is
+        # 200 MiB; featurize, one epoch and predict stay under 128 MiB,
+        # most of it the (65536, 32) first layer, its gradient and Adam
+        # moments
+        n, dims = 400, 65536
+        records, _ = make_spam_corpus(n, seed=4)
+        y = np.array([r.gold for r in records])
+        budget = 128 * 2**20
+        assert n * dims * 8 > budget
+        tracemalloc.start()
+        try:
+            X = featurize(records, dims)
+            model, _ = train_mlp(X, y, 2, Hyper(epochs=1, seed=0))
+            model.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 class TestExport:

@@ -26,7 +26,8 @@ class TestLoading:
     def test_every_pack_loads(self, name):
         pack = load_pack(name)
         assert pack.name == name
-        assert pack.modality in ("text", "scores")
+        # a pack that elicits concepts can also render the score prompt
+        assert (pack.concept_prompt is None) == (pack.score_prompt_intro is None)
         assert len(pack.classes) >= 2
         assert pack.task_description
         assert pack.labeling_instructions
@@ -75,7 +76,7 @@ class TestFieldLiterals:
 
     def test_waterbirds_is_scores_modality(self):
         pack = load_pack("waterbirds")
-        assert pack.modality == "scores"
+        assert pack.score_prompt(list(pack.example_concepts)).startswith(pack.score_prompt_intro)
         assert pack.concept_prompt is not None
         assert len(pack.example_concepts) == 2
 
@@ -84,7 +85,8 @@ class TestFieldLiterals:
             if name == "waterbirds":
                 continue
             pack = load_pack(name)
-            assert pack.modality == "text"
+            with pytest.raises(PackError, match="no score prompt template"):
+                pack.score_prompt(["anything"])
             assert pack.concept_prompt is None
 
 
