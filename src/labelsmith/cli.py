@@ -352,20 +352,22 @@ def cmd_train(args) -> int:
         )
     else:
         dims = len(concepts)
+    # split the records, not their features, so the full feature set and
+    # its parts are never held at once
+    X_val = y_val = None
+    n_val = int(len(records) * args.val_fraction)
     try:
+        if n_val > 0:
+            order = np.random.default_rng(args.seed).permutation(len(records))
+            val_idx, train_idx = order[:n_val], order[n_val:]
+            hard = np.argmax(targets, axis=1) if targets.ndim == 2 else targets
+            X_val = distill.featurize([records[i] for i in val_idx], dims, concepts)
+            y_val = hard[val_idx]
+            records, targets = [records[i] for i in train_idx], targets[train_idx]
         X = distill.featurize(records, dims, concepts)
     except distill.DistillError as exc:
         raise CliError(f"{args.train_file}: {exc}") from exc
-    X_val = y_val = None
-    if args.val_fraction > 0:
-        split_rng = np.random.default_rng(args.seed)
-        order = split_rng.permutation(len(X))
-        n_val = int(len(X) * args.val_fraction)
-        if n_val > 0:
-            val_idx, train_idx = order[:n_val], order[n_val:]
-            hard = np.argmax(targets, axis=1) if targets.ndim == 2 else targets
-            X_val, y_val = X.take(val_idx), hard[val_idx]
-            X, targets = X.take(train_idx), targets[train_idx]
+    del records
     out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
     model, metrics = distill.train_mlp(X, targets, cs.K, hyper, X_val, y_val)

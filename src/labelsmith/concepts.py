@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabelsmithError, Record, json_field, read_json
+from .data import LabelsmithError, Record, json_field, read_json, write_json
 from .prompting import (
     Transport,
     TransportError,
@@ -63,20 +63,14 @@ class ConceptSet:
 
 
 def save_concepts(path: str | Path, concept_set: ConceptSet) -> Path:
-    path = Path(path)
-    path.write_text(
-        json.dumps(
-            {
-                "task": concept_set.task,
-                "concepts": list(concept_set.concepts),
-                "spurious": list(concept_set.spurious),
-            },
-            indent=2,
-            ensure_ascii=False,
-        ),
-        encoding="utf-8",
+    return write_json(
+        path,
+        {
+            "task": concept_set.task,
+            "concepts": list(concept_set.concepts),
+            "spurious": list(concept_set.spurious),
+        },
     )
-    return path
 
 
 def load_concepts(path: str | Path) -> ConceptSet:
@@ -157,15 +151,10 @@ def elicit_concepts(
         artifact = {"request": body, "attempts": attempts, "response": response}
     except TransportError as exc:
         if artifact_path is not None:
-            artifact_path.write_text(
-                json.dumps({"request": body, "error": str(exc)}, indent=2), encoding="utf-8"
-            )
+            write_json(artifact_path, {"request": body, "error": str(exc)})
         raise
     if artifact_path is not None:
-        artifact_path.write_text(
-            json.dumps(artifact, ensure_ascii=False, indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
+        write_json(artifact_path, artifact)
     return parse_concept_response(task, response_text(response))
 
 
@@ -316,21 +305,17 @@ def save_embeddings(stem: str | Path, table: EmbeddingTable) -> tuple[Path, Path
     with bin_path.open("wb") as fh:
         fh.write(np.ascontiguousarray(table.records, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(table.concepts, dtype="<f8").tobytes())
-    json_path.write_text(
-        json.dumps(
-            {
-                "n": table.n,
-                "C": table.C,
-                "d": table.d,
-                "concepts": list(table.concept_names),
-                "record_ids": list(table.record_ids),
-                "dtype": "<f8",
-                "layout": "records then concepts, row-major",
-            },
-            indent=2,
-            ensure_ascii=False,
-        ),
-        encoding="utf-8",
+    write_json(
+        json_path,
+        {
+            "n": table.n,
+            "C": table.C,
+            "d": table.d,
+            "concepts": list(table.concept_names),
+            "record_ids": list(table.record_ids),
+            "dtype": "<f8",
+            "layout": "records then concepts, row-major",
+        },
     )
     return bin_path, json_path
 

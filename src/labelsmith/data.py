@@ -122,10 +122,12 @@ def read_jsonl(
 
 
 def write_json(path, doc) -> Path:
-    """Write ``doc`` as indented JSON with sorted keys, in UTF-8: the
-    format of params, analysis, cost, fit-report, eval and manifest files."""
+    """Write ``doc`` as indented JSON with sorted keys, in UTF-8 with
+    non-ASCII characters unescaped: the format of params, analysis, cost,
+    fit-report, eval, manifest, concept and raw-response files and of the
+    embeddings sidecar."""
     path = Path(path)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    path.write_text(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True), encoding="utf-8")
     return path
 
 

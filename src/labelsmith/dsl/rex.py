@@ -7,9 +7,13 @@ simulates the NFA breadth-first, Pike-VM style, which is
 O(len(text) * len(pattern)) regardless of input. The sets of live threads
 it meets are cached as DFA states with their transitions (RE2's lazy DFA,
 after Cox, "Regular Expression Matching Can Be Simple And Fast"), so a
-step the cache has seen costs one dict lookup. The cache is bounded by
-DFA_CACHE_LIMIT and emptied when full. Work is counted in Pike-VM steps
-(live threads per position scanned), which a StepBudget can cap.
+step the cache has seen costs one dict lookup, at every position of the
+text: a state holds the context its assertions read (the previous
+character's word-ness, and whether it is position 0), and a final
+newline and the end of the text are keys of their own. The cache is
+bounded by DFA_CACHE_LIMIT and emptied when full. Work is counted in
+Pike-VM steps (live threads per position scanned), which a StepBudget
+can cap.
 
 Supported syntax: literals, ``.``, character classes with ranges and
 negation, escapes (\\d \\w \\s and friends), anchors ``^ $ \\A \\Z \\b \\B``,
@@ -22,6 +26,7 @@ pattern matches everything.
 from __future__ import annotations
 
 import functools
+import itertools
 import unicodedata
 
 
@@ -246,40 +251,40 @@ class _Parser:
             self.error(f"unexpected {ch!r}")
         if ch in "*+?":
             self.error("nothing to repeat")
-        if ch == "{":
-            # a brace that did not scan as a bound in repeat(); literal
-            return self._literal(ch)
-        return self._literal(ch)
+        return self._literal(ch)  # a "{" that did not scan as a bound is one too
 
     def _literal(self, ch: str):
         code = ord(ch)
         return ("lit", _CharSet([(code, code)], (), False))
 
     def escape(self):
-        if self.peek() is None:
-            self.error("dangling backslash")
-        ch = self.take()
+        ch = self._escaped()
         if ch in _CLASS_SHORTHANDS:
             return ("lit", _CharSet((), (ch,), False))
-        if ch == "b":
-            return ("assert", "b")
-        if ch == "B":
-            return ("assert", "B")
-        if ch == "A":
-            return ("assert", "A")
-        if ch == "Z":
-            return ("assert", "Z")
+        if ch in "bBAZ":
+            return ("assert", ch)
+        return self._literal(self._decode(ch))
+
+    def _escaped(self) -> str:
+        """The character after a backslash."""
+        if self.peek() is None:
+            self.error("dangling backslash")
+        return self.take()
+
+    def _decode(self, ch: str) -> str:
+        """The character the escape ``\\ch`` stands for, read alike in and
+        out of a class; shorthands and \\b are the callers' own."""
         if ch.isdigit():
             self.error("backreferences are not supported")
         if ch in _ESCAPE_LITERALS:
-            return self._literal(_ESCAPE_LITERALS[ch])
+            return _ESCAPE_LITERALS[ch]
         if ch == "x":
-            return self._literal(self._hex(2))
+            return self._hex(2)
         if ch == "u":
-            return self._literal(self._hex(4))
+            return self._hex(4)
         if ch.isalpha():
             self.error(f"bad escape \\{ch}")
-        return self._literal(ch)
+        return ch
 
     def _hex(self, width: int) -> str:
         digits = self.p[self.i : self.i + width]
@@ -326,24 +331,12 @@ class _Parser:
         ch = self.take()
         if ch != "\\":
             return "cp", ord(ch)
-        if self.peek() is None:
-            self.error("dangling backslash")
-        esc = self.take()
+        esc = self._escaped()
         if esc in _CLASS_SHORTHANDS:
             return "short", esc
-        if esc in _ESCAPE_LITERALS:
-            return "cp", ord(_ESCAPE_LITERALS[esc])
-        if esc == "x":
-            return "cp", ord(self._hex(2))
-        if esc == "u":
-            return "cp", ord(self._hex(4))
         if esc == "b":  # inside a class \b is backspace, as in stdlib re
             return "cp", 0x08
-        if esc.isdigit():
-            self.error("backreferences are not supported")
-        if esc.isalpha():
-            self.error(f"bad escape \\{esc}")
-        return "cp", ord(esc)
+        return "cp", ord(self._decode(esc))
 
 
 def _emit(node, prog: list):
@@ -405,30 +398,40 @@ def _emit(node, prog: list):
         raise RexError("pattern too large")
 
 
-def _assert_holds(kind: str, i: int, n: int, prev: str | None, nxt: str | None) -> bool:
+# the key for a last character "\n", read as "\n" but with $ holding before
+# it; any other position's key is its character, and the end's is None
+FINAL_NEWLINE = "\n$"
+
+
+def _assert_holds(kind: str, context) -> bool:
+    """Whether ``kind`` holds in ``context``: (whether the previous
+    character is a word character, whether this is position 0, the key
+    read here)."""
+    word, at_start, key = context
     if kind in ("^", "A"):
-        return i == 0
+        return at_start
     if kind == "Z":
-        return i == n
+        return key is None
     if kind == "$":
-        return i == n or (i == n - 1 and nxt == "\n")
-    word_left, word_right = _is_word(prev), _is_word(nxt)
-    return (word_left != word_right) if kind == "b" else (word_left == word_right)
+        return key is None or key == FINAL_NEWLINE
+    return (word != _is_word(key)) == (kind == "b")
 
 
 class _State:
-    """A lazy-DFA state: ``mask``, the threads carried into a middle
-    position as a bit mask over pcs, and ``word``, whether the character
-    before that position is a word character (\\b and \\B read it).
-    ``next`` maps each character seen there to (live threads, next state),
-    the next state being None when a live thread matched."""
+    """A lazy-DFA state: ``mask``, the threads carried into a position as
+    a bit mask over pcs, ``word``, whether the character before it is a
+    word character (\\b and \\B read it), and ``at_start``, whether it is
+    position 0 (^ and \\A read it). ``next`` maps each key read there to
+    (live threads, next state), the next state being None when a live
+    thread matched."""
 
-    __slots__ = ("mask", "word", "next")
+    __slots__ = ("mask", "word", "at_start", "next")
 
-    def __init__(self, mask: int, word: bool):
+    def __init__(self, mask: int, word: bool, at_start: bool):
         self.mask = mask
         self.word = word
-        self.next: dict[str, tuple[int, _State | None]] = {}
+        self.at_start = at_start
+        self.next: dict[str | None, tuple[int, _State | None]] = {}
 
 
 def _mask(pcs) -> int:
@@ -436,10 +439,6 @@ def _mask(pcs) -> int:
     for pc in pcs:
         mask |= 1 << pc
     return mask
-
-
-def _pcs(mask: int) -> list[int]:
-    return [pc for pc in range(mask.bit_length()) if mask >> pc & 1]
 
 
 def _entries(mask: int) -> int:
@@ -451,11 +450,11 @@ class Rex:
     """A compiled pattern. ``search`` answers "does it match anywhere".
 
     The search runs the Pike VM's thread sets as a lazy DFA (RE2's
-    design): each set of threads met between the text's ends becomes a
-    cached state, and each state's step on a character is computed once and
-    then costs one dict lookup. The cache is bounded by DFA_CACHE_LIMIT.
-    Searches fill the cache, so one Rex must not search in two threads at
-    once.
+    design): each set of threads met at a position becomes a cached state,
+    together with the context its assertions read, and each state's step
+    on a key is computed once and then costs one dict lookup. The cache is
+    bounded by DFA_CACHE_LIMIT. Searches fill the cache, so one Rex must
+    not search in two threads at once.
     """
 
     __slots__ = ("pattern", "prog", "_states", "_threads", "_cached")
@@ -463,20 +462,20 @@ class Rex:
     def __init__(self, pattern: str, prog: tuple):
         self.pattern = pattern
         self.prog = prog
-        self._states: dict[tuple[int, bool], _State] = {}
-        # one thread's move at a middle position, keyed by the word-ness of
-        # the character before it, then by the character read, then by the
+        self._states: dict[tuple[int, bool, bool], _State] = {}
+        # one thread's move, keyed by its context (word-ness of the
+        # previous character, position 0 or not, key read), then by the
         # thread's bit: (mask of the threads it reaches, mask of those it
         # carries on, or None when it matches)
-        self._threads: tuple[dict, dict] = ({}, {})
+        self._threads: dict[tuple[bool, bool, str | None], dict] = {}
         self._cached = 0  # entries held in _states and _threads
 
     def __repr__(self):
         return f"Rex({self.pattern!r})"
 
-    def _close(self, stack, i, n, prev, nxt) -> list[int]:
+    def _close(self, stack, context) -> list[int]:
         """The pcs reachable from those on ``stack`` through splits, jumps
-        and the assertions that hold at position ``i``, keeping only those
+        and the assertions that hold in ``context``, keeping only those
         that read a character or match."""
         prog = self.prog
         seen = set()
@@ -494,7 +493,7 @@ class Rex:
             elif tag == "jmp":
                 stack.append(op[1])
             elif tag == "assert":
-                if _assert_holds(op[1], i, n, prev, nxt):
+                if _assert_holds(op[1], context):
                     stack.append(pc + 1)
             else:
                 out.append(pc)
@@ -534,14 +533,13 @@ class Rex:
         for state in self._states.values():
             state.next.clear()
         self._states.clear()
-        for moves in self._threads:
-            moves.clear()
+        self._threads.clear()
         self._cached = 0
 
-    def _intern(self, mask: int, prev: str) -> _State:
-        """The state for the threads ``mask`` past the character ``prev``,
-        cached when it fits."""
-        key = (mask, _is_word(prev))
+    def _intern(self, mask: int, word: bool, at_start: bool) -> _State:
+        """The state for the threads ``mask`` in the given context, cached
+        when it fits."""
+        key = (mask, word, at_start)
         state = self._states.get(key)
         if state is None:
             state = _State(*key)
@@ -549,20 +547,21 @@ class Rex:
                 self._states[key] = state
         return state
 
-    def _transition(self, state: _State, i: int, n: int, prev: str, ch: str):
-        """``state``'s transition on ``ch`` at the middle position ``i``.
+    def _transition(self, state: _State, key: str | None):
+        """``state``'s transition on ``key``.
 
-        No anchor but \\b and \\B can hold there, so where one thread goes
-        depends only on its pc, on ``ch`` and on the word-ness of ``prev``.
-        Each thread's move is cached under those, and the transition is the
+        Where one thread goes depends only on its pc and on its context:
+        the state's word-ness and position-0 flag and the key. Each
+        thread's move is cached under those, and the transition is the
         union of its threads' moves.
         """
-        by_char = self._threads[state.word]
-        moves = by_char.get(ch)
+        context = (state.word, state.at_start, key)
+        moves = self._threads.get(context)
         if moves is None:
             moves = {}
             if self._reserve(1):
-                by_char[ch] = moves
+                self._threads[context] = moves
+        ch = "\n" if key == FINAL_NEWLINE else key
         active = carried = 0
         matched = False
         rest = state.mask | 1  # bit 0: the start thread every position adds
@@ -571,7 +570,7 @@ class Rex:
             rest ^= bit
             move = moves.get(bit)
             if move is None:
-                reach = self._close([bit.bit_length() - 1], i, n, prev, ch)
+                reach = self._close([bit.bit_length() - 1], context)
                 out = self._step(reach, ch)
                 move = (_mask(reach), None if out is None else _mask(out))
                 if self._reserve(_entries(move[0]) + _entries(move[1] or 0)):
@@ -582,10 +581,11 @@ class Rex:
             else:
                 carried |= move[1]
         live = active.bit_count()
-        target = None if matched else self._intern(carried, ch)
-        if self._states.get((state.mask, state.word)) is state:  # a reset drops ``state``
+        target = None if matched else self._intern(carried, _is_word(ch), False)
+        # a reset drops ``state``
+        if self._states.get((state.mask, state.word, state.at_start)) is state:
             if self._cached < DFA_CACHE_LIMIT:
-                state.next[ch] = (live, target)
+                state.next[key] = (live, target)
                 self._cached += 1
             else:
                 self._reset()
@@ -600,43 +600,24 @@ class Rex:
         and a search that would overdraw it raises RexBudgetExceeded
         instead of answering.
         """
-        n = len(text)
         limit = budget.left if budget is not None else None
-        # position 0 and the last two positions are where ^ \A $ \Z can
-        # hold, so they run through _close with their real context; every
-        # position between them goes through the cached DFA
-        nxt = text[0] if n else None
-        active = self._close([0], 0, n, None, nxt)
-        steps = len(active)
-        carried = self._step(active, nxt)
-        if carried is not None and n > 2:
-            state = self._intern(_mask(carried), text[0])
-            for i, ch in enumerate(text[1 : n - 1], 1):
-                try:
-                    live, state = state.next[ch]
-                except KeyError:
-                    live, state = self._transition(state, i, n, text[i - 1], ch)
-                steps += live
-                if state is None:
-                    carried = None
-                    break
-                if limit is not None and steps > limit:
-                    break
-            else:
-                carried = _pcs(state.mask)
-        if carried is not None and (limit is None or steps <= limit):
-            for i in range(max(1, n - 1), n + 1):
-                nxt = text[i] if i < n else None
-                active = self._close([0, *carried], i, n, text[i - 1], nxt)
-                steps += len(active)
-                carried = self._step(active, nxt)
-                if carried is None:
-                    break
+        last = text[-1:]
+        keys = itertools.chain(text[:-1], (FINAL_NEWLINE,) if last == "\n" else last, (None,))
+        state = self._intern(0, False, True)
+        steps = 0
+        for key in keys:
+            try:
+                live, state = state.next[key]
+            except KeyError:
+                live, state = self._transition(state, key)
+            steps += live
+            if state is None or (limit is not None and steps > limit):
+                break
         if budget is not None:
             budget.left -= steps
             if budget.left < 0:
                 raise RexBudgetExceeded(f"pattern {self.pattern!r}")
-        return carried is None
+        return state is None
 
 
 @functools.lru_cache(maxsize=512)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .data import ClassSpace, LabelsmithError, read_json
+from .data import ClassSpace, LabelsmithError, read_json, write_json
 from .dsl import RuleProgram
 from .dsl.extract import ExtractionError, extract_program
 
@@ -315,10 +315,7 @@ def generate_programs(
             artifact = {"slot": slot, "attempts": attempts, "request": body, "error": error}
             response = None
         if raw_dir is not None:
-            (raw_dir / f"{slot}.json").write_text(
-                json.dumps(artifact, ensure_ascii=False, indent=2, sort_keys=True),
-                encoding="utf-8",
-            )
+            write_json(raw_dir / f"{slot}.json", artifact)
         program = None
         if response is not None:
             try:

@@ -29,6 +29,7 @@ from labelsmith.distill import (
     gradients,
     init_mlp,
 )
+from labelsmith.dsl import rex
 
 
 def planted_confusion_votes(n, m, K, diag, seed, abstain=0.0):
@@ -189,7 +190,10 @@ def reference_pike_vm(compiled, text):
     for i in range(n + 1):
         prev = text[i - 1] if i > 0 else None
         nxt = text[i] if i < n else None
-        active = compiled._close([0, *carried], i, n, prev, nxt)
+        # the context an assertion reads: the previous character's
+        # word-ness, position 0 or not, and the key the engine reads here
+        key = rex.FINAL_NEWLINE if i == n - 1 and nxt == "\n" else nxt
+        active = compiled._close([0, *carried], (rex._is_word(prev), i == 0, key))
         steps += len(active)
         carried = []
         for pc in active:

@@ -576,11 +576,10 @@ def _cache_entries(compiled):
     """Entries in a pattern's DFA cache, counted as the engine counts them:
     a state costs one plus one per 64 pcs its mask spans, a cached thread
     move the same for each of its two masks, and a transition or a
-    character's table of moves one."""
+    context's table of moves one."""
     count = sum(rex._entries(s.mask) + len(s.next) for s in compiled._states.values())
-    for by_char in compiled._threads:
-        for moves in by_char.values():
-            count += 1 + sum(rex._entries(reach) + rex._entries(out or 0) for reach, out in moves.values())
+    for moves in compiled._threads.values():
+        count += 1 + sum(rex._entries(reach) + rex._entries(out or 0) for reach, out in moves.values())
     return count
 
 
@@ -601,6 +600,12 @@ REX_TEXTS = [
     "123 456",
     "ab" * 30 + "c",
 ]
+
+
+# where ^ \A $ \Z \b \B read the position's context: the text's ends, a
+# final newline, and a non-ASCII word character
+EDGE_PATTERNS = ["^a", r"\Aa", "a$", r"a\Z", "^$", "$", "\n$", r"\b", r"\B", r"a\b"]
+EDGE_TEXTS = ["", "a", "\n", "a\n", "a\nb", "ab\n\n", "é"]
 
 
 class TestRexEngine:
@@ -641,6 +646,27 @@ class TestRexEngine:
     def test_rejects_unsupported_or_malformed(self, pattern):
         with pytest.raises(rex.RexError):
             rex.compile(pattern)
+
+    @pytest.mark.parametrize("pattern", EDGE_PATTERNS)
+    def test_edge_contexts_agree_with_stdlib_and_pike_vm(self, pattern):
+        # a transition cached at position 0 or on a final newline must not
+        # be replayed at a middle position, nor the other way round: each
+        # text runs on a fresh pattern and on one that already searched a
+        # longer text, which then searches the longer text again
+        prog = rex.compile(pattern).prog
+        for text in EDGE_TEXTS:
+            longer = text + "a\nb " + text
+            fresh, warm = rex.Rex(pattern, prog), rex.Rex(pattern, prog)
+            warm.search(longer)
+            for compiled, haystack in ((fresh, text), (warm, text), (fresh, longer)):
+                budget = rex.StepBudget(10**9)
+                matched = compiled.search(haystack, budget)
+                if (pattern, haystack) == (r"\B", ""):
+                    # re matches here only from Python 3.14 on
+                    assert matched
+                else:
+                    assert matched == bool(stdlib_re.search(pattern, haystack)), (pattern, haystack)
+                assert (matched, 10**9 - budget.left) == reference_pike_vm(compiled, haystack)
 
     def test_literal_leading_brace(self):
         # unlike the stdlib, a brace with no preceding atom is a literal
