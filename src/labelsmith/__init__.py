@@ -88,7 +88,6 @@ from .distill import (
     MLPModel,
     export_training_set,
     featurize,
-    gradient_check,
     load_training_set,
     train_mlp,
 )

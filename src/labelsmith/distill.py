@@ -5,10 +5,20 @@ units and a softmax head, trained with Adam on (possibly soft) cross
 entropy. Text records are featurized by signed feature hashing of word
 unigrams; score records use their concept scores directly. Features are
 stored row-compressed (``Features``): a text row keeps only its non-zero
-buckets, and training and prediction densify one batch or chunk of rows
-at a time, so their memory grows with the token count, not with
-n × dims. Everything is plain numpy, deterministic given a seed, and
-backed by a finite-difference gradient check.
+buckets, so memory grows with the token count, not with n × dims.
+
+Training and prediction run the first layer on one batch or chunk of
+rows at a time, and only on the columns those rows store: the rows
+become a small (rows, len(cols)) block, multiplied by the first layer's
+rows ``cols``. Every other input of those rows is zero, so the block's
+gradient is exactly the non-zero rows of the dense gradient. Adam is
+lazy on the first layer (the row-sparse semantics of PyTorch's
+``SparseAdam``): a first-layer row whose input no row of the batch
+stores keeps its weights and moments. The other layers and every bias
+take the usual dense Adam step. When every batch touches every column,
+as score records and ``Features.from_dense`` inputs always do, this is
+plain Adam bit for bit. Everything is plain numpy and deterministic
+given a seed.
 """
 
 from __future__ import annotations
@@ -41,10 +51,11 @@ from .data import (
 logger = logging.getLogger("labelsmith.distill")
 
 HIDDEN = (32, 32)
-# dense entries a pass over a whole feature set builds at once (1 MiB of
-# float64, 32 rows at 4096 dims); the last chunk of a pass holds up to
-# twice as many. Larger chunks bought no speed on sms-walkthrough's
-# train and raised its peak RSS (4 MiB chunks: 56 MiB against 47).
+# rows × dims of a chunk that a pass over a whole feature set takes at
+# once (1 MiB of float64, 32 rows at 4096 dims), which bounds the entries
+# of its block; the last chunk of a pass holds up to twice as many rows.
+# Larger dense chunks bought no speed on sms-walkthrough's train and
+# raised its peak RSS (4 MiB chunks: 56 MiB against 47).
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -72,8 +83,9 @@ class Features:
     """Feature rows stored row-compressed: row i's stored columns are
     ``indices[indptr[i]:indptr[i + 1]]``, holding the ``values`` at the
     same positions; every other column of the row is zero. A row stores
-    each column at most once. ``dense`` gives rows back as the (rows,
-    dims) float64 array the MLP takes."""
+    each column at most once. ``block`` gives rows back on the columns
+    they store, as the MLP takes them; ``dense`` gives them back on every
+    column."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -111,6 +123,20 @@ class Features:
         np.cumsum(lengths, out=indptr[1:])
         picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return Features(indptr, self.indices[picks], self.values[picks], self.dims)
+
+    def block(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The given rows on the columns they store: a (len(rows),
+        len(cols)) float64 array and ``cols``, the sorted indices of those
+        columns. The rows are zero on every other column."""
+        part = self.take(rows)
+        stored = np.zeros(self.dims, dtype=bool)
+        stored[part.indices] = True
+        cols = np.flatnonzero(stored)
+        position = np.empty(self.dims, dtype=np.int64)
+        position[cols] = np.arange(len(cols))
+        out = np.zeros((len(part), len(cols)))
+        out[np.repeat(np.arange(len(part)), np.diff(part.indptr)), position[part.indices]] = part.values
+        return out, cols
 
     def dense(self, rows=None) -> np.ndarray:
         """(len(rows), dims) float64 array of the given rows; all rows
@@ -266,13 +292,15 @@ class MLPModel:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def forward(self, X: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Softmax probabilities plus per-layer activations (for backprop)."""
+    def forward(self, X: np.ndarray, cols=slice(None)) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Softmax probabilities plus per-layer activations (for backprop).
+        X holds the inputs to the first layer's rows ``cols``, all of them
+        by default; every other input is zero."""
         acts = [X]
         h = X
         last = len(self.weights) - 1
         for layer, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
+            z = h @ (W[cols] if layer == 0 else W) + b
             h = z if layer == last else np.maximum(z, 0.0)
             acts.append(h)
         logits = acts[-1]
@@ -285,11 +313,11 @@ class MLPModel:
         return self.forward(X)[0]
 
     def predict(self, X: Features | np.ndarray) -> np.ndarray:
-        """Class indices, densifying a chunk of rows at a time."""
+        """Class indices, a block of a chunk of rows at a time."""
         X = _as_features(X)
         preds = np.empty(len(X), dtype=np.int64)
         for rows in _chunks(X):
-            preds[rows] = np.argmax(self.predict_proba(X.dense(rows)), axis=1)
+            preds[rows] = np.argmax(self.forward(*X.block(rows))[0], axis=1)
         return preds
 
     def to_dict(self) -> dict:
@@ -387,18 +415,21 @@ def _loss_and_predictions(model: MLPModel, X: Features, T: np.ndarray) -> tuple[
     terms = np.empty_like(T)
     preds = np.empty(len(X), dtype=np.int64)
     for rows in _chunks(X):
-        probs, acts = model.forward(X.dense(rows))
+        probs, acts = model.forward(*X.block(rows))
         terms[rows] = T[rows] * _log_softmax(acts[-1])
         preds[rows] = np.argmax(probs, axis=1)
     return float(-np.sum(terms) / len(X)), preds
 
 
 def gradients(
-    model: MLPModel, X: np.ndarray, T: np.ndarray
+    model: MLPModel, X: np.ndarray, T: np.ndarray, cols=slice(None)
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Analytic gradients of the mean cross-entropy for one batch."""
+    """Analytic gradients of the mean cross-entropy for one batch. X
+    holds the inputs to the first layer's rows ``cols`` (all of them by
+    default), and the first layer's gradient covers those rows only: the
+    gradient of any other row is zero."""
     T = _as_soft(T, model.sizes[-1])
-    probs, acts = model.forward(X)
+    probs, acts = model.forward(X, cols)
     B = len(X)
     delta = (probs - T) / B
     grads_w = [np.empty(0)] * len(model.weights)
@@ -409,46 +440,6 @@ def gradients(
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * (acts[layer] > 0)
     return grads_w, grads_b
-
-
-def gradient_check(
-    model: MLPModel,
-    X: np.ndarray,
-    T: np.ndarray,
-    *,
-    h: float = 1e-5,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients
-    over a random sample of parameters."""
-    if len(X) == 0:
-        raise DistillError("gradient check needs a non-empty batch")
-    T = _as_soft(T, model.sizes[-1])
-    grads_w, grads_b = gradients(model, X, T)
-    params = [(w, g) for w, g in zip(model.weights, grads_w)]
-    params += [(b, g) for b, g in zip(model.biases, grads_b)]
-    rng = np.random.default_rng(seed)
-    total = sum(p.size for p, _ in params)
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
-    offsets = np.cumsum([0] + [p.size for p, _ in params])
-    worst = 0.0
-    for flat_idx in picks:
-        which = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        param, grad = params[which]
-        local = int(flat_idx - offsets[which])
-        idx = np.unravel_index(local, param.shape)
-        keep = param[idx]
-        param[idx] = keep + h
-        up = cross_entropy(model, X, T)
-        param[idx] = keep - h
-        down = cross_entropy(model, X, T)
-        param[idx] = keep
-        numeric = (up - down) / (2 * h)
-        analytic = grad[idx]
-        denom = max(abs(numeric) + abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / denom)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -492,10 +483,15 @@ def train_mlp(
     X_val: Features | np.ndarray | None = None,
     y_val: np.ndarray | None = None,
 ) -> tuple[MLPModel, TrainMetrics]:
-    """Adam on (soft) cross-entropy. Deterministic: the seed fixes the
-    initialization and every shuffle, so two runs agree bitwise. Each
-    batch is densified on its own, and passes over all rows densify a
-    chunk at a time, so X is never dense as a whole."""
+    """Adam on (soft) cross-entropy, lazy on the first layer.
+    Deterministic: the seed fixes the initialization and every shuffle,
+    so two runs agree bitwise.
+
+    Each batch becomes a block of the columns its rows store; the first
+    layer's forward pass, gradient and Adam step touch only those rows
+    of it, and its other rows keep their weights and moments. Passes
+    over all rows take a block of a chunk of rows at a time, so X is
+    never dense as a whole."""
     X = _as_features(X)
     if len(X) == 0:
         raise DistillError("training set is empty")
@@ -519,13 +515,15 @@ def train_mlp(
         order = rng.permutation(len(X))
         for start in range(0, len(X), hyper.batch):
             batch = order[start : start + hyper.batch]
-            grads_w, grads_b = gradients(model, X.dense(batch), T[batch])
+            block, cols = X.block(batch)
+            grads_w, grads_b = gradients(model, block, T[batch], cols)
             step += 1
             correction = np.sqrt(1 - beta2**step) / (1 - beta1**step)
-            for i in range(len(model.weights)):
-                m_w[i] = beta1 * m_w[i] + (1 - beta1) * grads_w[i]
-                v_w[i] = beta2 * v_w[i] + (1 - beta2) * grads_w[i] ** 2
-                model.weights[i] -= hyper.lr * correction * m_w[i] / (np.sqrt(v_w[i]) + eps)
+            for i, rows in enumerate([cols] + [slice(None)] * (len(model.weights) - 1)):
+                m = beta1 * m_w[i][rows] + (1 - beta1) * grads_w[i]
+                v = beta2 * v_w[i][rows] + (1 - beta2) * grads_w[i] ** 2
+                m_w[i][rows], v_w[i][rows] = m, v
+                model.weights[i][rows] -= hyper.lr * correction * m / (np.sqrt(v) + eps)
                 m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
                 v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
                 model.biases[i] -= hyper.lr * correction * m_b[i] / (np.sqrt(v_b[i]) + eps)

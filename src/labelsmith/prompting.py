@@ -68,10 +68,6 @@ class SupplementBlock:
         if self.kind != "DataExemplars" and not self.body:
             raise PromptError(f"a {self.kind} block needs a body")
 
-    @property
-    def n_exemplars(self) -> int:
-        return len(self.exemplars) if self.exemplars else 0
-
     def render(self) -> str:
         lines = [f"## {_HEADINGS[self.kind]}"]
         if self.body:

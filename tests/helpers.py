@@ -9,8 +9,10 @@ per-row formula the array writer must match byte for byte. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
 ``labelsmith.dsl.rex`` replaced. The reference featurizer and trainer
 are the dense (n, dims) versions that the row-compressed ones in
-``labelsmith.distill`` replaced. ``nested_guard`` builds the rule guards
-that the parsers' nesting limits bound.
+``labelsmith.distill`` replaced; with ``lazy`` the trainer computes what
+the block trainer does, up to summation order. ``gradient_check``
+compares analytic gradients with central differences. ``nested_guard``
+builds the rule guards that the parsers' nesting limits bound.
 """
 
 import itertools
@@ -243,9 +245,11 @@ def reference_featurize(records, dims, concepts=None):
     return out
 
 
-def reference_train_mlp(X, targets, K, hyper, X_val=None, y_val=None):
+def reference_train_mlp(X, targets, K, hyper, X_val=None, y_val=None, lazy=False):
     """Adam over dense batches of a dense X, with the loss and accuracy
-    of each epoch from two forward passes over all of X at once."""
+    of each epoch from two forward passes over all of X at once. With
+    ``lazy``, a first-layer row whose column of the batch is all zero
+    keeps its weights and Adam moments through the step (lazy Adam)."""
     X = np.asarray(X, dtype=float)
     T = _as_soft(targets, K)
     hard = np.argmax(T, axis=1)
@@ -263,6 +267,8 @@ def reference_train_mlp(X, targets, K, hyper, X_val=None, y_val=None):
         for start in range(0, len(X), hyper.batch):
             batch = order[start : start + hyper.batch]
             grads_w, grads_b = gradients(model, X[batch], T[batch])
+            idle = ~(X[batch] != 0).any(axis=0) if lazy else np.zeros(X.shape[1], dtype=bool)
+            kept = [a[idle] for a in (model.weights[0], m_w[0], v_w[0])]
             step += 1
             correction = np.sqrt(1 - beta2**step) / (1 - beta1**step)
             for i in range(len(model.weights)):
@@ -272,9 +278,42 @@ def reference_train_mlp(X, targets, K, hyper, X_val=None, y_val=None):
                 m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
                 v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
                 model.biases[i] -= hyper.lr * correction * m_b[i] / (np.sqrt(v_b[i]) + eps)
+            model.weights[0][idle], m_w[0][idle], v_w[0][idle] = kept
         metrics.train_loss.append(cross_entropy(model, X, T))
         metrics.train_accuracy.append(float((np.argmax(model.forward(X)[0], axis=1) == hard).mean()))
         if X_val is not None and y_val is not None:
             val_preds = np.argmax(model.forward(np.asarray(X_val, dtype=float))[0], axis=1)
             metrics.val_accuracy.append(float((val_preds == np.asarray(y_val)).mean()))
     return model, metrics
+
+
+def gradient_check(model, X, T, *, h=1e-5, n_samples=200, seed=0):
+    """Max relative error between analytic and central-difference gradients
+    over a random sample of parameters."""
+    if len(X) == 0:
+        raise ValueError("gradient check needs a non-empty batch")
+    T = _as_soft(T, model.sizes[-1])
+    grads_w, grads_b = gradients(model, X, T)
+    params = [(w, g) for w, g in zip(model.weights, grads_w)]
+    params += [(b, g) for b, g in zip(model.biases, grads_b)]
+    rng = np.random.default_rng(seed)
+    total = sum(p.size for p, _ in params)
+    picks = rng.choice(total, size=min(n_samples, total), replace=False)
+    offsets = np.cumsum([0] + [p.size for p, _ in params])
+    worst = 0.0
+    for flat_idx in picks:
+        which = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
+        param, grad = params[which]
+        local = int(flat_idx - offsets[which])
+        idx = np.unravel_index(local, param.shape)
+        keep = param[idx]
+        param[idx] = keep + h
+        up = cross_entropy(model, X, T)
+        param[idx] = keep - h
+        down = cross_entropy(model, X, T)
+        param[idx] = keep
+        numeric = (up - down) / (2 * h)
+        analytic = grad[idx]
+        denom = max(abs(numeric) + abs(analytic), 1e-8)
+        worst = max(worst, abs(numeric - analytic) / denom)
+    return worst

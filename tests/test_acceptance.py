@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import planted_binary_votes, planted_confusion_votes
+from helpers import gradient_check, planted_binary_votes, planted_confusion_votes
 from test_diagnostics import naive_stats
 from test_dsl import _random_expr
 
@@ -30,7 +30,7 @@ from labelsmith.data import (
     serialize_records,
 )
 from labelsmith.diagnostics import analyze, group_metrics
-from labelsmith.distill import Hyper, gradient_check, init_mlp, train_mlp
+from labelsmith.distill import Hyper, init_mlp, train_mlp
 from labelsmith.dsl import DslError, Rule, RuleProgram, evaluate, format_program, parse_program
 from labelsmith.models import FITTERS, fit_dawid_skene, fit_triplet, predict
 from labelsmith.packs import load_pack

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_featurize, reference_train_mlp
+from helpers import gradient_check, reference_featurize, reference_train_mlp
 from labelsmith.data import DatasetError, Pseudolabels, Record
 from labelsmith.synth import make_spam_corpus
 from labelsmith.distill import (
@@ -21,7 +21,6 @@ from labelsmith.distill import (
     cross_entropy,
     export_training_set,
     featurize,
-    gradient_check,
     gradients,
     init_mlp,
     load_model,
@@ -165,6 +164,67 @@ class TestRowCompressed:
         X = featurize(records, 3, concepts=["c", "a", "b"])
         assert _bits(X.dense()) == _bits(reference_featurize(records, 3, concepts=["c", "a", "b"]))
 
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        texts=_TEXTS,
+        dims=st.one_of(st.integers(1, 64), st.sampled_from([4096, 65536])),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+    )
+    @example(texts=["", "!!"], dims=16, picks=[0, 1])  # no stored column: a (2, 0) block
+    def test_block_holds_the_stored_columns(self, texts, dims, picks):
+        records = [Record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+        X = featurize(records, dims)
+        picks = np.array(picks) % len(records)
+        block, cols = X.block(picks)
+        dense = X.dense(picks)
+        assert cols.tolist() == sorted(set(X.take(picks).indices.tolist()))
+        assert block.shape == (len(picks), len(cols))
+        assert _bits(block) == _bits(dense[:, cols])
+        rest = np.ones(dims, dtype=bool)
+        rest[cols] = False
+        assert not dense[:, rest].any()
+
+    @settings(derandomize=True, database=None, max_examples=16, deadline=None)
+    @given(
+        kind=st.sampled_from(["scores", "dense", "text1", "text2"]),
+        n=st.integers(1, 3 * _ROWS_4096),
+        val=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    @example(kind="text1", n=2 * _ROWS_4096 + 1, val=True, seed=0)  # a 1-row last batch
+    @example(kind="text2", n=2 * _ROWS_4096, val=False, seed=1)
+    @example(kind="scores", n=_ROWS_4096 // 2, val=True, seed=2)
+    @example(kind="dense", n=1, val=False, seed=3)
+    def test_full_coverage_training_matches_dense_reference_bitwise(self, kind, n, val, seed):
+        # every row stores every column, so every batch and chunk does:
+        # the block is the dense batch, and lazy Adam is plain Adam
+        rng = np.random.default_rng(seed)
+        if kind == "scores":
+            records = [Record(id=f"r{i}", scores=dict(zip("abc", rng.normal(size=3)))) for i in range(n + 40)]
+            X = featurize(records, 3, concepts=["c", "a", "b"])
+            dense = reference_featurize(records, 3, concepts=["c", "a", "b"])
+            y = rng.integers(0, 2, size=n + 40)
+        elif kind == "dense":
+            dense = rng.normal(size=(n + 40, 5))
+            X, y = dense, rng.integers(0, 2, size=n + 40)
+        else:
+            dims = int(kind[-1])
+            records, _ = make_spam_corpus(2 * (n + 40), seed=seed)
+            stores_all = np.diff(featurize(records, dims).indptr) == dims
+            records = [r for r, full in zip(records, stores_all) if full][: n + 40]
+            assert len(records) == n + 40
+            X, dense = featurize(records, dims), reference_featurize(records, dims)
+            y = np.array([r.gold for r in records])
+        train, held = np.arange(n), np.arange(n, n + 40)
+        part = (lambda rows: X.take(rows)) if isinstance(X, Features) else (lambda rows: X[rows])
+        hyper = Hyper(epochs=2, batch=32, seed=seed)
+        got = train_mlp(part(train), y[train], 2, hyper, *((part(held), y[held]) if val else ()))
+        want = reference_train_mlp(dense[train], y[train], 2, hyper, *((dense[held], y[held]) if val else ()))
+        for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
+            assert _bits(a) == _bits(b)
+        assert got[1] == want[1]
+        assert len(got[1].val_accuracy) == (2 if val else 0)
+
     @settings(derandomize=True, database=None, max_examples=12, deadline=None)
     @given(
         n=st.integers(1, 3 * _ROWS_4096),
@@ -176,21 +236,52 @@ class TestRowCompressed:
     @example(n=2 * _ROWS_4096, dims=4096, val=False, seed=1)  # a multiple of it
     @example(n=_ROWS_4096 // 2, dims=4096, val=True, seed=2)  # shorter than one chunk
     @example(n=1, dims=4096, val=False, seed=3)
-    def test_training_matches_dense_reference_bitwise(self, n, dims, val, seed):
+    def test_hashed_training_matches_lazy_adam_reference(self, n, dims, val, seed):
         records, _ = make_spam_corpus(n + 40, seed=seed)
         y = np.array([r.gold for r in records])
         X, dense = featurize(records, dims), reference_featurize(records, dims)
-        train, held = np.arange(n), np.arange(n, n + 40)
-        hyper = Hyper(epochs=2, batch=32, seed=seed)
-        got = train_mlp(X.take(train), y[train], 2, hyper, *((X.take(held), y[held]) if val else ()))
-        want = reference_train_mlp(dense[train], y[train], 2, hyper, *((dense[held], y[held]) if val else ()))
+        held = np.arange(n, n + 40) if val else None
+        self._assert_matches_lazy_reference(X, dense, y, np.arange(n), held, seed)
+
+    @pytest.mark.parametrize(
+        "texts, dims, batch",
+        [
+            (["", "!!", "...", " "] * 10, 64, 8),  # every row featureless: (8, 0) blocks
+            (["win cash now", "see you at home", "free prize", "call me"] * 10, 64, 1),  # 1-row batches
+            (["win cash now", "see you at home", "free prize", "call me"] * 10, 1, 8),
+        ],
+        ids=["featureless", "one-row-batches", "dims-1"],
+    )
+    def test_edge_batches_match_lazy_adam_reference(self, texts, dims, batch):
+        records = [Record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+        y = np.arange(len(texts)) % 2
+        X, dense = featurize(records, dims), reference_featurize(records, dims)
+        got = self._assert_matches_lazy_reference(X, dense, y, np.arange(30), np.arange(30, 40), 5, batch)
+        if not dense.any():
+            assert X.block(np.arange(3))[0].shape == (3, 0)
+            assert _bits(got.weights[0]) == _bits(init_mlp(dims, 2, 5).weights[0])
+
+    # weights and losses of block training agree with the dense lazy-Adam
+    # reference to this relative tolerance: the block product sums over
+    # the touched columns only, and BLAS rounds a shorter inner dimension
+    # differently (the dropped terms are exact zeros)
+    LAZY_RTOL = 1e-9
+
+    def _assert_matches_lazy_reference(self, X, dense, y, train, held, seed, batch=32):
+        hyper = Hyper(epochs=2, batch=batch, seed=seed)
+        val = (X.take(held), y[held]) if held is not None else ()
+        got = train_mlp(X.take(train), y[train], 2, hyper, *val)
+        val = (dense[held], y[held]) if held is not None else ()
+        want = reference_train_mlp(dense[train], y[train], 2, hyper, *val, lazy=True)
         for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
-            assert _bits(a) == _bits(b)
-        assert got[1] == want[1]
-        assert len(got[1].val_accuracy) == (2 if val else 0)
-        np.testing.assert_array_equal(
-            got[0].predict(X), np.argmax(got[0].forward(dense)[0], axis=1)
-        )
+            np.testing.assert_allclose(a, b, rtol=self.LAZY_RTOL, atol=1e-300)
+        np.testing.assert_allclose(got[1].train_loss, want[1].train_loss, rtol=self.LAZY_RTOL)
+        assert got[1].initial_loss == pytest.approx(want[1].initial_loss, rel=self.LAZY_RTOL)
+        assert got[1].train_accuracy == want[1].train_accuracy
+        assert got[1].val_accuracy == want[1].val_accuracy
+        np.testing.assert_array_equal(got[0].predict(X), np.argmax(got[0].forward(dense)[0], axis=1))
+        np.testing.assert_array_equal(got[0].predict(X), np.argmax(want[0].forward(dense)[0], axis=1))
+        return got[0]
 
     def test_from_dense_round_trips_bits(self):
         X = np.array([[0.0, -0.0, 2.5], [1e-300, -7.0, 0.0]])
@@ -330,6 +421,27 @@ class TestGradients:
         coarse = gradient_check(model, X, y, h=1e-3)
         fine = gradient_check(model, X, y, h=1e-5)
         assert fine <= coarse
+
+    def test_block_gradient_is_dense_gradient_on_touched_rows(self):
+        records, _ = make_spam_corpus(72, seed=6)
+        y = np.array([r.gold for r in records])
+        X = featurize(records, 4096)
+        # trained, so the zero-initialized output layer passes a gradient back
+        model, _ = train_mlp(X.take(np.arange(40)), y[:40], 2, Hyper(epochs=2, seed=6))
+        batch = np.arange(40, 72)
+        block, cols = X.block(batch)
+        got_w, got_b = gradients(model, block, y[batch], cols)
+        want_w, want_b = gradients(model, X.dense(batch), y[batch])
+        untouched = np.ones(4096, dtype=bool)
+        untouched[cols] = False
+        assert untouched.any() and (want_w[0][untouched] == 0).all()
+        assert got_w[0].shape == (len(cols), 32)
+        for a, b in zip(got_w + got_b, [want_w[0][cols]] + want_w[1:] + want_b):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-300)
+        # the block is a dense batch for the model whose first layer is
+        # the rows cols, so the finite-difference check applies to it
+        sub = MLPModel(model.sizes, [model.weights[0][cols]] + model.weights[1:], model.biases)
+        assert gradient_check(sub, block, y[batch]) <= 1e-4
 
     def test_zero_input_batch_finite(self):
         model = init_mlp(6, 2, seed=4)

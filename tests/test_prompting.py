@@ -100,12 +100,6 @@ class TestBuildPrompt:
         with pytest.raises(PromptError):
             SupplementBlock(kind="DataExemplars")
 
-    def test_n_exemplars_counted(self):
-        block = SupplementBlock(
-            kind="DataExemplars", exemplars=tuple((f"t{i}", "spam") for i in range(5))
-        )
-        assert block.n_exemplars == 5
-
 
 class TestJobValidation:
     def test_temperature_range(self):
