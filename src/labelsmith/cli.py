@@ -291,7 +291,7 @@ def cmd_aggregate(args) -> int:
     coverage = diagnostics.coverage_of_label_model(labels)
     line = f"{params.kind}: labeled {labels.n} records (coverage {coverage:.3f})"
     gold = meta.get("gold")
-    if gold is not None and all(g is not None for g in gold):
+    if gold is not None and None not in gold:
         acc = float((labels.hard == np.array(gold)).mean())
         line += f", accuracy vs gold {acc:.4f}"
     print(line)

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -248,13 +249,16 @@ class VoteMatrix:
         votes = np.asarray(self.votes)
         if votes.size and votes.dtype.kind not in "iu":
             raise ValueError(f"votes must be integers, got {votes.dtype} entries")
+        # checked before the cast, which would wrap 2**64 - 1 to ABSTAIN
+        if votes.size and votes.max() > np.iinfo(np.int64).max:
+            raise ValueError("votes must be class indices or ABSTAIN (-1)")
         votes = votes.astype(np.int64, copy=False)
         if votes.ndim != 2:
             raise ValueError("votes must be a 2-D array")
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "program_ids", tuple(self.program_ids))
         object.__setattr__(self, "record_ids", tuple(self.record_ids))
-        if not all(isinstance(i, str) for i in self.program_ids + self.record_ids):
+        if not all(map(isinstance, self.program_ids + self.record_ids, itertools.repeat(str))):
             raise ValueError("program_ids and record_ids must be strings")
         if votes.shape[1] != len(self.program_ids):
             raise ValueError("votes columns must match program_ids")
@@ -294,7 +298,7 @@ class Pseudolabels:
         object.__setattr__(self, "posterior", posterior)
         object.__setattr__(self, "covered", covered)
         n = len(self.record_ids)
-        if not all(isinstance(i, str) for i in self.record_ids):
+        if not all(map(isinstance, self.record_ids, itertools.repeat(str))):
             raise ValueError("record_ids must be strings")
         if len(set(self.record_ids)) != n:
             raise ValueError("record_ids must be unique")
@@ -430,28 +434,51 @@ def load_votes(path: str | Path) -> tuple[VoteMatrix, dict]:
     return read_json(path, _votes_from_doc)
 
 
+def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
+    """votes.json's nested lists as an (n, m) int64 matrix: every row a
+    list of m integers below K (``VoteMatrix`` rejects those below ABSTAIN).
+    Every scan runs in C: types and lengths through ``map``, the values
+    through ``np.fromiter``."""
+    if not rows:
+        raise DatasetError("votes must hold at least one row")
+    if set(map(type, rows)) - {list}:
+        i = next(i for i, row in enumerate(rows) if type(row) is not list)
+        raise DatasetError(f"votes row {i} is {_json_type(rows[i])}, expected a list")
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    ragged = np.flatnonzero(lengths != m)
+    if ragged.size:
+        i = int(ragged[0])
+        raise DatasetError(f"votes row {i} has {lengths[i]} entries, expected {m}")
+    # exact types: numpy would read true as 1, 1.5 as 1 and "1" as 1
+    if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
+        wrong = next(v for v in itertools.chain.from_iterable(rows) if type(v) is not int)
+        raise DatasetError(f"votes must be integers, got {_json_type(wrong)}")
+    try:
+        votes = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=len(rows) * m)
+    except OverflowError:
+        raise DatasetError(f"votes must be class indices in 0..{K - 1} or ABSTAIN (-1)") from None
+    if votes.size and votes.max() >= K:
+        raise DatasetError(f"votes outside 0..{K - 1}")
+    return votes.reshape(len(rows), m)
+
+
 def _votes_from_doc(doc) -> tuple[VoteMatrix, dict]:
     classes = ClassSpace(tuple(json_field(doc, "classes", list)))
-    matrix = VoteMatrix(
-        program_ids=tuple(json_field(doc, "program_ids", list)),
-        record_ids=tuple(json_field(doc, "record_ids", list)),
-        votes=json_field(doc, "votes", list),
-    )
-    # numpy reads true as 1 among integers; the type scan runs in C
-    if bool in set(map(type, itertools.chain.from_iterable(doc["votes"]))):
-        raise DatasetError("votes must be integers, got true or false")
-    n, K = matrix.n, classes.K
-    if matrix.votes.size and matrix.votes.max() >= K:
-        raise DatasetError(f"votes outside 0..{K - 1}")
+    program_ids = tuple(json_field(doc, "program_ids", list))
+    record_ids = tuple(json_field(doc, "record_ids", list))
+    rows = json_field(doc, "votes", list)
+    K = classes.K
+    matrix = VoteMatrix(votes=_vote_rows(rows, len(program_ids), K), program_ids=program_ids, record_ids=record_ids)
+    n = matrix.n
     gold = json_field(doc, "gold", list, type(None), default=None)
     if gold is not None and (
-        len(gold) != n or not all(g is None or (type(g) is int and 0 <= g < K) for g in gold)
+        len(gold) != n
+        or set(map(type, gold)) - {int, type(None)}
+        or not all(0 <= g < K for g in set(gold) - {None})
     ):
         raise DatasetError(f"gold must hold {n} entries, each null or a class index in 0..{K - 1}")
     group = json_field(doc, "group", list, type(None), default=None)
-    if group is not None and (
-        len(group) != n or not all(g is None or type(g) is str for g in group)
-    ):
+    if group is not None and (len(group) != n or set(map(type, group)) - {str, type(None)}):
         raise DatasetError(f"group must hold {n} entries, each null or a string")
     meta = {
         "task": json_field(doc, "task", str, type(None), default=None),
@@ -462,13 +489,31 @@ def _votes_from_doc(doc) -> tuple[VoteMatrix, dict]:
     return matrix, meta
 
 
+# rows formatted per write by save_pseudolabels: bounds the Python
+# objects alive at once
+_PSEUDOLABEL_CHUNK = 4096
+
+
 def save_pseudolabels(path: str | Path, labels: Pseudolabels) -> Path:
+    """One JSON object per row, byte for byte what ``json.dumps`` writes for
+    ``{"record_id", "posterior", "hard", "covered"}``: ids ASCII-escaped,
+    floats in ``float.__repr__``'s shortest round-trip form, the default
+    separators. Each chunk of rows is one ``%`` of a repeated row
+    template."""
     path = Path(path)
-    rows = zip(labels.record_ids, labels.posterior.tolist(), labels.hard.tolist(), labels.covered.tolist())
+    n, K = labels.posterior.shape
+    template = '{"record_id": %s, "posterior": [' + ", ".join(["%r"] * K) + '], "hard": %d, "covered": %s}\n'
+    hard = labels.hard
     with path.open("w", encoding="utf-8") as fh:
-        for record_id, posterior, hard, covered in rows:
-            row = {"record_id": record_id, "posterior": posterior, "hard": hard, "covered": covered}
-            fh.write(json.dumps(row) + "\n")
+        for start in range(0, n, _PSEUDOLABEL_CHUNK):
+            stop = min(start + _PSEUDOLABEL_CHUNK, n)
+            fields = np.empty((stop - start, K + 3), dtype=object)
+            fields[:, 0] = list(map(encode_basestring_ascii, labels.record_ids[start:stop]))
+            # object casts give Python floats and ints, which ``%r`` and ``%d`` format
+            fields[:, 1 : K + 1] = labels.posterior[start:stop]
+            fields[:, K + 1] = hard[start:stop]
+            fields[:, K + 2] = np.where(labels.covered[start:stop], "true", "false")
+            fh.write((template * (stop - start)) % tuple(fields.ravel().tolist()))
     return path
 
 

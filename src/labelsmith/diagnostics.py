@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix, write_json
-from .models import empirical_accuracies
+from .models import _vote_bins, _vote_mass, empirical_accuracies
 
 DEFAULT_COVERAGE_THRESHOLD = 0.10
 
@@ -75,8 +75,16 @@ def analyze(
     n, m = votes.shape
     if n == 0:
         raise DiagnosticsError("cannot analyze an empty vote matrix")
-    nonabstain = votes != ABSTAIN
-    row_votes = nonabstain.sum(axis=1)
+    K = int(votes.max(initial=ABSTAIN)) + 1
+    bins = _vote_bins(votes, K)
+    counts = _vote_mass(bins, K)
+    row_votes = np.count_nonzero(bins, axis=0)
+    # program j conflicts on row i when fewer programs voted its class than
+    # voted at all; column 0, read through ABSTAIN's bin, never conflicts
+    split = np.zeros((n, K + 1), dtype=bool)
+    np.less(counts, row_votes[:, None], out=split[:, 1:])
+    split = split.reshape(-1)
+    rows = np.arange(0, n * (K + 1), K + 1)
     accuracies = None
     if gold is not None:
         if len(gold) != n:
@@ -84,13 +92,11 @@ def analyze(
         accuracies = empirical_accuracies(matrix, gold)
     stats = []
     for j in range(m):
-        mask = nonabstain[:, j]
+        mask = bins[j] != 0
         coverage = float(mask.mean())
         overlap = float((mask & (row_votes >= 2)).mean())
-        disagree = (votes != votes[:, j : j + 1]) & nonabstain
-        disagree[:, j] = False
-        conflict = float((mask & disagree.any(axis=1)).mean())
-        polarity = tuple(sorted(int(c) for c in np.unique(votes[mask, j]))) if mask.any() else ()
+        conflict = float(split[rows + bins[j]].mean())
+        polarity = tuple(np.flatnonzero(np.bincount(bins[j], minlength=K + 1)[1:]).tolist())
         accuracy = None
         if accuracies is not None and not np.isnan(accuracies[j]):
             accuracy = float(accuracies[j])

@@ -189,37 +189,55 @@ class FitReport:
     notes: tuple[str, ...] = ()
 
 
-def _check_coverage(matrix: VoteMatrix):
-    covered = (matrix.votes != ABSTAIN).sum(axis=0)
-    for j, count in enumerate(covered):
-        if count == 0:
-            raise ModelError(
-                f"program {matrix.program_ids[j]!r} has zero coverage; remove it "
-                "before fitting (the diagnostics report flags such programs)"
-            )
+def _vote_bins(votes: np.ndarray, K: int) -> np.ndarray:
+    """The (m, n) vote columns every per-program loop reads: contiguous,
+    in the smallest unsigned dtype that holds K, shifted by one so that
+    ABSTAIN is bin 0 and class c is bin c + 1. Votes must be below K."""
+    if votes.size and votes.max() >= K:
+        raise ModelError(f"votes contain class indices outside 0..{K - 1}")
+    bins = np.empty(votes.shape[::-1], dtype=np.min_scalar_type(K))
+    # the ufunc casts block by block: no (n, m) int64 temporary
+    np.add(votes.T, 1, out=bins, casting="unsafe")
+    return bins
 
 
-def _covered(votes: np.ndarray) -> np.ndarray:
+def _checked_bins(matrix: VoteMatrix, K: int) -> np.ndarray:
+    """``_vote_bins`` of a matrix about to be fitted, whose every program
+    must vote somewhere."""
+    bins = _vote_bins(matrix.votes, K)
+    silent = ~bins.any(axis=1)
+    if silent.any():
+        raise ModelError(
+            f"program {matrix.program_ids[int(np.argmax(silent))]!r} has zero coverage; remove it "
+            "before fitting (the diagnostics report flags such programs)"
+        )
+    return bins
+
+
+def _covered(bins: np.ndarray) -> np.ndarray:
     """Rows where at least one program voted."""
-    return (votes != ABSTAIN).any(axis=1)
+    return bins.any(axis=0)
 
 
-def _vote_mass(votes: np.ndarray, K: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """mass[i, c] = summed weight of the programs voting c on row i. The
-    buffer has a spare column K that ABSTAIN (-1) indexes, so every vote
-    lands somewhere and abstains are sliced off at the end."""
-    n, m = votes.shape
+def _vote_mass(bins: np.ndarray, K: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """mass[i, c] = summed weight of the programs voting c on row i, added
+    in program order. The buffer has a spare column 0 that ABSTAIN's bin
+    indexes, so every vote lands somewhere and abstains are sliced off at
+    the end."""
+    m, n = bins.shape
     mass = np.zeros((n, K + 1))
-    rows = np.arange(n)
+    flat = mass.reshape(-1)
+    rows = np.arange(0, n * (K + 1), K + 1)
     w = np.ones(m) if weights is None else weights
     for j in range(m):
-        mass[rows, votes[:, j]] += w[j]
-    return mass[:, :K]
+        # one vote per row, so no index repeats within a column
+        flat[rows + bins[j]] += w[j]
+    return mass[:, 1:]
 
 
-def _mv_hard(votes: np.ndarray, K: int) -> np.ndarray:
+def _mv_hard(bins: np.ndarray, K: int) -> np.ndarray:
     """Unweighted plurality labels; ties go to the smaller class index."""
-    return np.argmax(_vote_mass(votes, K), axis=1)
+    return np.argmax(_vote_mass(bins, K), axis=1)
 
 
 def empirical_accuracies(
@@ -227,7 +245,8 @@ def empirical_accuracies(
 ) -> np.ndarray:
     """Per-program accuracy over rows where the program votes and gold is
     present; NaN where a program has no such rows."""
-    gold_arr = np.array([ABSTAIN if g is None else g for g in gold], dtype=np.int64)
+    gold_arr = np.array(gold, dtype=float)  # null reads as NaN
+    gold_arr = np.where(np.isnan(gold_arr), ABSTAIN, gold_arr).astype(np.int64)
     if gold_arr.shape[0] != matrix.n:
         raise ModelError(f"expected {matrix.n} gold labels, got {gold_arr.shape[0]}")
     out = np.full(matrix.m, np.nan)
@@ -251,7 +270,7 @@ def make_counting_params(
     without gold, WMV falls back to uniform weights with a note."""
     if kind not in (MV, WMV):
         raise ModelError(f"make_counting_params handles MV/WMV, not {kind!r}")
-    _check_coverage(matrix)
+    _checked_bins(matrix, K)  # counting needs no bins until predict
     notes: list[str] = []
     accuracies = None
     weights = np.ones(matrix.m)
@@ -286,68 +305,74 @@ def make_counting_params(
     return params, report
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = a.max(axis=axis, keepdims=True)
-    return (peak + np.log(np.exp(a - peak).sum(axis=axis, keepdims=True))).squeeze(axis)
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    # the row maxima, taken column by column: a maximum is exact in any
+    # order, and a reduction along a short axis is far slower
+    peak = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        np.maximum(peak, a[:, k], out=peak)
+    return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
 
 
-def _log_joint(votes: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
+def _log_joint(bins: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
     """(n, K) log prior_k plus the sum over non-abstain votes of
-    log Conf_j[k, vote_ij]. Each program's log-confusion is read through a
-    (K+1, K) table whose last row is zero, so ABSTAIN (-1) adds exactly
-    0.0 and the sums equal those over the voting programs alone."""
-    n, m = votes.shape
+    log Conf_j[k, vote_ij], added in program order. Each program's
+    log-confusion is read through a (K+1, K) table whose row 0 is zero, so
+    ABSTAIN adds exactly 0.0 and the sums equal those over the voting
+    programs alone."""
+    m, n = bins.shape
     K = len(priors)
     log_joint = np.tile(np.log(priors), (n, 1))
     log_conf = np.log(confusion)
     table = np.zeros((K + 1, K))
     for j in range(m):
-        table[:K] = log_conf[j].T
-        log_joint += table[votes[:, j]]
+        table[1:] = log_conf[j].T
+        log_joint += table.take(bins[j], axis=0)
     return log_joint
 
 
-def _e_step(votes: np.ndarray, priors: np.ndarray, confusion: np.ndarray):
+def _e_step(bins: np.ndarray, priors: np.ndarray, confusion: np.ndarray):
     """Posterior over true classes per row and each row's log evidence."""
-    log_joint = _log_joint(votes, priors, confusion)
-    log_evidence = _logsumexp(log_joint, axis=1)
+    log_joint = _log_joint(bins, priors, confusion)
+    log_evidence = _logsumexp_rows(log_joint)
     log_joint -= log_evidence[:, None]
     return np.exp(log_joint, out=log_joint), log_evidence
 
 
-def _confusion_counts(votes: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _confusion_counts(bins: np.ndarray, q: np.ndarray) -> np.ndarray:
     """counts[j][k, c] = total posterior mass of class k among rows where
     program j voted c. np.bincount adds each bin's weights in row order; a
     one-hot matrix product would sum in an order that depends on BLAS."""
-    m = votes.shape[1]
+    m = bins.shape[0]
     K = q.shape[1]
     q_cols = np.ascontiguousarray(q.T)
     counts = np.empty((m, K, K))
     for j in range(m):
-        bins = votes[:, j] + 1  # bin 0 collects ABSTAIN
+        col = bins[j].astype(np.intp)  # cast once, not in each bincount
         for k in range(K):
-            counts[j, k] = np.bincount(bins, weights=q_cols[k], minlength=K + 1)[1:]
+            # bin 0 collects ABSTAIN
+            counts[j, k] = np.bincount(col, weights=q_cols[k], minlength=K + 1)[1:]
     return counts
 
 
-def _em(matrix: VoteMatrix, K: int, m_step):
-    """The EM loop both iterative fitters share. ``m_step(counts)`` turns
-    the expected counts from ``_confusion_counts`` into ``(confusion,
-    penalty)``, penalty being the smoothing term the confusion adds to the
-    objective. Priors get the same additive smoothing for every model.
-    Returns ``(q, priors, confusion, iterations, converged, objective)``."""
-    _check_coverage(matrix)
-    votes = matrix.votes
-    mass = _vote_mass(votes, K)
+def _em(bins: np.ndarray, K: int, m_step):
+    """The EM loop both iterative fitters share, over ``_checked_bins``'s vote
+    columns. ``m_step(counts)`` turns the expected counts from
+    ``_confusion_counts`` into ``(confusion, penalty)``, penalty being the
+    smoothing term the confusion adds to the objective. Priors get the
+    same additive smoothing for every model. Returns ``(q, priors,
+    confusion, iterations, converged, objective)``."""
+    n = bins.shape[1]
+    mass = _vote_mass(bins, K)
     q = (mass + SMOOTHING) / (mass.sum(axis=1, keepdims=True) + K * SMOOTHING)
     objective: list[float] = []
     converged = False
     iterations = 0
     priors = confusion = None
     for iterations in range(1, MAX_ITER + 1):
-        priors = (q.sum(axis=0) + SMOOTHING) / (matrix.n + K * SMOOTHING)
-        confusion, penalty = m_step(_confusion_counts(votes, q))
-        q_new, log_evidence = _e_step(votes, priors, confusion)
+        priors = (q.sum(axis=0) + SMOOTHING) / (n + K * SMOOTHING)
+        confusion, penalty = m_step(_confusion_counts(bins, q))
+        q_new, log_evidence = _e_step(bins, priors, confusion)
         objective.append(
             float(log_evidence.sum()) + SMOOTHING * float(np.log(priors).sum()) + penalty
         )
@@ -359,12 +384,12 @@ def _em(matrix: VoteMatrix, K: int, m_step):
     return q, priors, confusion, iterations, converged, objective
 
 
-def _align_permutation(q: np.ndarray, votes: np.ndarray, K: int) -> tuple[int, ...]:
+def _align_permutation(q: np.ndarray, bins: np.ndarray, K: int) -> tuple[int, ...]:
     """Class permutation (new = perm[old]) that best matches majority vote
     on covered rows. Every permutation is scored from one K x K table of
     (model class, majority class) row counts; identity wins ties."""
-    covered = _covered(votes)
-    mv = _mv_hard(votes, K)[covered]
+    covered = _covered(bins)
+    mv = _mv_hard(bins, K)[covered]
     model = np.argmax(q, axis=1)[covered]
     table = np.bincount(model * K + mv, minlength=K * K).reshape(K, K)
     best, best_score = tuple(range(K)), -1
@@ -400,9 +425,9 @@ def fit_dawid_skene(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitRe
         confusion = (counts + SMOOTHING) / (counts.sum(axis=2, keepdims=True) + K * SMOOTHING)
         return confusion, SMOOTHING * float(np.log(confusion).sum())
 
-    votes = matrix.votes
-    q, priors, confusion, iterations, converged, objective = _em(matrix, K, m_step)
-    perm = _align_permutation(q, votes, K)
+    bins = _checked_bins(matrix, K)
+    q, priors, confusion, iterations, converged, objective = _em(bins, K, m_step)
+    perm = _align_permutation(q, bins, K)
     priors, confusion = _apply_permutation(priors, confusion, perm)
     params = LabelModelParams(
         kind=DAWID_SKENE,
@@ -415,7 +440,7 @@ def fit_dawid_skene(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitRe
         kind=DAWID_SKENE,
         iterations=iterations,
         converged=converged,
-        log_likelihood=float(_e_step(votes, priors, confusion)[1].sum()),
+        log_likelihood=float(_e_step(bins, priors, confusion)[1].sum()),
         objective=tuple(objective),
         accuracy_by_program=tuple(acc.tolist()),
         permutation=perm,
@@ -427,20 +452,20 @@ def fit_snorkel_lite(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitR
     """One-coin EM: each program has one accuracy a_j, errors uniform over
     the K-1 wrong classes. A documented stand-in for the Snorkel label
     model; same contract as fit_dawid_skene otherwise."""
-    votes = matrix.votes
-    total = (votes != ABSTAIN).sum(axis=0)
+    bins = _checked_bins(matrix, K)
+    total = np.count_nonzero(bins, axis=1)
 
     def m_step(counts):
         correct = np.trace(counts, axis1=1, axis2=2)
         acc = np.clip((correct + SMOOTHING) / (total + 2 * SMOOTHING), *CLAMP)
         return _one_coin(acc, K), SMOOTHING * float(np.log(acc).sum() + np.log(1 - acc).sum())
 
-    q, priors, confusion, iterations, converged, objective = _em(matrix, K, m_step)
+    q, priors, confusion, iterations, converged, objective = _em(bins, K, m_step)
     accuracies = confusion[:, 0, 0].copy()
     # one-coin confusions are only closed under relabeling for K=2
     # (swap maps a to 1-a); for larger K the identity is the only
     # candidate that keeps the parametrization
-    perm = _align_permutation(q, votes, K) if K == 2 else tuple(range(K))
+    perm = _align_permutation(q, bins, K) if K == 2 else tuple(range(K))
     if perm != tuple(range(K)):
         priors = priors[::-1].copy()
         accuracies = 1 - accuracies
@@ -456,7 +481,7 @@ def fit_snorkel_lite(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitR
         kind=SNORKEL_LITE,
         iterations=iterations,
         converged=converged,
-        log_likelihood=float(_e_step(votes, priors, confusion)[1].sum()),
+        log_likelihood=float(_e_step(bins, priors, confusion)[1].sum()),
         objective=tuple(objective),
         accuracy_by_program=tuple(accuracies.tolist()),
         permutation=perm,
@@ -477,7 +502,7 @@ def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport
         raise ModelError(f"the triplet estimator supports binary tasks only (K=2, got K={K})")
     if matrix.m < 3:
         raise ModelError(f"the triplet estimator needs at least 3 programs, got {matrix.m}")
-    _check_coverage(matrix)
+    bins = _checked_bins(matrix, K)
     votes = matrix.votes
     m = matrix.m
     signs = np.where(votes == ABSTAIN, 0, 2 * votes - 1).astype(float)
@@ -491,7 +516,7 @@ def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport
                 value = float((signs[both, a] * signs[both, b]).mean())
                 pair_mean[a, b] = pair_mean[b, a] = value
 
-    mv = _mv_hard(votes, 2)
+    mv = _mv_hard(bins, 2)
     accuracies = np.empty(m)
     for j in range(m):
         moments = []
@@ -527,34 +552,39 @@ def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport
         kind=TRIPLET,
         iterations=1,
         converged=True,
-        log_likelihood=float(_e_step(votes, params.priors, params.confusion)[1].sum()),
+        log_likelihood=float(_e_step(bins, params.priors, params.confusion)[1].sum()),
         accuracy_by_program=tuple(accuracies.tolist()),
     )
     return params, report
 
 
-def posterior_matrix(params: LabelModelParams, matrix: VoteMatrix) -> np.ndarray:
-    """(n, K) posteriors for covered rows; uncovered rows get uniform."""
+def _posteriors(params: LabelModelParams, matrix: VoteMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(n, K) posteriors, uniform on uncovered rows, and the covered mask."""
     if params.m != matrix.m:
         raise ModelError(
             f"params were fitted for {params.m} programs but the vote matrix has {matrix.m}"
         )
     K = params.K
-    if matrix.votes.size and matrix.votes.max() >= K:
-        raise ModelError(f"votes contain class indices outside 0..{K - 1}")
+    bins = _vote_bins(matrix.votes, K)
     if params.kind in (MV, WMV):
-        mass = _vote_mass(matrix.votes, K, params.weights)
+        mass = _vote_mass(bins, K, params.weights)
         totals = mass.sum(axis=1, keepdims=True)
         posteriors = np.where(totals > 0, mass / np.where(totals == 0, 1, totals), 1.0 / K)
     else:
-        posteriors = _e_step(matrix.votes, params.priors, params.confusion)[0]
-    posteriors[~_covered(matrix.votes)] = 1.0 / K
-    return posteriors
+        posteriors = _e_step(bins, params.priors, params.confusion)[0]
+    covered = _covered(bins)
+    posteriors[~covered] = 1.0 / K
+    return posteriors, covered
+
+
+def posterior_matrix(params: LabelModelParams, matrix: VoteMatrix) -> np.ndarray:
+    """(n, K) posteriors for covered rows; uncovered rows get uniform."""
+    return _posteriors(params, matrix)[0]
 
 
 def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:
     """Aggregate votes into pseudolabels under fitted params."""
-    return Pseudolabels(matrix.record_ids, posterior_matrix(params, matrix), _covered(matrix.votes))
+    return Pseudolabels(matrix.record_ids, *_posteriors(params, matrix))
 
 
 FITTERS = {

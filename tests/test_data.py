@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from labelsmith.data import (
+    _PSEUDOLABEL_CHUNK,
     ABSTAIN,
     ClassSpace,
     DatasetError,
@@ -93,24 +94,42 @@ class TestVoteMatrix:
                 record_ids=("r0",),
             )
 
+    def test_rejects_unsigned_entries_that_would_wrap_to_abstain(self):
+        with pytest.raises(ValueError, match="ABSTAIN"):
+            VoteMatrix(votes=np.array([[2**64 - 1]], dtype=np.uint64), program_ids=("p",), record_ids=("r",))
+
     def test_votes_are_read_only(self, mk_matrix):
         m = mk_matrix([[0, 1]])
         with pytest.raises(ValueError):
             m.votes[0, 0] = 1
 
 
+# ids of characters json.dumps escapes, or that a hand-made escaper
+# tends to miss, or of any characters
+_IDS = st.one_of(
+    st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u2028\u2029\ufeff\U0001f600a'), max_size=6),
+    st.text(max_size=6),
+)
+
+
 @st.composite
 def pseudolabel_sets(draw):
     """Pseudolabels with random K, ties (entries often repeat a few round
-    values) and uncovered rows (uniform posteriors)."""
+    values), extreme floats, uncovered rows (uniform posteriors) and ids
+    that need escaping; a few sets in a hundred are longer than one
+    write chunk, their drawn rows repeated."""
     K = draw(st.integers(1, 6))
     n = draw(st.integers(0, 20))
-    ids = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
-    entry = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 1.0))
+    ids = draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
+    entry = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0, 5e-324, 1e-17]), st.floats(0.0, 1.0))
     rows = draw(st.lists(st.lists(entry, min_size=K, max_size=K), min_size=n, max_size=n))
     covered = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     posterior = np.array(rows, dtype=float).reshape(n, K)
     posterior[~covered] = 1.0 / K
+    if n and draw(st.integers(0, 15)) == 3:
+        reps = _PSEUDOLABEL_CHUNK // n + 2
+        ids = [f"{i}:{rid}" for i in range(reps) for rid in ids]
+        posterior, covered = np.tile(posterior, (reps, 1)), np.tile(covered, reps)
     return Pseudolabels(tuple(ids), posterior, covered)
 
 
@@ -299,6 +318,34 @@ class TestVotesFile:
         path = tmp_path / "v.json"
         path.write_text('{"classes": ["a", "b"]}', encoding="utf-8")
         with pytest.raises(DatasetError, match="program_ids"):
+            load_votes(path)
+
+    @pytest.mark.parametrize(
+        "votes, match",
+        [
+            ([[2**63, 0]], "class indices in 0..1 or ABSTAIN"),
+            ([[0, 2**64 - 1]], "class indices in 0..1 or ABSTAIN"),
+            ([[-(2**63) - 1, 0]], "class indices in 0..1 or ABSTAIN"),
+            ([[-1, 0], [2**64 - 1, -1]], "class indices in 0..1 or ABSTAIN"),
+            ([[0, 1], [1]], "votes row 1 has 1 entries, expected 2"),
+            ([[0, 1], [1, 0, 1]], "votes row 1 has 3 entries, expected 2"),
+            ([[0, 1], 1], "votes row 1 is an integer, expected a list"),
+            ([[0, True]], "integers, got true or false"),
+            ([[0, 1.0]], "integers, got a number"),
+            ([[0, "1"]], "integers, got a string"),
+            ([[0, [1]]], "integers, got a list"),
+            ([[0, 2]], "outside 0..1"),
+            ([[0, -2]], "class indices or ABSTAIN"),
+            ([], "at least one row"),
+        ],
+    )
+    def test_malformed_votes_rejected(self, tmp_path, mk_matrix, votes, match):
+        path = save_votes(tmp_path / "v.json", mk_matrix([[0, 1], [1, 0]]), ("a", "b"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["votes"] = votes
+        doc["record_ids"] = doc["record_ids"][: len(votes)]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"v.json: .*{match}"):
             load_votes(path)
 
     def test_vote_outside_class_range_rejected(self, tmp_path, mk_matrix):

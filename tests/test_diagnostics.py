@@ -48,8 +48,13 @@ class TestAnalyzeOracle:
     def test_random_matrices_match_naive_loop_exactly(self, mk_matrix):
         rng = np.random.default_rng(606)
         for _ in range(150):
-            K = int(rng.integers(2, 5))
-            votes = rng.integers(-1, K, size=(200, 6))
+            K = int(rng.integers(2, 7))
+            m = int(rng.integers(1, 7))
+            votes = rng.integers(-1, K, size=(200, m))
+            # all-abstain rows, and now and then an all-abstain column
+            votes[rng.random(200) < 0.1] = ABSTAIN
+            if rng.random() < 0.3:
+                votes[:, rng.integers(m)] = ABSTAIN
             matrix = mk_matrix(votes)
             stats = analyze(matrix)
             expected = naive_stats(votes)

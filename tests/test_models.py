@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -10,7 +11,8 @@ from helpers import (
     reference_em,
 )
 
-from labelsmith.data import ABSTAIN, VoteMatrix
+from labelsmith.cli import main
+from labelsmith.data import ABSTAIN, VoteMatrix, save_votes
 from labelsmith.models import (
     DAWID_SKENE,
     FITTERS,
@@ -26,7 +28,7 @@ from labelsmith.models import (
     predict,
     save_params,
 )
-from labelsmith.models import MV, WMV, _align_permutation
+from labelsmith.models import MV, WMV, _align_permutation, _vote_bins
 
 PLANTED = (0.9, 0.8, 0.7)
 
@@ -278,7 +280,7 @@ class TestReferenceEM:
         candidates = [q[:, list(perm)] for perm in itertools.permutations(range(K))]
         for posteriors in candidates + [np.full_like(q, 1.0 / K)]:
             expected = reference_alignment(posteriors, matrix.votes, K)
-            assert _align_permutation(posteriors, matrix.votes, K) == expected
+            assert _align_permutation(posteriors, _vote_bins(matrix.votes, K), K) == expected
 
 
 class TestTriplet:
@@ -438,3 +440,69 @@ class TestParamsIO:
         path.write_text(json.dumps({"kind": "Oracle", "priors": [0.5, 0.5], "program_ids": []}))
         with pytest.raises(ModelError, match="Oracle"):
             load_params(path)
+
+
+# sha256 of every artifact of `analyze`, of `aggregate --model <name>` for
+# each fitter and of a predict-only `aggregate --params`, taken before the
+# vote path became whole-array code. A change in any EM's summation
+# order, in the analyze counts or in the pseudolabel row bytes changes a
+# hash; TestReferenceEM's 1e-10 tolerance would not see it.
+GOLDEN = {
+    "analyze/analysis.json": "80be3eda23257e0dbb6637bbfa19a251473f2a30181105b5584934735ffaf2ee",
+    "ds/fit_report.json": "d1abf3383dce036228c36dc79add36cbfd4d81b4d590063e1a57783cb8b451ad",
+    "ds/params.json": "8ad7d58c9e0a0933e2aca221548c64502551b8b4952aafdff7b622eea6ca45f8",
+    "ds/pseudolabels.jsonl": "39c3bc0df2b547cc914be213d6f62105310a5f0f3c7bf1e7cab908674f87df3c",
+    "snorkel-lite/fit_report.json": "e063f11caa6a090246ff99bbf0477ccdd9ee5abfdbffb56d08dd2cbb4901b073",
+    "snorkel-lite/params.json": "33a858a11caf270f027a7d75a1c2664ac3bbde299e8026df19b816185fec1c90",
+    "snorkel-lite/pseudolabels.jsonl": "370c58545b806b13fd014057aecdae93a2e213ef97bfcdf0bd8e4948981da196",
+    "mv/fit_report.json": "c160583c0881f0169ffa013e68f6981ca5eb231c4fb957d7614bad80ccabbd88",
+    "mv/params.json": "3bf36e30fc71bca24e15071f1efe35a9d6b3d6405b90ab1b85420af55a61700c",
+    "mv/pseudolabels.jsonl": "28ee36df11e04ae29a3537b20e04e4d85cde9f3ab608d4e612180b94c4b19a33",
+    "wmv/fit_report.json": "5b7eb61684236584d073ca81018ccaec019066cabf9a26ae1549cc9b6b33b52c",
+    "wmv/params.json": "c225476fafc16ed170278c9116e4f9f6033095702bb60d74df2091870738bf90",
+    "wmv/pseudolabels.jsonl": "2f5597cda28453d982904fac23c6556a9c3cd1494e547598af97e0f658bfac1f",
+    "triplet/fit_report.json": "68c65ac9ff7755319ee1e2a394e5d1868c16184ede266abe2dbd29b4fb1572ab",
+    "triplet/params.json": "a15ffd994b2dd89ae5ddff19f89e65b9f4cea3cb1a686e6673b5e438752e7885",
+    "triplet/pseudolabels.jsonl": "bced068ebcf04cac89931c5a1e65f4eb07cf9bbef30b24b49aaccecf6c05904c",
+    "reuse/params.json": "8ad7d58c9e0a0933e2aca221548c64502551b8b4952aafdff7b622eea6ca45f8",
+    "reuse/pseudolabels.jsonl": "39c3bc0df2b547cc914be213d6f62105310a5f0f3c7bf1e7cab908674f87df3c",
+}
+# The hashes also pin how this numpy build rounds float64 exp and log,
+# which its SIMD loops do differently on different CPUs. Where this probe
+# reads otherwise the pinned hashes cannot hold, and the test is skipped.
+GOLDEN_MATH_PROBE = "8b0ddbc70e76c9095e4320b5260778556c117637b4e55b35aaf932c3d732c543"
+
+
+def _math_probe() -> str:
+    x = np.linspace(-40.0, 5.0, 4001)
+    return hashlib.sha256(np.exp(x).tobytes() + np.log(np.exp(x) + 1.0).tobytes()).hexdigest()
+
+
+def _golden_artifacts(tmp_path) -> dict:
+    matrix, truth = planted_confusion_votes(800, 6, 3, diag=0.7, seed=2024, abstain=0.35)
+    gold = [None if i % 9 == 0 else int(t) for i, t in enumerate(truth)]
+    binary, _ = planted_binary_votes(800, (0.9, 0.8, 0.7, 0.65), seed=2025, abstain=0.3)
+    votes, votes2 = tmp_path / "votes.json", tmp_path / "votes2.json"
+    save_votes(votes, matrix, ("a", "b", "c"), task="golden", gold=gold)
+    save_votes(votes2, binary, ("no", "yes"))
+    runs = {"analyze": ["analyze", "--votes", str(votes)]}
+    for name in ("ds", "snorkel-lite", "mv", "wmv"):
+        runs[name] = ["aggregate", "--votes", str(votes), "--model", name]
+    runs["triplet"] = ["aggregate", "--votes", str(votes2), "--model", "triplet"]
+    runs["reuse"] = ["aggregate", "--votes", str(votes), "--params", str(tmp_path / "ds" / "params.json")]
+    hashes = {}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        for path in sorted((tmp_path / name).iterdir()):
+            # the manifest holds its creation time, and the reuse report the params path
+            if path.name == "run_manifest.json" or (name == "reuse" and path.name == "fit_report.json"):
+                continue
+            hashes[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+class TestGoldenOutputs:
+    def test_artifacts_match_pinned_hashes(self, tmp_path):
+        if _math_probe() != GOLDEN_MATH_PROBE:
+            pytest.skip("numpy's float64 exp/log round differently here than where the hashes were taken")
+        assert _golden_artifacts(tmp_path) == GOLDEN
