@@ -8,7 +8,7 @@ votes accordingly, which is where they beat plain counting.
 
 import numpy as np
 
-from labelsmith.data import VoteMatrix
+from labelsmith.data import ClassSpace, VoteMatrix
 from labelsmith.models import FITTERS, predict
 
 rng = np.random.default_rng(42)
@@ -31,19 +31,20 @@ matrix = VoteMatrix(
     votes=votes,
     program_ids=tuple(f"p{j}" for j in range(m)),
     record_ids=tuple(f"r{i}" for i in range(n)),
+    classes=ClassSpace(("red", "green", "blue")),
 )
 
 print(f"{n} records, {m} programs, K={K}, planted diagonal {diag}")
 print(f"{'model':12} {'accuracy':>8}  notes")
 for name in ("mv", "wmv", "ds", "snorkel-lite"):
-    params, report = FITTERS[name](matrix, K)
+    params, report = FITTERS[name](matrix)
     labels = predict(params, matrix)
     acc = float(np.mean(labels.hard == truth))
     extra = f"converged in {report.iterations} iters" if report.iterations else ""
     print(f"{name:12} {acc:8.4f}  {extra}")
 
 # the EM fit exposes the recovered confusion matrices
-params, _ = FITTERS["ds"](matrix, K)
+params, _ = FITTERS["ds"](matrix)
 recovered = params.confusion[:, np.arange(K), np.arange(K)]
 print("\nrecovered diagonals per program (planted 0.8):")
 for pid, row in zip(matrix.program_ids, recovered):
@@ -63,8 +64,9 @@ matrix2 = VoteMatrix(
     votes=votes2,
     program_ids=("good", "fair", "poor", "coin"),
     record_ids=tuple(f"r{i}" for i in range(8000)),
+    classes=ClassSpace(("no", "yes")),
 )
-params2, _ = FITTERS["triplet"](matrix2, 2)
+params2, _ = FITTERS["triplet"](matrix2)
 print("\ntriplet accuracy estimates (planted 0.9/0.8/0.7/0.5):")
 for pid, a, w in zip(matrix2.program_ids, params2.accuracies, params2.weights):
     print(f"  {pid}: accuracy {a:.3f}, log-odds weight {w:+.3f}")

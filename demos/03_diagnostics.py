@@ -22,10 +22,9 @@ programs = [
     parse_program(p.read_text(encoding="utf-8"), classes, program_id=p.stem)
     for p in sorted(fixture_dir.glob("*.lf"))
 ]
-matrix = assemble_votes(records, programs)
-
-gold = [r.gold for r in records]
-stats = analyze(matrix, gold=gold)
+# the matrix carries the records' gold labels and groups along with the votes
+matrix = assemble_votes(records, programs, classes)
+stats = analyze(matrix)
 print()
 print(render_stats_table(stats))
 
@@ -41,8 +40,8 @@ col = matrix.votes[:, 0]
 covered = col != -1
 report = group_metrics(
     [int(v) for v in col[covered]],
-    [g for g, c in zip(gold, covered) if c],
-    [r.group for r, c in zip(records, covered) if c],
+    [g for g, c in zip(matrix.gold, covered) if c],
+    [g for g, c in zip(matrix.groups, covered) if c],
 )
 print(f"\n{matrix.program_ids[0]} on its covered records:")
 print(f"  average accuracy {report.average_accuracy:.3f}")

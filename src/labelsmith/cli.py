@@ -199,17 +199,8 @@ def cmd_apply(args) -> int:
         raise CliError(f"no .lf programs found in {args.programs}")
     programs = [_load_program(p, cs) for p in prog_paths]
     out = _prepare_out(args.out, args.force)
-    matrix = assemble_votes(records, programs)
-    gold = [r.gold for r in records]
-    groups = [r.group for r in records]
-    save_votes(
-        out / "votes.json",
-        matrix,
-        cs.names,
-        task=task,
-        gold=gold if any(g is not None for g in gold) else None,
-        groups=groups if any(g is not None for g in groups) else None,
-    )
+    matrix = assemble_votes(records, programs, cs, task=task)
+    save_votes(out / "votes.json", matrix)
     _write_manifest(
         out,
         "apply",
@@ -222,8 +213,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    matrix, meta = load_votes(args.votes)
-    stats = diagnostics.analyze(matrix, gold=meta.get("gold"), coverage_threshold=args.threshold)
+    matrix = load_votes(args.votes)
+    stats = diagnostics.analyze(matrix, coverage_threshold=args.threshold)
     out = _prepare_out(args.out, args.force)
     diagnostics.save_stats(out / "analysis.json", stats, args.threshold)
     _write_manifest(
@@ -242,8 +233,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    matrix, meta = load_votes(args.votes)
-    K = len(meta["classes"])
+    matrix = load_votes(args.votes)
     stats = diagnostics.analyze(matrix, coverage_threshold=args.threshold)
     flagged = [s.program_id for s in stats if s.flagged_low_coverage]
     if flagged and not args.keep_flagged:
@@ -254,21 +244,9 @@ def cmd_aggregate(args) -> int:
     out = _prepare_out(args.out, args.force)
     if args.params:
         params = models.load_params(args.params)
-        if params.m != matrix.m:
-            raise CliError(
-                f"params file {args.params} was fitted for {params.m} programs but "
-                f"the vote matrix in {args.votes} has {matrix.m}"
-            )
-        if params.K != K:
-            raise CliError(
-                f"params file {args.params} was fitted for {params.K} classes but "
-                f"the votes file has {K}"
-            )
         report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
     else:
-        fitter = models.FITTERS[args.model]
-        kwargs = {"gold": meta.get("gold")} if args.model == "wmv" else {}
-        params, report = fitter(matrix, K, **kwargs)
+        params, report = models.FITTERS[args.model](matrix)
         report_doc = {
             "kind": report.kind,
             "iterations": report.iterations,
@@ -278,7 +256,11 @@ def cmd_aggregate(args) -> int:
             "accuracy_by_program": dict(zip(matrix.program_ids, report.accuracy_by_program)),
             "notes": list(report.notes),
         }
-    labels = models.predict(params, matrix)
+    try:
+        labels = models.predict(params, matrix)
+    except models.ModelError as exc:
+        # a fit's params always match its matrix; loaded ones may not
+        raise CliError(f"{args.params} does not match {args.votes}: {exc}") from exc
     models.save_params(out / "params.json", params)
     save_pseudolabels(out / "pseudolabels.jsonl", labels)
     write_json(out / "fit_report.json", report_doc)
@@ -290,9 +272,8 @@ def cmd_aggregate(args) -> int:
     )
     coverage = diagnostics.coverage_of_label_model(labels)
     line = f"{params.kind}: labeled {labels.n} records (coverage {coverage:.3f})"
-    gold = meta.get("gold")
-    if gold is not None and None not in gold:
-        acc = float((labels.hard == np.array(gold)).mean())
+    if matrix.gold is not None and None not in matrix.gold:
+        acc = float((labels.hard == np.array(matrix.gold)).mean())
         line += f", accuracy vs gold {acc:.4f}"
     print(line)
     return EXIT_OK

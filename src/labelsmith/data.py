@@ -3,7 +3,10 @@ plus the one reader every input file goes through.
 
 Everything downstream (the rule DSL, the label models, diagnostics, the
 distiller) speaks in terms of these types. The abstain sentinel is -1
-everywhere; class indices run 0..K-1.
+everywhere; class indices run 0..K-1. A ``VoteMatrix`` is a whole
+``votes.json``: the votes with their class space, gold labels, groups and
+task, checked once when it is built, so the label models and diagnostics
+take the matrix alone.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -232,26 +236,42 @@ class Record:
             group=None if group is None else str(group),
         )
 
+    def to_dict(self) -> dict:
+        """The row ``from_dict`` reads back: the id and payload, then gold
+        and group when they are set."""
+        doc = {"id": self.id, self.modality: getattr(self, self.modality), "gold": self.gold, "group": self.group}
+        return {key: value for key, value in doc.items() if value is not None}
+
 
 @dataclass(frozen=True)
 class VoteMatrix:
-    """n x m integer matrix of program outputs.
+    """The content of a ``votes.json``: an n x m matrix of program outputs
+    and the facts about its records.
 
-    Row i follows record order, column j follows ``program_ids``. Entries
-    are class indices or ABSTAIN (-1).
+    Row i follows ``record_ids``, column j follows ``program_ids``. Entries
+    are class indices of ``classes`` or ABSTAIN (-1). ``gold`` and
+    ``groups`` are None, or hold one entry per record: a class index or
+    None, a string or None. The constructor checks every field.
     """
 
     votes: np.ndarray
     program_ids: tuple[str, ...]
     record_ids: tuple[str, ...]
+    classes: ClassSpace
+    gold: tuple[int | None, ...] | None = None
+    groups: tuple[str | None, ...] | None = None
+    task: str | None = None
 
     def __post_init__(self):
         votes = np.asarray(self.votes)
+        K = self.K
         if votes.size and votes.dtype.kind not in "iu":
             raise ValueError(f"votes must be integers, got {votes.dtype} entries")
         # checked before the cast, which would wrap 2**64 - 1 to ABSTAIN
-        if votes.size and votes.max() > np.iinfo(np.int64).max:
+        if votes.size and votes.min() < ABSTAIN:
             raise ValueError("votes must be class indices or ABSTAIN (-1)")
+        if votes.size and votes.max() >= K:
+            raise ValueError(f"votes outside 0..{K - 1}")
         votes = votes.astype(np.int64, copy=False)
         if votes.ndim != 2:
             raise ValueError("votes must be a 2-D array")
@@ -262,14 +282,27 @@ class VoteMatrix:
             raise ValueError("program_ids and record_ids must be strings")
         if votes.shape[1] != len(self.program_ids):
             raise ValueError("votes columns must match program_ids")
-        if votes.shape[0] != len(self.record_ids):
+        n = votes.shape[0]
+        if n != len(self.record_ids):
             raise ValueError("votes rows must match record_ids")
         if len(set(self.program_ids)) != len(self.program_ids):
             raise ValueError("program_ids must be unique")
-        if len(set(self.record_ids)) != len(self.record_ids):
+        if len(set(self.record_ids)) != n:
             raise ValueError("record_ids must be unique")
-        if votes.size and votes.min() < ABSTAIN:
-            raise ValueError("votes must be class indices or ABSTAIN (-1)")
+        if self.gold is not None:
+            gold = tuple(self.gold)
+            object.__setattr__(self, "gold", gold)
+            if (
+                len(gold) != n
+                or set(map(type, gold)) - {int, type(None)}
+                or not all(0 <= g < K for g in set(gold) - {None})
+            ):
+                raise ValueError(f"gold must hold {n} entries, each null or a class index in 0..{K - 1}")
+        if self.groups is not None:
+            groups = tuple(self.groups)
+            object.__setattr__(self, "groups", groups)
+            if len(groups) != n or set(map(type, groups)) - {str, type(None)}:
+                raise ValueError(f"group must hold {n} entries, each null or a string")
         votes.flags.writeable = False
 
     @property
@@ -279,6 +312,37 @@ class VoteMatrix:
     @property
     def m(self) -> int:
         return self.votes.shape[1]
+
+    @property
+    def K(self) -> int:
+        return self.classes.K
+
+    @cached_property
+    def bins(self) -> np.ndarray:
+        """The (m, n) vote columns every per-program loop reads, built on
+        first use: contiguous, in the smallest unsigned dtype that holds K,
+        shifted by one so that ABSTAIN is bin 0 and class c is bin c + 1."""
+        bins = np.empty(self.votes.shape[::-1], dtype=np.min_scalar_type(self.K))
+        # the ufunc casts block by block: no (n, m) int64 temporary
+        np.add(self.votes.T, 1, out=bins, casting="unsafe")
+        bins.flags.writeable = False
+        return bins
+
+    def vote_mass(self, weights: np.ndarray | None = None) -> np.ndarray:
+        """(n, K) summed weight of the programs voting each class on each
+        row, one per vote without ``weights``, added in program order. The
+        buffer has a spare column 0 that ABSTAIN's bin indexes, so every
+        vote lands somewhere and abstains are sliced off at the end."""
+        bins, K = self.bins, self.K
+        m, n = bins.shape
+        mass = np.zeros((n, K + 1))
+        flat = mass.reshape(-1)
+        rows = np.arange(0, n * (K + 1), K + 1)
+        w = np.ones(m) if weights is None else weights
+        for j in range(m):
+            # one vote per row, so no index repeats within a column
+            flat[rows + bins[j]] += w[j]
+        return mass[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -373,24 +437,19 @@ def serialize_records(records: Iterable[Record], path: str | Path) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
-            obj: dict = {"id": rec.id}
-            if rec.text is not None:
-                obj["text"] = rec.text
-            else:
-                obj["scores"] = rec.scores
-            if rec.gold is not None:
-                obj["gold"] = rec.gold
-            if rec.group is not None:
-                obj["group"] = rec.group
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
     return path
 
 
-def assemble_votes(records: Sequence[Record], programs: Sequence) -> VoteMatrix:
+def assemble_votes(
+    records: Sequence[Record], programs: Sequence, classes: ClassSpace, task: str | None = None
+) -> VoteMatrix:
     """Apply every program to every record; votes[i][j] is program j's vote
-    on record i. Evaluation is sequential and order-stable, so two runs on
-    identical inputs produce identical matrices. A program meeting a record
-    of the other modality raises DslEvaluationError naming both."""
+    on record i. The records' gold labels and groups ride along, each
+    column None when no record has one. Evaluation is sequential and
+    order-stable, so two runs on identical inputs produce identical
+    matrices. A program meeting a record of the other modality raises
+    DslEvaluationError naming both."""
     from .dsl import evaluate  # local import: dsl depends on this module
 
     n, m = len(records), len(programs)
@@ -398,47 +457,47 @@ def assemble_votes(records: Sequence[Record], programs: Sequence) -> VoteMatrix:
     for j, prog in enumerate(programs):
         for i, rec in enumerate(records):
             votes[i, j] = evaluate(prog, rec)
+    gold = tuple(r.gold for r in records)
+    groups = tuple(r.group for r in records)
     return VoteMatrix(
         votes=votes,
         program_ids=tuple(p.id for p in programs),
         record_ids=tuple(r.id for r in records),
+        classes=classes,
+        gold=gold if any(g is not None for g in gold) else None,
+        groups=groups if any(g is not None for g in groups) else None,
+        task=task,
     )
 
 
-def save_votes(
-    path: str | Path,
-    matrix: VoteMatrix,
-    class_names: Sequence[str],
-    task: str | None = None,
-    gold: Sequence[int | None] | None = None,
-    groups: Sequence[str | None] | None = None,
-) -> Path:
-    """Write a vote matrix (plus optional gold/group columns) as JSON."""
+def save_votes(path: str | Path, matrix: VoteMatrix) -> Path:
+    """Write a vote matrix as ``votes.json``, one key per field (``groups``
+    under ``group``)."""
     doc = {
-        "task": task,
-        "classes": list(class_names),
-        "program_ids": list(matrix.program_ids),
-        "record_ids": list(matrix.record_ids),
+        "task": matrix.task,
+        "classes": matrix.classes.names,
+        "program_ids": matrix.program_ids,
+        "record_ids": matrix.record_ids,
         "votes": matrix.votes.tolist(),
-        "gold": list(gold) if gold is not None else None,
-        "group": list(groups) if groups is not None else None,
+        "gold": matrix.gold,
+        "group": matrix.groups,
     }
     path = Path(path)
     path.write_text(json.dumps(doc, ensure_ascii=False, indent=None, sort_keys=True), encoding="utf-8")
     return path
 
 
-def load_votes(path: str | Path) -> tuple[VoteMatrix, dict]:
-    """Read a vote matrix file; returns the matrix and its metadata
-    (classes, task, optional gold/group lists)."""
+def load_votes(path: str | Path) -> VoteMatrix:
+    """Read a ``votes.json``; anything the file or ``VoteMatrix`` rejects
+    raises DatasetError naming the path."""
     return read_json(path, _votes_from_doc)
 
 
 def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
     """votes.json's nested lists as an (n, m) int64 matrix: every row a
-    list of m integers below K (``VoteMatrix`` rejects those below ABSTAIN).
-    Every scan runs in C: types and lengths through ``map``, the values
-    through ``np.fromiter``."""
+    list of m integers that fit in 64 bits (``VoteMatrix`` checks their
+    range). Every scan runs in C: types and lengths through ``map``, the
+    values through ``np.fromiter``."""
     if not rows:
         raise DatasetError("votes must hold at least one row")
     if set(map(type, rows)) - {list}:
@@ -457,36 +516,21 @@ def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
         votes = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=len(rows) * m)
     except OverflowError:
         raise DatasetError(f"votes must be class indices in 0..{K - 1} or ABSTAIN (-1)") from None
-    if votes.size and votes.max() >= K:
-        raise DatasetError(f"votes outside 0..{K - 1}")
     return votes.reshape(len(rows), m)
 
 
-def _votes_from_doc(doc) -> tuple[VoteMatrix, dict]:
+def _votes_from_doc(doc) -> VoteMatrix:
     classes = ClassSpace(tuple(json_field(doc, "classes", list)))
-    program_ids = tuple(json_field(doc, "program_ids", list))
-    record_ids = tuple(json_field(doc, "record_ids", list))
-    rows = json_field(doc, "votes", list)
-    K = classes.K
-    matrix = VoteMatrix(votes=_vote_rows(rows, len(program_ids), K), program_ids=program_ids, record_ids=record_ids)
-    n = matrix.n
-    gold = json_field(doc, "gold", list, type(None), default=None)
-    if gold is not None and (
-        len(gold) != n
-        or set(map(type, gold)) - {int, type(None)}
-        or not all(0 <= g < K for g in set(gold) - {None})
-    ):
-        raise DatasetError(f"gold must hold {n} entries, each null or a class index in 0..{K - 1}")
-    group = json_field(doc, "group", list, type(None), default=None)
-    if group is not None and (len(group) != n or set(map(type, group)) - {str, type(None)}):
-        raise DatasetError(f"group must hold {n} entries, each null or a string")
-    meta = {
-        "task": json_field(doc, "task", str, type(None), default=None),
-        "classes": list(classes.names),
-        "gold": gold,
-        "group": group,
-    }
-    return matrix, meta
+    program_ids = json_field(doc, "program_ids", list)
+    return VoteMatrix(
+        votes=_vote_rows(json_field(doc, "votes", list), len(program_ids), classes.K),
+        program_ids=program_ids,
+        record_ids=json_field(doc, "record_ids", list),
+        classes=classes,
+        gold=json_field(doc, "gold", list, type(None), default=None),
+        groups=json_field(doc, "group", list, type(None), default=None),
+        task=json_field(doc, "task", str, type(None), default=None),
+    )
 
 
 # rows formatted per write by save_pseudolabels: bounds the Python

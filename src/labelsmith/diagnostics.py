@@ -2,7 +2,9 @@
 
 Per-program stats over a vote matrix: coverage (how often it votes),
 polarity (which classes it emits), overlap and conflict with other
-programs, and empirical accuracy when gold labels exist. Programs whose
+programs, and empirical accuracy when the matrix carries gold labels.
+The counts come from the matrix's own vote bins and class counts, the
+ones the label models read. Programs whose
 coverage falls below a threshold (default 10%) get flagged; the CLI
 refuses to aggregate flagged programs unless told otherwise.
 
@@ -17,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, LabelsmithError, Pseudolabels, VoteMatrix, write_json
-from .models import _vote_bins, _vote_mass, empirical_accuracies
+from .data import LabelsmithError, Pseudolabels, VoteMatrix, write_json
+from .models import empirical_accuracies
 
 DEFAULT_COVERAGE_THRESHOLD = 0.10
 
@@ -57,27 +59,23 @@ class GroupReport:
 
 
 def analyze(
-    matrix: VoteMatrix,
-    gold: Sequence[int | None] | None = None,
-    coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD,
+    matrix: VoteMatrix, coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD
 ) -> list[ProgramStats]:
     """Stats for every program (column) of the matrix.
 
     coverage: fraction of rows with a non-abstain vote. overlap: fraction
     where this program and at least one other both vote. conflict:
     fraction where some other voting program disagrees. polarity: the
-    distinct classes emitted. empirical_accuracy: agreement with gold over
-    rows where both exist (None without gold).
+    distinct classes emitted. empirical_accuracy: agreement with the
+    matrix's gold over rows where both exist (None where there are none).
     """
     if not (0.0 <= coverage_threshold <= 1.0):
         raise DiagnosticsError(f"coverage threshold must be in [0, 1], got {coverage_threshold}")
-    votes = matrix.votes
-    n, m = votes.shape
+    n, m, K = matrix.n, matrix.m, matrix.K
     if n == 0:
         raise DiagnosticsError("cannot analyze an empty vote matrix")
-    K = int(votes.max(initial=ABSTAIN)) + 1
-    bins = _vote_bins(votes, K)
-    counts = _vote_mass(bins, K)
+    bins = matrix.bins
+    counts = matrix.vote_mass()
     row_votes = np.count_nonzero(bins, axis=0)
     # program j conflicts on row i when fewer programs voted its class than
     # voted at all; column 0, read through ABSTAIN's bin, never conflicts
@@ -85,11 +83,7 @@ def analyze(
     np.less(counts, row_votes[:, None], out=split[:, 1:])
     split = split.reshape(-1)
     rows = np.arange(0, n * (K + 1), K + 1)
-    accuracies = None
-    if gold is not None:
-        if len(gold) != n:
-            raise DiagnosticsError(f"expected {n} gold labels, got {len(gold)}")
-        accuracies = empirical_accuracies(matrix, gold)
+    accuracies = empirical_accuracies(matrix)
     stats = []
     for j in range(m):
         mask = bins[j] != 0
@@ -97,9 +91,7 @@ def analyze(
         overlap = float((mask & (row_votes >= 2)).mean())
         conflict = float(split[rows + bins[j]].mean())
         polarity = tuple(np.flatnonzero(np.bincount(bins[j], minlength=K + 1)[1:]).tolist())
-        accuracy = None
-        if accuracies is not None and not np.isnan(accuracies[j]):
-            accuracy = float(accuracies[j])
+        accuracy = None if np.isnan(accuracies[j]) else float(accuracies[j])
         stats.append(
             ProgramStats(
                 program_id=matrix.program_ids[j],

@@ -241,11 +241,10 @@ def export_training_set(
             if drop_uncovered and not covered[i]:
                 dropped += 1
                 continue
-            row: dict = {"id": rec.id}
-            if rec.text is not None:
-                row["text"] = rec.text
-            else:
-                row["scores"] = rec.scores
+            row = rec.to_dict()
+            # a training row carries the record's payload, not its gold or group
+            row.pop("gold", None)
+            row.pop("group", None)
             row["posterior" if use_probabilistic else "label"] = targets[i]
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
             written += 1

@@ -1,6 +1,8 @@
 """Label models: turn a vote matrix into pseudolabels.
 
-Five aggregators over the same VoteMatrix:
+Five aggregators, each taking a VoteMatrix alone: the matrix carries its
+class count, its gold labels (which WMV weighs programs by) and the vote
+bins every loop reads, built once per matrix.
 
 - majority vote and weighted majority vote (counting),
 - Dawid-Skene EM with full per-program confusion matrices,
@@ -15,6 +17,8 @@ each program's rows to a single accuracy.
 
 Abstains are treated as missing at random: they never enter a likelihood.
 All fits are deterministic; EM initializes from smoothed majority vote.
+``predict`` refuses params fitted for other programs, in another order,
+or for another class count.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -189,94 +193,53 @@ class FitReport:
     notes: tuple[str, ...] = ()
 
 
-def _vote_bins(votes: np.ndarray, K: int) -> np.ndarray:
-    """The (m, n) vote columns every per-program loop reads: contiguous,
-    in the smallest unsigned dtype that holds K, shifted by one so that
-    ABSTAIN is bin 0 and class c is bin c + 1. Votes must be below K."""
-    if votes.size and votes.max() >= K:
-        raise ModelError(f"votes contain class indices outside 0..{K - 1}")
-    bins = np.empty(votes.shape[::-1], dtype=np.min_scalar_type(K))
-    # the ufunc casts block by block: no (n, m) int64 temporary
-    np.add(votes.T, 1, out=bins, casting="unsafe")
-    return bins
-
-
-def _checked_bins(matrix: VoteMatrix, K: int) -> np.ndarray:
-    """``_vote_bins`` of a matrix about to be fitted, whose every program
-    must vote somewhere."""
-    bins = _vote_bins(matrix.votes, K)
-    silent = ~bins.any(axis=1)
+def _check_coverage(matrix: VoteMatrix) -> None:
+    """Refuse to fit a matrix in which some program never votes."""
+    silent = ~matrix.bins.any(axis=1)
     if silent.any():
         raise ModelError(
             f"program {matrix.program_ids[int(np.argmax(silent))]!r} has zero coverage; remove it "
             "before fitting (the diagnostics report flags such programs)"
         )
-    return bins
 
 
-def _covered(bins: np.ndarray) -> np.ndarray:
-    """Rows where at least one program voted."""
-    return bins.any(axis=0)
-
-
-def _vote_mass(bins: np.ndarray, K: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """mass[i, c] = summed weight of the programs voting c on row i, added
-    in program order. The buffer has a spare column 0 that ABSTAIN's bin
-    indexes, so every vote lands somewhere and abstains are sliced off at
-    the end."""
-    m, n = bins.shape
-    mass = np.zeros((n, K + 1))
-    flat = mass.reshape(-1)
-    rows = np.arange(0, n * (K + 1), K + 1)
-    w = np.ones(m) if weights is None else weights
-    for j in range(m):
-        # one vote per row, so no index repeats within a column
-        flat[rows + bins[j]] += w[j]
-    return mass[:, 1:]
-
-
-def _mv_hard(bins: np.ndarray, K: int) -> np.ndarray:
+def _mv_hard(matrix: VoteMatrix) -> np.ndarray:
     """Unweighted plurality labels; ties go to the smaller class index."""
-    return np.argmax(_vote_mass(bins, K), axis=1)
+    return np.argmax(matrix.vote_mass(), axis=1)
 
 
-def empirical_accuracies(
-    matrix: VoteMatrix, gold: Sequence[int | None]
-) -> np.ndarray:
-    """Per-program accuracy over rows where the program votes and gold is
-    present; NaN where a program has no such rows."""
-    gold_arr = np.array(gold, dtype=float)  # null reads as NaN
-    gold_arr = np.where(np.isnan(gold_arr), ABSTAIN, gold_arr).astype(np.int64)
-    if gold_arr.shape[0] != matrix.n:
-        raise ModelError(f"expected {matrix.n} gold labels, got {gold_arr.shape[0]}")
+def empirical_accuracies(matrix: VoteMatrix) -> np.ndarray:
+    """Per-program accuracy over rows where the program votes and the
+    matrix has a gold label; NaN where a program has no such rows."""
     out = np.full(matrix.m, np.nan)
-    for j in range(matrix.m):
-        v = matrix.votes[:, j]
-        mask = (v != ABSTAIN) & (gold_arr != ABSTAIN)
-        if mask.any():
-            out[j] = float((v[mask] == gold_arr[mask]).mean())
+    if matrix.gold is None:
+        return out
+    # gold in the bins' coding: class c is c + 1, no label is 0
+    gold = np.array([0 if g is None else g + 1 for g in matrix.gold], dtype=matrix.bins.dtype)
+    for j, col in enumerate(matrix.bins):
+        scored = (col != 0) & (gold != 0)
+        total = np.count_nonzero(scored)
+        if total:
+            out[j] = np.count_nonzero(scored & (col == gold)) / total
     return out
 
 
-def make_counting_params(
-    matrix: VoteMatrix,
-    K: int,
-    kind: str = MV,
-    gold: Sequence[int | None] | None = None,
-) -> tuple[LabelModelParams, FitReport]:
+def make_counting_params(matrix: VoteMatrix, kind: str = MV) -> tuple[LabelModelParams, FitReport]:
     """Params for the counting kinds. WMV weights come from empirical
-    accuracies when gold is given (log-odds, floored at a small positive
-    value so an at-chance program nearly vanishes but never flips votes);
-    without gold, WMV falls back to uniform weights with a note."""
+    accuracies when the matrix has gold labels (log-odds, floored at a
+    small positive value so an at-chance program nearly vanishes but never
+    flips votes); without gold, WMV falls back to uniform weights with a
+    note."""
     if kind not in (MV, WMV):
         raise ModelError(f"make_counting_params handles MV/WMV, not {kind!r}")
-    _checked_bins(matrix, K)  # counting needs no bins until predict
+    _check_coverage(matrix)
+    K = matrix.K
     notes: list[str] = []
     accuracies = None
     weights = np.ones(matrix.m)
     if kind == WMV:
-        if gold is not None and any(g is not None for g in gold):
-            acc = empirical_accuracies(matrix, gold)
+        if matrix.gold is not None and any(g is not None for g in matrix.gold):
+            acc = empirical_accuracies(matrix)
             if np.isnan(acc).any():
                 j = int(np.argmax(np.isnan(acc)))
                 notes.append(
@@ -355,15 +318,15 @@ def _confusion_counts(bins: np.ndarray, q: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _em(bins: np.ndarray, K: int, m_step):
-    """The EM loop both iterative fitters share, over ``_checked_bins``'s vote
-    columns. ``m_step(counts)`` turns the expected counts from
+def _em(matrix: VoteMatrix, m_step):
+    """The EM loop both iterative fitters share, over the matrix's vote
+    bins. ``m_step(counts)`` turns the expected counts from
     ``_confusion_counts`` into ``(confusion, penalty)``, penalty being the
     smoothing term the confusion adds to the objective. Priors get the
     same additive smoothing for every model. Returns ``(q, priors,
     confusion, iterations, converged, objective)``."""
-    n = bins.shape[1]
-    mass = _vote_mass(bins, K)
+    bins, n, K = matrix.bins, matrix.n, matrix.K
+    mass = matrix.vote_mass()
     q = (mass + SMOOTHING) / (mass.sum(axis=1, keepdims=True) + K * SMOOTHING)
     objective: list[float] = []
     converged = False
@@ -384,12 +347,13 @@ def _em(bins: np.ndarray, K: int, m_step):
     return q, priors, confusion, iterations, converged, objective
 
 
-def _align_permutation(q: np.ndarray, bins: np.ndarray, K: int) -> tuple[int, ...]:
+def _align_permutation(q: np.ndarray, matrix: VoteMatrix) -> tuple[int, ...]:
     """Class permutation (new = perm[old]) that best matches majority vote
     on covered rows. Every permutation is scored from one K x K table of
     (model class, majority class) row counts; identity wins ties."""
-    covered = _covered(bins)
-    mv = _mv_hard(bins, K)[covered]
+    K = matrix.K
+    covered = matrix.bins.any(axis=0)
+    mv = _mv_hard(matrix)[covered]
     model = np.argmax(q, axis=1)[covered]
     table = np.bincount(model * K + mv, minlength=K * K).reshape(K, K)
     best, best_score = tuple(range(K)), -1
@@ -415,19 +379,20 @@ def _one_coin(accuracies: np.ndarray, K: int) -> np.ndarray:
     return accuracies[:, None, None] * eye + (1 - accuracies)[:, None, None] * off
 
 
-def fit_dawid_skene(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport]:
+def fit_dawid_skene(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     """EM for the classic per-program confusion-matrix model, abstains
     excluded from the likelihood. Deterministic: initialization is smoothed
     majority vote, and any residual label switching is undone by aligning
     classes to majority vote."""
+    K = matrix.K
 
     def m_step(counts):
         confusion = (counts + SMOOTHING) / (counts.sum(axis=2, keepdims=True) + K * SMOOTHING)
         return confusion, SMOOTHING * float(np.log(confusion).sum())
 
-    bins = _checked_bins(matrix, K)
-    q, priors, confusion, iterations, converged, objective = _em(bins, K, m_step)
-    perm = _align_permutation(q, bins, K)
+    _check_coverage(matrix)
+    q, priors, confusion, iterations, converged, objective = _em(matrix, m_step)
+    perm = _align_permutation(q, matrix)
     priors, confusion = _apply_permutation(priors, confusion, perm)
     params = LabelModelParams(
         kind=DAWID_SKENE,
@@ -440,7 +405,7 @@ def fit_dawid_skene(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitRe
         kind=DAWID_SKENE,
         iterations=iterations,
         converged=converged,
-        log_likelihood=float(_e_step(bins, priors, confusion)[1].sum()),
+        log_likelihood=float(_e_step(matrix.bins, priors, confusion)[1].sum()),
         objective=tuple(objective),
         accuracy_by_program=tuple(acc.tolist()),
         permutation=perm,
@@ -448,24 +413,25 @@ def fit_dawid_skene(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitRe
     return params, report
 
 
-def fit_snorkel_lite(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport]:
+def fit_snorkel_lite(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     """One-coin EM: each program has one accuracy a_j, errors uniform over
     the K-1 wrong classes. A documented stand-in for the Snorkel label
     model; same contract as fit_dawid_skene otherwise."""
-    bins = _checked_bins(matrix, K)
-    total = np.count_nonzero(bins, axis=1)
+    _check_coverage(matrix)
+    K = matrix.K
+    total = np.count_nonzero(matrix.bins, axis=1)
 
     def m_step(counts):
         correct = np.trace(counts, axis1=1, axis2=2)
         acc = np.clip((correct + SMOOTHING) / (total + 2 * SMOOTHING), *CLAMP)
         return _one_coin(acc, K), SMOOTHING * float(np.log(acc).sum() + np.log(1 - acc).sum())
 
-    q, priors, confusion, iterations, converged, objective = _em(bins, K, m_step)
+    q, priors, confusion, iterations, converged, objective = _em(matrix, m_step)
     accuracies = confusion[:, 0, 0].copy()
     # one-coin confusions are only closed under relabeling for K=2
     # (swap maps a to 1-a); for larger K the identity is the only
     # candidate that keeps the parametrization
-    perm = _align_permutation(q, bins, K) if K == 2 else tuple(range(K))
+    perm = _align_permutation(q, matrix) if K == 2 else tuple(range(K))
     if perm != tuple(range(K)):
         priors = priors[::-1].copy()
         accuracies = 1 - accuracies
@@ -481,7 +447,7 @@ def fit_snorkel_lite(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitR
         kind=SNORKEL_LITE,
         iterations=iterations,
         converged=converged,
-        log_likelihood=float(_e_step(bins, priors, confusion)[1].sum()),
+        log_likelihood=float(_e_step(matrix.bins, priors, confusion)[1].sum()),
         objective=tuple(objective),
         accuracy_by_program=tuple(accuracies.tolist()),
         permutation=perm,
@@ -489,7 +455,7 @@ def fit_snorkel_lite(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitR
     return params, report
 
 
-def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport]:
+def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     """Moment-based accuracy estimation for binary tasks.
 
     Votes map to -1/+1 (abstain drops out pairwise). For conditionally
@@ -498,11 +464,11 @@ def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport
     of that moment over all usable triplets, sign-resolved by agreement
     with majority vote, gives a_j. Aggregation weight is log(a/(1-a)).
     """
-    if K != 2:
-        raise ModelError(f"the triplet estimator supports binary tasks only (K=2, got K={K})")
+    if matrix.K != 2:
+        raise ModelError(f"the triplet estimator supports binary tasks only (K=2, got K={matrix.K})")
     if matrix.m < 3:
         raise ModelError(f"the triplet estimator needs at least 3 programs, got {matrix.m}")
-    bins = _checked_bins(matrix, K)
+    _check_coverage(matrix)
     votes = matrix.votes
     m = matrix.m
     signs = np.where(votes == ABSTAIN, 0, 2 * votes - 1).astype(float)
@@ -516,7 +482,7 @@ def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport
                 value = float((signs[both, a] * signs[both, b]).mean())
                 pair_mean[a, b] = pair_mean[b, a] = value
 
-    mv = _mv_hard(bins, 2)
+    mv = _mv_hard(matrix)
     accuracies = np.empty(m)
     for j in range(m):
         moments = []
@@ -552,44 +518,49 @@ def fit_triplet(matrix: VoteMatrix, K: int) -> tuple[LabelModelParams, FitReport
         kind=TRIPLET,
         iterations=1,
         converged=True,
-        log_likelihood=float(_e_step(bins, params.priors, params.confusion)[1].sum()),
+        log_likelihood=float(_e_step(matrix.bins, params.priors, params.confusion)[1].sum()),
         accuracy_by_program=tuple(accuracies.tolist()),
     )
     return params, report
 
 
-def _posteriors(params: LabelModelParams, matrix: VoteMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(n, K) posteriors, uniform on uncovered rows, and the covered mask."""
+def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:
+    """Aggregate votes into pseudolabels under fitted params: (n, K)
+    posteriors, uniform on rows where every program abstained. Params
+    fitted for other programs, in another order or for another class
+    count are refused."""
     if params.m != matrix.m:
         raise ModelError(
             f"params were fitted for {params.m} programs but the vote matrix has {matrix.m}"
         )
-    K = params.K
-    bins = _vote_bins(matrix.votes, K)
+    if params.program_ids != matrix.program_ids:
+        j = next(j for j, (a, b) in enumerate(zip(params.program_ids, matrix.program_ids)) if a != b)
+        raise ModelError(
+            f"params were fitted for program {params.program_ids[j]!r} in column {j}, "
+            f"but the vote matrix has {matrix.program_ids[j]!r} there"
+        )
+    K = matrix.K
+    if params.K != K:
+        raise ModelError(f"params were fitted for {params.K} classes but the vote matrix has {K}")
     if params.kind in (MV, WMV):
-        mass = _vote_mass(bins, K, params.weights)
+        mass = matrix.vote_mass(params.weights)
         totals = mass.sum(axis=1, keepdims=True)
         posteriors = np.where(totals > 0, mass / np.where(totals == 0, 1, totals), 1.0 / K)
     else:
-        posteriors = _e_step(bins, params.priors, params.confusion)[0]
-    covered = _covered(bins)
+        posteriors = _e_step(matrix.bins, params.priors, params.confusion)[0]
+    covered = matrix.bins.any(axis=0)
     posteriors[~covered] = 1.0 / K
-    return posteriors, covered
+    return Pseudolabels(matrix.record_ids, posteriors, covered)
 
 
 def posterior_matrix(params: LabelModelParams, matrix: VoteMatrix) -> np.ndarray:
     """(n, K) posteriors for covered rows; uncovered rows get uniform."""
-    return _posteriors(params, matrix)[0]
-
-
-def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:
-    """Aggregate votes into pseudolabels under fitted params."""
-    return Pseudolabels(matrix.record_ids, *_posteriors(params, matrix))
+    return predict(params, matrix).posterior
 
 
 FITTERS = {
-    "mv": lambda matrix, K, **kw: make_counting_params(matrix, K, kind=MV, **kw),
-    "wmv": lambda matrix, K, **kw: make_counting_params(matrix, K, kind=WMV, **kw),
+    "mv": partial(make_counting_params, kind=MV),
+    "wmv": partial(make_counting_params, kind=WMV),
     "ds": fit_dawid_skene,
     "triplet": fit_triplet,
     "snorkel-lite": fit_snorkel_lite,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import class_space
 
 from labelsmith.data import ClassSpace, VoteMatrix
 
@@ -16,13 +17,17 @@ def k3_cs():
 
 @pytest.fixture
 def mk_matrix():
-    def _mk(votes, program_ids=None, record_ids=None):
+    """A VoteMatrix of ``votes`` over K classes, programs p0.., records r0.."""
+
+    def _mk(votes, K=2, gold=None):
         votes = np.asarray(votes, dtype=np.int64)
         n, m = votes.shape
         return VoteMatrix(
             votes=votes,
-            program_ids=tuple(program_ids or (f"p{j}" for j in range(m))),
-            record_ids=tuple(record_ids or (f"r{i}" for i in range(n))),
+            program_ids=tuple(f"p{j}" for j in range(m)),
+            record_ids=tuple(f"r{i}" for i in range(n)),
+            classes=class_space(K),
+            gold=gold,
         )
 
     return _mk

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from labelsmith.data import ABSTAIN, VoteMatrix
+from labelsmith.data import ABSTAIN, ClassSpace, VoteMatrix
 from labelsmith.distill import (
     TOKEN_RE,
     TrainMetrics,
@@ -32,6 +32,11 @@ from labelsmith.distill import (
     init_mlp,
 )
 from labelsmith.dsl import rex
+
+
+def class_space(K):
+    """K classes named c0, c1, ..."""
+    return ClassSpace(tuple(f"c{k}" for k in range(K)))
 
 
 def planted_confusion_votes(n, m, K, diag, seed, abstain=0.0):
@@ -51,6 +56,7 @@ def planted_confusion_votes(n, m, K, diag, seed, abstain=0.0):
         votes=votes,
         program_ids=tuple(f"p{j}" for j in range(m)),
         record_ids=tuple(f"r{i}" for i in range(n)),
+        classes=class_space(K),
     )
     return matrix, truth
 
@@ -70,6 +76,7 @@ def planted_binary_votes(n, accuracies, seed, abstain=0.2):
         votes=votes,
         program_ids=tuple(f"p{j}" for j in range(m)),
         record_ids=tuple(f"r{i}" for i in range(n)),
+        classes=class_space(2),
     )
     return matrix, truth
 

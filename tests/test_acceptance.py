@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gradient_check, planted_binary_votes, planted_confusion_votes
+from helpers import class_space, gradient_check, planted_binary_votes, planted_confusion_votes
 from test_diagnostics import naive_stats
 from test_dsl import _random_expr
 
@@ -66,11 +66,11 @@ def test_01_confusion_em_recovers_planted_programs(criterion):
     with criterion(1, "confusion-matrix EM recovers planted reliabilities and beats plurality"):
         start = time.monotonic()
         matrix, truth = planted_confusion_votes(2000, 5, 3, diag=0.8, seed=117)
-        params, report = fit_dawid_skene(matrix, 3)
+        params, report = fit_dawid_skene(matrix)
         diag = params.confusion[:, np.arange(3), np.arange(3)]
         assert np.abs(diag - 0.8).max() <= 0.05
         em_acc = _accuracy(predict(params, matrix), truth)
-        mv_params, _ = FITTERS["mv"](matrix, 3)
+        mv_params, _ = FITTERS["mv"](matrix)
         mv_acc = _accuracy(predict(mv_params, matrix), truth)
         assert em_acc >= mv_acc
         assert em_acc > 0.94
@@ -85,11 +85,11 @@ def test_02_pairwise_agreement_recovers_accuracies(criterion):
         start = time.monotonic()
         planted = (0.9, 0.8, 0.7)
         matrix, _ = planted_binary_votes(10_000, planted, seed=77)
-        params, _ = fit_triplet(matrix, 2)
+        params, _ = fit_triplet(matrix)
         assert np.abs(params.accuracies - np.array(planted)).max() <= 0.05
 
         coin, _ = planted_binary_votes(10_000, (0.9, 0.8, 0.7, 0.5), seed=60)
-        coin_params, _ = fit_triplet(coin, 2)
+        coin_params, _ = fit_triplet(coin)
         assert abs(coin_params.weights[3]) <= 0.1
 
         medians = []
@@ -97,7 +97,7 @@ def test_02_pairwise_agreement_recovers_accuracies(criterion):
             errs = []
             for seed in range(20):
                 m, _ = planted_binary_votes(n, planted, seed=3000 + seed)
-                p, _ = fit_triplet(m, 2)
+                p, _ = fit_triplet(m)
                 errs.append(float(np.abs(p.accuracies - np.array(planted)).mean()))
             medians.append(float(np.median(errs)))
         assert medians[0] > medians[1] > medians[2]
@@ -122,6 +122,7 @@ def test_03_posteriors_match_brute_force_bayes(criterion):
             votes=np.array(patterns, dtype=np.int64),
             program_ids=params.program_ids,
             record_ids=tuple(f"r{i}" for i in range(len(patterns))),
+            classes=class_space(2),
         )
         posteriors = posterior_matrix(params, matrix)
         for i, pattern in enumerate(patterns):
@@ -150,6 +151,7 @@ def test_04_diagnostics_equal_naive_counting(criterion):
                 votes=votes,
                 program_ids=tuple(f"p{j}" for j in range(6)),
                 record_ids=tuple(f"r{i}" for i in range(200)),
+                classes=class_space(K),
             )
             stats = analyze(matrix)
             expected = naive_stats(votes)
@@ -359,8 +361,8 @@ def test_10_offline_pipeline_beats_its_parts(criterion, tmp_path):
             assert main(argv) == 0, argv[0]
         assert time.monotonic() - start < 60.0
 
-        matrix, meta = load_votes(tmp_path / "votes" / "votes.json")
-        gold = np.array(meta["gold"])
+        matrix = load_votes(tmp_path / "votes" / "votes.json")
+        gold = np.array(matrix.gold)
         best_program = 0.0
         for j in range(matrix.m):
             col = matrix.votes[:, j]
@@ -368,7 +370,7 @@ def test_10_offline_pipeline_beats_its_parts(criterion, tmp_path):
             best_program = max(best_program, float((col[mask] == gold[mask]).mean()))
         em = load_pseudolabels(tmp_path / "agg" / "pseudolabels.jsonl").hard
         em_acc = float((em == gold).mean())
-        mv_params, _ = FITTERS["mv"](matrix, 2)
+        mv_params, _ = FITTERS["mv"](matrix)
         mv_acc = _accuracy(predict(mv_params, matrix), gold)
         assert em_acc >= best_program
         assert em_acc >= mv_acc

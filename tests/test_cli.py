@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes
 
 from labelsmith import models
 from labelsmith.cli import main
-from labelsmith.data import load_pseudolabels, load_votes, save_votes, serialize_records
+from labelsmith.data import ClassSpace, load_pseudolabels, load_votes, save_votes, serialize_records
 from labelsmith.packs import load_pack
 from labelsmith.prompting import (
     API_KEY_ENV,
@@ -251,13 +252,14 @@ class TestGenerate:
 
 class TestApply:
     def test_votes_written(self, votes_dir, corpus_file):
-        matrix, meta = load_votes(votes_dir / "votes.json")
+        matrix = load_votes(votes_dir / "votes.json")
         assert matrix.n == 300
         assert matrix.m == 10
         assert matrix.program_ids[0] == "01_prizes_vs_work"
-        assert meta["classes"] == ["spam", "ham"]
-        assert len(meta["gold"]) == 300
-        assert set(meta["group"]) == {"standard", "adversarial"}
+        assert matrix.classes.names == ("spam", "ham")
+        assert matrix.task == "sms"
+        assert len(matrix.gold) == 300
+        assert set(matrix.groups) == {"standard", "adversarial"}
         manifest = read_manifest(votes_dir)
         assert manifest["command"] == "apply"
         assert corpus_file in manifest["inputs"]
@@ -274,8 +276,8 @@ class TestApply:
             ]
         )
         assert code == 0
-        a, _ = load_votes(votes_dir / "votes.json")
-        b, _ = load_votes(out / "votes.json")
+        a = load_votes(votes_dir / "votes.json")
+        b = load_votes(out / "votes.json")
         assert np.array_equal(a.votes, b.votes)
 
     def test_empty_program_dir_exits_1(self, tmp_path, corpus_file, capsys):
@@ -454,14 +456,15 @@ class TestAggregate:
             ("empty", "missing field 'kind'"),
             ("not-json", "params.json"),
             ("confusion-shape", "confusion has shape (3, 2, 2), expected (3, 3, 3)"),
-            ("class-count", "fitted for 2 classes but the votes file has 3"),
+            ("class-count", "fitted for 2 classes but the vote matrix has 3"),
             ("nan-priors", "priors must be non-negative and sum to 1"),
+            ("program-order", "fitted for program 'p1' in column 0, but the vote matrix has 'p0' there"),
         ],
     )
     def test_malformed_params_rejected(self, case, message, tmp_path, capsys):
         # binary votes in a file that declares three classes
         matrix, _ = planted_confusion_votes(60, 3, 2, diag=0.8, seed=3)
-        votes = save_votes(tmp_path / "votes.json", matrix, ["a", "b", "c"])
+        votes = save_votes(tmp_path / "votes.json", replace(matrix, classes=ClassSpace(("a", "b", "c"))))
         binary = models.LabelModelParams(
             kind=models.DAWID_SKENE,
             priors=[0.5, 0.5],
@@ -476,6 +479,11 @@ class TestAggregate:
                 "confusion-shape": json.dumps({**binary, "priors": [0.25, 0.25, 0.5]}),
                 "class-count": json.dumps(binary),
                 "nan-priors": json.dumps({**binary, "priors": [float("nan")] * 2}),
+                # the same programs and count, another order
+                "program-order": json.dumps(
+                    {**binary, "priors": [0.25, 0.25, 0.5], "confusion": np.full((3, 3, 3), 1 / 3).tolist(),
+                     "program_ids": ["p1", "p0", "p2"]}
+                ),
             }[case],
             encoding="utf-8",
         )
@@ -755,7 +763,7 @@ def _model_doc(trained, change) -> str:
 def _params_doc(ctx, change) -> str:
     """Binary Dawid-Skene params fitted for the programs of ctx's votes,
     with ``change`` applied to the document."""
-    program_ids = list(load_votes(ctx["votes"])[0].program_ids)
+    program_ids = list(load_votes(ctx["votes"]).program_ids)
     doc = {
         "kind": "DawidSkene",
         "priors": [0.5, 0.5],

@@ -1,8 +1,9 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import reference_pseudolabel_bytes
+from helpers import class_space, reference_pseudolabel_bytes
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,19 @@ class TestRecord:
         with pytest.raises(ValueError):
             Record(id="r", text="hi", scores={"c": 0.5})
 
+    @pytest.mark.parametrize(
+        "record, doc",
+        [
+            (Record(id="r", text="hi"), {"id": "r", "text": "hi"}),
+            (Record(id="r", text="hi", gold=1, group="g"), {"id": "r", "text": "hi", "gold": 1, "group": "g"}),
+            (Record(id="r", scores={"c": 0.5}, gold=0), {"id": "r", "scores": {"c": 0.5}, "gold": 0}),
+        ],
+    )
+    def test_to_dict_inverts_from_dict(self, record, doc):
+        assert record.to_dict() == doc
+        assert list(record.to_dict()) == list(doc)
+        assert Record.from_dict(record.to_dict()) == record
+
 
 class TestVoteMatrix:
     def test_shape_and_properties(self, mk_matrix):
@@ -84,6 +98,7 @@ class TestVoteMatrix:
                 votes=np.zeros((2, 2), dtype=np.int64),
                 program_ids=("p0",),
                 record_ids=("r0", "r1"),
+                classes=class_space(2),
             )
 
     def test_rejects_duplicate_ids(self):
@@ -92,16 +107,45 @@ class TestVoteMatrix:
                 votes=np.zeros((1, 2), dtype=np.int64),
                 program_ids=("p", "p"),
                 record_ids=("r0",),
+                classes=class_space(2),
             )
 
     def test_rejects_unsigned_entries_that_would_wrap_to_abstain(self):
-        with pytest.raises(ValueError, match="ABSTAIN"):
-            VoteMatrix(votes=np.array([[2**64 - 1]], dtype=np.uint64), program_ids=("p",), record_ids=("r",))
+        with pytest.raises(ValueError, match="outside 0..1"):
+            VoteMatrix(
+                votes=np.array([[2**64 - 1]], dtype=np.uint64),
+                program_ids=("p",),
+                record_ids=("r",),
+                classes=class_space(2),
+            )
 
     def test_votes_are_read_only(self, mk_matrix):
         m = mk_matrix([[0, 1]])
         with pytest.raises(ValueError):
             m.votes[0, 0] = 1
+        with pytest.raises(ValueError):
+            m.bins[0, 0] = 1
+
+    @pytest.mark.parametrize("gold", [[0, 2], [0, -1], [0, True], [0, 1.0], [0, "1"]])
+    def test_rejects_bad_gold(self, mk_matrix, gold):
+        with pytest.raises(ValueError, match=r"gold must hold 2 entries, each null or a class index in 0\.\.1"):
+            mk_matrix([[0], [1]], gold=gold)
+
+    @pytest.mark.parametrize("groups", [["g"], ["g", "h", "i"], ["g", 1], ["g", b"h"]])
+    def test_rejects_bad_groups(self, groups):
+        with pytest.raises(ValueError, match="group must hold 2 entries, each null or a string"):
+            VoteMatrix(
+                votes=np.zeros((2, 1), dtype=np.int64),
+                program_ids=("p",),
+                record_ids=("r0", "r1"),
+                classes=class_space(2),
+                groups=groups,
+            )
+
+    def test_bins_are_built_once(self, mk_matrix):
+        m = mk_matrix([[0, -1], [1, 0]])
+        assert m.bins is m.bins
+        assert m.bins.tolist() == [[1, 2], [0, 1]]
 
 
 # ids of characters json.dumps escapes, or that a hand-made escaper
@@ -131,6 +175,33 @@ def pseudolabel_sets(draw):
         ids = [f"{i}:{rid}" for i in range(reps) for rid in ids]
         posterior, covered = np.tile(posterior, (reps, 1)), np.tile(covered, reps)
     return Pseudolabels(tuple(ids), posterior, covered)
+
+
+@st.composite
+def vote_matrices(draw):
+    """Vote matrices with K from 2 to 6, now and then an all-ABSTAIN row,
+    gold and group columns that are absent or hold null entries, and ids
+    and names that need escaping."""
+    K = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 5))
+    rows = st.lists(st.lists(st.integers(ABSTAIN, K - 1), min_size=m, max_size=m), min_size=n, max_size=n)
+    votes = np.array(draw(rows), dtype=np.int64)
+    if draw(st.booleans()):
+        votes[draw(st.integers(0, n - 1))] = ABSTAIN
+
+    def column(entries):
+        return st.none() | st.lists(st.none() | entries, min_size=n, max_size=n)
+
+    return VoteMatrix(
+        votes=votes,
+        program_ids=draw(st.lists(_IDS, min_size=m, max_size=m, unique=True)),
+        record_ids=draw(st.lists(_IDS, min_size=n, max_size=n, unique=True)),
+        classes=ClassSpace(draw(st.lists(_IDS.filter(bool), min_size=K, max_size=K, unique=True))),
+        gold=draw(column(st.integers(0, K - 1))),
+        groups=draw(column(_IDS)),
+        task=draw(st.none() | _IDS),
+    )
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -279,40 +350,69 @@ class TestAssembleVotes:
             Record(id="a", text="free stuff here"),
             Record(id="b", text="hi"),
         ]
-        matrix = assemble_votes(records, programs)
+        matrix = assemble_votes(records, programs, spam_cs)
         assert matrix.votes.tolist() == [[0, 1], [ABSTAIN, ABSTAIN]]
         assert matrix.program_ids == ("p_free", "p_long")
+        assert matrix.classes == spam_cs
+        # no record has gold or a group, so both columns are absent
+        assert (matrix.gold, matrix.groups, matrix.task) == (None, None, None)
+
+    def test_gold_and_groups_ride_along(self, spam_cs):
+        program = parse_program('rule: contains("free") -> spam;', spam_cs, program_id="p")
+        records = [Record(id="a", text="free", gold=0), Record(id="b", text="hi", group="g")]
+        matrix = assemble_votes(records, [program], spam_cs, task="sms")
+        assert (matrix.gold, matrix.groups, matrix.task) == ((0, None), (None, "g"), "sms")
 
     def test_modality_mismatch_names_program(self, spam_cs):
         program = parse_program('rule: score("c") >= 0.5 -> spam;', spam_cs, program_id="scorey")
         with pytest.raises(DslEvaluationError, match="scorey"):
-            assemble_votes([Record(id="a", text="x")], [program])
+            assemble_votes([Record(id="a", text="x")], [program], spam_cs)
 
     def test_deterministic(self, spam_cs):
         program = parse_program('rule: contains("x") -> spam;', spam_cs)
         records = [Record(id=f"r{i}", text="x" * i) for i in range(5)]
-        a = assemble_votes(records, [program])
-        b = assemble_votes(records, [program])
+        a = assemble_votes(records, [program], spam_cs)
+        b = assemble_votes(records, [program], spam_cs)
         assert np.array_equal(a.votes, b.votes)
 
 
 class TestVotesFile:
-    def test_round_trip_with_gold_and_groups(self, tmp_path, mk_matrix):
-        matrix = mk_matrix([[0, 1], [-1, 0]])
-        path = save_votes(
-            tmp_path / "v.json",
-            matrix,
-            ("spam", "ham"),
-            task="demo",
+    def test_round_trip_with_gold_and_groups(self, tmp_path):
+        matrix = VoteMatrix(
+            votes=np.array([[0, 1], [-1, 0]]),
+            program_ids=("p0", "p1"),
+            record_ids=("r0", "r1"),
+            classes=ClassSpace(("spam", "ham")),
             gold=[0, None],
             groups=["g1", None],
+            task="demo",
         )
-        loaded, meta = load_votes(path)
+        loaded = load_votes(save_votes(tmp_path / "v.json", matrix))
         assert np.array_equal(loaded.votes, matrix.votes)
         assert loaded.program_ids == matrix.program_ids
-        assert meta["classes"] == ["spam", "ham"]
-        assert meta["gold"] == [0, None]
-        assert meta["group"] == ["g1", None]
+        assert loaded.classes.names == ("spam", "ham")
+        assert loaded.gold == (0, None)
+        assert loaded.groups == ("g1", None)
+        assert loaded.task == "demo"
+
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(matrix=vote_matrices())
+    def test_save_load_round_trip(self, tmp_path, matrix):
+        path = save_votes(tmp_path / "v.json", matrix)
+        loaded = load_votes(path)
+        for field in fields(VoteMatrix):
+            a, b = getattr(matrix, field.name), getattr(loaded, field.name)
+            if field.name == "votes":
+                assert _same_bits(a, b)
+            else:
+                assert a == b, field.name
+        assert save_votes(tmp_path / "again.json", loaded).read_bytes() == path.read_bytes()
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "v.json"
@@ -340,7 +440,7 @@ class TestVotesFile:
         ],
     )
     def test_malformed_votes_rejected(self, tmp_path, mk_matrix, votes, match):
-        path = save_votes(tmp_path / "v.json", mk_matrix([[0, 1], [1, 0]]), ("a", "b"))
+        path = save_votes(tmp_path / "v.json", mk_matrix([[0, 1], [1, 0]]))
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["votes"] = votes
         doc["record_ids"] = doc["record_ids"][: len(votes)]
@@ -349,7 +449,7 @@ class TestVotesFile:
             load_votes(path)
 
     def test_vote_outside_class_range_rejected(self, tmp_path, mk_matrix):
-        path = save_votes(tmp_path / "v.json", mk_matrix([[2]]), ("a", "b", "c"))
+        path = save_votes(tmp_path / "v.json", mk_matrix([[2]], 3))
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["classes"] = ["a", "b"]
         path.write_text(json.dumps(doc), encoding="utf-8")

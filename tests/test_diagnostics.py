@@ -55,7 +55,7 @@ class TestAnalyzeOracle:
             votes[rng.random(200) < 0.1] = ABSTAIN
             if rng.random() < 0.3:
                 votes[:, rng.integers(m)] = ABSTAIN
-            matrix = mk_matrix(votes)
+            matrix = mk_matrix(votes, K)
             stats = analyze(matrix)
             expected = naive_stats(votes)
             for s, e in zip(stats, expected):
@@ -69,9 +69,9 @@ class TestAnalyzeOracle:
     def test_hand_worked_matrix(self, mk_matrix):
         A = ABSTAIN
         matrix = mk_matrix(
-            [[0, 1, A], [0, A, A], [A, A, A], [1, 1, 1], [A, 0, 0]]
+            [[0, 1, A], [0, A, A], [A, A, A], [1, 1, 1], [A, 0, 0]], gold=[0, 0, 1, 1, 0]
         )
-        stats = analyze(matrix, gold=[0, 0, 1, 1, 0])
+        stats = analyze(matrix)
         p0, p1, p2 = stats
         assert (p0.coverage, p0.overlap, p0.conflict) == (0.6, 0.4, 0.2)
         assert (p1.coverage, p1.overlap, p1.conflict) == (0.6, 0.6, 0.2)
@@ -102,11 +102,11 @@ class TestAnalyzeOracle:
             analyze(mk_matrix([[0]]), coverage_threshold=1.5)
 
     def test_gold_length_mismatch(self, mk_matrix):
-        with pytest.raises(DiagnosticsError, match="gold"):
-            analyze(mk_matrix([[0], [1]]), gold=[0])
+        with pytest.raises(ValueError, match="gold"):
+            mk_matrix([[0], [1]], gold=[0])
 
     def test_accuracy_none_without_gold_rows(self, mk_matrix):
-        stats = analyze(mk_matrix([[0], [1]]), gold=[None, None])
+        stats = analyze(mk_matrix([[0], [1]], gold=[None, None]))
         assert stats[0].empirical_accuracy is None
 
     def test_zero_coverage_program_reported_not_crashed(self, mk_matrix):

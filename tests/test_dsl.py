@@ -470,9 +470,9 @@ class TestWallClockIndependence:
             Record(id="short", text="9/10 g r e a t"),
         ]
         expected = [[1, ABSTAIN], [0, 0], [ABSTAIN, ABSTAIN], [0, 0]]
-        steady = assemble_votes(records, programs)
+        steady = assemble_votes(records, programs, spam_cs)
         with jumping_clock():
-            jumping = assemble_votes(records, programs)
+            jumping = assemble_votes(records, programs, spam_cs)
         assert steady.votes.tolist() == jumping.votes.tolist() == expected
 
 
@@ -490,7 +490,7 @@ class TestValidate:
     def test_unknown_concept_rejected(self, spam_cs):
         program = parse_program('rule: score("tail") >= 0.5 -> spam;', spam_cs)
         with pytest.raises(DslEvaluationError, match="tail"):
-            assemble_votes([Record(id="r", scores={"wing": 0.5})], [program])
+            assemble_votes([Record(id="r", scores={"wing": 0.5})], [program], spam_cs)
 
     def test_rule_cap_warned(self, spam_cs, caplog):
         src = "\n".join(f'rule: contains("w{i}") -> spam;' for i in range(65))

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from helpers import (
 )
 
 from labelsmith.cli import main
-from labelsmith.data import ABSTAIN, VoteMatrix, save_votes
+from labelsmith.data import ABSTAIN, ClassSpace, VoteMatrix, save_votes, serialize_records
 from labelsmith.models import (
     DAWID_SKENE,
     FITTERS,
@@ -28,7 +30,8 @@ from labelsmith.models import (
     predict,
     save_params,
 )
-from labelsmith.models import MV, WMV, _align_permutation, _vote_bins
+from labelsmith.models import MV, WMV, _align_permutation
+from labelsmith.synth import make_spam_corpus
 
 PLANTED = (0.9, 0.8, 0.7)
 
@@ -37,11 +40,11 @@ def _accuracy(pseudolabels, truth):
     return float((pseudolabels.hard == np.asarray(truth)).mean())
 
 
-def _counting(matrix, K, weights=None):
+def _counting(matrix, weights=None):
     """Pseudolabels of (weighted) majority vote with the given weights."""
     params = LabelModelParams(
         kind=MV if weights is None else WMV,
-        priors=np.full(K, 1.0 / K),
+        priors=np.full(matrix.K, 1.0 / matrix.K),
         program_ids=matrix.program_ids,
         weights=weights,
     )
@@ -68,15 +71,15 @@ def _naive_plurality(votes, K, weights=None):
 class TestMajorityVote:
     def test_weighted_row_follows_heavy_program(self, mk_matrix):
         matrix = mk_matrix([[1, 0, 0]])
-        labels = _counting(matrix, 2, weights=(3.0, 1.0, 1.0))
+        labels = _counting(matrix, weights=(3.0, 1.0, 1.0))
         assert labels.hard.tolist() == [1]
         assert labels.posterior.tolist() == [[0.4, 0.6]]
 
     def test_exhaustive_against_naive_counting(self, mk_matrix):
         for m, K in [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3)]:
             patterns = list(itertools.product([ABSTAIN, *range(K)], repeat=m))
-            matrix = mk_matrix(patterns)
-            labels = _counting(matrix, K)
+            matrix = mk_matrix(patterns, K)
+            labels = _counting(matrix)
             expected = _naive_plurality(matrix.votes, K)
             for i, (best, any_vote, mass) in enumerate(expected):
                 assert labels.hard[i] == best
@@ -88,46 +91,44 @@ class TestMajorityVote:
         # no abstains: WMV with unit weights is plain plurality
         for m, K in [(3, 2), (4, 3)]:
             patterns = list(itertools.product(range(K), repeat=m))
-            matrix = mk_matrix(patterns)
-            params, _ = make_counting_params(matrix, K, kind="WMV")
+            matrix = mk_matrix(patterns, K)
+            params, _ = make_counting_params(matrix, kind="WMV")
             wmv = predict(params, matrix).hard
-            plain = _counting(matrix, K).hard
+            plain = _counting(matrix).hard
             np.testing.assert_array_equal(wmv, plain)
 
     def test_rejects_bad_weights(self, mk_matrix):
         matrix = mk_matrix([[0, 1]])
         for weights in [(1.0, 0.0), (1.0, -0.5), (np.nan, 1.0), (1.0, np.inf)]:
             with pytest.raises(ModelError, match="finite and positive"):
-                _counting(matrix, 2, weights=weights)
+                _counting(matrix, weights=weights)
         with pytest.raises(ModelError):
-            _counting(matrix, 2, weights=(1.0,))
+            _counting(matrix, weights=(1.0,))
 
 
 class TestEmpiricalAccuracies:
     def test_hand_case_with_missing_gold(self, mk_matrix):
-        matrix = mk_matrix([[0, 1], [1, 1], [ABSTAIN, 0], [0, ABSTAIN]])
-        acc = empirical_accuracies(matrix, [0, 1, 0, None])
+        matrix = mk_matrix([[0, 1], [1, 1], [ABSTAIN, 0], [0, ABSTAIN]], gold=[0, 1, 0, None])
+        acc = empirical_accuracies(matrix)
         # p0: rows 0,1 voted with gold -> correct on both
         # p1: rows 0,1,2 -> wrong on row 0, correct on rows 1 and 2
         assert acc[0] == 1.0
         assert acc[1] == pytest.approx(2 / 3)
 
     def test_program_without_gold_rows_is_nan(self, mk_matrix):
-        matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN]])
-        acc = empirical_accuracies(matrix, [0, 1])
+        matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN]], gold=[0, 1])
+        acc = empirical_accuracies(matrix)
         assert np.isnan(acc[1])
 
     def test_length_mismatch(self, mk_matrix):
-        matrix = mk_matrix([[0, 1]])
-        with pytest.raises(ModelError, match="gold"):
-            empirical_accuracies(matrix, [0, 1])
+        with pytest.raises(ValueError, match="gold"):
+            mk_matrix([[0, 1]], gold=[0, 1])
 
 
 class TestCountingParams:
     def test_wmv_weights_are_logodds_of_accuracy(self, mk_matrix):
-        matrix = mk_matrix([[0, 0], [1, 0], [0, 1], [1, 0]])
-        gold = [0, 1, 0, 1]
-        params, report = make_counting_params(matrix, 2, kind="WMV", gold=gold)
+        matrix = mk_matrix([[0, 0], [1, 0], [0, 1], [1, 0]], gold=[0, 1, 0, 1])
+        params, report = make_counting_params(matrix, kind="WMV")
         # p0 accuracy 1.0 clamps to 0.95; p1 accuracy 1/4, log-odds negative,
         # floored at 0.01 so a bad program nearly vanishes but never flips votes
         assert params.accuracies[0] == pytest.approx(0.95)
@@ -137,51 +138,51 @@ class TestCountingParams:
 
     def test_wmv_without_gold_uses_uniform_and_notes_it(self, mk_matrix):
         matrix = mk_matrix([[0, 1]])
-        params, report = make_counting_params(matrix, 2, kind="WMV")
+        params, report = make_counting_params(matrix, kind="WMV")
         assert np.array_equal(params.weights, np.ones(2))
         assert any("uniform" in note for note in report.notes)
 
     def test_wmv_chance_weight_when_program_lacks_gold(self, mk_matrix):
-        matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN], [ABSTAIN, 0]])
-        params, report = make_counting_params(matrix, 2, kind="WMV", gold=[0, 1, None])
+        matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN], [ABSTAIN, 0]], gold=[0, 1, None])
+        params, report = make_counting_params(matrix, kind="WMV")
         assert params.accuracies[1] == pytest.approx(0.5)
         assert any("p1" in note for note in report.notes)
 
     def test_zero_coverage_program_rejected(self, mk_matrix):
         matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN]])
         with pytest.raises(ModelError, match="p1.*zero coverage"):
-            make_counting_params(matrix, 2)
+            make_counting_params(matrix)
 
 
 class TestDawidSkene:
     def test_planted_recovery(self):
         matrix, truth = planted_confusion_votes(2000, 5, 3, diag=0.8, seed=117)
-        params, report = fit_dawid_skene(matrix, 3)
+        params, report = fit_dawid_skene(matrix)
         diagonals = np.array([params.confusion[j].diagonal() for j in range(5)])
         assert np.abs(diagonals - 0.8).max() < 0.05
         ds_acc = _accuracy(predict(params, matrix), truth)
-        mv_acc = _accuracy(_counting(matrix, 3), truth)
+        mv_acc = _accuracy(_counting(matrix), truth)
         assert ds_acc >= mv_acc
         assert ds_acc > 0.94
         assert report.converged
 
     def test_objective_non_decreasing(self):
         matrix, _ = planted_confusion_votes(500, 4, 3, diag=0.7, seed=11, abstain=0.3)
-        _, report = fit_dawid_skene(matrix, 3)
+        _, report = fit_dawid_skene(matrix)
         diffs = np.diff(np.array(report.objective))
         assert (diffs >= -1e-8).all()
 
     def test_two_identical_perfect_programs(self, mk_matrix):
         truth = [i % 2 for i in range(40)]
         matrix = mk_matrix([[t, t] for t in truth])
-        params, _ = fit_dawid_skene(matrix, 2)
+        params, _ = fit_dawid_skene(matrix)
         labels = predict(params, matrix)
         assert labels.covered.all()
         assert (labels.posterior[np.arange(40), truth] >= 0.99).all()
 
     def test_single_program_all_class_zero(self, mk_matrix):
         matrix = mk_matrix([[0]] * 10)
-        params, report = fit_dawid_skene(matrix, 2)
+        params, report = fit_dawid_skene(matrix)
         assert params.priors[0] > 0.9
         assert (predict(params, matrix).hard == 0).all()
         # label switching resolved: accuracy estimates at least chance
@@ -194,9 +195,10 @@ class TestDawidSkene:
             votes=matrix.votes[:, perm],
             program_ids=tuple(matrix.program_ids[j] for j in perm),
             record_ids=matrix.record_ids,
+            classes=matrix.classes,
         )
-        p1, _ = fit_dawid_skene(matrix, 3)
-        p2, _ = fit_dawid_skene(permuted, 3)
+        p1, _ = fit_dawid_skene(matrix)
+        p2, _ = fit_dawid_skene(permuted)
         np.testing.assert_allclose(
             posterior_matrix(p1, matrix), posterior_matrix(p2, permuted), atol=1e-9
         )
@@ -208,8 +210,9 @@ class TestDawidSkene:
             votes=matrix.votes[order],
             program_ids=matrix.program_ids,
             record_ids=tuple(matrix.record_ids[i] for i in order),
+            classes=matrix.classes,
         )
-        params, _ = fit_dawid_skene(matrix, 3)
+        params, _ = fit_dawid_skene(matrix)
         np.testing.assert_allclose(
             posterior_matrix(params, matrix)[order],
             posterior_matrix(params, shuffled),
@@ -219,20 +222,20 @@ class TestDawidSkene:
     def test_zero_coverage_program_rejected(self, mk_matrix):
         matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN]])
         with pytest.raises(ModelError, match="zero coverage"):
-            fit_dawid_skene(matrix, 2)
+            fit_dawid_skene(matrix)
 
 
 class TestSnorkelLite:
     def test_planted_one_coin_recovery(self):
         matrix, _ = planted_confusion_votes(2000, 5, 3, diag=0.75, seed=202, abstain=0.25)
-        params, report = fit_snorkel_lite(matrix, 3)
+        params, report = fit_snorkel_lite(matrix)
         assert np.abs(params.accuracies - 0.75).max() < 0.05
         diffs = np.diff(np.array(report.objective))
         assert (diffs >= -1e-8).all()
 
     def test_confusion_has_one_coin_form(self):
         matrix, _ = planted_confusion_votes(500, 3, 3, diag=0.8, seed=31)
-        params, _ = fit_snorkel_lite(matrix, 3)
+        params, _ = fit_snorkel_lite(matrix)
         for j in range(3):
             conf = params.confusion[j]
             a = params.accuracies[j]
@@ -241,8 +244,8 @@ class TestSnorkelLite:
 
     def test_close_to_dawid_skene_on_full_confusion_data(self):
         matrix, truth = planted_confusion_votes(2000, 5, 3, diag=0.8, seed=117)
-        oc_params, _ = fit_snorkel_lite(matrix, 3)
-        ds_params, _ = fit_dawid_skene(matrix, 3)
+        oc_params, _ = fit_snorkel_lite(matrix)
+        ds_params, _ = fit_dawid_skene(matrix)
         oc_acc = _accuracy(predict(oc_params, matrix), truth)
         ds_acc = _accuracy(predict(ds_params, matrix), truth)
         assert abs(oc_acc - ds_acc) <= 0.03
@@ -250,7 +253,7 @@ class TestSnorkelLite:
     def test_two_identical_perfect_programs(self, mk_matrix):
         truth = [i % 2 for i in range(40)]
         matrix = mk_matrix([[t, t] for t in truth])
-        params, _ = fit_snorkel_lite(matrix, 2)
+        params, _ = fit_snorkel_lite(matrix)
         labels = predict(params, matrix)
         assert (labels.posterior[np.arange(40), truth] >= 0.99).all()
 
@@ -260,7 +263,7 @@ class TestReferenceEM:
     def test_fitters_match_naive_per_row_em(self, K):
         matrix, _ = planted_confusion_votes(150, 4, K, diag=0.75, seed=60 + K, abstain=0.3)
         for fit, one_coin in ((fit_dawid_skene, False), (fit_snorkel_lite, True)):
-            params, report = fit(matrix, K)
+            params, report = fit(matrix)
             priors, confusion, iterations, objective, q = reference_em(matrix.votes, K, one_coin)
             # one-coin relabels classes only for K=2
             if one_coin and K > 2:
@@ -280,24 +283,24 @@ class TestReferenceEM:
         candidates = [q[:, list(perm)] for perm in itertools.permutations(range(K))]
         for posteriors in candidates + [np.full_like(q, 1.0 / K)]:
             expected = reference_alignment(posteriors, matrix.votes, K)
-            assert _align_permutation(posteriors, _vote_bins(matrix.votes, K), K) == expected
+            assert _align_permutation(posteriors, matrix) == expected
 
 
 class TestTriplet:
     def test_planted_recovery(self):
         matrix, _ = planted_binary_votes(10_000, PLANTED, seed=77)
-        params, _ = fit_triplet(matrix, 2)
+        params, _ = fit_triplet(matrix)
         assert np.abs(params.accuracies - np.array(PLANTED)).max() < 0.05
 
     def test_identical_perfect_programs_clamp_high(self, mk_matrix):
         truth = [i % 2 for i in range(100)]
         matrix = mk_matrix([[t, t, t] for t in truth])
-        params, _ = fit_triplet(matrix, 2)
+        params, _ = fit_triplet(matrix)
         assert np.all(params.accuracies == 0.95)
 
     def test_coin_flip_weight_near_zero(self):
         matrix, _ = planted_binary_votes(10_000, (0.9, 0.8, 0.7, 0.5), seed=60)
-        params, _ = fit_triplet(matrix, 2)
+        params, _ = fit_triplet(matrix)
         assert abs(params.weights[3]) <= 0.1
 
     def test_error_shrinks_with_n(self):
@@ -306,20 +309,20 @@ class TestTriplet:
             errs = []
             for seed in range(20):
                 matrix, _ = planted_binary_votes(n, PLANTED, seed=3000 + seed)
-                params, _ = fit_triplet(matrix, 2)
+                params, _ = fit_triplet(matrix)
                 errs.append(float(np.abs(params.accuracies - np.array(PLANTED)).mean()))
             medians.append(float(np.median(errs)))
         assert medians[0] > medians[1] > medians[2]
 
     def test_rejects_nonbinary(self, mk_matrix):
-        matrix = mk_matrix([[0, 1, 2]])
+        matrix = mk_matrix([[0, 1, 2]], 3)
         with pytest.raises(ModelError, match="K=2"):
-            fit_triplet(matrix, 3)
+            fit_triplet(matrix)
 
     def test_rejects_fewer_than_three_programs(self, mk_matrix):
         matrix = mk_matrix([[0, 1], [1, 0]])
         with pytest.raises(ModelError, match="at least 3"):
-            fit_triplet(matrix, 2)
+            fit_triplet(matrix)
 
     def test_all_triplets_skipped_is_an_error(self, mk_matrix):
         # p0 and p2 never fire together, so p1's only triplet lacks E[s0 s2]
@@ -331,7 +334,7 @@ class TestTriplet:
                 rows.append([ABSTAIN, i % 2, i % 2])
         matrix = mk_matrix(rows)
         with pytest.raises(ModelError, match="triplet"):
-            fit_triplet(matrix, 2)
+            fit_triplet(matrix)
 
 
 def _bayes_oracle(priors, confusion, pattern, K):
@@ -365,7 +368,7 @@ class TestPredict:
 
     def test_enumeration_oracle_fitted_params(self, mk_matrix):
         data, _ = planted_binary_votes(4000, (0.85, 0.75, 0.9, 0.65), seed=40)
-        params, _ = fit_dawid_skene(data, 2)
+        params, _ = fit_dawid_skene(data)
         patterns = list(itertools.product([ABSTAIN, 0, 1], repeat=4))
         matrix = mk_matrix(patterns)
         posteriors = posterior_matrix(params, matrix)
@@ -383,28 +386,41 @@ class TestPredict:
             program_ids=("p0", "p1"),
             confusion=conf,
         )
-        matrix = mk_matrix([[2, 2]])
+        matrix = mk_matrix([[2, 2]], 3)
         labels = predict(params, matrix)
         assert labels.hard[0] == 2 and labels.posterior[0, 2] >= 0.99
 
     def test_tie_breaks_to_smallest_index(self, mk_matrix):
-        params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
+        params, _ = make_counting_params(mk_matrix([[0, 1]]))
         labels = predict(params, mk_matrix([[0, 1]]))
         assert labels.posterior.tolist() == [[0.5, 0.5]]
         assert labels.hard.tolist() == [0]
 
     def test_dimension_mismatch(self, mk_matrix):
-        params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
+        params, _ = make_counting_params(mk_matrix([[0, 1]]))
         with pytest.raises(ModelError, match="fitted for 2 programs"):
             predict(params, mk_matrix([[0, 1, 0]]))
 
     def test_vote_outside_class_range(self, mk_matrix):
-        params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
-        with pytest.raises(ModelError, match="outside"):
-            predict(params, mk_matrix([[0, 2]]))
+        # the matrix refuses it before any params see it
+        with pytest.raises(ValueError, match="outside"):
+            mk_matrix([[0, 2]])
+
+    @pytest.mark.parametrize(
+        "K, program_ids, match",
+        [
+            (3, ("p0", "p1"), "fitted for 2 classes but the vote matrix has 3"),
+            (2, ("p1", "p0"), "fitted for program 'p0' in column 0, but the vote matrix has 'p1'"),
+            (2, ("p0", "q1"), "fitted for program 'p1' in column 1, but the vote matrix has 'q1'"),
+        ],
+    )
+    def test_params_for_other_classes_or_programs_refused(self, mk_matrix, K, program_ids, match):
+        params, _ = make_counting_params(mk_matrix([[0, 1]]))
+        with pytest.raises(ModelError, match=match):
+            predict(params, replace(mk_matrix([[0, 1]], K), program_ids=program_ids))
 
     def test_uncovered_rows_uniform_and_flagged(self, mk_matrix):
-        params, _ = make_counting_params(mk_matrix([[0, 1]]), 2)
+        params, _ = make_counting_params(mk_matrix([[0, 1]]))
         labels = predict(params, mk_matrix([[ABSTAIN, ABSTAIN]]))
         assert labels.covered.tolist() == [False]
         assert labels.posterior.tolist() == [[0.5, 0.5]]
@@ -415,11 +431,9 @@ class TestParamsIO:
     def test_round_trip_all_kinds(self, tmp_path, name):
         if name == "triplet":
             matrix, _ = planted_binary_votes(500, PLANTED, seed=5)
-            K = 2
         else:
             matrix, _ = planted_confusion_votes(300, 4, 3, diag=0.8, seed=5, abstain=0.2)
-            K = 3
-        params, _ = FITTERS[name](matrix, K)
+        params, _ = FITTERS[name](matrix)
         path = tmp_path / "params.json"
         save_params(path, params)
         loaded = load_params(path)
@@ -467,7 +481,15 @@ GOLDEN = {
     "reuse/params.json": "8ad7d58c9e0a0933e2aca221548c64502551b8b4952aafdff7b622eea6ca45f8",
     "reuse/pseudolabels.jsonl": "39c3bc0df2b547cc914be213d6f62105310a5f0f3c7bf1e7cab908674f87df3c",
 }
-# The hashes also pin how this numpy build rounds float64 exp and log,
+# sha256 of `apply`'s votes file and `analyze`'s report on a seeded spam
+# corpus, taken before the vote matrix carried its classes, gold and groups.
+# Neither involves exp or log, so no probe guards them.
+GOLDEN_APPLY = {
+    "apply/votes.json": "58351f0bc995be84d55a2072d9ed3f18cc6913083f61a1481286cebc05c1e9f9",
+    "analyze/analysis.json": "e7609fb82af8ce333d5b3e24b7a53e05c16b6621e01f3187c632b8081355907a",
+}
+SPAM_PROGRAMS = Path(__file__).parent / "fixtures" / "spam_programs"
+# The aggregate hashes also pin how this numpy build rounds float64 exp and log,
 # which its SIMD loops do differently on different CPUs. Where this probe
 # reads otherwise the pinned hashes cannot hold, and the test is skipped.
 GOLDEN_MATH_PROBE = "8b0ddbc70e76c9095e4320b5260778556c117637b4e55b35aaf932c3d732c543"
@@ -483,8 +505,8 @@ def _golden_artifacts(tmp_path) -> dict:
     gold = [None if i % 9 == 0 else int(t) for i, t in enumerate(truth)]
     binary, _ = planted_binary_votes(800, (0.9, 0.8, 0.7, 0.65), seed=2025, abstain=0.3)
     votes, votes2 = tmp_path / "votes.json", tmp_path / "votes2.json"
-    save_votes(votes, matrix, ("a", "b", "c"), task="golden", gold=gold)
-    save_votes(votes2, binary, ("no", "yes"))
+    save_votes(votes, replace(matrix, classes=ClassSpace(("a", "b", "c")), task="golden", gold=gold))
+    save_votes(votes2, replace(binary, classes=ClassSpace(("no", "yes"))))
     runs = {"analyze": ["analyze", "--votes", str(votes)]}
     for name in ("ds", "snorkel-lite", "mv", "wmv"):
         runs[name] = ["aggregate", "--votes", str(votes), "--model", name]
@@ -506,3 +528,13 @@ class TestGoldenOutputs:
         if _math_probe() != GOLDEN_MATH_PROBE:
             pytest.skip("numpy's float64 exp/log round differently here than where the hashes were taken")
         assert _golden_artifacts(tmp_path) == GOLDEN
+
+    def test_apply_and_analyze_match_pinned_hashes(self, tmp_path):
+        records, _ = make_spam_corpus(500, seed=13)
+        corpus = serialize_records(records, tmp_path / "corpus.jsonl")
+        votes = tmp_path / "apply" / "votes.json"
+        apply = ["apply", "--programs", str(SPAM_PROGRAMS), "--task", "sms", "--data", str(corpus)]
+        assert main(apply + ["--out", str(votes.parent)]) == 0
+        assert main(["analyze", "--votes", str(votes), "--out", str(tmp_path / "analyze")]) == 0
+        hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_APPLY}
+        assert hashes == GOLDEN_APPLY
