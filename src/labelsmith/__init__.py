@@ -46,7 +46,6 @@ from .models import (
     fit_triplet,
     load_params,
     make_counting_params,
-    posterior_matrix,
     predict,
     save_params,
 )

@@ -105,7 +105,10 @@ def _classes_arg(args) -> ClassSpace:
     if args.task:
         return load_pack(args.task).class_space()
     if args.classes:
-        return ClassSpace(tuple(c.strip() for c in args.classes.split(",")))
+        try:
+            return ClassSpace(tuple(c.strip() for c in args.classes.split(",")))
+        except ValueError as exc:
+            raise CliError(f"--classes: {exc}") from exc
     raise CliError("pass --task <pack> or --classes <a,b,...>")
 
 
@@ -351,8 +354,8 @@ def cmd_train(args) -> int:
     del records
     out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
-    model, metrics = distill.train_mlp(X, targets, cs.K, hyper, X_val, y_val)
-    distill.save_model(out / "model.json", model, cs.names, concepts)
+    model, metrics = distill.train_mlp(X, targets, cs, hyper, X_val, y_val)
+    distill.save_model(out / "model.json", model)
     metrics.save_csv(out / "metrics.csv")
     _write_manifest(
         out,
@@ -375,15 +378,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, meta = distill.load_model(args.model)
-    concepts = meta["concepts"]
-    records = load_dataset(args.data, ClassSpace(tuple(meta["classes"])), concepts)
-    if concepts is None and records[0].text is None:
+    model = distill.load_model(args.model)
+    records = load_dataset(args.data, model.classes, model.concepts)
+    if model.concepts is None and records[0].text is None:
         raise CliError(f"{args.data}: the model {args.model} takes text records, got scores")
     missing = next((r.id for r in records if r.gold is None), None)
     if missing is not None:
         raise CliError(f"{args.data}: eval data needs gold labels; record {missing!r} has none")
-    X = distill.featurize(records, model.sizes[0], concepts)
+    X = distill.featurize(records, model.sizes[0], model.concepts)
     preds = model.predict(X)
     gold = np.array([r.gold for r in records])
     accuracy = float((preds == gold).mean())
@@ -498,10 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LabelsmithError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (LabelsmithError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -164,7 +164,8 @@ class EmbeddingTable:
 
     ``records`` is n x d, ``concepts`` is C x d, both float64. Concept rows
     must be nonzero (they are directions); record rows may be zero and are
-    handled downstream."""
+    handled downstream. Both arrays turn read-only, as ``VoteMatrix``'s
+    votes do."""
 
     records: np.ndarray
     concepts: np.ndarray

@@ -251,7 +251,10 @@ class VoteMatrix:
     Row i follows ``record_ids``, column j follows ``program_ids``. Entries
     are class indices of ``classes`` or ABSTAIN (-1). ``gold`` and
     ``groups`` are None, or hold one entry per record: a class index or
-    None, a string or None. The constructor checks every field.
+    None, a string or None. The constructor checks every field and makes
+    ``votes`` read-only, the caller's own array when no cast copies it: a
+    copy would add the votes to the peak RSS, and a read-only view would
+    go stale against the cached ``bins`` if the caller wrote to it.
     """
 
     votes: np.ndarray
@@ -349,7 +352,8 @@ class VoteMatrix:
 class Pseudolabels:
     """Aggregated labels for n records: row i of the (n, K) ``posterior``
     belongs to ``record_ids[i]``, and ``covered[i]`` is False iff every
-    program abstained on it. The hard labels are derived, never stored."""
+    program abstained on it. The hard labels are derived, never stored.
+    Both arrays turn read-only, as ``VoteMatrix``'s votes do."""
 
     record_ids: tuple[str, ...]
     posterior: np.ndarray

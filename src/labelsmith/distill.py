@@ -6,6 +6,8 @@ entropy. Text records are featurized by signed feature hashing of word
 unigrams; score records use their concept scores directly. Features are
 stored row-compressed (``Features``): a text row keeps only its non-zero
 buckets, so memory grows with the token count, not with n × dims.
+An ``MLPModel`` is a whole model file (weights, classes and feature
+recipe) and refuses ``Features`` built with another recipe.
 
 Training and prediction run the first layer on one batch or chunk of
 rows at a time, and only on the columns those rows store: the rows
@@ -30,7 +32,7 @@ import logging
 import math
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -69,10 +71,6 @@ TOKEN_RE = re.compile(r"[a-z0-9']+")
 HASH_KEY = bytes(8)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _hash_token(token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=HASH_KEY).digest()
     return int.from_bytes(digest, "little")
@@ -85,12 +83,14 @@ class Features:
     same positions; every other column of the row is zero. A row stores
     each column at most once. ``block`` gives rows back on the columns
     they store, as the MLP takes them; ``dense`` gives them back on every
-    column."""
+    column. ``dims`` and ``concepts`` (the score columns in order; None for
+    hashed text and array rows) are the recipe the rows were built with."""
 
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
     dims: int
+    concepts: tuple[str, ...] | None
 
     @classmethod
     def from_dense(cls, X) -> "Features":
@@ -105,6 +105,7 @@ class Features:
             indices=np.tile(np.arange(dims, dtype=np.int64), n),
             values=X.ravel().copy(),
             dims=dims,
+            concepts=None,
         )
 
     def __len__(self) -> int:
@@ -122,7 +123,7 @@ class Features:
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         picks = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return Features(indptr, self.indices[picks], self.values[picks], self.dims)
+        return Features(indptr, self.indices[picks], self.values[picks], self.dims, self.concepts)
 
     def block(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """The given rows on the columns they store: a (len(rows),
@@ -174,7 +175,8 @@ def featurize(
                 rows.append([rec.scores[c] for c in concepts])
             except KeyError as exc:
                 raise DistillError(f"record {rec.id!r} is missing concept {exc.args[0]!r}") from exc
-        return Features.from_dense(np.array(rows, dtype=float).reshape(len(records), dims))
+        X = Features.from_dense(np.array(rows, dtype=float).reshape(len(records), dims))
+        return replace(X, concepts=tuple(concepts))
     # token -> (bucket, sign); most tokens repeat across records
     hashed: dict[str, tuple[int, float]] = {}
     # typed buffers: 8 bytes an entry, where a list of Python numbers
@@ -201,6 +203,7 @@ def featurize(
         indices=np.frombuffer(indices, dtype=np.int64),
         values=np.frombuffer(values, dtype=float),
         dims=dims,
+        concepts=None,
     )
 
 
@@ -282,14 +285,46 @@ def load_training_set(path: str | Path, K: int) -> tuple[list[Record], np.ndarra
     return records, np.asarray(targets, dtype=float if soft else np.int64)
 
 
-@dataclass
+def _recipe(dims: int, concepts: tuple[str, ...] | None) -> str:
+    return f"{dims} inputs" if concepts is None else f"the concepts {list(concepts)}"
+
+
+@dataclass(frozen=True, eq=False)
 class MLPModel:
-    """Fixed-architecture classifier: dims -> 32 -> 32 -> K, ReLU inside,
-    softmax out. Weights are float64; ``sizes`` pins the shape."""
+    """The content of a ``model.json``: a dims -> 32 -> 32 -> K classifier,
+    ReLU inside, softmax out. ``sizes`` pins the shapes of the float64
+    weights and biases, and ``classes`` names the K outputs. ``concepts``
+    names the score inputs in order, or is None for hashed text of width
+    ``sizes[0]``. The constructor checks every field."""
 
     sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    classes: ClassSpace
+    concepts: tuple[str, ...] | None
+
+    def __post_init__(self):
+        sizes = tuple(self.sizes)
+        if len(sizes) < 2 or not all(type(d) is int and d >= 1 for d in sizes):
+            raise DistillError("sizes must list at least 2 positive integers")
+        object.__setattr__(self, "sizes", sizes)
+        for name, expected in (("weights", list(zip(sizes, sizes[1:]))), ("biases", [(d,) for d in sizes[1:]])):
+            arrays = [np.asarray(a) for a in getattr(self, name)]
+            got = [a.shape for a in arrays]
+            if got != expected:
+                raise DistillError(f"{name} have shapes {got}, expected {expected} from sizes")
+            if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in arrays):
+                raise DistillError(f"{name} must be finite numbers")
+            object.__setattr__(self, name, [a.astype(float, copy=False) for a in arrays])
+        if self.classes.K != sizes[-1]:
+            raise DistillError(f"{self.classes.K} classes listed but the model has {sizes[-1]} outputs")
+        if self.concepts is not None:
+            concepts = tuple(self.concepts)
+            object.__setattr__(self, "concepts", concepts)
+            if not all(isinstance(c, str) for c in concepts):
+                raise DistillError("concepts must be strings")
+            if len(concepts) != sizes[0]:
+                raise DistillError(f"{len(concepts)} concepts listed but the model takes {sizes[0]} inputs")
 
     def forward(self, X: np.ndarray, cols=slice(None)) -> tuple[np.ndarray, list[np.ndarray]]:
         """Softmax probabilities plus per-layer activations (for backprop).
@@ -308,56 +343,27 @@ class MLPModel:
         probs = expz / expz.sum(axis=1, keepdims=True)
         return probs, acts
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X)[0]
-
     def predict(self, X: Features | np.ndarray) -> np.ndarray:
-        """Class indices, a block of a chunk of rows at a time."""
+        """Class indices, a block of a chunk of rows at a time. Features of
+        another width or concept list than the model's are refused."""
         X = _as_features(X)
+        if (X.dims, X.concepts) != (self.sizes[0], self.concepts):
+            raise DistillError(
+                f"the model takes {_recipe(self.sizes[0], self.concepts)}, "
+                f"but the features have {_recipe(X.dims, X.concepts)}"
+            )
         preds = np.empty(len(X), dtype=np.int64)
         for rows in _chunks(X):
             preds[rows] = np.argmax(self.forward(*X.block(rows))[0], axis=1)
         return preds
 
-    def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MLPModel":
-        """The model part of a model file; every weight and bias must have
-        the shape ``sizes`` gives it and hold finite numbers."""
-        sizes = tuple(json_field(doc, "sizes", list))
-        if len(sizes) < 2 or not all(_is_int(d) and d >= 1 for d in sizes):
-            raise DistillError("sizes must list at least 2 positive integers")
-        shapes = {
-            "weights": list(zip(sizes, sizes[1:])),
-            "biases": [(d,) for d in sizes[1:]],
-        }
-        arrays = {}
-        for name, expected in shapes.items():
-            arrays[name] = [np.asarray(a) for a in json_field(doc, name, list)]
-            got = [a.shape for a in arrays[name]]
-            if got != expected:
-                raise DistillError(f"{name} have shapes {got}, expected {expected} from sizes")
-            if not all(a.dtype.kind in "iuf" and np.isfinite(a).all() for a in arrays[name]):
-                raise DistillError(f"{name} must be finite numbers")
-        return cls(
-            sizes=sizes,
-            weights=[w.astype(float, copy=False) for w in arrays["weights"]],
-            biases=[b.astype(float, copy=False) for b in arrays["biases"]],
-        )
-
-
-def init_mlp(dims: int, K: int, seed: int) -> MLPModel:
-    """He-initialized hidden layers; the output layer starts at zero so the
-    initial softmax is uniform and the starting loss is exactly ln K. Same
-    seed, same bits."""
+def init_mlp(dims: int, classes: ClassSpace, seed: int) -> MLPModel:
+    """He-initialized hidden layers of a model of hashed text; the output
+    layer starts at zero so the initial softmax is uniform and the
+    starting loss is exactly ln K. Same seed, same bits."""
     rng = np.random.default_rng(seed)
-    sizes = (dims, *HIDDEN, K)
+    sizes = (dims, *HIDDEN, classes.K)
     weights, biases = [], []
     last = len(sizes) - 2
     for layer, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
@@ -366,7 +372,7 @@ def init_mlp(dims: int, K: int, seed: int) -> MLPModel:
         else:
             weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MLPModel(sizes=sizes, weights=weights, biases=biases)
+    return MLPModel(sizes=sizes, weights=weights, biases=biases, classes=classes, concepts=None)
 
 
 def _as_soft(targets: np.ndarray, K: int) -> np.ndarray:
@@ -477,14 +483,14 @@ class TrainMetrics:
 def train_mlp(
     X: Features | np.ndarray,
     targets: np.ndarray,
-    K: int,
+    classes: ClassSpace,
     hyper: Hyper = Hyper(),
     X_val: Features | np.ndarray | None = None,
     y_val: np.ndarray | None = None,
 ) -> tuple[MLPModel, TrainMetrics]:
-    """Adam on (soft) cross-entropy, lazy on the first layer.
-    Deterministic: the seed fixes the initialization and every shuffle,
-    so two runs agree bitwise.
+    """Adam on (soft) cross-entropy, lazy on the first layer, for a model
+    of X's recipe. Deterministic: the seed fixes the initialization and
+    every shuffle, so two runs agree bitwise.
 
     Each batch becomes a block of the columns its rows store; the first
     layer's forward pass, gradient and Adam step touch only those rows
@@ -494,14 +500,14 @@ def train_mlp(
     X = _as_features(X)
     if len(X) == 0:
         raise DistillError("training set is empty")
-    T = _as_soft(targets, K)
+    T = _as_soft(targets, classes.K)
     hard = np.argmax(T, axis=1)
     if len(np.unique(hard)) < 2:
         logger.warning(
             "training data has a single class (%d); the model will be a constant predictor",
             int(hard[0]),
         )
-    model = init_mlp(X.dims, K, hyper.seed)
+    model = replace(init_mlp(X.dims, classes, hyper.seed), concepts=X.concepts)
     metrics = TrainMetrics(initial_loss=_loss_and_predictions(model, X, T)[0])
     rng = np.random.default_rng(hyper.seed + 1)
     m_w = [np.zeros_like(w) for w in model.weights]
@@ -534,39 +540,33 @@ def train_mlp(
     return model, metrics
 
 
-def save_model(
-    path: str | Path,
-    model: MLPModel,
-    class_names: Sequence[str],
-    concepts: Sequence[str] | None = None,
-) -> Path:
-    """Write a model file. ``concepts`` names the score inputs in order;
-    without them the model takes hashed text of width ``sizes[0]``."""
-    doc = {"model": model.to_dict(), "classes": list(class_names)}
-    if concepts is not None:
-        doc["concepts"] = list(concepts)
+def save_model(path: str | Path, model: MLPModel) -> Path:
+    """Write ``model`` as a model file: its fields under their own names,
+    the network's under ``model``, and no ``concepts`` for hashed text."""
+    doc = {
+        "model": {
+            "sizes": list(model.sizes),
+            "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases],
+        },
+        "classes": list(model.classes.names),
+    }
+    if model.concepts is not None:
+        doc["concepts"] = list(model.concepts)
     path = Path(path)
     path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
     return path
 
 
-def load_model(path: str | Path) -> tuple[MLPModel, dict]:
+def load_model(path: str | Path) -> MLPModel:
     return read_json(path, _model_from_doc)
 
 
-def _model_from_doc(doc) -> tuple[MLPModel, dict]:
-    model = MLPModel.from_dict(json_field(doc, "model", dict))
+def _model_from_doc(doc) -> MLPModel:
+    net = json_field(doc, "model", dict)
     unknown = sorted(set(doc) - {"model", "classes", "concepts"})
     if unknown:
         raise DistillError(f"unknown field {unknown[0]!r}")
-    classes = json_field(doc, "classes", list)
+    classes = ClassSpace(tuple(json_field(doc, "classes", list)))
     concepts = json_field(doc, "concepts", list, type(None), default=None)
-    ClassSpace(tuple(classes))
-    if len(classes) != model.sizes[-1]:
-        raise DistillError(f"{len(classes)} classes listed but the model has {model.sizes[-1]} outputs")
-    if concepts is not None:
-        if not all(isinstance(c, str) for c in concepts):
-            raise DistillError("concepts must be strings")
-        if len(concepts) != model.sizes[0]:
-            raise DistillError(f"{len(concepts)} concepts listed but the model takes {model.sizes[0]} inputs")
-    return model, {"classes": classes, "concepts": concepts}
+    return MLPModel(*(json_field(net, key, list) for key in ("sizes", "weights", "biases")), classes, concepts)

@@ -553,11 +553,6 @@ def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:
     return Pseudolabels(matrix.record_ids, posteriors, covered)
 
 
-def posterior_matrix(params: LabelModelParams, matrix: VoteMatrix) -> np.ndarray:
-    """(n, K) posteriors for covered rows; uncovered rows get uniform."""
-    return predict(params, matrix).posterior
-
-
 FITTERS = {
     "mv": partial(make_counting_params, kind=MV),
     "wmv": partial(make_counting_params, kind=WMV),

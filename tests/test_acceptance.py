@@ -106,7 +106,7 @@ def test_02_pairwise_agreement_recovers_accuracies(criterion):
 
 def test_03_posteriors_match_brute_force_bayes(criterion):
     with criterion(3, "posteriors equal brute-force Bayes enumeration on every vote pattern"):
-        from labelsmith.models import DAWID_SKENE, LabelModelParams, posterior_matrix
+        from labelsmith.models import DAWID_SKENE, LabelModelParams
 
         rng = np.random.default_rng(8)
         confusion = rng.dirichlet(np.ones(2), size=(4, 2))
@@ -124,7 +124,7 @@ def test_03_posteriors_match_brute_force_bayes(criterion):
             record_ids=tuple(f"r{i}" for i in range(len(patterns))),
             classes=class_space(2),
         )
-        posteriors = posterior_matrix(params, matrix)
+        posteriors = predict(params, matrix).posterior
         for i, pattern in enumerate(patterns):
             if all(v == ABSTAIN for v in pattern):
                 expected = np.array([0.5, 0.5])  # uncovered rows are uniform
@@ -316,7 +316,7 @@ def test_08_spurious_direction_removal(criterion):
 def test_09_distiller_gradients_and_training(criterion):
     with criterion(9, "gradient check <= 1e-4; XOR >= 0.95; initial loss = ln K; bitwise seed determinism"):
         rng = np.random.default_rng(1)
-        model = init_mlp(12, 3, seed=1)
+        model = init_mlp(12, class_space(3), seed=1)
         X = rng.normal(size=(16, 12))
         y = rng.integers(0, 3, size=16)
         assert gradient_check(model, X, y) <= 1e-4
@@ -325,11 +325,11 @@ def test_09_distiller_gradients_and_training(criterion):
         xor_rng = np.random.default_rng(7)
         Xx = np.repeat(corners, 100, axis=0) + xor_rng.normal(scale=0.05, size=(400, 2))
         yx = np.repeat(np.array([0, 1, 1, 0]), 100)
-        trained, metrics = train_mlp(Xx, yx, 2, Hyper(epochs=100, seed=7))
+        trained, metrics = train_mlp(Xx, yx, class_space(2), Hyper(epochs=100, seed=7))
         assert metrics.train_accuracy[-1] >= 0.95
         assert abs(metrics.initial_loss - math.log(2)) <= 0.1
 
-        again, metrics2 = train_mlp(Xx, yx, 2, Hyper(epochs=100, seed=7))
+        again, metrics2 = train_mlp(Xx, yx, class_space(2), Hyper(epochs=100, seed=7))
         for w1, w2 in zip(trained.weights, again.weights):
             np.testing.assert_array_equal(w1, w2)
         for b1, b2 in zip(trained.biases, again.biases):

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: subcommands, exit codes, artifacts, manifests."""
 
+import hashlib
 import json
 import shutil
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes
+from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes, skip_unless_golden_math
 
 from labelsmith import models
 from labelsmith.cli import main
@@ -719,6 +720,42 @@ class TestScoresTrainEval:
             assert tree_bytes(tmp_path / "b" / step) == tree_bytes(tmp_path / "a" / step)
 
 
+# sha256 of the distill half's files on a seeded text chain (apply,
+# aggregate, export, train --dims 64, eval) and on the scores chain of
+# _scores_files, taken before the model file loaded as one MLPModel
+GOLDEN_DISTILL = {
+    "text/export/train.jsonl": "58d0cbb57f9e0a776823c29742550b402bbfb3ecb1cb083ed06b7169104484e1",
+    "text/train/model.json": "5432ac9924fa9b5abb65f5e275ad233082e33812484451d54dbd8ddc04c0168f",
+    "text/train/metrics.csv": "f1f326e7ec9056aa8ecfbc057a1a78dff732d9e5d208c67404dc7682a431bb36",
+    "text/eval/eval.json": "3c5e288c38e38852ad0d7886a465ae8bc63c3cf9038a9146e645848f426f4b35",
+    "scores/train.jsonl": "ba230a4a54d9f718589ba1bef2f0e2a3971d6250aceb240bc15964035f4770f6",
+    "scores/train/model.json": "76946070cebc1536f0b4a60cf1c4a3c719dd70471247982666016a8496a7c013",
+    "scores/train/metrics.csv": "f0dd0a9e3019c9cc2bedace37080f72e0b7175ab29a82a2478dc6a2127ebf2a8",
+    "scores/eval/eval.json": "0f30c5e0d9b1fef88da40a0f59d78c43b2dbedb716e35edda921838a393b008f",
+}
+
+
+def test_distill_files_match_pinned_hashes(tmp_path):
+    skip_unless_golden_math()
+    records, _ = make_spam_corpus(400, seed=21)
+    corpus = str(serialize_records(records, tmp_path / "corpus.jsonl"))
+    text = tmp_path / "text"
+    for argv in (
+        ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", corpus, "--out", str(text / "apply")],
+        ["aggregate", "--votes", str(text / "apply" / "votes.json"), "--out", str(text / "agg")],
+        ["export", "--pseudolabels", str(text / "agg" / "pseudolabels.jsonl"), "--task", "sms",
+         "--data", corpus, "--out", str(text / "export")],
+        ["train", "--train-file", str(text / "export" / "train.jsonl"), "--task", "sms", "--dims", "64",
+         "--epochs", "4", "--seed", "2", "--out", str(text / "train")],
+        ["eval", "--model", str(text / "train" / "model.json"), "--data", corpus, "--out", str(text / "eval")],
+    ):
+        assert main(argv) == 0
+    (tmp_path / "scores").mkdir()
+    TestScoresTrainEval().run(*_scores_files(tmp_path / "scores"), tmp_path / "scores")
+    hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_DISTILL}
+    assert hashes == GOLDEN_DISTILL
+
+
 def test_scores_apply_and_export_read_the_modality_from_the_records(tmp_path):
     _, data = _scores_files(tmp_path)
     progs = tmp_path / "programs"
@@ -1027,4 +1064,31 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err.startswith(f"error: {flag} must be"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--programs", SPAM_PROGRAMS, "--data", "d.jsonl"],
+        ["export", "--pseudolabels", "p.jsonl", "--data", "d.jsonl"],
+        ["train", "--train-file", "t.jsonl"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "classes, reason",
+    [
+        ("a,,b", "class names must be non-empty strings"),
+        ("a", "a class space needs at least 2 classes"),
+        ("a,a", "class names must be unique"),
+    ],
+    ids=["empty-name", "one-class", "duplicate"],
+)
+def test_malformed_classes_rejected(argv, classes, reason, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([*argv, "--classes", classes, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err == f"error: --classes: {reason}\n"
     assert not out.exists()

@@ -2,21 +2,21 @@ import json
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gradient_check, reference_featurize, reference_train_mlp
-from labelsmith.data import DatasetError, Pseudolabels, Record
+from helpers import class_space, gradient_check, reference_featurize, reference_train_mlp
+from labelsmith.data import ClassSpace, DatasetError, Pseudolabels, Record
 from labelsmith.synth import make_spam_corpus
 from labelsmith.distill import (
     CHUNK_ENTRIES,
     DistillError,
     Features,
     Hyper,
-    MLPModel,
     _hash_token,
     cross_entropy,
     export_training_set,
@@ -217,9 +217,9 @@ class TestRowCompressed:
             y = np.array([r.gold for r in records])
         train, held = np.arange(n), np.arange(n, n + 40)
         part = (lambda rows: X.take(rows)) if isinstance(X, Features) else (lambda rows: X[rows])
-        hyper = Hyper(epochs=2, batch=32, seed=seed)
-        got = train_mlp(part(train), y[train], 2, hyper, *((part(held), y[held]) if val else ()))
-        want = reference_train_mlp(dense[train], y[train], 2, hyper, *((dense[held], y[held]) if val else ()))
+        hyper, cs = Hyper(epochs=2, batch=32, seed=seed), class_space(2)
+        got = train_mlp(part(train), y[train], cs, hyper, *((part(held), y[held]) if val else ()))
+        want = reference_train_mlp(dense[train], y[train], cs, hyper, *((dense[held], y[held]) if val else ()))
         for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
             assert _bits(a) == _bits(b)
         assert got[1] == want[1]
@@ -259,7 +259,7 @@ class TestRowCompressed:
         got = self._assert_matches_lazy_reference(X, dense, y, np.arange(30), np.arange(30, 40), 5, batch)
         if not dense.any():
             assert X.block(np.arange(3))[0].shape == (3, 0)
-            assert _bits(got.weights[0]) == _bits(init_mlp(dims, 2, 5).weights[0])
+            assert _bits(got.weights[0]) == _bits(init_mlp(dims, class_space(2), 5).weights[0])
 
     # weights and losses of block training agree with the dense lazy-Adam
     # reference to this relative tolerance: the block product sums over
@@ -270,9 +270,9 @@ class TestRowCompressed:
     def _assert_matches_lazy_reference(self, X, dense, y, train, held, seed, batch=32):
         hyper = Hyper(epochs=2, batch=batch, seed=seed)
         val = (X.take(held), y[held]) if held is not None else ()
-        got = train_mlp(X.take(train), y[train], 2, hyper, *val)
+        got = train_mlp(X.take(train), y[train], class_space(2), hyper, *val)
         val = (dense[held], y[held]) if held is not None else ()
-        want = reference_train_mlp(dense[train], y[train], 2, hyper, *val, lazy=True)
+        want = reference_train_mlp(dense[train], y[train], class_space(2), hyper, *val, lazy=True)
         for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
             np.testing.assert_allclose(a, b, rtol=self.LAZY_RTOL, atol=1e-300)
         np.testing.assert_allclose(got[1].train_loss, want[1].train_loss, rtol=self.LAZY_RTOL)
@@ -304,7 +304,7 @@ class TestRowCompressed:
         tracemalloc.start()
         try:
             X = featurize(records, dims)
-            model, _ = train_mlp(X, y, 2, Hyper(epochs=1, seed=0))
+            model, _ = train_mlp(X, y, class_space(2), Hyper(epochs=1, seed=0))
             model.predict(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -375,19 +375,19 @@ class TestInitialization:
     def test_initial_loss_is_ln_k(self):
         rng = np.random.default_rng(0)
         for K in (2, 3, 5):
-            model = init_mlp(16, K, seed=0)
+            model = init_mlp(16, class_space(K), seed=0)
             X = rng.normal(size=(40, 16))
             y = rng.integers(0, K, size=40)
             assert cross_entropy(model, X, y) == pytest.approx(math.log(K), abs=1e-12)
 
     def test_architecture_is_two_by_32(self):
-        model = init_mlp(100, 3, seed=0)
+        model = init_mlp(100, class_space(3), seed=0)
         assert tuple(model.sizes) == (100, 32, 32, 3)
         shapes = [w.shape for w in model.weights]
         assert shapes == [(100, 32), (32, 32), (32, 3)]
 
     def test_hidden_layers_nonzero(self):
-        model = init_mlp(10, 2, seed=0)
+        model = init_mlp(10, class_space(2), seed=0)
         assert np.abs(model.weights[0]).sum() > 0
         assert np.abs(model.weights[-1]).sum() == 0
 
@@ -395,14 +395,14 @@ class TestInitialization:
 class TestGradients:
     def test_gradient_check_fresh_model(self):
         rng = np.random.default_rng(1)
-        model = init_mlp(12, 3, seed=1)
+        model = init_mlp(12, class_space(3), seed=1)
         X = rng.normal(size=(16, 12))
         y = rng.integers(0, 3, size=16)
         assert gradient_check(model, X, y) <= 1e-4
 
     def test_gradient_check_trained_model(self):
         X, y = blob_data(120, seed=2)
-        model, _ = train_mlp(X, y, 2, Hyper(epochs=5, seed=2))
+        model, _ = train_mlp(X, y, class_space(2), Hyper(epochs=5, seed=2))
         assert gradient_check(model, X[:32], y[:32]) <= 1e-4
 
     def test_error_shrinks_with_h(self):
@@ -411,7 +411,7 @@ class TestGradients:
         # would land on a near-quadratic region where h=1e-3 is already at
         # the roundoff floor, hence the 0.2 scale on weights and biases.
         rng = np.random.default_rng(3)
-        model = init_mlp(8, 2, seed=3)
+        model = init_mlp(8, class_space(2), seed=3)
         for w in model.weights:
             w += rng.normal(scale=0.2, size=w.shape)
         for b in model.biases:
@@ -427,7 +427,7 @@ class TestGradients:
         y = np.array([r.gold for r in records])
         X = featurize(records, 4096)
         # trained, so the zero-initialized output layer passes a gradient back
-        model, _ = train_mlp(X.take(np.arange(40)), y[:40], 2, Hyper(epochs=2, seed=6))
+        model, _ = train_mlp(X.take(np.arange(40)), y[:40], class_space(2), Hyper(epochs=2, seed=6))
         batch = np.arange(40, 72)
         block, cols = X.block(batch)
         got_w, got_b = gradients(model, block, y[batch], cols)
@@ -440,11 +440,12 @@ class TestGradients:
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-300)
         # the block is a dense batch for the model whose first layer is
         # the rows cols, so the finite-difference check applies to it
-        sub = MLPModel(model.sizes, [model.weights[0][cols]] + model.weights[1:], model.biases)
+        first = model.weights[0][cols]
+        sub = replace(model, sizes=(len(cols), *model.sizes[1:]), weights=[first] + model.weights[1:])
         assert gradient_check(sub, block, y[batch]) <= 1e-4
 
     def test_zero_input_batch_finite(self):
-        model = init_mlp(6, 2, seed=4)
+        model = init_mlp(6, class_space(2), seed=4)
         X = np.zeros((4, 6))
         y = np.array([0, 1, 0, 1])
         grads_w, grads_b = gradients(model, X, y)
@@ -456,18 +457,18 @@ class TestTraining:
     def test_blobs_reach_95_validation_within_50_epochs(self):
         X, y = blob_data(500, seed=5)
         X_val, y_val = blob_data(200, seed=6)
-        _, metrics = train_mlp(X, y, 2, Hyper(epochs=50, seed=5), X_val=X_val, y_val=y_val)
+        _, metrics = train_mlp(X, y, class_space(2), Hyper(epochs=50, seed=5), X_val=X_val, y_val=y_val)
         assert max(metrics.val_accuracy) >= 0.95
 
     def test_xor_needs_the_hidden_layers(self):
         X, y = xor_data(seed=7)
-        model, metrics = train_mlp(X, y, 2, Hyper(epochs=100, seed=7))
+        model, metrics = train_mlp(X, y, class_space(2), Hyper(epochs=100, seed=7))
         assert metrics.train_accuracy[-1] >= 0.95
 
     def test_seed_determinism_bitwise(self):
         X, y = blob_data(200, seed=8)
-        m1, met1 = train_mlp(X, y, 2, Hyper(epochs=10, seed=8))
-        m2, met2 = train_mlp(X, y, 2, Hyper(epochs=10, seed=8))
+        m1, met1 = train_mlp(X, y, class_space(2), Hyper(epochs=10, seed=8))
+        m2, met2 = train_mlp(X, y, class_space(2), Hyper(epochs=10, seed=8))
         for w1, w2 in zip(m1.weights, m2.weights):
             np.testing.assert_array_equal(w1, w2)
         for b1, b2 in zip(m1.biases, m2.biases):
@@ -476,15 +477,15 @@ class TestTraining:
 
     def test_different_seed_different_weights(self):
         X, y = blob_data(200, seed=8)
-        m1, _ = train_mlp(X, y, 2, Hyper(epochs=3, seed=1))
-        m2, _ = train_mlp(X, y, 2, Hyper(epochs=3, seed=2))
+        m1, _ = train_mlp(X, y, class_space(2), Hyper(epochs=3, seed=1))
+        m2, _ = train_mlp(X, y, class_space(2), Hyper(epochs=3, seed=2))
         assert any(not np.array_equal(w1, w2) for w1, w2 in zip(m1.weights, m2.weights))
 
     def test_soft_onehot_equals_hard(self):
         X, y = blob_data(120, seed=9)
         onehot = np.eye(2)[y]
-        m_hard, met_hard = train_mlp(X, y, 2, Hyper(epochs=5, seed=9))
-        m_soft, met_soft = train_mlp(X, onehot, 2, Hyper(epochs=5, seed=9))
+        m_hard, met_hard = train_mlp(X, y, class_space(2), Hyper(epochs=5, seed=9))
+        m_soft, met_soft = train_mlp(X, onehot, class_space(2), Hyper(epochs=5, seed=9))
         assert met_hard.train_loss == met_soft.train_loss
         for w1, w2 in zip(m_hard.weights, m_soft.weights):
             np.testing.assert_array_equal(w1, w2)
@@ -493,17 +494,17 @@ class TestTraining:
         X = np.random.default_rng(10).normal(size=(30, 4))
         y = np.zeros(30, dtype=int)
         with caplog.at_level(logging.WARNING, logger="labelsmith.distill"):
-            model, _ = train_mlp(X, y, 2, Hyper(epochs=5, seed=10))
+            model, _ = train_mlp(X, y, class_space(2), Hyper(epochs=5, seed=10))
         assert any("single class" in r.message for r in caplog.records)
         assert (model.predict(X) == 0).all()
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(DistillError, match="empty"):
-            train_mlp(np.empty((0, 4)), np.empty(0), 2)
+            train_mlp(np.empty((0, 4)), np.empty(0), class_space(2))
 
     def test_initial_loss_recorded_before_any_step(self):
         X, y = blob_data(100, seed=11)
-        _, metrics = train_mlp(X, y, 2, Hyper(epochs=1, seed=11))
+        _, metrics = train_mlp(X, y, class_space(2), Hyper(epochs=1, seed=11))
         assert metrics.initial_loss == pytest.approx(math.log(2), abs=1e-12)
         assert metrics.train_loss[0] < metrics.initial_loss
 
@@ -511,28 +512,30 @@ class TestTraining:
 class TestModelIO:
     def test_model_json_round_trip(self, tmp_path):
         X, y = blob_data(100, seed=12)
-        model, _ = train_mlp(X, y, 2, Hyper(epochs=3, seed=12))
-        save_model(tmp_path / "model.json", model, class_names=["spam", "ham"], concepts=None)
-        loaded, meta = load_model(tmp_path / "model.json")
+        model, _ = train_mlp(X, y, ClassSpace(("spam", "ham")), Hyper(epochs=3, seed=12))
+        save_model(tmp_path / "model.json", model)
+        loaded = load_model(tmp_path / "model.json")
         for w1, w2 in zip(model.weights, loaded.weights):
             np.testing.assert_array_equal(w1, w2)
         assert loaded.sizes == model.sizes
-        assert meta["classes"] == ["spam", "ham"]
-        assert meta["concepts"] is None
+        assert loaded.classes.names == ("spam", "ham")
+        assert loaded.concepts is None
         np.testing.assert_array_equal(model.predict(X), loaded.predict(X))
 
     def test_model_without_spec(self, tmp_path):
         # a model file names its classes; weights alone are refused
-        model = init_mlp(4, 2, seed=0)
+        model = init_mlp(4, class_space(2), seed=0)
+        save_model(tmp_path / "full.json", model)
+        doc = json.loads((tmp_path / "full.json").read_text(encoding="utf-8"))
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"model": model.to_dict()}), encoding="utf-8")
+        path.write_text(json.dumps({"model": doc["model"]}), encoding="utf-8")
         with pytest.raises(DatasetError, match=r"m\.json: missing field 'classes'"):
             load_model(path)
 
     def test_metrics_csv(self, tmp_path):
         X, y = blob_data(80, seed=13)
         X_val, y_val = blob_data(40, seed=14)
-        _, metrics = train_mlp(X, y, 2, Hyper(epochs=3, seed=13), X_val=X_val, y_val=y_val)
+        _, metrics = train_mlp(X, y, class_space(2), Hyper(epochs=3, seed=13), X_val=X_val, y_val=y_val)
         path = metrics.save_csv(tmp_path / "metrics.csv")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,train_loss,train_accuracy,val_accuracy"
@@ -541,11 +544,76 @@ class TestModelIO:
         assert epoch0[0] == "0" and float(epoch0[1]) == pytest.approx(math.log(2), abs=1e-9)
 
     def test_forward_probs_sum_to_one(self):
-        model = init_mlp(5, 3, seed=15)
+        model = init_mlp(5, class_space(3), seed=15)
         X = np.random.default_rng(15).normal(size=(10, 5))
-        probs = model.predict_proba(X)
+        probs = model.forward(X)[0]
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(10), atol=1e-12)
 
-    def test_from_dict_validates(self):
-        with pytest.raises(Exception):
-            MLPModel.from_dict({"sizes": [2, 2]})
+    def test_constructor_validates(self):
+        model = init_mlp(2, class_space(2), seed=0)
+        with pytest.raises(DistillError, match="sizes must list"):
+            replace(model, sizes=(2,))
+        with pytest.raises(DistillError, match="weights have shapes"):
+            replace(model, weights=model.weights[:2])
+        with pytest.raises(DistillError, match="biases must be finite"):
+            replace(model, biases=[np.full_like(b, np.nan) for b in model.biases])
+        with pytest.raises(DistillError, match="3 classes listed but the model has 2 outputs"):
+            replace(model, classes=class_space(3))
+        with pytest.raises(DistillError, match="1 concepts listed but the model takes 2 inputs"):
+            replace(model, concepts=("a",))
+        with pytest.raises(DistillError, match="concepts must be strings"):
+            replace(model, concepts=("a", 2))
+
+
+class TestPredictRefusesOtherRecipes:
+    """A model predicts only on features built the way its training
+    features were: the same width and the same concept list in order."""
+
+    def test_hashed_width(self):
+        records, _ = make_spam_corpus(20, seed=3)
+        model = init_mlp(1024, class_space(2), seed=0)
+        with pytest.raises(DistillError, match=r"the model takes 1024 inputs, but the features have 64 inputs"):
+            model.predict(featurize(records, 64))
+        assert len(model.predict(featurize(records, 1024))) == 20
+
+    def test_concept_order(self):
+        records = [Record(id=f"r{i}", scores={"a": float(i % 2), "b": 1.0 - i % 2}) for i in range(40)]
+        y = np.arange(40) % 2
+        model, _ = train_mlp(featurize(records, 2, ["a", "b"]), y, class_space(2), Hyper(epochs=30, seed=1))
+        assert model.concepts == ("a", "b")
+        assert (model.predict(featurize(records, 2, ["a", "b"])) == y).all()
+        with pytest.raises(DistillError, match=r"\['a', 'b'\], but the features have the concepts \['b', 'a'\]"):
+            model.predict(featurize(records, 2, ["b", "a"]))
+        with pytest.raises(DistillError, match="but the features have 2 inputs"):
+            model.predict(featurize(records, 2, ["a", "b"]).dense())
+
+
+# names a JSON writer must escape: quotes, backslashes, control and
+# non-ASCII characters
+_NAMES = st.text(st.sampled_from(list('ab"\\\n\t\x00é日/')), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    classes=st.lists(_NAMES, min_size=2, max_size=5, unique=True),
+    concepts=st.one_of(st.none(), st.lists(_NAMES, min_size=1, max_size=4)),
+    dims=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_file_round_trips(tmp_path_factory, classes, concepts, dims, seed):
+    model = init_mlp(len(concepts) if concepts else dims, ClassSpace(tuple(classes)), seed)
+    rng = np.random.default_rng(seed)
+    # every weight non-zero, with the full range of float64 exponents
+    weights = [rng.normal(size=w.shape) * 10.0 ** rng.integers(-300, 300, size=w.shape) for w in model.weights]
+    biases = [rng.normal(size=b.shape) for b in model.biases]
+    model = replace(model, weights=weights, biases=biases, concepts=concepts)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    saved = save_model(path, model).read_bytes()
+    loaded = load_model(path)
+    assert loaded.sizes == model.sizes
+    assert loaded.classes == model.classes
+    assert loaded.concepts == (None if concepts is None else tuple(concepts))
+    for a, b in zip(model.weights + model.biases, loaded.weights + loaded.biases):
+        assert a.dtype == b.dtype == np.float64
+        assert _bits(a) == _bits(b)
+    assert save_model(path, loaded).read_bytes() == saved

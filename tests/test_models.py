@@ -11,6 +11,7 @@ from helpers import (
     planted_confusion_votes,
     reference_alignment,
     reference_em,
+    skip_unless_golden_math,
 )
 
 from labelsmith.cli import main
@@ -26,7 +27,6 @@ from labelsmith.models import (
     fit_triplet,
     load_params,
     make_counting_params,
-    posterior_matrix,
     predict,
     save_params,
 )
@@ -200,7 +200,7 @@ class TestDawidSkene:
         p1, _ = fit_dawid_skene(matrix)
         p2, _ = fit_dawid_skene(permuted)
         np.testing.assert_allclose(
-            posterior_matrix(p1, matrix), posterior_matrix(p2, permuted), atol=1e-9
+            predict(p1, matrix).posterior, predict(p2, permuted).posterior, atol=1e-9
         )
 
     def test_row_permutation_permutes_outputs(self):
@@ -214,8 +214,8 @@ class TestDawidSkene:
         )
         params, _ = fit_dawid_skene(matrix)
         np.testing.assert_allclose(
-            posterior_matrix(params, matrix)[order],
-            posterior_matrix(params, shuffled),
+            predict(params, matrix).posterior[order],
+            predict(params, shuffled).posterior,
             atol=1e-12,
         )
 
@@ -361,7 +361,7 @@ class TestPredict:
         )
         patterns = list(itertools.product([ABSTAIN, 0, 1], repeat=4))
         matrix = mk_matrix(patterns)
-        posteriors = posterior_matrix(params, matrix)
+        posteriors = predict(params, matrix).posterior
         for i, pattern in enumerate(patterns):
             expected = _bayes_oracle(params.priors, confusion, pattern, 2)
             np.testing.assert_allclose(posteriors[i], expected, atol=1e-9)
@@ -371,7 +371,7 @@ class TestPredict:
         params, _ = fit_dawid_skene(data)
         patterns = list(itertools.product([ABSTAIN, 0, 1], repeat=4))
         matrix = mk_matrix(patterns)
-        posteriors = posterior_matrix(params, matrix)
+        posteriors = predict(params, matrix).posterior
         for i, pattern in enumerate(patterns):
             if all(v == ABSTAIN for v in pattern):
                 continue  # uncovered convention checked elsewhere
@@ -446,7 +446,7 @@ class TestParamsIO:
             else:
                 np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(
-            posterior_matrix(params, matrix), posterior_matrix(loaded, matrix), atol=0
+            predict(params, matrix).posterior, predict(loaded, matrix).posterior, atol=0
         )
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -489,15 +489,6 @@ GOLDEN_APPLY = {
     "analyze/analysis.json": "e7609fb82af8ce333d5b3e24b7a53e05c16b6621e01f3187c632b8081355907a",
 }
 SPAM_PROGRAMS = Path(__file__).parent / "fixtures" / "spam_programs"
-# The aggregate hashes also pin how this numpy build rounds float64 exp and log,
-# which its SIMD loops do differently on different CPUs. Where this probe
-# reads otherwise the pinned hashes cannot hold, and the test is skipped.
-GOLDEN_MATH_PROBE = "8b0ddbc70e76c9095e4320b5260778556c117637b4e55b35aaf932c3d732c543"
-
-
-def _math_probe() -> str:
-    x = np.linspace(-40.0, 5.0, 4001)
-    return hashlib.sha256(np.exp(x).tobytes() + np.log(np.exp(x) + 1.0).tobytes()).hexdigest()
 
 
 def _golden_artifacts(tmp_path) -> dict:
@@ -525,8 +516,7 @@ def _golden_artifacts(tmp_path) -> dict:
 
 class TestGoldenOutputs:
     def test_artifacts_match_pinned_hashes(self, tmp_path):
-        if _math_probe() != GOLDEN_MATH_PROBE:
-            pytest.skip("numpy's float64 exp/log round differently here than where the hashes were taken")
+        skip_unless_golden_math()
         assert _golden_artifacts(tmp_path) == GOLDEN
 
     def test_apply_and_analyze_match_pinned_hashes(self, tmp_path):
