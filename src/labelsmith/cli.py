@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import math
 import sys
 import time
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, distill, models
+from . import diagnostics, models
 from .data import (
     ClassSpace,
     LabelsmithError,
@@ -37,18 +38,22 @@ from .data import (
     save_votes,
     write_json,
 )
-from .dsl import DslError, format_program, parse_program
 from .packs import available_packs, load_pack
-from .prompting import (
-    GenerationJob,
-    HttpTransport,
-    MockTransport,
-    Pricing,
-    SupplementBlock,
-    build_prompt,
-    estimate_cost,
-    generate_programs,
-)
+
+# Functions a tracer or test patches here: each loads its module on first
+# access (``__getattr__``), not at CLI start, and stays an attribute here;
+# the commands call them as ``_cli.<name>``, so a patch reaches them.
+_LAZY = {"format_program": "dsl", "parse_program": "dsl"}
+_LAZY.update(dict.fromkeys(("build_prompt", "estimate_cost", "generate_programs"), "prompting"))
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    return value
+
 
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 DEFAULT_MODEL = "gpt-3.5-turbo"
@@ -117,13 +122,15 @@ def _exemplar(doc) -> tuple[str, str]:
 
 
 def _load_program(path: Path, cs: ClassSpace):
+    from .dsl import DslError
     try:
-        return parse_program(read_text(path), cs, program_id=path.stem)
+        return _cli.parse_program(read_text(path), cs, program_id=path.stem)
     except DslError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
+    from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing, SupplementBlock
     pack = load_pack(args.task)
     out = _prepare_out(args.out, args.force)
     supplements = []
@@ -156,18 +163,18 @@ def cmd_generate(args) -> int:
         transport = HttpTransport(args.endpoint)
     cs = pack.class_space()
     # looked up at call time, so a patched time.sleep reaches the retry loop
-    results = generate_programs(job, cs, transport, out_dir=out, sleep=time.sleep)
+    results = _cli.generate_programs(job, cs, transport, out_dir=out, sleep=time.sleep)
     prog_dir = out / "programs"
     prog_dir.mkdir(exist_ok=True)
     n_ok = 0
     for res in results:
         if res.program is not None:
             (prog_dir / f"slot_{res.slot:02d}.lf").write_text(
-                format_program(res.program, cs), encoding="utf-8"
+                _cli.format_program(res.program, cs), encoding="utf-8"
             )
             n_ok += 1
-    prompt = build_prompt(spec)
-    cost = estimate_cost(
+    prompt = _cli.build_prompt(spec)
+    cost = _cli.estimate_cost(
         [prompt] * len(results),
         [res.response_text or "" for res in results],
         Pricing(args.price_in, args.price_out),
@@ -283,6 +290,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from . import distill
     cs = _classes_arg(args)
     records = load_dataset(args.data, cs)
     labels = load_pseudolabels(args.pseudolabels, K=cs.K)
@@ -311,6 +319,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import distill
     for flag, value, ok, wanted in (
         ("--epochs", args.epochs, args.epochs >= 1, "at least 1"),
         ("--batch", args.batch, args.batch >= 1, "at least 1"),
@@ -378,6 +387,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import distill
     model = distill.load_model(args.model)
     records = load_dataset(args.data, model.classes, model.concepts)
     if model.concepts is None and records[0].text is None:
@@ -399,7 +409,7 @@ def cmd_eval(args) -> int:
         doc["per_group"] = dict(report.per_group)
     out = _prepare_out(args.out, args.force)
     write_json(out / "eval.json", doc)
-    _write_manifest(out, "eval", {}, [Path(args.model), Path(args.data)])
+    _write_manifest(out, "eval", {}, [Path(args.model), distill.weights_path(args.model), Path(args.data)])
     print(f"accuracy {accuracy:.4f} on {len(records)} records")
     if "worst_group_accuracy" in doc:
         print(
@@ -488,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="evaluate a trained model on gold-labeled data")
-    sp.add_argument("--model", required=True, help="model.json from train")
+    sp.add_argument("--model", required=True, help="model.json from train (model.bin must sit beside it)")
     _add_common(sp, data=True)
     sp.set_defaults(func=cmd_eval)
 

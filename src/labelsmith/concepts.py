@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabelsmithError, Record, json_field, read_json, write_json
+from .data import LabelsmithError, Record, json_field, read_array, read_json, write_array, write_json
 from .prompting import (
     Transport,
     TransportError,
@@ -298,54 +298,31 @@ def records_from_scores(table: EmbeddingTable, scores: np.ndarray) -> list[Recor
 
 
 def save_embeddings(stem: str | Path, table: EmbeddingTable) -> tuple[Path, Path]:
-    """Write ``<stem>.bin`` (row-major float64: n*d record rows, then C*d
-    concept rows) and the ``<stem>.json`` sidecar describing the layout."""
+    """Write ``<stem>.bin`` (the record rows, then the concept rows, in
+    ``data.write_array``'s layout) and the ``<stem>.json`` sidecar with the
+    shapes and names."""
     stem = Path(stem)
-    bin_path = stem.with_suffix(".bin")
-    json_path = stem.with_suffix(".json")
-    with bin_path.open("wb") as fh:
-        fh.write(np.ascontiguousarray(table.records, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(table.concepts, dtype="<f8").tobytes())
-    write_json(
-        json_path,
-        {
-            "n": table.n,
-            "C": table.C,
-            "d": table.d,
-            "concepts": list(table.concept_names),
-            "record_ids": list(table.record_ids),
-            "dtype": "<f8",
-            "layout": "records then concepts, row-major",
-        },
-    )
-    return bin_path, json_path
+    shapes = {"n": table.n, "C": table.C, "d": table.d}
+    names = {"concepts": list(table.concept_names), "record_ids": list(table.record_ids)}
+    json_path = write_json(stem.with_suffix(".json"), {**shapes, **names})
+    return write_array(stem.with_suffix(".bin"), [table.records, table.concepts]), json_path
 
 
 def load_embeddings(stem: str | Path) -> EmbeddingTable:
+    """The pair ``save_embeddings`` wrote; any fault raises ConceptError."""
     stem = Path(stem)
-    bin_path = stem.with_suffix(".bin")
-
-    def table(meta) -> EmbeddingTable:
-        n, C, d = (json_field(meta, key, int) for key in ("n", "C", "d"))
-        if min(n, C, d) < 0:
-            raise ConceptError("n, C and d must be non-negative")
-        dtype = np.dtype(json_field(meta, "dtype", str, default="<f8"))
-        if dtype.kind != "f":
-            raise ConceptError(f"dtype {dtype.str} is not a float type")
-        raw = np.frombuffer(bin_path.read_bytes(), dtype=dtype)
-        if raw.size != (n + C) * d:
-            raise ConceptError(
-                f"embeddings file {bin_path} has {raw.size} doubles, expected {(n + C) * d}"
-            )
-        record_ids = json_field(meta, "record_ids", list, default=None)
-        return EmbeddingTable(
-            records=raw[: n * d].reshape(n, d),
-            concepts=raw[n * d :].reshape(C, d),
-            concept_names=tuple(json_field(meta, "concepts", list)),
-            record_ids=tuple(record_ids if record_ids is not None else (str(i) for i in range(n))),
-        )
-
+    sidecar = stem.with_suffix(".json")
     try:
-        return read_json(stem.with_suffix(".json"), table, error=ConceptError)
-    except OSError as exc:
+        n, C, d, names, record_ids = read_json(sidecar, _embedding_fields, error=ConceptError)
+        records, concepts = read_array(stem.with_suffix(".bin"), [(n, d), (C, d)], sidecar)
+        return EmbeddingTable(records, concepts, tuple(names), tuple(record_ids))
+    except (OSError, LabelsmithError) as exc:
         raise ConceptError(f"cannot read embeddings {stem}: {exc}") from exc
+
+
+def _embedding_fields(meta) -> tuple:
+    n, C, d = (json_field(meta, key, int) for key in ("n", "C", "d"))
+    if min(n, C, d) < 0:
+        raise ConceptError("n, C and d must be non-negative")
+    record_ids = json_field(meta, "record_ids", list, default=None)
+    return n, C, d, json_field(meta, "concepts", list), map(str, range(n)) if record_ids is None else record_ids

@@ -136,6 +136,35 @@ def write_json(path, doc) -> Path:
     return path
 
 
+def write_array(path, arrays: Sequence[np.ndarray]) -> Path:
+    """Write ``arrays`` in the one binary layout: little-endian float64,
+    each array row-major, back to back with no header. The JSON file
+    beside it holds the shapes."""
+    path = Path(path)
+    with path.open("wb") as fh:
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+    return path
+
+
+def read_array(path, shapes: Sequence[tuple[int, ...]], source) -> list[np.ndarray]:
+    """The read-only arrays of the given shapes that ``write_array`` wrote
+    to ``path``. A file of another size, or holding NaN or an infinity,
+    raises DatasetError naming ``path``; a size mismatch also names
+    ``source``, the file the shapes come from."""
+    counts = [math.prod(shape) for shape in shapes]
+    data = Path(path).read_bytes()
+    if len(data) != 8 * sum(counts):
+        shapes_in = f"the shapes {list(shapes)} in {source}"
+        raise DatasetError(f"{path}: {len(data)} bytes, but {shapes_in} take {sum(counts)} little-endian doubles")
+    flat = np.frombuffer(data, dtype="<f8")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise DatasetError(f"{path}: value {bad[0]} is {flat[bad[0]]}, expected a finite number")
+    ends = np.cumsum([0, *counts]).tolist()
+    return [flat[start:end].reshape(shape) for start, end, shape in zip(ends, ends[1:], shapes)]
+
+
 def check_posterior(values: list, K: int | None) -> list:
     """``values`` checked to be a posterior over ``K`` classes: K numbers
     in [0, 1] (any count when K is None)."""

@@ -46,8 +46,10 @@ from .data import (
     Record,
     check_posterior,
     json_field,
+    read_array,
     read_json,
     read_jsonl,
+    write_array,
 )
 
 logger = logging.getLogger("labelsmith.distill")
@@ -289,13 +291,20 @@ def _recipe(dims: int, concepts: tuple[str, ...] | None) -> str:
     return f"{dims} inputs" if concepts is None else f"the concepts {list(concepts)}"
 
 
+def _layer_shapes(sizes: tuple) -> list[tuple[int, ...]]:
+    """The shapes ``sizes`` pins: each weight matrix, then each bias."""
+    if len(sizes) < 2 or not all(type(d) is int and d >= 1 for d in sizes):
+        raise DistillError("sizes must list at least 2 positive integers")
+    return [*zip(sizes, sizes[1:]), *((d,) for d in sizes[1:])]
+
+
 @dataclass(frozen=True, eq=False)
 class MLPModel:
-    """The content of a ``model.json``: a dims -> 32 -> 32 -> K classifier,
-    ReLU inside, softmax out. ``sizes`` pins the shapes of the float64
-    weights and biases, and ``classes`` names the K outputs. ``concepts``
-    names the score inputs in order, or is None for hashed text of width
-    ``sizes[0]``. The constructor checks every field."""
+    """A model pair (``model.json`` and ``model.bin``): a dims -> 32 -> 32
+    -> K classifier, ReLU inside, softmax out. ``sizes`` pins the shapes of
+    the float64 weights and biases, ``classes`` names the K outputs, and
+    ``concepts`` the score inputs in order (None for hashed text of width
+    ``sizes[0]``). The constructor checks every field."""
 
     sizes: tuple[int, ...]
     weights: list[np.ndarray]
@@ -305,10 +314,10 @@ class MLPModel:
 
     def __post_init__(self):
         sizes = tuple(self.sizes)
-        if len(sizes) < 2 or not all(type(d) is int and d >= 1 for d in sizes):
-            raise DistillError("sizes must list at least 2 positive integers")
+        shapes = _layer_shapes(sizes)
         object.__setattr__(self, "sizes", sizes)
-        for name, expected in (("weights", list(zip(sizes, sizes[1:]))), ("biases", [(d,) for d in sizes[1:]])):
+        n = len(sizes) - 1
+        for name, expected in (("weights", shapes[:n]), ("biases", shapes[n:])):
             arrays = [np.asarray(a) for a in getattr(self, name)]
             got = [a.shape for a in arrays]
             if got != expected:
@@ -540,33 +549,47 @@ def train_mlp(
     return model, metrics
 
 
+def weights_path(path: str | Path) -> Path:
+    """The ``.bin`` beside the model file ``path`` that holds its arrays. A
+    model file that itself ends in ``.bin`` is refused: its arrays would
+    overwrite it."""
+    path = Path(path)
+    if path.suffix == ".bin":
+        raise DistillError(f"{path}: a model file cannot end in .bin, the suffix of its weights file")
+    return path.with_suffix(".bin")
+
+
 def save_model(path: str | Path, model: MLPModel) -> Path:
-    """Write ``model`` as a model file: its fields under their own names,
-    the network's under ``model``, and no ``concepts`` for hashed text."""
-    doc = {
-        "model": {
-            "sizes": list(model.sizes),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-        },
-        "classes": list(model.classes.names),
-    }
+    """Write ``model`` as a model pair: ``sizes``, ``classes`` and (for a
+    score model) ``concepts`` to ``path``, and each weight matrix, then
+    each bias, to ``weights_path(path)`` in ``data.write_array``'s layout."""
+    doc = {"sizes": list(model.sizes), "classes": list(model.classes.names)}
     if model.concepts is not None:
         doc["concepts"] = list(model.concepts)
-    path = Path(path)
+    path, bin_path = Path(path), weights_path(path)
     path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    write_array(bin_path, model.weights + model.biases)
     return path
 
 
 def load_model(path: str | Path) -> MLPModel:
-    return read_json(path, _model_from_doc)
+    """The model pair ``save_model`` wrote, its arrays read-only. A fault of
+    the JSON file names ``path``, and a fault of the arrays the ``.bin``."""
+    path, bin_path = Path(path), weights_path(path)
+    sizes, classes, concepts = read_json(path, _model_fields)
+    n = len(sizes) - 1
+    arrays = read_array(bin_path, _layer_shapes(sizes), path)
+    try:
+        return MLPModel(sizes, arrays[:n], arrays[n:], classes, concepts)
+    except DistillError as exc:  # read_array checked the arrays, so the JSON is at fault
+        raise DistillError(f"{path}: {exc}") from None
 
 
-def _model_from_doc(doc) -> MLPModel:
-    net = json_field(doc, "model", dict)
-    unknown = sorted(set(doc) - {"model", "classes", "concepts"})
+def _model_fields(doc) -> tuple:
+    classes = ClassSpace(tuple(json_field(doc, "classes", list)))
+    unknown = sorted(set(doc) - {"sizes", "classes", "concepts"})
     if unknown:
         raise DistillError(f"unknown field {unknown[0]!r}")
-    classes = ClassSpace(tuple(json_field(doc, "classes", list)))
-    concepts = json_field(doc, "concepts", list, type(None), default=None)
-    return MLPModel(*(json_field(net, key, list) for key in ("sizes", "weights", "biases")), classes, concepts)
+    sizes = tuple(json_field(doc, "sizes", list))
+    _layer_shapes(sizes)
+    return sizes, classes, json_field(doc, "concepts", list, type(None), default=None)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .data import ClassSpace, LabelsmithError, json_field, read_json
-from .prompting import PromptSpec, SupplementBlock
+
+if TYPE_CHECKING:
+    from .prompting import PromptSpec, SupplementBlock
 
 
 class PackError(LabelsmithError):
@@ -38,6 +40,7 @@ class TaskPack:
         return ClassSpace(names=self.classes)
 
     def prompt_spec(self, supplements: Sequence[SupplementBlock] = ()) -> PromptSpec:
+        from .prompting import PromptSpec  # only generate prompts; other commands never load it
         return PromptSpec(
             task_description=self.task_description,
             labeling_instructions=self.labeling_instructions,

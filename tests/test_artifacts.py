@@ -5,8 +5,12 @@ example mutates one of them, or one of the walkthrough's inputs, and runs
 every command that reads it: the command may succeed (0), flag programs
 (2) or fail (1), but a failure must print ``error:`` and name the file.
 A program file is not JSON, so it only gets the text-level mutations.
-The outputs no command reads (analysis.json, fit_report.json, cost.json,
-raw/*.json, metrics.csv, eval.json, run_manifest.json) are not mutated.
+The model is a pair of files: a mutated ``model.json`` is read with the
+``model.bin`` train wrote, and a mutated ``model.bin`` (cut short, one
+double longer, a weight made NaN or infinite, or missing) with the
+``model.json``. The outputs no command reads (analysis.json,
+fit_report.json, cost.json, raw/*.json, metrics.csv, eval.json,
+run_manifest.json) are not mutated.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import io
 import json
 import math
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -68,9 +73,17 @@ def walkthrough(tmp_path_factory):
 
 def resolve(argv, root: Path, artifact: Path | None = None) -> list[str]:
     """``ROOT/`` names a file of the walkthrough, ``ARTIFACT`` the mutated
-    copy and ``ARTIFACT_DIR`` the directory that holds only that copy."""
-    named = {"ARTIFACT": artifact, "ARTIFACT_DIR": artifact and artifact.parent}
-    return [str(named[a]) if a in named else a.replace("ROOT", str(root), 1) for a in argv]
+    copy and ``ARTIFACT_DIR`` the directory that holds that copy and, for
+    a file of a pair, the other file of the pair."""
+
+    def one(arg: str) -> str:
+        if arg == "ARTIFACT":
+            return str(artifact)
+        if arg.startswith("ARTIFACT_DIR"):
+            return str(artifact.parent) + arg[len("ARTIFACT_DIR") :]
+        return arg.replace("ROOT", str(root), 1)
+
+    return [one(a) for a in argv]
 
 
 # artifact -> every command of the walkthrough that reads it; ARTIFACT
@@ -97,6 +110,9 @@ CONSUMERS = {
     "train/model.json": [
         ["eval", "--model", "ARTIFACT", "--data", "ROOT/corpus.jsonl"],
     ],
+    "train/model.bin": [
+        ["eval", "--model", "ARTIFACT_DIR/model.json", "--data", "ROOT/corpus.jsonl"],
+    ],
     "mock.json": [
         ["generate", "--task", "sms", "--mock", "ARTIFACT", "--n", "2"],
     ],
@@ -107,6 +123,9 @@ CONSUMERS = {
         ["apply", "--programs", "ARTIFACT_DIR", "--task", "sms", "--data", "ROOT/corpus.jsonl"],
     ],
 }
+# the other file of a pair, copied unchanged beside the mutated one
+PARTNER = {"train/model.json": "train/model.bin", "train/model.bin": "train/model.json"}
+BIN_MUTATIONS = ("truncate", "extra-double", "non-finite", "missing")
 
 
 def _paths(node, prefix=()):
@@ -155,6 +174,19 @@ def mutated_text(text: str, jsonl: bool, data, kinds=MUTATIONS) -> str:
     return json.dumps(doc)
 
 
+def mutated_bin(data: bytes, draw) -> bytes | None:
+    """``data``, a file of doubles, mutated; None for a missing file."""
+    kind = draw(st.sampled_from(BIN_MUTATIONS), label="mutation")
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1), label="cut")]
+    if kind == "extra-double":
+        return data + struct.pack("<d", draw(st.floats(allow_nan=False, allow_infinity=False), label="value"))
+    if kind == "non-finite":
+        i = 8 * draw(st.integers(0, len(data) // 8 - 1), label="value index")
+        return data[:i] + struct.pack("<d", draw(st.sampled_from([math.nan, math.inf, -math.inf]))) + data[i + 8 :]
+    return None
+
+
 @pytest.mark.parametrize("artifact", sorted(CONSUMERS))
 @settings(
     max_examples=40,
@@ -166,13 +198,22 @@ def mutated_text(text: str, jsonl: bool, data, kinds=MUTATIONS) -> str:
 @given(data=st.data())
 def test_malformed_artifact_never_raises(walkthrough, artifact, tmp_path, data):
     source = walkthrough / artifact
-    kinds = TEXT_MUTATIONS if artifact.endswith(".lf") else MUTATIONS
-    text = mutated_text(source.read_text(encoding="utf-8"), artifact.endswith(".jsonl"), data, kinds)
     bad = tmp_path / "mutated" / source.name
     bad.parent.mkdir(exist_ok=True)
-    bad.write_text(text, encoding="utf-8")
+    if artifact in PARTNER:
+        shutil.copy(walkthrough / PARTNER[artifact], bad.parent)
+    if artifact.endswith(".bin"):
+        content = mutated_bin(source.read_bytes(), data.draw)
+        bad.unlink(missing_ok=True)  # tmp_path outlives one example
+        if content is not None:
+            bad.write_bytes(content)
+    else:
+        kinds = TEXT_MUTATIONS if artifact.endswith(".lf") else MUTATIONS
+        content = mutated_text(source.read_text(encoding="utf-8"), artifact.endswith(".jsonl"), data, kinds)
+        bad.write_text(content, encoding="utf-8")
     for command in CONSUMERS[artifact]:
         code, err = run([*resolve(command, walkthrough, bad), "--out", str(tmp_path / "out"), "--force"])
-        assert code in (0, 1, 2), (command, code, err)
+        # every mutation of the arrays breaks the pair
+        assert code in ((1,) if artifact.endswith(".bin") else (0, 1, 2)), (command, code, err)
         if code == 1:
-            assert err.startswith("error:") and str(bad) in err, (command, text[:300], err)
+            assert err.startswith("error:") and str(bad) in err, (command, content and content[:300], err)

@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import math
+import os
 import shutil
+import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +18,7 @@ from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes, s
 from labelsmith import models
 from labelsmith.cli import main
 from labelsmith.data import ClassSpace, load_pseudolabels, load_votes, save_votes, serialize_records
+from labelsmith.distill import load_model
 from labelsmith.packs import load_pack
 from labelsmith.prompting import (
     API_KEY_ENV,
@@ -120,6 +126,61 @@ def test_facts_the_files_carry_are_not_flags(argv, capsys):
         main([*argv, "--out", "o"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+# modules that only some commands run
+LAZY_MODULES = ("labelsmith.dsl", "labelsmith.prompting", "labelsmith.distill", "labelsmith.concepts")
+
+
+def _modules_after(argv) -> list[str]:
+    """The labelsmith modules a fresh interpreter holds after importing
+    the CLI and, when ``argv`` is given, running that command."""
+    script = (
+        "import json, sys\n"
+        "import labelsmith.cli\n"
+        f"if {argv!r}:\n"
+        f"    assert labelsmith.cli.main({argv!r}) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('labelsmith'))))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command", ["import", "analyze", "aggregate"])
+def test_commands_import_only_what_they_run(command, votes_dir, tmp_path):
+    argv = [] if command == "import" else [command, "--votes", str(votes_dir / "votes.json"), "--out", str(tmp_path / "out")]
+    loaded = _modules_after(argv)
+    assert "labelsmith.cli" in loaded
+    assert [m for m in LAZY_MODULES if m in loaded] == []
+
+
+def test_patches_of_lazily_bound_names_reach_the_commands(corpus_file, tmp_path, monkeypatch):
+    """A tracer or test patches labelsmith.cli's names, whether or not a
+    command has bound them yet; apply and generate call the patched ones."""
+    from labelsmith import cli
+
+    for name in cli._LAZY:
+        monkeypatch.delitem(vars(cli), name, raising=False)  # as in a fresh process
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def patched(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, patched)
+
+    counting("parse_program")
+    counting("generate_programs")
+    assert main(["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", corpus_file,
+                 "--out", str(tmp_path / "votes")]) == 0
+    assert calls == ["parse_program"] * len(list(Path(SPAM_PROGRAMS).glob("*.lf")))
+    assert main(["generate", "--task", "sms", "--mock", MOCK_OK, "--n", "2", "--out", str(tmp_path / "gen")]) == 0
+    assert calls[-1] == "generate_programs"
 
 
 class TestGenerate:
@@ -607,6 +668,9 @@ class TestExportTrainEval:
 
     def test_train_artifacts(self, trained, capsys):
         assert (trained / "model.json").is_file()
+        # 256 -> 32 -> 32 -> 2: each weight matrix, then each bias, as doubles
+        assert (trained / "model.bin").stat().st_size == 8 * (256 * 32 + 32 * 32 + 32 * 2 + 32 + 32 + 2)
+        assert set(read_manifest(trained)["outputs"]) == {"model.json", "model.bin", "metrics.csv"}
         lines = (trained / "metrics.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("epoch,")
         assert len(lines) == 1 + 5 + 1  # header, epoch 0 baseline, 5 epochs
@@ -633,8 +697,8 @@ class TestExportTrainEval:
                 "--out", str(rerun),
             ]
         ) == 0
-        assert (rerun / "model.json").read_bytes() == (trained / "model.json").read_bytes()
-        assert (rerun / "metrics.csv").read_bytes() == (trained / "metrics.csv").read_bytes()
+        for name in ("model.json", "model.bin", "metrics.csv"):
+            assert (rerun / name).read_bytes() == (trained / name).read_bytes()
 
     def test_eval_reports_accuracy_and_groups(self, trained, corpus_file, tmp_path, capsys):
         out = tmp_path / "eval"
@@ -650,6 +714,12 @@ class TestExportTrainEval:
         captured = capsys.readouterr().out
         assert "accuracy" in captured
         assert "worst group" in captured
+        # the audit trail hashes the weights that produced eval.json
+        inputs = read_manifest(out)["inputs"]
+        assert inputs == {
+            str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for path in (trained / "model.json", trained / "model.bin", corpus_file)
+        }
 
     def test_eval_requires_gold(self, trained, tmp_path, capsys):
         records, _ = make_spam_corpus(20, seed=9)
@@ -710,8 +780,8 @@ class TestScoresTrainEval:
         self.run(train, data, tmp_path / "a")
         doc = json.loads((tmp_path / "a" / "train" / "model.json").read_text(encoding="utf-8"))
         assert doc["concepts"] == ["beak length", "water background", "webbed feet"]
-        assert set(doc) == {"model", "classes", "concepts"}
-        assert doc["model"]["sizes"][0] == 3
+        assert set(doc) == {"sizes", "classes", "concepts"}
+        assert doc["sizes"][0] == 3
         assert read_manifest(tmp_path / "a" / "train")["params"]["dims"] == 3
         report = json.loads((tmp_path / "a" / "eval" / "eval.json").read_text(encoding="utf-8"))
         assert report["n"] == 120 and set(report["per_group"]) == {"land", "water"}
@@ -722,14 +792,21 @@ class TestScoresTrainEval:
 
 # sha256 of the distill half's files on a seeded text chain (apply,
 # aggregate, export, train --dims 64, eval) and on the scores chain of
-# _scores_files, taken before the model file loaded as one MLPModel
+# _scores_files, taken before the model file loaded as one MLPModel. The
+# model pair's hashes come from the model.json files of that version,
+# whose nested lists held the weights: model.bin is those weight
+# matrices, then those biases, packed as little-endian doubles, and
+# model.json is json.dumps(..., sort_keys=True) of its sizes, classes and
+# concepts.
 GOLDEN_DISTILL = {
     "text/export/train.jsonl": "58d0cbb57f9e0a776823c29742550b402bbfb3ecb1cb083ed06b7169104484e1",
-    "text/train/model.json": "5432ac9924fa9b5abb65f5e275ad233082e33812484451d54dbd8ddc04c0168f",
+    "text/train/model.json": "d2906fc718e0603a22633b3fcc4c8ce44d2145b39d10163c7f8ae4fabd5c70e7",
+    "text/train/model.bin": "96881645df3961f2c96f7528ec1687e2ab8e7d5346173545eeeefe114e639caf",
     "text/train/metrics.csv": "f1f326e7ec9056aa8ecfbc057a1a78dff732d9e5d208c67404dc7682a431bb36",
     "text/eval/eval.json": "3c5e288c38e38852ad0d7886a465ae8bc63c3cf9038a9146e645848f426f4b35",
     "scores/train.jsonl": "ba230a4a54d9f718589ba1bef2f0e2a3971d6250aceb240bc15964035f4770f6",
-    "scores/train/model.json": "76946070cebc1536f0b4a60cf1c4a3c719dd70471247982666016a8496a7c013",
+    "scores/train/model.json": "c466e6cfbbefd5725f140ea35fe69c7da499361b8ba0f7ec52299cbe6f6659ef",
+    "scores/train/model.bin": "533cfe256b5c9895515cb685a02adb6bedd13926bb95c0f2300307cece4d9d9f",
     "scores/train/metrics.csv": "f0dd0a9e3019c9cc2bedace37080f72e0b7175ab29a82a2478dc6a2127ebf2a8",
     "scores/eval/eval.json": "0f30c5e0d9b1fef88da40a0f59d78c43b2dbedb716e35edda921838a393b008f",
 }
@@ -791,10 +868,33 @@ def _votes_doc(**changes) -> str:
     return json.dumps({**doc, **changes})
 
 
-def _model_doc(trained, change) -> str:
+def _model_pair(trained, change_doc=None, change_bin=None) -> tuple[str, bytes | None]:
+    """The trained model pair, (model.json text, model.bin bytes), with
+    ``change_doc`` applied to the document and ``change_bin`` to the
+    bytes; a ``change_bin`` that returns None leaves the .bin out."""
     doc = json.loads((trained / "model.json").read_text(encoding="utf-8"))
-    change(doc)
-    return json.dumps(doc)
+    if change_doc is not None:
+        change_doc(doc)
+    weights = (trained / "model.bin").read_bytes()
+    return json.dumps(doc), weights if change_bin is None else change_bin(weights)
+
+
+def _parent_model_doc(trained) -> str:
+    """The trained model in the format of versions that kept the weights in
+    model.json as nested lists."""
+    model = load_model(trained / "model.json")
+    return json.dumps({
+        "model": {
+            "sizes": list(model.sizes),
+            "weights": [w.tolist() for w in model.weights],
+            "biases": [b.tolist() for b in model.biases],
+        },
+        "classes": list(model.classes.names),
+    })
+
+
+def _set_double(data: bytes, i: int, value: float) -> bytes:
+    return data[: 8 * i] + struct.pack("<d", value) + data[8 * i + 8 :]
 
 
 def _params_doc(ctx, change) -> str:
@@ -911,16 +1011,49 @@ MALFORMED_INPUTS = {
         lambda ctx: "{}",
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
+    # the weights' shapes come from sizes, so sizes that no longer fit the .bin
     "model-weights-wrong-shape": (
-        lambda ctx: _model_doc(ctx["trained"], lambda d: d["model"]["weights"].__setitem__(0, [[0.0, 1.0]])),
+        lambda ctx: _model_pair(ctx["trained"], lambda d: d["sizes"].__setitem__(0, 128)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-sizes-not-integers": (
+        lambda ctx: _model_pair(ctx["trained"], lambda d: d["sizes"].__setitem__(1, 32.0)),
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
     "model-parent-features-block": (
-        lambda ctx: _model_doc(ctx["trained"], lambda d: d.__setitem__("features", _PARENT_FEATURES)),
+        lambda ctx: _model_pair(ctx["trained"], lambda d: d.__setitem__("features", _PARENT_FEATURES)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-parent-format": (
+        lambda ctx: (_parent_model_doc(ctx["trained"]), None),
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
     "model-concepts-count-mismatch": (
-        lambda ctx: _model_doc(ctx["trained"], lambda d: d.__setitem__("concepts", ["wing", "beak"])),
+        lambda ctx: _model_pair(ctx["trained"], lambda d: d.__setitem__("concepts", ["wing", "beak"])),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-bin-truncated": (
+        lambda ctx: _model_pair(ctx["trained"], change_bin=lambda b: b[:-3]),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-bin-extra-double": (
+        lambda ctx: _model_pair(ctx["trained"], change_bin=lambda b: b + struct.pack("<d", 0.5)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-bin-nan-weight": (
+        lambda ctx: _model_pair(ctx["trained"], change_bin=lambda b: _set_double(b, 3, math.nan)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-bin-inf-weight": (
+        lambda ctx: _model_pair(ctx["trained"], change_bin=lambda b: _set_double(b, 8200, math.inf)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-bin-minus-inf-bias": (
+        lambda ctx: _model_pair(ctx["trained"], change_bin=lambda b: _set_double(b, len(b) // 8 - 1, -math.inf)),
+        lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
+    ),
+    "model-bin-missing": (
+        lambda ctx: _model_pair(ctx["trained"], change_bin=lambda b: None),
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
     "mock-content-not-a-string": (
@@ -953,7 +1086,7 @@ MALFORMED_INPUTS = {
         lambda ctx: ["export", "--pseudolabels", "pl.jsonl", "--classes", "ham,spam", "--data", "BAD"],
     ),
     "model-without-classes": (
-        lambda ctx: _model_doc(ctx["trained"], lambda d: d.pop("classes")),
+        lambda ctx: _model_pair(ctx["trained"], lambda d: d.pop("classes")),
         lambda ctx: ["eval", "--model", "BAD", "--data", ctx["corpus"]],
     ),
     "eval-text-model-on-score-rows": (
@@ -998,7 +1131,18 @@ MALFORMED_MESSAGES = {
     "pseudolabel-line-nested-too-deeply": ":2: JSON nested too deeply",
     "eval-text-model-on-score-rows": "takes text records, got scores",
     "model-parent-features-block": "unknown field 'features'",
-    "model-concepts-count-mismatch": "2 concepts listed but the model takes 256 inputs",
+    "model-parent-format": "input: unknown field 'model'",
+    "model-concepts-count-mismatch": "input: 2 concepts listed but the model takes 256 inputs",
+    "model-sizes-not-integers": "input: sizes must list at least 2 positive integers",
+    # the .bin is the file at fault; a size mismatch names the JSON too
+    "model-weights-wrong-shape": "input.bin: 74768 bytes, but the shapes [(128, 32), (32, 32), (32, 2), (32,), "
+    "(32,), (2,)] in {bad} take 5250 little-endian doubles",
+    "model-bin-truncated": "input.bin: 74765 bytes, but the shapes [(256, 32),",
+    "model-bin-extra-double": "input.bin: 74776 bytes, but the shapes [(256, 32),",
+    "model-bin-nan-weight": "input.bin: value 3 is nan, expected a finite number",
+    "model-bin-inf-weight": "input.bin: value 8200 is inf, expected a finite number",
+    "model-bin-minus-inf-bias": "input.bin: value 9345 is -inf, expected a finite number",
+    "model-bin-missing": "No such file or directory: '{bad}.bin'",
     "params-confusion-with-zero": "confusion rows must be positive",
     "params-wmv-negative-weight": "weights must be finite and positive",
     "params-wmv-nan-weight": "weights must be finite and positive",
@@ -1015,6 +1159,10 @@ class TestMalformedInputs:
         ctx = {"corpus": corpus_file, "trained": trained, "votes": str(votes_dir / "votes.json")}
         bad = tmp_path / "input"
         data = content(ctx)
+        if isinstance(data, tuple):  # a model pair: the JSON at BAD, the arrays beside it
+            data, weights = data
+            if weights is not None:
+                bad.with_suffix(".bin").write_bytes(weights)
         if isinstance(data, str):
             bad.write_text(data, encoding="utf-8")
         else:
@@ -1024,7 +1172,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == 1, err
         assert err.startswith("error:") and str(bad) in err, err
-        assert MALFORMED_MESSAGES.get(case, "") in err, err
+        assert MALFORMED_MESSAGES.get(case, "").format(bad=bad) in err, err
         assert "Traceback" not in err
 
 

@@ -233,6 +233,22 @@ class TestEmbeddingIO:
         with pytest.raises(ConceptError, match="doubles"):
             load_embeddings(tmp_path / "emb")
 
+    def test_bin_is_the_array_layout_and_checked(self, tmp_path):
+        rng = np.random.default_rng(23)
+        table = make_table(rng.normal(size=(4, 3)), rng.normal(size=(2, 3)))
+        bin_path, json_path = save_embeddings(tmp_path / "emb", table)
+        assert bin_path.read_bytes() == table.records.astype("<f8").tobytes() + table.concepts.astype("<f8").tobytes()
+        assert set(json.loads(json_path.read_text(encoding="utf-8"))) == {"n", "C", "d", "concepts", "record_ids"}
+        bin_path.write_bytes(np.full(1, np.nan).astype("<f8").tobytes() + bin_path.read_bytes()[8:])
+        with pytest.raises(ConceptError, match=r"emb\.bin: value 0 is nan"):
+            load_embeddings(tmp_path / "emb")
+        # the sidecar's names must fit its shapes
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+        json_path.write_text(json.dumps({**doc, "concepts": ["only one"]}), encoding="utf-8")
+        bin_path.write_bytes(table.records.astype("<f8").tobytes() + table.concepts.astype("<f8").tobytes())
+        with pytest.raises(ConceptError, match=r"emb: concept_names must match concept rows"):
+            load_embeddings(tmp_path / "emb")
+
     def test_missing_sidecar(self, tmp_path):
         with pytest.raises(ConceptError, match="cannot read"):
             load_embeddings(tmp_path / "nope")

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -19,9 +20,11 @@ from labelsmith.data import (
     load_dataset,
     load_pseudolabels,
     load_votes,
+    read_array,
     save_pseudolabels,
     save_votes,
     serialize_records,
+    write_array,
 )
 from labelsmith.dsl import DslEvaluationError, parse_program
 
@@ -275,6 +278,32 @@ class TestPseudolabels:
         path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
         with pytest.raises(DatasetError, match=f"pl.jsonl:2: .*{match}"):
             load_pseudolabels(path)
+
+
+class TestArrayLayout:
+    def test_arrays_back_to_back_as_little_endian_doubles(self, tmp_path):
+        arrays = [np.arange(6.0).reshape(2, 3), np.array([-0.0, 5e-324, 1e308]), np.empty((0, 4)), np.array([[7]])]
+        path = write_array(tmp_path / "a.bin", arrays)
+        assert path.read_bytes() == b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
+        back = read_array(path, [a.shape for a in arrays], "m.json")
+        for a, b in zip(arrays, back):
+            assert _same_bits(a.astype(float), b)
+            assert not b.flags.writeable
+
+    @pytest.mark.parametrize("size", [0, 40, 47, 56])
+    def test_size_checked(self, tmp_path, size):
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"\0" * size)
+        with pytest.raises(DatasetError, match=rf"a\.bin: {size} bytes, but the shapes \[\(2, 3\)\] in m\.json take 6 "):
+            read_array(path, [(2, 3)], "m.json")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        values = np.zeros(6)
+        values[4] = value
+        path = write_array(tmp_path / "a.bin", [values])
+        with pytest.raises(DatasetError, match=rf"a\.bin: value 4 is {value}, expected a finite number"):
+            read_array(path, [(6,)], "m.json")
 
 
 class TestLoadTextDataset:

@@ -27,6 +27,7 @@ from labelsmith.distill import (
     load_training_set,
     save_model,
     train_mlp,
+    weights_path,
 )
 
 
@@ -522,14 +523,39 @@ class TestModelIO:
         assert loaded.concepts is None
         np.testing.assert_array_equal(model.predict(X), loaded.predict(X))
 
+    def test_model_pair_layout(self, tmp_path):
+        """model.json holds the sizes, classes and concepts; model.bin each
+        weight matrix, then each bias, as little-endian doubles."""
+        model = init_mlp(3, ClassSpace(("a", "b", "c")), seed=4)
+        model = replace(model, concepts=("x", "y", "z"))
+        save_model(tmp_path / "model.json", model)
+        assert json.loads((tmp_path / "model.json").read_text(encoding="utf-8")) == {
+            "sizes": [3, 32, 32, 3], "classes": ["a", "b", "c"], "concepts": ["x", "y", "z"]
+        }
+        packed = b"".join(a.astype("<f8").tobytes() for a in model.weights + model.biases)
+        assert (tmp_path / "model.bin").read_bytes() == packed
+        loaded = load_model(tmp_path / "model.json")
+        assert not any(a.flags.writeable for a in loaded.weights + loaded.biases)
+
     def test_model_without_spec(self, tmp_path):
         # a model file names its classes; weights alone are refused
         model = init_mlp(4, class_space(2), seed=0)
         save_model(tmp_path / "full.json", model)
         doc = json.loads((tmp_path / "full.json").read_text(encoding="utf-8"))
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"model": doc["model"]}), encoding="utf-8")
+        path.write_text(json.dumps({"sizes": doc["sizes"]}), encoding="utf-8")
+        (tmp_path / "full.bin").rename(tmp_path / "m.bin")
         with pytest.raises(DatasetError, match=r"m\.json: missing field 'classes'"):
+            load_model(path)
+
+    def test_model_file_ending_in_bin_refused(self, tmp_path):
+        # its weights file would be the model file itself
+        path = tmp_path / "m.bin"
+        with pytest.raises(DistillError, match=r"m\.bin: a model file cannot end in \.bin"):
+            save_model(path, init_mlp(4, class_space(2), seed=0))
+        assert not path.exists()
+        path.write_text("{}", encoding="utf-8")
+        with pytest.raises(DistillError, match=r"m\.bin: a model file cannot end in \.bin"):
             load_model(path)
 
     def test_metrics_csv(self, tmp_path):
@@ -609,6 +635,7 @@ def test_model_file_round_trips(tmp_path_factory, classes, concepts, dims, seed)
     model = replace(model, weights=weights, biases=biases, concepts=concepts)
     path = tmp_path_factory.mktemp("model") / "model.json"
     saved = save_model(path, model).read_bytes()
+    saved_weights = weights_path(path).read_bytes()
     loaded = load_model(path)
     assert loaded.sizes == model.sizes
     assert loaded.classes == model.classes
@@ -617,3 +644,4 @@ def test_model_file_round_trips(tmp_path_factory, classes, concepts, dims, seed)
         assert a.dtype == b.dtype == np.float64
         assert _bits(a) == _bits(b)
     assert save_model(path, loaded).read_bytes() == saved
+    assert weights_path(path).read_bytes() == saved_weights
