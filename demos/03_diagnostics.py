@@ -9,7 +9,7 @@ CLI exits with code 2 so pipelines notice.
 
 from pathlib import Path
 
-from labelsmith.data import assemble_votes
+from labelsmith.records import Dataset, assemble_votes
 from labelsmith.diagnostics import analyze, group_metrics, render_stats_table
 from labelsmith.dsl import parse_program
 from labelsmith.synth import make_spam_corpus
@@ -23,7 +23,7 @@ programs = [
     for p in sorted(fixture_dir.glob("*.lf"))
 ]
 # the matrix carries the records' gold labels and groups along with the votes
-matrix = assemble_votes(records, programs, classes)
+matrix = assemble_votes(Dataset.from_records(records, classes.K), programs, classes)
 stats = analyze(matrix)
 print()
 print(render_stats_table(stats))

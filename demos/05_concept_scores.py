@@ -17,7 +17,8 @@ from labelsmith.concepts import (
     scores_from_embeddings,
 )
 from labelsmith.data import ClassSpace
-from labelsmith.dsl import evaluate, parse_program
+from labelsmith.dsl import parse_program
+from labelsmith.records import assemble_votes
 
 rng = np.random.default_rng(5)
 d = 32
@@ -74,7 +75,7 @@ program = parse_program(
     program_id="foot_type",
 )
 score_records = records_from_scores(cleaned, cleaned_scores)
-votes = [evaluate(program, rec) for rec in score_records]
+votes = assemble_votes(score_records, [program], birds).votes[:, 0].tolist()
 truth = [1] * 40 + [0] * 60
 agree = np.mean([v == t for v, t in zip(votes, truth) if v != -1])
 print(f"\nfoot-type program on cleaned scores: {agree:.2%} of covered records correct")

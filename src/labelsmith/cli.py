@@ -28,10 +28,8 @@ from .data import (
     ClassSpace,
     LabelsmithError,
     json_field,
-    load_dataset,
     load_pseudolabels,
     load_votes,
-    assemble_votes,
     read_jsonl,
     read_text,
     save_pseudolabels,
@@ -44,6 +42,7 @@ from .packs import available_packs, load_pack
 # access (``__getattr__``), not at CLI start, and stays an attribute here;
 # the commands call them as ``_cli.<name>``, so a patch reaches them.
 _LAZY = {"format_program": "dsl", "parse_program": "dsl"}
+_LAZY.update(dict.fromkeys(("load_dataset", "assemble_votes"), "records"))
 _LAZY.update(dict.fromkeys(("build_prompt", "estimate_cost", "generate_programs"), "prompting"))
 _cli = sys.modules[__name__]
 
@@ -203,13 +202,13 @@ def cmd_generate(args) -> int:
 def cmd_apply(args) -> int:
     cs = _classes_arg(args)
     task = args.task or "adhoc"
-    records = load_dataset(args.data, cs)
+    dataset = _cli.load_dataset(args.data, cs)
     prog_paths = sorted(Path(args.programs).glob("*.lf"))
     if not prog_paths:
         raise CliError(f"no .lf programs found in {args.programs}")
     programs = [_load_program(p, cs) for p in prog_paths]
     out = _prepare_out(args.out, args.force)
-    matrix = assemble_votes(records, programs, cs, task=task)
+    matrix = _cli.assemble_votes(dataset, programs, cs, task=task)
     save_votes(out / "votes.json", matrix)
     _write_manifest(
         out,
@@ -292,12 +291,12 @@ def cmd_aggregate(args) -> int:
 def cmd_export(args) -> int:
     from . import distill
     cs = _classes_arg(args)
-    records = load_dataset(args.data, cs)
+    dataset = _cli.load_dataset(args.data, cs)
     labels = load_pseudolabels(args.pseudolabels, K=cs.K)
     out = _prepare_out(args.out, args.force)
     try:
         report = distill.export_training_set(
-            records,
+            dataset,
             labels,
             out / "train.jsonl",
             use_probabilistic=args.probabilistic,
@@ -331,9 +330,9 @@ def cmd_train(args) -> int:
         if not ok:
             raise CliError(f"{flag} must be {wanted}, got {value}")
     cs = _classes_arg(args)
-    records, targets = distill.load_training_set(args.train_file, cs.K)
+    dataset, targets = distill.load_training_set(args.train_file, cs.K)
     # score records train on their concepts, text records on hashed words
-    concepts = sorted(records[0].scores) if records[0].scores is not None else None
+    concepts = None if dataset.concepts is None else sorted(dataset.concepts)
     if concepts is not None and len(concepts) < 2:
         raise CliError(f"{args.train_file}: score records need at least 2 concepts, got {len(concepts)}")
     if concepts is None:
@@ -345,22 +344,19 @@ def cmd_train(args) -> int:
         )
     else:
         dims = len(concepts)
-    # split the records, not their features, so the full feature set and
+    # split the rows, not their features, so the full feature set and
     # its parts are never held at once
     X_val = y_val = None
-    n_val = int(len(records) * args.val_fraction)
-    try:
-        if n_val > 0:
-            order = np.random.default_rng(args.seed).permutation(len(records))
-            val_idx, train_idx = order[:n_val], order[n_val:]
-            hard = np.argmax(targets, axis=1) if targets.ndim == 2 else targets
-            X_val = distill.featurize([records[i] for i in val_idx], dims, concepts)
-            y_val = hard[val_idx]
-            records, targets = [records[i] for i in train_idx], targets[train_idx]
-        X = distill.featurize(records, dims, concepts)
-    except distill.DistillError as exc:
-        raise CliError(f"{args.train_file}: {exc}") from exc
-    del records
+    n_val = int(len(dataset) * args.val_fraction)
+    if n_val > 0:
+        order = np.random.default_rng(args.seed).permutation(len(dataset))
+        val_idx, train_idx = order[:n_val], order[n_val:]
+        hard = np.argmax(targets, axis=1) if targets.ndim == 2 else targets
+        X_val = distill.featurize(dataset.take(val_idx), dims, concepts)
+        y_val = hard[val_idx]
+        dataset, targets = dataset.take(train_idx), targets[train_idx]
+    X = distill.featurize(dataset, dims, concepts)
+    del dataset
     out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
     model, metrics = distill.train_mlp(X, targets, cs, hyper, X_val, y_val)
@@ -389,20 +385,19 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from . import distill
     model = distill.load_model(args.model)
-    records = load_dataset(args.data, model.classes, model.concepts)
-    if model.concepts is None and records[0].text is None:
+    dataset = _cli.load_dataset(args.data, model.classes, model.concepts)
+    if model.concepts is None and dataset.texts is None:
         raise CliError(f"{args.data}: the model {args.model} takes text records, got scores")
-    missing = next((r.id for r in records if r.gold is None), None)
-    if missing is not None:
+    if dataset.gold is None or None in dataset.gold:
+        missing = dataset.ids[0 if dataset.gold is None else dataset.gold.index(None)]
         raise CliError(f"{args.data}: eval data needs gold labels; record {missing!r} has none")
-    X = distill.featurize(records, model.sizes[0], model.concepts)
+    X = distill.featurize(dataset, model.sizes[0], model.concepts)
     preds = model.predict(X)
-    gold = np.array([r.gold for r in records])
+    gold = np.array(dataset.gold)
     accuracy = float((preds == gold).mean())
-    doc: dict = {"n": len(records), "accuracy": accuracy}
-    groups = [r.group for r in records]
-    if all(g is not None for g in groups):
-        report = diagnostics.group_metrics(list(preds), list(gold), groups)
+    doc: dict = {"n": len(dataset), "accuracy": accuracy}
+    if dataset.groups is not None and None not in dataset.groups:
+        report = diagnostics.group_metrics(list(preds), list(gold), dataset.groups)
         doc["average_accuracy"] = report.average_accuracy
         doc["worst_group_accuracy"] = report.worst_group_accuracy
         doc["gap"] = report.gap
@@ -410,7 +405,7 @@ def cmd_eval(args) -> int:
     out = _prepare_out(args.out, args.force)
     write_json(out / "eval.json", doc)
     _write_manifest(out, "eval", {}, [Path(args.model), distill.weights_path(args.model), Path(args.data)])
-    print(f"accuracy {accuracy:.4f} on {len(records)} records")
+    print(f"accuracy {accuracy:.4f} on {len(dataset)} records")
     if "worst_group_accuracy" in doc:
         print(
             f"worst group {doc['worst_group_accuracy']:.4f} "

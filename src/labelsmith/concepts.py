@@ -24,13 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabelsmithError, Record, json_field, read_array, read_json, write_array, write_json
+from .data import LabelsmithError, json_field, read_array, read_json, write_array, write_json
 from .prompting import (
     Transport,
     TransportError,
     request_completion,
     response_text,
 )
+from .records import Dataset
 
 logger = logging.getLogger("labelsmith.concepts")
 
@@ -284,17 +285,13 @@ def reject_spurious(
     )
 
 
-def records_from_scores(table: EmbeddingTable, scores: np.ndarray) -> list[Record]:
-    """Score matrix -> scores-modality records, ready for rule programs."""
+def records_from_scores(table: EmbeddingTable, scores: np.ndarray) -> Dataset:
+    """Score matrix -> a scores dataset, one row per record of the table
+    and one column per concept, ready for rule programs. The dataset
+    holds ``scores`` itself, made read-only, when it is float64."""
     if scores.shape != (table.n, table.C):
         raise ConceptError(f"expected a {table.n}x{table.C} score matrix, got {scores.shape}")
-    return [
-        Record(
-            id=rid,
-            scores={name: float(scores[i, c]) for c, name in enumerate(table.concept_names)},
-        )
-        for i, rid in enumerate(table.record_ids)
-    ]
+    return Dataset(ids=table.record_ids, scores=scores, concepts=table.concept_names)
 
 
 def save_embeddings(stem: str | Path, table: EmbeddingTable) -> tuple[Path, Path]:

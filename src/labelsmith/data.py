@@ -6,7 +6,7 @@ distiller) speaks in terms of these types. The abstain sentinel is -1
 everywhere; class indices run 0..K-1. A ``VoteMatrix`` is a whole
 ``votes.json``: the votes with their class space, gold labels, groups and
 task, checked once when it is built, so the label models and diagnostics
-take the matrix alone.
+take the matrix alone. Record files load as a ``records.Dataset``.
 """
 
 from __future__ import annotations
@@ -218,11 +218,12 @@ class ClassSpace:
 
 @dataclass(frozen=True)
 class Record:
-    """One unlabeled data point.
+    """One data point, the row type ``dsl.evaluate`` takes.
 
     Exactly one payload is present: ``text`` for text tasks, or ``scores``
-    (concept name -> similarity score) for score tasks. ``gold`` and
-    ``group`` are optional and only used for evaluation.
+    (concept name -> similarity score, kept as a float) for score tasks.
+    ``gold`` and ``group`` are optional and only used for evaluation.
+    Files of records load as one ``records.Dataset``.
     """
 
     id: str
@@ -237,37 +238,15 @@ class Record:
                 f"record {self.id!r} must have exactly one of text/scores"
             )
         if self.scores is not None:
-            object.__setattr__(self, "scores", dict(self.scores))
+            object.__setattr__(self, "scores", {name: float(v) for name, v in self.scores.items()})
 
     @property
     def modality(self) -> str:
         return "text" if self.text is not None else "scores"
 
-    @classmethod
-    def from_dict(cls, doc, K: int | None = None) -> "Record":
-        """A record from one dataset or training-set row; ``K`` bounds
-        ``gold`` when given."""
-        rid = json_field(doc, "id", str, int)
-        scores = json_field(doc, "scores", dict, default=None)
-        if scores is not None:
-            if not all(type(v) in (int, float) and math.isfinite(v) for v in scores.values()):
-                raise DatasetError("scores must be finite numbers")
-            scores = {k: float(v) for k, v in scores.items()}
-        gold = json_field(doc, "gold", int, type(None), default=None)
-        if gold is not None and K is not None and not 0 <= gold < K:
-            raise DatasetError(f"gold label {gold} not in 0..{K - 1}")
-        group = json_field(doc, "group", str, int, type(None), default=None)
-        return cls(
-            id=str(rid),
-            text=json_field(doc, "text", str, default=None),
-            scores=scores,
-            gold=gold,
-            group=None if group is None else str(group),
-        )
-
     def to_dict(self) -> dict:
-        """The row ``from_dict`` reads back: the id and payload, then gold
-        and group when they are set."""
+        """The record's row in a dataset file: the id and payload, then
+        gold and group when they are set."""
         doc = {"id": self.id, self.modality: getattr(self, self.modality), "gold": self.gold, "group": self.group}
         return {key: value for key, value in doc.items() if value is not None}
 
@@ -419,88 +398,14 @@ class Pseudolabels:
         return self.posterior.argmax(axis=1)
 
 
-def load_dataset(
-    path: str | Path,
-    classes: ClassSpace,
-    concepts: Sequence[str] | None = None,
-) -> list[Record]:
-    """Load records in file order from JSONL: {"id", "text", "gold"?,
-    "group"?} for text tasks, a "scores" object in place of "text" for
-    score tasks. Every record must have the first record's modality;
-    ``concepts``, when given, asks for score records with exactly those
-    keys. Errors name the file and 1-based line.
-    """
-    modality = None
-
-    def row(doc) -> Record:
-        nonlocal modality
-        record = Record.from_dict(doc, classes.K)
-        modality = modality or record.modality
-        if record.modality != modality:
-            raise DatasetError(f"a {record.modality} record among {modality} records")
-        if concepts is not None:
-            if record.scores is None:
-                raise DatasetError("expected a scores record, got text")
-            missing = [c for c in concepts if c not in record.scores]
-            if missing:
-                raise DatasetError(f"missing score column {missing[0]!r}")
-            extra = [c for c in record.scores if c not in concepts]
-            if extra:
-                raise DatasetError(f"unexpected score column {extra[0]!r}")
-        return record
-
-    path = Path(path)
-    records = []
-    seen = set()
-    for lineno, record in read_jsonl(path, row):
-        if record.id in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate record id {record.id!r}")
-        seen.add(record.id)
-        records.append(record)
-    if not records:
-        raise DatasetError(f"{path}: the dataset has no records")
-    return records
-
-
 def serialize_records(records: Iterable[Record], path: str | Path) -> Path:
-    """Write records back out in the format ``load_dataset`` reads (JSONL).
-
-    Round-trips: loading the written file yields equal records.
-    """
+    """Write records out in the format ``records.load_dataset`` reads
+    (JSONL); loading the file gives ``Dataset.from_records(records)``."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
     return path
-
-
-def assemble_votes(
-    records: Sequence[Record], programs: Sequence, classes: ClassSpace, task: str | None = None
-) -> VoteMatrix:
-    """Apply every program to every record; votes[i][j] is program j's vote
-    on record i. The records' gold labels and groups ride along, each
-    column None when no record has one. Evaluation is sequential and
-    order-stable, so two runs on identical inputs produce identical
-    matrices. A program meeting a record of the other modality raises
-    DslEvaluationError naming both."""
-    from .dsl import evaluate  # local import: dsl depends on this module
-
-    n, m = len(records), len(programs)
-    votes = np.full((n, m), ABSTAIN, dtype=np.int64)
-    for j, prog in enumerate(programs):
-        for i, rec in enumerate(records):
-            votes[i, j] = evaluate(prog, rec)
-    gold = tuple(r.gold for r in records)
-    groups = tuple(r.group for r in records)
-    return VoteMatrix(
-        votes=votes,
-        program_ids=tuple(p.id for p in programs),
-        record_ids=tuple(r.id for r in records),
-        classes=classes,
-        gold=gold if any(g is not None for g in gold) else None,
-        groups=groups if any(g is not None for g in groups) else None,
-        task=task,
-    )
 
 
 def save_votes(path: str | Path, matrix: VoteMatrix) -> Path:

@@ -43,14 +43,13 @@ from .data import (
     DatasetError,
     LabelsmithError,
     Pseudolabels,
-    Record,
     check_posterior,
     json_field,
     read_array,
     read_json,
-    read_jsonl,
     write_array,
 )
+from .records import Dataset, read_records
 
 logger = logging.getLogger("labelsmith.distill")
 
@@ -156,39 +155,34 @@ def _as_features(X) -> Features:
     return X if isinstance(X, Features) else Features.from_dense(X)
 
 
-def featurize(
-    records: Sequence[Record], dims: int, concepts: Sequence[str] | None = None
-) -> Features:
-    """Row-compressed (n, dims) features for the given records.
+def featurize(dataset: Dataset, dims: int, concepts: Sequence[str] | None = None) -> Features:
+    """Row-compressed (n, dims) features of the dataset's rows.
 
     Without ``concepts``, text is signed-hashed into ``dims`` buckets and
     each row L2-normalized; a row stores only its non-zero buckets, so
     memory grows with the token count, not with n × dims. With them,
-    each row is the record's concept scores in that order, and ``dims``
-    must equal their count."""
+    each row is the dataset's score columns of those concepts, picked by
+    name in that order, and ``dims`` must equal their count."""
     if concepts is not None:
         if len(concepts) != dims:
             raise DistillError(f"{len(concepts)} concepts but {dims} feature dims")
-        rows = []
-        for rec in records:
-            if rec.scores is None:
-                raise DistillError(f"record {rec.id!r} has no scores")
-            try:
-                rows.append([rec.scores[c] for c in concepts])
-            except KeyError as exc:
-                raise DistillError(f"record {rec.id!r} is missing concept {exc.args[0]!r}") from exc
-        X = Features.from_dense(np.array(rows, dtype=float).reshape(len(records), dims))
+        if dataset.scores is None:
+            raise DistillError("the records have no scores; score features need them")
+        missing = [c for c in concepts if c not in dataset.concepts]
+        if missing:
+            raise DistillError(f"the records have no concept {missing[0]!r}")
+        X = Features.from_dense(dataset.scores[:, [dataset.concepts.index(c) for c in concepts]])
         return replace(X, concepts=tuple(concepts))
+    if dataset.texts is None:
+        raise DistillError("the records have no text; hashed features need text")
     # token -> (bucket, sign); most tokens repeat across records
     hashed: dict[str, tuple[int, float]] = {}
     # typed buffers: 8 bytes an entry, where a list of Python numbers
     # takes over 30
     indptr, indices, values = array("q", [0]), array("q"), array("d")
-    for rec in records:
-        if rec.text is None:
-            raise DistillError(f"record {rec.id!r} has no text; hashed features need text")
+    for text in dataset.texts:
         row: dict[int, float] = {}
-        for token in TOKEN_RE.findall(rec.text.lower()):
+        for token in TOKEN_RE.findall(text.lower()):
             if token not in hashed:
                 h = _hash_token(token)
                 hashed[token] = (h % dims, 1.0 if (h >> 63) & 1 == 0 else -1.0)
@@ -217,74 +211,71 @@ class ExportReport:
 
 
 def export_training_set(
-    records: Sequence[Record],
+    dataset: Dataset,
     pseudolabels: Pseudolabels,
     path: str | Path,
     *,
     use_probabilistic: bool = False,
     drop_uncovered: bool = True,
 ) -> ExportReport:
-    """Write a JSONL training set joining records with their pseudolabels.
+    """Write a JSONL training set joining the dataset's rows with their
+    pseudolabels.
 
-    Rows carry the record payload plus either the hard label or the full
-    posterior. Uncovered records are dropped by default; the count of
-    dropped rows comes back in the report."""
+    Rows carry the id and payload (score columns in the dataset's concept
+    order) plus either the hard label or the full posterior. Uncovered
+    records are dropped by default; the count of dropped rows comes back
+    in the report."""
     row_of = {rid: i for i, rid in enumerate(pseudolabels.record_ids)}
-    missing = [r.id for r in records if r.id not in row_of]
-    if missing:
-        raise DistillError(f"no pseudolabel for record {missing[0]!r}")
-    extra = set(row_of) - {r.id for r in records}
+    missing = next((rid for rid in dataset.ids if rid not in row_of), None)
+    if missing is not None:
+        raise DistillError(f"no pseudolabel for record {missing!r}")
+    extra = set(row_of).difference(dataset.ids)
     if extra:
         raise DistillError(f"pseudolabel for unknown record {sorted(extra)[0]!r}")
     targets = (pseudolabels.posterior if use_probabilistic else pseudolabels.hard).tolist()
     covered = pseudolabels.covered.tolist()
+    target = "posterior" if use_probabilistic else "label"
+    if dataset.texts is not None:
+        payload, values = "text", dataset.texts
+    else:
+        payload, values = "scores", (dict(zip(dataset.concepts, row.tolist())) for row in dataset.scores)
     path = Path(path)
     written = dropped = 0
     with path.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            i = row_of[rec.id]
+        for rid, value in zip(dataset.ids, values):
+            i = row_of[rid]
             if drop_uncovered and not covered[i]:
                 dropped += 1
                 continue
-            row = rec.to_dict()
-            # a training row carries the record's payload, not its gold or group
-            row.pop("gold", None)
-            row.pop("group", None)
-            row["posterior" if use_probabilistic else "label"] = targets[i]
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(json.dumps({"id": rid, payload: value, target: targets[i]}, ensure_ascii=False) + "\n")
             written += 1
     return ExportReport(path=path, n_written=written, n_dropped_uncovered=dropped)
 
 
-def load_training_set(path: str | Path, K: int) -> tuple[list[Record], np.ndarray]:
-    """Read an exported training set for ``K`` classes. Returns records
-    plus targets: an (n,) int array of hard labels in 0..K-1 or an (n, K)
-    float array of posteriors."""
-    path = Path(path)
+def load_training_set(path: str | Path, K: int) -> tuple[Dataset, np.ndarray]:
+    """Read an exported training set for ``K`` classes with
+    ``records.read_records``. Returns its rows plus their targets: an (n,)
+    int array of hard labels in 0..K-1 or an (n, K) float array of
+    posteriors."""
+    soft = None
 
-    def row(doc):
-        record = Record.from_dict(doc)
+    def target(doc):
+        nonlocal soft
         if ("label" in doc) == ("posterior" in doc):
             raise DatasetError("row needs exactly one of label and posterior")
-        if "posterior" in doc:
-            posterior = check_posterior(json_field(doc, "posterior", list), K)
-            return record, [float(x) for x in posterior]
+        if soft is None:
+            soft = "posterior" in doc
+        if soft != ("posterior" in doc):
+            raise DatasetError("mixed hard and soft labels")
+        if soft:
+            return [float(x) for x in check_posterior(json_field(doc, "posterior", list), K)]
         label = json_field(doc, "label", int)
         if not 0 <= label < K:
             raise DatasetError(f"label {label} is not a class index in 0..{K - 1}")
-        return record, label
+        return label
 
-    records: list[Record] = []
-    targets: list = []
-    for lineno, (record, target) in read_jsonl(path, row):
-        if targets and isinstance(target, list) != isinstance(targets[0], list):
-            raise DatasetError(f"{path}:{lineno}: mixed hard and soft labels")
-        records.append(record)
-        targets.append(target)
-    if not records:
-        raise DatasetError(f"{path}: training set is empty")
-    soft = isinstance(targets[0], list)
-    return records, np.asarray(targets, dtype=float if soft else np.int64)
+    dataset, targets = read_records(path, K, target=target)
+    return dataset, np.asarray(targets, dtype=float if soft else np.int64)
 
 
 def _recipe(dims: int, concepts: tuple[str, ...] | None) -> str:

@@ -129,7 +129,7 @@ def test_facts_the_files_carry_are_not_flags(argv, capsys):
 
 
 # modules that only some commands run
-LAZY_MODULES = ("labelsmith.dsl", "labelsmith.prompting", "labelsmith.distill", "labelsmith.concepts")
+LAZY_MODULES = ("labelsmith.dsl", "labelsmith.prompting", "labelsmith.distill", "labelsmith.concepts", "labelsmith.records")
 
 
 def _modules_after(argv) -> list[str]:
@@ -174,11 +174,12 @@ def test_patches_of_lazily_bound_names_reach_the_commands(corpus_file, tmp_path,
 
         monkeypatch.setattr(cli, name, patched)
 
-    counting("parse_program")
-    counting("generate_programs")
+    for name in ("load_dataset", "assemble_votes", "parse_program", "generate_programs"):
+        counting(name)
     assert main(["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", corpus_file,
                  "--out", str(tmp_path / "votes")]) == 0
-    assert calls == ["parse_program"] * len(list(Path(SPAM_PROGRAMS).glob("*.lf")))
+    programs = len(list(Path(SPAM_PROGRAMS).glob("*.lf")))
+    assert calls == ["load_dataset"] + ["parse_program"] * programs + ["assemble_votes"]
     assert main(["generate", "--task", "sms", "--mock", MOCK_OK, "--n", "2", "--out", str(tmp_path / "gen")]) == 0
     assert calls[-1] == "generate_programs"
 
@@ -931,6 +932,7 @@ def _pseudolabels_for(corpus, change) -> str:
 
 
 _ROW = {"id": "a", "text": "win a free prize"}
+_XY = {"x": 0.1, "y": 0.2}
 # the feature block model files carried before featurization was derived
 # from sizes[0] and concepts
 _PARENT_FEATURES = {"mode": "hashed", "dims": 256, "lowercase": True, "seed": 0}
@@ -974,6 +976,19 @@ MALFORMED_INPUTS = {
     "training-scores-one-concept": (
         lambda ctx: _jsonl({"id": "a", "scores": {"x": 0.1}, "label": 0}, {"id": "b", "scores": {"x": 0.9}, "label": 1}),
         lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1"],
+    ),
+    # every row of a training set has the first row's concepts and its own id
+    "training-score-row-missing-concept": (
+        lambda ctx: _jsonl({"id": "a", "scores": _XY, "label": 0}, {"id": "b", "scores": {"x": 0.9}, "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1"],
+    ),
+    "training-score-row-extra-concept": (
+        lambda ctx: _jsonl({"id": "a", "scores": _XY, "label": 0}, {"id": "b", "scores": {**_XY, "z": 5}, "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1"],
+    ),
+    "training-duplicate-record-id": (
+        lambda ctx: _jsonl({**_ROW, "label": 0}, {**_ROW, "label": 1}),
+        lambda ctx: ["train", "--train-file", "BAD", "--classes", "ham,spam", "--epochs", "1", "--dims", "16"],
     ),
     "training-label-beyond-classes": (
         lambda ctx: _jsonl({**_ROW, "label": 5}, {"id": "b", "text": "hi", "label": 0}),
@@ -1081,6 +1096,15 @@ MALFORMED_INPUTS = {
         lambda ctx: _jsonl(_ROW, {"id": "b", "scores": {"x": 1.0, "y": 0.5}}),
         lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
     ),
+    "data-score-rows-of-two-concept-sets": (
+        lambda ctx: _jsonl({"id": "a", "scores": {"x": 1.0, "y": 0.5}}, {"id": "b", "scores": {"x": 1.0, "z": 0.5}}),
+        lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
+    ),
+    # once an OverflowError traceback
+    "data-score-integer-beyond-float64": (
+        lambda ctx: _jsonl({"id": "a", "scores": _XY}, {"id": "b", "scores": {**_XY, "x": 10**400}}),
+        lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
+    ),
     "data-score-then-text-rows": (
         lambda ctx: _jsonl({"id": "b", "scores": {"x": 1.0, "y": 0.5}}, _ROW),
         lambda ctx: ["export", "--pseudolabels", "pl.jsonl", "--classes", "ham,spam", "--data", "BAD"],
@@ -1126,6 +1150,11 @@ MALFORMED_INPUTS = {
 MALFORMED_MESSAGES = {
     "data-text-then-score-rows": ":2: a scores record among text records",
     "data-score-then-text-rows": ":2: a text record among scores records",
+    "data-score-rows-of-two-concept-sets": ":2: missing score column 'y'",
+    "data-score-integer-beyond-float64": ":2: scores must be finite numbers",
+    "training-score-row-missing-concept": ":2: missing score column 'y'",
+    "training-score-row-extra-concept": ":2: unexpected score column 'z'",
+    "training-duplicate-record-id": ":2: duplicate record id 'a'",
     "model-without-classes": "missing field 'classes'",
     "votes-nested-too-deeply": "JSON nested too deeply",
     "pseudolabel-line-nested-too-deeply": ":2: JSON nested too deeply",

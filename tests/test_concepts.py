@@ -148,9 +148,10 @@ class TestScores:
     def test_records_from_scores(self):
         table = make_table([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], names=["a", "b"], ids=["x"])
         scores = scores_from_embeddings(table)
-        records = records_from_scores(table, scores)
-        assert records[0].id == "x"
-        assert records[0].scores == {"a": 1.0, "b": 0.5}
+        dataset = records_from_scores(table, scores)
+        assert dataset.ids == ("x",)
+        assert dataset.concepts == ("a", "b")
+        assert dataset.scores.tolist() == [[1.0, 0.5]]
         with pytest.raises(ConceptError, match="score matrix"):
             records_from_scores(table, scores[:, :1])
 

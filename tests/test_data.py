@@ -16,8 +16,6 @@ from labelsmith.data import (
     Pseudolabels,
     Record,
     VoteMatrix,
-    assemble_votes,
-    load_dataset,
     load_pseudolabels,
     load_votes,
     read_array,
@@ -26,7 +24,9 @@ from labelsmith.data import (
     serialize_records,
     write_array,
 )
+from labelsmith.distill import export_training_set, load_training_set
 from labelsmith.dsl import DslEvaluationError, parse_program
+from labelsmith.records import Dataset, RowError, assemble_votes, load_dataset
 
 
 class TestClassSpace:
@@ -80,10 +80,143 @@ class TestRecord:
             (Record(id="r", scores={"c": 0.5}, gold=0), {"id": "r", "scores": {"c": 0.5}, "gold": 0}),
         ],
     )
-    def test_to_dict_inverts_from_dict(self, record, doc):
+    def test_to_dict_is_the_row_load_dataset_reads(self, tmp_path, record, doc):
         assert record.to_dict() == doc
         assert list(record.to_dict()) == list(doc)
-        assert Record.from_dict(record.to_dict()) == record
+        path = serialize_records([record], tmp_path / "d.jsonl")
+        assert list(load_dataset(path, class_space(2)).rows()) == [record]
+
+
+def _columns(dataset: Dataset) -> dict:
+    """A dataset's fields, comparable with ``==``: the scores as their
+    shape and bytes."""
+    columns = {field.name: getattr(dataset, field.name) for field in fields(Dataset)}
+    if dataset.scores is not None:
+        columns["scores"] = (dataset.scores.shape, dataset.scores.tobytes())
+    return columns
+
+
+_ONE_PAYLOAD = "a dataset holds texts, or scores with their concepts"
+
+
+class TestDataset:
+    """The constructor checks every column; a rule that one row breaks
+    names the row."""
+
+    @pytest.mark.parametrize(
+        "columns, match, row",
+        [
+            (dict(ids=("a", "b"), texts=("x",)), "texts must hold 2 entries, each a string", None),
+            (dict(ids=("a",), texts=("x",), gold=(0, 1)), "gold must hold 1 entries", None),
+            (dict(ids=("a",), texts=("x",), groups=()), "groups must hold 1 entries", None),
+            (dict(ids=("a", "b"), scores=[[0.5]], concepts=("c",)), r"must have shape \(2, 1\), got \(1, 1\)", None),
+            (dict(ids=("a",), scores=[[0.5]], concepts=("c", "d")), r"scores must have shape \(1, 2\)", None),
+            (dict(ids=("a",), texts=("x",), scores=[[0.5]], concepts=("c",)), _ONE_PAYLOAD, None),
+            (dict(ids=("a",)), _ONE_PAYLOAD, None),
+            (dict(ids=("a",), scores=[[0.5]]), _ONE_PAYLOAD, None),
+            (dict(ids=("a",), texts=("x",), concepts=("c",)), _ONE_PAYLOAD, None),
+            (dict(ids=("a",), scores=[[0.5, 0.5]], concepts=("c", "c")), "concepts must be unique strings", None),
+            (dict(ids=(1,), texts=("x",)), "ids must hold 1 entries, each a string", None),
+            (dict(ids=("a", "b", "a"), texts=("x", "y", "z")), "duplicate record id 'a'", 2),
+            (dict(ids=("a", "b"), scores=[[0.5], [np.nan]], concepts=("c",)), "scores must be finite numbers", 1),
+            (dict(ids=("a", "b"), scores=[[np.inf], [0.5]], concepts=("c",)), "scores must be finite numbers", 0),
+            (dict(ids=("a", "b"), texts=("x", "y"), gold=(1, 2), K=2), r"gold label 2 is not a class index in 0\.\.1$", 1),
+            (dict(ids=("a",), texts=("x",), gold=(-1,)), "gold label -1 is not a class index", 0),
+            (dict(ids=("a",), texts=("x",), gold=(True,)), "gold must hold 1 entries, each an integer or null", None),
+        ],
+    )
+    def test_constructor_rejects(self, columns, match, row):
+        with pytest.raises(ValueError if row is None else RowError, match=match) as caught:
+            Dataset(**columns)
+        if row is not None:
+            assert caught.value.row == row
+
+    def test_take_and_rows(self):
+        scores = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        dataset = Dataset(("a", "b", "c"), scores=scores, concepts=("x", "y"), gold=(0, None, 1))
+        assert not dataset.scores.flags.writeable
+        part = dataset.take([2, 0])
+        assert part.ids == ("c", "a") and part.gold == (1, 0) and part.groups is None
+        assert part.scores.tolist() == [[5.0, 6.0], [1.0, 2.0]] and part.concepts == ("x", "y")
+        assert list(part.rows()) == [
+            Record("c", scores={"x": 5.0, "y": 6.0}, gold=1),
+            Record("a", scores={"x": 1.0, "y": 2.0}, gold=0),
+        ]
+
+
+# record lists of one modality: ids that are integers or strings, gold
+# and group present or null, and score rows over one concept set listed
+# in any key order
+@st.composite
+def record_lists(draw):
+    K = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.one_of(_IDS, st.integers(-(2**40), 2**40)), min_size=n, max_size=n, unique_by=str))
+    gold = draw(st.lists(st.none() | st.integers(0, K - 1), min_size=n, max_size=n))
+    groups = draw(st.lists(st.none() | _IDS, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        payloads = [{"text": text} for text in draw(st.lists(st.text(max_size=20), min_size=n, max_size=n))]
+    else:
+        concepts = draw(st.lists(_IDS, min_size=0, max_size=4, unique=True))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        payloads = [
+            {"scores": {c: draw(finite) for c in draw(st.permutations(concepts))}} for _ in range(n)
+        ]
+    rows = zip(ids, gold, groups, payloads)
+    records = [Record(id=rid, gold=g, group=group, **payload) for rid, g, group, payload in rows]
+    return records, K
+
+
+def _expected_columns(records, K) -> dict:
+    """The columns the records' rows hold, worked out one record at a time."""
+    first = records[0]
+    concepts = None if first.scores is None else tuple(first.scores)
+    scores = None
+    if concepts is not None:
+        matrix = np.array([[r.scores[c] for c in concepts] for r in records], dtype=float)
+        matrix = matrix.reshape(len(records), len(concepts))
+        scores = (matrix.shape, matrix.tobytes())
+    gold = tuple(r.gold for r in records)
+    groups = tuple(r.group for r in records)
+    return {
+        "ids": tuple(str(r.id) for r in records),
+        "texts": None if concepts is not None else tuple(r.text for r in records),
+        "scores": scores,
+        "concepts": concepts,
+        "gold": None if set(gold) == {None} else gold,
+        "groups": None if set(groups) == {None} else groups,
+        "K": K,
+    }
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(drawn=record_lists(), probabilistic=st.booleans(), drop=st.booleans(), data=st.data())
+def test_record_files_round_trip_as_columns(tmp_path, drawn, probabilistic, drop, data):
+    records, K = drawn
+    dataset = load_dataset(serialize_records(records, tmp_path / "d.jsonl"), class_space(K))
+    assert _columns(dataset) == _expected_columns(records, K)
+    assert _columns(dataset) == _columns(Dataset.from_records(records, K))
+
+    n = len(records)
+    entry = st.floats(0.0, 1.0)
+    posterior = np.array(data.draw(st.lists(st.lists(entry, min_size=K, max_size=K), min_size=n, max_size=n)))
+    covered = np.array([True] + data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    order = data.draw(st.permutations(range(n)))
+    labels = Pseudolabels(tuple(dataset.ids[i] for i in order), posterior[order], covered[order])
+    path = tmp_path / "train.jsonl"
+    export_training_set(dataset, labels, path, use_probabilistic=probabilistic, drop_uncovered=drop)
+    trained, targets = load_training_set(path, K)
+    kept = [i for i in range(n) if covered[i] or not drop]
+    # records[0] is covered, so the kept rows' first record sets the concept order
+    assert _columns(trained) == {**_expected_columns([records[i] for i in kept], K), "gold": None, "groups": None}
+    expected = posterior[kept] if probabilistic else posterior[kept].argmax(axis=1)
+    assert _same_bits(targets, expected)
 
 
 class TestVoteMatrix:
@@ -315,10 +448,10 @@ class TestLoadTextDataset:
             '{"id": "a", "text": "x", "gold": 0, "group": "g1"}\n{"id": "b", "text": "y"}\n',
             encoding="utf-8",
         )
-        records = load_dataset(path, self.CLASSES)
-        assert [r.id for r in records] == ["a", "b"]
-        assert records[0].gold == 0 and records[0].group == "g1"
-        assert records[1].gold is None
+        dataset = load_dataset(path, self.CLASSES)
+        assert dataset.ids == ("a", "b") and dataset.texts == ("x", "y")
+        assert dataset.gold == (0, None) and dataset.groups == ("g1", None)
+        assert dataset.scores is None and dataset.concepts is None
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -344,7 +477,9 @@ class TestLoadTextDataset:
             Record(id="b", text="y"),
         ]
         path = serialize_records(records, tmp_path / "out.jsonl")
-        assert load_dataset(path, self.CLASSES) == records
+        dataset = load_dataset(path, self.CLASSES)
+        assert list(dataset.rows()) == records
+        assert _columns(dataset) == _columns(Dataset.from_records(records, self.CLASSES.K))
 
 
 class TestLoadScoresDataset:
@@ -365,8 +500,45 @@ class TestLoadScoresDataset:
     def test_jsonl_scores(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "r0", "scores": {"wing": 0.25}}\n', encoding="utf-8")
-        records = load_dataset(path, self.CLASSES)
-        assert records[0].scores == {"wing": 0.25}
+        dataset = load_dataset(path, self.CLASSES)
+        assert dataset.concepts == ("wing",) and dataset.scores.tolist() == [[0.25]]
+        assert not dataset.scores.flags.writeable
+
+    def test_columns_follow_the_first_row_and_are_picked_by_name(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(
+            '{"id": "r0", "scores": {"wing": 0.25, "beak": 1}}\n{"id": "r1", "scores": {"beak": 0.5, "wing": 0.75}}\n',
+            encoding="utf-8",
+        )
+        dataset = load_dataset(path, self.CLASSES)
+        assert dataset.concepts == ("wing", "beak")
+        assert dataset.scores.tolist() == [[0.25, 1.0], [0.75, 0.5]]
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ('{"id": "r0", "scores": {"wing": 0.5, "beak": 1}}\n{"id": "r1", "scores": {"wing": 0.5}}\n',
+             ":2: missing score column 'beak'"),
+            ('{"id": "r0", "scores": {"wing": 0.5}}\n{"id": "r1", "scores": {"wing": 0.5, "tail": 0}}\n',
+             ":2: unexpected score column 'tail'"),
+            ('{"id": "r0", "scores": {}}\n{"id": "r1", "scores": {"wing": 0.5}}\n', ":2: unexpected score column 'wing'"),
+            ('{"id": "r0", "scores": {"wing": 0.5}}\n{"id": "r1", "scores": {"wing": 1%s}}\n' % ("0" * 400),
+             ":2: scores must be finite numbers"),
+            ('{"id": "r0", "scores": {"wing": 0.5}}\n{"id": "r1", "scores": {"wing": true}}\n',
+             ":2: scores must be finite numbers"),
+            # blank lines hold no record, but count as lines
+            ('{"id": "r0", "scores": {"wing": 0.5}}\n\n  \n{"id": "r0", "scores": {"wing": 0.5}}\n',
+             ":4: duplicate record id 'r0'"),
+            ('\n{"id": "r0", "scores": {"wing": 0.5}, "gold": 2}\n', ":2: gold label 2 is not a class index in 0..1"),
+        ],
+        ids=["missing", "unexpected", "after-no-concepts", "too-large", "boolean", "duplicate", "gold"],
+    )
+    def test_rejects_rows_with_line(self, tmp_path, rows, match):
+        path = tmp_path / "d.jsonl"
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(DatasetError) as caught:
+            load_dataset(path, self.CLASSES)
+        assert str(caught.value) == f"{path}{match}"
 
 
 class TestAssembleVotes:
@@ -379,7 +551,7 @@ class TestAssembleVotes:
             Record(id="a", text="free stuff here"),
             Record(id="b", text="hi"),
         ]
-        matrix = assemble_votes(records, programs, spam_cs)
+        matrix = assemble_votes(Dataset.from_records(records), programs, spam_cs)
         assert matrix.votes.tolist() == [[0, 1], [ABSTAIN, ABSTAIN]]
         assert matrix.program_ids == ("p_free", "p_long")
         assert matrix.classes == spam_cs
@@ -389,19 +561,19 @@ class TestAssembleVotes:
     def test_gold_and_groups_ride_along(self, spam_cs):
         program = parse_program('rule: contains("free") -> spam;', spam_cs, program_id="p")
         records = [Record(id="a", text="free", gold=0), Record(id="b", text="hi", group="g")]
-        matrix = assemble_votes(records, [program], spam_cs, task="sms")
+        matrix = assemble_votes(Dataset.from_records(records), [program], spam_cs, task="sms")
         assert (matrix.gold, matrix.groups, matrix.task) == ((0, None), (None, "g"), "sms")
 
     def test_modality_mismatch_names_program(self, spam_cs):
         program = parse_program('rule: score("c") >= 0.5 -> spam;', spam_cs, program_id="scorey")
         with pytest.raises(DslEvaluationError, match="scorey"):
-            assemble_votes([Record(id="a", text="x")], [program], spam_cs)
+            assemble_votes(Dataset.from_records([Record(id="a", text="x")]), [program], spam_cs)
 
     def test_deterministic(self, spam_cs):
         program = parse_program('rule: contains("x") -> spam;', spam_cs)
         records = [Record(id=f"r{i}", text="x" * i) for i in range(5)]
-        a = assemble_votes(records, [program], spam_cs)
-        b = assemble_votes(records, [program], spam_cs)
+        a = assemble_votes(Dataset.from_records(records), [program], spam_cs)
+        b = assemble_votes(Dataset.from_records(records), [program], spam_cs)
         assert np.array_equal(a.votes, b.votes)
 
 

@@ -29,6 +29,7 @@ from labelsmith.distill import (
     train_mlp,
     weights_path,
 )
+from labelsmith.records import Dataset
 
 
 def blob_data(n=500, seed=0):
@@ -58,8 +59,8 @@ def xor_data(seed=0):
 class TestFeaturize:
     def test_hashed_features_unit_norm_and_deterministic(self):
         records = [Record(id="a", text="Win cash now win"), Record(id="b", text="see you")]
-        X1 = featurize(records, 64).dense()
-        X2 = featurize(records, 64).dense()
+        X1 = featurize(Dataset.from_records(records), 64).dense()
+        X2 = featurize(Dataset.from_records(records), 64).dense()
         np.testing.assert_array_equal(X1, X2)
         np.testing.assert_allclose(np.linalg.norm(X1, axis=1), [1.0, 1.0])
 
@@ -67,37 +68,39 @@ class TestFeaturize:
         # saved text models depend on this exact layout: blake2b keyed
         # with eight zero bytes over lowercased [a-z0-9']+ tokens; bucket
         # 14 holds "win" twice plus one colliding token
-        X = featurize([Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")], 16).dense()
+        record = Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")
+        X = featurize(Dataset.from_records([record]), 16).dense()
         u = 0.2581988897471611
         expected = [0, u, 0, 0, -u, u, 0, 0, -u, u, 0, 0, 0, 0, 0.7745966692414834, -u]
         np.testing.assert_array_equal(X, [expected])
 
     def test_lowercase_folding(self):
-        upper = featurize([Record(id="a", text="WIN CASH")], 64).dense()
-        lower = featurize([Record(id="a", text="win cash")], 64).dense()
+        upper = featurize(Dataset.from_records([Record(id="a", text="WIN CASH")]), 64).dense()
+        lower = featurize(Dataset.from_records([Record(id="a", text="win cash")]), 64).dense()
         np.testing.assert_array_equal(upper, lower)
 
     def test_scores_mode_uses_concept_order(self):
         records = [Record(id="a", scores={"b": 0.2, "a": 0.9})]
-        X = featurize(records, 2, concepts=["a", "b"])
+        dataset = Dataset.from_records(records)
+        X = featurize(dataset, 2, concepts=["a", "b"])
         np.testing.assert_array_equal(X.dense(), [[0.9, 0.2]])
-        X_reversed = featurize(records, 2, concepts=["b", "a"])
+        X_reversed = featurize(dataset, 2, concepts=["b", "a"])
         np.testing.assert_array_equal(X_reversed.dense(), [[0.2, 0.9]])
 
     def test_scores_mode_missing_concept(self):
         records = [Record(id="a", scores={"a": 0.9})]
         with pytest.raises(DistillError, match="'b'"):
-            featurize(records, 2, concepts=["a", "b"])
+            featurize(Dataset.from_records(records), 2, concepts=["a", "b"])
 
     def test_scores_width_must_match_concepts(self):
         with pytest.raises(DistillError, match="2 concepts but 3"):
-            featurize([Record(id="a", scores={"a": 0.9, "b": 0.1})], 3, concepts=["a", "b"])
+            featurize(Dataset.from_records([Record(id="a", scores={"a": 0.9, "b": 0.1})]), 3, concepts=["a", "b"])
 
     def test_modality_mismatch(self):
         with pytest.raises(DistillError, match="text"):
-            featurize([Record(id="a", scores={"c": 1.0})], 64)
+            featurize(Dataset.from_records([Record(id="a", scores={"c": 1.0})]), 64)
         with pytest.raises(DistillError, match="no scores"):
-            featurize([Record(id="a", text="hi")], 1, concepts=["c"])
+            featurize(Dataset.from_records([Record(id="a", text="hi")]), 1, concepts=["c"])
 
 
 # a few words, so texts repeat tokens and small dims collide them, plus
@@ -128,7 +131,7 @@ class TestRowCompressed:
     @example(texts=["win win win cash", "now now"], dims=2)
     def test_hashed_rows_densify_to_reference(self, texts, dims):
         records = [Record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
-        X = featurize(records, dims)
+        X = featurize(Dataset.from_records(records), dims)
         expected = reference_featurize(records, dims)
         assert X.dims == dims and len(X) == len(records)
         assert _bits(X.dense()) == _bits(expected)
@@ -147,7 +150,7 @@ class TestRowCompressed:
             if bucket_sign[a][0] == bucket_sign[b][0] and bucket_sign[a][1] != bucket_sign[b][1]
         )
         records = [Record(id="r", text=" ".join(pair)), Record(id="s", text=pair[0])]
-        X = featurize(records, 2)
+        X = featurize(Dataset.from_records(records), 2)
         assert X.indptr.tolist() == [0, 0, 1]
         assert _bits(X.dense()) == _bits(reference_featurize(records, 2))
 
@@ -162,7 +165,7 @@ class TestRowCompressed:
     @example(scores=[[0.0, -0.0, 1.0]])
     def test_score_rows_densify_to_reference(self, scores):
         records = [Record(id=f"r{i}", scores=dict(zip("abc", row))) for i, row in enumerate(scores)]
-        X = featurize(records, 3, concepts=["c", "a", "b"])
+        X = featurize(Dataset.from_records(records), 3, concepts=["c", "a", "b"])
         assert _bits(X.dense()) == _bits(reference_featurize(records, 3, concepts=["c", "a", "b"]))
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -174,7 +177,7 @@ class TestRowCompressed:
     @example(texts=["", "!!"], dims=16, picks=[0, 1])  # no stored column: a (2, 0) block
     def test_block_holds_the_stored_columns(self, texts, dims, picks):
         records = [Record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
-        X = featurize(records, dims)
+        X = featurize(Dataset.from_records(records), dims)
         picks = np.array(picks) % len(records)
         block, cols = X.block(picks)
         dense = X.dense(picks)
@@ -202,7 +205,7 @@ class TestRowCompressed:
         rng = np.random.default_rng(seed)
         if kind == "scores":
             records = [Record(id=f"r{i}", scores=dict(zip("abc", rng.normal(size=3)))) for i in range(n + 40)]
-            X = featurize(records, 3, concepts=["c", "a", "b"])
+            X = featurize(Dataset.from_records(records), 3, concepts=["c", "a", "b"])
             dense = reference_featurize(records, 3, concepts=["c", "a", "b"])
             y = rng.integers(0, 2, size=n + 40)
         elif kind == "dense":
@@ -211,10 +214,10 @@ class TestRowCompressed:
         else:
             dims = int(kind[-1])
             records, _ = make_spam_corpus(2 * (n + 40), seed=seed)
-            stores_all = np.diff(featurize(records, dims).indptr) == dims
+            stores_all = np.diff(featurize(Dataset.from_records(records), dims).indptr) == dims
             records = [r for r, full in zip(records, stores_all) if full][: n + 40]
             assert len(records) == n + 40
-            X, dense = featurize(records, dims), reference_featurize(records, dims)
+            X, dense = featurize(Dataset.from_records(records), dims), reference_featurize(records, dims)
             y = np.array([r.gold for r in records])
         train, held = np.arange(n), np.arange(n, n + 40)
         part = (lambda rows: X.take(rows)) if isinstance(X, Features) else (lambda rows: X[rows])
@@ -240,7 +243,7 @@ class TestRowCompressed:
     def test_hashed_training_matches_lazy_adam_reference(self, n, dims, val, seed):
         records, _ = make_spam_corpus(n + 40, seed=seed)
         y = np.array([r.gold for r in records])
-        X, dense = featurize(records, dims), reference_featurize(records, dims)
+        X, dense = featurize(Dataset.from_records(records), dims), reference_featurize(records, dims)
         held = np.arange(n, n + 40) if val else None
         self._assert_matches_lazy_reference(X, dense, y, np.arange(n), held, seed)
 
@@ -256,7 +259,7 @@ class TestRowCompressed:
     def test_edge_batches_match_lazy_adam_reference(self, texts, dims, batch):
         records = [Record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
         y = np.arange(len(texts)) % 2
-        X, dense = featurize(records, dims), reference_featurize(records, dims)
+        X, dense = featurize(Dataset.from_records(records), dims), reference_featurize(records, dims)
         got = self._assert_matches_lazy_reference(X, dense, y, np.arange(30), np.arange(30, 40), 5, batch)
         if not dense.any():
             assert X.block(np.arange(3))[0].shape == (3, 0)
@@ -304,7 +307,7 @@ class TestRowCompressed:
         assert n * dims * 8 > budget
         tracemalloc.start()
         try:
-            X = featurize(records, dims)
+            X = featurize(Dataset.from_records(records), dims)
             model, _ = train_mlp(X, y, class_space(2), Hyper(epochs=1, seed=0))
             model.predict(X)
             peak = tracemalloc.get_traced_memory()[1]
@@ -327,24 +330,24 @@ class TestExport:
     def test_drops_uncovered_and_reports(self, tmp_path):
         records = [Record(id=f"r{i}", text=f"t{i}") for i in range(10)]
         labels = self._labels([(f"r{i}", i % 2, i not in (3, 7)) for i in range(10)])
-        report = export_training_set(records, labels, tmp_path / "train.jsonl")
+        report = export_training_set(Dataset.from_records(records), labels, tmp_path / "train.jsonl")
         assert report.n_written == 8
         assert report.n_dropped_uncovered == 2
         loaded, targets = load_training_set(tmp_path / "train.jsonl", 2)
         assert len(loaded) == 8
         assert targets.dtype == np.int64
-        assert [r.id for r in loaded] == [f"r{i}" for i in range(10) if i not in (3, 7)]
+        assert loaded.ids == tuple(f"r{i}" for i in range(10) if i not in (3, 7))
 
     def test_keep_uncovered(self, tmp_path):
         records = [Record(id="a", text="x")]
         labels = self._labels([("a", 0, False)])
-        report = export_training_set(records, labels, tmp_path / "t.jsonl", drop_uncovered=False)
+        report = export_training_set(Dataset.from_records(records), labels, tmp_path / "t.jsonl", drop_uncovered=False)
         assert report.n_written == 1 and report.n_dropped_uncovered == 0
 
     def test_probabilistic_round_trip(self, tmp_path):
         records = [Record(id="a", text="x"), Record(id="b", text="y")]
         labels = Pseudolabels(("a", "b"), [[0.75, 0.25], [0.1, 0.9]], [True, True])
-        export_training_set(records, labels, tmp_path / "t.jsonl", use_probabilistic=True)
+        export_training_set(Dataset.from_records(records), labels, tmp_path / "t.jsonl", use_probabilistic=True)
         loaded, targets = load_training_set(tmp_path / "t.jsonl", 2)
         assert targets.shape == (2, 2)
         np.testing.assert_allclose(targets.sum(axis=1), [1.0, 1.0])
@@ -353,17 +356,17 @@ class TestExport:
     def test_hard_label_round_trip_identity(self, tmp_path):
         records = [Record(id="a", text="x")]
         labels = self._labels([("a", 1, True)])
-        export_training_set(records, labels, tmp_path / "t.jsonl")
+        export_training_set(Dataset.from_records(records), labels, tmp_path / "t.jsonl")
         _, targets = load_training_set(tmp_path / "t.jsonl", 2)
         assert targets.tolist() == [1]
 
     def test_id_mismatches(self, tmp_path):
         records = [Record(id="a", text="x")]
         with pytest.raises(DistillError, match="'a'"):
-            export_training_set(records, self._labels([]), tmp_path / "t.jsonl")
+            export_training_set(Dataset.from_records(records), self._labels([]), tmp_path / "t.jsonl")
         labels = self._labels([("a", 0, True), ("ghost", 0, True)])
         with pytest.raises(DistillError, match="'ghost'"):
-            export_training_set(records, labels, tmp_path / "t.jsonl")
+            export_training_set(Dataset.from_records(records), labels, tmp_path / "t.jsonl")
 
     def test_mixed_label_kinds_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -426,7 +429,7 @@ class TestGradients:
     def test_block_gradient_is_dense_gradient_on_touched_rows(self):
         records, _ = make_spam_corpus(72, seed=6)
         y = np.array([r.gold for r in records])
-        X = featurize(records, 4096)
+        X = featurize(Dataset.from_records(records), 4096)
         # trained, so the zero-initialized output layer passes a gradient back
         model, _ = train_mlp(X.take(np.arange(40)), y[:40], class_space(2), Hyper(epochs=2, seed=6))
         batch = np.arange(40, 72)
@@ -596,22 +599,23 @@ class TestPredictRefusesOtherRecipes:
     features were: the same width and the same concept list in order."""
 
     def test_hashed_width(self):
-        records, _ = make_spam_corpus(20, seed=3)
+        dataset = Dataset.from_records(make_spam_corpus(20, seed=3)[0])
         model = init_mlp(1024, class_space(2), seed=0)
         with pytest.raises(DistillError, match=r"the model takes 1024 inputs, but the features have 64 inputs"):
-            model.predict(featurize(records, 64))
-        assert len(model.predict(featurize(records, 1024))) == 20
+            model.predict(featurize(dataset, 64))
+        assert len(model.predict(featurize(dataset, 1024))) == 20
 
     def test_concept_order(self):
         records = [Record(id=f"r{i}", scores={"a": float(i % 2), "b": 1.0 - i % 2}) for i in range(40)]
         y = np.arange(40) % 2
-        model, _ = train_mlp(featurize(records, 2, ["a", "b"]), y, class_space(2), Hyper(epochs=30, seed=1))
+        dataset = Dataset.from_records(records)
+        model, _ = train_mlp(featurize(dataset, 2, ["a", "b"]), y, class_space(2), Hyper(epochs=30, seed=1))
         assert model.concepts == ("a", "b")
-        assert (model.predict(featurize(records, 2, ["a", "b"])) == y).all()
+        assert (model.predict(featurize(dataset, 2, ["a", "b"])) == y).all()
         with pytest.raises(DistillError, match=r"\['a', 'b'\], but the features have the concepts \['b', 'a'\]"):
-            model.predict(featurize(records, 2, ["b", "a"]))
+            model.predict(featurize(dataset, 2, ["b", "a"]))
         with pytest.raises(DistillError, match="but the features have 2 inputs"):
-            model.predict(featurize(records, 2, ["a", "b"]).dense())
+            model.predict(featurize(dataset, 2, ["a", "b"]).dense())
 
 
 # names a JSON writer must escape: quotes, backslashes, control and

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import NESTED_GUARD_FORMS, nested_guard, reference_pike_vm
-from labelsmith.data import ABSTAIN, ClassSpace, Record, assemble_votes
+from labelsmith.data import ABSTAIN, ClassSpace, Record
 from labelsmith.dsl import (
     And,
     Contains,
@@ -39,6 +39,7 @@ from labelsmith.dsl import (
 )
 from labelsmith.dsl import parser as dsl_parser
 from labelsmith.dsl import rex
+from labelsmith.records import Dataset, assemble_votes
 
 
 class TestParserHappyPath:
@@ -470,9 +471,9 @@ class TestWallClockIndependence:
             Record(id="short", text="9/10 g r e a t"),
         ]
         expected = [[1, ABSTAIN], [0, 0], [ABSTAIN, ABSTAIN], [0, 0]]
-        steady = assemble_votes(records, programs, spam_cs)
+        steady = assemble_votes(Dataset.from_records(records), programs, spam_cs)
         with jumping_clock():
-            jumping = assemble_votes(records, programs, spam_cs)
+            jumping = assemble_votes(Dataset.from_records(records), programs, spam_cs)
         assert steady.votes.tolist() == jumping.votes.tolist() == expected
 
 
@@ -490,7 +491,7 @@ class TestValidate:
     def test_unknown_concept_rejected(self, spam_cs):
         program = parse_program('rule: score("tail") >= 0.5 -> spam;', spam_cs)
         with pytest.raises(DslEvaluationError, match="tail"):
-            assemble_votes([Record(id="r", scores={"wing": 0.5})], [program], spam_cs)
+            assemble_votes(Dataset.from_records([Record(id="r", scores={"wing": 0.5})]), [program], spam_cs)
 
     def test_rule_cap_warned(self, spam_cs, caplog):
         src = "\n".join(f'rule: contains("w{i}") -> spam;' for i in range(65))
