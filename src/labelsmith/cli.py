@@ -216,7 +216,7 @@ def cmd_apply(args) -> int:
         {"task": task, "programs": len(programs)},
         [Path(args.data), *prog_paths],
     )
-    coverage = float((matrix.votes != -1).any(axis=1).mean())
+    coverage = float((matrix.record_votes > 0).mean())
     print(f"applied {matrix.m} programs to {matrix.n} records (union coverage {coverage:.3f})")
     return EXIT_OK
 
@@ -242,9 +242,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    if args.model is not None and args.params:
+        raise CliError("--model and --params exclude each other")
+    # null when params are reused: the params file is among the inputs
+    model = None if args.params else args.model or "ds"
     matrix = load_votes(args.votes)
-    stats = diagnostics.analyze(matrix, coverage_threshold=args.threshold)
-    flagged = [s.program_id for s in stats if s.flagged_low_coverage]
+    low = diagnostics.low_coverage(matrix, args.threshold)
+    flagged = [pid for pid, flag in zip(matrix.program_ids, low) if flag]
     if flagged and not args.keep_flagged:
         raise CliError(
             f"{args.votes}: program(s) below {args.threshold:.0%} coverage: {', '.join(flagged)}; "
@@ -255,7 +259,7 @@ def cmd_aggregate(args) -> int:
         params = models.load_params(args.params)
         report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
     else:
-        params, report = models.FITTERS[args.model](matrix)
+        params, report = models.FITTERS[model](matrix)
         report_doc = {
             "kind": report.kind,
             "iterations": report.iterations,
@@ -276,7 +280,7 @@ def cmd_aggregate(args) -> int:
     _write_manifest(
         out,
         "aggregate",
-        {"model": args.model, "threshold": args.threshold},
+        {"model": model, "threshold": args.threshold},
         [Path(args.votes)] + ([Path(args.params)] if args.params else []),
     )
     coverage = diagnostics.coverage_of_label_model(labels)
@@ -463,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("aggregate", help="fit a label model and write pseudolabels")
     sp.add_argument("--votes", required=True)
-    sp.add_argument("--model", choices=sorted(models.FITTERS), default="ds")
-    sp.add_argument("--params", help="reuse fitted params instead of fitting")
+    sp.add_argument("--model", choices=sorted(models.FITTERS), help="label model to fit (default ds)")
+    sp.add_argument("--params", help="reuse fitted params instead of fitting (excludes --model)")
     sp.add_argument("--keep-flagged", action="store_true", help="aggregate despite low-coverage programs")
     sp.add_argument("--threshold", type=float, default=diagnostics.DEFAULT_COVERAGE_THRESHOLD)
     _add_common(sp)

@@ -72,6 +72,22 @@ def json_field(doc, key: str, *types: type, default=_REQUIRED):
     return value
 
 
+def json_numbers(doc, key: str, *types: type, default=_REQUIRED):
+    """``json_field(doc, key, list, *types)``, with every entry of the
+    list, and of the lists nested in it, checked to be a number: ``true``
+    is not 1.0 and ``"1"`` names the field, not a failed conversion."""
+    value = json_field(doc, key, list, *types, default=default)
+    # a stack, not recursion: lists nest as deep as the JSON parser allows
+    stack = [value] if type(value) is list else []
+    while stack:
+        for entry in stack.pop():
+            if type(entry) is list:
+                stack.append(entry)
+            elif type(entry) not in (int, float):
+                raise DatasetError(f"{key!r} must hold numbers, got {_json_type(entry)}")
+    return value
+
+
 def _checked(build, doc, where: str, error: type[LabelsmithError]):
     try:
         return build(doc)
@@ -251,6 +267,12 @@ class Record:
         return {key: value for key, value in doc.items() if value is not None}
 
 
+def vote_dtype(K: int) -> np.dtype:
+    """The type a ``VoteMatrix`` keeps its votes in: the smallest signed
+    integer that holds ABSTAIN and every class index of K classes."""
+    return np.min_scalar_type(-K)
+
+
 @dataclass(frozen=True)
 class VoteMatrix:
     """The content of a ``votes.json``: an n x m matrix of program outputs
@@ -259,10 +281,10 @@ class VoteMatrix:
     Row i follows ``record_ids``, column j follows ``program_ids``. Entries
     are class indices of ``classes`` or ABSTAIN (-1). ``gold`` and
     ``groups`` are None, or hold one entry per record: a class index or
-    None, a string or None. The constructor checks every field and makes
-    ``votes`` read-only, the caller's own array when no cast copies it: a
-    copy would add the votes to the peak RSS, and a read-only view would
-    go stale against the cached ``bins`` if the caller wrote to it.
+    None, a string or None. The constructor checks every field and stores
+    ``votes`` read-only in ``vote_dtype(K)``, the caller's own array when
+    it already has that type: a read-only view would go stale against the
+    cached ``bins`` and vote counts if the caller wrote to it.
     """
 
     votes: np.ndarray
@@ -283,7 +305,7 @@ class VoteMatrix:
             raise ValueError("votes must be class indices or ABSTAIN (-1)")
         if votes.size and votes.max() >= K:
             raise ValueError(f"votes outside 0..{K - 1}")
-        votes = votes.astype(np.int64, copy=False)
+        votes = votes.astype(vote_dtype(K), copy=False)
         if votes.ndim != 2:
             raise ValueError("votes must be a 2-D array")
         object.__setattr__(self, "votes", votes)
@@ -334,10 +356,26 @@ class VoteMatrix:
         first use: contiguous, in the smallest unsigned dtype that holds K,
         shifted by one so that ABSTAIN is bin 0 and class c is bin c + 1."""
         bins = np.empty(self.votes.shape[::-1], dtype=np.min_scalar_type(self.K))
-        # the ufunc casts block by block: no (n, m) int64 temporary
-        np.add(self.votes.T, 1, out=bins, casting="unsafe")
+        # added block by block in a type that holds both -1 and K: int8
+        # votes of K = 128 classes would overflow on their own
+        wide = np.promote_types(self.votes.dtype, bins.dtype)
+        np.add(self.votes.T, 1, out=bins, dtype=wide, casting="unsafe")
         bins.flags.writeable = False
         return bins
+
+    @cached_property
+    def record_votes(self) -> np.ndarray:
+        """(n,) how many programs voted on each record; 0 where all abstained."""
+        counts = np.count_nonzero(self.bins, axis=0)
+        counts.flags.writeable = False
+        return counts
+
+    @cached_property
+    def program_votes(self) -> np.ndarray:
+        """(m,) how many records each program voted on; 0 for a silent program."""
+        counts = np.count_nonzero(self.bins, axis=1)
+        counts.flags.writeable = False
+        return counts
 
     def vote_mass(self, weights: np.ndarray | None = None) -> np.ndarray:
         """(n, K) summed weight of the programs voting each class on each
@@ -432,10 +470,11 @@ def load_votes(path: str | Path) -> VoteMatrix:
 
 
 def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
-    """votes.json's nested lists as an (n, m) int64 matrix: every row a
-    list of m integers that fit in 64 bits (``VoteMatrix`` checks their
-    range). Every scan runs in C: types and lengths through ``map``, the
-    values through ``np.fromiter``."""
+    """votes.json's nested lists as an (n, m) matrix in ``vote_dtype(K)``:
+    every row a list of m integers that fit that type (``VoteMatrix``
+    checks the rest of their range). Every scan runs in C: types and
+    lengths through ``map``, the values through ``np.fromiter``, which
+    raises OverflowError for an integer the type cannot hold."""
     if not rows:
         raise DatasetError("votes must hold at least one row")
     if set(map(type, rows)) - {list}:
@@ -451,7 +490,7 @@ def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
         wrong = next(v for v in itertools.chain.from_iterable(rows) if type(v) is not int)
         raise DatasetError(f"votes must be integers, got {_json_type(wrong)}")
     try:
-        votes = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=len(rows) * m)
+        votes = np.fromiter(itertools.chain.from_iterable(rows), dtype=vote_dtype(K), count=len(rows) * m)
     except OverflowError:
         raise DatasetError(f"votes must be class indices in 0..{K - 1} or ABSTAIN (-1)") from None
     return votes.reshape(len(rows), m)

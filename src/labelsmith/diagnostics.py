@@ -58,6 +58,16 @@ class GroupReport:
         object.__setattr__(self, "per_group", dict(self.per_group))
 
 
+def low_coverage(matrix: VoteMatrix, coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD) -> np.ndarray:
+    """(m,) whether each program votes on fewer than ``coverage_threshold``
+    of the rows: ``analyze``'s flags, from the matrix's vote counts alone."""
+    if not (0.0 <= coverage_threshold <= 1.0):
+        raise DiagnosticsError(f"coverage threshold must be in [0, 1], got {coverage_threshold}")
+    if matrix.n == 0:
+        raise DiagnosticsError("cannot analyze an empty vote matrix")
+    return matrix.program_votes / matrix.n < coverage_threshold
+
+
 def analyze(
     matrix: VoteMatrix, coverage_threshold: float = DEFAULT_COVERAGE_THRESHOLD
 ) -> list[ProgramStats]:
@@ -69,14 +79,13 @@ def analyze(
     distinct classes emitted. empirical_accuracy: agreement with the
     matrix's gold over rows where both exist (None where there are none).
     """
-    if not (0.0 <= coverage_threshold <= 1.0):
-        raise DiagnosticsError(f"coverage threshold must be in [0, 1], got {coverage_threshold}")
+    flagged = low_coverage(matrix, coverage_threshold).tolist()
     n, m, K = matrix.n, matrix.m, matrix.K
-    if n == 0:
-        raise DiagnosticsError("cannot analyze an empty vote matrix")
+    coverage = (matrix.program_votes / n).tolist()
     bins = matrix.bins
     counts = matrix.vote_mass()
-    row_votes = np.count_nonzero(bins, axis=0)
+    row_votes = matrix.record_votes
+    shared = row_votes >= 2
     # program j conflicts on row i when fewer programs voted its class than
     # voted at all; column 0, read through ABSTAIN's bin, never conflicts
     split = np.zeros((n, K + 1), dtype=bool)
@@ -86,21 +95,19 @@ def analyze(
     accuracies = empirical_accuracies(matrix)
     stats = []
     for j in range(m):
-        mask = bins[j] != 0
-        coverage = float(mask.mean())
-        overlap = float((mask & (row_votes >= 2)).mean())
+        overlap = np.count_nonzero(bins[j][shared]) / n
         conflict = float(split[rows + bins[j]].mean())
         polarity = tuple(np.flatnonzero(np.bincount(bins[j], minlength=K + 1)[1:]).tolist())
         accuracy = None if np.isnan(accuracies[j]) else float(accuracies[j])
         stats.append(
             ProgramStats(
                 program_id=matrix.program_ids[j],
-                coverage=coverage,
+                coverage=coverage[j],
                 polarity=polarity,
                 overlap=overlap,
                 conflict=conflict,
                 empirical_accuracy=accuracy,
-                flagged_low_coverage=coverage < coverage_threshold,
+                flagged_low_coverage=flagged[j],
             )
         )
     return stats

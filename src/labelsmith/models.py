@@ -32,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    ABSTAIN,
     LabelsmithError,
     Pseudolabels,
     VoteMatrix,
     json_field,
+    json_numbers,
     read_json,
     write_json,
 )
@@ -153,16 +153,16 @@ class LabelModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LabelModelParams":
-        def arr(x):
-            return None if x is None else np.asarray(x, dtype=float)
+        def arr(key):
+            return json_numbers(doc, key, type(None), default=None)
 
         return cls(
             kind=json_field(doc, "kind", str),
-            priors=np.asarray(doc["priors"], dtype=float),
+            priors=json_numbers(doc, "priors"),
             program_ids=tuple(json_field(doc, "program_ids", list)),
-            confusion=arr(doc.get("confusion")),
-            accuracies=arr(doc.get("accuracies")),
-            weights=arr(doc.get("weights")),
+            confusion=arr("confusion"),
+            accuracies=arr("accuracies"),
+            weights=arr("weights"),
         )
 
 
@@ -195,7 +195,7 @@ class FitReport:
 
 def _check_coverage(matrix: VoteMatrix) -> None:
     """Refuse to fit a matrix in which some program never votes."""
-    silent = ~matrix.bins.any(axis=1)
+    silent = matrix.program_votes == 0
     if silent.any():
         raise ModelError(
             f"program {matrix.program_ids[int(np.argmax(silent))]!r} has zero coverage; remove it "
@@ -352,7 +352,7 @@ def _align_permutation(q: np.ndarray, matrix: VoteMatrix) -> tuple[int, ...]:
     on covered rows. Every permutation is scored from one K x K table of
     (model class, majority class) row counts; identity wins ties."""
     K = matrix.K
-    covered = matrix.bins.any(axis=0)
+    covered = matrix.record_votes > 0
     mv = _mv_hard(matrix)[covered]
     model = np.argmax(q, axis=1)[covered]
     table = np.bincount(model * K + mv, minlength=K * K).reshape(K, K)
@@ -419,7 +419,7 @@ def fit_snorkel_lite(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     model; same contract as fit_dawid_skene otherwise."""
     _check_coverage(matrix)
     K = matrix.K
-    total = np.count_nonzero(matrix.bins, axis=1)
+    total = matrix.program_votes
 
     def m_step(counts):
         correct = np.trace(counts, axis1=1, axis2=2)
@@ -469,20 +469,16 @@ def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     if matrix.m < 3:
         raise ModelError(f"the triplet estimator needs at least 3 programs, got {matrix.m}")
     _check_coverage(matrix)
-    votes = matrix.votes
-    m = matrix.m
-    signs = np.where(votes == ABSTAIN, 0, 2 * votes - 1).astype(float)
-    nonabstain = votes != ABSTAIN
+    bins, m = matrix.bins, matrix.m
+    # each pair's summed sign products and jointly covered rows: integer
+    # products summed in int64, exact in any order; ABSTAIN's sign is 0
+    signs = np.array([0, -1, 1], dtype=np.int8)[bins]
+    sums = np.einsum("an,bn->ab", signs, signs, dtype=np.int64)
+    voted = bins != 0
+    counts = np.einsum("an,bn->ab", voted, voted, dtype=np.int64)
+    pair_mean = np.divide(sums, counts, out=np.full((m, m), np.nan), where=counts >= MIN_PAIRS)
 
-    pair_mean = np.full((m, m), np.nan)
-    for a in range(m):
-        for b in range(a + 1, m):
-            both = nonabstain[:, a] & nonabstain[:, b]
-            if both.sum() >= MIN_PAIRS:
-                value = float((signs[both, a] * signs[both, b]).mean())
-                pair_mean[a, b] = pair_mean[b, a] = value
-
-    mv = _mv_hard(matrix)
+    mv_bins = _mv_hard(matrix) + 1
     accuracies = np.empty(m)
     for j in range(m):
         moments = []
@@ -500,8 +496,8 @@ def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
                 "pair agreements); cannot estimate its accuracy"
             )
         med = float(np.clip(np.median(moments), 0.0, 1.0))
-        voted = nonabstain[:, j]
-        agree = float((votes[voted, j] == mv[voted]).mean()) if voted.any() else 0.5
+        # every program votes somewhere: _check_coverage refused the rest
+        agree = np.count_nonzero(bins[j] == mv_bins) / matrix.program_votes[j]
         sign = 1.0 if agree >= 0.5 else -1.0
         accuracies[j] = (1.0 + sign * math.sqrt(med)) / 2.0
     accuracies = np.clip(accuracies, *CLAMP)
@@ -542,13 +538,13 @@ def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:
     K = matrix.K
     if params.K != K:
         raise ModelError(f"params were fitted for {params.K} classes but the vote matrix has {K}")
+    covered = matrix.record_votes > 0
     if params.kind in (MV, WMV):
+        # the weights are positive, so only a row without votes has no mass
         mass = matrix.vote_mass(params.weights)
-        totals = mass.sum(axis=1, keepdims=True)
-        posteriors = np.where(totals > 0, mass / np.where(totals == 0, 1, totals), 1.0 / K)
+        posteriors = mass / np.where(covered, mass.sum(axis=1), 1)[:, None]
     else:
         posteriors = _e_step(matrix.bins, params.priors, params.confusion)[0]
-    covered = matrix.bins.any(axis=0)
     posteriors[~covered] = 1.0 / K
     return Pseudolabels(matrix.record_ids, posteriors, covered)
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, ClassSpace, DatasetError, Record, VoteMatrix, json_field, read_jsonl
+from .data import ABSTAIN, ClassSpace, DatasetError, Record, VoteMatrix, json_field, read_jsonl, vote_dtype
 
 
 class RowError(DatasetError):
@@ -224,7 +224,7 @@ def assemble_votes(
     other modality raises DslEvaluationError naming both."""
     from .dsl import evaluate  # at call time: only apply runs programs, and a patch reaches it
 
-    votes = np.full((len(dataset), len(programs)), ABSTAIN, dtype=np.int64)
+    votes = np.full((len(dataset), len(programs)), ABSTAIN, dtype=vote_dtype(classes.K))
     for i, record in enumerate(dataset.rows()):
         for j, prog in enumerate(programs):
             votes[i, j] = evaluate(prog, record)

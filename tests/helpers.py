@@ -6,6 +6,8 @@ models assume, so planted parameters are the recovery oracle. The
 reference EM and alignment are per-row loops that the vectorized fitters
 are compared against, and the reference pseudolabel writer is the
 per-row formula the array writer must match byte for byte. The
+reference triplet estimator is the float loop over program pairs that
+the integer products in ``fit_triplet`` replaced. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
 ``labelsmith.dsl.rex`` replaced. The reference featurizer and trainer
 are the dense (n, dims) versions that the row-compressed ones in
@@ -171,6 +173,41 @@ def reference_alignment(q, votes, K):
         if score > best_score:
             best, best_score = perm, score
     return best
+
+
+def reference_triplet(votes, min_pairs=10, min_denominator=0.05, clamp=(0.05, 0.95)):
+    """The triplet estimator over an (n, m) binary vote array, one pass
+    over the rows per program pair: each pair's mean sign product over its
+    jointly covered rows, the median triplet moment per program, its sign
+    from agreement with plurality. Returns (accuracies, weights)."""
+    votes = np.asarray(votes, dtype=np.int64)
+    m = votes.shape[1]
+    signs = np.where(votes == ABSTAIN, 0, 2 * votes - 1).astype(float)
+    nonabstain = votes != ABSTAIN
+    pair_mean = np.full((m, m), np.nan)
+    for a in range(m):
+        for b in range(a + 1, m):
+            both = nonabstain[:, a] & nonabstain[:, b]
+            if both.sum() >= min_pairs:
+                value = float((signs[both, a] * signs[both, b]).mean())
+                pair_mean[a, b] = pair_mean[b, a] = value
+    # an uncovered row's plurality is never read
+    mv = np.array([_plurality(row, 2) or 0 for row in votes])
+    accuracies = np.empty(m)
+    for j in range(m):
+        moments = []
+        for a, b in itertools.combinations([x for x in range(m) if x != j], 2):
+            e_ja, e_jb, e_ab = pair_mean[j, a], pair_mean[j, b], pair_mean[a, b]
+            if math.isnan(e_ja) or math.isnan(e_jb) or math.isnan(e_ab) or abs(e_ab) < min_denominator:
+                continue
+            moments.append(e_ja * e_jb / e_ab)
+        med = float(np.clip(np.median(moments), 0.0, 1.0))
+        voted = nonabstain[:, j]
+        agree = float((votes[voted, j] == mv[voted]).mean())
+        sign = 1.0 if agree >= 0.5 else -1.0
+        accuracies[j] = (1.0 + sign * math.sqrt(med)) / 2.0
+    accuracies = np.clip(accuracies, *clamp)
+    return accuracies, np.log(accuracies / (1 - accuracies))
 
 
 def reference_pseudolabel_bytes(record_ids, posterior, covered) -> bytes:

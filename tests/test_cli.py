@@ -464,6 +464,31 @@ class TestAggregate:
         b = (reused / "pseudolabels.jsonl").read_bytes()
         assert a == b
 
+    def test_manifest_names_the_fitted_model_or_none(self, votes_dir, tmp_path):
+        votes = str(votes_dir / "votes.json")
+        assert main(["aggregate", "--votes", votes, "--out", str(tmp_path / "fit")]) == 0
+        assert read_manifest(tmp_path / "fit")["params"]["model"] == "ds"
+        params = str(tmp_path / "fit" / "params.json")
+        assert main(["aggregate", "--votes", votes, "--params", params, "--out", str(tmp_path / "reuse")]) == 0
+        manifest = read_manifest(tmp_path / "reuse")
+        assert manifest["params"]["model"] is None
+        assert params in manifest["inputs"]
+
+    def test_model_and_params_exclude_each_other(self, votes_dir, tmp_path, capsys):
+        params = tmp_path / "fit" / "params.json"
+        assert main(["aggregate", "--votes", str(votes_dir / "votes.json"), "--out", str(params.parent)]) == 0
+        capsys.readouterr()
+        argv = ["aggregate", "--votes", str(votes_dir / "votes.json"), "--model", "wmv", "--params", str(params)]
+        assert main([*argv, "--out", str(tmp_path / "reuse")]) == 1
+        assert capsys.readouterr().err == "error: --model and --params exclude each other\n"
+        assert not (tmp_path / "reuse").exists()
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    def test_threshold_outside_0_1_refused(self, votes_dir, tmp_path, capsys, threshold):
+        argv = ["aggregate", "--votes", str(votes_dir / "votes.json"), "--threshold", threshold]
+        assert main([*argv, "--out", str(tmp_path / "agg")]) == 1
+        assert "coverage threshold must be in [0, 1]" in capsys.readouterr().err
+
     def test_params_reuse_of_a_file_with_class_names_and_propensity(self, votes_dir, tmp_path):
         # files written before params stopped storing class names and
         # propensity still load, predict the same and are re-saved without them
@@ -1143,6 +1168,19 @@ MALFORMED_INPUTS = {
         lambda ctx: _params_doc(ctx, lambda d: _wmv_weights(d, float("nan"))),
         lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
     ),
+    # numpy would read true as 1.0
+    "params-boolean-priors": (
+        lambda ctx: _params_doc(ctx, lambda d: d.update(priors=[True, False])),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-boolean-weights": (
+        lambda ctx: _params_doc(ctx, lambda d: _wmv_weights(d, True)),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-string-priors": (
+        lambda ctx: _params_doc(ctx, lambda d: d.update(priors="ab")),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
 }
 
 # what the error line must say beyond the path, where the path alone
@@ -1175,6 +1213,9 @@ MALFORMED_MESSAGES = {
     "params-confusion-with-zero": "confusion rows must be positive",
     "params-wmv-negative-weight": "weights must be finite and positive",
     "params-wmv-nan-weight": "weights must be finite and positive",
+    "params-boolean-priors": "'priors' must hold numbers, got true or false",
+    "params-boolean-weights": "'weights' must hold numbers, got true or false",
+    "params-string-priors": "'priors' must be a list, got a string",
 }
 
 

@@ -8,6 +8,7 @@ from helpers import class_space, reference_pseudolabel_bytes
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from labelsmith.cli import main
 from labelsmith.data import (
     _PSEUDOLABEL_CHUNK,
     ABSTAIN,
@@ -282,6 +283,31 @@ class TestVoteMatrix:
         m = mk_matrix([[0, -1], [1, 0]])
         assert m.bins is m.bins
         assert m.bins.tolist() == [[1, 2], [0, 1]]
+
+    @pytest.mark.parametrize("K, dtype", [(2, np.int8), (128, np.int8), (129, np.int16), (200, np.int16)])
+    def test_votes_are_kept_in_the_vote_type(self, mk_matrix, K, dtype):
+        m = mk_matrix([[K - 1, ABSTAIN], [0, K - 1]], K)
+        assert m.votes.dtype == dtype
+        assert m.votes.tolist() == [[K - 1, ABSTAIN], [0, K - 1]]
+        # the top class lands in bin K, which int8 alone cannot hold at K = 128
+        assert m.bins.tolist() == [[K, 1], [0, K]]
+
+    def test_vote_counts_match_the_votes(self, mk_matrix):
+        rng = np.random.default_rng(808)
+        for _ in range(50):
+            K, n, m = (int(x) for x in rng.integers((2, 1, 1), (7, 30, 7)))
+            votes = rng.integers(ABSTAIN, K, size=(n, m))
+            votes[rng.integers(n)] = ABSTAIN
+            votes[:, rng.integers(m)] = ABSTAIN
+            matrix = mk_matrix(votes, K)
+            voted = votes != ABSTAIN
+            assert matrix.record_votes.tolist() == voted.sum(axis=1).tolist()
+            assert matrix.record_votes.tolist() == np.count_nonzero(matrix.bins, axis=0).tolist()
+            assert matrix.program_votes.tolist() == voted.sum(axis=0).tolist()
+            assert matrix.program_votes.tolist() == np.count_nonzero(matrix.bins, axis=1).tolist()
+            assert matrix.record_votes is matrix.record_votes
+            with pytest.raises(ValueError):
+                matrix.program_votes[0] = 1
 
 
 # ids of characters json.dumps escapes, or that a hand-made escaper
@@ -638,6 +664,10 @@ class TestVotesFile:
             ([[0, 2]], "outside 0..1"),
             ([[0, -2]], "class indices or ABSTAIN"),
             ([], "at least one row"),
+            # beyond int8, the type the votes of 2 classes load into
+            ([[0, 128]], "class indices in 0..1 or ABSTAIN"),
+            ([[255, 0]], "class indices in 0..1 or ABSTAIN"),
+            ([[0, -129]], "class indices in 0..1 or ABSTAIN"),
         ],
     )
     def test_malformed_votes_rejected(self, tmp_path, mk_matrix, votes, match):
@@ -648,6 +678,21 @@ class TestVotesFile:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DatasetError, match=f"v.json: .*{match}"):
             load_votes(path)
+
+    @pytest.mark.parametrize("K, dtype", [(3, np.int8), (200, np.int16)])
+    def test_loads_into_the_vote_type(self, tmp_path, mk_matrix, K, dtype):
+        rows = [[0, ABSTAIN], [min(150, K - 1), 1]]
+        loaded = load_votes(save_votes(tmp_path / "v.json", mk_matrix(rows, K)))
+        assert loaded.votes.dtype == dtype
+        assert loaded.votes.tolist() == rows
+
+    @pytest.mark.parametrize("vote", [128, 255, -129])
+    def test_vote_beyond_the_vote_type_never_loads_as_abstain(self, tmp_path, mk_matrix, capsys, vote):
+        path = save_votes(tmp_path / "v.json", mk_matrix([[0, 1], [2, 0]], 3))
+        path.write_text(path.read_text(encoding="utf-8").replace("[2, 0]", f"[{vote}, 0]"), encoding="utf-8")
+        assert main(["analyze", "--votes", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: votes must be class indices in 0..2 or ABSTAIN (-1)"), err
 
     def test_vote_outside_class_range_rejected(self, tmp_path, mk_matrix):
         path = save_votes(tmp_path / "v.json", mk_matrix([[2]], 3))

@@ -9,6 +9,7 @@ from labelsmith.diagnostics import (
     analyze,
     coverage_of_label_model,
     group_metrics,
+    low_coverage,
     render_stats_table,
     save_stats,
     stats_to_json,
@@ -65,6 +66,7 @@ class TestAnalyzeOracle:
                 assert s.polarity == e["polarity"]
                 assert s.flagged_low_coverage == e["flagged"]
                 assert s.conflict <= s.overlap <= s.coverage
+            assert low_coverage(matrix).tolist() == [s.flagged_low_coverage for s in stats]
 
     def test_hand_worked_matrix(self, mk_matrix):
         A = ABSTAIN

@@ -11,6 +11,7 @@ from helpers import (
     planted_confusion_votes,
     reference_alignment,
     reference_em,
+    reference_triplet,
     skip_unless_golden_math,
 )
 
@@ -19,6 +20,7 @@ from labelsmith.data import ABSTAIN, ClassSpace, VoteMatrix, save_votes, seriali
 from labelsmith.models import (
     DAWID_SKENE,
     FITTERS,
+    MIN_PAIRS,
     LabelModelParams,
     ModelError,
     empirical_accuracies,
@@ -323,6 +325,34 @@ class TestTriplet:
         matrix = mk_matrix([[0, 1], [1, 0]])
         with pytest.raises(ModelError, match="at least 3"):
             fit_triplet(matrix)
+
+    @pytest.mark.parametrize("seed, abstain", [(5, 0.0), (6, 0.3), (7, 0.8)])
+    def test_matches_the_pair_loop_bit_for_bit(self, seed, abstain):
+        matrix, _ = planted_binary_votes(3000, (0.9, 0.8, 0.65, 0.55, 0.3), seed=seed, abstain=abstain)
+        params, _ = fit_triplet(matrix)
+        accuracies, weights = reference_triplet(matrix.votes)
+        assert params.accuracies.tobytes() == accuracies.tobytes()
+        assert params.weights.tobytes() == weights.tobytes()
+
+    def test_pairs_at_the_min_pairs_edge(self, mk_matrix):
+        # p3 meets p0 and p2 on MIN_PAIRS rows and p1 on one fewer, so
+        # only its (p0, p2) triplet counts
+        rng = np.random.default_rng(12)
+        truth = rng.integers(0, 2, size=300)
+        votes = np.where(rng.random((300, 4)) < [0.9, 0.8, 0.75, 0.85], truth[:, None], 1 - truth[:, None])
+        votes[:, 3] = ABSTAIN
+        votes[:MIN_PAIRS, 1] = ABSTAIN
+        votes[:MIN_PAIRS, 3] = truth[:MIN_PAIRS]
+        edge = slice(MIN_PAIRS, 2 * MIN_PAIRS - 1)
+        votes[edge, [0, 2]] = ABSTAIN
+        votes[edge, 3] = 1 - truth[edge]
+        matrix = mk_matrix(votes)
+        voted = (votes != ABSTAIN).astype(int)
+        assert (voted.T @ voted)[3].tolist() == [MIN_PAIRS, MIN_PAIRS - 1, MIN_PAIRS, 2 * MIN_PAIRS - 1]
+        params, _ = fit_triplet(matrix)
+        accuracies, weights = reference_triplet(matrix.votes)
+        assert params.accuracies.tobytes() == accuracies.tobytes()
+        assert params.weights.tobytes() == weights.tobytes()
 
     def test_all_triplets_skipped_is_an_error(self, mk_matrix):
         # p0 and p2 never fire together, so p1's only triplet lacks E[s0 s2]
