@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabelsmithError, json_field, read_array, read_json, write_array, write_json
+from .data import LabelsmithError, json_field, read_array, read_json, unique_strings, write_array, write_json
 from .prompting import (
     Transport,
     TransportError,
@@ -42,22 +42,19 @@ class ConceptError(LabelsmithError):
 
 @dataclass(frozen=True)
 class ConceptSet:
-    """Ordered concept descriptions for one task; ``spurious`` marks the
-    subset to project away during calibration."""
+    """Ordered concept descriptions for one task, unique strings;
+    ``spurious`` marks the subset to project away during calibration."""
 
     task: str
     concepts: tuple[str, ...]
     spurious: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "concepts", tuple(self.concepts))
+        object.__setattr__(self, "concepts", unique_strings(self.concepts, "concepts"))
         object.__setattr__(self, "spurious", tuple(self.spurious))
         if not self.concepts:
             raise ConceptError("a concept set needs at least one concept")
-        if not all(isinstance(c, str) for c in self.concepts + self.spurious):
-            raise ConceptError("concepts must be strings")
-        if len(set(self.concepts)) != len(self.concepts):
-            raise ConceptError("concept descriptions must be unique")
+        # a spurious entry that is not a string is in no list of strings
         unknown = [s for s in self.spurious if s not in self.concepts]
         if unknown:
             raise ConceptError(f"spurious concept {unknown[0]!r} is not in the concept list")
@@ -165,8 +162,8 @@ class EmbeddingTable:
 
     ``records`` is n x d, ``concepts`` is C x d, both float64. Concept rows
     must be nonzero (they are directions); record rows may be zero and are
-    handled downstream. Both arrays turn read-only, as ``VoteMatrix``'s
-    votes do."""
+    handled downstream. The names and ids are unique strings by the column
+    rule. Both arrays turn read-only, as ``VoteMatrix``'s votes do."""
 
     records: np.ndarray
     concepts: np.ndarray
@@ -178,8 +175,8 @@ class EmbeddingTable:
         concepts = np.asarray(self.concepts, dtype=float)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "concepts", concepts)
-        object.__setattr__(self, "concept_names", tuple(self.concept_names))
-        object.__setattr__(self, "record_ids", tuple(self.record_ids))
+        object.__setattr__(self, "concept_names", unique_strings(self.concept_names, "concept_names"))
+        object.__setattr__(self, "record_ids", unique_strings(self.record_ids, "record_ids"))
         if records.ndim != 2 or concepts.ndim != 2:
             raise ConceptError("embeddings must be 2-D matrices")
         if records.shape[1] != concepts.shape[1]:
@@ -191,8 +188,6 @@ class EmbeddingTable:
             raise ConceptError("concept_names must match concept rows")
         if len(self.record_ids) != records.shape[0]:
             raise ConceptError("record_ids must match record rows")
-        if not all(isinstance(i, str) for i in self.concept_names + self.record_ids):
-            raise ConceptError("concept_names and record_ids must be strings")
         if not (np.isfinite(records).all() and np.isfinite(concepts).all()):
             raise ConceptError("embeddings must be finite")
         norms = np.linalg.norm(concepts, axis=1)
@@ -322,4 +317,5 @@ def _embedding_fields(meta) -> tuple:
     if min(n, C, d) < 0:
         raise ConceptError("n, C and d must be non-negative")
     record_ids = json_field(meta, "record_ids", list, default=None)
-    return n, C, d, json_field(meta, "concepts", list), map(str, range(n)) if record_ids is None else record_ids
+    record_ids = map(str, range(n)) if record_ids is None else unique_strings(record_ids, "record_ids")
+    return n, C, d, unique_strings(json_field(meta, "concepts", list), "concepts"), record_ids

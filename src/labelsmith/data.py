@@ -1,16 +1,18 @@
 """Core data model: class spaces, records, vote matrices, and pseudolabels,
-plus the one reader every input file goes through.
+plus the one reader every input file goes through and the one checker of
+each column rule that every container and reader calls.
 
 Everything downstream (the rule DSL, the label models, diagnostics, the
 distiller) speaks in terms of these types. The abstain sentinel is -1
 everywhere; class indices run 0..K-1. A ``VoteMatrix`` is a whole
-``votes.json``: the votes with their class space, gold labels, groups and
-task, checked once when it is built, so the label models and diagnostics
-take the matrix alone. Record files load as a ``records.Dataset``.
+``votes.json``, checked once when it is built, so the label models and
+diagnostics take the matrix alone. Record files load as a
+``records.Dataset``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -33,26 +35,34 @@ class DatasetError(LabelsmithError):
     """An input file is malformed."""
 
 
+class RowError(DatasetError, ValueError):
+    """Entry ``row`` of a column breaks the column's rule; the message
+    names the column and the entry. It is a ValueError too, as every
+    other bad value a constructor refuses is."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+    def at_line(self, path, lines: Sequence[int]) -> DatasetError:
+        """This error naming ``<path>:<line>``, row i being on ``lines[i]``."""
+        return DatasetError(f"{path}:{lines[self.row]}: {self}")
+
+
 # The reader. Every file the package parses goes through ``read_text``,
 # ``read_json`` or ``read_jsonl``; an artifact's checked constructor is
 # passed in as ``build``, and whatever it rejects comes back as one error
 # naming ``<path>`` or ``<path>:<line>``.
 
 _REQUIRED = object()
-_JSON_TYPES = {
-    dict: "an object",
-    list: "a list",
-    str: "a string",
-    int: "an integer",
-    float: "a number",
-    bool: "true or false",
-    type(None): "null",
-}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number",
+               bool: "true or false", type(None): "null"}
 # what a checked constructor raises on bad input
 _CHECK_FAILURES = (LabelsmithError, KeyError, ValueError, TypeError)
 
 
-def _json_type(value) -> str:
+def json_type(value) -> str:
+    """The JSON name of ``value``'s type: ``true`` is "true or false"."""
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
@@ -60,7 +70,7 @@ def json_field(doc, key: str, *types: type, default=_REQUIRED):
     """``doc[key]``, checked to be exactly one of ``types``. Parsed JSON
     has exact Python types, so ``true`` never passes for an integer."""
     if type(doc) is not dict:
-        raise DatasetError(f"expected an object, got {_json_type(doc)}")
+        raise DatasetError(f"expected an object, got {json_type(doc)}")
     if key not in doc:
         if default is _REQUIRED:
             raise DatasetError(f"missing field {key!r}")
@@ -68,23 +78,7 @@ def json_field(doc, key: str, *types: type, default=_REQUIRED):
     value = doc[key]
     if type(value) not in types:
         wanted = " or ".join(_JSON_TYPES[t] for t in types)
-        raise DatasetError(f"{key!r} must be {wanted}, got {_json_type(value)}")
-    return value
-
-
-def json_numbers(doc, key: str, *types: type, default=_REQUIRED):
-    """``json_field(doc, key, list, *types)``, with every entry of the
-    list, and of the lists nested in it, checked to be a number: ``true``
-    is not 1.0 and ``"1"`` names the field, not a failed conversion."""
-    value = json_field(doc, key, list, *types, default=default)
-    # a stack, not recursion: lists nest as deep as the JSON parser allows
-    stack = [value] if type(value) is list else []
-    while stack:
-        for entry in stack.pop():
-            if type(entry) is list:
-                stack.append(entry)
-            elif type(entry) not in (int, float):
-                raise DatasetError(f"{key!r} must hold numbers, got {_json_type(entry)}")
+        raise DatasetError(f"{key!r} must be {wanted}, got {json_type(value)}")
     return value
 
 
@@ -119,9 +113,7 @@ def read_json(path, build: Callable, *, error: type[LabelsmithError] = DatasetEr
     return _checked(build, doc, str(path), error)
 
 
-def read_jsonl(
-    path, build: Callable, *, error: type[LabelsmithError] = DatasetError
-) -> Iterator[tuple[int, object]]:
+def read_jsonl(path, build: Callable, *, error: type[LabelsmithError] = DatasetError) -> Iterator[tuple[int, object]]:
     """Yield ``(line number, artifact)`` for every non-blank line of a
     JSONL file, each object checked into an artifact by ``build``.
     Failures raise ``error`` naming ``<path>:<line>``."""
@@ -181,35 +173,95 @@ def read_array(path, shapes: Sequence[tuple[int, ...]], source) -> list[np.ndarr
     return [flat[start:end].reshape(shape) for start, end, shape in zip(ends, ends[1:], shapes)]
 
 
-def check_posterior(values: list, K: int | None) -> list:
-    """``values`` checked to be a posterior over ``K`` classes: K numbers
-    in [0, 1] (any count when K is None)."""
-    if K is not None and len(values) != K:
-        raise DatasetError(f"posterior has {len(values)} entries, expected {K}")
-    # phrased so that NaN fails
-    if not all(type(p) in (int, float) and 0 <= p <= 1 for p in values):
-        raise DatasetError("posterior entries must be numbers in [0, 1]")
+# The column rules, one checker each: a whole column is scanned at C speed,
+# and walked in Python only to name the first entry that breaks the rule in
+# a RowError. Given ``n``, a column of another length raises ValueError.
+
+
+def _entries(values, name: str, n: int | None, types: set, expected: str, fits: Callable | None = None) -> tuple:
+    """``values`` as a tuple of entries of ``types`` that ``fits`` (if any) holds for."""
+    values = tuple(values)
+    if n is not None and len(values) != n:
+        raise ValueError(f"{name} must hold {n} entries, got {len(values)}")
+    if set(map(type, values)) - types or fits and not all(map(fits, set(values))):
+        i = _first(values, lambda v: type(v) not in types or fits and not fits(v))
+        raise RowError(i, f"{name} entry {i} is {values[i]!r}, expected {expected}")
     return values
+
+
+def _first(values, bad: Callable) -> int:
+    return next(i for i, value in enumerate(values) if bad(value))
+
+
+def unique_strings(values, name: str) -> tuple[str, ...]:
+    """``values`` as a tuple, checked to be strings, no two the same."""
+    values = _entries(values, name, None, {str}, "a string")
+    if len(set(values)) != len(values):
+        seen: set[str] = set()
+        i = _first(values, lambda v: v in seen or seen.add(v))
+        raise RowError(i, f"{name} must be unique strings, but entry {i} repeats {values[i]!r}")
+    return values
+
+
+def class_indices(values, K: int | None, name: str, n: int | None = None) -> tuple[int | None, ...]:
+    """``values`` as a tuple, checked to be None or class indices in
+    0..K-1 (any index when K is None); ``true`` is not 1."""
+    top, span = (math.inf, "") if K is None else (K, f" in 0..{K - 1}")
+    return _entries(values, name, n, {int, type(None)}, f"a class index{span}", lambda v: v is None or 0 <= v < top)
+
+
+def group_names(values, name: str, n: int | None = None) -> tuple[str | None, ...]:
+    """``values`` as a tuple, checked to be None or strings."""
+    return _entries(values, name, n, {str, type(None)}, "null or a string")
+
+
+def posterior_rows(rows, K: int | None, name: str, hard: Sequence[int] | None = None) -> np.ndarray:
+    """``rows``, an array or lists of numbers as JSON parses them, as an
+    (n, K) float64 array, checked to hold K numbers in [0, 1] a row, K
+    being the first row's width when None. Given ``hard``, each stored
+    hard label is checked to be its row's argmax (the first on ties)."""
+    if not isinstance(rows, np.ndarray) and set(map(type, rows)) - {list}:
+        rows = np.asarray(rows, dtype=float)  # not as JSON parses them: a list of arrays, say
+    if isinstance(rows, np.ndarray):
+        posterior = rows.astype(float, copy=False)
+        K = posterior.shape[-1] if K is None and posterior.ndim == 2 else K
+        if posterior.ndim != 2 or posterior.shape[1] != K:
+            raise ValueError(f"{name} must have shape (n, {K or 'K'}), got {posterior.shape}")
+    else:
+        posterior = None
+        K = len(rows[0]) if K is None and len(rows) else K
+        # exact types: numpy would read true as 1.0 and "1" as 1.0
+        if not (set(map(len, rows)) - {K} or set(map(type, itertools.chain.from_iterable(rows))) - {int, float}):
+            with contextlib.suppress(OverflowError):  # an integer beyond float64
+                posterior = np.array(rows, dtype=float).reshape(len(rows), K or 0)
+    # phrased so that NaN fails
+    if posterior is None or not ((posterior >= 0) & (posterior <= 1)).all():
+        rows = posterior.tolist() if isinstance(rows, np.ndarray) else rows
+        i = _first(rows, lambda row: len(row) != K or not all(type(p) in (int, float) and 0 <= p <= 1 for p in row))
+        raise RowError(i, f"{name} entry {i} is {rows[i]!r}, expected {K} numbers in [0, 1]")
+    if hard is not None and posterior.size:
+        top = posterior.argmax(axis=1)
+        wrong = np.flatnonzero(np.asarray(hard) != top)
+        if wrong.size:
+            i = int(wrong[0])
+            raise RowError(i, f"hard entry {i} is {hard[i]}, but the argmax of {name} entry {i} is {top[i]}")
+    return posterior
 
 
 @dataclass(frozen=True)
 class ClassSpace:
-    """Ordered class names; the index of a name in ``names`` is its class index.
-
-    The abstain sentinel -1 is reserved and never a class index.
-    """
+    """Ordered class names, unique non-empty strings; the index of a name
+    in ``names`` is its class index. The abstain sentinel -1 never is."""
 
     names: tuple[str, ...]
 
     def __post_init__(self):
-        names = tuple(self.names)
+        names = unique_strings(self.names, "classes")
         object.__setattr__(self, "names", names)
         if len(names) < 2:
             raise ValueError("a class space needs at least 2 classes")
-        if any(not isinstance(n, str) or not n for n in names):
+        if not all(names):
             raise ValueError("class names must be non-empty strings")
-        if len(set(names)) != len(names):
-            raise ValueError("class names must be unique")
 
     @property
     def K(self) -> int:
@@ -222,25 +274,20 @@ class ClassSpace:
         if token in self.names:
             return self.names.index(token)
         folded = token.casefold()
-        for i, n in enumerate(self.names):
-            if n.casefold() == folded:
-                return i
-        spaced = folded.replace("_", " ")
-        for i, n in enumerate(self.names):
-            if n.casefold() == spaced:
-                return i
+        for key in (folded, folded.replace("_", " ")):
+            for i, n in enumerate(self.names):
+                if n.casefold() == key:
+                    return i
         return None
 
 
 @dataclass(frozen=True)
 class Record:
-    """One data point, the row type ``dsl.evaluate`` takes.
-
-    Exactly one payload is present: ``text`` for text tasks, or ``scores``
-    (concept name -> similarity score, kept as a float) for score tasks.
-    ``gold`` and ``group`` are optional and only used for evaluation.
-    Files of records load as one ``records.Dataset``.
-    """
+    """One data point, the row type ``dsl.evaluate`` takes. Exactly one
+    payload is present: ``text`` for text tasks, or ``scores`` (concept
+    name -> similarity score, kept as a float) for score tasks. ``gold``
+    and ``group`` are optional and only used for evaluation. Files of
+    records load as one ``records.Dataset``."""
 
     id: str
     text: str | None = None
@@ -250,9 +297,7 @@ class Record:
 
     def __post_init__(self):
         if (self.text is None) == (self.scores is None):
-            raise ValueError(
-                f"record {self.id!r} must have exactly one of text/scores"
-            )
+            raise ValueError(f"record {self.id!r} must have exactly one of text/scores")
         if self.scores is not None:
             object.__setattr__(self, "scores", {name: float(v) for name, v in self.scores.items()})
 
@@ -276,16 +321,14 @@ def vote_dtype(K: int) -> np.dtype:
 @dataclass(frozen=True)
 class VoteMatrix:
     """The content of a ``votes.json``: an n x m matrix of program outputs
-    and the facts about its records.
-
-    Row i follows ``record_ids``, column j follows ``program_ids``. Entries
-    are class indices of ``classes`` or ABSTAIN (-1). ``gold`` and
-    ``groups`` are None, or hold one entry per record: a class index or
-    None, a string or None. The constructor checks every field and stores
-    ``votes`` read-only in ``vote_dtype(K)``, the caller's own array when
-    it already has that type: a read-only view would go stale against the
-    cached ``bins`` and vote counts if the caller wrote to it.
-    """
+    and the facts about its records. Row i follows ``record_ids``, column
+    j follows ``program_ids``. Entries are class indices of ``classes`` or
+    ABSTAIN (-1). ``gold`` and ``groups`` are None, or hold one entry per
+    record: a class index or None, a string or None. The constructor
+    checks every field, the ids, gold and groups by the column rules, and
+    stores ``votes`` read-only in ``vote_dtype(K)``, the caller's own
+    array when it already has that type: a read-only view would go stale
+    against the cached ``bins`` and vote counts if the caller wrote to it."""
 
     votes: np.ndarray
     program_ids: tuple[str, ...]
@@ -309,33 +352,17 @@ class VoteMatrix:
         if votes.ndim != 2:
             raise ValueError("votes must be a 2-D array")
         object.__setattr__(self, "votes", votes)
-        object.__setattr__(self, "program_ids", tuple(self.program_ids))
-        object.__setattr__(self, "record_ids", tuple(self.record_ids))
-        if not all(map(isinstance, self.program_ids + self.record_ids, itertools.repeat(str))):
-            raise ValueError("program_ids and record_ids must be strings")
+        object.__setattr__(self, "program_ids", unique_strings(self.program_ids, "program_ids"))
+        object.__setattr__(self, "record_ids", unique_strings(self.record_ids, "record_ids"))
         if votes.shape[1] != len(self.program_ids):
             raise ValueError("votes columns must match program_ids")
         n = votes.shape[0]
         if n != len(self.record_ids):
             raise ValueError("votes rows must match record_ids")
-        if len(set(self.program_ids)) != len(self.program_ids):
-            raise ValueError("program_ids must be unique")
-        if len(set(self.record_ids)) != n:
-            raise ValueError("record_ids must be unique")
         if self.gold is not None:
-            gold = tuple(self.gold)
-            object.__setattr__(self, "gold", gold)
-            if (
-                len(gold) != n
-                or set(map(type, gold)) - {int, type(None)}
-                or not all(0 <= g < K for g in set(gold) - {None})
-            ):
-                raise ValueError(f"gold must hold {n} entries, each null or a class index in 0..{K - 1}")
+            object.__setattr__(self, "gold", class_indices(self.gold, K, "gold", n))
         if self.groups is not None:
-            groups = tuple(self.groups)
-            object.__setattr__(self, "groups", groups)
-            if len(groups) != n or set(map(type, groups)) - {str, type(None)}:
-                raise ValueError(f"group must hold {n} entries, each null or a string")
+            object.__setattr__(self, "groups", group_names(self.groups, "group", n))
         votes.flags.writeable = False
 
     @property
@@ -399,28 +426,21 @@ class Pseudolabels:
     """Aggregated labels for n records: row i of the (n, K) ``posterior``
     belongs to ``record_ids[i]``, and ``covered[i]`` is False iff every
     program abstained on it. The hard labels are derived, never stored.
-    Both arrays turn read-only, as ``VoteMatrix``'s votes do."""
+    The constructor checks the ids and the posterior with the column
+    rules; both arrays turn read-only, as ``VoteMatrix``'s votes do."""
 
     record_ids: tuple[str, ...]
     posterior: np.ndarray
     covered: np.ndarray
 
     def __post_init__(self):
-        posterior = np.asarray(self.posterior, dtype=float)
-        covered = np.asarray(self.covered)
-        object.__setattr__(self, "record_ids", tuple(self.record_ids))
+        object.__setattr__(self, "record_ids", unique_strings(self.record_ids, "record_ids"))
+        posterior, covered = posterior_rows(self.posterior, None, "posterior"), np.asarray(self.covered)
         object.__setattr__(self, "posterior", posterior)
         object.__setattr__(self, "covered", covered)
         n = len(self.record_ids)
-        if not all(map(isinstance, self.record_ids, itertools.repeat(str))):
-            raise ValueError("record_ids must be strings")
-        if len(set(self.record_ids)) != n:
-            raise ValueError("record_ids must be unique")
-        if posterior.ndim != 2 or posterior.shape[0] != n:
+        if posterior.shape[0] != n:
             raise ValueError(f"posterior must have shape ({n}, K), got {posterior.shape}")
-        # phrased so that NaN fails
-        if not ((posterior >= 0) & (posterior <= 1)).all():
-            raise ValueError("posterior entries must be numbers in [0, 1]")
         if covered.dtype != bool or covered.shape != (n,):
             raise ValueError(f"covered must be {n} booleans")
         posterior.flags.writeable = False
@@ -449,15 +469,8 @@ def serialize_records(records: Iterable[Record], path: str | Path) -> Path:
 def save_votes(path: str | Path, matrix: VoteMatrix) -> Path:
     """Write a vote matrix as ``votes.json``, one key per field (``groups``
     under ``group``)."""
-    doc = {
-        "task": matrix.task,
-        "classes": matrix.classes.names,
-        "program_ids": matrix.program_ids,
-        "record_ids": matrix.record_ids,
-        "votes": matrix.votes.tolist(),
-        "gold": matrix.gold,
-        "group": matrix.groups,
-    }
+    doc = {"task": matrix.task, "classes": matrix.classes.names, "program_ids": matrix.program_ids}
+    doc.update(record_ids=matrix.record_ids, votes=matrix.votes.tolist(), gold=matrix.gold, group=matrix.groups)
     path = Path(path)
     path.write_text(json.dumps(doc, ensure_ascii=False, indent=None, sort_keys=True), encoding="utf-8")
     return path
@@ -478,17 +491,15 @@ def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
     if not rows:
         raise DatasetError("votes must hold at least one row")
     if set(map(type, rows)) - {list}:
-        i = next(i for i, row in enumerate(rows) if type(row) is not list)
-        raise DatasetError(f"votes row {i} is {_json_type(rows[i])}, expected a list")
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    ragged = np.flatnonzero(lengths != m)
-    if ragged.size:
-        i = int(ragged[0])
-        raise DatasetError(f"votes row {i} has {lengths[i]} entries, expected {m}")
+        i = _first(rows, lambda row: type(row) is not list)
+        raise DatasetError(f"votes row {i} is {json_type(rows[i])}, expected a list")
+    if set(map(len, rows)) - {m}:
+        i = _first(rows, lambda row: len(row) != m)
+        raise DatasetError(f"votes row {i} has {len(rows[i])} entries, expected {m}")
     # exact types: numpy would read true as 1, 1.5 as 1 and "1" as 1
     if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
         wrong = next(v for v in itertools.chain.from_iterable(rows) if type(v) is not int)
-        raise DatasetError(f"votes must be integers, got {_json_type(wrong)}")
+        raise DatasetError(f"votes must be integers, got {json_type(wrong)}")
     try:
         votes = np.fromiter(itertools.chain.from_iterable(rows), dtype=vote_dtype(K), count=len(rows) * m)
     except OverflowError:
@@ -510,8 +521,7 @@ def _votes_from_doc(doc) -> VoteMatrix:
     )
 
 
-# rows formatted per write by save_pseudolabels: bounds the Python
-# objects alive at once
+# rows save_pseudolabels formats per write, bounding the objects alive at once
 _PSEUDOLABEL_CHUNK = 4096
 
 
@@ -543,25 +553,15 @@ def load_pseudolabels(path: str | Path, K: int | None = None) -> Pseudolabels:
     many as the first row's when K is not given; ``hard`` must be its
     posterior's argmax, and no record id may repeat."""
 
-    def row(doc):
-        nonlocal K
-        record_id = json_field(doc, "record_id", str)
-        posterior = check_posterior(json_field(doc, "posterior", list), K)
-        K = len(posterior)
-        hard = json_field(doc, "hard", int)
-        if not 0 <= hard < K:
-            raise DatasetError(f"hard label {hard} not in 0..{K - 1}")
-        if hard != posterior.index(max(posterior)):
-            raise DatasetError(f"hard label {hard} is not the argmax of the posterior")
-        return record_id, posterior, json_field(doc, "covered", bool)
+    columns: tuple[list, ...] = ([], [], [], [])
 
-    rows: dict[str, tuple[list, bool]] = {}
-    for lineno, (record_id, posterior, covered) in read_jsonl(path, row):
-        if record_id in rows:
-            raise DatasetError(f"{path}:{lineno}: duplicate record id {record_id!r}")
-        rows[record_id] = posterior, covered
-    return Pseudolabels(
-        record_ids=tuple(rows),
-        posterior=np.array([p for p, _ in rows.values()], dtype=float).reshape(len(rows), K or 0),
-        covered=np.array([c for _, c in rows.values()], dtype=bool),
-    )
+    def row(doc):
+        for column, key, kind in zip(columns, ("record_id", "posterior", "hard", "covered"), (str, list, int, bool)):
+            column.append(json_field(doc, key, kind))
+
+    lines = [lineno for lineno, _ in read_jsonl(path, row)]
+    record_ids, posteriors, hard, covered = columns
+    try:
+        return Pseudolabels(record_ids, posterior_rows(posteriors, K, "posterior", hard), np.array(covered, dtype=bool))
+    except RowError as exc:
+        raise exc.at_line(path, lines) from None

@@ -40,13 +40,12 @@ import numpy as np
 
 from .data import (
     ClassSpace,
-    DatasetError,
     LabelsmithError,
     Pseudolabels,
-    check_posterior,
     json_field,
     read_array,
     read_json,
+    unique_strings,
     write_array,
 )
 from .records import Dataset, read_records
@@ -257,25 +256,7 @@ def load_training_set(path: str | Path, K: int) -> tuple[Dataset, np.ndarray]:
     ``records.read_records``. Returns its rows plus their targets: an (n,)
     int array of hard labels in 0..K-1 or an (n, K) float array of
     posteriors."""
-    soft = None
-
-    def target(doc):
-        nonlocal soft
-        if ("label" in doc) == ("posterior" in doc):
-            raise DatasetError("row needs exactly one of label and posterior")
-        if soft is None:
-            soft = "posterior" in doc
-        if soft != ("posterior" in doc):
-            raise DatasetError("mixed hard and soft labels")
-        if soft:
-            return [float(x) for x in check_posterior(json_field(doc, "posterior", list), K)]
-        label = json_field(doc, "label", int)
-        if not 0 <= label < K:
-            raise DatasetError(f"label {label} is not a class index in 0..{K - 1}")
-        return label
-
-    dataset, targets = read_records(path, K, target=target)
-    return dataset, np.asarray(targets, dtype=float if soft else np.int64)
+    return read_records(path, K, targets=True)
 
 
 def _recipe(dims: int, concepts: tuple[str, ...] | None) -> str:
@@ -295,7 +276,8 @@ class MLPModel:
     -> K classifier, ReLU inside, softmax out. ``sizes`` pins the shapes of
     the float64 weights and biases, ``classes`` names the K outputs, and
     ``concepts`` the score inputs in order (None for hashed text of width
-    ``sizes[0]``). The constructor checks every field."""
+    ``sizes[0]``). The constructor checks every field, the concepts by the
+    column rule of unique strings."""
 
     sizes: tuple[int, ...]
     weights: list[np.ndarray]
@@ -319,10 +301,8 @@ class MLPModel:
         if self.classes.K != sizes[-1]:
             raise DistillError(f"{self.classes.K} classes listed but the model has {sizes[-1]} outputs")
         if self.concepts is not None:
-            concepts = tuple(self.concepts)
+            concepts = unique_strings(self.concepts, "concepts")
             object.__setattr__(self, "concepts", concepts)
-            if not all(isinstance(c, str) for c in concepts):
-                raise DistillError("concepts must be strings")
             if len(concepts) != sizes[0]:
                 raise DistillError(f"{len(concepts)} concepts listed but the model takes {sizes[0]} inputs")
 
@@ -583,4 +563,5 @@ def _model_fields(doc) -> tuple:
         raise DistillError(f"unknown field {unknown[0]!r}")
     sizes = tuple(json_field(doc, "sizes", list))
     _layer_shapes(sizes)
-    return sizes, classes, json_field(doc, "concepts", list, type(None), default=None)
+    concepts = json_field(doc, "concepts", list, type(None), default=None)
+    return sizes, classes, None if concepts is None else unique_strings(concepts, "concepts")

@@ -32,12 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    DatasetError,
     LabelsmithError,
     Pseudolabels,
     VoteMatrix,
     json_field,
-    json_numbers,
+    json_type,
     read_json,
+    unique_strings,
     write_json,
 )
 
@@ -89,26 +91,21 @@ class LabelModelParams:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-        object.__setattr__(self, "priors", np.asarray(self.priors, dtype=float))
-        object.__setattr__(self, "program_ids", tuple(self.program_ids))
-        for name in ("confusion", "accuracies", "weights"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
+        object.__setattr__(self, "program_ids", unique_strings(self.program_ids, "program_ids"))
+        object.__setattr__(self, "priors", _floats(self.priors, "priors", "a list of numbers"))
         if self.priors.ndim != 1:
             raise ModelError(f"priors must be a list, got shape {self.priors.shape}")
         if self.kind not in (MV, WMV) and self.confusion is None:
             raise ModelError(f"{self.kind} params need a confusion array")
         m, K = self.m, self.K
-        if self.confusion is not None and self.confusion.shape != (m, K, K):
-            raise ModelError(
-                f"confusion has shape {self.confusion.shape}, expected {(m, K, K)} "
-                f"for {m} programs and {K} classes"
-            )
-        for name in ("accuracies", "weights"):
+        for name, shape in (("confusion", (m, K, K)), ("accuracies", (m,)), ("weights", (m,))):
             value = getattr(self, name)
-            if value is not None and value.shape != (m,):
-                raise ModelError(f"{name} has shape {value.shape}, expected ({m},)")
+            if value is not None:
+                expected = f"{shape} for {m} programs and {K} classes"
+                value = _floats(value, name, f"shape {expected}")
+                object.__setattr__(self, name, value)
+                if value.shape != shape:
+                    raise ModelError(f"{name} has shape {value.shape}, expected {expected}")
         # phrased so that a NaN entry fails the check
         if not ((self.priors >= 0).all() and abs(self.priors.sum() - 1.0) <= 1e-9):
             raise ModelError("priors must be non-negative and sum to 1")
@@ -153,17 +150,39 @@ class LabelModelParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LabelModelParams":
-        def arr(key):
-            return json_numbers(doc, key, type(None), default=None)
+        def numbers(key: str, required: bool = False):
+            """``doc[key]``, a list (or null, unless ``required``) whose
+            entries, and those of the lists nested in it, are numbers:
+            ``true`` is not 1.0 and ``"1"`` names the field, not a failed
+            conversion."""
+            value = json_field(doc, key, list) if required else json_field(doc, key, list, type(None), default=None)
+            # a stack, not recursion: lists nest as deep as the JSON parser allows
+            stack = [value] if type(value) is list else []
+            while stack:
+                for entry in stack.pop():
+                    if type(entry) is list:
+                        stack.append(entry)
+                    elif type(entry) not in (int, float):
+                        raise DatasetError(f"{key!r} must hold numbers, got {json_type(entry)}")
+            return value
 
         return cls(
             kind=json_field(doc, "kind", str),
-            priors=json_numbers(doc, "priors"),
-            program_ids=tuple(json_field(doc, "program_ids", list)),
-            confusion=arr("confusion"),
-            accuracies=arr("accuracies"),
-            weights=arr("weights"),
+            priors=numbers("priors", required=True),
+            program_ids=json_field(doc, "program_ids", list),
+            confusion=numbers("confusion"),
+            accuracies=numbers("accuracies"),
+            weights=numbers("weights"),
         )
+
+
+def _floats(value, name: str, expected: str) -> np.ndarray:
+    """``value`` as a float array; nested lists of unequal lengths, which
+    numpy refuses in its own words, name the field and ``expected``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ModelError(f"{name!r} is ragged, expected {expected}") from None
 
 
 def save_params(path: str | Path, params: LabelModelParams) -> Path:

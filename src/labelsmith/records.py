@@ -13,28 +13,12 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import ABSTAIN, ClassSpace, DatasetError, Record, VoteMatrix, json_field, read_jsonl, vote_dtype
-
-
-class RowError(DatasetError):
-    """A rule that row ``row`` of a ``Dataset`` breaks."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-# the entry types of each Dataset column that holds one entry per row
-_COLUMNS = {
-    "ids": ({str}, "a string"),
-    "texts": ({str}, "a string"),
-    "gold": ({int, type(None)}, "an integer or null"),
-    "groups": ({str, type(None)}, "a string or null"),
-}
+from .data import ABSTAIN, ClassSpace, DatasetError, Record, RowError, VoteMatrix, class_indices, group_names
+from .data import json_field, posterior_rows, read_jsonl, unique_strings, vote_dtype
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +28,11 @@ class Dataset:
     an (n, C) float64 array whose column c holds the concept
     ``concepts[c]``. ``gold`` and ``groups`` are None or hold one entry
     per row: a class index in 0..K-1 (any index when ``K`` is None) or
-    None, a string or None. The constructor checks every field, raising
-    ``RowError`` for a rule one row breaks, and makes ``scores``
-    read-only, the caller's own array when no cast copies it, as
-    ``VoteMatrix`` does with its votes."""
+    None, a string or None. The constructor checks every field, the ids,
+    concepts, gold and groups by the column rules, raising ``RowError``
+    for a rule one row breaks, and makes ``scores`` read-only, the
+    caller's own array when no cast copies it, as ``VoteMatrix`` does
+    with its votes."""
 
     ids: tuple[str, ...]
     texts: tuple[str, ...] | None = None
@@ -58,37 +43,30 @@ class Dataset:
     K: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", unique_strings(self.ids, "ids"))
         n = len(self.ids)
-        for name, (types, kinds) in _COLUMNS.items():
-            if getattr(self, name) is not None:
-                column = tuple(getattr(self, name))
-                object.__setattr__(self, name, column)
-                if len(column) != n or set(map(type, column)) - types:
-                    raise ValueError(f"{name} must hold {n} entries, each {kinds}")
+        if self.texts is not None:
+            texts = tuple(self.texts)
+            object.__setattr__(self, "texts", texts)
+            if len(texts) != n or set(map(type, texts)) - {str}:
+                raise ValueError(f"texts must hold {n} entries, each a string")
+        if self.gold is not None:
+            object.__setattr__(self, "gold", class_indices(self.gold, self.K, "gold", n))
+        if self.groups is not None:
+            object.__setattr__(self, "groups", group_names(self.groups, "groups", n))
         if (self.texts is None) == (self.scores is None) or (self.scores is None) != (self.concepts is None):
             raise ValueError("a dataset holds texts, or scores with their concepts")
         if self.scores is not None:
-            concepts = tuple(self.concepts)
+            concepts = unique_strings(self.concepts, "concepts")
             scores = np.asarray(self.scores, dtype=float)
             object.__setattr__(self, "concepts", concepts)
             object.__setattr__(self, "scores", scores)
-            if set(map(type, concepts)) - {str} or len(set(concepts)) != len(concepts):
-                raise ValueError("concepts must be unique strings")
             if scores.shape != (n, len(concepts)):
                 raise ValueError(f"scores must have shape ({n}, {len(concepts)}), got {scores.shape}")
             bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
             if bad.size:
                 raise RowError(int(bad[0]), "scores must be finite numbers")
             scores.flags.writeable = False
-        if len(set(self.ids)) != n:
-            seen: set[str] = set()
-            row = next(i for i, rid in enumerate(self.ids) if rid in seen or seen.add(rid))
-            raise RowError(row, f"duplicate record id {self.ids[row]!r}")
-        wrong = {g for g in set(self.gold or ()) - {None} if g < 0 or self.K is not None and g >= self.K}
-        if wrong:
-            row = next(i for i, g in enumerate(self.gold) if g in wrong)
-            span = "" if self.K is None else f" in 0..{self.K - 1}"
-            raise RowError(row, f"gold label {self.gold[row]} is not a class index{span}")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -127,14 +105,16 @@ class Dataset:
 class _RowReader:
     """Record rows checked one at a time into ``Dataset`` columns: each
     field's JSON type, one payload a row, the first row's modality, and
-    the first score row's concept set (``concepts`` when given). A given
-    ``target`` reads each row's training target into ``targets``."""
+    the first score row's concept set (``concepts`` when given). With
+    ``targets``, each row's training target, a ``label`` or a
+    ``posterior`` as the first row's is, goes into ``targets``."""
 
-    def __init__(self, K: int | None, concepts: Sequence[str] | None = None, target: Callable | None = None):
-        self.K, self.concepts, self.target = K, concepts, target
+    def __init__(self, K: int | None, concepts: Sequence[str] | None = None, targets: bool = False):
+        self.K, self.concepts = K, concepts
         # keys: the first score row's in its order; wanted: every score row's, in error order
-        self.modality = self.keys = self.wanted = None
-        self.ids, self.texts, self.gold, self.groups, self.targets = [], [], [], [], []
+        self.modality = self.keys = self.wanted = self.soft = None
+        self.ids, self.texts, self.gold, self.groups = [], [], [], []
+        self.targets: list | None = [] if targets else None
         self.values = array("d")
 
     def add(self, doc) -> None:
@@ -173,8 +153,14 @@ class _RowReader:
         self.ids.append(str(rid))
         self.gold.append(gold)
         self.groups.append(None if group is None else str(group))
-        if self.target is not None:
-            self.targets.append(self.target(doc))
+        if self.targets is not None:
+            if ("label" in doc) == ("posterior" in doc):
+                raise DatasetError("row needs exactly one of label and posterior")
+            soft = "posterior" in doc
+            self.soft = soft if self.soft is None else self.soft
+            if soft != self.soft:
+                raise DatasetError("mixed hard and soft labels")
+            self.targets.append(json_field(doc, "posterior", list) if soft else json_field(doc, "label", int))
 
     def dataset(self) -> Dataset:
         n, C = len(self.ids), len(self.keys or ())
@@ -188,23 +174,32 @@ class _RowReader:
             K=self.K,
         )
 
+    def checked_targets(self) -> np.ndarray | None:
+        """The targets column by its rule: an (n,) int64 array of labels,
+        or an (n, K) float64 array of posteriors."""
+        if self.targets is None:
+            return None
+        if self.soft:
+            return posterior_rows(self.targets, self.K, "posterior")
+        return np.array(class_indices(self.targets, self.K, "label"), dtype=np.int64)
+
 
 def read_records(
-    path: str | Path, K: int, concepts: Sequence[str] | None = None, target: Callable | None = None
-) -> tuple[Dataset, list]:
+    path: str | Path, K: int, concepts: Sequence[str] | None = None, targets: bool = False
+) -> tuple[Dataset, np.ndarray | None]:
     """The one reader of record files, datasets and training sets alike:
     the rows of a JSONL file as a ``Dataset`` whose gold labels index K
-    classes, and the list of what ``target(row)`` read from each row
-    (empty without ``target``). ``concepts``, when given, asks for score
-    rows with exactly those keys. Every error names ``<path>:<line>``."""
-    rows = _RowReader(K, concepts, target)
+    classes, with the training targets when ``targets`` asks for them
+    (None otherwise). ``concepts``, when given, asks for score rows with
+    exactly those keys. Every error names ``<path>:<line>``."""
+    rows = _RowReader(K, concepts, targets)
     lines = array("q", (lineno for lineno, _ in read_jsonl(path, rows.add)))
     if not lines:
         raise DatasetError(f"{path}: the file holds no records")
     try:
-        return rows.dataset(), rows.targets
+        return rows.dataset(), rows.checked_targets()
     except RowError as exc:
-        raise DatasetError(f"{path}:{lines[exc.row]}: {exc}") from None
+        raise exc.at_line(path, lines) from None
 
 
 def load_dataset(path: str | Path, classes: ClassSpace, concepts: Sequence[str] | None = None) -> Dataset:

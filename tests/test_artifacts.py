@@ -11,6 +11,11 @@ double longer, a weight made NaN or infinite, or missing) with the
 ``model.json``. The outputs no command reads (analysis.json,
 fit_report.json, cost.json, raw/*.json, metrics.csv, eval.json,
 run_manifest.json) are not mutated.
+
+Beyond the property, an artifact one of whose columns breaks a column
+rule (a repeated id, a hard label that is not its posterior's argmax, a
+label of K) must make every command that reads it exit 1 naming the
+line, or for a JSON document the field and entry, at fault.
 """
 
 import contextlib
@@ -217,3 +222,54 @@ def test_malformed_artifact_never_raises(walkthrough, artifact, tmp_path, data):
         assert code in ((1,) if artifact.endswith(".bin") else (0, 1, 2)), (command, code, err)
         if code == 1:
             assert err.startswith("error:") and str(bad) in err, (command, content and content[:300], err)
+
+
+def _repeat_record_id(doc):
+    doc["record_ids"][1] = doc["record_ids"][0]
+    return doc
+
+
+def _repeat_line_1(rows):
+    rows[2]["record_id"] = rows[0]["record_id"]
+    return rows
+
+
+def _hard_not_argmax(rows):
+    rows[3]["hard"] = 1 - rows[3]["hard"]
+    return rows
+
+
+def _label_K(rows):
+    rows[4]["label"] = 2  # the sms task has K = 2 classes
+    return rows
+
+
+# case -> (artifact, edit of its parsed JSON or JSONL rows, what the error
+# line must say after ``error: <path>``); every command that reads the
+# artifact must exit 1 with that line
+BROKEN_COLUMNS = {
+    "votes-repeated-record-id": (
+        "votes/votes.json", _repeat_record_id, ": record_ids must be unique strings, but entry 1 repeats 's00000'"
+    ),
+    "pseudolabels-repeated-id-on-line-3": (
+        "agg/pseudolabels.jsonl", _repeat_line_1, ":3: record_ids must be unique strings, but entry 2 repeats 's00000'"
+    ),
+    "pseudolabels-hard-not-argmax": ("agg/pseudolabels.jsonl", _hard_not_argmax, ":4: hard entry 3 is "),
+    "train-label-K": ("export/train.jsonl", _label_K, ":5: label entry 4 is 2, expected a class index in 0..1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_COLUMNS))
+def test_broken_column_names_its_line_or_entry(walkthrough, tmp_path, case):
+    artifact, edit, message = BROKEN_COLUMNS[case]
+    source = walkthrough / artifact
+    bad = tmp_path / source.name
+    text = source.read_text(encoding="utf-8")
+    if artifact.endswith(".jsonl"):
+        bad.write_text("".join(json.dumps(row) + "\n" for row in edit([json.loads(line) for line in text.splitlines()])))
+    else:
+        bad.write_text(json.dumps(edit(json.loads(text))))
+    for command in CONSUMERS[artifact]:
+        code, err = run([*resolve(command, walkthrough, bad), "--out", str(tmp_path / "out"), "--force"])
+        assert code == 1, (command, err)
+        assert err.startswith(f"error: {bad}{message}"), (command, err)

@@ -1181,6 +1181,27 @@ MALFORMED_INPUTS = {
         lambda ctx: _params_doc(ctx, lambda d: d.update(priors="ab")),
         lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
     ),
+    # numpy would refuse nested lists of unequal lengths in its own words
+    "params-ragged-confusion": (
+        lambda ctx: _params_doc(ctx, lambda d: d["confusion"].__setitem__(0, [[0.9, 0.1], [0.2]])),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-ragged-priors": (
+        lambda ctx: _params_doc(ctx, lambda d: d.update(priors=[[0.5], [0.25, 0.25]])),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-ragged-accuracies": (
+        lambda ctx: _params_doc(ctx, lambda d: d.update(accuracies=[[0.9], [0.8, 0.7]] * (len(d["program_ids"]) // 2))),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-ragged-weights": (
+        lambda ctx: _params_doc(ctx, lambda d: _wmv_weights(d, [1.0], [1.0, 2.0])),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
+    "params-repeated-program-id": (
+        lambda ctx: _params_doc(ctx, lambda d: d["program_ids"].__setitem__(1, d["program_ids"][0])),
+        lambda ctx: ["aggregate", "--votes", ctx["votes"], "--params", "BAD"],
+    ),
 }
 
 # what the error line must say beyond the path, where the path alone
@@ -1192,7 +1213,7 @@ MALFORMED_MESSAGES = {
     "data-score-integer-beyond-float64": ":2: scores must be finite numbers",
     "training-score-row-missing-concept": ":2: missing score column 'y'",
     "training-score-row-extra-concept": ":2: unexpected score column 'z'",
-    "training-duplicate-record-id": ":2: duplicate record id 'a'",
+    "training-duplicate-record-id": ":2: ids must be unique strings, but entry 1 repeats 'a'",
     "model-without-classes": "missing field 'classes'",
     "votes-nested-too-deeply": "JSON nested too deeply",
     "pseudolabel-line-nested-too-deeply": ":2: JSON nested too deeply",
@@ -1216,6 +1237,11 @@ MALFORMED_MESSAGES = {
     "params-boolean-priors": "'priors' must hold numbers, got true or false",
     "params-boolean-weights": "'weights' must hold numbers, got true or false",
     "params-string-priors": "'priors' must be a list, got a string",
+    "params-ragged-confusion": "{bad}: 'confusion' is ragged, expected shape (10, 2, 2) for 10 programs and 2 classes",
+    "params-ragged-priors": "{bad}: 'priors' is ragged, expected a list of numbers",
+    "params-ragged-accuracies": "{bad}: 'accuracies' is ragged, expected shape (10,) for 10 programs and 2 classes",
+    "params-ragged-weights": "{bad}: 'weights' is ragged, expected shape (10,) for 10 programs and 2 classes",
+    "params-repeated-program-id": "{bad}: program_ids must be unique strings, but entry 1 repeats '01_",
 }
 
 
@@ -1299,7 +1325,7 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     [
         ("a,,b", "class names must be non-empty strings"),
         ("a", "a class space needs at least 2 classes"),
-        ("a,a", "class names must be unique"),
+        ("a,a", "classes must be unique strings, but entry 1 repeats 'a'"),
     ],
     ids=["empty-name", "one-class", "duplicate"],
 )

@@ -18,6 +18,7 @@ from labelsmith.concepts import (
     save_embeddings,
     scores_from_embeddings,
 )
+from labelsmith.data import RowError
 from labelsmith.prompting import MockTransport, TransportError
 
 
@@ -36,7 +37,7 @@ class TestConceptSet:
     def test_needs_concepts_and_uniqueness(self):
         with pytest.raises(ConceptError):
             ConceptSet(task="t", concepts=())
-        with pytest.raises(ConceptError, match="unique"):
+        with pytest.raises(RowError, match="^concepts must be unique strings, but entry 1 repeats 'a'$"):
             ConceptSet(task="t", concepts=("a", "a"))
 
     def test_spurious_must_be_known(self):

@@ -102,7 +102,8 @@ _ONE_PAYLOAD = "a dataset holds texts, or scores with their concepts"
 
 class TestDataset:
     """The constructor checks every column; a rule that one row breaks
-    names the row."""
+    names the row. The column rules' cases (ids, gold, groups) are in
+    test_column_rules.py."""
 
     @pytest.mark.parametrize(
         "columns, match, row",
@@ -117,13 +118,10 @@ class TestDataset:
             (dict(ids=("a",), scores=[[0.5]]), _ONE_PAYLOAD, None),
             (dict(ids=("a",), texts=("x",), concepts=("c",)), _ONE_PAYLOAD, None),
             (dict(ids=("a",), scores=[[0.5, 0.5]], concepts=("c", "c")), "concepts must be unique strings", None),
-            (dict(ids=(1,), texts=("x",)), "ids must hold 1 entries, each a string", None),
-            (dict(ids=("a", "b", "a"), texts=("x", "y", "z")), "duplicate record id 'a'", 2),
+            (dict(ids=(1,), texts=("x",)), "ids entry 0 is 1, expected a string", 0),
+            (dict(ids=("a", "b", "a"), texts=("x", "y", "z")), "ids must be unique strings, but entry 2 repeats 'a'", 2),
             (dict(ids=("a", "b"), scores=[[0.5], [np.nan]], concepts=("c",)), "scores must be finite numbers", 1),
             (dict(ids=("a", "b"), scores=[[np.inf], [0.5]], concepts=("c",)), "scores must be finite numbers", 0),
-            (dict(ids=("a", "b"), texts=("x", "y"), gold=(1, 2), K=2), r"gold label 2 is not a class index in 0\.\.1$", 1),
-            (dict(ids=("a",), texts=("x",), gold=(-1,)), "gold label -1 is not a class index", 0),
-            (dict(ids=("a",), texts=("x",), gold=(True,)), "gold must hold 1 entries, each an integer or null", None),
         ],
     )
     def test_constructor_rejects(self, columns, match, row):
@@ -265,12 +263,18 @@ class TestVoteMatrix:
 
     @pytest.mark.parametrize("gold", [[0, 2], [0, -1], [0, True], [0, 1.0], [0, "1"]])
     def test_rejects_bad_gold(self, mk_matrix, gold):
-        with pytest.raises(ValueError, match=r"gold must hold 2 entries, each null or a class index in 0\.\.1"):
+        with pytest.raises(RowError) as caught:
             mk_matrix([[0], [1]], gold=gold)
+        assert str(caught.value) == f"gold entry 1 is {gold[1]!r}, expected a class index in 0..1"
+        assert caught.value.row == 1
 
     @pytest.mark.parametrize("groups", [["g"], ["g", "h", "i"], ["g", 1], ["g", b"h"]])
     def test_rejects_bad_groups(self, groups):
-        with pytest.raises(ValueError, match="group must hold 2 entries, each null or a string"):
+        if len(groups) != 2:
+            match = f"^group must hold 2 entries, got {len(groups)}$"
+        else:
+            match = f"^group entry 1 is {groups[1]!r}, expected null or a string$"
+        with pytest.raises(ValueError, match=match):
             VoteMatrix(
                 votes=np.zeros((2, 1), dtype=np.int64),
                 program_ids=("p",),
@@ -428,7 +432,10 @@ class TestPseudolabels:
         [
             ({"record_id": "b", "posterior": [0.9, 0.1], "hard": 1, "covered": True}, "argmax"),
             ({"record_id": "b", "posterior": [0.5, 0.5], "hard": 1, "covered": True}, "argmax"),
-            ({"record_id": "a", "posterior": [0.1, 0.9], "hard": 1, "covered": True}, "duplicate record id 'a'"),
+            (
+                {"record_id": "a", "posterior": [0.1, 0.9], "hard": 1, "covered": True},
+                "record_ids must be unique strings, but entry 1 repeats 'a'",
+            ),
         ],
     )
     def test_reader_rejects_rows_with_line(self, tmp_path, second, match):
@@ -554,8 +561,8 @@ class TestLoadScoresDataset:
              ":2: scores must be finite numbers"),
             # blank lines hold no record, but count as lines
             ('{"id": "r0", "scores": {"wing": 0.5}}\n\n  \n{"id": "r0", "scores": {"wing": 0.5}}\n',
-             ":4: duplicate record id 'r0'"),
-            ('\n{"id": "r0", "scores": {"wing": 0.5}, "gold": 2}\n', ":2: gold label 2 is not a class index in 0..1"),
+             ":4: ids must be unique strings, but entry 1 repeats 'r0'"),
+            ('\n{"id": "r0", "scores": {"wing": 0.5}, "gold": 2}\n', ":2: gold entry 0 is 2, expected a class index in 0..1"),
         ],
         ids=["missing", "unexpected", "after-no-concepts", "too-large", "boolean", "duplicate", "gold"],
     )

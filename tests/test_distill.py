@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import class_space, gradient_check, reference_featurize, reference_train_mlp
-from labelsmith.data import ClassSpace, DatasetError, Pseudolabels, Record
+from labelsmith.data import ClassSpace, DatasetError, Pseudolabels, Record, RowError
 from labelsmith.synth import make_spam_corpus
 from labelsmith.distill import (
     CHUNK_ENTRIES,
@@ -590,8 +590,10 @@ class TestModelIO:
             replace(model, classes=class_space(3))
         with pytest.raises(DistillError, match="1 concepts listed but the model takes 2 inputs"):
             replace(model, concepts=("a",))
-        with pytest.raises(DistillError, match="concepts must be strings"):
+        with pytest.raises(RowError, match="^concepts entry 1 is 2, expected a string$"):
             replace(model, concepts=("a", 2))
+        with pytest.raises(RowError, match="^concepts must be unique strings, but entry 1 repeats 'a'$"):
+            replace(model, concepts=("a", "a"))
 
 
 class TestPredictRefusesOtherRecipes:
