@@ -13,7 +13,6 @@ error (a malformed input file is reported as ``error: <path>[:<line>]:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import math
 import sys
@@ -23,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, models
 from .data import (
     ClassSpace,
     LabelsmithError,
@@ -54,6 +52,10 @@ def __getattr__(name: str):
     return value
 
 
+# the keys of models.FITTERS, named here so that building the parser
+# does not import the label models; a test keeps the two equal
+FITTERS = ("ds", "mv", "snorkel-lite", "triplet", "wmv")
+
 DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 DEFAULT_MODEL = "gpt-3.5-turbo"
 # hashed feature width of a text training set when --dims is not given
@@ -69,6 +71,11 @@ class CliError(LabelsmithError):
 
 
 def _sha256(path: Path) -> str:
+    # imported here, once the command's outputs exist: hashlib maps
+    # OpenSSL's library (about 3.5 MiB resident), which then stays off the
+    # peak of the commands whose other modules do not import it
+    import hashlib
+
     h = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -222,18 +229,20 @@ def cmd_apply(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import diagnostics
+    threshold = diagnostics.DEFAULT_COVERAGE_THRESHOLD if args.threshold is None else args.threshold
     matrix = load_votes(args.votes)
-    stats = diagnostics.analyze(matrix, coverage_threshold=args.threshold)
+    stats = diagnostics.analyze(matrix, coverage_threshold=threshold)
     out = _prepare_out(args.out, args.force)
-    diagnostics.save_stats(out / "analysis.json", stats, args.threshold)
+    diagnostics.save_stats(out / "analysis.json", stats, threshold)
     _write_manifest(
-        out, "analyze", {"threshold": args.threshold}, [Path(args.votes)]
+        out, "analyze", {"threshold": threshold}, [Path(args.votes)]
     )
     print(diagnostics.render_stats_table(stats))
     flagged = [s.program_id for s in stats if s.flagged_low_coverage]
     if flagged:
         print(
-            f"flagged {len(flagged)} program(s) below {args.threshold:.0%} coverage: "
+            f"flagged {len(flagged)} program(s) below {threshold:.0%} coverage: "
             + ", ".join(flagged),
             file=sys.stderr,
         )
@@ -242,16 +251,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    from . import diagnostics, models
+    threshold = diagnostics.DEFAULT_COVERAGE_THRESHOLD if args.threshold is None else args.threshold
     if args.model is not None and args.params:
         raise CliError("--model and --params exclude each other")
     # null when params are reused: the params file is among the inputs
     model = None if args.params else args.model or "ds"
     matrix = load_votes(args.votes)
-    low = diagnostics.low_coverage(matrix, args.threshold)
+    low = diagnostics.low_coverage(matrix, threshold)
     flagged = [pid for pid, flag in zip(matrix.program_ids, low) if flag]
     if flagged and not args.keep_flagged:
         raise CliError(
-            f"{args.votes}: program(s) below {args.threshold:.0%} coverage: {', '.join(flagged)}; "
+            f"{args.votes}: program(s) below {threshold:.0%} coverage: {', '.join(flagged)}; "
             "remove them from the votes file or pass --keep-flagged"
         )
     out = _prepare_out(args.out, args.force)
@@ -280,7 +291,7 @@ def cmd_aggregate(args) -> int:
     _write_manifest(
         out,
         "aggregate",
-        {"model": model, "threshold": args.threshold},
+        {"model": model, "threshold": threshold},
         [Path(args.votes)] + ([Path(args.params)] if args.params else []),
     )
     coverage = diagnostics.coverage_of_label_model(labels)
@@ -387,7 +398,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import distill
+    from . import diagnostics, distill
     model = distill.load_model(args.model)
     dataset = _cli.load_dataset(args.data, model.classes, model.concepts)
     if model.concepts is None and dataset.texts is None:
@@ -461,16 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="coverage/polarity/overlap/conflict diagnostics")
     sp.add_argument("--votes", required=True, help="votes.json from apply")
-    sp.add_argument("--threshold", type=float, default=diagnostics.DEFAULT_COVERAGE_THRESHOLD)
+    # None stands for diagnostics.DEFAULT_COVERAGE_THRESHOLD
+    sp.add_argument("--threshold", type=float)
     _add_common(sp)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("aggregate", help="fit a label model and write pseudolabels")
     sp.add_argument("--votes", required=True)
-    sp.add_argument("--model", choices=sorted(models.FITTERS), help="label model to fit (default ds)")
+    sp.add_argument("--model", choices=FITTERS, help="label model to fit (default ds)")
     sp.add_argument("--params", help="reuse fitted params instead of fitting (excludes --model)")
     sp.add_argument("--keep-flagged", action="store_true", help="aggregate despite low-coverage programs")
-    sp.add_argument("--threshold", type=float, default=diagnostics.DEFAULT_COVERAGE_THRESHOLD)
+    # None stands for diagnostics.DEFAULT_COVERAGE_THRESHOLD
+    sp.add_argument("--threshold", type=float)
     _add_common(sp)
     sp.set_defaults(func=cmd_aggregate)
 

@@ -101,15 +101,26 @@ def read_text(path, *, error: type[LabelsmithError] = DatasetError) -> str:
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
+def _parse(text: str, path, lineno: int | None, error: type[LabelsmithError]):
+    """``json.loads`` of a whole file's text, or of line ``lineno`` of a
+    JSONL file; text it cannot read raises ``error`` naming the path and
+    line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{lineno or exc.lineno}: malformed JSON ({exc.msg})") from None
+    except RecursionError:
+        problem = "JSON nested too deeply"
+    except ValueError:  # an integer longer than int's string conversion allows
+        problem = "JSON integer has too many digits to read"
+    where = path if lineno is None else f"{path}:{lineno}"
+    raise error(f"{where}: {problem}")
+
+
 def read_json(path, build: Callable, *, error: type[LabelsmithError] = DatasetError):
     """Parse a JSON file and check it into an artifact with ``build``. Bad
     bytes, bad JSON and anything ``build`` rejects raise ``error``."""
-    try:
-        doc = json.loads(read_text(path, error=error))
-    except json.JSONDecodeError as exc:
-        raise error(f"{path}:{exc.lineno}: malformed JSON ({exc.msg})") from None
-    except RecursionError:
-        raise error(f"{path}: JSON nested too deeply") from None
+    doc = _parse(read_text(path, error=error), path, None, error)
     return _checked(build, doc, str(path), error)
 
 
@@ -125,13 +136,7 @@ def read_jsonl(path, build: Callable, *, error: type[LabelsmithError] = DatasetE
                 raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
             if not line.strip():
                 continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            except RecursionError:
-                raise error(f"{path}:{lineno}: JSON nested too deeply") from None
-            yield lineno, _checked(build, doc, f"{path}:{lineno}", error)
+            yield lineno, _checked(build, _parse(line, path, lineno, error), f"{path}:{lineno}", error)
 
 
 def write_json(path, doc) -> Path:

@@ -16,11 +16,15 @@ rows ``cols``. Every other input of those rows is zero, so the block's
 gradient is exactly the non-zero rows of the dense gradient. Adam is
 lazy on the first layer (the row-sparse semantics of PyTorch's
 ``SparseAdam``): a first-layer row whose input no row of the batch
-stores keeps its weights and moments. The other layers and every bias
-take the usual dense Adam step. When every batch touches every column,
-as score records and ``Features.from_dense`` inputs always do, this is
-plain Adam bit for bit. Everything is plain numpy and deterministic
-given a seed.
+stores keeps its weights and moments. So the first layer's moments are
+kept only for the buckets the training set stores, not for all dims
+rows. The other layers and every bias take the usual dense Adam step,
+as views into one flat buffer stepped by one set of in-place ufunc
+calls (the idea of PyTorch's multi-tensor Adam); elementwise float64
+operations round alike at any shape, so this changes no bit. When every
+batch touches every column, as score records and
+``Features.from_dense`` inputs always do, this is plain Adam bit for
+bit. Everything is plain numpy and deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -407,24 +411,56 @@ def _loss_and_predictions(model: MLPModel, X: Features, T: np.ndarray) -> tuple[
 
 
 def gradients(
-    model: MLPModel, X: np.ndarray, T: np.ndarray, cols=slice(None)
+    model: MLPModel, X: np.ndarray, T: np.ndarray, cols=slice(None), out=None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Analytic gradients of the mean cross-entropy for one batch. X
     holds the inputs to the first layer's rows ``cols`` (all of them by
     default), and the first layer's gradient covers those rows only: the
-    gradient of any other row is zero."""
+    gradient of any other row is zero. ``out``, a (weights, biases) pair
+    of lists, names arrays to write the gradients into; a None entry, or
+    no ``out``, gets a new array."""
     T = _as_soft(T, model.sizes[-1])
     probs, acts = model.forward(X, cols)
     B = len(X)
     delta = (probs - T) / B
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    n = len(model.weights)
+    grads_w, grads_b = ([None] * n, [None] * n) if out is None else (list(out[0]), list(out[1]))
+    for layer in range(n - 1, -1, -1):
+        grads_w[layer] = np.matmul(acts[layer].T, delta, out=grads_w[layer])
+        grads_b[layer] = np.sum(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * (acts[layer] > 0)
     return grads_w, grads_b
+
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
+def _adam_step(p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, step_size) -> None:
+    """Adam's update of ``p`` in place from its gradient ``g`` and moments
+    ``m`` and ``v``, all of one shape: m = β1·m + (1 − β1)·g, v = β2·v +
+    (1 − β2)·g², p −= step_size·m / (√v + ε), each operation rounded as
+    the formula's own, so any shape, one flat buffer of many parameters
+    included, gives the same bits per element. ``g`` is overwritten."""
+    tmp = np.empty_like(g)
+    np.multiply(m, BETA1, out=m)
+    np.multiply(g, 1 - BETA1, out=tmp)
+    np.add(m, tmp, out=m)
+    np.multiply(v, BETA2, out=v)
+    np.square(g, out=tmp)
+    np.multiply(tmp, 1 - BETA2, out=tmp)
+    np.add(v, tmp, out=v)
+    np.sqrt(v, out=tmp)
+    np.add(tmp, EPS, out=tmp)
+    np.multiply(m, step_size, out=g)
+    np.divide(g, tmp, out=g)
+    np.subtract(p, g, out=p)
+
+
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views into the 1-D ``flat`` of the given shapes."""
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 @dataclass(frozen=True)
@@ -474,9 +510,13 @@ def train_mlp(
 
     Each batch becomes a block of the columns its rows store; the first
     layer's forward pass, gradient and Adam step touch only those rows
-    of it, and its other rows keep their weights and moments. Passes
-    over all rows take a block of a chunk of rows at a time, so X is
-    never dense as a whole."""
+    of it, and its other rows keep their weights and moments. So the
+    first layer's moments exist only for the buckets X stores, one row
+    each, while its weights stay full width: a row X never stores keeps
+    its initial bits. Every other weight and bias is a view into one flat
+    buffer, with its gradient and moments in three more, and one set of
+    in-place operations steps them all. Passes over all rows take a
+    block of a chunk of rows at a time, so X is never dense as a whole."""
     X = _as_features(X)
     if len(X) == 0:
         raise DistillError("training set is empty")
@@ -490,28 +530,39 @@ def train_mlp(
     model = replace(init_mlp(X.dims, classes, hyper.seed), concepts=X.concepts)
     metrics = TrainMetrics(initial_loss=_loss_and_predictions(model, X, T)[0])
     rng = np.random.default_rng(hyper.seed + 1)
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # every other weight and bias, their gradients and moments: views
+    # into flat buffers, so one Adam step covers them all
+    n = len(model.weights)
+    rest = model.weights[1:] + model.biases
+    shapes = [a.shape for a in rest]
+    params = np.concatenate([a.ravel() for a in rest])
+    grads, m, v = np.zeros((3, len(params)))
+    views = _views(params, shapes)
+    model.weights[1:], model.biases[:] = views[: n - 1], views[n - 1 :]
+    grad_views = _views(grads, shapes)
+    out = ([None, *grad_views[: n - 1]], grad_views[n - 1 :])
+    # lazy Adam writes only the first-layer rows of buckets X stores:
+    # their moments, in the order of the sorted buckets ``stored``
+    seen = np.zeros(X.dims, dtype=bool)
+    seen[X.indices] = True
+    stored = np.flatnonzero(seen)
+    m_first, v_first = np.zeros((2, len(stored), model.sizes[1]))
+    first = model.weights[0]
     step = 0
     for _ in range(hyper.epochs):
         order = rng.permutation(len(X))
         for start in range(0, len(X), hyper.batch):
             batch = order[start : start + hyper.batch]
             block, cols = X.block(batch)
-            grads_w, grads_b = gradients(model, block, T[batch], cols)
+            grad_first = gradients(model, block, T[batch], cols, out)[0][0]
             step += 1
-            correction = np.sqrt(1 - beta2**step) / (1 - beta1**step)
-            for i, rows in enumerate([cols] + [slice(None)] * (len(model.weights) - 1)):
-                m = beta1 * m_w[i][rows] + (1 - beta1) * grads_w[i]
-                v = beta2 * v_w[i][rows] + (1 - beta2) * grads_w[i] ** 2
-                m_w[i][rows], v_w[i][rows] = m, v
-                model.weights[i][rows] -= hyper.lr * correction * m / (np.sqrt(v) + eps)
-                m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
-                v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
-                model.biases[i] -= hyper.lr * correction * m_b[i] / (np.sqrt(v_b[i]) + eps)
+            correction = np.sqrt(1 - BETA2**step) / (1 - BETA1**step)
+            step_size = hyper.lr * correction
+            _adam_step(params, m, v, grads, step_size)
+            slots = np.searchsorted(stored, cols)
+            rows, m_rows, v_rows = first[cols], m_first[slots], v_first[slots]
+            _adam_step(rows, m_rows, v_rows, grad_first, step_size)
+            first[cols], m_first[slots], v_first[slots] = rows, m_rows, v_rows
         loss, preds = _loss_and_predictions(model, X, T)
         metrics.train_loss.append(loss)
         metrics.train_accuracy.append(float((preds == hard).mean()))

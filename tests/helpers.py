@@ -12,10 +12,13 @@ reference Pike VM is the per-character regex loop that the lazy DFA in
 ``labelsmith.dsl.rex`` replaced. The reference featurizer and trainer
 are the dense (n, dims) versions that the row-compressed ones in
 ``labelsmith.distill`` replaced; with ``lazy`` the trainer computes what
-the block trainer does, up to summation order. ``gradient_check``
-compares analytic gradients with central differences. ``nested_guard``
-builds the rule guards that the parsers' nesting limits bound.
-``skip_unless_golden_math`` skips a test of pinned hashes where numpy's
+the block trainer does, up to summation order. The reference block
+trainer is the block training loop with per-layer Adam moments, the
+first layer's as wide as the model, that the flat buffers and the
+stored-bucket moments of ``train_mlp`` replaced; it must give the same
+bits. ``gradient_check`` compares analytic gradients with central
+differences. ``nested_guard`` builds the rule guards that the parsers'
+nesting limits bound. ``skip_unless_golden_math`` skips a test of pinned hashes where numpy's
 exp and log round differently from where the hashes were taken.
 """
 
@@ -23,6 +26,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,12 +34,17 @@ import pytest
 from labelsmith.data import ABSTAIN, ClassSpace, VoteMatrix
 from labelsmith.distill import (
     TOKEN_RE,
+    DistillError,
+    Hyper,
     TrainMetrics,
+    _as_features,
     _as_soft,
     _hash_token,
+    _loss_and_predictions,
     cross_entropy,
     gradients,
     init_mlp,
+    logger,
 )
 from labelsmith.dsl import rex
 
@@ -332,6 +341,53 @@ def reference_train_mlp(X, targets, classes, hyper, X_val=None, y_val=None, lazy
         if X_val is not None and y_val is not None:
             val_preds = np.argmax(model.forward(np.asarray(X_val, dtype=float))[0], axis=1)
             metrics.val_accuracy.append(float((val_preds == np.asarray(y_val)).mean()))
+    return model, metrics
+
+
+def reference_block_train_mlp(X, targets, classes, hyper=Hyper(), X_val=None, y_val=None):
+    """Block training with one Adam moment pair per weight and bias
+    array, the first layer's (dims, 32) wide, each updated by its own
+    array expressions."""
+    X = _as_features(X)
+    if len(X) == 0:
+        raise DistillError("training set is empty")
+    T = _as_soft(targets, classes.K)
+    hard = np.argmax(T, axis=1)
+    if len(np.unique(hard)) < 2:
+        logger.warning(
+            "training data has a single class (%d); the model will be a constant predictor",
+            int(hard[0]),
+        )
+    model = replace(init_mlp(X.dims, classes, hyper.seed), concepts=X.concepts)
+    metrics = TrainMetrics(initial_loss=_loss_and_predictions(model, X, T)[0])
+    rng = np.random.default_rng(hyper.seed + 1)
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    for _ in range(hyper.epochs):
+        order = rng.permutation(len(X))
+        for start in range(0, len(X), hyper.batch):
+            batch = order[start : start + hyper.batch]
+            block, cols = X.block(batch)
+            grads_w, grads_b = gradients(model, block, T[batch], cols)
+            step += 1
+            correction = np.sqrt(1 - beta2**step) / (1 - beta1**step)
+            for i, rows in enumerate([cols] + [slice(None)] * (len(model.weights) - 1)):
+                m = beta1 * m_w[i][rows] + (1 - beta1) * grads_w[i]
+                v = beta2 * v_w[i][rows] + (1 - beta2) * grads_w[i] ** 2
+                m_w[i][rows], v_w[i][rows] = m, v
+                model.weights[i][rows] -= hyper.lr * correction * m / (np.sqrt(v) + eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
+                model.biases[i] -= hyper.lr * correction * m_b[i] / (np.sqrt(v_b[i]) + eps)
+        loss, preds = _loss_and_predictions(model, X, T)
+        metrics.train_loss.append(loss)
+        metrics.train_accuracy.append(float((preds == hard).mean()))
+        if X_val is not None and y_val is not None:
+            metrics.val_accuracy.append(float((model.predict(X_val) == np.asarray(y_val)).mean()))
     return model, metrics
 
 

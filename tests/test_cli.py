@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes, skip_unless_golden_math
 
-from labelsmith import models
+from labelsmith import cli, models
 from labelsmith.cli import main
 from labelsmith.data import ClassSpace, load_pseudolabels, load_votes, save_votes, serialize_records
 from labelsmith.distill import load_model
@@ -128,8 +128,23 @@ def test_facts_the_files_carry_are_not_flags(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
-# modules that only some commands run
-LAZY_MODULES = ("labelsmith.dsl", "labelsmith.prompting", "labelsmith.distill", "labelsmith.concepts", "labelsmith.records")
+# modules that only some commands run, and those each command runs
+LAZY_MODULES = (
+    "labelsmith.dsl",
+    "labelsmith.prompting",
+    "labelsmith.distill",
+    "labelsmith.concepts",
+    "labelsmith.records",
+    "labelsmith.models",
+    "labelsmith.diagnostics",
+)
+RUNS = {
+    "import": (),
+    "analyze": ("labelsmith.models", "labelsmith.diagnostics"),
+    "aggregate": ("labelsmith.models", "labelsmith.diagnostics"),
+    "export": ("labelsmith.distill", "labelsmith.records"),
+    "train": ("labelsmith.distill", "labelsmith.records"),
+}
 
 
 def _modules_after(argv) -> list[str]:
@@ -148,19 +163,33 @@ def _modules_after(argv) -> list[str]:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("command", ["import", "analyze", "aggregate"])
-def test_commands_import_only_what_they_run(command, votes_dir, tmp_path):
-    argv = [] if command == "import" else [command, "--votes", str(votes_dir / "votes.json"), "--out", str(tmp_path / "out")]
-    loaded = _modules_after(argv)
+@pytest.mark.parametrize("command", list(RUNS))
+def test_commands_import_only_what_they_run(command, votes_dir, labeled, corpus_file, tmp_path):
+    votes = ["--votes", str(votes_dir / "votes.json")]
+    export = ["export", "--pseudolabels", str(labeled), "--task", "sms", "--data", corpus_file]
+    train_file = tmp_path / "export" / "train.jsonl"
+    if command == "train":
+        assert main([*export, "--out", str(train_file.parent)]) == 0
+    argv = {
+        "import": [],
+        "analyze": ["analyze", *votes],
+        "aggregate": ["aggregate", *votes],
+        "export": export,
+        "train": ["train", "--train-file", str(train_file), "--task", "sms", "--epochs", "1", "--dims", "64"],
+    }[command]
+    loaded = _modules_after(argv and [*argv, "--out", str(tmp_path / "out")])
     assert "labelsmith.cli" in loaded
-    assert [m for m in LAZY_MODULES if m in loaded] == []
+    assert [m for m in LAZY_MODULES if m in loaded] == [m for m in LAZY_MODULES if m in RUNS[command]]
+
+
+def test_parser_lists_every_fitter():
+    # the parser names the fitters without importing labelsmith.models
+    assert cli.FITTERS == tuple(sorted(models.FITTERS))
 
 
 def test_patches_of_lazily_bound_names_reach_the_commands(corpus_file, tmp_path, monkeypatch):
     """A tracer or test patches labelsmith.cli's names, whether or not a
     command has bound them yet; apply and generate call the patched ones."""
-    from labelsmith import cli
-
     for name in cli._LAZY:
         monkeypatch.delitem(vars(cli), name, raising=False)  # as in a fresh process
     calls = []
@@ -393,6 +422,7 @@ class TestAnalyze:
         doc = json.loads((out / "analysis.json").read_text(encoding="utf-8"))
         assert len(doc["programs"]) == 10
         assert doc["flagged"] == []
+        assert read_manifest(out)["params"] == {"threshold": 0.1}
         table = capsys.readouterr().out
         assert "coverage" in table
         assert "01_prizes_vs_work" in table
@@ -467,7 +497,8 @@ class TestAggregate:
     def test_manifest_names_the_fitted_model_or_none(self, votes_dir, tmp_path):
         votes = str(votes_dir / "votes.json")
         assert main(["aggregate", "--votes", votes, "--out", str(tmp_path / "fit")]) == 0
-        assert read_manifest(tmp_path / "fit")["params"]["model"] == "ds"
+        # the default threshold is diagnostics.DEFAULT_COVERAGE_THRESHOLD's
+        assert read_manifest(tmp_path / "fit")["params"] == {"model": "ds", "threshold": 0.1}
         params = str(tmp_path / "fit" / "params.json")
         assert main(["aggregate", "--votes", votes, "--params", params, "--out", str(tmp_path / "reuse")]) == 0
         manifest = read_manifest(tmp_path / "reuse")
@@ -1035,6 +1066,16 @@ MALFORMED_INPUTS = {
         lambda ctx: _votes_doc(votes=[[0, 1], [1, True], [-1, 0]]),
         lambda ctx: ["analyze", "--votes", "BAD"],
     ),
+    # Python refuses to read an integer of more digits than its limit (4300
+    # by default), as a ValueError that is no JSONDecodeError
+    "votes-integer-of-5000-digits": (
+        lambda ctx: _votes_doc().replace("[1, -1]", f"[1, {'9' * 5000}]"),
+        lambda ctx: ["analyze", "--votes", "BAD"],
+    ),
+    "pseudolabel-integer-of-5000-digits": (
+        lambda ctx: _jsonl(_PSEUDO) + _jsonl({**_PSEUDO, "record_id": "s00001"}).replace("0.9", "9" * 5000),
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
     "votes-duplicate-record-ids": (
         lambda ctx: _votes_doc(record_ids=["r0", "r0", "r2"]),
         lambda ctx: ["analyze", "--votes", "BAD"],
@@ -1216,6 +1257,8 @@ MALFORMED_MESSAGES = {
     "training-duplicate-record-id": ":2: ids must be unique strings, but entry 1 repeats 'a'",
     "model-without-classes": "missing field 'classes'",
     "votes-nested-too-deeply": "JSON nested too deeply",
+    "votes-integer-of-5000-digits": "{bad}: JSON integer has too many digits to read",
+    "pseudolabel-integer-of-5000-digits": "{bad}:2: JSON integer has too many digits to read",
     "pseudolabel-line-nested-too-deeply": ":2: JSON nested too deeply",
     "eval-text-model-on-score-rows": "takes text records, got scores",
     "model-parent-features-block": "unknown field 'features'",
