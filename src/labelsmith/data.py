@@ -16,6 +16,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -101,18 +102,62 @@ def read_text(path, *, error: type[LabelsmithError] = DatasetError) -> str:
         raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a key that
+    repeats raises DatasetError, where ``json.loads`` keeps the last."""
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise DatasetError(f"duplicate key {key!r}")
+    return doc
+
+
+# a JSON escape of a UTF-16 surrogate: only text holding one can parse to
+# a string that UTF-8 cannot encode, as strict UTF-8 decoding refuses a
+# raw surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def lone_surrogate(text: str, doc) -> str | None:
+    """A lone surrogate in a string or key of ``doc``, the value
+    ``text`` parses to, escaped as ``\\udxxx``; None when there is none.
+    Text that holds no surrogate escape costs one scan at C speed, and
+    only text that does has ``doc`` walked."""
+    stack = [doc] if _SURROGATE_ESCAPE.search(text) else []
+    while stack:  # a stack, not recursion: values nest as deep as the parser allows
+        node = stack.pop()
+        if type(node) is dict:
+            stack.extend(itertools.chain(node.values(), node))
+        elif type(node) is list:
+            stack.extend(node)
+        elif type(node) is str and (found := _SURROGATE.search(node)):
+            return f"\\u{ord(found.group()):04x}"
+    return None
+
+
 def _parse(text: str, path, lineno: int | None, error: type[LabelsmithError]):
     """``json.loads`` of a whole file's text, or of line ``lineno`` of a
-    JSONL file; text it cannot read raises ``error`` naming the path and
-    line."""
+    JSONL file; text it cannot read, a string UTF-8 cannot encode and a
+    repeated key in a whole file raise ``error`` naming the path and
+    line. A JSONL row keeps ``json.loads``'s last value of a repeated
+    key: an ``object_pairs_hook`` doubles the time a row takes."""
     try:
-        return json.loads(text)
+        doc = json.loads(text) if lineno else json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{lineno or exc.lineno}: malformed JSON ({exc.msg})") from None
     except RecursionError:
         problem = "JSON nested too deeply"
     except ValueError:  # an integer longer than int's string conversion allows
         problem = "JSON integer has too many digits to read"
+    except DatasetError as exc:  # a repeated key
+        problem = str(exc)
+    else:
+        surrogate = lone_surrogate(text, doc)
+        if surrogate is None:
+            return doc
+        problem = f"a string holds the lone surrogate {surrogate}, which UTF-8 cannot encode"
     where = path if lineno is None else f"{path}:{lineno}"
     raise error(f"{where}: {problem}")
 
@@ -408,6 +453,24 @@ class VoteMatrix:
         counts = np.count_nonzero(self.bins, axis=1)
         counts.flags.writeable = False
         return counts
+
+    def agreement(self, labels: Sequence[int | None] | None) -> np.ndarray:
+        """(m,) for each program, the share of its votes on labelled rows
+        that equal the row's label; NaN where it votes on no labelled row,
+        and everywhere when ``labels`` is None. ``labels`` holds one entry
+        per row, a class index or None for a row without a label."""
+        out = np.full(self.m, np.nan)
+        if labels is None:
+            return out
+        # in the bins' coding: class c is c + 1, no label is 0
+        coded = np.array([0 if c is None else c + 1 for c in labels], dtype=self.bins.dtype)
+        labelled = coded != 0
+        for j, col in enumerate(self.bins):
+            scored = labelled & (col != 0)
+            total = np.count_nonzero(scored)
+            if total:
+                out[j] = np.count_nonzero(scored & (col == coded)) / total
+        return out
 
     def vote_mass(self, weights: np.ndarray | None = None) -> np.ndarray:
         """(n, K) summed weight of the programs voting each class on each

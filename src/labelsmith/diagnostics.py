@@ -20,7 +20,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LabelsmithError, Pseudolabels, VoteMatrix, write_json
-from .models import empirical_accuracies
 
 DEFAULT_COVERAGE_THRESHOLD = 0.10
 
@@ -92,7 +91,7 @@ def analyze(
     np.less(counts, row_votes[:, None], out=split[:, 1:])
     split = split.reshape(-1)
     rows = np.arange(0, n * (K + 1), K + 1)
-    accuracies = empirical_accuracies(matrix)
+    accuracies = matrix.agreement(matrix.gold)
     stats = []
     for j in range(m):
         overlap = np.count_nonzero(bins[j][shared]) / n

@@ -86,9 +86,9 @@ class Features:
     ``indices[indptr[i]:indptr[i + 1]]``, holding the ``values`` at the
     same positions; every other column of the row is zero. A row stores
     each column at most once. ``block`` gives rows back on the columns
-    they store, as the MLP takes them; ``dense`` gives them back on every
-    column. ``dims`` and ``concepts`` (the score columns in order; None for
-    hashed text and array rows) are the recipe the rows were built with."""
+    they store, as the MLP takes them. ``dims`` and ``concepts`` (the
+    score columns in order; None for hashed text and array rows) are the
+    recipe the rows were built with."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -98,8 +98,7 @@ class Features:
 
     @classmethod
     def from_dense(cls, X) -> "Features":
-        """Every entry of a 2-D array, zeros included, so ``dense`` gives
-        back the same bits."""
+        """Every entry of a 2-D array, zeros included."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise DistillError(f"features must be a 2-D array, got {X.ndim} dimensions")
@@ -142,14 +141,6 @@ class Features:
         out = np.zeros((len(part), len(cols)))
         out[np.repeat(np.arange(len(part)), np.diff(part.indptr)), position[part.indices]] = part.values
         return out, cols
-
-    def dense(self, rows=None) -> np.ndarray:
-        """(len(rows), dims) float64 array of the given rows; all rows
-        when ``rows`` is None."""
-        part = self if rows is None else self.take(rows)
-        out = np.zeros((len(part), self.dims))
-        out[np.repeat(np.arange(len(part)), np.diff(part.indptr)), part.indices] = part.values
-        return out
 
 
 def _as_features(X) -> Features:
@@ -389,18 +380,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits - (logz + np.log(np.exp(logits - logz).sum(axis=1, keepdims=True)))
 
 
-def cross_entropy(model: MLPModel, X: np.ndarray, T: np.ndarray) -> float:
-    """Mean soft cross-entropy, computed from logits for stability.
-    Hard label vectors are accepted and treated as one-hot."""
-    T = _as_soft(T, model.sizes[-1])
-    _, acts = model.forward(X)
-    return float(-np.sum(T * _log_softmax(acts[-1])) / len(X))
-
-
 def _loss_and_predictions(model: MLPModel, X: Features, T: np.ndarray) -> tuple[float, np.ndarray]:
-    """``cross_entropy`` and ``predict`` over a whole feature set from one
-    forward pass per chunk. The per-row loss terms are summed once, as
-    ``cross_entropy`` sums them."""
+    """The mean soft cross-entropy, from logits for stability, and
+    ``predict`` over a whole feature set from one forward pass per chunk.
+    The per-row loss terms are summed once."""
     terms = np.empty_like(T)
     preds = np.empty(len(X), dtype=np.int64)
     for rows in _chunks(X):

@@ -227,22 +227,6 @@ def _mv_hard(matrix: VoteMatrix) -> np.ndarray:
     return np.argmax(matrix.vote_mass(), axis=1)
 
 
-def empirical_accuracies(matrix: VoteMatrix) -> np.ndarray:
-    """Per-program accuracy over rows where the program votes and the
-    matrix has a gold label; NaN where a program has no such rows."""
-    out = np.full(matrix.m, np.nan)
-    if matrix.gold is None:
-        return out
-    # gold in the bins' coding: class c is c + 1, no label is 0
-    gold = np.array([0 if g is None else g + 1 for g in matrix.gold], dtype=matrix.bins.dtype)
-    for j, col in enumerate(matrix.bins):
-        scored = (col != 0) & (gold != 0)
-        total = np.count_nonzero(scored)
-        if total:
-            out[j] = np.count_nonzero(scored & (col == gold)) / total
-    return out
-
-
 def make_counting_params(matrix: VoteMatrix, kind: str = MV) -> tuple[LabelModelParams, FitReport]:
     """Params for the counting kinds. WMV weights come from empirical
     accuracies when the matrix has gold labels (log-odds, floored at a
@@ -258,7 +242,7 @@ def make_counting_params(matrix: VoteMatrix, kind: str = MV) -> tuple[LabelModel
     weights = np.ones(matrix.m)
     if kind == WMV:
         if matrix.gold is not None and any(g is not None for g in matrix.gold):
-            acc = empirical_accuracies(matrix)
+            acc = matrix.agreement(matrix.gold)
             if np.isnan(acc).any():
                 j = int(np.argmax(np.isnan(acc)))
                 notes.append(
@@ -497,7 +481,8 @@ def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     counts = np.einsum("an,bn->ab", voted, voted, dtype=np.int64)
     pair_mean = np.divide(sums, counts, out=np.full((m, m), np.nan), where=counts >= MIN_PAIRS)
 
-    mv_bins = _mv_hard(matrix) + 1
+    # no NaN: every program votes somewhere, as _check_coverage refused the rest
+    agree = matrix.agreement(_mv_hard(matrix))
     accuracies = np.empty(m)
     for j in range(m):
         moments = []
@@ -515,9 +500,7 @@ def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
                 "pair agreements); cannot estimate its accuracy"
             )
         med = float(np.clip(np.median(moments), 0.0, 1.0))
-        # every program votes somewhere: _check_coverage refused the rest
-        agree = np.count_nonzero(bins[j] == mv_bins) / matrix.program_votes[j]
-        sign = 1.0 if agree >= 0.5 else -1.0
+        sign = 1.0 if agree[j] >= 0.5 else -1.0
         accuracies[j] = (1.0 + sign * math.sqrt(med)) / 2.0
     accuracies = np.clip(accuracies, *CLAMP)
     weights = np.log(accuracies / (1 - accuracies))

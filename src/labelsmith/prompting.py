@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .data import ClassSpace, LabelsmithError, read_json, write_json
+from .data import ClassSpace, LabelsmithError, lone_surrogate, read_json, write_json
 from .dsl import RuleProgram
 from .dsl.extract import ExtractionError, extract_program
 
@@ -184,9 +184,15 @@ class HttpTransport:
         except OSError as exc:  # URLError, refused connections and timeouts
             raise TransportError(f"request failed: {exc}") from exc
         try:
-            return json.loads(payload)
-        except ValueError as exc:
+            # decoded strictly: json.loads of bytes lets an encoded surrogate through
+            text = payload.decode("utf-8")
+            doc = json.loads(text)
+        except ValueError as exc:  # UnicodeDecodeError too
             raise TransportError(f"response is not JSON: {exc}") from exc
+        surrogate = lone_surrogate(text, doc)
+        if surrogate is not None:
+            raise TransportError(f"response holds the lone surrogate {surrogate}, which UTF-8 cannot encode")
+        return doc
 
 
 class MockTransport:

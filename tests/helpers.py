@@ -16,9 +16,12 @@ the block trainer does, up to summation order. The reference block
 trainer is the block training loop with per-layer Adam moments, the
 first layer's as wide as the model, that the flat buffers and the
 stored-bucket moments of ``train_mlp`` replaced; it must give the same
-bits. ``gradient_check`` compares analytic gradients with central
-differences. ``nested_guard`` builds the rule guards that the parsers'
-nesting limits bound. ``skip_unless_golden_math`` skips a test of pinned hashes where numpy's
+bits. ``dense`` turns row-compressed features back into an array, and
+``cross_entropy`` is the loss on a dense array that the reference
+trainer and ``gradient_check`` read; ``gradient_check`` compares
+analytic gradients with central differences. ``nested_guard`` builds
+the rule guards that the parsers' nesting limits bound.
+``skip_unless_golden_math`` skips a test of pinned hashes where numpy's
 exp and log round differently from where the hashes were taken.
 """
 
@@ -40,8 +43,8 @@ from labelsmith.distill import (
     _as_features,
     _as_soft,
     _hash_token,
+    _log_softmax,
     _loss_and_predictions,
-    cross_entropy,
     gradients,
     init_mlp,
     logger,
@@ -300,6 +303,24 @@ def reference_featurize(records, dims, concepts=None):
         if norm > 0:
             out[i] /= norm
     return out
+
+
+def dense(X, rows=None) -> np.ndarray:
+    """The (len(rows), dims) float64 array of the given rows of
+    ``Features`` X; all rows when ``rows`` is None."""
+    part = X if rows is None else X.take(rows)
+    out = np.zeros((len(part), X.dims))
+    out[np.repeat(np.arange(len(part)), np.diff(part.indptr)), part.indices] = part.values
+    return out
+
+
+def cross_entropy(model, X, T) -> float:
+    """Mean soft cross-entropy of the model on dense X, computed from
+    logits for stability. Hard label vectors are accepted and treated as
+    one-hot."""
+    T = _as_soft(T, model.sizes[-1])
+    _, acts = model.forward(X)
+    return float(-np.sum(T * _log_softmax(acts[-1])) / len(X))
 
 
 def reference_train_mlp(X, targets, classes, hyper, X_val=None, y_val=None, lazy=False):

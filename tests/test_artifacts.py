@@ -40,7 +40,9 @@ SPAM_PROGRAMS = str(FIXTURES / "spam_programs")
 # values of every JSON type; a swap puts in one whose type differs
 SWAPS = (0, "x", [0], {}, None, True, math.nan)
 TEXT_MUTATIONS = ("truncate", "garble-line")
-MUTATIONS = ("drop", "swap", *TEXT_MUTATIONS)
+# a lone surrogate escape parses to a string that UTF-8 cannot encode
+LONE_SURROGATE = "\ud800"
+MUTATIONS = ("drop", "swap", "lone-surrogate", *TEXT_MUTATIONS)
 
 
 def run(argv) -> tuple[int, str]:
@@ -144,16 +146,21 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (i,))
 
 
+def _node(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
 def _mutate_node(doc, path, kind, data):
     if not path:
         choices = [v for v in SWAPS if type(v) is not type(doc)]
         return data.draw(st.sampled_from(choices))
-    parent = doc
-    for step in path[:-1]:
-        parent = parent[step]
-    last = path[-1]
+    parent, last = _node(doc, path[:-1]), path[-1]
     if kind == "drop":
         del parent[last]
+    elif kind == "lone-surrogate":
+        parent[last] += LONE_SURROGATE
     else:
         choices = [v for v in SWAPS if type(v) is not type(parent[last])]
         parent[last] = data.draw(st.sampled_from(choices))
@@ -172,6 +179,8 @@ def mutated_text(text: str, jsonl: bool, data, kinds=MUTATIONS) -> str:
     paths = list(_paths(doc))
     if kind == "drop":
         paths = paths[1:]  # the root cannot be dropped
+    elif kind == "lone-surrogate":
+        paths = [path for path in paths if type(_node(doc, path)) is str]
     path = paths[data.draw(st.integers(0, len(paths) - 1), label="node")]
     doc = _mutate_node(doc, path, kind, data)
     if jsonl and isinstance(doc, list):

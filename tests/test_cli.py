@@ -140,10 +140,11 @@ LAZY_MODULES = (
 )
 RUNS = {
     "import": (),
-    "analyze": ("labelsmith.models", "labelsmith.diagnostics"),
+    "analyze": ("labelsmith.diagnostics",),
     "aggregate": ("labelsmith.models", "labelsmith.diagnostics"),
     "export": ("labelsmith.distill", "labelsmith.records"),
     "train": ("labelsmith.distill", "labelsmith.records"),
+    "eval": ("labelsmith.distill", "labelsmith.records", "labelsmith.diagnostics"),
 }
 
 
@@ -164,7 +165,7 @@ def _modules_after(argv) -> list[str]:
 
 
 @pytest.mark.parametrize("command", list(RUNS))
-def test_commands_import_only_what_they_run(command, votes_dir, labeled, corpus_file, tmp_path):
+def test_commands_import_only_what_they_run(command, votes_dir, labeled, trained, corpus_file, tmp_path):
     votes = ["--votes", str(votes_dir / "votes.json")]
     export = ["export", "--pseudolabels", str(labeled), "--task", "sms", "--data", corpus_file]
     train_file = tmp_path / "export" / "train.jsonl"
@@ -176,6 +177,7 @@ def test_commands_import_only_what_they_run(command, votes_dir, labeled, corpus_
         "aggregate": ["aggregate", *votes],
         "export": export,
         "train": ["train", "--train-file", str(train_file), "--task", "sms", "--epochs", "1", "--dims", "64"],
+        "eval": ["eval", "--model", str(trained / "model.json"), "--data", corpus_file],
     }[command]
     loaded = _modules_after(argv and [*argv, "--out", str(tmp_path / "out")])
     assert "labelsmith.cli" in loaded
@@ -987,6 +989,13 @@ def _pseudolabels_for(corpus, change) -> str:
     return _jsonl(*rows)
 
 
+def _corpus_with(corpus, i, **changes) -> str:
+    """The rows of ``corpus`` with ``changes`` made to row ``i``."""
+    rows = [json.loads(line) for line in Path(corpus).read_text(encoding="utf-8").splitlines()]
+    rows[i].update(changes)
+    return _jsonl(*rows)
+
+
 _ROW = {"id": "a", "text": "win a free prize"}
 _XY = {"x": 0.1, "y": 0.2}
 # the feature block model files carried before featurization was derived
@@ -1075,6 +1084,29 @@ MALFORMED_INPUTS = {
     "pseudolabel-integer-of-5000-digits": (
         lambda ctx: _jsonl(_PSEUDO) + _jsonl({**_PSEUDO, "record_id": "s00001"}).replace("0.9", "9" * 5000),
         lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    # a lone surrogate escape parses to a string UTF-8 cannot encode: once
+    # a traceback from the writer of the first output to hold it, or exit 0
+    "data-id-lone-surrogate": (
+        lambda ctx: _jsonl(_ROW, {"id": "b\ud800", "text": "see you"}),
+        lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
+    ),
+    "data-group-lone-surrogate": (
+        lambda ctx: _jsonl(_ROW, {"id": "b", "text": "see you", "group": "g\ud800"}),
+        lambda ctx: ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "BAD"],
+    ),
+    "data-text-lone-surrogate": (
+        lambda ctx: _corpus_with(ctx["corpus"], 1, text="free \ud800 prize"),
+        lambda ctx: ["export", "--pseudolabels", ctx["labeled"], "--task", "sms", "--data", "BAD"],
+    ),
+    "pseudolabel-record-id-lone-surrogate": (
+        lambda ctx: _pseudolabels_for(ctx["corpus"], lambda rows: rows[1].update(record_id="s\udfff")),
+        lambda ctx: ["export", "--pseudolabels", "BAD", "--task", "sms", "--data", ctx["corpus"]],
+    ),
+    # json.loads keeps the last value of a repeated key
+    "votes-two-classes-keys": (
+        lambda ctx: _votes_doc().replace('"classes": ["spam", "ham"]', '"classes": ["spam", "ham"], "classes": ["ham", "spam"]'),
+        lambda ctx: ["analyze", "--votes", "BAD"],
     ),
     "votes-duplicate-record-ids": (
         lambda ctx: _votes_doc(record_ids=["r0", "r0", "r2"]),
@@ -1257,6 +1289,11 @@ MALFORMED_MESSAGES = {
     "training-duplicate-record-id": ":2: ids must be unique strings, but entry 1 repeats 'a'",
     "model-without-classes": "missing field 'classes'",
     "votes-nested-too-deeply": "JSON nested too deeply",
+    "votes-two-classes-keys": "{bad}: duplicate key 'classes'",
+    "data-id-lone-surrogate": "{bad}:2: a string holds the lone surrogate \\ud800, which UTF-8 cannot encode",
+    "data-group-lone-surrogate": "{bad}:2: a string holds the lone surrogate \\ud800",
+    "data-text-lone-surrogate": "{bad}:2: a string holds the lone surrogate \\ud800",
+    "pseudolabel-record-id-lone-surrogate": "{bad}:2: a string holds the lone surrogate \\udfff",
     "votes-integer-of-5000-digits": "{bad}: JSON integer has too many digits to read",
     "pseudolabel-integer-of-5000-digits": "{bad}:2: JSON integer has too many digits to read",
     "pseudolabel-line-nested-too-deeply": ":2: JSON nested too deeply",
@@ -1293,9 +1330,9 @@ class TestMalformedInputs:
     each must now exit 1 with an ``error:`` line naming the file."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
-    def test_rejected_with_path(self, case, corpus_file, trained, votes_dir, tmp_path, capsys):
+    def test_rejected_with_path(self, case, corpus_file, trained, votes_dir, labeled, tmp_path, capsys):
         content, command = MALFORMED_INPUTS[case]
-        ctx = {"corpus": corpus_file, "trained": trained, "votes": str(votes_dir / "votes.json")}
+        ctx = {"corpus": corpus_file, "trained": trained, "votes": str(votes_dir / "votes.json"), "labeled": str(labeled)}
         bad = tmp_path / "input"
         data = content(ctx)
         if isinstance(data, tuple):  # a model pair: the JSON at BAD, the arrays beside it

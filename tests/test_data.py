@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -20,6 +21,8 @@ from labelsmith.data import (
     load_pseudolabels,
     load_votes,
     read_array,
+    read_json,
+    read_jsonl,
     save_pseudolabels,
     save_votes,
     serialize_records,
@@ -709,3 +712,52 @@ class TestVotesFile:
         with pytest.raises(DatasetError):
             load_votes(path)
 
+
+
+class TestReader:
+    """The checks ``json.loads`` leaves out, made once in the one reader."""
+
+    # a pair of surrogate escapes is one character; an escaped backslash
+    # before "ud800" is text, not an escape
+    @pytest.mark.parametrize(
+        "escaped, text",
+        [(r"\ud83d\ude00", "\U0001f600"), (r"\\ud800", "\\ud800"), (r"\u00e9", "\u00e9")],
+        ids=["pair", "escaped-backslash", "non-surrogate"],
+    )
+    def test_paired_and_plain_escapes_read(self, tmp_path, escaped, text):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"a": ["{escaped}"]}}\n', encoding="utf-8")
+        assert read_json(path, dict) == {"a": [text]}
+        assert [row for _, row in read_jsonl(path, dict)] == [{"a": [text]}]
+
+    @pytest.mark.parametrize(
+        "doc, code_point",
+        [
+            (r'{"a": ["ok", "x\ud800"]}', "\\ud800"),
+            (r'{"a": {"k\uDFFF": 1}}', "\\udfff"),  # a key, and upper-case hex
+            (r'{"a": "\ude00\ud83d"}', "\\ude00"),  # a pair in the wrong order
+            (r'{"a": "\ud83d\ud83d\ude00"}', "\\ud83d"),  # a high half before a pair
+        ],
+        ids=["value", "key", "reversed-pair", "half-before-pair"],
+    )
+    def test_lone_surrogate_refused_with_its_code_point(self, tmp_path, doc, code_point):
+        path = tmp_path / "doc.json"
+        path.write_text(f"{{}}\n{doc}\n", encoding="utf-8")
+        message = re.escape(f"doc.json:2: a string holds the lone surrogate {code_point},")
+        with pytest.raises(DatasetError, match=message) as exc:
+            list(read_jsonl(path, dict))
+        assert str(exc.value).isascii()
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(DatasetError, match=message.replace(":2:", ":")):
+            read_json(path, dict)
+
+    def test_repeated_key_refused_in_a_document_at_any_depth(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [{"b": 1, "c": 2, "b": 3}]}', encoding="utf-8")
+        with pytest.raises(DatasetError, match="doc.json: duplicate key 'b'"):
+            read_json(path, dict)
+
+    def test_jsonl_row_keeps_the_last_value_of_a_repeated_key(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"b": 1, "b": 3}\n', encoding="utf-8")
+        assert [row for _, row in read_jsonl(path, dict)] == [{"b": 3}]

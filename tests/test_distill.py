@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import class_space, gradient_check, reference_block_train_mlp, reference_featurize, reference_train_mlp
+from helpers import (
+    class_space,
+    cross_entropy,
+    dense,
+    gradient_check,
+    reference_block_train_mlp,
+    reference_featurize,
+    reference_train_mlp,
+)
 from labelsmith.data import ClassSpace, DatasetError, Pseudolabels, Record, RowError
 from labelsmith.synth import make_spam_corpus
 from labelsmith.distill import (
@@ -18,7 +26,6 @@ from labelsmith.distill import (
     Features,
     Hyper,
     _hash_token,
-    cross_entropy,
     export_training_set,
     featurize,
     gradients,
@@ -59,8 +66,8 @@ def xor_data(seed=0):
 class TestFeaturize:
     def test_hashed_features_unit_norm_and_deterministic(self):
         records = [Record(id="a", text="Win cash now win"), Record(id="b", text="see you")]
-        X1 = featurize(Dataset.from_records(records), 64).dense()
-        X2 = featurize(Dataset.from_records(records), 64).dense()
+        X1 = dense(featurize(Dataset.from_records(records), 64))
+        X2 = dense(featurize(Dataset.from_records(records), 64))
         np.testing.assert_array_equal(X1, X2)
         np.testing.assert_allclose(np.linalg.norm(X1, axis=1), [1.0, 1.0])
 
@@ -69,23 +76,23 @@ class TestFeaturize:
         # with eight zero bytes over lowercased [a-z0-9']+ tokens; bucket
         # 14 holds "win" twice plus one colliding token
         record = Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")
-        X = featurize(Dataset.from_records([record]), 16).dense()
+        X = dense(featurize(Dataset.from_records([record]), 16))
         u = 0.2581988897471611
         expected = [0, u, 0, 0, -u, u, 0, 0, -u, u, 0, 0, 0, 0, 0.7745966692414834, -u]
         np.testing.assert_array_equal(X, [expected])
 
     def test_lowercase_folding(self):
-        upper = featurize(Dataset.from_records([Record(id="a", text="WIN CASH")]), 64).dense()
-        lower = featurize(Dataset.from_records([Record(id="a", text="win cash")]), 64).dense()
+        upper = dense(featurize(Dataset.from_records([Record(id="a", text="WIN CASH")]), 64))
+        lower = dense(featurize(Dataset.from_records([Record(id="a", text="win cash")]), 64))
         np.testing.assert_array_equal(upper, lower)
 
     def test_scores_mode_uses_concept_order(self):
         records = [Record(id="a", scores={"b": 0.2, "a": 0.9})]
         dataset = Dataset.from_records(records)
         X = featurize(dataset, 2, concepts=["a", "b"])
-        np.testing.assert_array_equal(X.dense(), [[0.9, 0.2]])
+        np.testing.assert_array_equal(dense(X), [[0.9, 0.2]])
         X_reversed = featurize(dataset, 2, concepts=["b", "a"])
-        np.testing.assert_array_equal(X_reversed.dense(), [[0.2, 0.9]])
+        np.testing.assert_array_equal(dense(X_reversed), [[0.2, 0.9]])
 
     def test_scores_mode_missing_concept(self):
         records = [Record(id="a", scores={"a": 0.9})]
@@ -134,10 +141,10 @@ class TestRowCompressed:
         X = featurize(Dataset.from_records(records), dims)
         expected = reference_featurize(records, dims)
         assert X.dims == dims and len(X) == len(records)
-        assert _bits(X.dense()) == _bits(expected)
+        assert _bits(dense(X)) == _bits(expected)
         picks = np.arange(len(records))[::-1]
-        assert _bits(X.take(picks).dense()) == _bits(expected[picks])
-        assert _bits(X.dense(picks[:1])) == _bits(expected[picks[:1]])
+        assert _bits(dense(X.take(picks))) == _bits(expected[picks])
+        assert _bits(dense(X, picks[:1])) == _bits(expected[picks[:1]])
 
     def test_cancelling_signs_store_nothing(self):
         # two tokens that share a bucket with opposite signs cancel to 0,
@@ -152,7 +159,7 @@ class TestRowCompressed:
         records = [Record(id="r", text=" ".join(pair)), Record(id="s", text=pair[0])]
         X = featurize(Dataset.from_records(records), 2)
         assert X.indptr.tolist() == [0, 0, 1]
-        assert _bits(X.dense()) == _bits(reference_featurize(records, 2))
+        assert _bits(dense(X)) == _bits(reference_featurize(records, 2))
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(
@@ -166,7 +173,7 @@ class TestRowCompressed:
     def test_score_rows_densify_to_reference(self, scores):
         records = [Record(id=f"r{i}", scores=dict(zip("abc", row))) for i, row in enumerate(scores)]
         X = featurize(Dataset.from_records(records), 3, concepts=["c", "a", "b"])
-        assert _bits(X.dense()) == _bits(reference_featurize(records, 3, concepts=["c", "a", "b"]))
+        assert _bits(dense(X)) == _bits(reference_featurize(records, 3, concepts=["c", "a", "b"]))
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(
@@ -180,13 +187,13 @@ class TestRowCompressed:
         X = featurize(Dataset.from_records(records), dims)
         picks = np.array(picks) % len(records)
         block, cols = X.block(picks)
-        dense = X.dense(picks)
+        rows = dense(X, picks)
         assert cols.tolist() == sorted(set(X.take(picks).indices.tolist()))
         assert block.shape == (len(picks), len(cols))
-        assert _bits(block) == _bits(dense[:, cols])
+        assert _bits(block) == _bits(rows[:, cols])
         rest = np.ones(dims, dtype=bool)
         rest[cols] = False
-        assert not dense[:, rest].any()
+        assert not rows[:, rest].any()
 
     @settings(derandomize=True, database=None, max_examples=16, deadline=None)
     @given(
@@ -206,24 +213,24 @@ class TestRowCompressed:
         if kind == "scores":
             records = [Record(id=f"r{i}", scores=dict(zip("abc", rng.normal(size=3)))) for i in range(n + 40)]
             X = featurize(Dataset.from_records(records), 3, concepts=["c", "a", "b"])
-            dense = reference_featurize(records, 3, concepts=["c", "a", "b"])
+            X_dense = reference_featurize(records, 3, concepts=["c", "a", "b"])
             y = rng.integers(0, 2, size=n + 40)
         elif kind == "dense":
-            dense = rng.normal(size=(n + 40, 5))
-            X, y = dense, rng.integers(0, 2, size=n + 40)
+            X_dense = rng.normal(size=(n + 40, 5))
+            X, y = X_dense, rng.integers(0, 2, size=n + 40)
         else:
             dims = int(kind[-1])
             records, _ = make_spam_corpus(2 * (n + 40), seed=seed)
             stores_all = np.diff(featurize(Dataset.from_records(records), dims).indptr) == dims
             records = [r for r, full in zip(records, stores_all) if full][: n + 40]
             assert len(records) == n + 40
-            X, dense = featurize(Dataset.from_records(records), dims), reference_featurize(records, dims)
+            X, X_dense = featurize(Dataset.from_records(records), dims), reference_featurize(records, dims)
             y = np.array([r.gold for r in records])
         train, held = np.arange(n), np.arange(n, n + 40)
         part = (lambda rows: X.take(rows)) if isinstance(X, Features) else (lambda rows: X[rows])
         hyper, cs = Hyper(epochs=2, batch=32, seed=seed), class_space(2)
         got = train_mlp(part(train), y[train], cs, hyper, *((part(held), y[held]) if val else ()))
-        want = reference_train_mlp(dense[train], y[train], cs, hyper, *((dense[held], y[held]) if val else ()))
+        want = reference_train_mlp(X_dense[train], y[train], cs, hyper, *((X_dense[held], y[held]) if val else ()))
         for a, b in zip(got[0].weights + got[0].biases, want[0].weights + want[0].biases):
             assert _bits(a) == _bits(b)
         assert got[1] == want[1]
@@ -291,7 +298,7 @@ class TestRowCompressed:
         X = np.array([[0.0, -0.0, 2.5], [1e-300, -7.0, 0.0]])
         F = Features.from_dense(X)
         assert F.nbytes == F.indptr.nbytes + F.indices.nbytes + F.values.nbytes
-        assert _bits(F.dense()) == _bits(X)
+        assert _bits(dense(F)) == _bits(X)
         with pytest.raises(DistillError, match="2-D"):
             Features.from_dense(np.zeros(3))
 
@@ -509,7 +516,7 @@ class TestGradients:
         batch = np.arange(40, 72)
         block, cols = X.block(batch)
         got_w, got_b = gradients(model, block, y[batch], cols)
-        want_w, want_b = gradients(model, X.dense(batch), y[batch])
+        want_w, want_b = gradients(model, dense(X, batch), y[batch])
         untouched = np.ones(4096, dtype=bool)
         untouched[cols] = False
         assert untouched.any() and (want_w[0][untouched] == 0).all()
@@ -691,7 +698,7 @@ class TestPredictRefusesOtherRecipes:
         with pytest.raises(DistillError, match=r"\['a', 'b'\], but the features have the concepts \['b', 'a'\]"):
             model.predict(featurize(dataset, 2, ["b", "a"]))
         with pytest.raises(DistillError, match="but the features have 2 inputs"):
-            model.predict(featurize(dataset, 2, ["a", "b"]).dense())
+            model.predict(dense(featurize(dataset, 2, ["a", "b"])))
 
 
 # names a JSON writer must escape: quotes, backslashes, control and

@@ -23,7 +23,6 @@ from labelsmith.models import (
     MIN_PAIRS,
     LabelModelParams,
     ModelError,
-    empirical_accuracies,
     fit_dawid_skene,
     fit_snorkel_lite,
     fit_triplet,
@@ -109,18 +108,41 @@ class TestMajorityVote:
 
 
 class TestEmpiricalAccuracies:
+    """Per-program accuracy against gold is ``VoteMatrix.agreement`` of
+    the matrix's gold: what WMV weighs programs by and ``analyze``
+    reports."""
+
     def test_hand_case_with_missing_gold(self, mk_matrix):
         matrix = mk_matrix([[0, 1], [1, 1], [ABSTAIN, 0], [0, ABSTAIN]], gold=[0, 1, 0, None])
-        acc = empirical_accuracies(matrix)
+        acc = matrix.agreement(matrix.gold)
         # p0: rows 0,1 voted with gold -> correct on both
         # p1: rows 0,1,2 -> wrong on row 0, correct on rows 1 and 2
         assert acc[0] == 1.0
-        assert acc[1] == pytest.approx(2 / 3)
+        assert acc[1] == 2 / 3
 
     def test_program_without_gold_rows_is_nan(self, mk_matrix):
         matrix = mk_matrix([[0, ABSTAIN], [1, ABSTAIN]], gold=[0, 1])
-        acc = empirical_accuracies(matrix)
-        assert np.isnan(acc[1])
+        acc = matrix.agreement(matrix.gold)
+        assert acc[0] == 1.0 and np.isnan(acc[1])
+
+    @pytest.mark.parametrize("gold", [None, [None, None, None]], ids=["no-gold", "all-null"])
+    def test_no_labelled_row_is_all_nan(self, mk_matrix, gold):
+        matrix = mk_matrix([[0, 1], [1, ABSTAIN], [ABSTAIN, 0]], gold=gold)
+        acc = matrix.agreement(matrix.gold)
+        assert acc.shape == (2,) and np.isnan(acc).all()
+
+    def test_class_127_of_128_is_the_last_uint8_bin(self, mk_matrix):
+        matrix = mk_matrix([[127, 0], [127, 127], [126, ABSTAIN]], K=128, gold=[127, 127, 126])
+        assert matrix.bins.dtype == np.uint8 and matrix.bins.max() == 128
+        assert matrix.agreement(matrix.gold).tolist() == [1.0, 0.5]
+
+    def test_labels_on_every_row_count_every_vote(self, mk_matrix):
+        # the triplet's sign: agreement with majority vote, a label per row
+        matrix = mk_matrix([[0, 1, 1], [1, 1, ABSTAIN], [ABSTAIN, 0, 0], [ABSTAIN] * 3])
+        labels = np.argmax(matrix.vote_mass(), axis=1)
+        assert labels.tolist() == [1, 1, 0, 0]
+        assert matrix.agreement(labels).tolist() == [0.5, 1.0, 1.0]
+        assert (matrix.agreement(labels) * matrix.program_votes).tolist() == [1, 3, 2]
 
     def test_length_mismatch(self, mk_matrix):
         with pytest.raises(ValueError, match="gold"):

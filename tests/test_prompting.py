@@ -220,6 +220,21 @@ class TestHttpTransport:
         with pytest.raises(TransportError, match="not JSON"):
             HttpTransport("http://example.invalid").complete({})
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            (rb'{"choices": [{"message": {"content": "x\ud800"}}]}', r"lone surrogate \\ud800, which UTF-8"),
+            (b'{"choices": "caf\xe9"}', "not JSON: 'utf-8' codec can't decode"),
+        ],
+        ids=["lone-surrogate", "not-utf8"],
+    )
+    def test_reply_that_no_artifact_could_hold(self, monkeypatch, payload, match):
+        # write_json would fail on such a reply; the slot fails instead
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(payload))
+        with pytest.raises(TransportError, match=match):
+            HttpTransport("http://example.invalid").complete({})
+
     def test_network_exception_wrapped(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
 
