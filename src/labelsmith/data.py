@@ -312,6 +312,10 @@ class ClassSpace:
             raise ValueError("a class space needs at least 2 classes")
         if not all(names):
             raise ValueError("class names must be non-empty strings")
+        for name in names:
+            if found := _SURROGATE.search(name):
+                surrogate = f"\\u{ord(found.group()):04x}"
+                raise ValueError(f"class name {name!r} holds the lone surrogate {surrogate}, which UTF-8 cannot encode")
 
     @property
     def K(self) -> int:

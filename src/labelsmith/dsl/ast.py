@@ -9,10 +9,12 @@ Nodes are frozen dataclasses, so structural equality is plain ==.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Union
 
 from ..data import ABSTAIN, LabelsmithError
+from . import rex
 
 
 class DslError(LabelsmithError):
@@ -49,6 +51,11 @@ class Contains:
         if not self.needle:
             raise DslValidationError("contains() needs a non-empty string")
 
+    @functools.cached_property
+    def folded(self) -> str:
+        """The needle casefolded, as a case-insensitive search reads it."""
+        return self.needle.casefold()
+
 
 @dataclass(frozen=True)
 class ContainsAny:
@@ -61,6 +68,11 @@ class ContainsAny:
         object.__setattr__(self, "needles", tuple(self.needles))
         if not self.needles or any(not n for n in self.needles):
             raise DslValidationError("contains_any() needs non-empty strings")
+
+    @functools.cached_property
+    def folded(self) -> tuple[str, ...]:
+        """The needles casefolded, as a case-insensitive search reads them."""
+        return tuple(n.casefold() for n in self.needles)
 
 
 @dataclass(frozen=True)
@@ -182,3 +194,17 @@ class RuleProgram:
                 f"program {self.id!r} mixes text and score predicates"
             )
         object.__setattr__(self, "modality", modalities.pop())
+
+    @functools.cached_property
+    def max_live(self) -> int:
+        """The most regex steps one text position can cost an evaluation:
+        ``rex.Rex.max_live`` summed over every ``matches`` leaf occurrence
+        of the rules, since each occurrence searches at most once. An
+        evaluation on a text of n characters costs at most (n + 1) times
+        this, in whatever order its guards short-circuit."""
+        return sum(
+            rex.compile(leaf.pattern).max_live
+            for rule in self.rules
+            for leaf in iter_leaves(rule.guard)
+            if isinstance(leaf, Matches)
+        )

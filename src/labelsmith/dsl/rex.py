@@ -13,7 +13,10 @@ character's word-ness, and whether it is position 0), and a final
 newline and the end of the text are keys of their own. The cache is
 bounded by DFA_CACHE_LIMIT and emptied when full. Work is counted in
 Pike-VM steps (live threads per position scanned), which a StepBudget
-can cap.
+can cap. A search without a budget counts nothing, and first reads the
+literal strings the pattern requires (RE2's prefilter, derived from the
+parse tree at compile time), which can answer it without the DFA or let
+the DFA start late in the text; the answer is the counted scan's.
 
 Supported syntax: literals, ``.``, character classes with ranges and
 negation, escapes (\\d \\w \\s and friends), anchors ``^ $ \\A \\Z \\b \\B``,
@@ -65,6 +68,9 @@ MAX_GROUP_DEPTH = 64
 # it spans; about 1.5 MB when full); a full cache is emptied and rebuilt
 # from the current state
 DFA_CACHE_LIMIT = 10_000
+# most strings a literal set may hold; a search without a budget looks
+# for each of them with ``str.find``
+MAX_LITERALS = 16
 
 _ESCAPE_LITERALS = {
     "n": "\n",
@@ -111,6 +117,13 @@ class _CharSet:
             _shorthand_matches(k, ch) for k in self.shorthands
         )
         return hit != self.negated
+
+    def members(self) -> frozenset[str] | None:
+        """The characters the set matches, or None when they are not a
+        list of at most MAX_LITERALS code points."""
+        if self.negated or self.shorthands or sum(hi - lo + 1 for lo, hi in self.ranges) > MAX_LITERALS:
+            return None
+        return frozenset(chr(code) for lo, hi in self.ranges for code in range(lo, hi + 1))
 
 
 # AST node tags. Tuples keep the compiler compact.
@@ -398,6 +411,113 @@ def _emit(node, prog: list):
         raise RexError("pattern too large")
 
 
+_EMPTY = frozenset([""])
+
+
+def _joined(parts: list) -> frozenset[str]:
+    """Every way to pick one string from each set of ``parts`` in turn,
+    joined: each string is built once, so a long literal costs its length."""
+    return frozenset(map("".join, itertools.product(*parts)))
+
+
+def _required(strings: frozenset[str] | None) -> frozenset[str] | None:
+    """``strings`` as a requirement on a text: None when it holds the
+    empty string, which every text contains."""
+    return None if strings is None or "" in strings else strings
+
+
+def _best(*sets: frozenset[str] | None) -> frozenset[str] | None:
+    """The requirement least often met by chance: the one whose shortest
+    string is longest, then the one with the fewest strings."""
+    usable = [s for s in sets if s is not None]
+    return max(usable, key=lambda s: (min(map(len, s), default=0), -len(s)), default=None)
+
+
+def _union(sets: list) -> frozenset[str] | None:
+    """The union of ``sets``; None when one is None or it would hold more
+    than MAX_LITERALS strings."""
+    if None in sets:
+        return None
+    union = frozenset().union(*sets)
+    return union if len(union) <= MAX_LITERALS else None
+
+
+def _literals(node) -> tuple[frozenset[str] | None, frozenset[str] | None]:
+    """``(exact, required)`` for an AST node, as RE2's prefilter derives
+    them (Cox, "Regular Expression Matching with a Trigram Index").
+
+    ``exact`` is the set of strings the node matches, or None when that
+    is not a set of at most MAX_LITERALS strings or an assertion takes
+    part. ``required`` is a set of nonempty strings at least one of which
+    every match of the node contains, or None when there is none.
+    """
+    tag = node[0]
+    if tag == "lit":
+        exact = node[1].members()
+        return exact, _required(exact)
+    if tag in ("any", "assert", "star"):
+        return None, None
+    if tag == "opt":
+        exact, _ = _literals(node[1])
+        return _union([exact, _EMPTY]), None
+    if tag == "plus":
+        return None, _literals(node[1])[1]
+    if tag == "rep":  # as _emit spells it out
+        _, child, m, n = node
+        if n is not None:
+            return _literals(("cat", [child] * m + [("opt", child)] * (n - m)))
+        return _literals(("cat", [child] * (m - 1) + [("plus", child)]) if m else ("star", child))
+    if tag == "alt":
+        branches = [_literals(branch) for branch in node[1]]
+        exact = _union([e for e, _ in branches])
+        if exact is not None:
+            return exact, _required(exact)
+        return None, _union([r for _, r in branches])
+    # cat: a run of children with exact sets matches one of the strings
+    # joined from them; an assertion matches the empty string there, but
+    # those strings are then no longer the cat's exact set
+    whole = True
+    required = None
+    run: list = []  # the exact sets of the current run of children
+    size = 1  # the strings they join to
+    for child in node[1]:
+        if child[0] == "assert":
+            whole = False
+            continue
+        exact, child_required = _literals(child)
+        if exact is not None and size * len(exact) <= MAX_LITERALS:
+            run.append(exact)
+            size *= len(exact)
+            continue
+        whole = False
+        required = _best(required, _required(_joined(run)), child_required)
+        run, size = ([], 1) if exact is None else ([exact], len(exact))
+    if whole:
+        exact = _joined(run)
+        return exact, _required(exact)
+    return None, _best(required, _required(_joined(run)))
+
+
+def _width(node) -> int | None:
+    """The most characters a match of ``node`` spans; None when unbounded."""
+    tag = node[0]
+    if tag in ("lit", "any"):
+        return 1
+    if tag == "assert":
+        return 0
+    if tag in ("star", "plus"):
+        return None
+    if tag == "opt":
+        return _width(node[1])
+    if tag == "rep":
+        width = _width(node[1])
+        return None if width is None or node[3] is None else width * node[3]
+    widths = [_width(child) for child in node[1]]
+    if None in widths:
+        return None
+    return sum(widths) if tag == "cat" else max(widths)
+
+
 # the key for a last character "\n", read as "\n" but with $ holding before
 # it; any other position's key is its character, and the end's is None
 FINAL_NEWLINE = "\n$"
@@ -455,13 +575,33 @@ class Rex:
     on a key is computed once and then costs one dict lookup. The cache is
     bounded by DFA_CACHE_LIMIT. Searches fill the cache, so one Rex must
     not search in two threads at once.
+
+    ``max_live`` is the number of pcs that read a character or match: no
+    position scanned has more live threads, so a search of a text of n
+    characters costs at most (n + 1) * max_live steps. ``literals``,
+    ``exact`` and ``width`` are what a search without a budget reads
+    before it scans (see ``search``).
     """
 
-    __slots__ = ("pattern", "prog", "_states", "_threads", "_cached")
+    __slots__ = (
+        "pattern", "prog", "max_live", "literals", "exact", "width", "_states", "_threads", "_cached"
+    )
 
-    def __init__(self, pattern: str, prog: tuple):
+    def __init__(self, pattern: str):
+        ast = _Parser(pattern).parse()
+        prog: list = []
+        _emit(ast, prog)
+        prog.append(("match",))
         self.pattern = pattern
-        self.prog = prog
+        self.prog = tuple(prog)
+        self.max_live = sum(op[0] in ("lit", "any", "match") for op in self.prog)
+        exact, required = _literals(ast)
+        # exact: the pattern is an alternation of these strings; otherwise
+        # every match contains one of them (None: no such set is known)
+        self.exact = exact is not None
+        literals = exact if self.exact else required
+        self.literals = None if literals is None else tuple(sorted(literals))
+        self.width = _width(ast)
         self._states: dict[tuple[int, bool, bool], _State] = {}
         # one thread's move, keyed by its context (word-ness of the
         # previous character, position 0 or not, key read), then by the
@@ -594,16 +734,32 @@ class Rex:
     def search(self, text: str, budget: StepBudget | None = None) -> bool:
         """True when the pattern matches anywhere in ``text``.
 
-        The work is counted in Pike-VM steps, one per live thread per
-        position scanned, so it depends only on the pattern and the text,
-        never on the cache. With a ``budget`` the steps are drawn from it,
-        and a search that would overdraw it raises RexBudgetExceeded
-        instead of answering.
+        With a ``budget`` the DFA scans the whole text, and its work is
+        counted in Pike-VM steps, one per live thread per position
+        scanned, so it depends only on the pattern and the text, never on
+        the cache. The steps are drawn from the budget, and a search that
+        would overdraw it raises RexBudgetExceeded instead of answering.
+
+        Without one nothing is counted, and the search skips what cannot
+        change its answer, after RE2's required-literal prefilter: a
+        pattern that is an alternation of literal strings answers by
+        looking for them; otherwise, when every match contains one of
+        ``literals``, a text holding none of them answers False, and
+        when no match spans more than ``width`` characters, none can
+        start more than ``width`` before the first one found, so the DFA
+        starts there, in the context of the character before.
         """
+        start = 0
+        if budget is None and self.literals is not None:
+            found = [i for i in map(text.find, self.literals) if i >= 0]
+            if not found or self.exact:
+                return bool(found)
+            if self.width is not None:
+                start = max(0, min(found) - self.width)
         limit = budget.left if budget is not None else None
         last = text[-1:]
-        keys = itertools.chain(text[:-1], (FINAL_NEWLINE,) if last == "\n" else last, (None,))
-        state = self._intern(0, False, True)
+        keys = itertools.chain(text[start:-1], (FINAL_NEWLINE,) if last == "\n" else last, (None,))
+        state = self._intern(0, _is_word(text[start - 1]), False) if start else self._intern(0, False, True)
         steps = 0
         for key in keys:
             try:
@@ -623,8 +779,4 @@ class Rex:
 @functools.lru_cache(maxsize=512)
 def compile(pattern: str) -> Rex:
     """Compile a pattern, rejecting anything outside the linear-time subset."""
-    ast = _Parser(pattern).parse()
-    prog: list = []
-    _emit(ast, prog)
-    prog.append(("match",))
-    return Rex(pattern, tuple(prog))
+    return Rex(pattern)

@@ -189,6 +189,8 @@ class HttpTransport:
             doc = json.loads(text)
         except ValueError as exc:  # UnicodeDecodeError too
             raise TransportError(f"response is not JSON: {exc}") from exc
+        except RecursionError:
+            raise TransportError("response is JSON nested too deeply") from None
         surrogate = lone_surrogate(text, doc)
         if surrogate is not None:
             raise TransportError(f"response holds the lone surrogate {surrogate}, which UTF-8 cannot encode")

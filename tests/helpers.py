@@ -9,7 +9,10 @@ per-row formula the array writer must match byte for byte. The
 reference triplet estimator is the float loop over program pairs that
 the integer products in ``fit_triplet`` replaced. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
-``labelsmith.dsl.rex`` replaced. The reference featurizer and trainer
+``labelsmith.dsl.rex`` replaced. The reference evaluator is the
+evaluation that counts every regex step of every record, which
+``dsl.evaluate`` skips where the budget cannot run out; its votes and its
+budget warnings must be the same. The reference featurizer and trainer
 are the dense (n, dims) versions that the row-compressed ones in
 ``labelsmith.distill`` replaced; with ``lazy`` the trainer computes what
 the block trainer does, up to summation order. The reference block
@@ -28,6 +31,7 @@ exp and log round differently from where the hashes were taken.
 import hashlib
 import itertools
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -49,7 +53,20 @@ from labelsmith.distill import (
     init_mlp,
     logger,
 )
-from labelsmith.dsl import rex
+from labelsmith.dsl import (
+    DEFAULT_BUDGET_STEPS,
+    And,
+    Contains,
+    ContainsAny,
+    DslEvaluationError,
+    LengthAtLeast,
+    Matches,
+    Not,
+    Or,
+    ScoreCmp,
+    UppercaseRatioAtLeast,
+    rex,
+)
 
 
 def class_space(K):
@@ -270,6 +287,84 @@ def reference_pike_vm(compiled, text):
             elif op[1].matches(nxt):
                 carried.append(pc + 1)
     return False, steps
+
+
+def reference_evaluate(program, record, budget_steps=DEFAULT_BUDGET_STEPS):
+    """``dsl.evaluate`` with every regex step counted: each record gets a
+    StepBudget, each ``matches`` leaf reached scans its whole text on the
+    DFA and draws on it, and the search that overdraws it makes the
+    program vote ABSTAIN and log the same warning."""
+    if record.modality != program.modality:
+        raise DslEvaluationError(
+            f"program {program.id!r} expects {program.modality} records, "
+            f"record {record.id!r} is {record.modality}"
+        )
+    budget = rex.StepBudget(budget_steps)
+    try:
+        for rule in program.rules:
+            if _reference_eval(rule.guard, record, program, budget):
+                return rule.target
+        return program.default
+    except rex.RexBudgetExceeded:
+        logging.getLogger("labelsmith.dsl").warning(
+            "program %s timed out on record %s (budget %d regex steps); voting ABSTAIN",
+            program.id,
+            record.id,
+            budget_steps,
+        )
+        return ABSTAIN
+
+
+def _reference_eval(expr, record, program, budget) -> bool:
+    if isinstance(expr, And):
+        return all(_reference_eval(c, record, program, budget) for c in expr.children)
+    if isinstance(expr, Or):
+        return any(_reference_eval(c, record, program, budget) for c in expr.children)
+    if isinstance(expr, Not):
+        return not _reference_eval(expr.child, record, program, budget)
+    if isinstance(expr, Contains):
+        return _reference_contains(record.text, expr.needle, expr.case_sensitive)
+    if isinstance(expr, ContainsAny):
+        return any(_reference_contains(record.text, n, expr.case_sensitive) for n in expr.needles)
+    if isinstance(expr, Matches):
+        return rex.compile(expr.pattern).search(record.text, budget)
+    if isinstance(expr, LengthAtLeast):
+        return len(record.text) >= expr.n
+    if isinstance(expr, UppercaseRatioAtLeast):
+        return reference_uppercase_ratio(record.text) >= expr.ratio
+    if isinstance(expr, ScoreCmp):
+        try:
+            value = record.scores[expr.concept]
+        except KeyError:
+            raise DslEvaluationError(
+                f"program {program.id!r}: record {record.id!r} has no score "
+                f"for concept {expr.concept!r}"
+            ) from None
+        if expr.op == ">=":
+            return value >= expr.threshold
+        if expr.op == ">":
+            return value > expr.threshold
+        if expr.op == "<=":
+            return value <= expr.threshold
+        return value < expr.threshold
+    raise TypeError(f"not a DSL expression: {expr!r}")
+
+
+def _reference_contains(text, needle, case_sensitive) -> bool:
+    if case_sensitive:
+        return needle in text
+    return needle.casefold() in text.casefold()
+
+
+def reference_uppercase_ratio(text) -> float:
+    """Uppercase letters over all letters, one character at a time."""
+    letters = upper = 0
+    for ch in text:
+        if ch.isalpha():
+            letters += 1
+            if ch.isupper():
+                upper += 1
+    return upper / letters if letters else 0.0
 
 
 NESTED_GUARD_FORMS = ("nots", "parentheses", "regex-groups")

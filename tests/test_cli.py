@@ -158,10 +158,14 @@ def _modules_after(argv) -> list[str]:
         f"    assert labelsmith.cli.main({argv!r}) == 0\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('labelsmith'))))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.mark.parametrize("command", list(RUNS))
@@ -1406,8 +1410,9 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
         ("a,,b", "class names must be non-empty strings"),
         ("a", "a class space needs at least 2 classes"),
         ("a,a", "classes must be unique strings, but entry 1 repeats 'a'"),
+        ("sp\udcffam,ham", "class name 'sp\\udcffam' holds the lone surrogate \\udcff, which UTF-8 cannot encode"),
     ],
-    ids=["empty-name", "one-class", "duplicate"],
+    ids=["empty-name", "one-class", "duplicate", "lone-surrogate"],
 )
 def test_malformed_classes_rejected(argv, classes, reason, tmp_path, capsys):
     out = tmp_path / "out"
@@ -1415,4 +1420,31 @@ def test_malformed_classes_rejected(argv, classes, reason, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1, err
     assert err == f"error: --classes: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["apply", "train"])
+def test_class_name_of_undecodable_bytes_rejected(command, corpus_file, tmp_path):
+    # argv bytes that are not UTF-8 reach Python as lone surrogates, which
+    # no artifact can hold: apply wrote a 0-byte votes.json, and train a
+    # model.json that eval refuses
+    if command == "apply":
+        progs = tmp_path / "progs"
+        progs.mkdir()
+        (progs / "ham.lf").write_text('rule: contains("lunch") -> ham;\n', encoding="utf-8")
+        argv = ["apply", "--programs", str(progs), "--data", corpus_file]
+    else:
+        train = tmp_path / "train.jsonl"
+        train.write_text(_jsonl({**_ROW, "label": 0}, {"id": "b", "text": "hi", "label": 1}))
+        argv = ["train", "--train-file", str(train), "--epochs", "1", "--dims", "16"]
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "labelsmith", *argv, "--classes", b"sp\xffam,ham", "--out", str(out)],
+        capture_output=True,
+        env=_src_env(),
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == (
+        b"error: --classes: class name 'sp\\udcffam' holds the lone surrogate \\udcff, which UTF-8 cannot encode\n"
+    )
     assert not out.exists()

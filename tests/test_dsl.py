@@ -11,7 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import NESTED_GUARD_FORMS, nested_guard, reference_pike_vm
+from helpers import (
+    NESTED_GUARD_FORMS,
+    nested_guard,
+    reference_evaluate,
+    reference_pike_vm,
+    reference_uppercase_ratio,
+)
 from labelsmith.data import ABSTAIN, ClassSpace, Record
 from labelsmith.dsl import (
     And,
@@ -39,6 +45,7 @@ from labelsmith.dsl import (
 )
 from labelsmith.dsl import parser as dsl_parser
 from labelsmith.dsl import rex
+from labelsmith.dsl.evaluate import _uppercase_ratio
 from labelsmith.records import Dataset, assemble_votes
 
 
@@ -430,6 +437,144 @@ class TestEvaluator:
         assert evaluate(program, record, budget_steps=charge - 1) == ABSTAIN
 
 
+# pattern pieces whose matches hold literal strings: strings and their
+# alternations, \b, ^, $, classes, and repeats bounded and not
+_LITERAL_PIECES = ["ab", "ss", "1/10", "(ab|ba)", "(ss|ß)", r"\b", "^", "$", "[6-9]", "[ab]",
+                   "a{2}", "(ab){1,3}", "b+", "a*", ".", r"\s", "\n", "x?"]
+_LITERAL_PATTERN = st.lists(
+    st.lists(st.sampled_from(_LITERAL_PIECES), min_size=1, max_size=4).map("".join), min_size=1, max_size=3
+).map("|".join)
+# texts of pieces the patterns and needles look for, at random offsets,
+# ending in a newline or not
+_PLANTED_TEXT = st.builds(
+    lambda parts, newline: "".join(parts) + "\n" * newline,
+    st.lists(
+        st.sampled_from(["a", "b", " ", "ab", "ba", "ss", "SS", "ß", "ẞ", "1/10", "7/10", "x", "é", "\n",
+                         "Lorem ipsum "]),
+        max_size=60,
+    ),
+    st.booleans(),
+)
+_NEEDLE = st.sampled_from(["ss", "SS", "ß", "ẞ", "ab", "Ab", "1/10", "x"])
+_LEAF = st.one_of(
+    st.builds(Contains, _NEEDLE, st.booleans()),
+    st.builds(ContainsAny, st.lists(_NEEDLE, min_size=1, max_size=3).map(tuple), st.booleans()),
+    st.builds(Matches, _LITERAL_PATTERN),
+    st.builds(LengthAtLeast, st.integers(0, 80)),
+    st.builds(UppercaseRatioAtLeast, st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+)
+_GUARD = st.recursive(
+    _LEAF,
+    lambda child: st.one_of(
+        st.builds(Not, child),
+        st.lists(child, min_size=2, max_size=3).map(lambda c: And(tuple(c))),
+        st.lists(child, min_size=2, max_size=3).map(lambda c: Or(tuple(c))),
+    ),
+    max_leaves=6,
+)
+_TARGET = st.sampled_from([ABSTAIN, 0, 1])
+
+
+@st.composite
+def _programs(draw):
+    """One to three rules, and half the time a fourth whose guard is the
+    first's, so its leaves occur twice."""
+    rules = [Rule(draw(_GUARD), draw(_TARGET)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        rules.append(Rule(rules[0].guard, draw(_TARGET)))
+    return RuleProgram(id="p", rules=tuple(rules), default=draw(_TARGET))
+
+
+@contextlib.contextmanager
+def dsl_warnings():
+    """The messages the dsl logger warns with inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    dsl_logger = logging.getLogger("labelsmith.dsl")
+    level = dsl_logger.level
+    dsl_logger.addHandler(handler)
+    dsl_logger.setLevel(logging.WARNING)
+    try:
+        yield messages
+    finally:
+        dsl_logger.removeHandler(handler)
+        dsl_logger.setLevel(level)
+
+
+@contextlib.contextmanager
+def search_budgets():
+    """The budget each ``Rex.search`` inside the block was passed."""
+    budgets = []
+    search = rex.Rex.search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            rex.Rex, "search", lambda self, text, budget=None: budgets.append(budget) or search(self, text, budget)
+        )
+        yield budgets
+
+
+class TestUncountedEvaluation:
+    """Where (len(text) + 1) * max_live is within the budget, evaluate
+    counts no steps; votes and budget warnings stay the counted ones."""
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(program=_programs(), text=_PLANTED_TEXT, budget=st.one_of(st.integers(0, 400), st.integers(0, 20_000)))
+    def test_votes_and_warnings_match_the_counted_oracle(self, program, text, budget):
+        record = Record(id="r", text=text)
+        with dsl_warnings() as counted:
+            expected = reference_evaluate(program, record, budget)
+        with dsl_warnings() as warned:
+            vote = evaluate(program, record, budget_steps=budget)
+        assert (vote, warned) == (expected, counted)
+
+    def test_bound_at_the_budget_is_uncounted_and_one_past_it_counted(self, spam_cs):
+        program = parse_program(SPACED_PROGRAM, spam_cs)
+        leaves = [leaf for rule in program.rules for leaf in iter_leaves(rule.guard)]
+        assert program.max_live == sum(rex.compile(leaf.pattern).max_live for leaf in leaves)
+        budget = (len(LONG_HAM) + 1) * program.max_live
+        for text, steps, counted in (
+            (LONG_HAM, budget, False),
+            (LONG_HAM, budget - 1, True),
+            ("x" + LONG_HAM, budget, True),
+        ):
+            record = Record(id="r", text=text)
+            expected = reference_evaluate(program, record, steps)
+            with search_budgets() as budgets:
+                assert evaluate(program, record, budget_steps=steps) == expected == 1
+            assert len(budgets) == 2
+            assert all((b is not None) == counted for b in budgets), (len(text), steps)
+
+    def test_a_repeated_leaf_counts_twice(self, spam_cs):
+        program = parse_program('rule: matches("ab") -> spam; rule: matches("ab") or contains("c") -> ham;', spam_cs)
+        assert program.max_live == 2 * rex.compile("ab").max_live == 6
+        record = Record(id="r", text="x" * 99)
+        with search_budgets() as budgets:
+            evaluate(program, record, budget_steps=600)
+            evaluate(program, record, budget_steps=599)
+        assert [b is None for b in budgets] == [True, True, False, False]
+
+    @pytest.mark.parametrize("needle", ["ss", "SS", "ß", "ẞ"])
+    @pytest.mark.parametrize("text", ["Straße", "STRASSE", "strasse", "STRAẞE", "strase"])
+    def test_contains_folds_text_and_needles_alike(self, spam_cs, needle, text):
+        for source in (f'rule: contains("{needle}") -> spam;', f'rule: contains_any(["x", "{needle}"]) -> spam;'):
+            program = parse_program(source, spam_cs)
+            record = Record(id="r", text=text)
+            expected = ABSTAIN if text == "strase" else 0
+            assert evaluate(program, record) == reference_evaluate(program, record) == expected
+
+    def test_score_programs_never_count(self, spam_cs):
+        program = parse_program('rule: score("c") >= 0.5 -> spam;', spam_cs)
+        assert program.max_live == 0
+        assert evaluate(program, Record(id="r", scores={"c": 0.7}), budget_steps=0) == 0
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    # ǅ is titlecase, and Ⅷ and Ⓐ are uppercase but not letters
+    @given(text=st.text(st.sampled_from(list("aZ 1_\n") + list("éÉßẞǅⅧⒶλЖ")), max_size=60))
+    def test_uppercase_ratio_counts_as_the_loop_did(self, text):
+        assert _uppercase_ratio(text) == reference_uppercase_ratio(text)
+
+
 # two spaced-letter leaves, the costliest pattern shape for the regex engine
 SPACED_PROGRAM = (
     'rule: matches("(g r e a t|l o v e d|b r i l l i a n t|s u p e r b|m o v i n g)") -> spam;'
@@ -654,10 +799,9 @@ class TestRexEngine:
         # be replayed at a middle position, nor the other way round: each
         # text runs on a fresh pattern and on one that already searched a
         # longer text, which then searches the longer text again
-        prog = rex.compile(pattern).prog
         for text in EDGE_TEXTS:
             longer = text + "a\nb " + text
-            fresh, warm = rex.Rex(pattern, prog), rex.Rex(pattern, prog)
+            fresh, warm = rex.Rex(pattern), rex.Rex(pattern)
             warm.search(longer)
             for compiled, haystack in ((fresh, text), (warm, text), (fresh, longer)):
                 budget = rex.StepBudget(10**9)
@@ -668,6 +812,41 @@ class TestRexEngine:
                 else:
                     assert matched == bool(stdlib_re.search(pattern, haystack)), (pattern, haystack)
                 assert (matched, 10**9 - budget.left) == reference_pike_vm(compiled, haystack)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(pattern=_LITERAL_PATTERN, text=_PLANTED_TEXT)
+    def test_unbudgeted_search_agrees_with_pike_vm(self, pattern, text):
+        compiled = rex.compile(pattern)
+        assert compiled.search(text) == reference_pike_vm(compiled, text)[0], (pattern, text)
+
+    @pytest.mark.parametrize(
+        "pattern, exact, literals, width",
+        [
+            ("(g r e a t|l o v e d)", True, ("g r e a t", "l o v e d"), 9),
+            ("colou?r", True, ("color", "colour"), 6),
+            ("a|", True, ("", "a"), 1),
+            (r"\b(10|[6-9])/10\b", False, ("10/10", "6/10", "7/10", "8/10", "9/10"), 5),
+            (r"\b(highly|strongly) recommend", False, ("highly recommend", "strongly recommend"), 18),
+            (r"\d+ dollars", False, (" dollars",), None),
+            ("a+bcd", False, ("bcd",), None),
+            ("(ab)+c{2,3}", False, ("ab",), None),
+            ("[a-z]x", False, ("x",), 2),
+            ("^$", False, None, 0),
+            ("a*", False, None, None),
+        ],
+    )
+    def test_prefilter(self, pattern, exact, literals, width):
+        compiled = rex.compile(pattern)
+        assert (compiled.exact, compiled.literals, compiled.width) == (exact, literals, width)
+
+    def test_prefilter_skips_to_the_first_literal(self):
+        # the DFA starts width characters before the first literal found:
+        # a match there is found, and \b still reads the character before it
+        compiled = rex.compile(r"\b[6-9]/10\b")
+        assert compiled.search("x" * 50 + " 8/10")
+        assert not compiled.search("x" * 50 + "88/10")
+        assert not compiled.search("a8/10")
+        assert compiled.search("8/10")
 
     def test_literal_leading_brace(self):
         # unlike the stdlib, a brace with no preceding atom is a literal
@@ -688,7 +867,7 @@ class TestRexEngine:
         with pytest.MonkeyPatch.context() as mp:
             if cache_limit is not None:
                 mp.setattr(rex, "DFA_CACHE_LIMIT", cache_limit)
-                compiled = rex.Rex(pattern, compiled.prog)
+                compiled = rex.Rex(pattern)
             budget = rex.StepBudget(10**9)
             matched = compiled.search(text, budget)
             assert matched == bool(oracle.search(text)), (pattern, text)
@@ -698,7 +877,7 @@ class TestRexEngine:
     def test_blow_up_pattern_is_linear_with_a_bounded_cache(self):
         # every position of a random a/b text is a new DFA state
         pattern = "(a|b)*a(a|b){20}c"
-        compiled = rex.Rex(pattern, rex.compile(pattern).prog)
+        compiled = rex.Rex(pattern)
         text = "".join(np.random.default_rng(7).choice(["a", "b"], size=100_000))
         planted = text[:-21] + "a" + text[-20:] + "c"
         # stdlib backtracking is quadratic on the first text; the leading

@@ -225,8 +225,9 @@ class TestHttpTransport:
         [
             (rb'{"choices": [{"message": {"content": "x\ud800"}}]}', r"lone surrogate \\ud800, which UTF-8"),
             (b'{"choices": "caf\xe9"}', "not JSON: 'utf-8' codec can't decode"),
+            (b"[" * 100_000, "JSON nested too deeply"),
         ],
-        ids=["lone-surrogate", "not-utf8"],
+        ids=["lone-surrogate", "not-utf8", "nested-too-deeply"],
     )
     def test_reply_that_no_artifact_could_hold(self, monkeypatch, payload, match):
         # write_json would fail on such a reply; the slot fails instead
@@ -234,6 +235,17 @@ class TestHttpTransport:
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(payload))
         with pytest.raises(TransportError, match=match):
             HttpTransport("http://example.invalid").complete({})
+
+    def test_nested_reply_fails_its_slot(self, monkeypatch):
+        # a RecursionError would escape generate, which fails a slot on
+        # TransportError only
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(b"[" * 100_000))
+        job = GenerationJob(prompt=make_spec(), model="m", n_programs=1)
+        transport = HttpTransport("http://example.invalid")
+        [result] = generate_programs(job, ClassSpace(("spam", "ham")), transport, sleep=lambda _: None)
+        assert not result.ok
+        assert result.error.endswith("response is JSON nested too deeply"), result.error
 
     def test_network_exception_wrapped(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
