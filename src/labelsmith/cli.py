@@ -517,10 +517,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_argv(argv) -> None:
+    # argument bytes that are not UTF-8 reach Python as lone surrogates,
+    # which no output file could hold
+    for arg in argv:
+        try:
+            arg.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            surrogate = f"\\u{ord(arg[exc.start]):04x}"
+            raise CliError(f"argument {arg!r} holds the lone surrogate {surrogate}, which UTF-8 cannot encode") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        _check_argv(sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (LabelsmithError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import LabelsmithError, json_field, read_array, read_json, unique_strings, write_array, write_json
+from .data import (
+    LabelsmithError,
+    json_field,
+    json_type,
+    parse_json,
+    read_array,
+    read_json,
+    unique_strings,
+    write_array,
+    write_json,
+)
 from .prompting import (
     Transport,
     TransportError,
@@ -95,18 +105,20 @@ def _json_candidates(text: str):
 def parse_concept_response(task: str, text: str) -> ConceptSet:
     """Concepts from a model reply: either a JSON object mapping concept
     categories to description lists (flattened in order) or a flat JSON
-    list. Duplicates are dropped with a warning."""
+    list. Each candidate is read as a file is; a malformed one gives way
+    to the next. Duplicates are dropped with a warning."""
     doc = None
     for candidate in _json_candidates(text):
         try:
-            doc = json.loads(candidate)
+            doc = parse_json(candidate, "concept response", error=ConceptError)
             break
-        except json.JSONDecodeError:
-            continue
+        except ConceptError as exc:
+            if not isinstance(exc.__cause__, json.JSONDecodeError):
+                raise
     if isinstance(doc, dict):
-        flat = [str(d) for descriptions in doc.values() for d in descriptions]
+        flat = [d for category, ds in doc.items() for d in _descriptions(ds, f"concept category {category!r}")]
     elif isinstance(doc, list):
-        flat = [str(d) for d in doc]
+        flat = _descriptions(doc, "concept response")
     else:
         raise ConceptError("concept response is not a JSON object or list")
     if not flat:
@@ -117,6 +129,16 @@ def parse_concept_response(task: str, text: str) -> ConceptSet:
             logger.warning("duplicate concept %r dropped", concept)
         seen.setdefault(concept)
     return ConceptSet(task=task, concepts=tuple(seen))
+
+
+def _descriptions(values, where: str) -> list[str]:
+    """``values``, checked to be a list of strings."""
+    if type(values) is not list:
+        raise ConceptError(f"{where} is {json_type(values)}, expected a list of strings")
+    for i, value in enumerate(values):
+        if type(value) is not str:
+            raise ConceptError(f"{where} entry {i} is {json_type(value)}, expected a string")
+    return values
 
 
 def elicit_concepts(

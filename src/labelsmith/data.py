@@ -137,16 +137,18 @@ def lone_surrogate(text: str, doc) -> str | None:
     return None
 
 
-def _parse(text: str, path, lineno: int | None, error: type[LabelsmithError]):
-    """``json.loads`` of a whole file's text, or of line ``lineno`` of a
-    JSONL file; text it cannot read, a string UTF-8 cannot encode and a
-    repeated key in a whole file raise ``error`` naming the path and
-    line. A JSONL row keeps ``json.loads``'s last value of a repeated
-    key: an ``object_pairs_hook`` doubles the time a row takes."""
+def parse_json(text: str, where, *, error: type[LabelsmithError] = DatasetError, lineno: int | None = None):
+    """``json.loads`` of a whole JSON document held as text, or of line
+    ``lineno`` of a JSONL file. Text it cannot read, a string UTF-8 cannot
+    encode and a repeated key in a whole document raise ``error`` naming
+    ``where`` (a path, say) and the line; malformed JSON raises it from
+    the ``json.JSONDecodeError``. A JSONL row keeps ``json.loads``'s last
+    value of a repeated key: an ``object_pairs_hook`` doubles the time a
+    row takes."""
     try:
         doc = json.loads(text) if lineno else json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise error(f"{path}:{lineno or exc.lineno}: malformed JSON ({exc.msg})") from None
+        raise error(f"{where}:{lineno or exc.lineno}: malformed JSON ({exc.msg})") from exc
     except RecursionError:
         problem = "JSON nested too deeply"
     except ValueError:  # an integer longer than int's string conversion allows
@@ -158,14 +160,14 @@ def _parse(text: str, path, lineno: int | None, error: type[LabelsmithError]):
         if surrogate is None:
             return doc
         problem = f"a string holds the lone surrogate {surrogate}, which UTF-8 cannot encode"
-    where = path if lineno is None else f"{path}:{lineno}"
+    where = where if lineno is None else f"{where}:{lineno}"
     raise error(f"{where}: {problem}")
 
 
 def read_json(path, build: Callable, *, error: type[LabelsmithError] = DatasetError):
     """Parse a JSON file and check it into an artifact with ``build``. Bad
     bytes, bad JSON and anything ``build`` rejects raise ``error``."""
-    doc = _parse(read_text(path, error=error), path, None, error)
+    doc = parse_json(read_text(path, error=error), path, error=error)
     return _checked(build, doc, str(path), error)
 
 
@@ -181,7 +183,7 @@ def read_jsonl(path, build: Callable, *, error: type[LabelsmithError] = DatasetE
                 raise error(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
             if not line.strip():
                 continue
-            yield lineno, _checked(build, _parse(line, path, lineno, error), f"{path}:{lineno}", error)
+            yield lineno, _checked(build, parse_json(line, path, error=error, lineno=lineno), f"{path}:{lineno}", error)
 
 
 def write_json(path, doc) -> Path:
@@ -312,10 +314,6 @@ class ClassSpace:
             raise ValueError("a class space needs at least 2 classes")
         if not all(names):
             raise ValueError("class names must be non-empty strings")
-        for name in names:
-            if found := _SURROGATE.search(name):
-                surrogate = f"\\u{ord(found.group()):04x}"
-                raise ValueError(f"class name {name!r} holds the lone surrogate {surrogate}, which UTF-8 cannot encode")
 
     @property
     def K(self) -> int:

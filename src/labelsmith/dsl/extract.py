@@ -3,8 +3,7 @@
 Completions usually wrap programs in fenced code blocks, one program per
 block, often with prose around them. The extractor parses each block in
 turn so one malformed block does not sink a later good one. Plain string
-splitting handles the fences; untrusted text never reaches a
-backtracking matcher.
+splitting finds the fences, so no pattern reads the whole completion.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import logging
 import re as _stdre
 from dataclasses import dataclass
 
-from ..data import ABSTAIN, ClassSpace
+from ..data import ABSTAIN, ClassSpace, lone_surrogate
 from . import rex
 from .ast import (
     And,
@@ -59,10 +59,36 @@ _PUNCT = {
     "=": "EQ",
 }
 
+# One alternative per token kind, tried in order at each position. No two
+# match the same prefix: each starts with characters no other takes, but
+# ARROW and NUMBER, which part at the character after '-', and BAD, which
+# takes one character that every other refused and ends the scan. Only
+# STRING can read far and then fail (an unterminated literal), and BAD
+# follows it. So each character is read a bounded number of times, and a
+# scan takes time linear in the source.
+_TOKEN = _stdre.compile(
+    r"""(?P<NEWLINE>\n)
+      | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+      | (?P<ARROW>->)
+      | (?P<NUMBER>-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))
+      | (?P<CMP>[<>]=?)
+      | (?P<PUNCT>[()\[\],;:=])
+      | (?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*"|'[^'\\\n]*(?:\\.[^'\\\n]*)*')
+      | (?P<IDENT>[^\W\d]\w*)
+      | (?P<BAD>.)""",
+    _stdre.VERBOSE,
+)
+_BAD = {'"': "unterminated string", "'": "unterminated string", "-": "expected '->' or a number after '-'"}
+# a literal is a JSON string but for the DSL's extra escape \' and, in
+# '...', a bare "
+_NOT_JSON = _stdre.compile(r'\\.|"')
+_AS_JSON = {"\\'": "'", '"': '\\"'}
+_JSON_STRING = json.JSONDecoder(strict=False)
+
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # IDENT STRING NUMBER ARROW CMP LPAREN RPAREN COMMA SEMI COLON EQ EOF
+    kind: str  # IDENT STRING NUMBER ARROW CMP LPAREN RPAREN LBRACK RBRACK COMMA SEMI COLON EQ EOF
     value: object
     line: int
     col: int
@@ -70,121 +96,41 @@ class _Token:
 
 def _scan(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def err(message: str):
-        raise DslParseError(message, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "-":
-            if i + 1 < n and source[i + 1] == ">":
-                tokens.append(_Token("ARROW", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            if i + 1 < n and (source[i + 1] in "0123456789" or source[i + 1] == "."):
-                pass  # negative number, falls through to the digit branch
-            else:
-                err("expected '->' or a number after '-'")
-        if ch == ">" or ch == "<":
-            if i + 1 < n and source[i + 1] == "=":
-                tokens.append(_Token("CMP", ch + "=", line, col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(_Token("CMP", ch, line, col))
-                i += 1
-                col += 1
-            continue
-        if ch in "\"'":
-            quote = ch
-            i += 1
-            col += 1
-            out = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise DslParseError("unterminated string", line, start_col)
-                c = source[i]
-                if c == quote:
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise DslParseError("unterminated string", line, start_col)
-                    esc = source[i + 1]
-                    mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "'": "'", "\\": "\\", "/": "/"}.get(esc)
-                    if mapped is not None:
-                        out.append(mapped)
-                        i += 2
-                        col += 2
-                    elif esc == "u":
-                        digits = source[i + 2 : i + 6]
-                        if len(digits) != 4 or any(d not in "0123456789abcdefABCDEF" for d in digits):
-                            raise DslParseError("bad \\u escape", line, col)
-                        out.append(chr(int(digits, 16)))
-                        i += 6
-                        col += 6
-                    else:
-                        raise DslParseError(f"unknown escape \\{esc}", line, col)
-                else:
-                    out.append(c)
-                    i += 1
-                    col += 1
-            tokens.append(_Token("STRING", "".join(out), line, start_col))
-            continue
-        if ch in "0123456789" or ch == "." or ch == "-":
-            j = i
-            if source[j] == "-":
-                j += 1
-            while j < n and source[j] in "0123456789":
-                j += 1
-            is_float = False
-            if j < n and source[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and source[j] in "0123456789":
-                    j += 1
-            lexeme = source[i:j]
-            if lexeme in ("-", ".", "-."):
-                err(f"bad number {lexeme!r}")
-            value = float(lexeme) if is_float else int(lexeme)
-            tokens.append(_Token("NUMBER", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        err(f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):  # every character starts a match, so they tile the source
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind == "STRING":
+            tokens.append(_Token(kind, _literal(text[1:-1], line, col), line, col))
+        elif kind == "NUMBER":
+            try:
+                value = float(text) if "." in text else int(text)
+            except ValueError:  # longer than int's string conversion allows
+                raise DslParseError("integer has too many digits", line, col) from None
+            tokens.append(_Token(kind, value, line, col))
+        elif kind == "BAD" or kind == "IDENT" and not (text[0].isalpha() or text[0] == "_"):
+            # \w's first character may be a digit that is not a decimal one, like ²
+            raise DslParseError(_BAD.get(text[0], f"unexpected character {text[0]!r}"), line, col)
+        elif kind != "SKIP":
+            tokens.append(_Token(_PUNCT.get(text, kind), text, line, col))
+    tokens.append(_Token("EOF", None, line, len(source) - line_start + 1))
     return tokens
+
+
+def _literal(body: str, line: int, col: int) -> str:
+    """The value of the literal whose text between the quotes is ``body``:
+    the JSON string the printer writes, with ``\\'`` also read as ``'``."""
+    if "\\'" in body or '"' in body:
+        body = _NOT_JSON.sub(lambda m: _AS_JSON.get(m[0], m[0]), body)
+    try:
+        value = _JSON_STRING.decode(f'"{body}"')
+    except json.JSONDecodeError as exc:
+        raise DslParseError(f"bad string: {exc.msg}", line, col) from None
+    surrogate = lone_surrogate(body, value)
+    if surrogate is not None:
+        raise DslParseError(f"the string holds the lone surrogate {surrogate}, which UTF-8 cannot encode", line, col)
+    return value
 
 
 class _ProgramParser:

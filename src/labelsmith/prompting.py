@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .data import ClassSpace, LabelsmithError, lone_surrogate, read_json, write_json
+from .data import ClassSpace, LabelsmithError, parse_json, read_json, write_json
 from .dsl import RuleProgram
 from .dsl.extract import ExtractionError, extract_program
 
@@ -186,15 +186,9 @@ class HttpTransport:
         try:
             # decoded strictly: json.loads of bytes lets an encoded surrogate through
             text = payload.decode("utf-8")
-            doc = json.loads(text)
-        except ValueError as exc:  # UnicodeDecodeError too
+        except UnicodeDecodeError as exc:
             raise TransportError(f"response is not JSON: {exc}") from exc
-        except RecursionError:
-            raise TransportError("response is JSON nested too deeply") from None
-        surrogate = lone_surrogate(text, doc)
-        if surrogate is not None:
-            raise TransportError(f"response holds the lone surrogate {surrogate}, which UTF-8 cannot encode")
-        return doc
+        return parse_json(text, "response", error=TransportError)
 
 
 class MockTransport:

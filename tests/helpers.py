@@ -9,7 +9,9 @@ per-row formula the array writer must match byte for byte. The
 reference triplet estimator is the float loop over program pairs that
 the integer products in ``fit_triplet`` replaced. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
-``labelsmith.dsl.rex`` replaced. The reference evaluator is the
+``labelsmith.dsl.rex`` replaced. The reference scanner is the
+per-character DSL scanner, with its own escape table, that the token
+pattern in ``labelsmith.dsl.parser`` replaced. The reference evaluator is the
 evaluation that counts every regex step of every record, which
 ``dsl.evaluate`` skips where the budget cannot run out; its votes and its
 budget warnings must be the same. The reference featurizer and trainer
@@ -59,6 +61,7 @@ from labelsmith.dsl import (
     Contains,
     ContainsAny,
     DslEvaluationError,
+    DslParseError,
     LengthAtLeast,
     Matches,
     Not,
@@ -67,6 +70,7 @@ from labelsmith.dsl import (
     UppercaseRatioAtLeast,
     rex,
 )
+from labelsmith.dsl.parser import _PUNCT, _Token
 
 
 def class_space(K):
@@ -287,6 +291,128 @@ def reference_pike_vm(compiled, text):
             elif op[1].matches(nxt):
                 carried.append(pc + 1)
     return False, steps
+
+
+def reference_scan(source: str) -> list[_Token]:
+    """The character-at-a-time scanner that ``dsl.parser._scan``'s token
+    pattern replaced, with its own escape table: no ``\\b`` or ``\\f``,
+    and a ``\\u`` escape is one character, so a surrogate pair gives two."""
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+
+    def err(message: str):
+        raise DslParseError(message, line, col)
+
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        if ch in _PUNCT:
+            tokens.append(_Token(_PUNCT[ch], ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch == "-":
+            if i + 1 < n and source[i + 1] == ">":
+                tokens.append(_Token("ARROW", "->", line, col))
+                i += 2
+                col += 2
+                continue
+            if i + 1 < n and (source[i + 1] in "0123456789" or source[i + 1] == "."):
+                pass  # negative number, falls through to the digit branch
+            else:
+                err("expected '->' or a number after '-'")
+        if ch == ">" or ch == "<":
+            if i + 1 < n and source[i + 1] == "=":
+                tokens.append(_Token("CMP", ch + "=", line, col))
+                i += 2
+                col += 2
+            else:
+                tokens.append(_Token("CMP", ch, line, col))
+                i += 1
+                col += 1
+            continue
+        if ch in "\"'":
+            quote = ch
+            i += 1
+            col += 1
+            out = []
+            while True:
+                if i >= n or source[i] == "\n":
+                    raise DslParseError("unterminated string", line, start_col)
+                c = source[i]
+                if c == quote:
+                    i += 1
+                    col += 1
+                    break
+                if c == "\\":
+                    if i + 1 >= n:
+                        raise DslParseError("unterminated string", line, start_col)
+                    esc = source[i + 1]
+                    mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "'": "'", "\\": "\\", "/": "/"}.get(esc)
+                    if mapped is not None:
+                        out.append(mapped)
+                        i += 2
+                        col += 2
+                    elif esc == "u":
+                        digits = source[i + 2 : i + 6]
+                        if len(digits) != 4 or any(d not in "0123456789abcdefABCDEF" for d in digits):
+                            raise DslParseError("bad \\u escape", line, col)
+                        out.append(chr(int(digits, 16)))
+                        i += 6
+                        col += 6
+                    else:
+                        raise DslParseError(f"unknown escape \\{esc}", line, col)
+                else:
+                    out.append(c)
+                    i += 1
+                    col += 1
+            tokens.append(_Token("STRING", "".join(out), line, start_col))
+            continue
+        if ch in "0123456789" or ch == "." or ch == "-":
+            j = i
+            if source[j] == "-":
+                j += 1
+            while j < n and source[j] in "0123456789":
+                j += 1
+            is_float = False
+            if j < n and source[j] == ".":
+                is_float = True
+                j += 1
+                while j < n and source[j] in "0123456789":
+                    j += 1
+            lexeme = source[i:j]
+            if lexeme in ("-", ".", "-."):
+                err(f"bad number {lexeme!r}")
+            value = float(lexeme) if is_float else int(lexeme)
+            tokens.append(_Token("NUMBER", value, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(_Token("IDENT", source[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        err(f"unexpected character {ch!r}")
+    tokens.append(_Token("EOF", None, line, col))
+    return tokens
 
 
 def reference_evaluate(program, record, budget_steps=DEFAULT_BUDGET_STEPS):

@@ -284,6 +284,31 @@ class TestGenerate:
         assert "extracted 0/1 programs" in captured.out
         assert "slot 0:" in captured.err and "nested" in captured.err
 
+    def test_stored_control_character_applies(self, corpus_file, tmp_path, capsys):
+        # the printer writes U+0008 as \b, which the scanner reads back
+        mock = tmp_path / "mock.json"
+        content = '```\nrule: contains("\\u0008") -> spam;\n```\n'
+        mock.write_text(json.dumps({"responses": [{"content": content}]}), encoding="utf-8")
+        gen = tmp_path / "gen"
+        assert main(["generate", "--task", "sms", "--mock", str(mock), "--n", "1", "--out", str(gen)]) == 0
+        assert (gen / "programs" / "slot_00.lf").read_text(encoding="utf-8") == 'rule: contains("\\b") -> spam;\n'
+        code = main(["apply", "--programs", str(gen / "programs"), "--task", "sms", "--data", corpus_file,
+                     "--out", str(tmp_path / "votes")])
+        assert code == 0, capsys.readouterr().err
+
+    def test_lone_surrogate_escape_is_a_slot_error(self, tmp_path, capsys):
+        mock = tmp_path / "mock.json"
+        content = '```\nrule: contains("\\ud800") -> spam;\n```\n'
+        mock.write_text(json.dumps({"responses": [{"content": content}]}), encoding="utf-8")
+        out = tmp_path / "gen"
+        code = main(["generate", "--task", "sms", "--mock", str(mock), "--n", "1", "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "extracted 0/1 programs" in captured.out
+        assert "slot 0:" in captured.err and "lone surrogate \\ud800" in captured.err
+        assert "Traceback" not in captured.err
+        assert not list((out / "programs").glob("*.lf"))
+
     def test_retry_fixture_recovers(self, tmp_path, monkeypatch):
         delays = []
         monkeypatch.setattr("time.sleep", delays.append)
@@ -1407,10 +1432,10 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
 @pytest.mark.parametrize(
     "classes, reason",
     [
-        ("a,,b", "class names must be non-empty strings"),
-        ("a", "a class space needs at least 2 classes"),
-        ("a,a", "classes must be unique strings, but entry 1 repeats 'a'"),
-        ("sp\udcffam,ham", "class name 'sp\\udcffam' holds the lone surrogate \\udcff, which UTF-8 cannot encode"),
+        ("a,,b", "--classes: class names must be non-empty strings"),
+        ("a", "--classes: a class space needs at least 2 classes"),
+        ("a,a", "--classes: classes must be unique strings, but entry 1 repeats 'a'"),
+        ("sp\udcffam,ham", "argument 'sp\\udcffam,ham' holds the lone surrogate \\udcff, which UTF-8 cannot encode"),
     ],
     ids=["empty-name", "one-class", "duplicate", "lone-surrogate"],
 )
@@ -1419,7 +1444,26 @@ def test_malformed_classes_rejected(argv, classes, reason, tmp_path, capsys):
     code = main([*argv, "--classes", classes, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err == f"error: --classes: {reason}\n"
+    assert err == f"error: {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, arg",
+    [
+        (["generate", "--task", "sms", "--mock", MOCK_OK, "--keywords", "\udcff"], "'\\udcff'"),
+        (["generate", "--task", "sms", "--mock", MOCK_OK, "--model-name", "m\udcff"], "'m\\udcff'"),
+        (["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "c\udcff.jsonl"], "'c\\udcff.jsonl'"),
+    ],
+    ids=["keywords", "model-name", "data-path"],
+)
+def test_argument_of_undecodable_bytes_rejected(argv, arg, tmp_path, capsys):
+    # each was written into an output, which crashed on it
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err == f"error: argument {arg} holds the lone surrogate \\udcff, which UTF-8 cannot encode\n"
     assert not out.exists()
 
 
@@ -1445,6 +1489,6 @@ def test_class_name_of_undecodable_bytes_rejected(command, corpus_file, tmp_path
     )
     assert done.returncode == 1, done.stderr
     assert done.stderr == (
-        b"error: --classes: class name 'sp\\udcffam' holds the lone surrogate \\udcff, which UTF-8 cannot encode\n"
+        b"error: argument 'sp\\udcffam,ham' holds the lone surrogate \\udcff, which UTF-8 cannot encode\n"
     )
     assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,28 @@ class TestParseConceptResponse:
         with pytest.raises(ConceptError, match="no concepts"):
             parse_concept_response("t", "{}")
 
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (r'["\ud800 water"]', r"concept response: a string holds the lone surrogate \ud800"),
+            ("[" * 100_000, "concept response: JSON nested too deeply"),
+            ("[" + "9" * 5000 + "]", "concept response: JSON integer has too many digits to read"),
+            ('{"a": ["x"], "a": ["y"]}', "concept response: duplicate key 'a'"),
+            ('[1, {"a": 2}, null]', "concept response entry 0 is an integer, expected a string"),
+            ('{"feet": ["webbed"], "wings": "long"}', "concept category 'wings' is a string, expected a list of strings"),
+            ('{"feet": ["webbed", null]}', "concept category 'feet' entry 1 is null, expected a string"),
+        ],
+        ids=["lone-surrogate", "nested-too-deeply", "long-integer", "repeated-key", "number", "category-string",
+             "null-description"],
+    )
+    def test_reply_read_as_a_file_is(self, text, message):
+        with pytest.raises(ConceptError, match=re.escape(message)):
+            parse_concept_response("t", text)
+
+    def test_malformed_candidate_gives_way_to_the_next(self):
+        text = '["a", oops]\n```\n["b"]\n```'
+        assert parse_concept_response("t", text).concepts == ("b",)
 
 class TestElicitConcepts:
     def test_happy_path_persists_raw(self, tmp_path):

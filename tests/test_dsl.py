@@ -16,6 +16,7 @@ from helpers import (
     nested_guard,
     reference_evaluate,
     reference_pike_vm,
+    reference_scan,
     reference_uppercase_ratio,
 )
 from labelsmith.data import ABSTAIN, ClassSpace, Record
@@ -344,6 +345,149 @@ class TestParserFuzz:
                 parse_program(source, spam_cs)
             except DslError:
                 pass
+
+
+# text UTF-8 can encode, with the characters JSON escapes and the DSL's
+# quotes drawn often
+_UTF8_TEXT = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from("\b\f\n\t\"'\\\x7f "))
+_IN_LITERAL = st.sampled_from(
+    ["a", "é", "\\u00e9", "\\ud83d", "\\ude00", "\\uD800", "\\b", "\\f", "\\n", "\\'", '\\"', "\\\\", "\\/", "\\x",
+     "\\u12", '"', "'", "\t", "\n", "\\"]
+) | st.text(max_size=2)
+_LITERAL = st.tuples(st.sampled_from("\"'"), st.lists(_IN_LITERAL, max_size=6)).map(lambda q: q[0] + "".join(q[1]) + q[0])
+_SOURCE_PIECES = st.sampled_from(
+    ["\n", "\r", "\t", " ", "#", "# c", "-", "->", ">", ">=", "<", "<=", ".", "-.", "0", "12", "3.5", ".5", "5.",
+     "-1", "x", "_a1", "ß", "²", "٣", "Ⅻ", "(", ")", "[", "]", ",", ";", ":", "=", "rule", '"', "'", "\\"]
+)
+# sources that reach every branch of both scanners, most of them past
+# several tokens
+_SOURCES = st.lists(_SOURCE_PIECES | _LITERAL | st.text(max_size=2), max_size=20).map("".join)
+
+
+def _scanned(scan, source):
+    """``scan(source)`` as (kind, value, line, col) tuples, or the
+    DslParseError it raised."""
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in scan(source)]
+    except DslParseError as exc:
+        return exc
+
+
+def _joined(value):
+    """``value`` with each surrogate pair read as one character, as JSON
+    reads two ``\\u`` escapes; None when it holds a lone surrogate."""
+    try:
+        return value.encode("utf-16-le", "surrogatepass").decode("utf-16-le")
+    except UnicodeDecodeError:
+        return None
+
+
+def _literals(names, pattern):
+    """A text program and a score program whose every string literal
+    comes from ``names`` and ``pattern``, targets included."""
+    escaped = "".join(c if c.isalnum() else "\\" + c for c in pattern)  # any text, as a literal pattern
+    text = RuleProgram(
+        id="t",
+        rules=(
+            Rule(Contains(names[0], case_sensitive=True), 0),
+            Rule(ContainsAny(tuple(names)), 1),
+            Rule(Not(Matches(escaped)), len(names) - 1),
+        ),
+        default=1,
+    )
+    scores = RuleProgram(id="s", rules=(Rule(ScoreCmp(names[-1], "<", 0.5), 0),), default=ABSTAIN)
+    return text, scores
+
+
+class TestScanner:
+    """The scanner reads string literals as the JSON strings the printer
+    writes, and otherwise as the per-character scanner it replaced did."""
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(names=st.lists(_UTF8_TEXT.filter(bool), min_size=2, max_size=3, unique=True), pattern=_UTF8_TEXT)
+    def test_printed_literals_parse_back(self, names, pattern):
+        cs = ClassSpace(tuple(names))
+        for program in _literals(names, pattern):
+            assert parse_program(format_program(program, cs), cs, program_id=program.id) == program
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(source=_SOURCES)
+    def test_agrees_with_the_reference_scanner(self, source):
+        old, new = _scanned(reference_scan, source), _scanned(dsl_parser._scan, source)
+        if isinstance(old, DslParseError) and str(old).endswith(("unknown escape \\b", "unknown escape \\f")):
+            return  # \b and \f are JSON escapes
+        if isinstance(old, list):
+            lone = [(line, col) for kind, value, line, col in old if kind == "STRING" and _joined(value) is None]
+            if lone:  # a lone surrogate fails the scan at its literal
+                assert isinstance(new, DslParseError) and "lone surrogate" in str(new)
+                assert (new.line, new.col) == lone[0]
+                return
+            assert not isinstance(new, DslParseError), new
+            joined = [(kind, _joined(value) if kind == "STRING" else value, line, col) for kind, value, line, col in old]
+            assert new[:-1] == joined[:-1]
+            # the new EOF column is past a final comment; the old one stopped before it
+            last_line = source.rsplit("\n", 1)[-1]
+            assert new[-1] == ("EOF", None, old[-1][2], len(last_line) + 1)
+            assert old[-1] == new[-1] or "#" in last_line
+            return
+        assert isinstance(new, DslParseError), new
+        if (new.line, new.col) != (old.line, old.col):
+            # both fail on a string literal: the new error names the
+            # literal, the old one its bad escape or its lone surrogate
+            # further on
+            assert source.split("\n")[new.line - 1][new.col - 1] in "\"'", (new, old)
+            assert (new.line, new.col) < (old.line, old.col), (new, old)
+            assert new.line == old.line or "lone surrogate" in str(new), (new, old)
+
+    @pytest.mark.parametrize(
+        "literal, value",
+        [
+            (r'"\b\f"', "\b\f"),
+            (r'"\ud83d\ude00"', "\U0001f600"),
+            (r"'it\'s \"q\" \\'", "it's \"q\" \\"),
+            ("'\"'", '"'),
+            (r'"\/\u00e9"', "/é"),
+            ('"tab\there"', "tab\there"),
+        ],
+        ids=["json-escapes", "surrogate-pair", "single-quoted-escapes", "bare-double-quote", "solidus-and-u", "raw-tab"],
+    )
+    def test_literal_values(self, spam_cs, literal, value):
+        assert parse_program(f"rule: contains({literal}) -> spam;", spam_cs).rules[0].guard.needle == value
+
+    @pytest.mark.parametrize(
+        "source, message, col",
+        [
+            (r'rule: contains("a\ud800") -> spam;', r"lone surrogate \ud800, which UTF-8 cannot encode", 16),
+            (r'rule: contains("\ude00\ud83d") -> spam;', r"lone surrogate \ude00", 16),
+            (r'rule: contains("a\x") -> spam;', "bad string: Invalid \\escape", 16),
+            ('rule: contains("a\\\n") -> spam;', "unterminated string", 16),
+            (f"rule: length_at_least({'9' * 5000}) -> spam;", "integer has too many digits", 23),
+            ("rule: contains(\"x\") -> spam; -x", "expected '->' or a number after '-'", 30),
+            ("rule: contains(²) -> spam;", "unexpected character '²'", 16),
+        ],
+        ids=["lone-surrogate", "reversed-pair", "bad-escape", "escaped-newline", "long-integer", "dash", "superscript"],
+    )
+    def test_scan_errors(self, spam_cs, source, message, col):
+        with pytest.raises(DslParseError) as err:
+            parse_program(source, spam_cs)
+        assert message in str(err.value)
+        assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            'rule: contains("' + "a" * 1_000_000,
+            'rule: contains("' + "\\u00e9\\n" * 100_000 + "\\'" * 100_000 + '") -> spam;',
+            "rule: " + "a" * 1_000_000,
+            'rule: contains("x") -> spam;' + " # x\n" * 200_000,
+        ],
+        ids=["unterminated-literal", "escapes", "long-identifier", "comments"],
+    )
+    def test_megabyte_source_scans_in_linear_time(self, spam_cs, source):
+        start = time.perf_counter()
+        with contextlib.suppress(DslParseError):
+            parse_program(source, spam_cs)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestEvaluator:

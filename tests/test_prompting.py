@@ -217,7 +217,7 @@ class TestHttpTransport:
     def test_non_json_response(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(b"<html>"))
-        with pytest.raises(TransportError, match="not JSON"):
+        with pytest.raises(TransportError, match=r"response:1: malformed JSON \(Expecting value\)"):
             HttpTransport("http://example.invalid").complete({})
 
     @pytest.mark.parametrize(
@@ -226,8 +226,10 @@ class TestHttpTransport:
             (rb'{"choices": [{"message": {"content": "x\ud800"}}]}', r"lone surrogate \\ud800, which UTF-8"),
             (b'{"choices": "caf\xe9"}', "not JSON: 'utf-8' codec can't decode"),
             (b"[" * 100_000, "JSON nested too deeply"),
+            (b"[" + b"9" * 5000 + b"]", "response: JSON integer has too many digits to read"),
+            (b'{"choices": [], "choices": []}', "response: duplicate key 'choices'"),
         ],
-        ids=["lone-surrogate", "not-utf8", "nested-too-deeply"],
+        ids=["lone-surrogate", "not-utf8", "nested-too-deeply", "long-integer", "repeated-key"],
     )
     def test_reply_that_no_artifact_could_hold(self, monkeypatch, payload, match):
         # write_json would fail on such a reply; the slot fails instead
@@ -245,7 +247,7 @@ class TestHttpTransport:
         transport = HttpTransport("http://example.invalid")
         [result] = generate_programs(job, ClassSpace(("spam", "ham")), transport, sleep=lambda _: None)
         assert not result.ok
-        assert result.error.endswith("response is JSON nested too deeply"), result.error
+        assert result.error.endswith("response: JSON nested too deeply"), result.error
 
     def test_network_exception_wrapped(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
