@@ -479,6 +479,9 @@ class TrainMetrics:
         return path
 
 
+# a diverging fit overflows on its way to a non-finite loss, which fails
+# it below in plainer words than numpy's warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_mlp(
     X: Features | np.ndarray,
     targets: np.ndarray,
@@ -532,7 +535,7 @@ def train_mlp(
     m_first, v_first = np.zeros((2, len(stored), model.sizes[1]))
     first = model.weights[0]
     step = 0
-    for _ in range(hyper.epochs):
+    for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(len(X))
         for start in range(0, len(X), hyper.batch):
             batch = order[start : start + hyper.batch]
@@ -547,6 +550,8 @@ def train_mlp(
             _adam_step(rows, m_rows, v_rows, grad_first, step_size)
             first[cols], m_first[slots], v_first[slots] = rows, m_rows, v_rows
         loss, preds = _loss_and_predictions(model, X, T)
+        if not math.isfinite(loss):
+            raise DistillError(f"training diverged: the loss after epoch {epoch} is {loss}; lower --lr")
         metrics.train_loss.append(loss)
         metrics.train_accuracy.append(float((preds == hard).mean()))
         if X_val is not None and y_val is not None:

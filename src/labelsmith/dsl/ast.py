@@ -77,9 +77,19 @@ class ContainsAny:
 
 @dataclass(frozen=True)
 class Matches:
+    """``pattern``, compiled once, when the leaf is built, into the
+    ``rex.Rex`` every evaluation of the leaf searches with."""
+
     pattern: str
+    compiled: rex.Rex = field(init=False, compare=False, repr=False)
 
     modality = TEXT
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "compiled", rex.Rex(self.pattern))
+        except rex.RexError as exc:
+            raise DslValidationError(f"bad pattern in matches(): {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -203,7 +213,7 @@ class RuleProgram:
         evaluation on a text of n characters costs at most (n + 1) times
         this, in whatever order its guards short-circuit."""
         return sum(
-            rex.compile(leaf.pattern).max_live
+            leaf.compiled.max_live
             for rule in self.rules
             for leaf in iter_leaves(rule.guard)
             if isinstance(leaf, Matches)

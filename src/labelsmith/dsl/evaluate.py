@@ -105,7 +105,7 @@ def _eval(expr: Expr, scan: _Scan) -> bool:
     if isinstance(expr, Not):
         return not _eval(expr.child, scan)
     if isinstance(expr, Matches):
-        return rex.compile(expr.pattern).search(text, scan.budget)
+        return expr.compiled.search(text, scan.budget)
     if isinstance(expr, LengthAtLeast):
         return len(text) >= expr.n
     if isinstance(expr, UppercaseRatioAtLeast):

@@ -20,7 +20,6 @@ import re as _stdre
 from dataclasses import dataclass
 
 from ..data import ABSTAIN, ClassSpace, lone_surrogate
-from . import rex
 from .ast import (
     And,
     Contains,
@@ -270,10 +269,6 @@ class _ProgramParser:
             if name == "matches":
                 self._arity(tok, name, args, 1, str)
                 self._no_kwargs(tok, name, kwargs)
-                try:
-                    rex.compile(args[0])
-                except rex.RexError as exc:
-                    self.error(f"bad pattern in matches(): {exc}", tok)
                 return Matches(args[0])
             if name == "length_at_least":
                 self._arity(tok, name, args, 1, int)

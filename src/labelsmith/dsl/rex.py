@@ -28,8 +28,8 @@ pattern matches everything.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import re
 import unicodedata
 
 
@@ -129,7 +129,29 @@ class _CharSet:
 # AST node tags. Tuples keep the compiler compact.
 #   ("lit", _CharSet) ("any",) ("assert", kind) ("cat", [nodes])
 #   ("alt", [nodes]) ("star", node) ("plus", node) ("opt", node)
-#   ("rep", node, m, n)  n = None means unbounded
+# x{m,n} is spelled out as it parses: m copies of x, then n - m ("opt", x)
+
+# an empty branch, as in "()" or "a|": the one empty node a quantifier
+# refuses ("(a{0}){2}" repeats an empty cat of its own)
+_EMPTY_BRANCH = ("cat", [])
+
+# {m}, {m,}, {,n} or {m,n} in ASCII digits, as stdlib reads a bound; any
+# other "{" is a literal. One optional group holds the comma and n, so an
+# unclosed brace is one pass over its digits, not one per way to split them
+_BOUNDS = re.compile(r"\{([0-9]*)(?:(,)([0-9]*))?\}")
+
+
+def _size(digits: str) -> tuple[int, str]:
+    """A key that orders digit strings as their numbers do, with no int()
+    of a long one: the count of significant digits, then the digits."""
+    digits = digits.lstrip("0")
+    return len(digits), digits
+
+
+def _cat(parts: list):
+    """The sequence of ``parts`` less its empty cats, which emit nothing but
+    would be walked once per copy in "(((a{0}){99}){99}){99}"."""
+    return ("cat", [part for part in parts if part[0] != "cat" or part[1]])
 
 
 class _Parser:
@@ -165,28 +187,27 @@ class _Parser:
     def cat(self):
         parts = []
         while self.peek() not in (None, "|", ")"):
-            parts.append(self.repeat(parts))
+            parts.append(self.repeat())
         if len(parts) == 1:
             return parts[0]
-        return ("cat", parts)
+        return _cat(parts) if parts else _EMPTY_BRANCH
 
-    def repeat(self, parts):
+    def repeat(self):
         node = self.atom()
         seen_quant = False
         while True:
             ch = self.peek()
+            bounds = _BOUNDS.match(self.p, self.i) if ch == "{" else None
             if ch in ("*", "+", "?"):
                 quant = self.take()
-            elif ch == "{":
-                bounds = self._try_bounds()
-                if bounds is None:
-                    break
+            elif bounds and (bounds[1] or bounds[3]):
+                self.i = bounds.end()
                 quant = bounds
             else:
                 break
             if seen_quant:
                 self.error("multiple repeat")
-            if node[0] == "assert" or (node[0] == "cat" and not node[1]):
+            if node[0] == "assert" or node is _EMPTY_BRANCH:
                 self.error("nothing to repeat")
             if self.peek() == "?":  # lazy marker: same language, ignore
                 self.take()
@@ -197,40 +218,19 @@ class _Parser:
             elif quant == "?":
                 node = ("opt", node)
             else:
-                m, n = quant
-                if n is not None and n < m:
+                low, comma, high = quant.groups()
+                m, n = low or "0", high if comma else low  # n "": unbounded
+                if n and _size(n) < _size(m):
                     self.error("bad repeat interval (max < min)")
-                if m > MAX_REPEAT or (n or 0) > MAX_REPEAT:
+                if _size(n or m) > _size(str(MAX_REPEAT)):
                     self.error(f"repeat bound above {MAX_REPEAT}")
-                node = ("rep", node, m, n)
+                m = int(m)
+                if n:
+                    node = _cat([node] * m + [("opt", node)] * (int(n) - m))
+                else:
+                    node = _cat([node] * (m - 1) + [("plus", node)]) if m else ("star", node)
             seen_quant = True
         return node
-
-    def _try_bounds(self):
-        # "{" only starts a quantifier when it scans as {m}, {m,} or {m,n};
-        # otherwise it is a literal brace, matching stdlib behavior
-        start = self.i
-        self.take()
-        digits_m = self._digits()
-        if self.peek() == "}" and digits_m:
-            self.take()
-            return int(digits_m), int(digits_m)
-        if self.peek() == ",":
-            self.take()
-            digits_n = self._digits()
-            if self.peek() == "}" and (digits_m or digits_n):
-                self.take()
-                m = int(digits_m) if digits_m else 0
-                n = int(digits_n) if digits_n else None
-                return m, n
-        self.i = start
-        return None
-
-    def _digits(self) -> str:
-        out = []
-        while (ch := self.peek()) is not None and ch.isdigit():
-            out.append(self.take())
-        return "".join(out)
 
     def atom(self):
         ch = self.take()
@@ -391,20 +391,6 @@ def _emit(node, prog: list):
         body = len(prog)
         _emit(node[1], prog)
         prog.append(("split", body, len(prog) + 1))
-    elif tag == "rep":
-        _, child, m, n = node
-        if n is None:
-            if m == 0:
-                _emit(("star", child), prog)
-            else:
-                for _ in range(m - 1):
-                    _emit(child, prog)
-                _emit(("plus", child), prog)
-        else:
-            for _ in range(m):
-                _emit(child, prog)
-            for _ in range(n - m):
-                _emit(("opt", child), prog)
     else:  # pragma: no cover - parser emits only the tags above
         raise RexError(f"unknown node {tag!r}")
     if len(prog) > MAX_PROGRAM:
@@ -462,11 +448,6 @@ def _literals(node) -> tuple[frozenset[str] | None, frozenset[str] | None]:
         return _union([exact, _EMPTY]), None
     if tag == "plus":
         return None, _literals(node[1])[1]
-    if tag == "rep":  # as _emit spells it out
-        _, child, m, n = node
-        if n is not None:
-            return _literals(("cat", [child] * m + [("opt", child)] * (n - m)))
-        return _literals(("cat", [child] * (m - 1) + [("plus", child)]) if m else ("star", child))
     if tag == "alt":
         branches = [_literals(branch) for branch in node[1]]
         exact = _union([e for e, _ in branches])
@@ -509,9 +490,6 @@ def _width(node) -> int | None:
         return None
     if tag == "opt":
         return _width(node[1])
-    if tag == "rep":
-        width = _width(node[1])
-        return None if width is None or node[3] is None else width * node[3]
     widths = [_width(child) for child in node[1]]
     if None in widths:
         return None
@@ -774,9 +752,3 @@ class Rex:
             if budget.left < 0:
                 raise RexBudgetExceeded(f"pattern {self.pattern!r}")
         return state is None
-
-
-@functools.lru_cache(maxsize=512)
-def compile(pattern: str) -> Rex:
-    """Compile a pattern, rejecting anything outside the linear-time subset."""
-    return Rex(pattern)

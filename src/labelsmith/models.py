@@ -126,6 +126,11 @@ class LabelModelParams:
                     f"weights must be finite and positive; weight for program "
                     f"{self.program_ids[j]!r} is {self.weights[j]}"
                 )
+            # a row's vote mass adds up to at most this total
+            with np.errstate(over="ignore"):
+                total = self.weights.sum()
+            if not np.isfinite(total):
+                raise ModelError(f"weights must have a finite total; they add up to {total}")
 
     @property
     def K(self) -> int:

@@ -453,7 +453,7 @@ def _reference_eval(expr, record, program, budget) -> bool:
     if isinstance(expr, ContainsAny):
         return any(_reference_contains(record.text, n, expr.case_sensitive) for n in expr.needles)
     if isinstance(expr, Matches):
-        return rex.compile(expr.pattern).search(record.text, budget)
+        return rex.Rex(expr.pattern).search(record.text, budget)
     if isinstance(expr, LengthAtLeast):
         return len(record.text) >= expr.n
     if isinstance(expr, UppercaseRatioAtLeast):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -283,6 +284,24 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert "extracted 0/1 programs" in captured.out
         assert "slot 0:" in captured.err and "nested" in captured.err
+
+    def test_bad_pattern_fails_only_its_slot(self, tmp_path, capsys):
+        # a bound of 5000 digits is past what int() reads; it is refused as
+        # any bound above 128 is, and the other slot's program is written
+        mock = tmp_path / "mock.json"
+        contents = [
+            '```\nrule: matches("a{' + "9" * 5000 + '}") -> spam;\n```\n',
+            '```\nrule: matches("a{2}") -> spam;\n```\n',
+        ]
+        mock.write_text(json.dumps({"responses": [{"content": c} for c in contents]}), encoding="utf-8")
+        out = tmp_path / "gen"
+        code = main(["generate", "--task", "sms", "--mock", str(mock), "--n", "2", "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "extracted 1/2 programs" in captured.out
+        assert "slot 0:" in captured.err and "repeat bound above 128" in captured.err
+        assert "Traceback" not in captured.err
+        assert [p.name for p in (out / "programs").glob("*.lf")] == ["slot_01.lf"]
 
     def test_stored_control_character_applies(self, corpus_file, tmp_path, capsys):
         # the printer writes U+0008 as \b, which the scanner reads back
@@ -1418,6 +1437,18 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     assert code == 1, err
     assert err.startswith(f"error: {flag} must be"), err
     assert not out.exists()
+
+
+def test_train_that_diverges_writes_no_model(tmp_path, capsys):
+    train = tmp_path / "train.jsonl"
+    train.write_text(_jsonl(*_TEXT_TRAINING_ROWS))
+    out = tmp_path / "out"
+    argv = ["train", "--train-file", str(train), "--classes", "ham,spam", "--epochs", "2", "--dims", "16"]
+    code = main([*argv, "--lr", "1e300", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert re.fullmatch(r"error: training diverged: the loss after epoch \d is nan; lower --lr\n", err), err
+    assert not list(out.glob("model.*"))
 
 
 @pytest.mark.parametrize(

@@ -587,6 +587,11 @@ class TestTraining:
         with pytest.raises(DistillError, match="empty"):
             train_mlp(np.empty((0, 4)), np.empty(0), class_space(2))
 
+    def test_diverged_fit_raises(self):
+        X, y = xor_data(seed=7)
+        with pytest.raises(DistillError, match="loss after epoch 1 is nan; lower --lr"):
+            train_mlp(X, y, class_space(2), Hyper(epochs=2, lr=1e300, seed=7))
+
     def test_initial_loss_recorded_before_any_step(self):
         X, y = blob_data(100, seed=11)
         _, metrics = train_mlp(X, y, class_space(2), Hyper(epochs=1, seed=11))

@@ -572,7 +572,7 @@ class TestEvaluator:
         program = parse_program(SPACED_PROGRAM, spam_cs)
         record = Record(id="long", text=LONG_HAM)
         charge = sum(
-            reference_pike_vm(rex.compile(leaf.pattern), record.text)[1]
+            reference_pike_vm(leaf.compiled, record.text)[1]
             for rule in program.rules
             for leaf in iter_leaves(rule.guard)
         )
@@ -672,10 +672,26 @@ class TestUncountedEvaluation:
             vote = evaluate(program, record, budget_steps=budget)
         assert (vote, warned) == (expected, counted)
 
+    def test_each_leaf_compiles_once(self, spam_cs, monkeypatch):
+        # 600 distinct patterns: more than a shared cache of 512 held, so
+        # evaluation once compiled some of them again on every record
+        programs = [
+            parse_program("".join(f'rule: matches("w{60 * j + k}x") -> spam;' for k in range(60)), spam_cs)
+            for j in range(10)
+        ]
+        built = []
+        init = rex.Rex.__init__
+        monkeypatch.setattr(rex.Rex, "__init__", lambda self, pattern: built.append(pattern) or init(self, pattern))
+        records = [Record(id=f"r{i}", text=f"w{7 * i}x and more") for i in range(50)]
+        matrix = assemble_votes(Dataset.from_records(records), programs, spam_cs)
+        assert built == []
+        for i in range(50):
+            assert matrix.votes[i].tolist() == [0 if j == 7 * i // 60 else ABSTAIN for j in range(10)]
+
     def test_bound_at_the_budget_is_uncounted_and_one_past_it_counted(self, spam_cs):
         program = parse_program(SPACED_PROGRAM, spam_cs)
         leaves = [leaf for rule in program.rules for leaf in iter_leaves(rule.guard)]
-        assert program.max_live == sum(rex.compile(leaf.pattern).max_live for leaf in leaves)
+        assert program.max_live == sum(rex.Rex(leaf.pattern).max_live for leaf in leaves)
         budget = (len(LONG_HAM) + 1) * program.max_live
         for text, steps, counted in (
             (LONG_HAM, budget, False),
@@ -691,7 +707,7 @@ class TestUncountedEvaluation:
 
     def test_a_repeated_leaf_counts_twice(self, spam_cs):
         program = parse_program('rule: matches("ab") -> spam; rule: matches("ab") or contains("c") -> ham;', spam_cs)
-        assert program.max_live == 2 * rex.compile("ab").max_live == 6
+        assert program.max_live == 2 * rex.Rex("ab").max_live == 6
         record = Record(id="r", text="x" * 99)
         with search_budgets() as budgets:
             evaluate(program, record, budget_steps=600)
@@ -849,6 +865,8 @@ REX_AGREEMENT_PATTERNS = [
     r"ab\Z",
     "()empty",
     "a||b",
+    "(a{0}){2}b",
+    "a{0002}",
 ]
 
 REX_FUZZ_PIECES = ["a", "b", "c", ".", "a*", "b+", "c?", "[ab]", "[^ab]", "(a|b)",
@@ -872,6 +890,9 @@ def _cache_entries(compiled):
         count += 1 + sum(rex._entries(reach) + rex._entries(out or 0) for reach, out in moves.values())
     return count
 
+
+# compiled patterns that outlive one example, warm DFA caches and all
+_WARM: dict[str, rex.Rex] = {}
 
 REX_TEXTS = [
     "",
@@ -901,7 +922,7 @@ EDGE_TEXTS = ["", "a", "\n", "a\n", "a\nb", "ab\n\n", "é"]
 class TestRexEngine:
     @pytest.mark.parametrize("pattern", REX_AGREEMENT_PATTERNS)
     def test_agrees_with_stdlib_on_fixed_cases(self, pattern):
-        compiled = rex.compile(pattern)
+        compiled = rex.Rex(pattern)
         oracle = stdlib_re.compile(pattern)
         for text in REX_TEXTS:
             assert compiled.search(text) == bool(oracle.search(text)), (pattern, text)
@@ -920,7 +941,7 @@ class TestRexEngine:
             except stdlib_re.error:
                 continue
             try:
-                compiled = rex.compile(pattern)
+                compiled = rex.Rex(pattern)
             except rex.RexError:
                 continue
             text = texts[rng.integers(len(texts))]
@@ -935,7 +956,7 @@ class TestRexEngine:
     )
     def test_rejects_unsupported_or_malformed(self, pattern):
         with pytest.raises(rex.RexError):
-            rex.compile(pattern)
+            rex.Rex(pattern)
 
     @pytest.mark.parametrize("pattern", EDGE_PATTERNS)
     def test_edge_contexts_agree_with_stdlib_and_pike_vm(self, pattern):
@@ -960,7 +981,7 @@ class TestRexEngine:
     @settings(derandomize=True, database=None, max_examples=500, deadline=None)
     @given(pattern=_LITERAL_PATTERN, text=_PLANTED_TEXT)
     def test_unbudgeted_search_agrees_with_pike_vm(self, pattern, text):
-        compiled = rex.compile(pattern)
+        compiled = rex.Rex(pattern)
         assert compiled.search(text) == reference_pike_vm(compiled, text)[0], (pattern, text)
 
     @pytest.mark.parametrize(
@@ -980,13 +1001,13 @@ class TestRexEngine:
         ],
     )
     def test_prefilter(self, pattern, exact, literals, width):
-        compiled = rex.compile(pattern)
+        compiled = rex.Rex(pattern)
         assert (compiled.exact, compiled.literals, compiled.width) == (exact, literals, width)
 
     def test_prefilter_skips_to_the_first_literal(self):
         # the DFA starts width characters before the first literal found:
         # a match there is found, and \b still reads the character before it
-        compiled = rex.compile(r"\b[6-9]/10\b")
+        compiled = rex.Rex(r"\b[6-9]/10\b")
         assert compiled.search("x" * 50 + " 8/10")
         assert not compiled.search("x" * 50 + "88/10")
         assert not compiled.search("a8/10")
@@ -994,20 +1015,23 @@ class TestRexEngine:
 
     def test_literal_leading_brace(self):
         # unlike the stdlib, a brace with no preceding atom is a literal
-        assert rex.compile("{2}").search("x{2}y")
+        assert rex.Rex("{2}").search("x{2}y")
 
     @pytest.mark.parametrize("cache_limit", [None, 2])
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(pieces=st.lists(st.sampled_from(REX_FUZZ_PIECES), min_size=1, max_size=8), text=_DFA_TEXT)
     def test_dfa_agrees_with_stdlib_and_pike_vm(self, cache_limit, pieces, text):
-        # the shared compiled pattern keeps its cache warm across examples;
-        # a limit of 2 entries empties a fresh pattern's cache mid-text
+        # each pattern is compiled once and kept in _WARM, so its cache
+        # stays warm across examples; a limit of 2 entries empties a fresh
+        # pattern's cache mid-text
         pattern = "".join(pieces)
         try:
             oracle = stdlib_re.compile(pattern)
-            compiled = rex.compile(pattern)
+            if pattern not in _WARM:
+                _WARM[pattern] = rex.Rex(pattern)
         except (stdlib_re.error, rex.RexError):
             assume(False)
+        compiled = _WARM[pattern]
         with pytest.MonkeyPatch.context() as mp:
             if cache_limit is not None:
                 mp.setattr(rex, "DFA_CACHE_LIMIT", cache_limit)
@@ -1033,7 +1057,7 @@ class TestRexEngine:
             assert _cache_entries(compiled) <= rex.DFA_CACHE_LIMIT
 
     def test_pathological_pattern_is_linear(self):
-        compiled = rex.compile("(a+)+b")
+        compiled = rex.Rex("(a+)+b")
         text = "a" * 200_000 + "c"
         budget = rex.StepBudget(10**9)
 
@@ -1044,17 +1068,61 @@ class TestRexEngine:
         assert 10**9 - budget.left == 2 * 200_000 + 2
 
     def test_budget_exceeded_raises(self):
-        compiled = rex.compile("(a|b)*c")
+        compiled = rex.Rex("(a|b)*c")
         with pytest.raises(rex.RexBudgetExceeded):
             compiled.search("ab" * 200_000, rex.StepBudget(1_000))
 
     def test_repeat_cap(self):
         with pytest.raises(rex.RexError):
-            rex.compile("a{500}")
+            rex.Rex("a{500}")
+        # past the digits int() reads, with no int() of them
+        with pytest.raises(rex.RexError, match="repeat bound above 128"):
+            rex.Rex("a{" + "9" * 5000 + "}")
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("a*{" + "9" * 5000 + "}", "multiple repeat"),
+            ("^{" + "9" * 5000 + "}", "nothing to repeat"),
+            ("(){2}", "nothing to repeat"),
+            ("a{1000,999}", "bad repeat interval"),
+            ("a{" + "9" * 5000 + "," + "9" * 4999 + "}", "bad repeat interval"),
+            ("a{00129}", "repeat bound above 128"),
+        ],
+        ids=["multiple", "nothing", "empty-group", "interval", "long-interval", "above"],
+    )
+    def test_bound_errors_in_order(self, pattern, message):
+        with pytest.raises(rex.RexError, match=message):
+            rex.Rex(pattern)
+
+    @pytest.mark.parametrize("pattern", ["a{²}", "a{٣}", "a{1,٣}"])
+    def test_bound_in_other_digits_is_literal(self, pattern):
+        # bounds are ASCII digits, as stdlib reads them; ٣ is not a{3}
+        compiled = rex.Rex(pattern)
+        for text in (pattern, "aaa"):
+            assert compiled.search(text) == bool(stdlib_re.search(pattern, text)) == (text == pattern)
+
+    @settings(derandomize=True, database=None, max_examples=2000, deadline=None)
+    @given(pattern=st.text(st.sampled_from(list(".^$*+?{}[]()|\\,-") + list("0123456789²٣abdws")), max_size=10))
+    def test_compiles_or_refuses(self, pattern):
+        # a pattern outside the subset is a RexError, never another error
+        try:
+            rex.Rex(pattern)
+        except rex.RexError:
+            pass
+
+    def test_unclosed_and_empty_repeats_compile_fast(self):
+        # an unclosed brace's digits are read once; repeats of a group that
+        # matches only the empty string are not walked once per copy
+        start = time.monotonic()
+        with pytest.raises(rex.RexError, match="pattern too large"):
+            rex.Rex("a{" + "1" * 50_000)
+        assert rex.Rex("(((a{0}){128}){128}){128}").search("")
+        assert time.monotonic() - start < 1.0
 
     def test_group_depth_cap(self):
         depth = rex.MAX_GROUP_DEPTH
-        assert rex.compile("(" * depth + "a" + ")" * depth).search("a")
+        assert rex.Rex("(" * depth + "a" + ")" * depth).search("a")
         with pytest.raises(rex.RexError, match="nested") as err:
-            rex.compile("(" * (depth + 1) + "a" + ")" * (depth + 1))
+            rex.Rex("(" * (depth + 1) + "a" + ")" * (depth + 1))
         assert err.value.pos == depth

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -500,6 +501,14 @@ class TestParamsIO:
         np.testing.assert_allclose(
             predict(params, matrix).posterior, predict(loaded, matrix).posterior, atol=0
         )
+
+    def test_weights_whose_total_overflows_rejected(self, tmp_path):
+        # each weight is finite, but a row's vote mass would not be
+        path = tmp_path / "params.json"
+        doc = {"kind": "MV", "priors": [0.5, 0.5], "program_ids": ["a", "b"], "weights": [1e308, 1e308]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=re.escape(f"{path}: weights must have a finite total")):
+            load_params(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "params.json"
