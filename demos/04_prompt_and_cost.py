@@ -7,6 +7,7 @@ cost estimator below makes that concrete with the byte-based token
 heuristic (1 token per 4 UTF-8 bytes, rounded up).
 """
 
+import tempfile
 from pathlib import Path
 
 from labelsmith.packs import load_pack
@@ -28,19 +29,22 @@ supplements = (
         exemplars=(("WIN a free cruise, txt YES", "spam"), ("see you at 8", "ham")),
     ),
 )
-prompt_spec = pack.prompt_spec(supplements)
+prompt = build_prompt(pack.prompt_spec(supplements))
 print("assembled prompt:")
-print(build_prompt(prompt_spec))
+print(prompt)
 
 # the mock transport replays canned responses, cycling when it runs out,
 # so the whole generation path runs without a network or an API key
 fixture = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "mock" / "ok_program.json"
+# every raw reply is recorded under <out_dir>/raw/, here a throwaway directory
 job = GenerationJob(
-    prompt=prompt_spec,
+    prompt=prompt,
     model="gpt-3.5-turbo",
     n_programs=4,
 )
-results = generate_programs(job, pack.class_space(), MockTransport.from_file(fixture))
+with tempfile.TemporaryDirectory() as out_dir:
+    results = generate_programs(job, pack.class_space(), MockTransport.from_file(fixture), out_dir)
+    print("raw replies:", sorted(p.name for p in (Path(out_dir) / "raw").iterdir()))
 for res in results:
     status = f"program with {len(res.program.rules)} rules" if res.program else f"failed: {res.error}"
     print(f"slot {res.slot}: {status} (attempts {res.attempts})")

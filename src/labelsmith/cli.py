@@ -138,7 +138,6 @@ def _load_program(path: Path, cs: ClassSpace):
 def cmd_generate(args) -> int:
     from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing, SupplementBlock
     pack = load_pack(args.task)
-    out = _prepare_out(args.out, args.force)
     supplements = []
     if args.dataset_description:
         supplements.append(
@@ -155,18 +154,19 @@ def cmd_generate(args) -> int:
         supplements.append(
             SupplementBlock(kind="LabelingRules", body=read_text(args.rules_file))
         )
-    spec = pack.prompt_spec(supplements)
     job = GenerationJob(
-        prompt=spec,
+        prompt=_cli.build_prompt(pack.prompt_spec(supplements)),
         model=args.model_name,
         n_programs=args.n,
         temperature=args.temperature,
         max_tokens=args.max_tokens,
     )
+    pricing = Pricing(args.price_in, args.price_out)
     if args.mock:
         transport = MockTransport.from_file(args.mock)
     else:
         transport = HttpTransport(args.endpoint)
+    out = _prepare_out(args.out, args.force)
     cs = pack.class_space()
     # looked up at call time, so a patched time.sleep reaches the retry loop
     results = _cli.generate_programs(job, cs, transport, out_dir=out, sleep=time.sleep)
@@ -179,11 +179,8 @@ def cmd_generate(args) -> int:
                 _cli.format_program(res.program, cs), encoding="utf-8"
             )
             n_ok += 1
-    prompt = _cli.build_prompt(spec)
     cost = _cli.estimate_cost(
-        [prompt] * len(results),
-        [res.response_text or "" for res in results],
-        Pricing(args.price_in, args.price_out),
+        [job.prompt] * len(results), [res.response_text or "" for res in results], pricing
     )
     write_json(out / "cost.json", cost.to_dict())
     failures = [res for res in results if not res.ok]

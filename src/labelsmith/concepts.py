@@ -6,7 +6,9 @@ raw payloads. Instead: ask a model for the visual concepts that separate
 the classes, embed those concept descriptions with the same extractor, and
 score each record by cosine similarity to each concept. The scores land in
 [0, 1] ((cosine + 1) / 2), and score-threshold rule programs take it from
-there.
+there. The concept request goes through ``prompting.request_completion``,
+as program generation does, so its raw reply is always recorded before it
+is parsed.
 
 Calibration: when some concepts are known to be spurious (background
 correlates rather than the thing itself), their directions are removed
@@ -35,12 +37,8 @@ from .data import (
     write_array,
     write_json,
 )
-from .prompting import (
-    Transport,
-    TransportError,
-    request_completion,
-    response_text,
-)
+from .dsl.extract import fenced_blocks
+from .prompting import GenerationJob, Transport, request_completion, response_text
 from .records import Dataset
 
 logger = logging.getLogger("labelsmith.concepts")
@@ -93,22 +91,15 @@ def _concept_set_from_doc(doc) -> ConceptSet:
     )
 
 
-def _json_candidates(text: str):
-    yield text
-    parts = text.split("```")
-    for idx in range(1, len(parts), 2):
-        chunk = parts[idx]
-        head, sep, rest = chunk.partition("\n")
-        yield rest if sep and not head.strip().startswith(("{", "[")) else chunk
-
-
 def parse_concept_response(task: str, text: str) -> ConceptSet:
     """Concepts from a model reply: either a JSON object mapping concept
     categories to description lists (flattened in order) or a flat JSON
     list. Each candidate is read as a file is; a malformed one gives way
-    to the next. Duplicates are dropped with a warning."""
+    to the next. The candidates are the whole reply, then each fenced
+    block as ``dsl.extract`` reads it. Duplicates are dropped with a
+    warning."""
     doc = None
-    for candidate in _json_candidates(text):
+    for candidate in (text, *fenced_blocks(text)):
         try:
             doc = parse_json(candidate, "concept response", error=ConceptError)
             break
@@ -146,35 +137,18 @@ def elicit_concepts(
     prompt: str,
     model: str,
     transport: Transport,
+    out_dir: str | Path,
     *,
     temperature: float = 0.5,
-    out_dir: str | Path | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ConceptSet:
     """One completion request for the task's concept list.
 
-    The raw response (or terminal error) is persisted under
+    The raw response (or terminal error) is always recorded under
     ``<out_dir>/raw/concepts.json`` before parsing, so malformed replies
     remain auditable."""
-    body = {
-        "model": model,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": temperature,
-    }
-    artifact_path = None
-    if out_dir is not None:
-        raw_dir = Path(out_dir) / "raw"
-        raw_dir.mkdir(parents=True, exist_ok=True)
-        artifact_path = raw_dir / "concepts.json"
-    try:
-        response, attempts = request_completion(transport, body, sleep)
-        artifact = {"request": body, "attempts": attempts, "response": response}
-    except TransportError as exc:
-        if artifact_path is not None:
-            write_json(artifact_path, {"request": body, "error": str(exc)})
-        raise
-    if artifact_path is not None:
-        write_json(artifact_path, artifact)
+    body = GenerationJob(prompt, model, n_programs=1, temperature=temperature).request_body()
+    response, _ = request_completion(transport, body, Path(out_dir) / "raw" / "concepts.json", sleep)
     return parse_concept_response(task, response_text(response))
 
 

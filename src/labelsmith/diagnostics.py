@@ -14,7 +14,7 @@ so conflict <= overlap <= coverage always holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -180,18 +180,7 @@ def stats_to_json(
     """Machine-readable analyze report (schema documented in docs)."""
     return {
         "coverage_threshold": coverage_threshold,
-        "programs": [
-            {
-                "program_id": s.program_id,
-                "coverage": s.coverage,
-                "polarity": list(s.polarity),
-                "overlap": s.overlap,
-                "conflict": s.conflict,
-                "empirical_accuracy": s.empirical_accuracy,
-                "flagged_low_coverage": s.flagged_low_coverage,
-            }
-            for s in stats
-        ],
+        "programs": [asdict(s) for s in stats],
         "flagged": [s.program_id for s in stats if s.flagged_low_coverage],
     }
 

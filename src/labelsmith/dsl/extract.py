@@ -21,7 +21,9 @@ class ExtractionError(DslError):
         self.errors = tuple(errors)
 
 
-def _fenced_blocks(text: str) -> list[str]:
+def fenced_blocks(text: str) -> list[str]:
+    """The non-empty fenced code blocks of ``text``, in order, each
+    stripped and without a first line that is empty or a language tag."""
     parts = text.split("```")
     blocks = []
     for idx in range(1, len(parts), 2):
@@ -47,7 +49,7 @@ def extract_program(
     ("no program found") or when every block fails, carrying the per-block
     parse errors either way.
     """
-    blocks = _fenced_blocks(text)
+    blocks = fenced_blocks(text)
     if not blocks:
         raise ExtractionError("no program found")
     errors = []

@@ -18,6 +18,7 @@ import json
 import logging
 import re as _stdre
 from dataclasses import dataclass
+from typing import Callable
 
 from ..data import ABSTAIN, ClassSpace, lone_surrogate
 from .ast import (
@@ -168,7 +169,7 @@ class _ProgramParser:
             if self.at_keyword("rule"):
                 self.pos += 1
                 self.take("COLON", "':' after 'rule'")
-                guard = self.expr()
+                guard = self.chain("or", Or, lambda: self.chain("and", And, self.unary))
                 self.take("ARROW", "'->' after the rule condition")
                 rules.append(Rule(guard=guard, target=self.target()))
             elif self.at_keyword("default"):
@@ -211,32 +212,18 @@ class _ProgramParser:
             return idx
         self.error("expected a class name, class index, or ABSTAIN", tok)
 
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        children = [self.and_expr()]
-        while self.at_keyword("or"):
+    def chain(self, keyword: str, node: type[Or] | type[And], operand: Callable[[], Expr]) -> Expr:
+        """Operands joined by ``keyword``; one operand stands alone."""
+        children = [operand()]
+        while self.at_keyword(keyword):
             self.pos += 1
-            children.append(self.and_expr())
+            children.append(operand())
         if len(children) == 1:
             return children[0]
         flat: list[Expr] = []
-        for c in children:  # associative, so nested or folds into one node
-            flat.extend(c.children if isinstance(c, Or) else [c])
-        return Or(tuple(flat))
-
-    def and_expr(self) -> Expr:
-        children = [self.unary()]
-        while self.at_keyword("and"):
-            self.pos += 1
-            children.append(self.unary())
-        if len(children) == 1:
-            return children[0]
-        flat: list[Expr] = []
-        for c in children:
-            flat.extend(c.children if isinstance(c, And) else [c])
-        return And(tuple(flat))
+        for c in children:  # associative, so a nested node of the same kind folds into one
+            flat.extend(c.children if isinstance(c, node) else [c])
+        return node(tuple(flat))
 
     def unary(self) -> Expr:
         is_not = self.at_keyword("not")
@@ -249,7 +236,7 @@ class _ProgramParser:
         if is_not:
             inner = Not(self.unary())
         else:
-            inner = self.expr()
+            inner = self.chain("or", Or, lambda: self.chain("and", And, self.unary))
             self.take("RPAREN", "')'")
         self.depth -= 1
         return inner

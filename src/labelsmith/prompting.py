@@ -6,9 +6,11 @@ always come first. Assembly is deterministic: same spec, same bytes.
 
 The transport speaks the common chat-completions JSON shape (single user
 message) against a configurable endpoint, with retries and exponential
-backoff. Every response (or terminal error) is persisted verbatim before
-any parsing happens, so a run can always be audited offline. A file-backed
-mock transport stands in for the network in tests and offline runs.
+backoff. Every request is recorded: ``request_completion`` writes the
+request with its response (or terminal error) to a raw-reply file before
+any parsing happens, so a run can always be audited offline. Program
+generation and concept elicitation both go through it. A file-backed mock
+transport stands in for the network in tests and offline runs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -114,7 +116,9 @@ BACKOFF_MULTIPLIER = 2.0
 
 @dataclass(frozen=True)
 class GenerationJob:
-    prompt: PromptSpec
+    """``n_programs`` requests of ``prompt``, the rendered prompt text."""
+
+    prompt: str
     model: str
     n_programs: int = 10
     temperature: float = 0.5
@@ -125,11 +129,13 @@ class GenerationJob:
             raise PromptError("n_programs must be at least 1")
         if not (0.0 <= self.temperature <= 2.0):
             raise PromptError(f"temperature must be in [0, 2], got {self.temperature}")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise PromptError(f"max_tokens must be at least 1, got {self.max_tokens}")
 
     def request_body(self) -> dict:
         body = {
             "model": self.model,
-            "messages": [{"role": "user", "content": build_prompt(self.prompt)}],
+            "messages": [{"role": "user", "content": self.prompt}],
             "temperature": self.temperature,
         }
         if self.max_tokens is not None:
@@ -249,21 +255,35 @@ def response_text(response: dict) -> str:
 
 
 def request_completion(
-    transport: Transport, body: dict, sleep: Callable[[float], None]
+    transport: Transport,
+    body: dict,
+    path: str | Path,
+    sleep: Callable[[float], None],
+    **fields,
 ) -> tuple[dict, int]:
     """One logical request with retries; returns (response, attempts used).
-    Raises TransportError after the last attempt fails."""
+
+    Before it returns or raises, writes ``fields`` with the ``request``,
+    the ``attempts`` and the ``response`` or terminal ``error`` to ``path``,
+    creating its directory. Raises TransportError after the last attempt
+    fails."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    record = {**fields, "request": body}
     delay = BACKOFF_S
-    last: TransportError | None = None
     for attempt in range(1, RETRY_ATTEMPTS + 1):
         try:
-            return transport.complete(body), attempt
+            response = transport.complete(body)
         except TransportError as exc:
             last = exc
             if attempt < RETRY_ATTEMPTS:
                 sleep(delay)
                 delay *= BACKOFF_MULTIPLIER
-    raise TransportError(f"giving up after {RETRY_ATTEMPTS} attempts: {last}") from last
+            continue
+        write_json(path, {**record, "attempts": attempt, "response": response})
+        return response, attempt
+    error = TransportError(f"giving up after {RETRY_ATTEMPTS} attempts: {last}")
+    write_json(path, {**record, "attempts": RETRY_ATTEMPTS, "error": str(error)})
+    raise error from last
 
 
 @dataclass(frozen=True)
@@ -285,55 +305,32 @@ def generate_programs(
     job: GenerationJob,
     class_space: ClassSpace,
     transport: Transport,
-    out_dir: str | Path | None = None,
+    out_dir: str | Path,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[SlotResult]:
     """Issue ``job.n_programs`` independent requests and extract one program
     from each response (first fenced block that parses).
 
-    When ``out_dir`` is given, every raw response or terminal error is
-    written to ``<out_dir>/raw/<slot>.json`` before extraction, so partial
-    failures leave a full audit trail. Failures never abort the batch.
+    Every raw response or terminal error is written to
+    ``<out_dir>/raw/<slot>.json`` before extraction, so partial failures
+    leave a full audit trail. Failures never abort the batch.
     """
-    raw_dir = None
-    if out_dir is not None:
-        raw_dir = Path(out_dir) / "raw"
-        raw_dir.mkdir(parents=True, exist_ok=True)
     body = job.request_body()
     results: list[SlotResult] = []
     for slot in range(job.n_programs):
-        text = None
-        error = None
+        text = program = error = None
         attempts = RETRY_ATTEMPTS
         try:
-            response, attempts = request_completion(transport, body, sleep)
-            artifact = {"slot": slot, "attempts": attempts, "request": body, "response": response}
+            response, attempts = request_completion(
+                transport, body, Path(out_dir) / "raw" / f"{slot}.json", sleep, slot=slot
+            )
+            text = response_text(response)
+            program = extract_program(text, class_space, program_id=f"slot{slot}")
         except TransportError as exc:
             error = str(exc)
-            artifact = {"slot": slot, "attempts": attempts, "request": body, "error": error}
-            response = None
-        if raw_dir is not None:
-            write_json(raw_dir / f"{slot}.json", artifact)
-        program = None
-        if response is not None:
-            try:
-                text = response_text(response)
-            except TransportError as exc:
-                error = str(exc)
-            if text is not None:
-                try:
-                    program = extract_program(text, class_space, program_id=f"slot{slot}")
-                except ExtractionError as exc:
-                    error = str(exc) if not exc.errors else f"{exc}: " + "; ".join(exc.errors)
-        results.append(
-            SlotResult(
-                slot=slot,
-                attempts=attempts,
-                program=program,
-                response_text=text,
-                error=error,
-            )
-        )
+        except ExtractionError as exc:
+            error = str(exc) if not exc.errors else f"{exc}: " + "; ".join(exc.errors)
+        results.append(SlotResult(slot, attempts, program, text, error))
     return results
 
 
@@ -345,8 +342,9 @@ class Pricing:
     def __post_init__(self):
         if self.input_per_1k is None or self.output_per_1k is None:
             raise PromptError("pricing needs both input and output rates")
-        if self.input_per_1k < 0 or self.output_per_1k < 0:
-            raise PromptError("pricing rates must be nonnegative")
+        # a NaN or infinite rate would write a dollar figure JSON cannot hold
+        if not all(0 <= rate < math.inf for rate in (self.input_per_1k, self.output_per_1k)):
+            raise PromptError("pricing rates must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -358,13 +356,7 @@ class CostEstimate:
     dollars: float
 
     def to_dict(self) -> dict:
-        return {
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "price_per_1k_input": self.price_per_1k_input,
-            "price_per_1k_output": self.price_per_1k_output,
-            "dollars": self.dollars,
-        }
+        return asdict(self)
 
 
 def heuristic_tokens(text: str) -> int:

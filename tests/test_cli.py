@@ -1439,6 +1439,30 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param(flag, value, message, id=f"{flag}-{value}")
+        for flag, value, message in [
+            ("--price-in", "nan", "pricing rates must be finite and nonnegative"),
+            ("--price-out", "inf", "pricing rates must be finite and nonnegative"),
+            ("--max-tokens", "-3", "max_tokens must be at least 1, got -3"),
+            ("--temperature", "3", "temperature must be in [0, 2], got 3.0"),
+            ("--n", "0", "n_programs must be at least 1"),
+        ]
+    ],
+)
+def test_generate_rejects_bad_arguments(flag, value, message, tmp_path, capsys, monkeypatch):
+    # refused before any request is made or the output directory exists
+    monkeypatch.setattr(cli, "generate_programs", lambda *a, **kw: pytest.fail("a request was made"))
+    out = tmp_path / "out"
+    code = main(["generate", "--task", "sms", "--mock", MOCK_OK, flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_that_diverges_writes_no_model(tmp_path, capsys):
     train = tmp_path / "train.jsonl"
     train.write_text(_jsonl(*_TEXT_TRAINING_ROWS))

@@ -114,6 +114,19 @@ class TestParseConceptResponse:
         text = '["a", oops]\n```\n["b"]\n```'
         assert parse_concept_response("t", text).concepts == ("b",)
 
+    @pytest.mark.parametrize(
+        "text, concepts",
+        [
+            ('```json\n["a"]\n```', ("a",)),
+            ('```\n\n["a"]\n```', ("a",)),
+            # a prose first line stays in its block, which is then not JSON
+            ('```Concepts:\n["a"]\n```\n```\n["b"]\n```', ("b",)),
+        ],
+        ids=["language-tag", "empty-first-line", "prose-first-line"],
+    )
+    def test_fence_first_line_dropped_only_when_empty_or_a_tag(self, text, concepts):
+        assert parse_concept_response("t", text).concepts == concepts
+
 class TestElicitConcepts:
     def test_happy_path_persists_raw(self, tmp_path):
         transport = MockTransport([{"content": '{"colors": ["red fur", "white fur"]}'}])

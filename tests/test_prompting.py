@@ -1,11 +1,13 @@
 import io
 import json
+import math
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
+from labelsmith.concepts import elicit_concepts
 from labelsmith.data import ClassSpace
 from labelsmith.prompting import (
     API_KEY_ENV,
@@ -104,44 +106,49 @@ class TestBuildPrompt:
 class TestJobValidation:
     def test_temperature_range(self):
         with pytest.raises(PromptError, match="temperature"):
-            GenerationJob(prompt=make_spec(), model="m", temperature=3.0)
+            GenerationJob(prompt=build_prompt(make_spec()), model="m", temperature=3.0)
 
     def test_n_programs_positive(self):
         with pytest.raises(PromptError, match="n_programs"):
-            GenerationJob(prompt=make_spec(), model="m", n_programs=0)
+            GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=0)
 
     def test_request_body_shape(self):
         job = GenerationJob(
-            prompt=make_spec(), model="test-model", max_tokens=512
+            prompt=build_prompt(make_spec()), model="test-model", max_tokens=512
         )
         body = job.request_body()
         assert body["model"] == "test-model"
         assert body["max_tokens"] == 512
         assert body["messages"][0]["role"] == "user"
-        assert body["messages"][0]["content"] == build_prompt(job.prompt)
+        assert body["messages"][0]["content"] == build_prompt(make_spec())
+
+    @pytest.mark.parametrize("max_tokens", [0, -3])
+    def test_max_tokens_positive(self, max_tokens):
+        with pytest.raises(PromptError, match=f"max_tokens must be at least 1, got {max_tokens}"):
+            GenerationJob(prompt=build_prompt(make_spec()), model="m", max_tokens=max_tokens)
 
 
 class TestRetries:
-    def test_two_failures_then_success_uses_three_attempts(self):
+    def test_two_failures_then_success_uses_three_attempts(self, tmp_path):
         transport = MockTransport(
             [{"error": "HTTP 500"}, {"error": "HTTP 500"}, {"content": "ok"}]
         )
         delays = []
-        response, attempts = request_completion(transport, {"x": 1}, sleep=delays.append)
+        response, attempts = request_completion(transport, {"x": 1}, tmp_path / "r.json", sleep=delays.append)
         assert attempts == 3
         assert response_text(response) == "ok"
         assert delays == [BACKOFF_S, BACKOFF_S * BACKOFF_MULTIPLIER]
 
-    def test_exhausted_retries_raise(self):
+    def test_exhausted_retries_raise(self, tmp_path):
         transport = MockTransport([{"error": "HTTP 503"}])
         with pytest.raises(TransportError, match=f"giving up after {RETRY_ATTEMPTS} attempts"):
-            request_completion(transport, {}, sleep=lambda _: None)
+            request_completion(transport, {}, tmp_path / "r.json", sleep=lambda _: None)
 
-    def test_no_sleep_after_final_attempt(self):
+    def test_no_sleep_after_final_attempt(self, tmp_path):
         transport = MockTransport([{"error": "boom"}])
         delays = []
         with pytest.raises(TransportError):
-            request_completion(transport, {}, sleep=delays.append)
+            request_completion(transport, {}, tmp_path / "r.json", sleep=delays.append)
         assert len(delays) == RETRY_ATTEMPTS - 1
 
 
@@ -238,14 +245,14 @@ class TestHttpTransport:
         with pytest.raises(TransportError, match=match):
             HttpTransport("http://example.invalid").complete({})
 
-    def test_nested_reply_fails_its_slot(self, monkeypatch):
+    def test_nested_reply_fails_its_slot(self, monkeypatch, tmp_path):
         # a RecursionError would escape generate, which fails a slot on
         # TransportError only
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(b"[" * 100_000))
-        job = GenerationJob(prompt=make_spec(), model="m", n_programs=1)
+        job = GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=1)
         transport = HttpTransport("http://example.invalid")
-        [result] = generate_programs(job, ClassSpace(("spam", "ham")), transport, sleep=lambda _: None)
+        [result] = generate_programs(job, ClassSpace(("spam", "ham")), transport, tmp_path, sleep=lambda _: None)
         assert not result.ok
         assert result.error.endswith("response: JSON nested too deeply"), result.error
 
@@ -268,7 +275,7 @@ class TestGeneratePrograms:
     CS = ClassSpace(("spam", "ham"))
 
     def job(self, n=3):
-        return GenerationJob(prompt=make_spec(), model="m", n_programs=n)
+        return GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=n)
 
     def test_ok_fixture_yields_programs_with_slot_ids(self, tmp_path):
         transport = MockTransport.from_file(FIXTURES / "ok_program.json")
@@ -301,10 +308,34 @@ class TestGeneratePrograms:
             artifact = json.loads((tmp_path / "raw" / f"{slot}.json").read_text())
             assert "error" in artifact
 
-    def test_works_without_out_dir(self):
-        transport = MockTransport.from_file(FIXTURES / "ok_program.json")
-        results = generate_programs(self.job(1), self.CS, transport)
-        assert results[0].ok
+
+class TestRawReplies:
+    """Program generation and concept elicitation record a reply alike."""
+
+    OUTCOMES = {
+        "success": [{"content": '["a"]'}],
+        "retried-success": [{"error": "HTTP 500"}, {"content": '["a"]'}],
+        "transport-failure": [{"error": "HTTP 500"}],
+    }
+
+    @pytest.mark.parametrize("outcome", list(OUTCOMES))
+    @pytest.mark.parametrize("caller", ["generate", "elicit_concepts"])
+    def test_artifact_keys(self, caller, outcome, tmp_path):
+        transport = MockTransport(self.OUTCOMES[outcome])
+        if caller == "generate":
+            job = GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=1)
+            generate_programs(job, ClassSpace(("spam", "ham")), transport, tmp_path, sleep=lambda _: None)
+            path, caller_keys = tmp_path / "raw" / "0.json", {"slot"}
+        else:
+            try:
+                elicit_concepts("t", "list concepts", "m", transport, tmp_path, sleep=lambda _: None)
+            except TransportError:
+                assert outcome == "transport-failure"
+            path, caller_keys = tmp_path / "raw" / "concepts.json", set()
+        artifact = json.loads(path.read_text(encoding="utf-8"))
+        reply = "error" if outcome == "transport-failure" else "response"
+        assert set(artifact) == caller_keys | {"request", "attempts", reply}
+        assert artifact["attempts"] == {"success": 1, "retried-success": 2}.get(outcome, RETRY_ATTEMPTS)
 
 
 class TestCost:
@@ -354,6 +385,12 @@ class TestCost:
             Pricing(-0.1, 0.5)
         with pytest.raises(PromptError, match="rates"):
             Pricing(None, 0.5)
+
+    @pytest.mark.parametrize("rates", [(math.nan, 0.5), (0.5, math.inf), (math.inf, math.nan)])
+    def test_pricing_refuses_non_finite_rates(self, rates):
+        # the dollar figure would be NaN or infinite, which cost.json cannot hold
+        with pytest.raises(PromptError, match="finite"):
+            Pricing(*rates)
 
     def test_to_dict_round_trip_fields(self):
         estimate = estimate_cost(["abcd"], ["efgh"], Pricing(1.0, 2.0))
