@@ -1,13 +1,19 @@
 """Command-line pipeline: generate -> apply -> analyze -> aggregate ->
 export -> train -> eval.
 
-Each subcommand reads files, writes one output directory, and drops a
-run_manifest.json with content hashes of its inputs and outputs. Given
-identical inputs, outputs are byte-identical (the manifest's timestamp
-is the only exception); ``train`` alone takes a --seed, for its weight
-initialization, shuffling and validation split. Exit codes: 0 ok, 1
-error (a malformed input file is reported as ``error: <path>[:<line>]:
-<what>``), 2 when diagnostics flagged a program.
+``main`` runs every subcommand in four steps. It checks the flags
+against the command's ``RULES``; it refuses a non-empty --out without
+--force, before any input is read; it calls ``cmd_<name>(args, out)``,
+which reads its inputs, creates ``out`` just before its first write
+(``_make_out``) and returns ``(exit code, params, inputs)``; and it
+writes run_manifest.json with the params and the content hashes of the
+inputs and outputs. So a run refused for a flag, --out or an input
+creates nothing. Given identical inputs, outputs are byte-identical
+(the manifest's timestamp is the only exception); ``train`` alone takes
+a --seed, for its weight initialization, shuffling and validation
+split. Exit codes: 0 ok, 1 error (a malformed input file is reported
+as ``error: <path>[:<line>]: <what>``), 2 when diagnostics flagged a
+program.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .data import (
     json_field,
     load_pseudolabels,
     load_votes,
+    read_json,
     read_jsonl,
     read_text,
     save_pseudolabels,
@@ -65,6 +72,31 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 2
 
+# each command's flag checks, made before anything is read: flag ->
+# (predicate, wanted); a flag left at its None default is not checked
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_RATE = (lambda v: 0 <= v < math.inf, "a finite number at least 0")
+_THRESHOLD = {"--threshold": (lambda v: 0 <= v <= 1, "in [0, 1]")}
+RULES = {
+    "generate": {
+        "--n": _AT_LEAST_1,
+        "--temperature": (lambda v: 0 <= v <= 2, "in [0, 2]"),
+        "--max-tokens": _AT_LEAST_1,
+        "--price-in": _RATE,
+        "--price-out": _RATE,
+    },
+    "analyze": _THRESHOLD,
+    "aggregate": _THRESHOLD,
+    "train": {
+        "--epochs": _AT_LEAST_1,
+        "--batch": _AT_LEAST_1,
+        "--seed": (lambda v: v >= 0, "at least 0"),
+        "--lr": (lambda v: 0 < v < math.inf, "a finite number above 0"),
+        "--val-fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
+        "--dims": (lambda v: v >= 2, "at least 2"),
+    },
+}
+
 
 class CliError(LabelsmithError):
     """Bad invocation or refused operation."""
@@ -83,12 +115,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _prepare_out(path: str, force: bool) -> Path:
-    out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise CliError(f"output directory {out} is not empty; pass --force to overwrite")
+def _make_out(out: Path, inputs: list[Path]) -> None:
+    """Create ``out`` for a command's first write. A manifest there is a
+    --force rerun's: the files it lists as outputs, but for this run's
+    ``inputs``, are deleted first, so none is left over and listed again
+    as this run's."""
+    manifest = out / "run_manifest.json"
+    if manifest.is_file():
+        names = read_json(manifest, lambda doc: json_field(doc, "outputs", dict))
+        for name in names:
+            if out.resolve() not in (out / name).resolve().parents:
+                raise CliError(f"{manifest}: output {name!r} lies outside {out}")
+        manifest.unlink()
+        kept = {path.resolve() for path in inputs}
+        for name in names:
+            if (out / name).resolve() not in kept:
+                (out / name).unlink(missing_ok=True)
     out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_manifest(out: Path, command: str, params: dict, inputs: list[Path]) -> None:
@@ -135,7 +178,7 @@ def _load_program(path: Path, cs: ClassSpace):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, out: Path):
     from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing, SupplementBlock
     pack = load_pack(args.task)
     supplements = []
@@ -166,8 +209,9 @@ def cmd_generate(args) -> int:
         transport = MockTransport.from_file(args.mock)
     else:
         transport = HttpTransport(args.endpoint)
-    out = _prepare_out(args.out, args.force)
     cs = pack.class_space()
+    inputs = [Path(args.mock)] if args.mock else []
+    _make_out(out, inputs)
     # looked up at call time, so a patched time.sleep reaches the retry loop
     results = _cli.generate_programs(job, cs, transport, out_dir=out, sleep=time.sleep)
     prog_dir = out / "programs"
@@ -186,24 +230,13 @@ def cmd_generate(args) -> int:
     failures = [res for res in results if not res.ok]
     for res in failures:
         print(f"slot {res.slot}: {res.error}", file=sys.stderr)
-    _write_manifest(
-        out,
-        "generate",
-        {
-            "task": args.task,
-            "n": args.n,
-            "model": args.model_name,
-            "temperature": args.temperature,
-            "mock": bool(args.mock),
-        },
-        [Path(args.mock)] if args.mock else [],
-    )
     print(f"extracted {n_ok}/{len(results)} programs -> {prog_dir}")
     print(f"estimated cost: ${cost.dollars:.6f} ({cost.input_tokens} in, {cost.output_tokens} out)")
-    return EXIT_OK
+    params = {"task": args.task, "n": args.n, "model": args.model_name, "temperature": args.temperature}
+    return EXIT_OK, {**params, "mock": bool(args.mock)}, inputs
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args, out: Path):
     cs = _classes_arg(args)
     task = args.task or "adhoc"
     dataset = _cli.load_dataset(args.data, cs)
@@ -211,30 +244,22 @@ def cmd_apply(args) -> int:
     if not prog_paths:
         raise CliError(f"no .lf programs found in {args.programs}")
     programs = [_load_program(p, cs) for p in prog_paths]
-    out = _prepare_out(args.out, args.force)
     matrix = _cli.assemble_votes(dataset, programs, cs, task=task)
+    inputs = [Path(args.data), *prog_paths]
+    _make_out(out, inputs)
     save_votes(out / "votes.json", matrix)
-    _write_manifest(
-        out,
-        "apply",
-        {"task": task, "programs": len(programs)},
-        [Path(args.data), *prog_paths],
-    )
     coverage = float((matrix.record_votes > 0).mean())
     print(f"applied {matrix.m} programs to {matrix.n} records (union coverage {coverage:.3f})")
-    return EXIT_OK
+    return EXIT_OK, {"task": task, "programs": len(programs)}, inputs
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: Path):
     from . import diagnostics
     threshold = diagnostics.DEFAULT_COVERAGE_THRESHOLD if args.threshold is None else args.threshold
     matrix = load_votes(args.votes)
     stats = diagnostics.analyze(matrix, coverage_threshold=threshold)
-    out = _prepare_out(args.out, args.force)
+    _make_out(out, [Path(args.votes)])
     diagnostics.save_stats(out / "analysis.json", stats, threshold)
-    _write_manifest(
-        out, "analyze", {"threshold": threshold}, [Path(args.votes)]
-    )
     print(diagnostics.render_stats_table(stats))
     flagged = [s.program_id for s in stats if s.flagged_low_coverage]
     if flagged:
@@ -243,11 +268,10 @@ def cmd_analyze(args) -> int:
             + ", ".join(flagged),
             file=sys.stderr,
         )
-        return EXIT_FLAGGED
-    return EXIT_OK
+    return EXIT_FLAGGED if flagged else EXIT_OK, {"threshold": threshold}, [Path(args.votes)]
 
 
-def cmd_aggregate(args) -> int:
+def cmd_aggregate(args, out: Path):
     from . import diagnostics, models
     threshold = diagnostics.DEFAULT_COVERAGE_THRESHOLD if args.threshold is None else args.threshold
     if args.model is not None and args.params:
@@ -262,7 +286,6 @@ def cmd_aggregate(args) -> int:
             f"{args.votes}: program(s) below {threshold:.0%} coverage: {', '.join(flagged)}; "
             "remove them from the votes file or pass --keep-flagged"
         )
-    out = _prepare_out(args.out, args.force)
     if args.params:
         params = models.load_params(args.params)
         report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
@@ -282,30 +305,27 @@ def cmd_aggregate(args) -> int:
     except models.ModelError as exc:
         # a fit's params always match its matrix; loaded ones may not
         raise CliError(f"{args.params} does not match {args.votes}: {exc}") from exc
+    inputs = [Path(args.votes)] + ([Path(args.params)] if args.params else [])
+    _make_out(out, inputs)
     models.save_params(out / "params.json", params)
     save_pseudolabels(out / "pseudolabels.jsonl", labels)
     write_json(out / "fit_report.json", report_doc)
-    _write_manifest(
-        out,
-        "aggregate",
-        {"model": model, "threshold": threshold},
-        [Path(args.votes)] + ([Path(args.params)] if args.params else []),
-    )
     coverage = diagnostics.coverage_of_label_model(labels)
     line = f"{params.kind}: labeled {labels.n} records (coverage {coverage:.3f})"
     if matrix.gold is not None and None not in matrix.gold:
         acc = float((labels.hard == np.array(matrix.gold)).mean())
         line += f", accuracy vs gold {acc:.4f}"
     print(line)
-    return EXIT_OK
+    return EXIT_OK, {"model": model, "threshold": threshold}, inputs
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, out: Path):
     from . import distill
     cs = _classes_arg(args)
     dataset = _cli.load_dataset(args.data, cs)
     labels = load_pseudolabels(args.pseudolabels, K=cs.K)
-    out = _prepare_out(args.out, args.force)
+    inputs = [Path(args.data), Path(args.pseudolabels)]
+    _make_out(out, inputs)
     try:
         report = distill.export_training_set(
             dataset,
@@ -316,31 +336,13 @@ def cmd_export(args) -> int:
         )
     except distill.DistillError as exc:
         raise CliError(f"{args.pseudolabels} does not match {args.data}: {exc}") from exc
-    _write_manifest(
-        out,
-        "export",
-        {
-            "probabilistic": args.probabilistic,
-            "keep_uncovered": args.keep_uncovered,
-        },
-        [Path(args.data), Path(args.pseudolabels)],
-    )
     print(f"wrote {report.n_written} rows ({report.n_dropped_uncovered} uncovered dropped)")
-    return EXIT_OK
+    params = {key: getattr(args, key) for key in ("probabilistic", "keep_uncovered")}
+    return EXIT_OK, params, inputs
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out: Path):
     from . import distill
-    for flag, value, ok, wanted in (
-        ("--epochs", args.epochs, args.epochs >= 1, "at least 1"),
-        ("--batch", args.batch, args.batch >= 1, "at least 1"),
-        ("--seed", args.seed, args.seed >= 0, "at least 0"),
-        ("--lr", args.lr, math.isfinite(args.lr) and args.lr > 0, "a finite number above 0"),
-        ("--val-fraction", args.val_fraction, 0 <= args.val_fraction < 1, "in [0, 1)"),
-        ("--dims", args.dims, args.dims is None or args.dims >= 2, "at least 2"),
-    ):
-        if not ok:
-            raise CliError(f"{flag} must be {wanted}, got {value}")
     cs = _classes_arg(args)
     dataset, targets = distill.load_training_set(args.train_file, cs.K)
     # score records train on their concepts, text records on hashed words
@@ -369,32 +371,20 @@ def cmd_train(args) -> int:
         dataset, targets = dataset.take(train_idx), targets[train_idx]
     X = distill.featurize(dataset, dims, concepts)
     del dataset
-    out = _prepare_out(args.out, args.force)
     hyper = distill.Hyper(epochs=args.epochs, lr=args.lr, batch=args.batch, seed=args.seed)
     model, metrics = distill.train_mlp(X, targets, cs, hyper, X_val, y_val)
+    _make_out(out, [Path(args.train_file)])
     distill.save_model(out / "model.json", model)
     metrics.save_csv(out / "metrics.csv")
-    _write_manifest(
-        out,
-        "train",
-        {
-            "epochs": args.epochs,
-            "lr": args.lr,
-            "batch": args.batch,
-            "seed": args.seed,
-            "dims": dims,
-            "val_fraction": args.val_fraction,
-        },
-        [Path(args.train_file)],
-    )
     line = f"trained {model.sizes} for {args.epochs} epochs; train acc {metrics.train_accuracy[-1]:.4f}"
     if metrics.val_accuracy:
         line += f", val acc {metrics.val_accuracy[-1]:.4f}"
     print(line)
-    return EXIT_OK
+    params = {key: getattr(args, key) for key in ("epochs", "lr", "batch", "seed", "val_fraction")}
+    return EXIT_OK, {**params, "dims": dims}, [Path(args.train_file)]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, out: Path):
     from . import diagnostics, distill
     model = distill.load_model(args.model)
     dataset = _cli.load_dataset(args.data, model.classes, model.concepts)
@@ -414,9 +404,9 @@ def cmd_eval(args) -> int:
         doc["worst_group_accuracy"] = report.worst_group_accuracy
         doc["gap"] = report.gap
         doc["per_group"] = dict(report.per_group)
-    out = _prepare_out(args.out, args.force)
+    inputs = [Path(args.model), distill.weights_path(args.model), Path(args.data)]
+    _make_out(out, inputs)
     write_json(out / "eval.json", doc)
-    _write_manifest(out, "eval", {}, [Path(args.model), distill.weights_path(args.model), Path(args.data)])
     print(f"accuracy {accuracy:.4f} on {len(dataset)} records")
     if "worst_group_accuracy" in doc:
         print(
@@ -425,7 +415,7 @@ def cmd_eval(args) -> int:
             + ", ".join(f"{g}={a:.4f}" for g, a in sorted(doc["per_group"].items()))
             + ")"
         )
-    return EXIT_OK
+    return EXIT_OK, {}, inputs
 
 
 def _add_common(sp, *, data=False, task_classes=False):
@@ -530,7 +520,16 @@ def main(argv=None) -> int:
     try:
         _check_argv(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        for flag, (ok, wanted) in RULES.get(args.command, {}).items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and not ok(value):
+                raise CliError(f"{flag} must be {wanted}, got {value}")
+        out = Path(args.out)
+        if out.exists() and any(out.iterdir()) and not args.force:
+            raise CliError(f"output directory {out} is not empty; pass --force to overwrite")
+        code, params, inputs = args.func(args, out)
+        _write_manifest(out, args.command, params, inputs)
+        return code
     except (LabelsmithError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -50,6 +50,11 @@ def tree_bytes(out: Path) -> dict:
     }
 
 
+def listing(out: Path) -> dict:
+    """Relative path -> bytes (None for a directory) for everything in out."""
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None for p in sorted(out.rglob("*"))}
+
+
 @pytest.fixture(scope="module")
 def corpus_file(tmp_path_factory):
     records, _ = make_spam_corpus(300, seed=7)
@@ -568,7 +573,8 @@ class TestAggregate:
     def test_threshold_outside_0_1_refused(self, votes_dir, tmp_path, capsys, threshold):
         argv = ["aggregate", "--votes", str(votes_dir / "votes.json"), "--threshold", threshold]
         assert main([*argv, "--out", str(tmp_path / "agg")]) == 1
-        assert "coverage threshold must be in [0, 1]" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --threshold must be in [0, 1], got {float(threshold)}\n"
+        assert not (tmp_path / "agg").exists()
 
     def test_params_reuse_of_a_file_with_class_names_and_propensity(self, votes_dir, tmp_path):
         # files written before params stopped storing class names and
@@ -1444,11 +1450,11 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     [
         pytest.param(flag, value, message, id=f"{flag}-{value}")
         for flag, value, message in [
-            ("--price-in", "nan", "pricing rates must be finite and nonnegative"),
-            ("--price-out", "inf", "pricing rates must be finite and nonnegative"),
-            ("--max-tokens", "-3", "max_tokens must be at least 1, got -3"),
-            ("--temperature", "3", "temperature must be in [0, 2], got 3.0"),
-            ("--n", "0", "n_programs must be at least 1"),
+            ("--price-in", "nan", "--price-in must be a finite number at least 0, got nan"),
+            ("--price-out", "inf", "--price-out must be a finite number at least 0, got inf"),
+            ("--max-tokens", "-3", "--max-tokens must be at least 1, got -3"),
+            ("--temperature", "3", "--temperature must be in [0, 2], got 3.0"),
+            ("--n", "0", "--n must be at least 1, got 0"),
         ]
     ],
 )
@@ -1461,6 +1467,102 @@ def test_generate_rejects_bad_arguments(flag, value, message, tmp_path, capsys, 
     assert code == 1, err
     assert err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_analyze_threshold_refused_before_the_votes_are_read(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["analyze", "--votes", str(tmp_path / "missing.json"), "--threshold", "7", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --threshold must be in [0, 1], got 7.0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--task", "sms", "--mock", "{missing}"],
+        ["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--data", "{missing}"],
+        ["analyze", "--votes", "{missing}"],
+        ["aggregate", "--votes", "{missing}"],
+        ["export", "--pseudolabels", "{missing}", "--task", "sms", "--data", "{missing}"],
+        ["train", "--train-file", "{missing}", "--task", "sms"],
+        ["eval", "--model", "{missing}", "--data", "{missing}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_nonempty_out_refused_before_any_input_is_read(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine", encoding="utf-8")
+    before = listing(out)
+    missing = str(tmp_path / "missing")
+    code = main([*(arg.format(missing=missing) for arg in argv), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: output directory {out} is not empty; pass --force to overwrite\n"
+    assert listing(out) == before
+
+
+class TestForce:
+    def generate(self, out: Path, *argv: str) -> int:
+        return main(["generate", "--task", "sms", "--mock", MOCK_OK, *argv, "--out", str(out), "--force"])
+
+    def test_rerun_removes_the_outputs_the_last_manifest_lists(self, tmp_path):
+        out = tmp_path / "gen"
+        assert self.generate(out, "--n", "6") == 0
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        assert self.generate(out, "--n", "2") == 0
+        assert sorted(p.name for p in (out / "programs").iterdir()) == ["slot_00.lf", "slot_01.lf"]
+        assert sorted(p.name for p in (out / "raw").iterdir()) == ["0.json", "1.json"]
+        # a file the last manifest did not list stays
+        assert (out / "notes.txt").read_text(encoding="utf-8") == "mine"
+        manifest = read_manifest(out)
+        assert manifest["params"]["n"] == 2
+        assert set(manifest["outputs"]) == set(tree_bytes(out))
+        assert len([name for name in manifest["outputs"] if name.endswith(".lf")]) == 2
+
+    def test_rerun_keeps_its_own_inputs(self, votes_dir, tmp_path):
+        # apply's manifest lists votes.json, which analyze reads
+        out = tmp_path / "votes"
+        shutil.copytree(votes_dir, out)
+        votes = out / "votes.json"
+        before = votes.read_bytes()
+        assert main(["analyze", "--votes", str(votes), "--out", str(out), "--force"]) == 0
+        assert votes.read_bytes() == before
+        assert str(votes) in read_manifest(out)["inputs"]
+
+    def test_refused_rerun_removes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert self.generate(out, "--n", "6") == 0
+        before = listing(out)
+        capsys.readouterr()
+        missing = tmp_path / "missing.json"
+        code = main(["generate", "--task", "sms", "--mock", str(missing), "--out", str(out), "--force"])
+        assert code == 1
+        assert str(missing) in capsys.readouterr().err
+        assert listing(out) == before
+
+    @pytest.mark.parametrize(
+        "manifest, reason",
+        [
+            ('{"outputs": {"cost.json": "", "../victim.txt": ""}}', "output '../victim.txt' lies outside {out}"),
+            ('{"outputs": ["cost.json"]}', "'outputs' must be an object, got a list"),
+            ("{", "malformed JSON"),
+        ],
+        ids=["escaping-path", "outputs-not-an-object", "not-json"],
+    )
+    def test_unusable_manifest_refused(self, manifest, reason, tmp_path, capsys):
+        out = tmp_path / "gen"
+        out.mkdir()
+        (out / "cost.json").write_text("{}", encoding="utf-8")
+        (out / "run_manifest.json").write_text(manifest, encoding="utf-8")
+        (tmp_path / "victim.txt").write_text("theirs", encoding="utf-8")
+        before = listing(out)
+        assert self.generate(out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'run_manifest.json'}:"), err
+        assert reason.format(out=out) in err
+        assert listing(out) == before
+        assert (tmp_path / "victim.txt").read_text(encoding="utf-8") == "theirs"
 
 
 def test_train_that_diverges_writes_no_model(tmp_path, capsys):

@@ -103,6 +103,14 @@ class TestAnalyzeOracle:
         with pytest.raises(DiagnosticsError, match="threshold"):
             analyze(mk_matrix([[0]]), coverage_threshold=1.5)
 
+    @pytest.mark.parametrize("threshold", [1.5, -0.1, float("nan")])
+    def test_low_coverage_refuses_threshold_outside_0_1(self, mk_matrix, threshold):
+        # the CLI checks --threshold itself; this guards the Python API
+        message = f"coverage threshold must be in [0, 1], got {threshold}"
+        with pytest.raises(DiagnosticsError) as exc:
+            low_coverage(mk_matrix([[0]]), threshold)
+        assert str(exc.value) == message
+
     def test_gold_length_mismatch(self, mk_matrix):
         with pytest.raises(ValueError, match="gold"):
             mk_matrix([[0], [1]], gold=[0])

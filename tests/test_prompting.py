@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -104,12 +105,14 @@ class TestBuildPrompt:
 
 
 class TestJobValidation:
+    # the CLI checks its flags itself; these guard the Python API
     def test_temperature_range(self):
-        with pytest.raises(PromptError, match="temperature"):
-            GenerationJob(prompt=build_prompt(make_spec()), model="m", temperature=3.0)
+        for temperature in (3.0, -0.1, math.nan):
+            with pytest.raises(PromptError, match=re.escape(f"temperature must be in [0, 2], got {temperature}")):
+                GenerationJob(prompt=build_prompt(make_spec()), model="m", temperature=temperature)
 
     def test_n_programs_positive(self):
-        with pytest.raises(PromptError, match="n_programs"):
+        with pytest.raises(PromptError, match="^n_programs must be at least 1$"):
             GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=0)
 
     def test_request_body_shape(self):
@@ -389,7 +392,7 @@ class TestCost:
     @pytest.mark.parametrize("rates", [(math.nan, 0.5), (0.5, math.inf), (math.inf, math.nan)])
     def test_pricing_refuses_non_finite_rates(self, rates):
         # the dollar figure would be NaN or infinite, which cost.json cannot hold
-        with pytest.raises(PromptError, match="finite"):
+        with pytest.raises(PromptError, match="^pricing rates must be finite and nonnegative$"):
             Pricing(*rates)
 
     def test_to_dict_round_trip_fields(self):
