@@ -2,7 +2,8 @@
 export -> train -> eval.
 
 ``main`` runs every subcommand in four steps. It checks the flags
-against the command's ``RULES``; it refuses a non-empty --out without
+against the command's ``RULES`` and refuses a pair of its ``EXCLUSIVE``
+flags given together; it refuses a non-empty --out without
 --force, before any input is read; it calls ``cmd_<name>(args, out)``,
 which reads its inputs, creates ``out`` just before its first write
 (``_make_out``) and returns ``(exit code, params, inputs)``; and it
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    MAX_RATE_PER_1K,
     ClassSpace,
     LabelsmithError,
     json_field,
@@ -75,7 +77,7 @@ EXIT_FLAGGED = 2
 # each command's flag checks, made before anything is read: flag ->
 # (predicate, wanted); a flag left at its None default is not checked
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-_RATE = (lambda v: 0 <= v < math.inf, "a finite number at least 0")
+_RATE = (lambda v: 0 <= v <= MAX_RATE_PER_1K, f"in [0, {MAX_RATE_PER_1K}]")
 _THRESHOLD = {"--threshold": (lambda v: 0 <= v <= 1, "in [0, 1]")}
 RULES = {
     "generate": {
@@ -95,6 +97,16 @@ RULES = {
         "--val-fraction": (lambda v: 0 <= v < 1, "in [0, 1)"),
         "--dims": (lambda v: v >= 2, "at least 2"),
     },
+}
+# each command's pair of flags that exclude each other, since given
+# together one of them would do nothing
+_TASK_OR_CLASSES = ("--task", "--classes")
+EXCLUSIVE = {
+    "generate": ("--mock", "--endpoint"),
+    "apply": _TASK_OR_CLASSES,
+    "aggregate": ("--model", "--params"),
+    "export": _TASK_OR_CLASSES,
+    "train": _TASK_OR_CLASSES,
 }
 
 
@@ -208,7 +220,7 @@ def cmd_generate(args, out: Path):
     if args.mock:
         transport = MockTransport.from_file(args.mock)
     else:
-        transport = HttpTransport(args.endpoint)
+        transport = HttpTransport(DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint)
     cs = pack.class_space()
     inputs = [Path(args.mock)] if args.mock else []
     _make_out(out, inputs)
@@ -274,8 +286,6 @@ def cmd_analyze(args, out: Path):
 def cmd_aggregate(args, out: Path):
     from . import diagnostics, models
     threshold = diagnostics.DEFAULT_COVERAGE_THRESHOLD if args.threshold is None else args.threshold
-    if args.model is not None and args.params:
-        raise CliError("--model and --params exclude each other")
     # null when params are reused: the params file is among the inputs
     model = None if args.params else args.model or "ds"
     matrix = load_votes(args.votes)
@@ -324,18 +334,19 @@ def cmd_export(args, out: Path):
     cs = _classes_arg(args)
     dataset = _cli.load_dataset(args.data, cs)
     labels = load_pseudolabels(args.pseudolabels, K=cs.K)
-    inputs = [Path(args.data), Path(args.pseudolabels)]
-    _make_out(out, inputs)
     try:
-        report = distill.export_training_set(
-            dataset,
-            labels,
-            out / "train.jsonl",
-            use_probabilistic=args.probabilistic,
-            drop_uncovered=not args.keep_uncovered,
-        )
+        labels = distill.join_pseudolabels(dataset, labels)
     except distill.DistillError as exc:
         raise CliError(f"{args.pseudolabels} does not match {args.data}: {exc}") from exc
+    inputs = [Path(args.data), Path(args.pseudolabels)]
+    _make_out(out, inputs)
+    report = distill.export_training_set(
+        dataset,
+        labels,
+        out / "train.jsonl",
+        use_probabilistic=args.probabilistic,
+        drop_uncovered=not args.keep_uncovered,
+    )
     print(f"wrote {report.n_written} rows ({report.n_dropped_uncovered} uncovered dropped)")
     params = {key: getattr(args, key) for key in ("probabilistic", "keep_uncovered")}
     return EXIT_OK, params, inputs
@@ -425,7 +436,7 @@ def _add_common(sp, *, data=False, task_classes=False):
         sp.add_argument("--data", required=True, help="dataset file (JSONL)")
     if task_classes:
         sp.add_argument("--task", help=f"shipped task pack ({', '.join(available_packs())})")
-        sp.add_argument("--classes", help="comma-separated class names (alternative to --task)")
+        sp.add_argument("--classes", help="comma-separated class names (excludes --task)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -438,13 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generate", help="request labeling programs from a model")
     sp.add_argument("--task", required=True, help=f"task pack: {', '.join(available_packs())}")
     sp.add_argument("--n", type=int, default=10, help="number of programs to request")
-    sp.add_argument("--mock", help="fixture JSON file served instead of HTTP")
-    sp.add_argument("--endpoint", default=DEFAULT_ENDPOINT)
+    sp.add_argument("--mock", help="fixture JSON file served instead of HTTP (excludes --endpoint)")
+    sp.add_argument("--endpoint", help=f"chat-completions URL (default {DEFAULT_ENDPOINT}; excludes --mock)")
     sp.add_argument("--model-name", default=DEFAULT_MODEL)
     sp.add_argument("--temperature", type=float, default=0.5)
     sp.add_argument("--max-tokens", type=int, default=None)
-    sp.add_argument("--price-in", type=float, default=0.0005, help="$ per 1k input tokens")
-    sp.add_argument("--price-out", type=float, default=0.0015, help="$ per 1k output tokens")
+    sp.add_argument("--price-in", type=float, default=0.0005, help=f"$ per 1k input tokens, at most {MAX_RATE_PER_1K}")
+    sp.add_argument("--price-out", type=float, default=0.0015, help=f"$ per 1k output tokens, at most {MAX_RATE_PER_1K}")
     sp.add_argument("--dataset-description", help="text, or @file to read one")
     sp.add_argument("--exemplars", help="JSONL of {text, class} examples")
     sp.add_argument("--keywords", help="comma-separated keyword hints")
@@ -515,15 +526,22 @@ def _check_argv(argv) -> None:
             raise CliError(f"argument {arg!r} holds the lone surrogate {surrogate}, which UTF-8 cannot encode") from None
 
 
+def _flag(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         _check_argv(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
         for flag, (ok, wanted) in RULES.get(args.command, {}).items():
-            value = getattr(args, flag[2:].replace("-", "_"))
+            value = _flag(args, flag)
             if value is not None and not ok(value):
                 raise CliError(f"{flag} must be {wanted}, got {value}")
+        pair = EXCLUSIVE.get(args.command, ())
+        if pair and all(_flag(args, flag) is not None for flag in pair):
+            raise CliError(f"{pair[0]} and {pair[1]} exclude each other")
         out = Path(args.out)
         if out.exists() and any(out.iterdir()) and not args.force:
             raise CliError(f"output directory {out} is not empty; pass --force to overwrite")

@@ -26,6 +26,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 ABSTAIN = -1
+# the most dollars per 1k tokens a price may be, in prompting.Pricing and
+# generate's --price-in/--price-out: the cost of fewer than 2**53 tokens
+# at such rates stays a finite float
+MAX_RATE_PER_1K = 1_000_000
 
 
 class LabelsmithError(Exception):

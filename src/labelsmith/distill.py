@@ -204,6 +204,24 @@ class ExportReport:
     n_dropped_uncovered: int
 
 
+def join_pseudolabels(dataset: Dataset, pseudolabels: Pseudolabels) -> Pseudolabels:
+    """``pseudolabels`` in the dataset's record order; themselves when they
+    are in it already. Each record must have a pseudolabel, and each
+    pseudolabel must name a record of the dataset; DistillError names the
+    first that does not."""
+    if pseudolabels.record_ids == dataset.ids:
+        return pseudolabels
+    row_of = {rid: i for i, rid in enumerate(pseudolabels.record_ids)}
+    missing = next((rid for rid in dataset.ids if rid not in row_of), None)
+    if missing is not None:
+        raise DistillError(f"no pseudolabel for record {missing!r}")
+    extra = set(row_of).difference(dataset.ids)
+    if extra:
+        raise DistillError(f"pseudolabel for unknown record {sorted(extra)[0]!r}")
+    rows = [row_of[rid] for rid in dataset.ids]
+    return Pseudolabels(dataset.ids, pseudolabels.posterior[rows], pseudolabels.covered[rows])
+
+
 def export_training_set(
     dataset: Dataset,
     pseudolabels: Pseudolabels,
@@ -218,14 +236,8 @@ def export_training_set(
     Rows carry the id and payload (score columns in the dataset's concept
     order) plus either the hard label or the full posterior. Uncovered
     records are dropped by default; the count of dropped rows comes back
-    in the report."""
-    row_of = {rid: i for i, rid in enumerate(pseudolabels.record_ids)}
-    missing = next((rid for rid in dataset.ids if rid not in row_of), None)
-    if missing is not None:
-        raise DistillError(f"no pseudolabel for record {missing!r}")
-    extra = set(row_of).difference(dataset.ids)
-    if extra:
-        raise DistillError(f"pseudolabel for unknown record {sorted(extra)[0]!r}")
+    in the report. The rows join as ``join_pseudolabels`` joins them."""
+    pseudolabels = join_pseudolabels(dataset, pseudolabels)
     targets = (pseudolabels.posterior if use_probabilistic else pseudolabels.hard).tolist()
     covered = pseudolabels.covered.tolist()
     target = "posterior" if use_probabilistic else "label"
@@ -236,12 +248,11 @@ def export_training_set(
     path = Path(path)
     written = dropped = 0
     with path.open("w", encoding="utf-8") as fh:
-        for rid, value in zip(dataset.ids, values):
-            i = row_of[rid]
-            if drop_uncovered and not covered[i]:
+        for rid, value, label, labeled in zip(dataset.ids, values, targets, covered):
+            if drop_uncovered and not labeled:
                 dropped += 1
                 continue
-            fh.write(json.dumps({"id": rid, payload: value, target: targets[i]}, ensure_ascii=False) + "\n")
+            fh.write(json.dumps({"id": rid, payload: value, target: label}, ensure_ascii=False) + "\n")
             written += 1
     return ExportReport(path=path, n_written=written, n_dropped_uncovered=dropped)
 

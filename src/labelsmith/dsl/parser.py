@@ -21,22 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..data import ABSTAIN, ClassSpace, lone_surrogate
-from .ast import (
-    And,
-    Contains,
-    ContainsAny,
-    DslParseError,
-    DslValidationError,
-    Expr,
-    LengthAtLeast,
-    Matches,
-    Not,
-    Or,
-    Rule,
-    RuleProgram,
-    ScoreCmp,
-    UppercaseRatioAtLeast,
-)
+from .ast import PREDICATES, And, DslParseError, DslValidationError, Expr, Not, Or, Rule, RuleProgram, ScoreCmp
 
 logger = logging.getLogger("labelsmith.dsl")
 
@@ -243,38 +228,18 @@ class _ProgramParser:
 
     def predicate(self) -> Expr:
         tok = self.take("IDENT", "a predicate")
-        name = tok.value
         args, kwargs = self.arglist()
+        node = PREDICATES.get(tok.value)
+        if node is None:
+            self.error(f"unknown predicate {tok.value!r}; expected one of: {', '.join(PREDICATES)}", tok)
+        comparison = ()
+        if node is ScoreCmp:  # its comparison follows the call
+            op = self.take("CMP", "a comparison (>=, >, <=, <) after score()").value
+            comparison = (op, float(self.take("NUMBER", "a numeric threshold").value))
         try:
-            if name == "contains":
-                self._arity(tok, name, args, 1, str)
-                return Contains(args[0], case_sensitive=self._flag(tok, kwargs))
-            if name == "contains_any":
-                if not args or any(not isinstance(a, str) for a in args):
-                    self.error(f"{name}() takes one or more strings", tok)
-                return ContainsAny(tuple(args), case_sensitive=self._flag(tok, kwargs))
-            if name == "matches":
-                self._arity(tok, name, args, 1, str)
-                self._no_kwargs(tok, name, kwargs)
-                return Matches(args[0])
-            if name == "length_at_least":
-                self._arity(tok, name, args, 1, int)
-                self._no_kwargs(tok, name, kwargs)
-                return LengthAtLeast(args[0])
-            if name == "uppercase_ratio_at_least":
-                self._arity(tok, name, args, 1, (int, float))
-                self._no_kwargs(tok, name, kwargs)
-                return UppercaseRatioAtLeast(float(args[0]))
-            if name == "score":
-                self._arity(tok, name, args, 1, str)
-                self._no_kwargs(tok, name, kwargs)
-                op_tok = self.take("CMP", "a comparison (>=, >, <=, <) after score()")
-                num = self.take("NUMBER", "a numeric threshold")
-                return ScoreCmp(args[0], op_tok.value, float(num.value))
+            return node.call(tok.value, args, kwargs, *comparison)
         except DslValidationError as exc:
             self.error(str(exc), tok)
-        known = "contains, contains_any, matches, length_at_least, uppercase_ratio_at_least, score"
-        self.error(f"unknown predicate {name!r}; expected one of: {known}", tok)
 
     def arglist(self) -> tuple[list, dict]:
         self.take("LPAREN", "'('")
@@ -312,21 +277,6 @@ class _ProgramParser:
         self.take("RPAREN", "')'")
         return args, kwargs
 
-    def _arity(self, tok, name, args, count, types):
-        if len(args) != count or any(not isinstance(a, types) or isinstance(a, bool) for a in args):
-            shown = getattr(types, "__name__", "number")
-            self.error(f"{name}() takes exactly {count} {shown} argument(s)", tok)
-
-    def _no_kwargs(self, tok, name, kwargs):
-        if kwargs:
-            self.error(f"{name}() takes no keyword arguments", tok)
-
-    def _flag(self, tok, kwargs) -> bool:
-        extra = set(kwargs) - {"case_sensitive"}
-        if extra:
-            self.error(f"unknown keyword argument {sorted(extra)[0]!r}", tok)
-        return bool(kwargs.get("case_sensitive", False))
-
 
 def parse_program(
     source: str,
@@ -354,42 +304,8 @@ def parse_program(
     return program
 
 
-_PREC = {"or": 1, "and": 2, "not": 3}
-
-
 def format_expr(expr: Expr) -> str:
-    return _fmt(expr, 0)
-
-
-def _fmt(expr: Expr, parent_prec: int) -> str:
-    if isinstance(expr, Or):
-        text, prec = " or ".join(_fmt(c, _PREC["or"]) for c in expr.children), _PREC["or"]
-    elif isinstance(expr, And):
-        text, prec = " and ".join(_fmt(c, _PREC["and"]) for c in expr.children), _PREC["and"]
-    elif isinstance(expr, Not):
-        text, prec = "not " + _fmt(expr.child, _PREC["not"]), _PREC["not"]
-    else:
-        return _fmt_leaf(expr)
-    return f"({text})" if prec < parent_prec else text
-
-
-def _fmt_leaf(leaf) -> str:
-    q = lambda s: json.dumps(s, ensure_ascii=False)
-    if isinstance(leaf, Contains):
-        flag = ", case_sensitive=true" if leaf.case_sensitive else ""
-        return f"contains({q(leaf.needle)}{flag})"
-    if isinstance(leaf, ContainsAny):
-        flag = ", case_sensitive=true" if leaf.case_sensitive else ""
-        return f"contains_any([{', '.join(q(x) for x in leaf.needles)}]{flag})"
-    if isinstance(leaf, Matches):
-        return f"matches({q(leaf.pattern)})"
-    if isinstance(leaf, LengthAtLeast):
-        return f"length_at_least({leaf.n})"
-    if isinstance(leaf, UppercaseRatioAtLeast):
-        return f"uppercase_ratio_at_least({leaf.ratio!r})"
-    if isinstance(leaf, ScoreCmp):
-        return f"score({q(leaf.concept)}) {leaf.op} {leaf.threshold!r}"
-    raise TypeError(f"not a DSL expression: {leaf!r}")
+    return expr.source()
 
 
 def _fmt_target(target: int, class_space: ClassSpace) -> str:

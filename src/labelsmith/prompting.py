@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .data import ClassSpace, LabelsmithError, parse_json, read_json, write_json
+from .data import MAX_RATE_PER_1K, ClassSpace, LabelsmithError, parse_json, read_json, write_json
 from .dsl import RuleProgram
 from .dsl.extract import ExtractionError, extract_program
 
@@ -342,9 +342,13 @@ class Pricing:
     def __post_init__(self):
         if self.input_per_1k is None or self.output_per_1k is None:
             raise PromptError("pricing needs both input and output rates")
-        # a NaN or infinite rate would write a dollar figure JSON cannot hold
-        if not all(0 <= rate < math.inf for rate in (self.input_per_1k, self.output_per_1k)):
+        # a NaN or infinite rate, or one so large that the cost overflows,
+        # would write a dollar figure JSON cannot hold
+        rates = (self.input_per_1k, self.output_per_1k)
+        if not all(0 <= rate < math.inf for rate in rates):
             raise PromptError("pricing rates must be finite and nonnegative")
+        if max(rates) > MAX_RATE_PER_1K:
+            raise PromptError(f"pricing rates must be at most {MAX_RATE_PER_1K} dollars per 1k tokens")
 
 
 @dataclass(frozen=True)

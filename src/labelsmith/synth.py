@@ -48,6 +48,10 @@ _HAM_FILLER = (
 
 _GREETINGS = ("hey", "hello", "hi")
 
+# share of records whose spam words are spaced out and whose ham carries
+# decoys and stray promotional words
+ADVERSARIAL_FRACTION = 0.2
+
 _DECOY = "offer"
 _RARE_MARKER = "jackpot bonanza"
 
@@ -56,15 +60,14 @@ def _obfuscate(word: str) -> str:
     return " ".join(word)
 
 
-def make_spam_corpus(
-    n: int = 2000, seed: int = 7, adversarial_fraction: float = 0.2
-) -> tuple[list[Record], ClassSpace]:
-    """Balanced two-class corpus with gold labels and group ids."""
+def make_spam_corpus(n: int = 2000, seed: int = 7) -> tuple[list[Record], ClassSpace]:
+    """Balanced two-class corpus with gold labels and group ids; about
+    ``ADVERSARIAL_FRACTION`` of the records are in the adversarial group."""
     rng = np.random.default_rng(seed)
     records = []
     for i in range(n):
         gold = int(i % 2)
-        adversarial = bool(rng.random() < adversarial_fraction)
+        adversarial = bool(rng.random() < ADVERSARIAL_FRACTION)
         group = "adversarial" if adversarial else "standard"
         parts = []
         if rng.random() < 0.5:

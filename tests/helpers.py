@@ -58,7 +58,6 @@ from labelsmith.distill import (
 from labelsmith.dsl import (
     DEFAULT_BUDGET_STEPS,
     And,
-    Contains,
     ContainsAny,
     DslEvaluationError,
     DslParseError,
@@ -448,8 +447,6 @@ def _reference_eval(expr, record, program, budget) -> bool:
         return any(_reference_eval(c, record, program, budget) for c in expr.children)
     if isinstance(expr, Not):
         return not _reference_eval(expr.child, record, program, budget)
-    if isinstance(expr, Contains):
-        return _reference_contains(record.text, expr.needle, expr.case_sensitive)
     if isinstance(expr, ContainsAny):
         return any(_reference_contains(record.text, n, expr.case_sensitive) for n in expr.needles)
     if isinstance(expr, Matches):

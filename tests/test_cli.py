@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes, skip_unless_golden_math
 
-from labelsmith import cli, models
+from labelsmith import cli, models, prompting
 from labelsmith.cli import main
 from labelsmith.data import ClassSpace, load_pseudolabels, load_votes, save_votes, serialize_records
 from labelsmith.distill import load_model
@@ -1450,8 +1450,10 @@ def test_train_rejects_bad_arguments(flag, value, rows, tmp_path, capsys):
     [
         pytest.param(flag, value, message, id=f"{flag}-{value}")
         for flag, value, message in [
-            ("--price-in", "nan", "--price-in must be a finite number at least 0, got nan"),
-            ("--price-out", "inf", "--price-out must be a finite number at least 0, got inf"),
+            ("--price-in", "nan", "--price-in must be in [0, 1000000], got nan"),
+            ("--price-out", "inf", "--price-out must be in [0, 1000000], got inf"),
+            # a finite rate whose cost overflows to inf
+            ("--price-in", "1e306", "--price-in must be in [0, 1000000], got 1e+306"),
             ("--max-tokens", "-3", "--max-tokens must be at least 1, got -3"),
             ("--temperature", "3", "--temperature must be in [0, 2], got 3.0"),
             ("--n", "0", "--n must be at least 1, got 0"),
@@ -1500,6 +1502,77 @@ def test_nonempty_out_refused_before_any_input_is_read(argv, tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == f"error: output directory {out} is not empty; pass --force to overwrite\n"
     assert listing(out) == before
+
+
+@pytest.mark.parametrize(
+    "argv, pair",
+    [
+        (["generate", "--task", "sms", "--mock", "{missing}", "--endpoint", "http://localhost:9/v1"],
+         "--mock and --endpoint"),
+        (["apply", "--programs", SPAM_PROGRAMS, "--task", "sms", "--classes", "ham,spam", "--data", "{missing}"],
+         "--task and --classes"),
+        (["export", "--pseudolabels", "{missing}", "--task", "sms", "--classes", "ham,spam", "--data", "{missing}"],
+         "--task and --classes"),
+        (["train", "--train-file", "{missing}", "--task", "sms", "--classes", "ham,spam"], "--task and --classes"),
+        (["aggregate", "--votes", "{missing}", "--model", "wmv", "--params", "{missing}"], "--model and --params"),
+    ],
+    ids=["generate", "apply", "export", "train", "aggregate"],
+)
+def test_flags_that_exclude_each_other_refused_before_any_input_is_read(argv, pair, tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing")
+    code = main([*(arg.format(missing=missing) for arg in argv), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {pair} exclude each other\n"
+    assert not out.exists()
+
+
+def test_generate_without_mock_or_endpoint_posts_to_the_default(tmp_path, monkeypatch):
+    posted = []
+
+    def refuse(self, body):
+        posted.append(self.endpoint)
+        raise prompting.TransportError("offline")
+
+    monkeypatch.setenv(prompting.API_KEY_ENV, "k")
+    monkeypatch.setattr(prompting.HttpTransport, "complete", refuse)
+    monkeypatch.setattr(cli.time, "sleep", lambda seconds: None)
+    code = main(["generate", "--task", "sms", "--n", "1", "--out", str(tmp_path / "gen")])
+    assert code == 0
+    assert posted and set(posted) == {cli.DEFAULT_ENDPOINT}
+
+
+class TestExportRefusesUnjoinedPseudolabels:
+    """Pseudolabels for records the dataset lacks are refused before
+    --out is created or, with --force, emptied."""
+
+    def export(self, labeled, data, out: Path, *extra: str) -> int:
+        argv = ["export", "--pseudolabels", str(labeled), "--task", "sms", "--data", str(data)]
+        return main([*argv, "--out", str(out), *extra])
+
+    def first_rows(self, corpus_file, tmp_path) -> Path:
+        head = tmp_path / "head.jsonl"
+        lines = Path(corpus_file).read_text(encoding="utf-8").splitlines(keepends=True)
+        head.write_text("".join(lines[:5]), encoding="utf-8")
+        return head
+
+    def test_no_out_is_created(self, labeled, corpus_file, tmp_path, capsys):
+        head = self.first_rows(corpus_file, tmp_path)
+        out = tmp_path / "x" / "exp"
+        assert self.export(labeled, head, out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labeled} does not match {head}: pseudolabel for unknown record 's00005'\n"
+        )
+        assert not out.exists()
+
+    def test_forced_rerun_keeps_the_earlier_export(self, labeled, corpus_file, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert self.export(labeled, corpus_file, out) == 0
+        before = listing(out)
+        capsys.readouterr()
+        assert self.export(labeled, self.first_rows(corpus_file, tmp_path), out, "--force") == 1
+        assert "pseudolabel for unknown record 's00005'" in capsys.readouterr().err
+        assert listing(out) == before
 
 
 class TestForce:

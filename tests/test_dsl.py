@@ -5,6 +5,7 @@ import math
 import re as stdlib_re
 import string
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from helpers import (
 from labelsmith.data import ABSTAIN, ClassSpace, Record
 from labelsmith.dsl import (
     And,
-    Contains,
     ContainsAny,
     DslError,
     DslEvaluationError,
@@ -46,7 +46,7 @@ from labelsmith.dsl import (
 )
 from labelsmith.dsl import parser as dsl_parser
 from labelsmith.dsl import rex
-from labelsmith.dsl.evaluate import _uppercase_ratio
+from labelsmith.dsl.ast import PREDICATES, _uppercase_ratio
 from labelsmith.records import Dataset, assemble_votes
 
 
@@ -89,6 +89,11 @@ class TestParserHappyPath:
         program = parse_program('rule: contains("x") -> Colon_Cancer;', cs)
         assert program.rules[0].target == 0
 
+    def test_hyphen_is_not_read_as_a_space(self):
+        cs = ClassSpace(("colon cancer", "lung cancer"))
+        with pytest.raises(DslParseError, match="unknown class 'colon-cancer'"):
+            parse_program('rule: contains("x") -> "colon-cancer";', cs)
+
     def test_boolean_precedence(self, spam_cs):
         program = parse_program(
             'rule: contains("a") or contains("b") and not contains("c") -> spam;', spam_cs
@@ -112,11 +117,11 @@ class TestParserHappyPath:
 
     def test_string_escapes(self, spam_cs):
         program = parse_program(r'rule: contains("a\"b\nA") -> spam;', spam_cs)
-        assert program.rules[0].guard.needle == 'a"b\nA'
+        assert program.rules[0].guard.needles == ('a"b\nA',)
 
     def test_single_quoted_strings(self, spam_cs):
         program = parse_program("rule: contains('free') -> spam;", spam_cs)
-        assert program.rules[0].guard.needle == "free"
+        assert program.rules[0].guard.needles == ("free",)
 
     def test_negative_number_target(self, spam_cs):
         program = parse_program('rule: contains("x") -> -1;', spam_cs)
@@ -155,6 +160,46 @@ class TestParserErrors:
             parse_program(src, spam_cs)
         assert fragment.lower() in str(err.value).lower()
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            ('contains("a", "b")', "contains() takes exactly 1 str argument(s)"),
+            ("contains(3)", "contains() takes exactly 1 str argument(s)"),
+            ('contains("a", foo=true)', "unknown keyword argument 'foo'"),
+            ("contains_any([])", "contains_any() takes one or more strings"),
+            ('contains_any(["a"], 3)', "contains_any() takes one or more strings"),
+            ('contains_any(["a"], foo=true)', "unknown keyword argument 'foo'"),
+            ('matches("a", "b")', "matches() takes exactly 1 str argument(s)"),
+            ("matches(1)", "matches() takes exactly 1 str argument(s)"),
+            ('matches("a", foo=true)', "matches() takes no keyword arguments"),
+            ('matches("a", case_sensitive=true)', "matches() takes no keyword arguments"),
+            ("length_at_least()", "length_at_least() takes exactly 1 int argument(s)"),
+            ("length_at_least(2.5)", "length_at_least() takes exactly 1 int argument(s)"),
+            ("length_at_least(3, foo=false)", "length_at_least() takes no keyword arguments"),
+            ("length_at_least(3, case_sensitive=true)", "length_at_least() takes no keyword arguments"),
+            ("uppercase_ratio_at_least(0.1, 0.2)", "uppercase_ratio_at_least() takes exactly 1 number argument(s)"),
+            ('uppercase_ratio_at_least("x")', "uppercase_ratio_at_least() takes exactly 1 number argument(s)"),
+            ("uppercase_ratio_at_least(0.5, foo=true)", "uppercase_ratio_at_least() takes no keyword arguments"),
+            (
+                "uppercase_ratio_at_least(0.5, case_sensitive=true)",
+                "uppercase_ratio_at_least() takes no keyword arguments",
+            ),
+            ('score("a", "b") >= 0.5', "score() takes exactly 1 str argument(s)"),
+            ("score(1) >= 0.5", "score() takes exactly 1 str argument(s)"),
+            ('score("a", foo=true) >= 0.5', "score() takes no keyword arguments"),
+            ('score("a", case_sensitive=true) >= 0.5', "score() takes no keyword arguments"),
+            (
+                'frob("x")',
+                "unknown predicate 'frob'; expected one of: contains, contains_any, matches, "
+                "length_at_least, uppercase_ratio_at_least, score",
+            ),
+        ],
+    )
+    def test_argument_errors(self, spam_cs, call, message):
+        with pytest.raises(DslParseError) as err:
+            parse_program(f"rule: length_at_least(1) and\n  {call} -> spam;", spam_cs)
+        assert str(err.value) == f"line 2, col 3: {message}"
+
     def test_error_carries_position(self, spam_cs):
         with pytest.raises(DslParseError) as err:
             parse_program('rule: contains("x") -> spam;\nrule: bogus("y") -> ham;', spam_cs)
@@ -163,6 +208,14 @@ class TestParserErrors:
     def test_unknown_class_lists_names(self, spam_cs):
         with pytest.raises(DslParseError, match="spam.*ham|ham.*spam"):
             parse_program('rule: contains("x") -> banana;', spam_cs)
+
+
+class TestDocs:
+    def test_predicates_table_and_grammar_name_the_node_table(self):
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "dsl.md").read_text(encoding="utf-8")
+        table = stdlib_re.findall(r"^\| `(\w+)\(", doc, stdlib_re.M)
+        grammar = stdlib_re.findall(r'^(?:predicate +=| +\|) "(\w+)" "\("', doc, stdlib_re.M)
+        assert table == grammar == list(PREDICATES)
 
 
 def _nesting_limit(form):
@@ -192,7 +245,7 @@ class TestNestingLimit:
 class TestAstInvariants:
     def test_and_or_need_two_children(self):
         with pytest.raises(DslValidationError):
-            And(children=(Contains(needle="a"),))
+            And(children=(ContainsAny(needles=("a",)),))
 
     def test_program_needs_rules(self):
         with pytest.raises(DslValidationError):
@@ -203,7 +256,7 @@ class TestAstInvariants:
             RuleProgram(
                 id="p",
                 rules=(
-                    Rule(guard=Contains(needle="a"), target=0),
+                    Rule(guard=ContainsAny(needles=("a",)), target=0),
                     Rule(guard=ScoreCmp(concept="c", op=">=", threshold=0.5), target=1),
                 ),
             )
@@ -211,12 +264,12 @@ class TestAstInvariants:
     def test_iter_leaves_in_order(self):
         guard = And(
             children=(
-                Or(children=(Contains(needle="a"), LengthAtLeast(n=3))),
+                Or(children=(ContainsAny(needles=("a",)), LengthAtLeast(n=3))),
                 Not(child=Matches(pattern="x")),
             )
         )
         kinds = [type(leaf).__name__ for leaf in iter_leaves(guard)]
-        assert kinds == ["Contains", "LengthAtLeast", "Matches"]
+        assert kinds == ["ContainsAny", "LengthAtLeast", "Matches"]
 
 
 class TestPrinterRoundTrip:
@@ -242,6 +295,13 @@ class TestPrinterRoundTrip:
     def test_contains_any_prints_bracket_form(self, spam_cs):
         program = parse_program('rule: contains_any("a", "b") -> spam;', spam_cs)
         assert 'contains_any(["a", "b"])' in format_program(program, spam_cs)
+
+    @pytest.mark.parametrize("flag", ["", ", case_sensitive=true"])
+    def test_contains_is_a_one_needle_contains_any(self, spam_cs, flag):
+        one = parse_program(f'rule: contains("x"{flag}) -> spam;', spam_cs).rules[0].guard
+        listed = parse_program(f'rule: contains_any(["x"]{flag}) -> spam;', spam_cs).rules[0].guard
+        assert one == listed == ContainsAny(("x",), case_sensitive=bool(flag))
+        assert format_expr(one) == format_expr(listed) == f'contains("x"{flag})'
 
     def test_minimal_parens(self, spam_cs):
         src = 'rule: contains("a") and (contains("b") or contains("c")) -> spam;'
@@ -272,7 +332,7 @@ def _random_expr(rng, depth, concepts=None):
         ]
     else:
         leaf_makers = [
-            lambda: Contains(needle=_rand_word(rng), case_sensitive=bool(rng.integers(2))),
+            lambda: ContainsAny(needles=(_rand_word(rng),), case_sensitive=bool(rng.integers(2))),
             lambda: ContainsAny(
                 needles=tuple(_rand_word(rng) for _ in range(rng.integers(1, 4)))
             ),
@@ -389,7 +449,7 @@ def _literals(names, pattern):
     text = RuleProgram(
         id="t",
         rules=(
-            Rule(Contains(names[0], case_sensitive=True), 0),
+            Rule(ContainsAny((names[0],), case_sensitive=True), 0),
             Rule(ContainsAny(tuple(names)), 1),
             Rule(Not(Matches(escaped)), len(names) - 1),
         ),
@@ -452,7 +512,7 @@ class TestScanner:
         ids=["json-escapes", "surrogate-pair", "single-quoted-escapes", "bare-double-quote", "solidus-and-u", "raw-tab"],
     )
     def test_literal_values(self, spam_cs, literal, value):
-        assert parse_program(f"rule: contains({literal}) -> spam;", spam_cs).rules[0].guard.needle == value
+        assert parse_program(f"rule: contains({literal}) -> spam;", spam_cs).rules[0].guard.needles == (value,)
 
     @pytest.mark.parametrize(
         "source, message, col",
@@ -601,7 +661,7 @@ _PLANTED_TEXT = st.builds(
 )
 _NEEDLE = st.sampled_from(["ss", "SS", "ß", "ẞ", "ab", "Ab", "1/10", "x"])
 _LEAF = st.one_of(
-    st.builds(Contains, _NEEDLE, st.booleans()),
+    st.builds(ContainsAny, _NEEDLE.map(lambda n: (n,)), st.booleans()),
     st.builds(ContainsAny, st.lists(_NEEDLE, min_size=1, max_size=3).map(tuple), st.booleans()),
     st.builds(Matches, _LITERAL_PATTERN),
     st.builds(LengthAtLeast, st.integers(0, 80)),
@@ -827,7 +887,7 @@ class TestExtraction:
 
     def test_strict_drops_language_tag(self, spam_cs):
         program = extract_program(FENCED_WITH_TAG, spam_cs)
-        assert program.rules[0].guard.needle == "free"
+        assert program.rules[0].guard.needles == ("free",)
 
     def test_strict_no_fences_is_not_found(self, spam_cs):
         with pytest.raises(ExtractionError, match="no program found"):

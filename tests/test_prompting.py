@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from labelsmith.concepts import elicit_concepts
-from labelsmith.data import ClassSpace
+from labelsmith import prompting
+from labelsmith.data import MAX_RATE_PER_1K, ClassSpace
 from labelsmith.prompting import (
     API_KEY_ENV,
     BACKOFF_MULTIPLIER,
@@ -394,6 +395,15 @@ class TestCost:
         # the dollar figure would be NaN or infinite, which cost.json cannot hold
         with pytest.raises(PromptError, match="^pricing rates must be finite and nonnegative$"):
             Pricing(*rates)
+
+    def test_pricing_refuses_rates_whose_cost_can_overflow(self):
+        with pytest.raises(PromptError, match=f"^pricing rates must be at most {MAX_RATE_PER_1K} dollars per 1k tokens$"):
+            Pricing(1e306, 0.5)
+
+    def test_cost_at_the_rate_bound_is_finite(self, monkeypatch):
+        monkeypatch.setattr(prompting, "heuristic_tokens", lambda text: 2**53 - 1)
+        estimate = estimate_cost(["a"], ["b"], Pricing(MAX_RATE_PER_1K, MAX_RATE_PER_1K))
+        assert math.isfinite(estimate.dollars) and estimate.dollars > 0
 
     def test_to_dict_round_trip_fields(self):
         estimate = estimate_cost(["abcd"], ["efgh"], Pricing(1.0, 2.0))
