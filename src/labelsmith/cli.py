@@ -190,6 +190,17 @@ def _load_program(path: Path, cs: ClassSpace):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _public_url(url: str) -> str:
+    """``url`` without its userinfo, query and fragment, which can carry
+    credentials: the form a manifest records."""
+    from urllib.parse import urlsplit, urlunsplit
+    try:
+        parts = urlsplit(url)
+    except ValueError as exc:  # an unclosed IPv6 bracket
+        raise CliError(f"--endpoint: {exc}") from None
+    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+
+
 def cmd_generate(args, out: Path):
     from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing, SupplementBlock
     pack = load_pack(args.task)
@@ -217,10 +228,12 @@ def cmd_generate(args, out: Path):
         max_tokens=args.max_tokens,
     )
     pricing = Pricing(args.price_in, args.price_out)
+    endpoint = None
     if args.mock:
         transport = MockTransport.from_file(args.mock)
     else:
         transport = HttpTransport(DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint)
+        endpoint = _public_url(transport.endpoint)
     cs = pack.class_space()
     inputs = [Path(args.mock)] if args.mock else []
     _make_out(out, inputs)
@@ -245,7 +258,7 @@ def cmd_generate(args, out: Path):
     print(f"extracted {n_ok}/{len(results)} programs -> {prog_dir}")
     print(f"estimated cost: ${cost.dollars:.6f} ({cost.input_tokens} in, {cost.output_tokens} out)")
     params = {"task": args.task, "n": args.n, "model": args.model_name, "temperature": args.temperature}
-    return EXIT_OK, {**params, "mock": bool(args.mock)}, inputs
+    return EXIT_OK, {**params, "mock": bool(args.mock), "endpoint": endpoint}, inputs
 
 
 def cmd_apply(args, out: Path):
@@ -297,19 +310,9 @@ def cmd_aggregate(args, out: Path):
             "remove them from the votes file or pass --keep-flagged"
         )
     if args.params:
-        params = models.load_params(args.params)
-        report_doc = {"kind": params.kind, "loaded_from": str(args.params)}
+        params, report = models.load_params(args.params), None
     else:
         params, report = models.FITTERS[model](matrix)
-        report_doc = {
-            "kind": report.kind,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "log_likelihood": report.log_likelihood,
-            "objective": list(report.objective),
-            "accuracy_by_program": dict(zip(matrix.program_ids, report.accuracy_by_program)),
-            "notes": list(report.notes),
-        }
     try:
         labels = models.predict(params, matrix)
     except models.ModelError as exc:
@@ -319,7 +322,10 @@ def cmd_aggregate(args, out: Path):
     _make_out(out, inputs)
     models.save_params(out / "params.json", params)
     save_pseudolabels(out / "pseudolabels.jsonl", labels)
-    write_json(out / "fit_report.json", report_doc)
+    if report is None:
+        write_json(out / "fit_report.json", {"kind": params.kind, "loaded_from": str(args.params)})
+    else:
+        models.save_report(out / "fit_report.json", report, params.program_ids)
     coverage = diagnostics.coverage_of_label_model(labels)
     line = f"{params.kind}: labeled {labels.n} records (coverage {coverage:.3f})"
     if matrix.gold is not None and None not in matrix.gold:

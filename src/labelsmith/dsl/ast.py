@@ -110,9 +110,9 @@ class Predicate:
 
 @dataclass(frozen=True)
 class ContainsAny(Predicate):
-    """``contains_any([a, b, ...])``: the text contains one of the needles,
-    casefolded unless ``case_sensitive``. ``contains(s)`` is the node of one
-    needle, and prints as such."""
+    """``contains_any([a, b, ...])``, or ``contains_any(a, b, ...)``: the
+    text contains one of the needles, casefolded unless ``case_sensitive``.
+    ``contains(s)`` is the node of one needle, and prints as such."""
 
     needles: tuple[str, ...]
     case_sensitive: bool = False
@@ -127,7 +127,9 @@ class ContainsAny(Predicate):
     def call(cls, name: str, args: list, kwargs: dict) -> ContainsAny:
         if name == "contains":
             _one(name, args, str)
-        elif not args or any(not isinstance(a, str) for a in args):
+        elif len(args) == 1 and isinstance(args[0], list):  # contains_any([a, b, ...])
+            args = args[0]
+        if not args or any(not isinstance(a, str) for a in args):
             raise DslValidationError(f"{name}() takes one or more strings")
         return cls(tuple(args), **_keywords(name, kwargs, ("case_sensitive",)))
 

@@ -255,15 +255,17 @@ class _ProgramParser:
                 else:
                     self.error("expected true or false")
             elif self.cur.kind == "LBRACK":
-                # a ["a", "b"] list argument flattens into the arg list
+                # a ["a", "b"] list is one argument, a list of its strings
                 self.pos += 1
+                items: list = []
                 while self.cur.kind != "RBRACK":
-                    args.append(self.take("STRING", "a string inside [...]").value)
+                    items.append(self.take("STRING", "a string inside [...]").value)
                     if self.cur.kind == "COMMA":
                         self.pos += 1
                     elif self.cur.kind != "RBRACK":
                         self.error("expected ',' or ']'")
                 self.take("RBRACK", "']'")
+                args.append(items)
             elif self.cur.kind == "STRING":
                 args.append(self.take("STRING", "a string").value)
             elif self.cur.kind == "NUMBER":

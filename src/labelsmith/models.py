@@ -13,7 +13,8 @@ bins every loop reads, built once per matrix.
 
 Dawid-Skene and one-coin share one EM driver (``_em``) and differ only in
 the M-step: Dawid-Skene fits smoothed full confusion rows, one-coin ties
-each program's rows to a single accuracy.
+each program's rows to a single accuracy. Every fitter ends in
+``_fit_result``, which builds its params and its report.
 
 Abstains are treated as missing at random: they never enter a likelihood.
 All fits are deterministic; EM initializes from smoothed majority vote.
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -205,16 +207,56 @@ class FitReport:
     """How a fit went. ``objective`` is the penalized (smoothed) data
     log-likelihood after each M-step; with additive smoothing this is the
     quantity EM provably does not decrease. ``log_likelihood`` is the
-    plain observed-data value at the final parameters."""
+    plain observed-data value at the final parameters, None for the
+    counting kinds, which have no likelihood."""
 
     kind: str
     iterations: int
     converged: bool
-    log_likelihood: float
+    log_likelihood: float | None
     objective: tuple[float, ...] = ()
     accuracy_by_program: tuple[float, ...] = ()
     permutation: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
+
+
+def save_report(path: str | Path, report: FitReport, program_ids: tuple[str, ...]) -> Path:
+    """Write ``report`` as ``fit_report.json``: each program's accuracy
+    keyed by its id, and no permutation."""
+    doc = asdict(report)
+    del doc["permutation"]
+    doc["accuracy_by_program"] = dict(zip(program_ids, report.accuracy_by_program))
+    return write_json(path, doc)
+
+
+def _fit_result(
+    matrix: VoteMatrix,
+    kind: str,
+    priors: np.ndarray,
+    trace: tuple[int, bool, Sequence[float]],
+    *,
+    confusion: np.ndarray | None = None,
+    accuracies: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+    permutation: tuple[int, ...] = (),
+    notes: Sequence[str] = (),
+) -> tuple[LabelModelParams, FitReport]:
+    """The end of every fit: its params for ``matrix``'s programs and its
+    report, ``trace`` being ``(iterations, converged, objective)``. Only
+    params with a confusion array have a log-likelihood; each program's
+    accuracy is its fitted one or else its prior-weighted diagonal."""
+    params = LabelModelParams(kind, priors, matrix.program_ids, confusion, accuracies, weights)
+    log_likelihood, accuracy = None, params.accuracies
+    if params.confusion is not None:
+        log_likelihood = float(_e_step(matrix.bins, params.priors, params.confusion)[1].sum())
+        if accuracy is None:
+            accuracy = np.einsum("k,jkk->j", params.priors, params.confusion)
+    iterations, converged, objective = trace
+    accuracy = () if accuracy is None else tuple(accuracy.tolist())
+    report = FitReport(
+        kind, iterations, converged, log_likelihood, tuple(objective), accuracy, permutation, tuple(notes)
+    )
+    return params, report
 
 
 def _check_coverage(matrix: VoteMatrix) -> None:
@@ -258,22 +300,9 @@ def make_counting_params(matrix: VoteMatrix, kind: str = MV) -> tuple[LabelModel
             weights = np.maximum(np.log(accuracies / (1 - accuracies)), 0.01)
         else:
             notes.append("no gold labels available; WMV using uniform weights")
-    params = LabelModelParams(
-        kind=kind,
-        priors=np.full(K, 1.0 / K),
-        program_ids=matrix.program_ids,
-        accuracies=accuracies,
-        weights=weights,
+    return _fit_result(
+        matrix, kind, np.full(K, 1.0 / K), (0, True, ()), accuracies=accuracies, weights=weights, notes=notes
     )
-    report = FitReport(
-        kind=kind,
-        iterations=0,
-        converged=True,
-        log_likelihood=float("nan"),
-        accuracy_by_program=tuple(accuracies.tolist()) if accuracies is not None else (),
-        notes=tuple(notes),
-    )
-    return params, report
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -332,7 +361,8 @@ def _em(matrix: VoteMatrix, m_step):
     ``_confusion_counts`` into ``(confusion, penalty)``, penalty being the
     smoothing term the confusion adds to the objective. Priors get the
     same additive smoothing for every model. Returns ``(q, priors,
-    confusion, iterations, converged, objective)``."""
+    confusion, trace)``, ``trace`` being ``(iterations, converged,
+    objective)``."""
     bins, n, K = matrix.bins, matrix.n, matrix.K
     mass = matrix.vote_mass()
     q = (mass + SMOOTHING) / (mass.sum(axis=1, keepdims=True) + K * SMOOTHING)
@@ -352,7 +382,7 @@ def _em(matrix: VoteMatrix, m_step):
         if delta < TOL:
             converged = True
             break
-    return q, priors, confusion, iterations, converged, objective
+    return q, priors, confusion, (iterations, converged, objective)
 
 
 def _align_permutation(q: np.ndarray, matrix: VoteMatrix) -> tuple[int, ...]:
@@ -399,26 +429,10 @@ def fit_dawid_skene(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
         return confusion, SMOOTHING * float(np.log(confusion).sum())
 
     _check_coverage(matrix)
-    q, priors, confusion, iterations, converged, objective = _em(matrix, m_step)
+    q, priors, confusion, trace = _em(matrix, m_step)
     perm = _align_permutation(q, matrix)
     priors, confusion = _apply_permutation(priors, confusion, perm)
-    params = LabelModelParams(
-        kind=DAWID_SKENE,
-        priors=priors,
-        program_ids=matrix.program_ids,
-        confusion=confusion,
-    )
-    acc = np.einsum("k,jkk->j", priors, confusion)
-    report = FitReport(
-        kind=DAWID_SKENE,
-        iterations=iterations,
-        converged=converged,
-        log_likelihood=float(_e_step(matrix.bins, priors, confusion)[1].sum()),
-        objective=tuple(objective),
-        accuracy_by_program=tuple(acc.tolist()),
-        permutation=perm,
-    )
-    return params, report
+    return _fit_result(matrix, DAWID_SKENE, priors, trace, confusion=confusion, permutation=perm)
 
 
 def fit_snorkel_lite(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
@@ -434,7 +448,7 @@ def fit_snorkel_lite(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
         acc = np.clip((correct + SMOOTHING) / (total + 2 * SMOOTHING), *CLAMP)
         return _one_coin(acc, K), SMOOTHING * float(np.log(acc).sum() + np.log(1 - acc).sum())
 
-    q, priors, confusion, iterations, converged, objective = _em(matrix, m_step)
+    q, priors, confusion, trace = _em(matrix, m_step)
     accuracies = confusion[:, 0, 0].copy()
     # one-coin confusions are only closed under relabeling for K=2
     # (swap maps a to 1-a); for larger K the identity is the only
@@ -444,23 +458,9 @@ def fit_snorkel_lite(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
         priors = priors[::-1].copy()
         accuracies = 1 - accuracies
         confusion = _one_coin(accuracies, K)
-    params = LabelModelParams(
-        kind=SNORKEL_LITE,
-        priors=priors,
-        program_ids=matrix.program_ids,
-        confusion=confusion,
-        accuracies=accuracies,
+    return _fit_result(
+        matrix, SNORKEL_LITE, priors, trace, confusion=confusion, accuracies=accuracies, permutation=perm
     )
-    report = FitReport(
-        kind=SNORKEL_LITE,
-        iterations=iterations,
-        converged=converged,
-        log_likelihood=float(_e_step(matrix.bins, priors, confusion)[1].sum()),
-        objective=tuple(objective),
-        accuracy_by_program=tuple(accuracies.tolist()),
-        permutation=perm,
-    )
-    return params, report
 
 
 def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
@@ -509,22 +509,10 @@ def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
         accuracies[j] = (1.0 + sign * math.sqrt(med)) / 2.0
     accuracies = np.clip(accuracies, *CLAMP)
     weights = np.log(accuracies / (1 - accuracies))
-    params = LabelModelParams(
-        kind=TRIPLET,
-        priors=np.array([0.5, 0.5]),
-        program_ids=matrix.program_ids,
-        confusion=_one_coin(accuracies, 2),
-        accuracies=accuracies,
-        weights=weights,
+    return _fit_result(
+        matrix, TRIPLET, np.array([0.5, 0.5]), (1, True, ()),
+        confusion=_one_coin(accuracies, 2), accuracies=accuracies, weights=weights,
     )
-    report = FitReport(
-        kind=TRIPLET,
-        iterations=1,
-        converged=True,
-        log_likelihood=float(_e_step(matrix.bins, params.priors, params.confusion)[1].sum()),
-        accuracy_by_program=tuple(accuracies.tolist()),
-    )
-    return params, report
 
 
 def predict(params: LabelModelParams, matrix: VoteMatrix) -> Pseudolabels:

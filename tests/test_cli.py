@@ -237,6 +237,7 @@ class TestGenerate:
         assert (out / "cost.json").is_file()
         manifest = read_manifest(out)
         assert manifest["command"] == "generate"
+        assert manifest["params"]["endpoint"] is None
         assert set(manifest["outputs"]) >= {"cost.json", "programs/slot_00.lf", "raw/0.json"}
         captured = capsys.readouterr()
         assert "extracted 10/10 programs" in captured.out
@@ -524,8 +525,18 @@ class TestAggregate:
         assert params.m == 10
         labels = load_pseudolabels(out / "pseudolabels.jsonl")
         assert labels.n == 300
-        report = json.loads((out / "fit_report.json").read_text(encoding="utf-8"))
+
+        # NaN and the infinities are JavaScript, not JSON: a strict reader refuses them
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads((out / "fit_report.json").read_text(encoding="utf-8"), parse_constant=refuse)
         assert report["kind"] == params.kind
+        assert sorted(report) == [
+            "accuracy_by_program", "converged", "iterations", "kind", "log_likelihood", "notes", "objective",
+        ]
+        # the counting kinds have no likelihood
+        assert (report["log_likelihood"] is None) == (model in ("mv", "wmv"))
         assert "accuracy vs gold" in capsys.readouterr().out
 
     def test_params_reuse_skips_fitting(self, votes_dir, tmp_path):
@@ -1540,6 +1551,40 @@ def test_generate_without_mock_or_endpoint_posts_to_the_default(tmp_path, monkey
     code = main(["generate", "--task", "sms", "--n", "1", "--out", str(tmp_path / "gen")])
     assert code == 0
     assert posted and set(posted) == {cli.DEFAULT_ENDPOINT}
+    assert read_manifest(tmp_path / "gen")["params"]["endpoint"] == cli.DEFAULT_ENDPOINT
+
+
+class TestGenerateRecordsItsEndpoint:
+    """The manifest names the service generate asked, without the parts
+    of its URL that can carry credentials."""
+
+    def test_http_endpoint_recorded_without_credentials(self, tmp_path, monkeypatch):
+        posted = []
+
+        def reply(self, body):
+            posted.append(self.endpoint)
+            return {"choices": [{"message": {"content": '```\nrule: contains("win") -> spam;\n```'}}]}
+
+        monkeypatch.setenv(prompting.API_KEY_ENV, "sk-env-secret")
+        monkeypatch.setattr(prompting.HttpTransport, "complete", reply)
+        url = "https://user:pw@api.example.com:8443/v1/chat?key=query-secret#frag"
+        out = tmp_path / "gen"
+        assert main(["generate", "--task", "sms", "--n", "1", "--endpoint", url, "--out", str(out)]) == 0
+        assert posted == [url]
+        assert read_manifest(out)["params"]["endpoint"] == "https://api.example.com:8443/v1/chat"
+        for path in out.rglob("*"):
+            if path.is_file():
+                text = path.read_text(encoding="utf-8")
+                for secret in ("user:pw", "pw@", "query-secret", "frag", "sk-env-secret"):
+                    assert secret not in text, (path, secret)
+
+    def test_malformed_endpoint_refused_before_any_request(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(prompting.API_KEY_ENV, "k")
+        monkeypatch.setattr(prompting.HttpTransport, "complete", lambda self, body: pytest.fail("posted"))
+        out = tmp_path / "gen"
+        assert main(["generate", "--task", "sms", "--endpoint", "http://[::1/v1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --endpoint: Invalid IPv6 URL\n"
+        assert not out.exists()
 
 
 class TestExportRefusesUnjoinedPseudolabels:

@@ -188,6 +188,12 @@ class TestParserErrors:
             ("score(1) >= 0.5", "score() takes exactly 1 str argument(s)"),
             ('score("a", foo=true) >= 0.5', "score() takes no keyword arguments"),
             ('score("a", case_sensitive=true) >= 0.5', "score() takes no keyword arguments"),
+            # a [...] list is one argument, which contains_any alone takes, and alone
+            ('matches(["a"])', "matches() takes exactly 1 str argument(s)"),
+            ('contains(["a"])', "contains() takes exactly 1 str argument(s)"),
+            ('contains_any("a", ["b"])', "contains_any() takes one or more strings"),
+            ('contains_any(["a"], ["b"])', "contains_any() takes one or more strings"),
+            ('score(["c"]) >= 0.5', "score() takes exactly 1 str argument(s)"),
             (
                 'frob("x")',
                 "unknown predicate 'frob'; expected one of: contains, contains_any, matches, "
