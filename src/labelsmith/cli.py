@@ -1,31 +1,46 @@
 """Command-line pipeline: generate -> apply -> analyze -> aggregate ->
 export -> train -> eval.
 
-``main`` runs every subcommand in four steps. It checks the flags
+``main`` runs every subcommand in five steps. It checks the flags
 against the command's ``RULES`` and refuses a pair of its ``EXCLUSIVE``
 flags given together; it refuses a non-empty --out without
 --force, before any input is read; it calls ``cmd_<name>(args, out)``,
 which reads its inputs, creates ``out`` just before its first write
-(``_make_out``) and returns ``(exit code, params, inputs)``; and it
+(``_make_out``) and returns ``(exit code, params, inputs, report)``; it
 writes run_manifest.json with the params and the content hashes of the
-inputs and outputs. So a run refused for a flag, --out or an input
-creates nothing. Given identical inputs, outputs are byte-identical
-(the manifest's timestamp is the only exception); ``train`` alone takes
-a --seed, for its weight initialization, shuffling and validation
-split. Exit codes: 0 ok, 1 error (a malformed input file is reported
+inputs and outputs; and it prints the report to stdout, last, so a
+reader that closed stdout early leaves no output unlisted. So a run
+refused for a flag, --out or an input creates nothing. Given identical
+inputs, outputs are byte-identical (the manifest's timestamp is the
+only exception); ``train`` alone takes a --seed, for its weight
+initialization, shuffling and validation split. Exit codes: 0 ok, 1 error (a malformed input file is reported
 as ``error: <path>[:<line>]: <what>``), 2 when diagnostics flagged a
 program.
+
+``run`` is the process entry of ``python -m labelsmith`` and of the
+console script. Once this module and numpy are imported it turns the
+cyclic collector off, calls ``main``, flushes stdout and stderr, and
+ends the process with ``os._exit``, which skips the interpreter's
+teardown; under a tracer or profiler it exits the normal way, so that
+they write their results. A stdout of None (file descriptor 1 closed)
+is skipped; a flush that fails, as on a pipe whose reader is gone,
+exits 1 with one ``error:`` line. ``main`` itself leaves the collector
+as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import importlib
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -191,18 +206,28 @@ def _load_program(path: Path, cs: ClassSpace):
 
 
 def _public_url(url: str) -> str:
-    """``url`` without its userinfo, query and fragment, which can carry
-    credentials: the form a manifest records."""
+    """``url`` without its query and fragment, which can carry credentials:
+    the form a manifest records. A userinfo part is refused: the request
+    would hand it to the name lookup and the Host header as part of the
+    host."""
     from urllib.parse import urlsplit, urlunsplit
+
+    from .prompting import API_KEY_ENV
     try:
         parts = urlsplit(url)
     except ValueError as exc:  # an unclosed IPv6 bracket
         raise CliError(f"--endpoint: {exc}") from None
-    return urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
+    if "@" in parts.netloc:
+        raise CliError(
+            f"--endpoint must name no user:password@ before its host; the API key comes from {API_KEY_ENV}"
+        )
+    return urlunsplit((parts.scheme, parts.netloc, parts.path, "", ""))
 
 
 def cmd_generate(args, out: Path):
     from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing, SupplementBlock
+    url = DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint
+    endpoint = None if args.mock else _public_url(url)
     pack = load_pack(args.task)
     supplements = []
     if args.dataset_description:
@@ -228,12 +253,7 @@ def cmd_generate(args, out: Path):
         max_tokens=args.max_tokens,
     )
     pricing = Pricing(args.price_in, args.price_out)
-    endpoint = None
-    if args.mock:
-        transport = MockTransport.from_file(args.mock)
-    else:
-        transport = HttpTransport(DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint)
-        endpoint = _public_url(transport.endpoint)
+    transport = MockTransport.from_file(args.mock) if args.mock else HttpTransport(url)
     cs = pack.class_space()
     inputs = [Path(args.mock)] if args.mock else []
     _make_out(out, inputs)
@@ -255,10 +275,12 @@ def cmd_generate(args, out: Path):
     failures = [res for res in results if not res.ok]
     for res in failures:
         print(f"slot {res.slot}: {res.error}", file=sys.stderr)
-    print(f"extracted {n_ok}/{len(results)} programs -> {prog_dir}")
-    print(f"estimated cost: ${cost.dollars:.6f} ({cost.input_tokens} in, {cost.output_tokens} out)")
+    report = (
+        f"extracted {n_ok}/{len(results)} programs -> {prog_dir}\n"
+        f"estimated cost: ${cost.dollars:.6f} ({cost.input_tokens} in, {cost.output_tokens} out)"
+    )
     params = {"task": args.task, "n": args.n, "model": args.model_name, "temperature": args.temperature}
-    return EXIT_OK, {**params, "mock": bool(args.mock), "endpoint": endpoint}, inputs
+    return EXIT_OK, {**params, "mock": bool(args.mock), "endpoint": endpoint}, inputs, report
 
 
 def cmd_apply(args, out: Path):
@@ -274,8 +296,8 @@ def cmd_apply(args, out: Path):
     _make_out(out, inputs)
     save_votes(out / "votes.json", matrix)
     coverage = float((matrix.record_votes > 0).mean())
-    print(f"applied {matrix.m} programs to {matrix.n} records (union coverage {coverage:.3f})")
-    return EXIT_OK, {"task": task, "programs": len(programs)}, inputs
+    report = f"applied {matrix.m} programs to {matrix.n} records (union coverage {coverage:.3f})"
+    return EXIT_OK, {"task": task, "programs": len(programs)}, inputs, report
 
 
 def cmd_analyze(args, out: Path):
@@ -285,7 +307,6 @@ def cmd_analyze(args, out: Path):
     stats = diagnostics.analyze(matrix, coverage_threshold=threshold)
     _make_out(out, [Path(args.votes)])
     diagnostics.save_stats(out / "analysis.json", stats, threshold)
-    print(diagnostics.render_stats_table(stats))
     flagged = [s.program_id for s in stats if s.flagged_low_coverage]
     if flagged:
         print(
@@ -293,7 +314,8 @@ def cmd_analyze(args, out: Path):
             + ", ".join(flagged),
             file=sys.stderr,
         )
-    return EXIT_FLAGGED if flagged else EXIT_OK, {"threshold": threshold}, [Path(args.votes)]
+    table = diagnostics.render_stats_table(stats)
+    return EXIT_FLAGGED if flagged else EXIT_OK, {"threshold": threshold}, [Path(args.votes)], table
 
 
 def cmd_aggregate(args, out: Path):
@@ -331,8 +353,7 @@ def cmd_aggregate(args, out: Path):
     if matrix.gold is not None and None not in matrix.gold:
         acc = float((labels.hard == np.array(matrix.gold)).mean())
         line += f", accuracy vs gold {acc:.4f}"
-    print(line)
-    return EXIT_OK, {"model": model, "threshold": threshold}, inputs
+    return EXIT_OK, {"model": model, "threshold": threshold}, inputs, line
 
 
 def cmd_export(args, out: Path):
@@ -346,16 +367,16 @@ def cmd_export(args, out: Path):
         raise CliError(f"{args.pseudolabels} does not match {args.data}: {exc}") from exc
     inputs = [Path(args.data), Path(args.pseudolabels)]
     _make_out(out, inputs)
-    report = distill.export_training_set(
+    written = distill.export_training_set(
         dataset,
         labels,
         out / "train.jsonl",
         use_probabilistic=args.probabilistic,
         drop_uncovered=not args.keep_uncovered,
     )
-    print(f"wrote {report.n_written} rows ({report.n_dropped_uncovered} uncovered dropped)")
+    report = f"wrote {written.n_written} rows ({written.n_dropped_uncovered} uncovered dropped)"
     params = {key: getattr(args, key) for key in ("probabilistic", "keep_uncovered")}
-    return EXIT_OK, params, inputs
+    return EXIT_OK, params, inputs, report
 
 
 def cmd_train(args, out: Path):
@@ -396,9 +417,8 @@ def cmd_train(args, out: Path):
     line = f"trained {model.sizes} for {args.epochs} epochs; train acc {metrics.train_accuracy[-1]:.4f}"
     if metrics.val_accuracy:
         line += f", val acc {metrics.val_accuracy[-1]:.4f}"
-    print(line)
     params = {key: getattr(args, key) for key in ("epochs", "lr", "batch", "seed", "val_fraction")}
-    return EXIT_OK, {**params, "dims": dims}, [Path(args.train_file)]
+    return EXIT_OK, {**params, "dims": dims}, [Path(args.train_file)], line
 
 
 def cmd_eval(args, out: Path):
@@ -424,15 +444,15 @@ def cmd_eval(args, out: Path):
     inputs = [Path(args.model), distill.weights_path(args.model), Path(args.data)]
     _make_out(out, inputs)
     write_json(out / "eval.json", doc)
-    print(f"accuracy {accuracy:.4f} on {len(dataset)} records")
+    report = f"accuracy {accuracy:.4f} on {len(dataset)} records"
     if "worst_group_accuracy" in doc:
-        print(
-            f"worst group {doc['worst_group_accuracy']:.4f} "
+        report += (
+            f"\nworst group {doc['worst_group_accuracy']:.4f} "
             f"(gap {doc['gap']:.4f}; groups: "
             + ", ".join(f"{g}={a:.4f}" for g, a in sorted(doc["per_group"].items()))
             + ")"
         )
-    return EXIT_OK, {}, inputs
+    return EXIT_OK, {}, inputs, report
 
 
 def _add_common(sp, *, data=False, task_classes=False):
@@ -538,6 +558,9 @@ def _flag(args, flag: str):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse's add_argument leaves a help formatter in a cycle for each
+    # argument (196 objects); freed here, since run turns the collector off
+    gc.collect(0)
     try:
         _check_argv(sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
@@ -551,13 +574,65 @@ def main(argv=None) -> int:
         out = Path(args.out)
         if out.exists() and any(out.iterdir()) and not args.force:
             raise CliError(f"output directory {out} is not empty; pass --force to overwrite")
-        code, params, inputs = args.func(args, out)
+        code, params, inputs, report = args.func(args, out)
         _write_manifest(out, args.command, params, inputs)
+        # printed once the manifest lists the outputs: a reader that
+        # closed stdout makes this print fail, and no output may then be
+        # left unlisted for a --force rerun
+        print(report)
         return code
     except (LabelsmithError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 
+def _flush_streams(code: int) -> int:
+    """Flush stdout and stderr and return the exit code. A stream that
+    cannot take the rest of its output, such as a pipe its reader closed,
+    is pointed at os.devnull (Python's "Note on SIGPIPE"), so no later
+    flush fails again, and the run exits 1 with one ``error:`` line: a new
+    one, unless ``main`` has reported its own error already."""
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # its file descriptor was closed at the start
+            continue
+        try:
+            stream.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            if code != EXIT_ERROR:
+                code = EXIT_ERROR
+                with contextlib.suppress(OSError):  # stderr's reader is gone too
+                    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _traced() -> bool:
+    """Whether a tracer or profiler is installed, or a sys.monitoring tool
+    (Python 3.12+, where cProfile is one): each writes its results at the
+    interpreter's normal exit."""
+    monitoring = getattr(sys, "monitoring", None)
+    tools = monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))  # ids 0-5
+    return tools or sys.gettrace() is not None or sys.getprofile() is not None
+
+
+def run() -> NoReturn:
+    """The process entry of ``python -m labelsmith`` and of the console
+    script, in the order the module docstring gives."""
+    # Off only now: the imports of cli and numpy leave cycles to free. A
+    # command leaves a bounded number, the same at any input size
+    # (tests/test_entry.py), so passes over its data would find nothing.
+    gc.disable()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 0 after --help, 2 for a usage error
+        code = exc.code
+    code = _flush_streams(code)
+    if _traced():
+        sys.exit(code)
+    # every output file is closed and the streams are flushed, so the
+    # interpreter's teardown would only free memory the exit frees
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1567,7 +1567,7 @@ class TestGenerateRecordsItsEndpoint:
 
         monkeypatch.setenv(prompting.API_KEY_ENV, "sk-env-secret")
         monkeypatch.setattr(prompting.HttpTransport, "complete", reply)
-        url = "https://user:pw@api.example.com:8443/v1/chat?key=query-secret#frag"
+        url = "https://api.example.com:8443/v1/chat?key=query-secret#frag"
         out = tmp_path / "gen"
         assert main(["generate", "--task", "sms", "--n", "1", "--endpoint", url, "--out", str(out)]) == 0
         assert posted == [url]
@@ -1575,8 +1575,25 @@ class TestGenerateRecordsItsEndpoint:
         for path in out.rglob("*"):
             if path.is_file():
                 text = path.read_text(encoding="utf-8")
-                for secret in ("user:pw", "pw@", "query-secret", "frag", "sk-env-secret"):
+                for secret in ("query-secret", "frag", "sk-env-secret"):
                     assert secret not in text, (path, secret)
+
+    @pytest.mark.parametrize("userinfo", ["user:pw@", "token@", "@"])
+    def test_credentials_in_the_url_refused_before_any_request(self, userinfo, tmp_path, monkeypatch, capsys):
+        # urllib would take them as part of the host: to the name lookup
+        # and the Host header, never as credentials
+        import urllib.request
+
+        monkeypatch.setenv(prompting.API_KEY_ENV, "k")
+        monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("connected"))
+        out = tmp_path / "gen"
+        url = f"https://{userinfo}api.example.com/v1/chat"
+        assert main(["generate", "--task", "sms", "--n", "1", "--endpoint", url, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --endpoint must name no user:password@ before its host; "
+            f"the API key comes from {prompting.API_KEY_ENV}\n"
+        )
+        assert not out.exists()
 
     def test_malformed_endpoint_refused_before_any_request(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(prompting.API_KEY_ENV, "k")
