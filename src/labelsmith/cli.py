@@ -131,8 +131,10 @@ class CliError(LabelsmithError):
 
 def _sha256(path: Path) -> str:
     # imported here, once the command's outputs exist: hashlib maps
-    # OpenSSL's library (about 3.5 MiB resident), which then stays off the
-    # peak of the commands whose other modules do not import it
+    # OpenSSL's library (about 3.5 MiB resident) on top of what the
+    # command still holds. On a 40 000-row votes file that sets the peak
+    # RSS of analyze and aggregate, 1.0-1.5 MiB above the peak of loading
+    # the matrix and fitting
     import hashlib
 
     h = hashlib.sha256()

@@ -267,8 +267,11 @@ def class_indices(values, K: int | None, name: str, n: int | None = None) -> tup
 
 
 def group_names(values, name: str, n: int | None = None) -> tuple[str | None, ...]:
-    """``values`` as a tuple, checked to be None or strings."""
-    return _entries(values, name, n, {str, type(None)}, "null or a string")
+    """``values`` as a tuple, checked to be None or strings, holding one
+    string object per distinct name: a parsed file has a separate copy of
+    every occurrence."""
+    values = _entries(values, name, n, {str, type(None)}, "null or a string")
+    return tuple(map(dict(zip(values, values)).__getitem__, values))
 
 
 def posterior_rows(rows, K: int | None, name: str, hard: Sequence[int] | None = None) -> np.ndarray:
@@ -552,8 +555,93 @@ def save_votes(path: str | Path, matrix: VoteMatrix) -> Path:
 
 def load_votes(path: str | Path) -> VoteMatrix:
     """Read a ``votes.json``; anything the file or ``VoteMatrix`` rejects
-    raises DatasetError naming the path."""
-    return read_json(path, _votes_from_doc)
+    raises DatasetError naming the path. When ``classes`` and
+    ``program_ids`` come before ``votes``, as ``save_votes`` writes them,
+    the rows are parsed a slice at a time, so the nested lists of all rows
+    never exist at once. Any text that scan does not accept is read whole,
+    which loads it or names its fault exactly as ``read_json`` does."""
+    text = read_text(path)
+    try:
+        doc, votes = _scan_votes(text)
+    except (_Unsliced, DatasetError, ValueError, RecursionError, StopIteration):
+        return _checked(_votes_from_doc, parse_json(text, path), str(path), DatasetError)
+    del text  # off the peak of building the matrix
+    return _checked(lambda doc: _votes_from_doc(doc, votes), doc, str(path), DatasetError)
+
+
+class _Unsliced(Exception):
+    """Text the sliced votes reader leaves to the whole-document one."""
+
+
+# characters of whole rows each slice of ``votes`` holds, at the least
+_VOTES_SLICE = 1 << 17
+_WHITESPACE = json.decoder.WHITESPACE
+# the end of one row and the comma after it; and the end of the last row
+# and of ``votes``, the first such pair when every row is a flat list
+_ROW_END = re.compile(r"\][ \t\n\r]*,")
+_VOTES_END = re.compile(r"\][ \t\n\r]*\]")
+_scan_value = json.JSONDecoder(object_pairs_hook=_unique_keys).scan_once
+
+
+def _scan_votes(text: str) -> tuple[dict, np.ndarray]:
+    """votes.json's top-level object without ``votes``, and ``votes`` as an
+    array, its rows scanned a slice at a time. Raises ``_Unsliced`` (or
+    what the C scanner or ``_vote_rows`` raises) for any text this does
+    not read as ``parse_json`` would: another key order, a repeated key, a
+    surrogate escape, malformed JSON or a row ``_vote_rows`` refuses.
+    Every slice, wrapped in brackets, must scan to its end into rows
+    ``_vote_rows`` takes, so a slice cut inside a row never loads."""
+    if _SURROGATE_ESCAPE.search(text):
+        raise _Unsliced
+    doc: dict = {}
+    votes = None
+    at = _WHITESPACE.match(text).end()
+    if not text.startswith("{", at):
+        raise _Unsliced
+    sep = "{"
+    while sep != "}":
+        at = _WHITESPACE.match(text, at + 1).end()
+        if not text.startswith('"', at):
+            raise _Unsliced
+        key, at = json.decoder.scanstring(text, at + 1)
+        at = _WHITESPACE.match(text, at).end()
+        if key in doc or key == "votes" and votes is not None or not text.startswith(":", at):
+            raise _Unsliced
+        at = _WHITESPACE.match(text, at + 1).end()
+        if key == "votes":
+            classes, program_ids = doc.get("classes"), doc.get("program_ids")
+            if type(classes) is not list or type(program_ids) is not list or not text.startswith("[", at):
+                raise _Unsliced
+            votes, at = _scan_vote_rows(text, at, len(program_ids), len(classes))
+        else:
+            doc[key], at = _scan_value(text, at)
+        at = _WHITESPACE.match(text, at).end()
+        sep = text[at : at + 1]
+        if sep not in (",", "}"):
+            raise _Unsliced
+    if votes is None or _WHITESPACE.match(text, at + 1).end() != len(text):
+        raise _Unsliced
+    return doc, votes
+
+
+def _scan_vote_rows(text: str, start: int, m: int, K: int) -> tuple[np.ndarray, int]:
+    """The ``votes`` list that opens at ``text[start]`` as an (n, m) array,
+    and the index just past it."""
+    end = _VOTES_END.search(text, start)
+    if end is None:
+        raise _Unsliced
+    stop = end.start() + 1
+    parts = []
+    at = start + 1
+    while at < stop:
+        cut = _ROW_END.search(text, at + _VOTES_SLICE, stop)
+        rows = f"[{text[at : cut.start() + 1 if cut else stop]}]"
+        parsed, scanned = _scan_value(rows, 0)
+        if scanned != len(rows):
+            raise _Unsliced
+        parts.append(_vote_rows(parsed, m, K))
+        at = cut.end() if cut else stop
+    return np.concatenate(parts), end.end()
 
 
 def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
@@ -581,11 +669,15 @@ def _vote_rows(rows: list, m: int, K: int) -> np.ndarray:
     return votes.reshape(len(rows), m)
 
 
-def _votes_from_doc(doc) -> VoteMatrix:
+def _votes_from_doc(doc, votes: np.ndarray | None = None) -> VoteMatrix:
+    """A votes document as a ``VoteMatrix``; ``votes``, when given, is
+    its ``votes`` list already read into an array by ``_vote_rows``."""
     classes = ClassSpace(tuple(json_field(doc, "classes", list)))
     program_ids = json_field(doc, "program_ids", list)
+    if votes is None:
+        votes = _vote_rows(json_field(doc, "votes", list), len(program_ids), classes.K)
     return VoteMatrix(
-        votes=_vote_rows(json_field(doc, "votes", list), len(program_ids), classes.K),
+        votes=votes,
         program_ids=program_ids,
         record_ids=json_field(doc, "record_ids", list),
         classes=classes,

@@ -519,7 +519,8 @@ def train_mlp(
         raise DistillError("training set is empty")
     T = _as_soft(targets, classes.K)
     hard = np.argmax(T, axis=1)
-    if len(np.unique(hard)) < 2:
+    # not np.unique, whose import of numpy.ma would cost every train run
+    if (hard == hard[0]).all():
         logger.warning(
             "training data has a single class (%d); the model will be a constant predictor",
             int(hard[0]),

@@ -305,36 +305,38 @@ def make_counting_params(matrix: VoteMatrix, kind: str = MV) -> tuple[LabelModel
     )
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    # the row maxima, taken column by column: a maximum is exact in any
-    # order, and a reduction along a short axis is far slower
-    peak = a[:, 0].copy()
-    for k in range(1, a.shape[1]):
-        np.maximum(peak, a[:, k], out=peak)
-    return peak + np.log(np.exp(a - peak[:, None]).sum(axis=1))
+def _e_step(bins: np.ndarray, priors: np.ndarray, confusion: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None):
+    """Posterior over true classes per row and each row's log evidence.
+    The posterior is written into ``out`` and ``work`` is scratch, both
+    (n, K) float64 buffers, allocated here when not given.
 
-
-def _log_joint(bins: np.ndarray, priors: np.ndarray, confusion: np.ndarray) -> np.ndarray:
-    """(n, K) log prior_k plus the sum over non-abstain votes of
-    log Conf_j[k, vote_ij], added in program order. Each program's
+    Row i's log joint is log prior_k plus the sum over non-abstain votes
+    of log Conf_j[k, vote_ij], added in program order. Each program's
     log-confusion is read through a (K+1, K) table whose row 0 is zero, so
     ABSTAIN adds exactly 0.0 and the sums equal those over the voting
     programs alone."""
     m, n = bins.shape
     K = len(priors)
-    log_joint = np.tile(np.log(priors), (n, 1))
+    log_joint = np.empty((n, K)) if out is None else out
+    work = np.empty((n, K)) if work is None else work
+    log_joint[...] = np.log(priors)
     log_conf = np.log(confusion)
     table = np.zeros((K + 1, K))
     for j in range(m):
         table[1:] = log_conf[j].T
-        log_joint += table.take(bins[j], axis=0)
-    return log_joint
-
-
-def _e_step(bins: np.ndarray, priors: np.ndarray, confusion: np.ndarray):
-    """Posterior over true classes per row and each row's log evidence."""
-    log_joint = _log_joint(bins, priors, confusion)
-    log_evidence = _logsumexp_rows(log_joint)
+        # mode="raise" would buffer ``out``; every bin is in 0..K
+        np.take(table, bins[j], axis=0, out=work, mode="clip")
+        log_joint += work
+    # the row maxima, taken column by column: a maximum is exact in any
+    # order, and a reduction along a short axis is far slower
+    peak = log_joint[:, 0].copy()
+    for k in range(1, K):
+        np.maximum(peak, log_joint[:, k], out=peak)
+    np.subtract(log_joint, peak[:, None], out=work)
+    log_evidence = np.exp(work, out=work).sum(axis=1)
+    np.log(log_evidence, out=log_evidence)
+    log_evidence += peak
     log_joint -= log_evidence[:, None]
     return np.exp(log_joint, out=log_joint), log_evidence
 
@@ -366,6 +368,9 @@ def _em(matrix: VoteMatrix, m_step):
     bins, n, K = matrix.bins, matrix.n, matrix.K
     mass = matrix.vote_mass()
     q = (mass + SMOOTHING) / (mass.sum(axis=1, keepdims=True) + K * SMOOTHING)
+    del mass  # an (n, K + 1) buffer the iterations never read
+    # the next posterior and the E-step's scratch; q and q_new swap
+    q_new, work = np.empty_like(q), np.empty_like(q)
     objective: list[float] = []
     converged = False
     iterations = 0
@@ -373,12 +378,12 @@ def _em(matrix: VoteMatrix, m_step):
     for iterations in range(1, MAX_ITER + 1):
         priors = (q.sum(axis=0) + SMOOTHING) / (n + K * SMOOTHING)
         confusion, penalty = m_step(_confusion_counts(bins, q))
-        q_new, log_evidence = _e_step(bins, priors, confusion)
+        log_evidence = _e_step(bins, priors, confusion, out=q_new, work=work)[1]
         objective.append(
             float(log_evidence.sum()) + SMOOTHING * float(np.log(priors).sum()) + penalty
         )
-        delta = float(np.abs(q_new - q).max())
-        q = q_new
+        delta = float(np.abs(np.subtract(q_new, q, out=work), out=work).max())
+        q, q_new = q_new, q
         if delta < TOL:
             converged = True
             break

@@ -1,14 +1,17 @@
 import json
 import math
 import re
-from dataclasses import fields
+import tracemalloc
+from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import class_space, reference_pseudolabel_bytes
+from helpers import class_space, planted_confusion_votes, reference_pseudolabel_bytes
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from labelsmith import data
 from labelsmith.cli import main
 from labelsmith.data import (
     _PSEUDOLABEL_CHUNK,
@@ -18,6 +21,7 @@ from labelsmith.data import (
     Pseudolabels,
     Record,
     VoteMatrix,
+    group_names,
     load_pseudolabels,
     load_votes,
     read_array,
@@ -377,6 +381,55 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# rows that break the votes rule, each with brackets, commas or both where
+# a slice boundary could fall inside it; every one must read as the
+# whole-document reader reads it
+_BAD_ROWS = ([0, [1], 0], [0, "a],[b"], [0, "]]"], {"a": [0, 1]}, [[0]], [0, 1.5], [0, True], [], "]", None)
+
+
+@st.composite
+def votes_texts(draw):
+    """A votes.json as any writer might lay it out: any key order, any
+    indent and separators, escaped or raw non-ASCII, now and then a bad
+    row or a repeated key. Returns the text and whether the sliced reader
+    must read it."""
+    K = draw(st.sampled_from([2, 3, 200]))  # 200 classes load as int16
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    names = st.none() | st.sampled_from(["dense", "sparse"]) | _IDS
+    doc = {
+        "classes": draw(st.lists(_IDS.filter(bool), min_size=K, max_size=K, unique=True)),
+        "gold": draw(st.none() | st.lists(st.none() | st.integers(0, K - 1), min_size=n, max_size=n)),
+        "group": draw(st.none() | st.lists(names, min_size=n, max_size=n)),
+        "program_ids": draw(st.lists(_IDS, min_size=m, max_size=m, unique=True)),
+        "record_ids": draw(st.lists(_IDS, min_size=n, max_size=n, unique=True)),
+        "task": draw(st.none() | _IDS),
+        "votes": draw(st.lists(st.lists(st.integers(ABSTAIN, K - 1), min_size=m, max_size=m), min_size=n, max_size=n)),
+    }
+    broken = draw(st.integers(0, 3)) == 0
+    if broken:
+        doc["votes"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(_BAD_ROWS))
+    order = draw(st.permutations(list(doc)))
+    text = json.dumps(
+        {key: doc[key] for key in order},
+        indent=draw(st.sampled_from([None, 0, 2])),
+        separators=draw(st.sampled_from([None, (",", ":"), (", ", ": ")])),
+        ensure_ascii=draw(st.booleans()),
+    )
+    if draw(st.integers(0, 7)) == 0:
+        key = draw(st.sampled_from(order))
+        text = f"{text[:-1]}, {json.dumps(key)}: {json.dumps(doc[key])}}}"
+        broken = True
+    sliced = order.index("votes") > max(order.index("classes"), order.index("program_ids"))
+    return text, sliced and not broken and not data._SURROGATE_ESCAPE.search(text)
+
+
+def _read(load, path):
+    try:
+        return load(path)
+    except DatasetError as exc:
+        return str(exc)
+
+
 class TestPseudolabels:
     def test_hard_is_the_argmax(self):
         labels = Pseudolabels(("r",), [[0.2, 0.8]], [True])
@@ -711,6 +764,52 @@ class TestVotesFile:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(DatasetError):
             load_votes(path)
+
+    @settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(drawn=votes_texts(), size=st.integers(1, 80) | st.just(data._VOTES_SLICE))
+    def test_sliced_reader_equals_whole_document_reader(self, tmp_path, drawn, size):
+        text, sliced = drawn
+        path = tmp_path / "v.json"
+        path.write_text(text, encoding="utf-8")
+        whole = _read(lambda path: read_json(path, data._votes_from_doc), path)
+        with mock.patch.object(data, "_VOTES_SLICE", size):
+            if sliced:
+                data._scan_votes(text)  # read in slices, not left to the whole-document reader
+            loaded = _read(load_votes, path)
+        if isinstance(whole, str):
+            assert loaded == whole
+            return
+        for field in fields(VoteMatrix):
+            a, b = getattr(whole, field.name), getattr(loaded, field.name)
+            assert _same_bits(a, b) if field.name == "votes" else a == b, field.name
+
+    def test_equal_group_names_are_one_object(self, tmp_path, mk_matrix):
+        names = ["dense", "sparse", None, "dense"]  # one-character strings are shared anyway
+        path = save_votes(tmp_path / "v.json", replace(mk_matrix([[0], [1], [0], [1]]), groups=names))
+        groups = load_votes(path).groups
+        assert groups == tuple(names) and groups[0] is groups[3]
+        copies = ["".join(["de", "nse"]) for _ in range(3)]
+        assert len(set(map(id, group_names(copies, "groups")))) == 1
+
+    def test_loading_peaks_under_three_and_a_half_times_the_file(self, tmp_path):
+        n = 20000
+        matrix, truth = planted_confusion_votes(n, 20, 3, diag=0.8, seed=5, abstain=0.6)
+        groups = np.where(np.arange(n) % 5 == 0, "sparse", "dense").tolist()
+        path = save_votes(tmp_path / "v.json", replace(matrix, gold=truth.tolist(), groups=groups))
+        load_votes(path)  # first-call costs, such as compiled patterns, are not the file's
+        tracemalloc.start()
+        try:
+            load_votes(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * path.stat().st_size, peak / path.stat().st_size
 
 
 
