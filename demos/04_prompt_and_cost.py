@@ -15,21 +15,17 @@ from labelsmith.prompting import (
     GenerationJob,
     MockTransport,
     Pricing,
-    SupplementBlock,
     build_prompt,
     estimate_cost,
     generate_programs,
 )
 
 pack = load_pack("sms")
-supplements = (
-    SupplementBlock(kind="DatasetDescription", body="short SMS messages, UK slang"),
-    SupplementBlock(
-        kind="DataExemplars",
-        exemplars=(("WIN a free cruise, txt YES", "spam"), ("see you at 8", "ham")),
-    ),
+prompt = build_prompt(
+    pack,
+    description="short SMS messages, UK slang",
+    exemplars=[("WIN a free cruise, txt YES", "spam"), ("see you at 8", "ham")],
 )
-prompt = build_prompt(pack.prompt_spec(supplements))
 print("assembled prompt:")
 print(prompt)
 
@@ -51,7 +47,7 @@ for res in results:
 
 # cost comparison: annotate every record directly vs generate 10 programs
 pricing = Pricing(0.0005, 0.0015)  # dollars per 1k tokens, in/out
-template = build_prompt(pack.prompt_spec())
+template = build_prompt(pack)
 for n in (100, 1000, 10000):
     per_record_prompts = [f"{template}\nText: message number {i}" for i in range(n)]
     annotate = estimate_cost(per_record_prompts, ["spam"] * n, pricing)

@@ -178,10 +178,13 @@ def _write_manifest(out: Path, command: str, params: dict, inputs: list[Path]) -
     write_json(out / "run_manifest.json", doc)
 
 
-def _text_or_file(value: str) -> str:
-    if value.startswith("@"):
-        return read_text(value[1:]).strip()
-    return value
+def _file_text(flag: str, path: str) -> str:
+    """The text of the file that ``flag`` names; one that holds only
+    whitespace is refused."""
+    text = read_text(path)
+    if not text.strip():
+        raise CliError(f"{flag}: {path} holds no text")
+    return text
 
 
 def _classes_arg(args) -> ClassSpace:
@@ -227,28 +230,23 @@ def _public_url(url: str) -> str:
 
 
 def cmd_generate(args, out: Path):
-    from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing, SupplementBlock
+    from .prompting import GenerationJob, HttpTransport, MockTransport, Pricing
     url = DEFAULT_ENDPOINT if args.endpoint is None else args.endpoint
     endpoint = None if args.mock else _public_url(url)
     pack = load_pack(args.task)
-    supplements = []
-    if args.dataset_description:
-        supplements.append(
-            SupplementBlock(kind="DatasetDescription", body=_text_or_file(args.dataset_description))
-        )
+    description = args.dataset_description
+    if description and description.startswith("@"):
+        description = _file_text("--dataset-description", description[1:]).strip()
+    exemplars = ()
     if args.exemplars:
-        rows = tuple(row for _, row in read_jsonl(args.exemplars, _exemplar))
-        if not rows:
+        exemplars = [row for _, row in read_jsonl(args.exemplars, _exemplar)]
+        if not exemplars:
             raise CliError(f"{args.exemplars}: the file holds no exemplars")
-        supplements.append(SupplementBlock(kind="DataExemplars", exemplars=rows))
-    if args.keywords:
-        supplements.append(SupplementBlock(kind="Keywords", body=args.keywords))
-    if args.rules_file:
-        supplements.append(
-            SupplementBlock(kind="LabelingRules", body=read_text(args.rules_file))
-        )
+    rules = args.rules_file and _file_text("--rules-file", args.rules_file)
     job = GenerationJob(
-        prompt=_cli.build_prompt(pack.prompt_spec(supplements)),
+        prompt=_cli.build_prompt(
+            pack, description=description, exemplars=exemplars, keywords=args.keywords, rules=rules
+        ),
         model=args.model_name,
         n_programs=args.n,
         temperature=args.temperature,

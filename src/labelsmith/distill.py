@@ -70,8 +70,10 @@ class DistillError(LabelsmithError):
 
 
 # the one hashing recipe: lowercased word unigrams, blake2b keyed with
-# eight zero bytes, top bit of the digest as the sign
-TOKEN_RE = re.compile(r"[a-z0-9']+")
+# eight zero bytes, top bit of the digest as the sign. A token is a run of
+# letters, digits and apostrophes in any script ("élève" is one word); on
+# ASCII text that is [a-z0-9']+
+TOKEN_RE = re.compile(r"(?:[^\W_]|')+")
 HASH_KEY = bytes(8)
 
 

@@ -9,14 +9,11 @@ prompt and the score-prompt template for the scores modality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .data import ClassSpace, LabelsmithError, json_field, read_json
-
-if TYPE_CHECKING:
-    from .prompting import PromptSpec, SupplementBlock
 
 
 class PackError(LabelsmithError):
@@ -38,15 +35,6 @@ class TaskPack:
 
     def class_space(self) -> ClassSpace:
         return ClassSpace(names=self.classes)
-
-    def prompt_spec(self, supplements: Sequence[SupplementBlock] = ()) -> PromptSpec:
-        from .prompting import PromptSpec  # only generate prompts; other commands never load it
-        return PromptSpec(
-            task_description=self.task_description,
-            labeling_instructions=self.labeling_instructions,
-            function_signature=self.function_signature,
-            supplements=tuple(supplements),
-        )
 
     def score_prompt(self, concepts: Sequence[str]) -> str:
         """Render the scores-modality generation prompt for given concepts."""
@@ -75,14 +63,26 @@ def load_pack(name: str) -> TaskPack:
         ) from None
 
 
+def _component(doc, key: str) -> str:
+    text = json_field(doc, key, str)
+    if not text.strip():
+        raise PackError(f"{key!r} must hold more than whitespace")
+    return text
+
+
 def _pack_from_doc(doc) -> TaskPack:
+    name = json_field(doc, "name", str)
+    known = {field.name for field in fields(TaskPack)}
+    for key in doc:
+        if key not in known:
+            raise PackError(f"unknown field {key!r}")
     return TaskPack(
-        name=json_field(doc, "name", str),
+        name=name,
         summary=doc.get("summary", ""),
-        classes=tuple(doc["classes"]),
-        task_description=doc["task_description"],
-        labeling_instructions=doc["labeling_instructions"],
-        function_signature=doc["function_signature"],
+        classes=tuple(json_field(doc, "classes", list)),
+        task_description=_component(doc, "task_description"),
+        labeling_instructions=_component(doc, "labeling_instructions"),
+        function_signature=_component(doc, "function_signature"),
         concept_prompt=doc.get("concept_prompt"),
         score_prompt_intro=doc.get("score_prompt_intro"),
         score_prompt_outro=doc.get("score_prompt_outro"),

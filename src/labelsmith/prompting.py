@@ -1,8 +1,8 @@
 """Prompt assembly, chat-completions transport, and cost accounting.
 
-A prompt has three core components (task description, labeling
-instructions, function signature) plus optional supplement blocks that
-always come first. Assembly is deterministic: same spec, same bytes.
+A prompt holds a task pack's three components (task description,
+labeling instructions, function signature), after any of four optional
+supplements. Assembly is deterministic: same arguments, same bytes.
 
 The transport speaks the common chat-completions JSON shape (single user
 message) against a configurable endpoint, with retries and exponential
@@ -21,90 +21,50 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from .data import MAX_RATE_PER_1K, ClassSpace, LabelsmithError, parse_json, read_json, write_json
 from .dsl import RuleProgram
 from .dsl.extract import ExtractionError, extract_program
 
-SUPPLEMENT_KINDS = ("DatasetDescription", "DataExemplars", "Keywords", "LabelingRules")
-
-_HEADINGS = {
-    "DatasetDescription": "Dataset Description",
-    "DataExemplars": "Data Exemplars",
-    "Keywords": "Keywords",
-    "LabelingRules": "Labeling Rules",
-}
+if TYPE_CHECKING:
+    from .packs import TaskPack
 
 
 class PromptError(LabelsmithError):
-    """A prompt spec or generation job is malformed."""
+    """A generation job is malformed."""
 
 
 class TransportError(LabelsmithError):
     """The completions endpoint could not produce a usable response."""
 
 
-@dataclass(frozen=True)
-class SupplementBlock:
-    """One optional context block. ``exemplars`` is only meaningful for
-    DataExemplars: (text, class name) pairs rendered one per line."""
-
-    kind: str
-    body: str = ""
-    exemplars: tuple[tuple[str, str], ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in SUPPLEMENT_KINDS:
-            raise PromptError(
-                f"unknown supplement kind {self.kind!r}; expected one of {SUPPLEMENT_KINDS}"
-            )
-        if self.exemplars is not None:
-            if self.kind != "DataExemplars":
-                raise PromptError("exemplars belong only in a DataExemplars block")
-            object.__setattr__(
-                self, "exemplars", tuple((str(t), str(c)) for t, c in self.exemplars)
-            )
-        if self.kind == "DataExemplars" and not self.exemplars and not self.body:
-            raise PromptError("a DataExemplars block needs exemplars or a body")
-        if self.kind != "DataExemplars" and not self.body:
-            raise PromptError(f"a {self.kind} block needs a body")
-
-    def render(self) -> str:
-        lines = [f"## {_HEADINGS[self.kind]}"]
-        if self.body:
-            lines.append(self.body)
-        if self.exemplars:
-            for idx, (text, cls) in enumerate(self.exemplars, start=1):
-                lines.append(f"{idx}. {json.dumps(text, ensure_ascii=False)} -> {cls}")
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class PromptSpec:
-    """The assembled-prompt recipe. Supplements render first (in given
-    order), then task description, labeling instructions, and the function
-    signature."""
-
-    task_description: str
-    labeling_instructions: str
-    function_signature: str
-    supplements: tuple[SupplementBlock, ...] = ()
-
-    def __post_init__(self):
-        for name in ("task_description", "labeling_instructions", "function_signature"):
-            if not getattr(self, name).strip():
-                raise PromptError(f"prompt component {name} must be non-empty")
-        object.__setattr__(self, "supplements", tuple(self.supplements))
-
-
-def build_prompt(spec: PromptSpec) -> str:
-    """Deterministic concatenation; byte-identical across runs."""
-    sections = [block.render() for block in spec.supplements]
-    sections.append("## Task Description\n" + spec.task_description)
-    sections.append("## Labeling Instructions\n" + spec.labeling_instructions)
-    sections.append("## Function Signature\n" + spec.function_signature)
-    return "\n\n".join(sections) + "\n"
+def build_prompt(
+    pack: TaskPack,
+    *,
+    description: str | None = None,
+    exemplars: Sequence[tuple[str, str]] = (),
+    keywords: str | None = None,
+    rules: str | None = None,
+) -> str:
+    """The generation prompt for ``pack``: the supplements in this order,
+    then the pack's three components, each section ``## Heading\\nbody``,
+    joined by blank lines, ending in a newline. A section whose body is
+    None or empty is left out. ``exemplars`` are (text, class name) pairs,
+    one ``N. "<json text>" -> class`` line each. Same arguments, same bytes."""
+    examples = "\n".join(
+        f"{i}. {json.dumps(text, ensure_ascii=False)} -> {cls}" for i, (text, cls) in enumerate(exemplars, 1)
+    )
+    sections = {
+        "Dataset Description": description,
+        "Data Exemplars": examples,
+        "Keywords": keywords,
+        "Labeling Rules": rules,
+        "Task Description": pack.task_description,
+        "Labeling Instructions": pack.labeling_instructions,
+        "Function Signature": pack.function_signature,
+    }
+    return "\n\n".join(f"## {heading}\n{body}" for heading, body in sections.items() if body) + "\n"
 
 
 # a request is tried RETRY_ATTEMPTS times; the wait before a retry starts

@@ -181,7 +181,7 @@ def test_05_group_gap_arithmetic(criterion):
 def test_06_cost_linear_in_points_constant_in_programs(criterion):
     with criterion(6, "annotation cost grows linearly with n; generation cost does not depend on n"):
         pricing = Pricing(0.0005, 0.0015)
-        template = build_prompt(load_pack("sms").prompt_spec())
+        template = build_prompt(load_pack("sms"))
         pool = [r.text for r in make_spam_corpus(50, seed=11)[0]]
         ns = (100, 300, 1000, 3000, 10000)
         annotation, generation = [], []

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,6 +35,40 @@ from labelsmith.synth import make_spam_corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MOCK_OK = str(FIXTURES / "mock" / "ok_program.json")
+# the request text of generate --task sms with all four supplement flags
+# (the files and values in test_all_four_supplements_make_the_request)
+PROMPT_ALL_FOUR = (
+    "## Dataset Description\n"
+    "Short SMS texts.\n"
+    "\n"
+    "## Data Exemplars\n"
+    "1. \"WIN cash now\" -> spam\n"
+    "2. \"see you at lunch é\" -> ham\n"
+    "\n"
+    "## Keywords\n"
+    "win, cash\n"
+    "\n"
+    "## Labeling Rules\n"
+    "Prior rule: prizes are spam.\n"
+    "\n"
+    "\n"
+    "## Task Description\n"
+    "Write a bug-free and executable function in python to label SMS text as spam or ham.\n"
+    "\n"
+    "## Labeling Instructions\n"
+    "Map each prediction to its class index: return 0 for \"spam\", return 1 for \"ham\". If a data point cannot be determined, return -1 to abstain, but use this cautiously.\n"
+    "\n"
+    "## Function Signature\n"
+    "Respond with one fenced code block containing labeling rules, one per line. The first matching rule decides the label.\n"
+    "\n"
+    "```\n"
+    "rule: contains_any([\"free\", \"winner\", \"claim\"]) -> spam;\n"
+    "rule: contains(\"see you\") -> ham;\n"
+    "default -> ABSTAIN;\n"
+    "```\n"
+    "\n"
+    "Available predicates: contains(\"text\"), contains_any([\"a\", \"b\"]), matches(\"regex\"), length_at_least(n), uppercase_ratio_at_least(x). Combine them with and / or / not. Targets are class names, class indices, or ABSTAIN.\n"
+)
 SPAM_PROGRAMS = str(FIXTURES / "spam_programs")
 
 
@@ -257,7 +292,7 @@ class TestGenerate:
         out = tmp_path / "gen"
         assert main(["generate", "--task", "sms", "--mock", MOCK_OK, "--out", str(out)]) == 0
         saved = json.loads((out / "cost.json").read_text(encoding="utf-8"))
-        prompt = build_prompt(load_pack("sms").prompt_spec())
+        prompt = build_prompt(load_pack("sms"))
         responses = []
         for i in range(10):
             artifact = json.loads((out / "raw" / f"{i}.json").read_text(encoding="utf-8"))
@@ -382,6 +417,53 @@ class TestGenerate:
         assert "short promotional texts" in sent
         assert '1. "WIN cash now" -> spam' in sent
         assert "prize, lunch" in sent
+
+    def test_all_four_supplements_make_the_request(self, tmp_path, capsys):
+        (tmp_path / "desc.txt").write_text("Short SMS texts.\n", encoding="utf-8")
+        rows = [{"text": "WIN cash now", "class": "spam"}, {"text": "see you at lunch é", "class": "ham"}]
+        (tmp_path / "ex.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        (tmp_path / "rules.txt").write_text("Prior rule: prizes are spam.\n", encoding="utf-8")
+        out = tmp_path / "gen"
+        code = main(
+            [
+                "generate",
+                "--task", "sms",
+                "--mock", MOCK_OK,
+                "--n", "1",
+                "--dataset-description", f"@{tmp_path / 'desc.txt'}",
+                "--exemplars", str(tmp_path / "ex.jsonl"),
+                "--keywords", "win, cash",
+                "--rules-file", str(tmp_path / "rules.txt"),
+                "--out", str(out),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        artifact = json.loads((out / "raw" / "0.json").read_text(encoding="utf-8"))
+        assert artifact["request"]["messages"] == [{"role": "user", "content": PROMPT_ALL_FOUR}]
+
+    @pytest.mark.parametrize(
+        "flag, value, text",
+        [
+            ("--dataset-description", "@{path}", ""),
+            ("--dataset-description", "@{path}", " \n\t\n"),
+            ("--rules-file", "{path}", ""),
+            ("--rules-file", "{path}", "\n\n"),
+        ],
+    )
+    def test_empty_supplement_file_refused(self, flag, value, text, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "gen"
+        argv = ["generate", "--task", "sms", "--mock", MOCK_OK, flag, value.format(path=path), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {path} holds no text\n"
+        assert not out.exists()
+
+    def test_empty_keywords_left_out(self, tmp_path):
+        out = tmp_path / "gen"
+        assert main(["generate", "--task", "sms", "--mock", MOCK_OK, "--n", "1", "--keywords", "", "--out", str(out)]) == 0
+        artifact = json.loads((out / "raw" / "0.json").read_text(encoding="utf-8"))
+        assert artifact["request"]["messages"][0]["content"] == build_prompt(load_pack("sms"))
 
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -690,6 +772,16 @@ class TestAggregate:
         assert code == 1
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("K", [12, 128])
+    def test_ds_fits_many_classes_in_seconds(self, K, tmp_path, capsys):
+        # class alignment once scored all K! permutations: 8 s at K=10
+        matrix, _ = planted_confusion_votes(500, 6, K, diag=0.7, seed=1)
+        votes = save_votes(tmp_path / "votes.json", matrix)
+        start = time.perf_counter()
+        code = main(["aggregate", "--votes", str(votes), "--model", "ds", "--out", str(tmp_path / "agg")])
+        assert code == 0, capsys.readouterr().err
+        assert time.perf_counter() - start < 10.0
 
     def test_refuses_flagged_unless_kept(self, tmp_path, corpus_file, capsys):
         progs = tmp_path / "progs"

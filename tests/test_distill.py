@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from labelsmith.data import ClassSpace, DatasetError, Pseudolabels, Record, RowE
 from labelsmith.synth import make_spam_corpus
 from labelsmith.distill import (
     CHUNK_ENTRIES,
+    TOKEN_RE,
     DistillError,
     Features,
     Hyper,
@@ -73,13 +75,26 @@ class TestFeaturize:
 
     def test_hash_layout_is_pinned(self):
         # saved text models depend on this exact layout: blake2b keyed
-        # with eight zero bytes over lowercased [a-z0-9']+ tokens; bucket
+        # with eight zero bytes over lowercased word tokens; bucket
         # 14 holds "win" twice plus one colliding token
         record = Record(id="a", text="Win a FREE prize now, don't wait! Win twice.")
         X = dense(featurize(Dataset.from_records([record]), 16))
         u = 0.2581988897471611
         expected = [0, u, 0, 0, -u, u, 0, 0, -u, u, 0, 0, 0, 0, 0.7745966692414834, -u]
         np.testing.assert_array_equal(X, [expected])
+
+    @given(st.text(st.characters(max_codepoint=127)))
+    @example("don't_stop A-1 it''s x_y_z")
+    def test_ascii_tokens_are_the_ascii_pattern(self, text):
+        text = text.lower()
+        assert TOKEN_RE.findall(text) == re.findall(r"[a-z0-9']+", text)
+
+    def test_non_ascii_words_hash_whole(self):
+        X = featurize(Dataset.from_records([Record(id="a", text="Élève naïve, снег 雪")]), 4096)
+        hashes = [_hash_token(w) for w in ("élève", "naïve", "снег", "雪")]
+        assert sorted(X.indices.tolist()) == sorted(h % 4096 for h in hashes)
+        signs = {h % 4096: -1.0 if h >> 63 else 1.0 for h in hashes}
+        assert X.values.tolist() == [signs[b] / 2 for b in X.indices.tolist()]
 
     def test_lowercase_folding(self):
         upper = dense(featurize(Dataset.from_records([Record(id="a", text="WIN CASH")]), 64))
@@ -111,7 +126,7 @@ class TestFeaturize:
 
 
 # a few words, so texts repeat tokens and small dims collide them, plus
-# non-ASCII letters the token pattern splits on and punctuation it drops
+# non-ASCII words, and punctuation the token pattern drops
 _WORDS = ["win", "cash", "now", "free", "see", "you", "don't", "café", "naïve", "日本", "über", "x1"]
 _TEXTS = st.lists(
     st.lists(st.sampled_from(_WORDS + ["", " ", "!", "\n", "ÉCLAIR", "Σσς"]), max_size=12).map(" ".join),

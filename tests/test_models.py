@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from helpers import (
+    class_space,
     planted_binary_votes,
     planted_confusion_votes,
     reference_alignment,
@@ -333,6 +336,40 @@ class TestReferenceEM:
         for posteriors in candidates + [np.full_like(q, 1.0 / K)]:
             expected = reference_alignment(posteriors, matrix.votes, K)
             assert _align_permutation(posteriors, matrix) == expected
+
+
+@st.composite
+def _alignment_cases(draw):
+    """K and (model class, majority class or ABSTAIN) rows: few rows over
+    many cells, so the count table is mostly ties."""
+    K = draw(st.integers(2, 7))
+    cls = st.integers(0, K - 1)
+    return K, draw(st.lists(st.tuples(cls, st.one_of(st.just(ABSTAIN), cls)), min_size=1, max_size=20))
+
+
+class TestAlignment:
+    @settings(max_examples=150, deadline=None)
+    @given(_alignment_cases())
+    @example((3, [(0, ABSTAIN)]))  # every permutation ties at 0
+    @example((3, [(0, 1), (0, 2), (1, 0)]))  # (1, 0, 2) and (2, 0, 1) tie above identity
+    @example((4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 0)]))
+    def test_matches_brute_force(self, case):
+        K, rows = case
+        votes = np.array([[v] for _, v in rows])
+        q = np.eye(K)[[a for a, _ in rows]]
+        matrix = VoteMatrix(
+            votes=votes, program_ids=("p0",), record_ids=tuple(f"r{i}" for i in range(len(rows))),
+            classes=class_space(K),
+        )
+        assert _align_permutation(q, matrix) == reference_alignment(q, votes, K)
+
+    @pytest.mark.parametrize("K", [12, 64])
+    def test_undoes_a_shuffle_of_many_classes(self, K):
+        matrix, truth = planted_confusion_votes(40 * K, 6, K, diag=0.9, seed=K)
+        shuffle = np.random.default_rng(K).permutation(K)
+        perm = _align_permutation(np.eye(K)[shuffle[truth]], matrix)
+        # new = perm[old], so class shuffle[t] goes back to t
+        assert [perm[shuffle[t]] for t in range(K)] == list(range(K))
 
 
 class TestTriplet:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from labelsmith.packs import PackError, available_packs, load_pack
+from labelsmith.data import LabelsmithError
+from labelsmith.packs import PackError, _pack_from_doc, available_packs, load_pack
 from labelsmith.prompting import build_prompt
 
 EXPECTED_PACKS = [
@@ -54,6 +55,25 @@ class TestLoading:
         for name in EXPECTED_PACKS:
             pack = load_pack(name)
             assert "-1" in pack.labeling_instructions, name
+
+
+class TestPackReader:
+    DOC = {
+        "name": "t",
+        "classes": ["spam", "ham"],
+        "task_description": "Label texts.",
+        "labeling_instructions": "Return 0 for spam, 1 for ham, -1 to abstain.",
+        "function_signature": "rule: contains(\"x\") -> spam;",
+    }
+
+    def test_unknown_key_named(self):
+        with pytest.raises(PackError, match="^unknown field 'labeling_instructions_wording'$"):
+            _pack_from_doc({**self.DOC, "labeling_instructions_wording": "house"})
+
+    def test_classes_must_be_a_list(self):
+        # tuple() of a string would make each character a class
+        with pytest.raises(LabelsmithError, match="^'classes' must be a list, got a string$"):
+            _pack_from_doc({**self.DOC, "classes": "spam"})
 
 
 class TestFieldLiterals:
@@ -118,9 +138,9 @@ class TestScorePrompt:
 
 
 class TestPromptIntegration:
-    def test_prompt_spec_builds(self):
+    def test_pack_prompt_builds(self):
         pack = load_pack("youtube")
-        prompt = build_prompt(pack.prompt_spec())
+        prompt = build_prompt(pack)
         assert "## Task Description" in prompt
         assert "## Labeling Instructions" in prompt
         assert "## Function Signature" in prompt

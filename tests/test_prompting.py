@@ -11,6 +11,7 @@ import pytest
 from labelsmith.concepts import elicit_concepts
 from labelsmith import prompting
 from labelsmith.data import MAX_RATE_PER_1K, ClassSpace
+from labelsmith.packs import PackError, TaskPack, _pack_from_doc
 from labelsmith.prompting import (
     API_KEY_ENV,
     BACKOFF_MULTIPLIER,
@@ -22,9 +23,7 @@ from labelsmith.prompting import (
     MockTransport,
     Pricing,
     PromptError,
-    PromptSpec,
     TIMEOUT_S,
-    SupplementBlock,
     TransportError,
     build_prompt,
     estimate_cost,
@@ -36,73 +35,58 @@ from labelsmith.prompting import (
 
 FIXTURES = Path(__file__).parent / "fixtures" / "mock"
 
+CORE = dict(
+    task_description="Decide whether a message is spam.",
+    labeling_instructions="Return 0 for spam, 1 for ham, -1 to abstain.",
+    function_signature='rule: contains("example") -> spam;',
+)
 
-def make_spec(**kwargs):
-    defaults = dict(
-        task_description="Decide whether a message is spam.",
-        labeling_instructions="Return 0 for spam, 1 for ham, -1 to abstain.",
-        function_signature='rule: contains("example") -> spam;',
-    )
-    defaults.update(kwargs)
-    return PromptSpec(**defaults)
+
+def make_pack():
+    return TaskPack(name="t", summary="", classes=("spam", "ham"), **CORE)
 
 
 class TestBuildPrompt:
     def test_bare_spec_is_exactly_three_sections(self):
-        spec = make_spec()
         expected = (
             "## Task Description\nDecide whether a message is spam.\n\n"
             "## Labeling Instructions\nReturn 0 for spam, 1 for ham, -1 to abstain.\n\n"
             '## Function Signature\nrule: contains("example") -> spam;\n'
         )
-        assert build_prompt(spec) == expected
+        assert build_prompt(make_pack()) == expected
 
-    def test_supplements_render_first_in_given_order(self):
-        spec = make_spec(
-            supplements=(
-                SupplementBlock(kind="Keywords", body="win, cash, prize"),
-                SupplementBlock(
-                    kind="DataExemplars",
-                    exemplars=(("WIN cash now", "spam"), ("see you at lunch", "ham")),
-                ),
-            )
+    def test_supplements_render_first_in_fixed_order(self):
+        prompt = build_prompt(
+            make_pack(),
+            rules="Prizes are spam.",
+            keywords="win, cash, prize",
+            exemplars=[("WIN cash now", "spam"), ('see "you" at lunch é', "ham")],
+            description="Short texts.",
         )
-        prompt = build_prompt(spec)
-        order = [
-            prompt.index("## Keywords"),
-            prompt.index("## Data Exemplars"),
-            prompt.index("## Task Description"),
-            prompt.index("## Labeling Instructions"),
-            prompt.index("## Function Signature"),
-        ]
-        assert order == sorted(order)
-        assert '1. "WIN cash now" -> spam' in prompt
-        assert '2. "see you at lunch" -> ham' in prompt
+        expected = (
+            "## Dataset Description\nShort texts.\n\n"
+            '## Data Exemplars\n1. "WIN cash now" -> spam\n2. "see \\"you\\" at lunch é" -> ham\n\n'
+            "## Keywords\nwin, cash, prize\n\n"
+            "## Labeling Rules\nPrizes are spam.\n\n"
+        )
+        assert prompt == expected + build_prompt(make_pack())
+
+    def test_empty_supplements_are_left_out(self):
+        bare = build_prompt(make_pack())
+        assert build_prompt(make_pack(), description="", exemplars=(), keywords="", rules=None) == bare
 
     def test_deterministic(self):
-        spec = make_spec(supplements=(SupplementBlock(kind="DatasetDescription", body="Texts."),))
-        assert build_prompt(spec) == build_prompt(spec)
+        pack = make_pack()
+        assert build_prompt(pack, description="Texts.") == build_prompt(pack, description="Texts.")
 
     @pytest.mark.parametrize(
         "field", ["task_description", "labeling_instructions", "function_signature"]
     )
     def test_empty_core_component_named(self, field):
-        with pytest.raises(PromptError, match=field):
-            make_spec(**{field: "   "})
-
-    def test_unknown_supplement_kind(self):
-        with pytest.raises(PromptError, match="Hints"):
-            SupplementBlock(kind="Hints", body="x")
-
-    def test_exemplars_only_for_data_exemplars(self):
-        with pytest.raises(PromptError, match="exemplars"):
-            SupplementBlock(kind="Keywords", body="x", exemplars=(("a", "b"),))
-
-    def test_supplement_needs_payload(self):
-        with pytest.raises(PromptError):
-            SupplementBlock(kind="Keywords", body="")
-        with pytest.raises(PromptError):
-            SupplementBlock(kind="DataExemplars")
+        # the pack reader refuses a component no prompt could use
+        doc = {"name": "t", "classes": ["spam", "ham"], **CORE, field: "   "}
+        with pytest.raises(PackError, match=f"^'{field}' must hold more than whitespace$"):
+            _pack_from_doc(doc)
 
 
 class TestJobValidation:
@@ -110,26 +94,26 @@ class TestJobValidation:
     def test_temperature_range(self):
         for temperature in (3.0, -0.1, math.nan):
             with pytest.raises(PromptError, match=re.escape(f"temperature must be in [0, 2], got {temperature}")):
-                GenerationJob(prompt=build_prompt(make_spec()), model="m", temperature=temperature)
+                GenerationJob(prompt=build_prompt(make_pack()), model="m", temperature=temperature)
 
     def test_n_programs_positive(self):
         with pytest.raises(PromptError, match="^n_programs must be at least 1$"):
-            GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=0)
+            GenerationJob(prompt=build_prompt(make_pack()), model="m", n_programs=0)
 
     def test_request_body_shape(self):
         job = GenerationJob(
-            prompt=build_prompt(make_spec()), model="test-model", max_tokens=512
+            prompt=build_prompt(make_pack()), model="test-model", max_tokens=512
         )
         body = job.request_body()
         assert body["model"] == "test-model"
         assert body["max_tokens"] == 512
         assert body["messages"][0]["role"] == "user"
-        assert body["messages"][0]["content"] == build_prompt(make_spec())
+        assert body["messages"][0]["content"] == build_prompt(make_pack())
 
     @pytest.mark.parametrize("max_tokens", [0, -3])
     def test_max_tokens_positive(self, max_tokens):
         with pytest.raises(PromptError, match=f"max_tokens must be at least 1, got {max_tokens}"):
-            GenerationJob(prompt=build_prompt(make_spec()), model="m", max_tokens=max_tokens)
+            GenerationJob(prompt=build_prompt(make_pack()), model="m", max_tokens=max_tokens)
 
 
 class TestRetries:
@@ -254,7 +238,7 @@ class TestHttpTransport:
         # TransportError only
         monkeypatch.setenv(API_KEY_ENV, "sk-test")
         monkeypatch.setattr(urllib.request, "urlopen", lambda *a, **kw: io.BytesIO(b"[" * 100_000))
-        job = GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=1)
+        job = GenerationJob(prompt=build_prompt(make_pack()), model="m", n_programs=1)
         transport = HttpTransport("http://example.invalid")
         [result] = generate_programs(job, ClassSpace(("spam", "ham")), transport, tmp_path, sleep=lambda _: None)
         assert not result.ok
@@ -279,7 +263,7 @@ class TestGeneratePrograms:
     CS = ClassSpace(("spam", "ham"))
 
     def job(self, n=3):
-        return GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=n)
+        return GenerationJob(prompt=build_prompt(make_pack()), model="m", n_programs=n)
 
     def test_ok_fixture_yields_programs_with_slot_ids(self, tmp_path):
         transport = MockTransport.from_file(FIXTURES / "ok_program.json")
@@ -327,7 +311,7 @@ class TestRawReplies:
     def test_artifact_keys(self, caller, outcome, tmp_path):
         transport = MockTransport(self.OUTCOMES[outcome])
         if caller == "generate":
-            job = GenerationJob(prompt=build_prompt(make_spec()), model="m", n_programs=1)
+            job = GenerationJob(prompt=build_prompt(make_pack()), model="m", n_programs=1)
             generate_programs(job, ClassSpace(("spam", "ham")), transport, tmp_path, sleep=lambda _: None)
             path, caller_keys = tmp_path / "raw" / "0.json", {"slot"}
         else:
@@ -365,19 +349,15 @@ class TestCost:
 
     def test_supplements_never_reduce_input_cost(self):
         pricing = Pricing(0.5, 1.5)
-        base = make_spec()
-        bigger = make_spec(
-            supplements=(SupplementBlock(kind="Keywords", body="win, cash"),)
-        )
-        cost_base = estimate_cost([build_prompt(base)], [], pricing)
-        cost_big = estimate_cost([build_prompt(bigger)], [], pricing)
+        cost_base = estimate_cost([build_prompt(make_pack())], [], pricing)
+        cost_big = estimate_cost([build_prompt(make_pack(), keywords="win, cash")], [], pricing)
         assert cost_big.input_tokens >= cost_base.input_tokens
         assert cost_big.dollars >= cost_base.dollars
 
     def test_annotation_scales_with_n_generation_does_not(self):
         pricing = Pricing(0.0005, 0.0015)
         text = "one synthetic message to score"
-        gen_prompts = [build_prompt(make_spec())] * 10
+        gen_prompts = [build_prompt(make_pack())] * 10
         ann_100 = estimate_cost([text] * 100, [], pricing)
         ann_200 = estimate_cost([text] * 200, [], pricing)
         assert ann_200.input_tokens == 2 * ann_100.input_tokens
