@@ -342,17 +342,16 @@ def cmd_aggregate(args, out: Path):
         raise CliError(f"{args.params} does not match {args.votes}: {exc}") from exc
     inputs = [Path(args.votes)] + ([Path(args.params)] if args.params else [])
     _make_out(out, inputs)
+    # saved again when reused, which writes an older file in today's form
     models.save_params(out / "params.json", params)
     save_pseudolabels(out / "pseudolabels.jsonl", labels)
-    if report is None:
-        write_json(out / "fit_report.json", {"kind": params.kind, "loaded_from": str(args.params)})
-    else:
+    if report is not None:
         models.save_report(out / "fit_report.json", report, params.program_ids)
     coverage = diagnostics.coverage_of_label_model(labels)
     line = f"{params.kind}: labeled {labels.n} records (coverage {coverage:.3f})"
-    if matrix.gold is not None and None not in matrix.gold:
-        acc = float((labels.hard == np.array(matrix.gold)).mean())
-        line += f", accuracy vs gold {acc:.4f}"
+    if matrix.gold is not None and None not in matrix.gold and labels.covered.any():
+        hits = (labels.hard == np.array(matrix.gold))[labels.covered]
+        line += f", accuracy vs gold on covered records {hits.mean():.4f}"
     return EXIT_OK, {"model": model, "threshold": threshold}, inputs, line
 
 
@@ -367,16 +366,9 @@ def cmd_export(args, out: Path):
         raise CliError(f"{args.pseudolabels} does not match {args.data}: {exc}") from exc
     inputs = [Path(args.data), Path(args.pseudolabels)]
     _make_out(out, inputs)
-    written = distill.export_training_set(
-        dataset,
-        labels,
-        out / "train.jsonl",
-        use_probabilistic=args.probabilistic,
-        drop_uncovered=not args.keep_uncovered,
-    )
+    written = distill.export_training_set(dataset, labels, out / "train.jsonl", use_probabilistic=args.probabilistic)
     report = f"wrote {written.n_written} rows ({written.n_dropped_uncovered} uncovered dropped)"
-    params = {key: getattr(args, key) for key in ("probabilistic", "keep_uncovered")}
-    return EXIT_OK, params, inputs, report
+    return EXIT_OK, {"probabilistic": args.probabilistic}, inputs, report
 
 
 def cmd_train(args, out: Path):
@@ -514,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("export", help="join records with pseudolabels into a training set")
     sp.add_argument("--pseudolabels", required=True)
     sp.add_argument("--probabilistic", action="store_true", help="write posteriors, not hard labels")
-    sp.add_argument("--keep-uncovered", action="store_true")
     _add_common(sp, data=True, task_classes=True)
     sp.set_defaults(func=cmd_export)
 

@@ -240,9 +240,7 @@ def _orthogonalized(directions: np.ndarray) -> np.ndarray:
     return np.asarray(basis)
 
 
-def reject_spurious(
-    table: EmbeddingTable, spurious: Sequence[str] | Sequence[int]
-) -> EmbeddingTable:
+def reject_spurious(table: EmbeddingTable, spurious: Sequence[str]) -> EmbeddingTable:
     """Remove the span of the named spurious concept directions from every
     record embedding (concept embeddings stay as they are).
 
@@ -252,17 +250,10 @@ def reject_spurious(
     directions sit at numerical zero."""
     if len(spurious) == 0:
         return table
-    indices = []
-    for s in spurious:
-        if isinstance(s, str):
-            if s not in table.concept_names:
-                raise ConceptError(f"spurious concept {s!r} is not in the table")
-            indices.append(table.concept_names.index(s))
-        else:
-            if not (0 <= int(s) < table.C):
-                raise ConceptError(f"spurious concept index {s} out of range 0..{table.C - 1}")
-            indices.append(int(s))
-    basis = _orthogonalized(table.concepts[indices])
+    unknown = [s for s in spurious if s not in table.concept_names]
+    if unknown:
+        raise ConceptError(f"spurious concept {unknown[0]!r} is not in the table")
+    basis = _orthogonalized(table.concepts[[table.concept_names.index(s) for s in spurious]])
     if basis.size == 0:
         return table
     records = table.records.copy()
@@ -312,6 +303,5 @@ def _embedding_fields(meta) -> tuple:
     n, C, d = (json_field(meta, key, int) for key in ("n", "C", "d"))
     if min(n, C, d) < 0:
         raise ConceptError("n, C and d must be non-negative")
-    record_ids = json_field(meta, "record_ids", list, default=None)
-    record_ids = map(str, range(n)) if record_ids is None else unique_strings(record_ids, "record_ids")
-    return n, C, d, unique_strings(json_field(meta, "concepts", list), "concepts"), record_ids
+    concepts, record_ids = (unique_strings(json_field(meta, key, list), key) for key in ("concepts", "record_ids"))
+    return n, C, d, concepts, record_ids

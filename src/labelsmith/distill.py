@@ -230,15 +230,14 @@ def export_training_set(
     path: str | Path,
     *,
     use_probabilistic: bool = False,
-    drop_uncovered: bool = True,
 ) -> ExportReport:
-    """Write a JSONL training set joining the dataset's rows with their
-    pseudolabels.
+    """Write a JSONL training set joining the dataset's covered rows with
+    their pseudolabels.
 
     Rows carry the id and payload (score columns in the dataset's concept
     order) plus either the hard label or the full posterior. Uncovered
-    records are dropped by default; the count of dropped rows comes back
-    in the report. The rows join as ``join_pseudolabels`` joins them."""
+    records, on which no program voted, are dropped; their count comes
+    back in the report. The rows join as ``join_pseudolabels`` joins them."""
     pseudolabels = join_pseudolabels(dataset, pseudolabels)
     targets = (pseudolabels.posterior if use_probabilistic else pseudolabels.hard).tolist()
     covered = pseudolabels.covered.tolist()
@@ -251,7 +250,7 @@ def export_training_set(
     written = dropped = 0
     with path.open("w", encoding="utf-8") as fh:
         for rid, value, label, labeled in zip(dataset.ids, values, targets, covered):
-            if drop_uncovered and not labeled:
+            if not labeled:
                 dropped += 1
                 continue
             fh.write(json.dumps({"id": rid, payload: value, target: label}, ensure_ascii=False) + "\n")

@@ -24,7 +24,6 @@ or for another class count.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
@@ -493,19 +492,20 @@ def fit_triplet(matrix: VoteMatrix) -> tuple[LabelModelParams, FitReport]:
     counts = np.einsum("an,bn->ab", voted, voted, dtype=np.int64)
     pair_mean = np.divide(sums, counts, out=np.full((m, m), np.nan), where=counts >= MIN_PAIRS)
 
+    # the pairs (a, b), a < b, whose E[s_a s_b] may divide a moment; NaN
+    # fails the test
+    a, b = np.triu_indices(m, 1)
+    usable = np.abs(pair_mean[a, b]) >= _MIN_DENOMINATOR
+    a, b = a[usable], b[usable]
     # no NaN: every program votes somewhere, as _check_coverage refused the rest
     agree = matrix.agreement(_mv_hard(matrix))
     accuracies = np.empty(m)
     for j in range(m):
-        moments = []
-        for a, b in itertools.combinations([x for x in range(m) if x != j], 2):
-            e_ja, e_jb, e_ab = pair_mean[j, a], pair_mean[j, b], pair_mean[a, b]
-            if math.isnan(e_ja) or math.isnan(e_jb) or math.isnan(e_ab):
-                continue
-            if abs(e_ab) < _MIN_DENOMINATOR:
-                continue
-            moments.append(e_ja * e_jb / e_ab)
-        if not moments:
+        keep = (a != j) & (b != j)
+        moments = pair_mean[j, a[keep]] * pair_mean[j, b[keep]] / pair_mean[a[keep], b[keep]]
+        # NaN where j meets a or b on too few rows
+        moments = moments[~np.isnan(moments)]
+        if not moments.size:
             raise ModelError(
                 f"program {matrix.program_ids[j]!r}: every triplet was skipped "
                 f"(fewer than {MIN_PAIRS} jointly covered rows, or degenerate "

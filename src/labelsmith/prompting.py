@@ -50,8 +50,9 @@ def build_prompt(
     """The generation prompt for ``pack``: the supplements in this order,
     then the pack's three components, each section ``## Heading\\nbody``,
     joined by blank lines, ending in a newline. A section whose body is
-    None or empty is left out. ``exemplars`` are (text, class name) pairs,
-    one ``N. "<json text>" -> class`` line each. Same arguments, same bytes."""
+    None or holds only whitespace is left out. ``exemplars`` are (text,
+    class name) pairs, one ``N. "<json text>" -> class`` line each. Same
+    arguments, same bytes."""
     examples = "\n".join(
         f"{i}. {json.dumps(text, ensure_ascii=False)} -> {cls}" for i, (text, cls) in enumerate(exemplars, 1)
     )
@@ -64,7 +65,8 @@ def build_prompt(
         "Labeling Instructions": pack.labeling_instructions,
         "Function Signature": pack.function_signature,
     }
-    return "\n\n".join(f"## {heading}\n{body}" for heading, body in sections.items() if body) + "\n"
+    kept = (f"## {heading}\n{body}" for heading, body in sections.items() if body and body.strip())
+    return "\n\n".join(kept) + "\n"
 
 
 # a request is tried RETRY_ATTEMPTS times; the wait before a retry starts
@@ -158,10 +160,11 @@ class HttpTransport:
 
 
 class MockTransport:
-    """Replays canned responses from a fixture file, in order, cycling when
-    exhausted. Entries are either {"content": "..."} (a successful
-    completion), a full response object under {"response": {...}}, or
-    {"error": "..."} (raises TransportError, for retry testing)."""
+    """Replays canned responses, in order, cycling when exhausted; a
+    fixture file holds them as {"responses": [...]}. Entries are either
+    {"content": "..."} (a successful completion), a full response object
+    under {"response": {...}}, or {"error": "..."} (raises TransportError,
+    for retry testing)."""
 
     def __init__(self, entries: Sequence[dict]):
         if not isinstance(entries, (list, tuple)) or not entries:
@@ -182,11 +185,9 @@ class MockTransport:
 
     @classmethod
     def _from_doc(cls, doc) -> "MockTransport":
-        if isinstance(doc, dict) and "responses" in doc:
-            return cls(doc["responses"])
-        if isinstance(doc, list):
-            return cls(doc)
-        raise PromptError("a mock fixture must be a list or have a 'responses' key")
+        if not isinstance(doc, dict) or "responses" not in doc:
+            raise PromptError('a mock fixture must be an object {"responses": [...]}')
+        return cls(doc["responses"])
 
     def complete(self, body: dict) -> dict:
         entry = self.entries[self.calls % len(self.entries)]

@@ -6,8 +6,10 @@ models assume, so planted parameters are the recovery oracle. The
 reference EM and alignment are per-row loops that the vectorized fitters
 are compared against, and the reference pseudolabel writer is the
 per-row formula the array writer must match byte for byte. The
-reference triplet estimator is the float loop over program pairs that
-the integer products in ``fit_triplet`` replaced. The
+reference triplet estimator is the float loop over program pairs and
+triplets that the integer products and the array moments in
+``fit_triplet`` replaced; it refuses a program whose every triplet was
+skipped with the same ``ModelError``. The
 reference Pike VM is the per-character regex loop that the lazy DFA in
 ``labelsmith.dsl.rex`` replaced. The reference scanner is the
 per-character DSL scanner, with its own escape table, that the token
@@ -70,6 +72,7 @@ from labelsmith.dsl import (
     rex,
 )
 from labelsmith.dsl.parser import _PUNCT, _Token
+from labelsmith.models import ModelError
 
 
 def class_space(K):
@@ -211,7 +214,8 @@ def reference_triplet(votes, min_pairs=10, min_denominator=0.05, clamp=(0.05, 0.
     """The triplet estimator over an (n, m) binary vote array, one pass
     over the rows per program pair: each pair's mean sign product over its
     jointly covered rows, the median triplet moment per program, its sign
-    from agreement with plurality. Returns (accuracies, weights)."""
+    from agreement with plurality. Returns (accuracies, weights). A
+    refusal names the programs p0, p1, ..., as ``mk_matrix`` does."""
     votes = np.asarray(votes, dtype=np.int64)
     m = votes.shape[1]
     signs = np.where(votes == ABSTAIN, 0, 2 * votes - 1).astype(float)
@@ -233,6 +237,12 @@ def reference_triplet(votes, min_pairs=10, min_denominator=0.05, clamp=(0.05, 0.
             if math.isnan(e_ja) or math.isnan(e_jb) or math.isnan(e_ab) or abs(e_ab) < min_denominator:
                 continue
             moments.append(e_ja * e_jb / e_ab)
+        if not moments:
+            raise ModelError(
+                f"program 'p{j}': every triplet was skipped "
+                f"(fewer than {min_pairs} jointly covered rows, or degenerate "
+                "pair agreements); cannot estimate its accuracy"
+            )
         med = float(np.clip(np.median(moments), 0.0, 1.0))
         voted = nonabstain[:, j]
         agree = float((votes[voted, j] == mv[voted]).mean())

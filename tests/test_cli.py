@@ -19,7 +19,7 @@ from helpers import NESTED_GUARD_FORMS, nested_guard, planted_confusion_votes, s
 
 from labelsmith import cli, models, prompting
 from labelsmith.cli import main
-from labelsmith.data import ClassSpace, load_pseudolabels, load_votes, save_votes, serialize_records
+from labelsmith.data import ABSTAIN, ClassSpace, load_pseudolabels, load_votes, save_votes, serialize_records
 from labelsmith.distill import load_model
 from labelsmith.packs import load_pack
 from labelsmith.prompting import (
@@ -465,6 +465,21 @@ class TestGenerate:
         artifact = json.loads((out / "raw" / "0.json").read_text(encoding="utf-8"))
         assert artifact["request"]["messages"][0]["content"] == build_prompt(load_pack("sms"))
 
+    @pytest.mark.parametrize("flag", ["--keywords", "--dataset-description"])
+    def test_blank_supplement_text_left_out(self, flag, tmp_path):
+        out = tmp_path / "gen"
+        assert main(["generate", "--task", "sms", "--mock", MOCK_OK, "--n", "1", flag, " \t ", "--out", str(out)]) == 0
+        artifact = json.loads((out / "raw" / "0.json").read_text(encoding="utf-8"))
+        assert artifact["request"]["messages"][0]["content"] == build_prompt(load_pack("sms"))
+
+    def test_list_shaped_mock_refused(self, tmp_path, capsys):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps([{"content": "x"}]), encoding="utf-8")
+        out = tmp_path / "gen"
+        assert main(["generate", "--task", "sms", "--mock", str(mock), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f'error: {mock}: a mock fixture must be an object {{"responses": [...]}}\n'
+        assert not out.exists()
+
     def test_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         out = tmp_path / "gen"
         assert main(["generate", "--task", "sms", "--mock", MOCK_OK, "--out", str(out)]) == 0
@@ -646,11 +661,40 @@ class TestAggregate:
             ]
         )
         assert code == 0
-        report = json.loads((reused / "fit_report.json").read_text(encoding="utf-8"))
-        assert report["loaded_from"] == str(fitted / "params.json")
+        # no fit, so no fit report: the manifest lists the params file
+        assert sorted(tree_bytes(reused)) == ["params.json", "pseudolabels.jsonl"]
         a = (fitted / "pseudolabels.jsonl").read_bytes()
         b = (reused / "pseudolabels.jsonl").read_bytes()
         assert a == b
+
+    def test_params_reuse_writes_the_same_files_however_the_path_is_spelled(self, votes_dir, tmp_path, monkeypatch):
+        votes = str(votes_dir / "votes.json")
+        assert main(["aggregate", "--votes", votes, "--out", str(tmp_path / "fit")]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["aggregate", "--votes", votes, "--params", "fit/params.json", "--out", "relative"]) == 0
+        absolute = str(tmp_path / "fit" / "params.json")
+        assert main(["aggregate", "--votes", votes, "--params", absolute, "--out", "absolute"]) == 0
+        assert tree_bytes(tmp_path / "relative") == tree_bytes(tmp_path / "absolute")
+
+    def test_accuracy_vs_gold_on_covered_records_only(self, partial_labels, tmp_path, capsys):
+        votes, _ = partial_labels
+        out = tmp_path / "agg"
+        assert main(["aggregate", "--votes", str(votes), "--out", str(out)]) == 0
+        labels = load_pseudolabels(out / "pseudolabels.jsonl")
+        covered = labels.covered
+        assert 0 < covered.sum() < labels.n
+        hits = labels.hard[covered] == np.array(load_votes(votes).gold)[covered]
+        assert capsys.readouterr().out.endswith(f", accuracy vs gold on covered records {hits.mean():.4f}\n")
+
+    def test_no_accuracy_when_no_record_is_covered(self, partial_labels, tmp_path, capsys):
+        votes, agg = partial_labels
+        matrix = load_votes(votes)
+        silent = tmp_path / "silent.json"
+        save_votes(silent, replace(matrix, votes=np.full(matrix.votes.shape, ABSTAIN)))
+        argv = ["aggregate", "--votes", str(silent), "--params", str(agg / "params.json"), "--keep-flagged"]
+        assert main([*argv, "--out", str(tmp_path / "reuse")]) == 0
+        out = capsys.readouterr().out
+        assert "coverage 0.000" in out and "accuracy" not in out
 
     def test_manifest_names_the_fitted_model_or_none(self, votes_dir, tmp_path):
         votes = str(votes_dir / "votes.json")
@@ -854,7 +898,38 @@ def trained(tmp_path_factory, labeled, corpus_file):
     return train_dir
 
 
+@pytest.fixture(scope="module")
+def partial_labels(tmp_path_factory, corpus_file):
+    """(votes.json, aggregate's directory) of two fixture programs, which
+    leave some records of the corpus uncovered."""
+    root = tmp_path_factory.mktemp("partial")
+    programs = root / "programs"
+    programs.mkdir()
+    for name in ("01_prizes_vs_work.lf", "02_links_vs_home.lf"):
+        shutil.copy(Path(SPAM_PROGRAMS) / name, programs / name)
+    argv = ["apply", "--programs", str(programs), "--task", "sms", "--data", corpus_file]
+    assert main([*argv, "--out", str(root / "votes")]) == 0
+    assert main(["aggregate", "--votes", str(root / "votes" / "votes.json"), "--out", str(root / "agg")]) == 0
+    return root / "votes" / "votes.json", root / "agg"
+
+
 class TestExportTrainEval:
+    @pytest.mark.parametrize("probabilistic", [False, True])
+    def test_export_writes_no_uncovered_row(self, probabilistic, partial_labels, corpus_file, tmp_path, capsys):
+        pseudolabels = partial_labels[1] / "pseudolabels.jsonl"
+        labels = load_pseudolabels(pseudolabels)
+        covered = [rid for rid, kept in zip(labels.record_ids, labels.covered) if kept]
+        assert 0 < len(covered) < labels.n
+        out = tmp_path / "export"
+        argv = ["export", "--pseudolabels", str(pseudolabels), "--task", "sms", "--data", corpus_file]
+        capsys.readouterr()
+        assert main([*argv, *(["--probabilistic"] if probabilistic else []), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "train.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [row["id"] for row in rows] == covered
+        dropped = labels.n - len(covered)
+        assert capsys.readouterr().out == f"wrote {len(covered)} rows ({dropped} uncovered dropped)\n"
+        assert read_manifest(out)["params"] == {"probabilistic": probabilistic}
+
     def test_export_writes_training_rows(self, labeled, corpus_file, tmp_path, capsys):
         out = tmp_path / "export"
         code = main(
@@ -1344,6 +1419,10 @@ MALFORMED_INPUTS = {
         lambda ctx: json.dumps([5]),
         lambda ctx: ["generate", "--task", "sms", "--mock", "BAD", "--n", "1"],
     ),
+    "mock-response-not-an-object": (
+        lambda ctx: json.dumps({"responses": [5]}),
+        lambda ctx: ["generate", "--task", "sms", "--mock", "BAD", "--n", "1"],
+    ),
     "exemplar-without-class": (
         lambda ctx: _jsonl({"text": "win a free prize"}),
         lambda ctx: ["generate", "--task", "sms", "--mock", MOCK_OK, "--n", "1", "--exemplars", "BAD"],
@@ -1455,6 +1534,7 @@ MALFORMED_MESSAGES = {
     "training-score-row-extra-concept": ":2: unexpected score column 'z'",
     "training-duplicate-record-id": ":2: ids must be unique strings, but entry 1 repeats 'a'",
     "model-without-classes": "missing field 'classes'",
+    "mock-response-not-an-object": "{bad}: mock entry 0 must be an object",
     "votes-nested-too-deeply": "JSON nested too deeply",
     "votes-two-classes-keys": "{bad}: duplicate key 'classes'",
     "data-id-lone-surrogate": "{bad}:2: a string holds the lone surrogate \\ud800, which UTF-8 cannot encode",

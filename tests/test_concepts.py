@@ -226,12 +226,6 @@ class TestRejectSpurious:
         flipped = reject_spurious(table, list(reversed(spurious)))
         np.testing.assert_allclose(cleaned.records, flipped.records, atol=1e-10)
 
-    def test_accepts_indices(self):
-        table, _ = self._random_table(13)
-        by_name = reject_spurious(table, ["spur0"])
-        by_index = reject_spurious(table, [0])
-        np.testing.assert_array_equal(by_name.records, by_index.records)
-
     def test_empty_spurious_is_identity(self):
         table, _ = self._random_table(14)
         assert reject_spurious(table, []) is table
@@ -240,8 +234,9 @@ class TestRejectSpurious:
         table, _ = self._random_table(15)
         with pytest.raises(ConceptError, match="'tail'"):
             reject_spurious(table, ["tail"])
-        with pytest.raises(ConceptError, match="out of range"):
-            reject_spurious(table, [99])
+        # concepts are named; an index names none
+        with pytest.raises(ConceptError, match="spurious concept 0 is not in the table"):
+            reject_spurious(table, [0])
 
     def test_duplicate_directions_collapse(self):
         # second direction is a multiple of the first; projection must not double
@@ -290,6 +285,15 @@ class TestEmbeddingIO:
     def test_missing_sidecar(self, tmp_path):
         with pytest.raises(ConceptError, match="cannot read"):
             load_embeddings(tmp_path / "nope")
+
+    def test_sidecar_without_record_ids_refused(self, tmp_path):
+        rng = np.random.default_rng(24)
+        _, json_path = save_embeddings(tmp_path / "emb", make_table(rng.normal(size=(3, 2)), rng.normal(size=(2, 2))))
+        doc = json.loads(json_path.read_text(encoding="utf-8"))
+        del doc["record_ids"]
+        json_path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConceptError, match=r"emb\.json: missing field 'record_ids'"):
+            load_embeddings(tmp_path / "emb")
 
     def test_table_validation(self):
         with pytest.raises(ConceptError, match="dimension mismatch"):

@@ -202,8 +202,8 @@ def _expected_columns(records, K) -> dict:
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(drawn=record_lists(), probabilistic=st.booleans(), drop=st.booleans(), data=st.data())
-def test_record_files_round_trip_as_columns(tmp_path, drawn, probabilistic, drop, data):
+@given(drawn=record_lists(), probabilistic=st.booleans(), data=st.data())
+def test_record_files_round_trip_as_columns(tmp_path, drawn, probabilistic, data):
     records, K = drawn
     dataset = load_dataset(serialize_records(records, tmp_path / "d.jsonl"), class_space(K))
     assert _columns(dataset) == _expected_columns(records, K)
@@ -216,9 +216,9 @@ def test_record_files_round_trip_as_columns(tmp_path, drawn, probabilistic, drop
     order = data.draw(st.permutations(range(n)))
     labels = Pseudolabels(tuple(dataset.ids[i] for i in order), posterior[order], covered[order])
     path = tmp_path / "train.jsonl"
-    export_training_set(dataset, labels, path, use_probabilistic=probabilistic, drop_uncovered=drop)
+    export_training_set(dataset, labels, path, use_probabilistic=probabilistic)
     trained, targets = load_training_set(path, K)
-    kept = [i for i in range(n) if covered[i] or not drop]
+    kept = [i for i in range(n) if covered[i]]
     # records[0] is covered, so the kept rows' first record sets the concept order
     assert _columns(trained) == {**_expected_columns([records[i] for i in kept], K), "gold": None, "groups": None}
     expected = posterior[kept] if probabilistic else posterior[kept].argmax(axis=1)

@@ -434,12 +434,6 @@ class TestExport:
         assert targets.dtype == np.int64
         assert loaded.ids == tuple(f"r{i}" for i in range(10) if i not in (3, 7))
 
-    def test_keep_uncovered(self, tmp_path):
-        records = [Record(id="a", text="x")]
-        labels = self._labels([("a", 0, False)])
-        report = export_training_set(Dataset.from_records(records), labels, tmp_path / "t.jsonl", drop_uncovered=False)
-        assert report.n_written == 1 and report.n_dropped_uncovered == 0
-
     def test_probabilistic_round_trip(self, tmp_path):
         records = [Record(id="a", text="x"), Record(id="b", text="y")]
         labels = Pseudolabels(("a", "b"), [[0.75, 0.25], [0.1, 0.9]], [True, True])

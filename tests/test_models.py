@@ -438,6 +438,41 @@ class TestTriplet:
         assert params.accuracies.tobytes() == accuracies.tobytes()
         assert params.weights.tobytes() == weights.tobytes()
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.integers(3, 13),
+        n=st.integers(1, 200),
+        coverage=st.floats(0.02, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_triplet_loop(self, m, n, coverage, seed):
+        # low coverage leaves pairs under MIN_PAIRS, so whole programs
+        # lose every triplet and both must refuse them alike
+        rng = np.random.default_rng(seed)
+        truth = rng.integers(0, 2, size=n)
+        right = rng.random((n, m)) < rng.uniform(0.2, 0.95, size=m)
+        votes = np.where(right, truth[:, None], 1 - truth[:, None])
+        votes[rng.random((n, m)) >= coverage] = ABSTAIN
+        # every program votes somewhere, as fitting requires
+        rows = np.arange(m) % n
+        votes[rows, np.arange(m)] = truth[rows]
+        matrix = VoteMatrix(
+            votes=votes,
+            program_ids=tuple(f"p{j}" for j in range(m)),
+            record_ids=tuple(f"r{i}" for i in range(n)),
+            classes=class_space(2),
+        )
+        try:
+            accuracies, weights = reference_triplet(votes)
+        except ModelError as exc:
+            with pytest.raises(ModelError) as refused:
+                fit_triplet(matrix)
+            assert str(refused.value) == str(exc)
+            return
+        params, _ = fit_triplet(matrix)
+        assert params.accuracies.tobytes() == accuracies.tobytes()
+        assert params.weights.tobytes() == weights.tobytes()
+
     def test_all_triplets_skipped_is_an_error(self, mk_matrix):
         # p0 and p2 never fire together, so p1's only triplet lacks E[s0 s2]
         rows = []

@@ -75,6 +75,10 @@ class TestBuildPrompt:
         bare = build_prompt(make_pack())
         assert build_prompt(make_pack(), description="", exemplars=(), keywords="", rules=None) == bare
 
+    def test_blank_supplements_are_left_out(self):
+        bare = build_prompt(make_pack())
+        assert build_prompt(make_pack(), description=" \n", keywords="   ", rules="\t\n") == bare
+
     def test_deterministic(self):
         pack = make_pack()
         assert build_prompt(pack, description="Texts.") == build_prompt(pack, description="Texts.")
@@ -146,19 +150,17 @@ class TestMockTransport:
         texts = [response_text(transport.complete({})) for _ in range(5)]
         assert texts == ["a", "b", "a", "b", "a"]
 
-    def test_from_file_accepts_list_and_wrapped_forms(self, tmp_path):
-        as_list = tmp_path / "list.json"
-        as_list.write_text(json.dumps([{"content": "x"}]))
+    def test_from_file_reads_the_wrapped_form(self, tmp_path):
         as_dict = tmp_path / "dict.json"
         as_dict.write_text(json.dumps({"responses": [{"content": "y"}]}))
-        assert response_text(MockTransport.from_file(as_list).complete({})) == "x"
         assert response_text(MockTransport.from_file(as_dict).complete({})) == "y"
 
     def test_bad_fixture_shapes(self, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('"just a string"')
-        with pytest.raises(PromptError, match="responses"):
-            MockTransport.from_file(bad)
+        for doc in ("just a string", [{"content": "x"}], {"content": "x"}):
+            bad.write_text(json.dumps(doc))
+            with pytest.raises(PromptError, match="responses"):
+                MockTransport.from_file(bad)
         with pytest.raises(PromptError, match="no responses"):
             MockTransport([])
 
